@@ -16,18 +16,17 @@ sender's signature — is checked by :meth:`MetricsLedger.unsigned_correct_messa
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.message import Envelope, iter_payload_parts
+from repro.core.message import Envelope, count_parts
 from repro.core.types import ProcessorId
 from repro.crypto.signatures import Signature
 
 
 def count_signatures(payload: object) -> int:
     """Number of signatures appended to *payload* (nested ones included)."""
-    return sum(
-        1 for part in iter_payload_parts(payload) if isinstance(part, Signature)
-    )
+    return count_parts(payload, Signature)
 
 
 @dataclass(slots=True)
@@ -59,25 +58,43 @@ class MetricsLedger:
     #: receives from correct processors.
     correct_messages_received_by: Counter[ProcessorId] = field(default_factory=Counter)
 
-    def record_send(self, envelope: Envelope, sender_correct: bool) -> None:
-        """Account for one sent message."""
-        if envelope.is_input_edge():
-            return
-        n_sigs = count_signatures(envelope.payload)
-        self.sent_per_processor[envelope.src] += 1
-        self.received_per_processor[envelope.dst] += 1
-        self.messages_per_phase[envelope.phase] += 1
-        self.signatures_per_phase[envelope.phase] += n_sigs
-        self.last_active_phase = max(self.last_active_phase, envelope.phase)
-        if sender_correct:
-            self.messages_by_correct += 1
-            self.signatures_by_correct += n_sigs
-            self.correct_messages_received_by[envelope.dst] += 1
-            if n_sigs == 0:
-                self.unsigned_correct_messages += 1
-        else:
-            self.messages_by_faulty += 1
-            self.signatures_by_faulty += n_sigs
+    def record_phase(
+        self, sent: Sequence[Envelope], correct: Container[ProcessorId]
+    ) -> list[int]:
+        """Account for the messages in *sent*, in order, and return each
+        one's signature count; senders in *correct* are correct.
+
+        Each distinct payload object is counted once: a broadcast hands
+        one payload object to ``n - 1`` envelopes.  The runner calls this
+        once per phase, after every handler and the adversary have
+        returned, so no payload can change while the memo is live; and
+        *sent* holds every payload, so no ``id`` is reused within the call.
+        """
+        memo: dict[int, int] = {}
+        counts: list[int] = []
+        for envelope in sent:
+            payload = envelope.payload
+            n_sigs = memo.get(id(payload))
+            if n_sigs is None:
+                n_sigs = memo[id(payload)] = count_signatures(payload)
+            counts.append(n_sigs)
+            if envelope.is_input_edge():
+                continue
+            self.sent_per_processor[envelope.src] += 1
+            self.received_per_processor[envelope.dst] += 1
+            self.messages_per_phase[envelope.phase] += 1
+            self.signatures_per_phase[envelope.phase] += n_sigs
+            self.last_active_phase = max(self.last_active_phase, envelope.phase)
+            if envelope.src in correct:
+                self.messages_by_correct += 1
+                self.signatures_by_correct += n_sigs
+                self.correct_messages_received_by[envelope.dst] += 1
+                if n_sigs == 0:
+                    self.unsigned_correct_messages += 1
+            else:
+                self.messages_by_faulty += 1
+                self.signatures_by_faulty += n_sigs
+        return counts
 
     # ------------------------------------------------------------- summaries
 

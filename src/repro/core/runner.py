@@ -26,7 +26,7 @@ from repro.core.errors import (
 )
 from repro.core.history import History
 from repro.core.message import CANONICAL_STATS, Envelope
-from repro.core.metrics import MetricsLedger, count_signatures
+from repro.core.metrics import MetricsLedger
 from repro.core.protocol import AgreementAlgorithm, Context, Processor
 from repro.core.types import INPUT_SOURCE, ProcessorId, Value
 from repro.crypto.signatures import SignatureService
@@ -425,10 +425,15 @@ def run(
                 raise AdversaryError(f"invalid adversary destination {dst}")
             sent.append(Envelope(src=src, dst=dst, phase=phase, payload=payload))
 
+        counts = metrics.record_phase(sent, correct)
         if sinks:
-            for envelope in sent:
-                sender_correct = envelope.src in correct
-                metrics.record_send(envelope, sender_correct=sender_correct)
+            # Send events carry the ledger's running totals as of each
+            # message; every envelope of a phase >= 1 is one message.
+            messages_total = metrics.total_messages - len(sent)
+            signatures_total = metrics.total_signatures - sum(counts)
+            for envelope, n_sigs in zip(sent, counts):
+                messages_total += 1
+                signatures_total += n_sigs
                 _emit(
                     sinks,
                     {
@@ -437,16 +442,13 @@ def run(
                         "src": envelope.src,
                         "dst": envelope.dst,
                         "digest": safe_digest(envelope.payload),
-                        "signatures": count_signatures(envelope.payload),
-                        "sender_correct": sender_correct,
-                        "messages_total": metrics.total_messages,
-                        "signatures_total": metrics.total_signatures,
+                        "signatures": n_sigs,
+                        "sender_correct": envelope.src in correct,
+                        "messages_total": messages_total,
+                        "signatures_total": signatures_total,
                     },
                     telemetry,
                 )
-        else:
-            for envelope in sent:
-                metrics.record_send(envelope, sender_correct=envelope.src in correct)
         if transport is None:
             pending = (
                 _route_sorted(sent)

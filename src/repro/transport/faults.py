@@ -320,12 +320,15 @@ def excused_processors(fault_events: Iterable[Mapping[str, Any]]) -> frozenset[i
     module docstring: for every fault kind whose effect a Byzantine
     adversary could reproduce by corrupting one processor, that processor
     is excused; ``delay``/``lost`` events are not expressible and excuse
-    both endpoints.
+    both endpoints.  A ``partition`` event names its endpoint inside the
+    cut group as ``pid``, and that endpoint is excused: a processor cut
+    off while it only receives is the one whose view diverges.  Events
+    without ``pid`` excuse the sender.
     """
     excused: set[int] = set()
     for event in fault_events:
         kind = event.get("kind")
-        if kind == "crash":
+        if kind == "crash" or (kind == "partition" and "pid" in event):
             excused.add(int(event["pid"]))
         elif kind in ("omission_send", "drop", "partition", "duplicate"):
             excused.add(int(event["src"]))

@@ -148,7 +148,8 @@ class FaultyTransport:
                 return 0
             if kind == "partition" and fault.active(phase) and fault.severs(src, dst):
                 self._record(
-                    "partition", phase=phase, src=src, dst=dst,
+                    "partition", phase=phase,
+                    pid=src if src in fault.group else dst, src=src, dst=dst,
                     detail=f"cut {{{','.join(map(str, fault.group))}}} | rest",
                 )
                 return 0

@@ -33,8 +33,8 @@ class TestMetricsLedger:
     def test_correct_and_faulty_tracked_separately(self, service):
         ledger = MetricsLedger()
         chain = signed_chain(service, [0])
-        ledger.record_send(Envelope(0, 1, 1, chain), sender_correct=True)
-        ledger.record_send(Envelope(2, 1, 1, chain), sender_correct=False)
+        ledger.record_phase([Envelope(0, 1, 1, chain)], correct={0})
+        ledger.record_phase([Envelope(2, 1, 1, chain)], correct=())
         assert ledger.messages_by_correct == 1
         assert ledger.messages_by_faulty == 1
         assert ledger.signatures_by_correct == 1
@@ -43,21 +43,21 @@ class TestMetricsLedger:
 
     def test_input_edge_not_counted(self):
         ledger = MetricsLedger()
-        ledger.record_send(Envelope(INPUT_SOURCE, 0, 0, 1), sender_correct=True)
+        ledger.record_phase([Envelope(INPUT_SOURCE, 0, 0, 1)], correct={INPUT_SOURCE})
         assert ledger.total_messages == 0
 
     def test_unsigned_correct_messages_flagged(self):
         ledger = MetricsLedger()
-        ledger.record_send(Envelope(0, 1, 1, "bare"), sender_correct=True)
-        ledger.record_send(Envelope(2, 1, 1, "bare"), sender_correct=False)
+        ledger.record_phase([Envelope(0, 1, 1, "bare")], correct={0})
+        ledger.record_phase([Envelope(2, 1, 1, "bare")], correct=())
         assert ledger.unsigned_correct_messages == 1
 
     def test_per_phase_and_per_processor_breakdowns(self, service):
         ledger = MetricsLedger()
         chain = signed_chain(service, [0, 1])
-        ledger.record_send(Envelope(0, 1, 1, chain), sender_correct=True)
-        ledger.record_send(Envelope(0, 2, 2, chain), sender_correct=True)
-        ledger.record_send(Envelope(1, 2, 2, chain), sender_correct=True)
+        ledger.record_phase([Envelope(0, 1, 1, chain)], correct={0})
+        ledger.record_phase([Envelope(0, 2, 2, chain)], correct={0})
+        ledger.record_phase([Envelope(1, 2, 2, chain)], correct={1})
         assert ledger.sent_per_processor[0] == 2
         assert ledger.received_per_processor[2] == 2
         assert ledger.messages_per_phase[2] == 2
@@ -66,9 +66,9 @@ class TestMetricsLedger:
 
     def test_correct_messages_received_by(self):
         ledger = MetricsLedger()
-        ledger.record_send(Envelope(0, 3, 1, "m"), sender_correct=True)
-        ledger.record_send(Envelope(1, 3, 1, "m"), sender_correct=True)
-        ledger.record_send(Envelope(2, 3, 1, "m"), sender_correct=False)
+        ledger.record_phase([Envelope(0, 3, 1, "m")], correct={0})
+        ledger.record_phase([Envelope(1, 3, 1, "m")], correct={1})
+        ledger.record_phase([Envelope(2, 3, 1, "m")], correct=())
         assert ledger.correct_messages_received_by[3] == 2
 
     def test_summary_keys(self):

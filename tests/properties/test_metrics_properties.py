@@ -23,7 +23,7 @@ class TestLedgerInvariants:
     def test_totals_equal_breakdown_sums(self, events):
         ledger = MetricsLedger()
         for envelope, correct in events:
-            ledger.record_send(envelope, sender_correct=correct)
+            ledger.record_phase([envelope], correct={envelope.src} if correct else ())
         assert ledger.total_messages == sum(ledger.messages_per_phase.values())
         assert ledger.total_messages == sum(ledger.sent_per_processor.values())
         assert ledger.total_messages == sum(ledger.received_per_processor.values())
@@ -36,7 +36,7 @@ class TestLedgerInvariants:
     def test_correct_received_bounded_by_received(self, events):
         ledger = MetricsLedger()
         for envelope, correct in events:
-            ledger.record_send(envelope, sender_correct=correct)
+            ledger.record_phase([envelope], correct={envelope.src} if correct else ())
         for pid, count in ledger.correct_messages_received_by.items():
             assert count <= ledger.received_per_processor[pid]
 
@@ -44,7 +44,7 @@ class TestLedgerInvariants:
     def test_last_active_phase_is_max(self, events):
         ledger = MetricsLedger()
         for envelope, correct in events:
-            ledger.record_send(envelope, sender_correct=correct)
+            ledger.record_phase([envelope], correct={envelope.src} if correct else ())
         expected = max((e.phase for e, _ in events), default=0)
         assert ledger.last_active_phase == expected
 
@@ -52,9 +52,7 @@ class TestLedgerInvariants:
     def test_input_edges_never_counted(self, phase_count):
         ledger = MetricsLedger()
         for _ in range(phase_count):
-            ledger.record_send(
-                Envelope(INPUT_SOURCE, 0, 0, "v"), sender_correct=True
-            )
+            ledger.record_phase([Envelope(INPUT_SOURCE, 0, 0, "v")], correct={INPUT_SOURCE})
         assert ledger.total_messages == 0
 
 

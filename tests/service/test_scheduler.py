@@ -10,7 +10,7 @@ from repro.service import (
     generate_schedule,
     reset_worker_cache,
 )
-from repro.transport.faults import random_plan
+from repro.transport.faults import FaultPlan, Partition, random_plan
 
 
 class VirtualTime:
@@ -102,6 +102,17 @@ class TestScheduler:
         assert faulted.fault_events > 0
         # The faulted run takes the scalar path; the clean one batches.
         assert report.stats.scalar_runs >= 1
+
+    def test_partitioned_receiver_is_excused(self):
+        # A one-pid cut while processor 1 only receives: the verdict must
+        # excuse processor 1, not the correct senders on the other side.
+        time = VirtualTime()
+        plan = FaultPlan(faults=(Partition(group=(1,), first=1, last=2),), seed=0)
+        requests = [request(0, algorithm="algorithm-3", n=60, t=2, fault_plan=plan)]
+        report = Scheduler(workers=1).serve(
+            immediate(requests), clock=time.clock, sleep=time.sleep
+        )
+        assert report.verdict_counts() == {"ok": 1}
 
     def test_mixed_families_all_verdict_ok(self):
         time = VirtualTime()

@@ -111,8 +111,10 @@ class TestExcusedProcessors:
             {"kind": "drop", "src": 5, "dst": 0},
             {"kind": "partition", "src": 6, "dst": 1},
             {"kind": "duplicate", "src": 7, "dst": 1},
+            # A partition event naming its cut-off endpoint excuses that one.
+            {"kind": "partition", "pid": 8, "src": 0, "dst": 8},
         ]
-        assert excused_processors(events) == frozenset({2, 3, 4, 5, 6, 7})
+        assert excused_processors(events) == frozenset({2, 3, 4, 5, 6, 7, 8})
 
     def test_delay_and_lost_excuse_both_endpoints(self):
         assert excused_processors([{"kind": "delay", "src": 1, "dst": 2}]) == (

@@ -1,6 +1,7 @@
 """FaultyTransport behaviour: each fault kind, observed through real runs."""
 
 from repro.algorithms.registry import get
+from repro.approx.validation import check_run_conditions
 from repro.core.runner import run
 from repro.core.validation import check_byzantine_agreement
 from repro.obs import ListSink
@@ -88,6 +89,19 @@ class TestOmissionsAndDrops:
         assert all(2 in pair for pair in endpoints)
         assert any(e["src"] == 2 for e in result.fault_events)
         assert any(e["dst"] == 2 for e in result.fault_events)
+
+    def test_partition_blames_the_isolated_receiver(self):
+        # Processor 1 is cut off while it only receives: the transmitter's
+        # phase-1 chain and the phase-2 relays to it are lost.  Blaming the
+        # senders would excuse {0, 3, 4} (more than t) and leave 1's stale
+        # decision unexplained.
+        plan = FaultPlan(faults=(Partition(group=(1,), first=1, last=2),), seed=0)
+        algorithm = get("algorithm-1")(5, 2)
+        result = run(algorithm, 1, transport=FaultyTransport(plan))
+        assert {e["pid"] for e in result.fault_events} == {1}
+        excused = excused_processors(result.fault_events)
+        assert excused == frozenset({1})
+        assert check_run_conditions(result, algorithm, excused=excused).ok
 
 
 class TestDelayAndDuplicate:
