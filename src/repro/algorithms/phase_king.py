@@ -41,7 +41,6 @@ from repro.algorithms.base import (
 )
 from repro.core.batch import (
     BatchOutcome,
-    kernel_agreement_ok,
     kernel_value_table,
     register_batch_kernel,
 )
@@ -261,9 +260,6 @@ def _phase_king_batch_kernel(
                 messages_per_phase=tuple(per_phase),
                 signatures_per_phase=tuple(
                     (phase, 0) for phase, _ in per_phase
-                ),
-                agreement_ok=kernel_agreement_ok(
-                    algorithm, values[row], decisions
                 ),
             )
         )

@@ -12,38 +12,30 @@ spec list through :func:`~repro.core.batch.run_batch` instead:
 * each group is split into **stripes** that the self-healing
   :func:`~repro.analysis.parallel.run_tasks` pool executes as single
   tasks, so one worker runs a whole sub-batch instead of pickling
-  per-scenario results back one by one;
-* with ``shared_results=True`` workers write each point's four counters
-  straight into a POSIX shared-memory block (32 bytes per spec) and the
-  parent rebuilds the :class:`~repro.analysis.sweep.SweepPoint` stream
-  from the specs it already holds — no result pickling at all.
+  per-scenario results back one by one.
 
 The output is element-wise equal to ``[spec.run() for spec in specs]`` in
-the same order (the property suite asserts this); traced specs
-(``trace_dir`` set) keep the scalar path so their per-run JSONL files come
-out byte-identical.
+the same order, verdicts included: the engine judges each run by its
+family's conditions, as :func:`~repro.analysis.sweep.measure` does (the
+property suites assert this).  Traced specs (``trace_dir`` set) keep the
+scalar path so their per-run JSONL files come out byte-identical.
 """
 
 from __future__ import annotations
 
 import pickle
-import struct
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.analysis.parallel import ScenarioSpec, default_workers, run_tasks
 from repro.analysis.sweep import SweepPoint
-from repro.core.batch import BatchCase, BatchStats, run_batch
+from repro.core.batch import BatchCase, BatchOutcome, BatchStats, run_batch
 from repro.core.protocol import AgreementAlgorithm
 
 #: Below this many specs a group is not worth splitting across workers —
 #: smaller stripes would shrink each stripe's dedup/digest-sharing scope.
 MIN_STRIPE = 64
-
-#: Shared-memory slot layout: messages, signatures, phases_used,
-#: agreement_ok — four little-endian int64 per spec.
-_SLOT = struct.Struct("<qqqq")
 
 
 def _spec_case(spec: ScenarioSpec) -> BatchCase:
@@ -56,12 +48,7 @@ def _spec_case(spec: ScenarioSpec) -> BatchCase:
 
 
 def _point(
-    spec: ScenarioSpec,
-    algorithm: AgreementAlgorithm,
-    messages: int,
-    signatures: int,
-    phases_used: int,
-    agreement_ok: bool,
+    spec: ScenarioSpec, algorithm: AgreementAlgorithm, outcome: BatchOutcome
 ) -> SweepPoint:
     """Assemble the SweepPoint exactly as :func:`~repro.analysis.sweep.measure` would."""
     return SweepPoint(
@@ -71,66 +58,34 @@ def _point(
         params=spec.params,
         adversary=spec.adversary_name,
         value=spec.value,
-        messages=messages,
-        signatures=signatures,
-        phases_used=phases_used,
+        messages=outcome.messages_by_correct,
+        signatures=outcome.signatures_by_correct,
+        phases_used=outcome.phases_used,
         phases_configured=algorithm.num_phases(),
         message_bound=algorithm.upper_bound_messages(),
-        agreement_ok=agreement_ok,
+        agreement_ok=outcome.agreement_ok,
     )
 
 
 @dataclass(frozen=True, slots=True)
 class BatchStripe:
-    """One pool task: a slice of same-factory specs run as a single batch.
-
-    With *shm_name* set, ``run()`` writes each spec's counters into the
-    named shared-memory block at the spec's *slot* and returns only the
-    batch stats; otherwise it returns the materialised points.
-    """
+    """One pool task: a slice of same-factory specs run as a single batch."""
 
     specs: tuple[ScenarioSpec, ...]
-    slots: tuple[int, ...] | None = None
-    shm_name: str | None = None
     strict: bool = False
 
-    def run(self) -> tuple[list[SweepPoint] | None, dict[str, Any]]:
+    def run(self) -> tuple[list[SweepPoint], dict[str, Any]]:
         algorithm = self.specs[0].factory()
         result = run_batch(
             algorithm,
             [_spec_case(spec) for spec in self.specs],
             strict=self.strict,
         )
-        if self.shm_name is None:
-            points = [
-                _point(
-                    spec,
-                    algorithm,
-                    outcome.messages_by_correct,
-                    outcome.signatures_by_correct,
-                    outcome.phases_used,
-                    outcome.agreement_ok,
-                )
-                for spec, outcome in zip(self.specs, result.outcomes)
-            ]
-            return points, result.stats.to_json_dict()
-        from multiprocessing import shared_memory
-
-        assert self.slots is not None, "shared mode needs slot indices"
-        block = shared_memory.SharedMemory(name=self.shm_name)
-        try:
-            for slot, outcome in zip(self.slots, result.outcomes):
-                _SLOT.pack_into(
-                    block.buf,
-                    slot * _SLOT.size,
-                    outcome.messages_by_correct,
-                    outcome.signatures_by_correct,
-                    outcome.phases_used,
-                    1 if outcome.agreement_ok else 0,
-                )
-        finally:
-            block.close()
-        return None, result.stats.to_json_dict()
+        points = [
+            _point(spec, algorithm, outcome)
+            for spec, outcome in zip(self.specs, result.outcomes)
+        ]
+        return points, result.stats.to_json_dict()
 
 
 @dataclass(slots=True)
@@ -174,7 +129,6 @@ def batch_specs(
     *,
     workers: int | None = None,
     strict: bool = False,
-    shared_results: bool = False,
     task_timeout: float | None = None,
     max_retries: int = 2,
 ) -> BatchSweepResult:
@@ -183,113 +137,43 @@ def batch_specs(
     Specs are grouped by factory (one arena per group), groups are split
     into worker stripes, and the stripes run on the self-healing pool.
     *strict* forwards to :func:`~repro.core.batch.run_batch` (every unique
-    run re-checked against the scalar runner).  *shared_results* routes
-    counters through a shared-memory block instead of pickled point lists
-    — the parent rebuilds the points from the specs it already holds.
-    Traced specs always take the scalar path so their JSONL trace files
-    are produced exactly as the scalar sweep would.
+    run re-checked against the scalar runner).  Traced specs always take
+    the scalar path so their JSONL trace files are produced exactly as the
+    scalar sweep would.
     """
     specs = list(specs)
     workers = default_workers() if workers is None else max(1, workers)
     points: list[SweepPoint | None] = [None] * len(specs)
     stats = BatchStats()
 
-    batched: list[int] = []
+    groups: dict[Any, list[int]] = {}
     for index, spec in enumerate(specs):
         if spec.trace_dir is None:
-            batched.append(index)
+            groups.setdefault(_group_key(spec), []).append(index)
         else:
             points[index] = spec.run()
             stats.runs += 1
             stats.unique_runs += 1
             stats.scalar_runs += 1
 
-    groups: dict[Any, list[int]] = {}
-    for index in batched:
-        groups.setdefault(_group_key(specs[index]), []).append(index)
     stripe_indices: list[list[int]] = []
     for indices in groups.values():
         stripe_indices.extend(_stripes(indices, workers))
-
-    slot_of = {index: slot for slot, index in enumerate(batched)}
-    shm = None
-    try:
-        if shared_results and batched:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=_SLOT.size * len(batched)
-            )
-        stripes = [
-            BatchStripe(
-                specs=tuple(specs[index] for index in indices),
-                slots=(
-                    tuple(slot_of[index] for index in indices)
-                    if shm is not None
-                    else None
-                ),
-                shm_name=shm.name if shm is not None else None,
-                strict=strict,
-            )
+    outputs = run_tasks(
+        [
+            BatchStripe(specs=tuple(specs[index] for index in indices), strict=strict)
             for indices in stripe_indices
-        ]
-        outputs = run_tasks(
-            stripes,
-            workers=workers,
-            chunk_size=1,
-            task_timeout=task_timeout,
-            max_retries=max_retries,
-        )
-        for indices, (stripe_points, stripe_stats) in zip(
-            stripe_indices, outputs
-        ):
-            _merge_stats(stats, stripe_stats)
-            if stripe_points is not None:
-                for index, point in zip(indices, stripe_points):
-                    points[index] = point
-        if shm is not None:
-            arenas = {
-                key: specs[indices[0]].factory()
-                for key, indices in groups.items()
-            }
-            for index in batched:
-                counters = _SLOT.unpack_from(
-                    shm.buf, slot_of[index] * _SLOT.size
-                )
-                points[index] = _point(
-                    specs[index],
-                    arenas[_group_key(specs[index])],
-                    counters[0],
-                    counters[1],
-                    counters[2],
-                    bool(counters[3]),
-                )
-    finally:
-        if shm is not None:
-            shm.close()
-            shm.unlink()
+        ],
+        workers=workers,
+        chunk_size=1,
+        task_timeout=task_timeout,
+        max_retries=max_retries,
+    )
+    for indices, (stripe_points, stripe_stats) in zip(stripe_indices, outputs):
+        _merge_stats(stats, stripe_stats)
+        for index, point in zip(indices, stripe_points):
+            points[index] = point
 
     final = [point for point in points if point is not None]
     assert len(final) == len(specs), "every spec must produce a point"
     return BatchSweepResult(points=final, stats=stats)
-
-
-def run_specs_batched(
-    specs: Iterable[ScenarioSpec],
-    *,
-    workers: int | None = None,
-    strict: bool = False,
-    shared_results: bool = False,
-    task_timeout: float | None = None,
-    max_retries: int = 2,
-) -> list[SweepPoint]:
-    """:func:`batch_specs`, returning just the point stream (drop-in for
-    :func:`~repro.analysis.parallel.run_specs`)."""
-    return batch_specs(
-        list(specs),
-        workers=workers,
-        strict=strict,
-        shared_results=shared_results,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-    ).points

@@ -498,7 +498,6 @@ def sweep_parallel(
     checkpoint: str | Path | None = None,
     batch: bool = False,
     batch_strict: bool = False,
-    shared_results: bool = False,
 ) -> list[SweepPoint]:
     """Drop-in parallel :func:`~repro.analysis.sweep.sweep`.
 
@@ -516,13 +515,9 @@ def sweep_parallel(
     arena, repeated run classes execute once, and workers run whole
     stripes instead of per-scenario chunks — same points, same order.
     *batch_strict* re-checks every unique batch run against the scalar
-    runner; *shared_results* (batch only) moves result counters through
-    shared memory instead of pickling point lists.  *checkpoint* is
-    incompatible with *batch* (stripes are not the chunk layout the
-    checkpoint fingerprint covers).
+    runner.  *checkpoint* is incompatible with *batch* (stripes are not
+    the chunk layout the checkpoint fingerprint covers).
     """
-    if shared_results and not batch:
-        raise ValueError("shared_results requires batch=True")
     specs = expand(configurations, values, adversaries, trace_dir=trace_dir)
     if batch:
         if checkpoint is not None:
@@ -530,16 +525,15 @@ def sweep_parallel(
                 "checkpoint is not supported with batch=True: batch stripes "
                 "do not match the checkpoint's chunk fingerprinting"
             )
-        from repro.analysis.batchsweep import run_specs_batched
+        from repro.analysis.batchsweep import batch_specs
 
-        return run_specs_batched(
+        return batch_specs(
             specs,
             workers=workers,
             strict=batch_strict,
-            shared_results=shared_results,
             task_timeout=task_timeout,
             max_retries=max_retries,
-        )
+        ).points
     return run_specs(
         specs,
         workers=workers,

@@ -12,8 +12,9 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping
 
 from repro.adversary.base import Adversary
-from repro.core.protocol import AgreementAlgorithm
+from repro.approx.coins import coins_for
 from repro.approx.validation import check_run_conditions
+from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import run
 from repro.core.types import Value
 
@@ -82,10 +83,16 @@ def measure(
 
     *sinks* (``repro.obs`` event sinks) are forwarded to the runner so
     sweeps can opt into per-scenario traces; the default keeps the
-    un-instrumented fast path.
+    un-instrumented fast path.  A coin-flipping algorithm runs on the
+    default coin stream (:func:`~repro.approx.coins.coins_for`).
     """
     result = run(
-        algorithm, value, adversary, record_history=record_history, sinks=sinks
+        algorithm,
+        value,
+        adversary,
+        record_history=record_history,
+        sinks=sinks,
+        coins=coins_for(algorithm),
     )
     # Family-aware: exact BA for the zoo, ε-agreement / randomized
     # conditions for the workloads — float-ε sweep grids judge the right

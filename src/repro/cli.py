@@ -38,6 +38,7 @@ from repro.adversary.standard import (
 )
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
 from repro.analysis.tables import format_table
+from repro.approx.coins import coins_for
 from repro.bounds.theorem1 import theorem1_experiment
 from repro.bounds.theorem2 import theorem2_experiment
 from repro.core.protocol import AgreementAlgorithm
@@ -89,10 +90,7 @@ def _build(args: argparse.Namespace) -> AgreementAlgorithm:
 
 def _coins_for(args: argparse.Namespace, algorithm: AgreementAlgorithm):
     """A seeded coin source when *algorithm* flips coins, else ``None``."""
-    if not algorithm.uses_coins:
-        return None
-    seed = getattr(args, "seed", None) or 0
-    return algorithm.make_coin_source(seed)  # type: ignore[attr-defined]
+    return coins_for(algorithm, getattr(args, "seed", None))
 
 
 def cmd_list(_: argparse.Namespace) -> int:

@@ -3,9 +3,9 @@
 The scalar runner (:func:`repro.core.runner.run`) pays per run for work
 that is identical across a sweep: algorithm construction, signature-digest
 computation over payloads whose *values* repeat run after run, and — for
-fault-free grids — the entire execution itself, which is a pure function
-of ``(algorithm configuration, input value, fault plan)``.  This module
-amortises all three:
+adversary-free runs — the entire execution itself, which is a pure
+function of ``(algorithm configuration, input value, fault plan, coin
+seed)``.  This module amortises all three:
 
 * **one arena per batch** — a single algorithm instance serves every run
   (processors are still minted fresh per run; they are the only stateful
@@ -13,7 +13,7 @@ amortises all three:
   backs every run's signature registry, so equal payloads are digested
   once per batch instead of once per run;
 * **run-class deduplication** — adversary-free cases are grouped by
-  ``(input value, fault plan)`` under type-tagged
+  ``(input value, fault plan, coin seed)`` under type-tagged
   :func:`~repro.core.message.intern_key` keys (so ``1`` and ``True`` stay
   distinct classes); each class executes once and its outcome is
   replicated to the other members, which is sound because such runs are
@@ -24,10 +24,18 @@ amortises all three:
   arrays (numpy majority votes and threshold tests instead of per-run
   Counters); ``oral-messages`` and ``phase-king`` ship kernels.
 
+The engine builds each run's
+:class:`~repro.transport.faulty.FaultyTransport` and coin source itself,
+and judges every class once, before replicating it, by its family's
+conditions (:func:`repro.approx.validation.check_run_conditions`: exact
+BA, ε-agreement or randomized consensus), holding only the processors no
+injected fault excuses to them.  The batched sweeps and the service both
+run through here, so they reach the scalar ``measure()``'s verdict.
+
 ``strict=True`` re-executes every unique class through the scalar runner
-and asserts byte-identical decisions and metrics — the equivalence gate
-the property suite (``tests/properties/test_batch_equivalence.py``) runs
-across the whole algorithm zoo.
+and asserts byte-identical decisions, metrics and verdicts — the
+equivalence gate the property suites (``tests/properties``) run across
+the whole registry.
 
 The per-run signature registries stay strictly isolated: sharing issued
 signatures across runs would let a signature issued in one run validate a
@@ -41,13 +49,18 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.adversary.base import Adversary
+from repro.approx.coins import coins_for
+from repro.approx.validation import check_run_conditions
 from repro.core.errors import ConfigurationError
+from repro.core.history import History
 from repro.core.message import UninternableError, intern_key
+from repro.core.metrics import MetricsLedger
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import RunResult, run
 from repro.core.types import ProcessorId, Value
-from repro.core.validation import check_byzantine_agreement
 from repro.crypto.signatures import InternedSignatureService, SharedDigestTable
+from repro.transport.faults import excused_processors
+from repro.transport.faulty import FaultyTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.transport.faults import FaultPlan
@@ -66,15 +79,18 @@ class BatchCase:
 
     The algorithm itself is batch-wide; a case contributes the input
     value, optionally an adversary factory (which disables deduplication
-    for that case — adversaries may close over mutable state) and
-    optionally a :class:`~repro.transport.faults.FaultPlan` routed through
-    a :class:`~repro.transport.faulty.FaultyTransport`.
+    for that case — adversaries may close over mutable state), optionally
+    a :class:`~repro.transport.faults.FaultPlan` routed through a
+    :class:`~repro.transport.faulty.FaultyTransport`, and optionally the
+    seed of a coin-flipping algorithm's coin stream (see
+    :func:`~repro.approx.coins.coins_for`).
     """
 
     value: Value
     adversary_name: str = "fault-free"
     adversary_factory: AdversaryFactory | None = None
     fault_plan: "FaultPlan | None" = None
+    coin_seed: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,10 +98,14 @@ class BatchOutcome:
     """Everything the batch engine reports about one finished run.
 
     Mirrors the scalar runner's observable surface for a history-free run:
-    the correct processors' decisions and the full
-    :class:`~repro.core.metrics.MetricsLedger` headline/per-phase counters.
-    ``replicated`` marks outcomes copied from a deduplicated class mate;
-    ``kernel`` marks outcomes computed by a vectorised kernel.
+    the correct processors' decisions, the full
+    :class:`~repro.core.metrics.MetricsLedger` headline/per-phase counters
+    and the number of fault events the transport recorded.  Kernels fill
+    in those; the engine adds the verdict: ``agreement_ok``, its
+    ``verdict`` text (``"ok"`` or the violations) and the ``excused``
+    processors whose decisions it ignored.  ``replicated`` marks outcomes
+    copied from a deduplicated class mate; ``kernel`` marks outcomes
+    computed by a vectorised kernel.
     """
 
     decisions: tuple[tuple[ProcessorId, Value], ...]
@@ -97,7 +117,10 @@ class BatchOutcome:
     phases_configured: int
     messages_per_phase: tuple[tuple[int, int], ...]
     signatures_per_phase: tuple[tuple[int, int], ...]
-    agreement_ok: bool
+    fault_events: int = 0
+    agreement_ok: bool = False
+    verdict: str = ""
+    excused: tuple[ProcessorId, ...] = ()
     replicated: bool = False
     kernel: bool = False
 
@@ -123,7 +146,7 @@ class BatchStats:
     kernel_runs: int = 0
     #: Unique classes (plus non-dedupable cases) run through the runner.
     scalar_runs: int = 0
-    #: Shared digest table accounting across the whole batch.
+    #: Digest-table lookups made by this batch's runs.
     digest_hits: int = 0
     digest_misses: int = 0
 
@@ -170,10 +193,11 @@ def register_batch_kernel(name: str) -> Callable[[BatchKernel], BatchKernel]:
     """Register *fn* as the batch kernel for the algorithm named *name*.
 
     A kernel receives the batch's algorithm instance and the input values
-    of every fault-free, adversary-free, plan-free run class, and returns
-    one :class:`BatchOutcome` per value — byte-identical to what the
-    scalar runner would produce — or ``None`` to decline the whole batch
-    (the engine then falls back to scalar execution).  Kernels must
+    of every adversary-free, plan-free, coin-free run class, and returns
+    one :class:`BatchOutcome` per value — decisions and counts
+    byte-identical to what the scalar runner would produce; the engine
+    judges them — or ``None`` to decline the whole batch (the engine then
+    falls back to scalar execution).  Kernels must
     type-check the instance (``type(algorithm) is …``) so subclasses with
     overridden behaviour fall back to the scalar path.
     """
@@ -218,48 +242,98 @@ def kernel_value_table(
     return table, indices, index_of[intern_key(default)]
 
 
-def kernel_agreement_ok(
-    algorithm: AgreementAlgorithm,
-    value: Value,
-    decisions: dict[ProcessorId, Value],
-) -> bool:
-    """The BA verdict for a kernel-computed fault-free run.
-
-    Evaluates the same :func:`~repro.core.validation.check_byzantine_agreement`
-    conditions the scalar sweep applies, over a probe object carrying the
-    only fields the validator reads (all processors correct — the kernel
-    precondition).
-    """
-    from types import SimpleNamespace
-
-    probe = SimpleNamespace(
-        decisions=dict(decisions),
-        transmitter=algorithm.transmitter,
-        correct=frozenset(range(algorithm.n)),
-        faulty=frozenset(),
-        input_value=value,
-    )
-    return check_byzantine_agreement(probe).ok  # type: ignore[arg-type]
-
-
 def _class_key(case: BatchCase) -> Any | None:
     """Deduplication key of *case*, or ``None`` when it must not be deduped.
 
     Adversary cases never dedupe (factories may close over state and the
     adversary itself is stateful).  Fault plans are frozen value objects,
-    and :class:`~repro.transport.faulty.FaultyTransport` is deterministic
-    in them, so ``(value, plan)`` fully determines an adversary-free run.
+    and the runner, :class:`~repro.transport.faulty.FaultyTransport` and
+    the coin source are deterministic in their inputs, so ``(value, plan,
+    coin seed)`` fully determines an adversary-free run.
     """
     if case.adversary_factory is not None:
         return None
     try:
-        return (intern_key(case.value), case.fault_plan)
+        return (intern_key(case.value), case.fault_plan, case.coin_seed)
     except (UninternableError, TypeError):
         return None
 
 
-def _outcome_from_result(result: RunResult, agreement_ok: bool) -> BatchOutcome:
-    """Condense a scalar :class:`RunResult` into a :class:`BatchOutcome`."""
+def _verdict(algorithm: AgreementAlgorithm, result: RunResult) -> dict[str, Any]:
+    """The verdict fields of the :class:`BatchOutcome` of *result*.
+
+    Processors an injected fault excuses are held to nothing; every other
+    correct processor is held to the conditions of the algorithm's family.
+    """
+    excused = excused_processors(result.fault_events) & result.correct
+    report = check_run_conditions(result, algorithm, excused=excused)
+    return {
+        "agreement_ok": report.ok,
+        "verdict": "ok" if report.ok else ("; ".join(report.violations) or "violation"),
+        "excused": tuple(sorted(excused)),
+    }
+
+
+def _judged_rows(
+    algorithm: AgreementAlgorithm,
+    values: Sequence[Value],
+    rows: Sequence[BatchOutcome],
+) -> list[BatchOutcome]:
+    """Kernel *rows* for inputs *values*, judged like runner executions.
+
+    The verdict reads a run's decisions, correct set, transmitter and
+    input only.  A kernel row is a fault-free run in which every
+    processor is correct; its counts stay on the row, so the runs the
+    verdict reads share one empty ledger and history.
+    """
+    correct, faulty = frozenset(range(algorithm.n)), frozenset()
+    metrics, history = MetricsLedger(), History()
+    judged = []
+    for value, row in zip(values, rows):
+        result = RunResult(
+            algorithm_name=algorithm.name,
+            n=algorithm.n,
+            t=algorithm.t,
+            transmitter=algorithm.transmitter,
+            input_value=value,
+            correct=correct,
+            faulty=faulty,
+            decisions=row.decisions_dict(),
+            metrics=metrics,
+            history=history,
+        )
+        judged.append(
+            dataclasses.replace(row, kernel=True, **_verdict(algorithm, result))
+        )
+    return judged
+
+
+def _execute(
+    algorithm: AgreementAlgorithm,
+    case: BatchCase,
+    table: SharedDigestTable | None,
+) -> BatchOutcome:
+    """Run one case through the runner and judge it.
+
+    With *table* given, the run's registry shares the batch digest table;
+    with ``None`` the run is a fully independent scalar reference (used by
+    strict mode).
+    """
+    adversary = (
+        case.adversary_factory(algorithm)
+        if case.adversary_factory is not None
+        else None
+    )
+    plan = case.fault_plan
+    result = run(
+        algorithm,
+        case.value,
+        adversary,
+        record_history=False,
+        transport=FaultyTransport(plan) if plan is not None and not plan.is_empty else None,
+        service=InternedSignatureService(table) if table is not None else None,
+        coins=coins_for(algorithm, case.coin_seed),
+    )
     metrics = result.metrics
     return BatchOutcome(
         decisions=tuple(sorted(result.decisions.items())),
@@ -271,52 +345,9 @@ def _outcome_from_result(result: RunResult, agreement_ok: bool) -> BatchOutcome:
         phases_configured=metrics.phases_configured,
         messages_per_phase=tuple(sorted(metrics.messages_per_phase.items())),
         signatures_per_phase=tuple(sorted(metrics.signatures_per_phase.items())),
-        agreement_ok=agreement_ok,
+        fault_events=len(result.fault_events),
+        **_verdict(algorithm, result),
     )
-
-
-def _transport_for(case: BatchCase, delivery: str) -> Any | None:
-    """The case's transport: a fault-plan decorator, or ``None``."""
-    if case.fault_plan is None or case.fault_plan.is_empty:
-        return None
-    from repro.transport.base import LockstepTransport
-    from repro.transport.faulty import FaultyTransport
-
-    # The requested delivery strategy survives as the base transport's
-    # routing (the runner itself requires delivery="merged" whenever a
-    # transport is supplied).
-    return FaultyTransport(case.fault_plan, LockstepTransport(delivery))
-
-
-def _run_scalar(
-    algorithm: AgreementAlgorithm,
-    case: BatchCase,
-    delivery: str,
-    table: SharedDigestTable | None,
-) -> BatchOutcome:
-    """Execute one case through the runner (the batch's non-kernel path).
-
-    With *table* given, the run's registry shares the batch digest table;
-    with ``None`` the run is a fully independent scalar reference (used by
-    strict mode).
-    """
-    adversary = (
-        case.adversary_factory(algorithm)
-        if case.adversary_factory is not None
-        else None
-    )
-    transport = _transport_for(case, delivery)
-    service = InternedSignatureService(table) if table is not None else None
-    result = run(
-        algorithm,
-        case.value,
-        adversary,
-        record_history=False,
-        delivery="merged" if transport is not None else delivery,
-        transport=transport,
-        service=service,
-    )
-    return _outcome_from_result(result, check_byzantine_agreement(result).ok)
 
 
 def _describe_diff(batch: BatchOutcome, scalar: BatchOutcome) -> str:
@@ -332,13 +363,10 @@ def _describe_diff(batch: BatchOutcome, scalar: BatchOutcome) -> str:
 
 
 def _check_strict(
-    algorithm: AgreementAlgorithm,
-    case: BatchCase,
-    outcome: BatchOutcome,
-    delivery: str,
+    algorithm: AgreementAlgorithm, case: BatchCase, outcome: BatchOutcome
 ) -> None:
     """Assert *outcome* equals an independent scalar-runner execution."""
-    reference = _run_scalar(algorithm, case, delivery, table=None)
+    reference = _execute(algorithm, case, table=None)
     # repr-compare on top of ==: the decisions must be *byte*-identical,
     # and Python's 1 == True would otherwise let a kernel that decides
     # True where the runner decides 1 slip through.
@@ -358,7 +386,6 @@ def run_batch(
     cases: Iterable[BatchCase | Value],
     *,
     strict: bool = False,
-    delivery: str = "merged",
     table: SharedDigestTable | None = None,
 ) -> BatchResult:
     """Execute many runs of one algorithm, amortising shared work.
@@ -371,8 +398,7 @@ def run_batch(
             wrapped as fault-free cases).
         strict: re-run every unique class through the scalar runner and
             raise :class:`BatchEquivalenceError` on any difference in
-            decisions or metrics.
-        delivery: inbox routing strategy, as for the runner.
+            decisions, metrics or verdict.
         table: the shared digest table (defaults to a fresh one; pass an
             existing table to share digests across several batches).
 
@@ -397,65 +423,51 @@ def run_batch(
                     f"{case.value!r}"
                 )
     table = table if table is not None else SharedDigestTable()
+    hits0, misses0 = table.hits, table.misses
     stats = BatchStats(runs=len(case_list))
     outcomes: list[BatchOutcome | None] = [None] * len(case_list)
 
     # Partition: dedupable classes (key -> case indices) and singletons.
     classes: dict[Any, list[int]] = {}
-    singletons: list[int] = []
+    singletons: list[list[int]] = []
     for index, case in enumerate(case_list):
         key = _class_key(case)
         if key is None:
-            singletons.append(index)
+            singletons.append([index])
         else:
             classes.setdefault(key, []).append(index)
 
-    # Kernel dispatch: every fault-free plan-free class in one shot.
+    # Kernel dispatch: every plan-free, coin-free class in one shot.
     kernel = _KERNELS.get(algorithm.name)
     kernel_classes: list[list[int]] = []
     scalar_classes: list[list[int]] = []
-    for key, indices in classes.items():
-        plan = key[1]
-        if kernel is not None and plan is None:
+    for (_, plan, coin_seed), indices in classes.items():
+        if kernel is not None and plan is None and coin_seed is None:
             kernel_classes.append(indices)
         else:
             scalar_classes.append(indices)
-    if kernel_classes:
-        values = [case_list[indices[0]].value for indices in kernel_classes]
-        kernel_outcomes = kernel(algorithm, values) if kernel else None
-        if kernel_outcomes is None:
-            scalar_classes.extend(kernel_classes)
-        else:
-            for indices, outcome in zip(kernel_classes, kernel_outcomes):
-                outcome = dataclasses.replace(outcome, kernel=True)
-                stats.unique_runs += 1
-                stats.kernel_runs += 1
-                if strict:
-                    _check_strict(
-                        algorithm, case_list[indices[0]], outcome, delivery
-                    )
-                _fill(outcomes, indices, outcome, stats)
+    values = [case_list[indices[0]].value for indices in kernel_classes]
+    rows = kernel(algorithm, values) if kernel is not None and values else None
+    if rows is None:
+        scalar_classes.extend(kernel_classes)
+        kernel_classes, values, rows = [], [], []
 
-    # Scalar path: one runner execution per remaining class / singleton.
-    for indices in scalar_classes:
-        case = case_list[indices[0]]
-        outcome = _run_scalar(algorithm, case, delivery, table)
-        stats.unique_runs += 1
-        stats.scalar_runs += 1
+    # Execute and judge each class once, then replicate it to its mates.
+    executed = list(zip(kernel_classes, _judged_rows(algorithm, values, rows)))
+    executed += [
+        (indices, _execute(algorithm, case_list[indices[0]], table))
+        for indices in scalar_classes + singletons
+    ]
+    stats.unique_runs = len(executed)
+    stats.kernel_runs = len(kernel_classes)
+    stats.scalar_runs = stats.unique_runs - stats.kernel_runs
+    for indices, outcome in executed:
         if strict:
-            _check_strict(algorithm, case, outcome, delivery)
+            _check_strict(algorithm, case_list[indices[0]], outcome)
         _fill(outcomes, indices, outcome, stats)
-    for index in singletons:
-        case = case_list[index]
-        outcome = _run_scalar(algorithm, case, delivery, table)
-        stats.unique_runs += 1
-        stats.scalar_runs += 1
-        if strict:
-            _check_strict(algorithm, case, outcome, delivery)
-        outcomes[index] = outcome
 
-    stats.digest_hits = table.hits
-    stats.digest_misses = table.misses
+    stats.digest_hits = table.hits - hits0
+    stats.digest_misses = table.misses - misses0
     final = [outcome for outcome in outcomes if outcome is not None]
     assert len(final) == len(case_list), "every case must produce an outcome"
     return BatchResult(outcomes=final, stats=stats)

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.approx.base import ApproximateAgreement
+from repro.approx.coins import coins_for
 from repro.approx.validation import check_run_conditions
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import RunResult, run
@@ -192,11 +193,7 @@ def execute_script(
         if fault_plan is not None and not fault_plan.is_empty
         else None
     )
-    coins = None
-    if algorithm.uses_coins:
-        make_coins = getattr(algorithm, "make_coin_source", None)
-        if make_coins is not None:
-            coins = make_coins(0 if coin_seed is None else coin_seed)
+    coins = coins_for(algorithm, coin_seed)
     try:
         result = run(
             algorithm,

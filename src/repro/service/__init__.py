@@ -13,8 +13,8 @@ Pieces:
 * :mod:`repro.service.loadgen` — seeded Poisson open-loop traffic with a
   weighted workload mix (:func:`generate_schedule`, :func:`parse_mix`);
 * :mod:`repro.service.scheduler` — wave dispatch over
-  :func:`~repro.analysis.parallel.run_tasks` with batch/kernel/memo
-  amortisation (:class:`Scheduler`);
+  :func:`~repro.analysis.parallel.run_tasks`, each stripe one
+  :func:`~repro.core.batch.run_batch` call (:class:`Scheduler`);
 * :mod:`repro.service.cache` — per-worker arena + digest-table memo;
 * :mod:`repro.service.stats` — nearest-rank percentile summaries and the
   agreements/sec product metric (:class:`ServiceStats`).

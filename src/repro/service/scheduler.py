@@ -13,21 +13,18 @@ over the self-healing :func:`~repro.analysis.parallel.run_tasks` pool in
 3. dispatch the stripes across the pool, harvest, and stamp every
    request in the wave with the wave's dispatch/harvest times.
 
-Inside a stripe the engine reuses the repo's whole amortisation stack:
+Inside a stripe every request rides :func:`repro.core.batch.run_batch`:
 
-* **run-class dedup + kernels** — fault-free exact requests go through
-  :func:`repro.core.batch.run_batch`, so a thousand identical requests
-  cost one execution (or one row of a vectorised kernel);
-* **scalar memo** — faulted exact requests dedupe on
-  ``(value, fault plan)``, which fully determines the run;
 * **setup cache** — the per-worker :func:`~repro.service.cache.worker_cache`
   hands every stripe of a configuration the same arena and
   :class:`~repro.crypto.signatures.SharedDigestTable`, so signature
   setup amortises across requests and waves;
-* **family-aware verdicts** — approx / randomized requests run through
-  the scalar runner (with per-request coin seeds) and are judged by
-  :func:`repro.approx.validation.check_run_conditions`; faulted runs are
-  judged crash-tolerantly with the transport's excused set.
+* **run-class dedup + kernels** — requests with equal
+  ``(value, fault plan, coin seed)`` share one execution (or one row of a
+  vectorised kernel), so a thousand identical requests cost one run;
+* **family-aware verdicts** — the engine judges each run by
+  :func:`repro.approx.validation.check_run_conditions`, excusing the
+  processors an injected fault touched.
 
 Verdicts are deterministic in the request content (never in timing), so
 the same schedule produces the same verdict multiset for any worker
@@ -41,12 +38,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.analysis.parallel import run_tasks
-from repro.approx.validation import check_run_conditions
-from repro.core.batch import BatchCase, run_batch
-from repro.core.message import UninternableError, intern_key
+from repro.approx.coins import coins_for
+from repro.core.batch import BatchCase, BatchOutcome, run_batch
 from repro.core.runner import run as run_algorithm
 from repro.core.types import Value
-from repro.crypto.signatures import InternedSignatureService
 from repro.service.cache import worker_cache
 from repro.service.request import AgreementRequest, RequestOutcome, ScheduledRequest
 from repro.service.stats import ServiceStats, build_stats
@@ -55,27 +50,11 @@ __all__ = ["ServiceStripe", "StripeResult", "Scheduler", "ServiceReport"]
 
 
 @dataclass(slots=True)
-class _CaseOutcome:
-    """One request's result as computed inside a stripe (picklable)."""
-
-    index: int
-    ok: bool
-    verdict: str
-    decided: tuple[Any, ...]
-    messages: int
-    signatures: int
-    phases_used: int
-    replicated: bool = False
-    kernel: bool = False
-    fault_events: int = 0
-    excused: tuple[int, ...] = ()
-
-
-@dataclass(slots=True)
 class StripeResult:
     """Everything one executed stripe reports back to the scheduler."""
 
-    outcomes: list[_CaseOutcome] = field(default_factory=list)
+    #: One outcome per case, in case order; the scheduler stamps the times.
+    outcomes: list[RequestOutcome] = field(default_factory=list)
     wall_s: float = 0.0
     unique_runs: int = 0
     replicated_runs: int = 0
@@ -90,11 +69,12 @@ class StripeResult:
     phase_samples: tuple[tuple[int, float], ...] = ()
 
 
-def _verdict_text(report) -> str:
-    """Compact verdict string: ``"ok"`` or the violation summary."""
-    if report.ok:
-        return "ok"
-    return "; ".join(report.violations) or "violation"
+def _decided(outcome: BatchOutcome) -> tuple[Any, ...]:
+    """The distinct values the unexcused processors decided, repr-sorted."""
+    excused = outcome.excused
+    return tuple(
+        sorted({v for pid, v in outcome.decisions if pid not in excused}, key=repr)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,184 +83,81 @@ class ServiceStripe:
 
     Picklable by construction (strings, ints and frozen fault plans), so
     the self-healing pool can ship, retry and re-ship it.  ``cases``
-    holds ``(submission index, value, fault plan, coin seed)`` tuples.
+    holds ``(submission index, request id, value, fault plan, coin seed)``
+    tuples.
     """
 
     algorithm: str
     n: int
     t: int
     params: tuple[tuple[str, Any], ...]
-    cases: tuple[tuple[int, Value, Any, int | None], ...]
+    cases: tuple[tuple[int, int, Value, Any, int | None], ...]
     #: Instrumented representative runs per stripe feeding the per-phase
     #: latency percentiles (0 disables sampling).
     telemetry_sample: int = 1
 
     def run(self) -> StripeResult:
-        """Execute every case, amortising setup, dedup and digests."""
+        """Execute every case as one batch on the worker's cached arena."""
         started = time.perf_counter()
         cache = worker_cache()
         hits0, misses0 = cache.hits, cache.misses
         algorithm, table = cache.setup((self.algorithm, self.n, self.t, self.params))
-        from repro.algorithms.registry import get
+        setup_hits, setup_misses = cache.hits - hits0, cache.misses - misses0
 
-        family = get(self.algorithm).family
-        result = StripeResult()
-        result.setup_hits = cache.hits - hits0
-        result.setup_misses = cache.misses - misses0
-        # The digest table outlives this stripe (it is cached per worker),
-        # so report deltas, not the table's cumulative counters.
-        digest_hits0, digest_misses0 = table.hits, table.misses
-
-        # Partition: fault-free exact cases ride the batch engine (dedup
-        # + kernels); everything else takes the scalar path with a
-        # deterministic-key memo.
-        batchable: list[tuple[int, Value]] = []
-        scalar: list[tuple[int, Value, Any, int | None]] = []
-        for index, value, plan, coin_seed in self.cases:
-            if family == "exact" and plan is None and coin_seed is None:
-                batchable.append((index, value))
-            else:
-                scalar.append((index, value, plan, coin_seed))
-
-        if batchable:
-            batch = run_batch(
-                algorithm, [BatchCase(value=v) for _, v in batchable], table=table
-            )
-            for (index, _), outcome in zip(batchable, batch.outcomes):
-                decided = tuple(
-                    sorted({v for _, v in outcome.decisions}, key=repr)
-                )
-                result.outcomes.append(
-                    _CaseOutcome(
-                        index=index,
-                        ok=outcome.agreement_ok,
-                        verdict="ok" if outcome.agreement_ok else "ba_violation",
-                        decided=decided,
-                        messages=outcome.messages_by_correct,
-                        signatures=outcome.signatures_by_correct,
-                        phases_used=outcome.phases_used,
-                        replicated=outcome.replicated,
-                        kernel=outcome.kernel,
-                    )
-                )
-            stats = batch.stats
-            result.unique_runs += stats.unique_runs
-            result.replicated_runs += stats.replicated_runs
-            result.kernel_runs += stats.kernel_runs
-            result.scalar_runs += stats.scalar_runs
-
-        memo: dict[Any, _CaseOutcome] = {}
-        for index, value, plan, coin_seed in scalar:
-            try:
-                key = (intern_key(value), plan, coin_seed)
-            except (UninternableError, TypeError):
-                key = None
-            cached = memo.get(key) if key is not None else None
-            if cached is not None:
-                outcome = _CaseOutcome(
-                    **{
-                        f: getattr(cached, f)
-                        for f in (
-                            "ok",
-                            "verdict",
-                            "decided",
-                            "messages",
-                            "signatures",
-                            "phases_used",
-                            "fault_events",
-                            "excused",
-                        )
-                    },
-                    index=index,
-                    replicated=True,
-                )
-                result.outcomes.append(outcome)
-                result.replicated_runs += 1
-                continue
-            outcome = self._run_scalar(algorithm, table, index, value, plan, coin_seed)
-            result.unique_runs += 1
-            result.scalar_runs += 1
-            if key is not None:
-                memo[key] = outcome
-            result.outcomes.append(outcome)
-
-        if self.telemetry_sample > 0 and self.cases:
-            result.phase_samples = self._sample_phases(algorithm)
-        result.digest_hits = table.hits - digest_hits0
-        result.digest_misses = table.misses - digest_misses0
-        result.wall_s = time.perf_counter() - started
-        return result
-
-    def _run_scalar(
-        self,
-        algorithm,
-        table,
-        index: int,
-        value: Value,
-        plan,
-        coin_seed: int | None,
-    ) -> _CaseOutcome:
-        """One runner execution with the family's own correctness reading."""
-        transport = None
-        if plan is not None and not plan.is_empty:
-            from repro.transport.faulty import FaultyTransport
-
-            transport = FaultyTransport(plan)
-        coins = None
-        if getattr(algorithm, "uses_coins", False):
-            coins = algorithm.make_coin_source(coin_seed or 0)
-        run_result = run_algorithm(
+        batch = run_batch(
             algorithm,
-            value,
-            record_history=False,
-            transport=transport,
-            service=InternedSignatureService(table),
-            coins=coins,
+            [
+                BatchCase(value=value, fault_plan=plan, coin_seed=coin_seed)
+                for _, _, value, plan, coin_seed in self.cases
+            ],
+            table=table,
         )
-        excused: frozenset[int] = frozenset()
-        if run_result.fault_events:
-            from repro.transport import excused_processors
 
-            excused = excused_processors(run_result.fault_events) & run_result.correct
-        report = check_run_conditions(run_result, algorithm, excused=excused)
-        metrics = run_result.metrics
-        decided = tuple(
-            sorted(
-                {
-                    v
-                    for pid, v in run_result.decisions.items()
-                    if pid not in excused
-                },
-                key=repr,
+        outcomes = [
+            RequestOutcome(
+                request_id=request_id,
+                algorithm=self.algorithm,
+                ok=outcome.agreement_ok,
+                verdict=outcome.verdict,
+                decided=_decided(outcome),
+                messages=outcome.messages_by_correct,
+                signatures=outcome.signatures_by_correct,
+                phases_used=outcome.phases_used,
+                replicated=outcome.replicated,
+                kernel=outcome.kernel,
+                fault_events=outcome.fault_events,
+                excused=outcome.excused,
             )
-        )
-        return _CaseOutcome(
-            index=index,
-            ok=report.ok,
-            verdict=_verdict_text(report),
-            decided=decided,
-            messages=metrics.messages_by_correct,
-            signatures=metrics.signatures_by_correct,
-            phases_used=metrics.last_active_phase,
-            fault_events=len(run_result.fault_events),
-            excused=tuple(sorted(excused)),
+            for (_, request_id, *_), outcome in zip(self.cases, batch.outcomes)
+        ]
+        phase_samples = self._sample_phases(algorithm)
+        stats = batch.stats
+        return StripeResult(
+            outcomes=outcomes,
+            wall_s=time.perf_counter() - started,
+            unique_runs=stats.unique_runs,
+            replicated_runs=stats.replicated_runs,
+            kernel_runs=stats.kernel_runs,
+            scalar_runs=stats.scalar_runs,
+            digest_hits=stats.digest_hits,
+            digest_misses=stats.digest_misses,
+            setup_hits=setup_hits,
+            setup_misses=setup_misses,
+            phase_samples=phase_samples,
         )
 
     def _sample_phases(self, algorithm) -> tuple[tuple[int, float], ...]:
         """Per-phase wall times from instrumented representative runs."""
         samples: list[tuple[int, float]] = []
-        for index, value, plan, coin_seed in self.cases[: self.telemetry_sample]:
+        for _, _, value, plan, coin_seed in self.cases[: self.telemetry_sample]:
             if plan is not None and not plan.is_empty:
                 continue  # faulted runs would time the fault, not the phase
-            coins = None
-            if getattr(algorithm, "uses_coins", False):
-                coins = algorithm.make_coin_source(coin_seed or 0)
             run_result = run_algorithm(
                 algorithm,
                 value,
                 record_history=False,
                 collect_telemetry=True,
-                coins=coins,
+                coins=coins_for(algorithm, coin_seed),
             )
             telemetry = run_result.telemetry
             if telemetry is not None:
@@ -347,10 +224,16 @@ class Scheduler:
         self, wave: Sequence[tuple[int, AgreementRequest]]
     ) -> list[ServiceStripe]:
         """Shard one wave by configuration, splitting at ``max_stripe``."""
-        shards: dict[tuple, list[tuple[int, Value, Any, int | None]]] = {}
+        shards: dict[tuple, list[tuple[int, int, Value, Any, int | None]]] = {}
         for index, request in wave:
             shards.setdefault(request.config_key(), []).append(
-                (index, request.value, request.fault_plan, request.coin_seed)
+                (
+                    index,
+                    request.request_id,
+                    request.value,
+                    request.fault_plan,
+                    request.coin_seed,
+                )
             )
         stripes: list[ServiceStripe] = []
         for key in sorted(shards, key=repr):
@@ -407,40 +290,28 @@ class Scheduler:
                 wave.append((order[cursor], item.request))
                 cursor += 1
             dispatch_s = clock() - start
+            stripes = self._stripes(wave)
             stripe_results: list[StripeResult] = run_tasks(
-                self._stripes(wave),
+                stripes,
                 workers=self.workers,
                 task_timeout=self.task_timeout,
                 max_retries=self.max_retries,
             )
             harvest_s = clock() - start
             waves += 1
-            for stripe_result in stripe_results:
+            for stripe, stripe_result in zip(stripes, stripe_results):
                 per_request = (
                     stripe_result.wall_s / len(stripe_result.outcomes)
                     if stripe_result.outcomes
                     else 0.0
                 )
-                for case in stripe_result.outcomes:
-                    request = submissions[case.index].request
-                    outcomes[case.index] = RequestOutcome(
-                        request_id=request.request_id,
-                        algorithm=request.algorithm,
-                        ok=case.ok,
-                        verdict=case.verdict,
-                        decided=case.decided,
-                        messages=case.messages,
-                        signatures=case.signatures,
-                        phases_used=case.phases_used,
-                        replicated=case.replicated,
-                        kernel=case.kernel,
-                        arrival_s=submissions[case.index].arrival_s,
-                        start_s=dispatch_s,
-                        finish_s=harvest_s,
-                        stripe_s=per_request,
-                        fault_events=case.fault_events,
-                        excused=case.excused,
-                    )
+                for case, outcome in zip(stripe.cases, stripe_result.outcomes):
+                    index = case[0]
+                    outcome.arrival_s = submissions[index].arrival_s
+                    outcome.start_s = dispatch_s
+                    outcome.finish_s = harvest_s
+                    outcome.stripe_s = per_request
+                    outcomes[index] = outcome
                 for counter in (
                     "unique_runs",
                     "replicated_runs",

@@ -5,12 +5,7 @@ from functools import partial
 import pytest
 
 from repro.algorithms.registry import get
-from repro.analysis.batchsweep import (
-    MIN_STRIPE,
-    BatchStripe,
-    batch_specs,
-    run_specs_batched,
-)
+from repro.analysis.batchsweep import MIN_STRIPE, BatchStripe, batch_specs
 from repro.analysis.parallel import expand, run_specs, sweep_parallel
 
 
@@ -24,7 +19,7 @@ def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
 class TestEquality:
     def test_points_equal_scalar_run_specs_in_order(self):
         specs = grid()
-        assert run_specs_batched(specs, workers=1) == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=1).points == run_specs(specs, workers=1)
 
     def test_mixed_algorithm_grids_group_by_factory(self):
         specs = grid(name="dolev-strong") + grid(name="phase-king", ns=(9,), t=2)
@@ -36,13 +31,7 @@ class TestEquality:
 
     def test_parallel_workers_preserve_order(self):
         specs = grid(ns=(5, 6, 7), values=(0, 1) * 4)
-        assert run_specs_batched(specs, workers=2) == run_specs(specs, workers=1)
-
-    def test_shared_memory_results_match(self):
-        specs = grid(ns=(5, 6, 7), values=(0, 1) * 4)
-        assert run_specs_batched(
-            specs, workers=2, shared_results=True
-        ) == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=2).points == run_specs(specs, workers=1)
 
     def test_large_groups_are_striped(self):
         specs = grid(ns=(5,), values=tuple([0, 1] * MIN_STRIPE))
@@ -99,12 +88,35 @@ class TestSweepParallelWiring:
                 checkpoint=str(tmp_path / "ck.bin"),
             )
 
-    def test_shared_results_requires_batch(self):
-        configs = [({"n": 5}, partial(get("dolev-strong").build, 5, 1))]
-        with pytest.raises(ValueError, match="batch=True"):
-            sweep_parallel(configs, workers=1, shared_results=True)
-
     def test_unpicklable_factories_still_work_serially(self):
         configs = [({"n": 5}, lambda: get("dolev-strong").build(5, 1))]
         specs = expand(configs, values=(0, 1))
-        assert run_specs_batched(specs, workers=1) == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=1).points == run_specs(specs, workers=1)
+
+
+class TestFamilyVerdicts:
+    """The batched sweep judges each family as the scalar sweep does."""
+
+    @pytest.mark.parametrize(
+        "name,n,t", [("midpoint-approx", 7, 2), ("filtered-mean-approx", 7, 1)]
+    )
+    def test_approx_points_match_the_scalar_sweep(self, name, n, t):
+        configs = [({"n": n}, partial(get(name).build, n, t))]
+        batched = sweep_parallel(configs, workers=1, batch=True)
+        assert batched == sweep_parallel(configs, workers=1)
+        assert [point.agreement_ok for point in batched] == [True, True]
+
+    def test_ben_or_runs_on_seed_zero_on_both_sweep_paths(self):
+        from repro.core.runner import run
+
+        configs = [({"n": 6}, partial(get("ben-or").build, 6, 1))]
+        scalar = sweep_parallel(configs, workers=1)
+        assert sweep_parallel(configs, workers=1, batch=True) == scalar
+        assert [point.agreement_ok for point in scalar] == [True, True]
+        algorithm = get("ben-or")(6, 1)
+        for point in scalar:
+            reference = run(
+                algorithm, point.value, coins=algorithm.make_coin_source(0)
+            )
+            assert point.messages == reference.metrics.messages_by_correct
+            assert point.phases_used == reference.metrics.last_active_phase

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.approx.coins import CoinSource
+from repro.algorithms.registry import get
+from repro.approx.coins import CoinSource, coins_for
 
 
 class TestDeterminism:
@@ -75,3 +76,15 @@ class TestValidation:
     def test_rejects_bad_scope(self):
         with pytest.raises(ValueError):
             CoinSource(0, scope="global")
+
+
+class TestCoinsFor:
+    def test_deterministic_algorithms_get_no_coins(self):
+        assert coins_for(get("phase-king")(9, 2)) is None
+        assert coins_for(get("phase-king")(9, 2), 7) is None
+
+    def test_a_missing_seed_means_seed_zero(self):
+        algorithm = get("ben-or")(6, 1, coin_bias=0.25)
+        assert coins_for(algorithm) == algorithm.make_coin_source(0)
+        assert coins_for(algorithm, 7) == algorithm.make_coin_source(7)
+        assert coins_for(algorithm).bias == 0.25

@@ -1,10 +1,10 @@
 """Property suite: the batch engine is observationally equal to the runner.
 
 ``run_batch(strict=True)`` re-executes every unique run class through the
-scalar runner and raises on *any* difference in decisions or metrics —
-so these properties simply drive strict batches across the full algorithm
-zoo, both delivery strategies, value streams that mix ``0``/``1``/``True``
-(type-punning dict keys), and seeded benign fault plans.  A silent pass
+scalar runner and raises on *any* difference in decisions, metrics or
+verdict — so these properties simply drive strict batches across the full
+algorithm zoo, value streams that mix ``0``/``1``/``True`` (type-punning
+dict keys), and seeded benign fault plans.  A silent pass
 means byte-identical outcomes; kernels (``phase-king``,
 ``oral-messages``) and the dedup/digest-sharing machinery are all under
 the same gate.
@@ -42,14 +42,10 @@ values_streams = st.lists(
 
 class TestStrictEquivalence:
     @settings(max_examples=8, deadline=None)
-    @given(values=values_streams, delivery=st.sampled_from(["merged", "sorted"]))
-    def test_every_zoo_algorithm_matches_the_scalar_runner(
-        self, values, delivery
-    ):
+    @given(values=values_streams)
+    def test_every_zoo_algorithm_matches_the_scalar_runner(self, values):
         for name, n, t in ZOO:
-            result = run_batch(
-                build(name, n, t), values, strict=True, delivery=delivery
-            )
+            result = run_batch(build(name, n, t), values, strict=True)
             assert result.stats.runs == len(values)
 
     @settings(max_examples=10, deadline=None)

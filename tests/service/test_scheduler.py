@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.algorithms.registry import get
+from repro.core.batch import BatchCase, run_batch
 from repro.service import (
     AgreementRequest,
     ScheduledRequest,
@@ -10,7 +12,7 @@ from repro.service import (
     generate_schedule,
     reset_worker_cache,
 )
-from repro.transport.faults import FaultPlan, Partition, random_plan
+from repro.transport.faults import CrashFault, FaultPlan, Partition, random_plan
 
 
 class VirtualTime:
@@ -100,7 +102,7 @@ class TestScheduler:
         assert report.verdict_counts() == {"ok": 2}
         faulted = report.outcomes[1]
         assert faulted.fault_events > 0
-        # The faulted run takes the scalar path; the clean one batches.
+        # A faulted run never takes a kernel row: the runner executes it.
         assert report.stats.scalar_runs >= 1
 
     def test_partitioned_receiver_is_excused(self):
@@ -182,16 +184,16 @@ class TestStripes:
             t=1,
             params=(),
             cases=(
-                (0, 1, None, None),
-                (1, 1, None, None),
-                (2, 1, plan, None),
-                (3, 1, plan, None),
+                (0, 0, 1, None, None),
+                (1, 1, 1, None, None),
+                (2, 2, 1, plan, None),
+                (3, 3, 1, plan, None),
             ),
             telemetry_sample=0,
         )
         result = stripe.run()
         assert len(result.outcomes) == 4
-        # The two faulted cases share one scalar execution via the memo.
+        # The two faulted cases share one run class: one scalar execution.
         assert result.scalar_runs == 1
         assert result.replicated_runs >= 1
         assert result.phase_samples == ()
@@ -202,10 +204,32 @@ class TestStripes:
             n=8,
             t=1,
             params=(),
-            cases=((0, 1, None, None),),
+            cases=((0, 0, 1, None, None),),
             telemetry_sample=1,
         )
         result = stripe.run()
         phases = {phase for phase, _ in result.phase_samples}
         assert phases, "sampling must produce per-phase timings"
         assert all(seconds >= 0.0 for _, seconds in result.phase_samples)
+
+
+class TestOneVerdict:
+    @pytest.mark.parametrize(
+        "name,n,t", [("dolev-strong", 7, 2), ("phase-king", 9, 2), ("algorithm-3", 20, 2)]
+    )
+    def test_crashed_transmitter_is_excused_on_both_paths(self, name, n, t):
+        plan = FaultPlan(faults=(CrashFault(pid=0, phase=1),), seed=0)
+        batch = run_batch(get(name)(n, t), [BatchCase(value=1, fault_plan=plan)])
+        (outcome,) = batch.outcomes
+        assert outcome.agreement_ok
+        assert (outcome.verdict, outcome.excused) == ("ok", (0,))
+        stripe = ServiceStripe(
+            algorithm=name,
+            n=n,
+            t=t,
+            params=(),
+            cases=((0, 0, 1, plan, None),),
+            telemetry_sample=0,
+        )
+        (served,) = stripe.run().outcomes
+        assert (served.ok, served.verdict, served.excused) == (True, "ok", (0,))
