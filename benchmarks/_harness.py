@@ -40,8 +40,8 @@ def grid_points(
 ) -> list[SweepPoint]:
     """Run one experiment grid through the parallel sweep executor.
 
-    The point stream is identical to the serial ``sweep()`` over the same
-    grid (see ``tests/analysis/test_parallel.py``); *workers* defaults to
+    The point stream is identical for any worker count (see
+    ``tests/analysis/test_parallel.py``); *workers* defaults to
     ``$REPRO_SWEEP_WORKERS`` or the CPU count, so the full-resolution
     benchmarks use every core available.
     """

@@ -44,16 +44,22 @@ else
     echo "== docs check == (DOCS_CHECK=0, skipped)"
 fi
 
+# Experiment-suite import gate: collecting benchmarks/ imports every
+# test_e*.py, so a public name they use cannot vanish unnoticed (tier-1
+# never imports them).  Collection only, about 2s; always runs.
+echo "== benchmarks collect =="
+PYTHONPATH=src:. python -m pytest benchmarks/ --collect-only -q || status=1
+
 # Optional perf smoke: time the fixed basket and diff it against the
 # committed baseline.  Skipped when no baseline JSON exists or when
 # PERF_SMOKE=0; wall-clock comparisons across different machines are noisy,
 # so the smoke uses a generous threshold (override: PERF_SMOKE_THRESHOLD).
-# The basket runs fault-free, so this also pins the transport fast path:
-# routing through the Transport layer must stay within the committed
-# BENCH_runner.json envelope.  The batch engine is additionally held to a
-# same-machine floor: every batch:* case must move at least
-# BATCH_SMOKE_SPEEDUP (default 5) times the messages/sec of its scalar
-# runner baseline — a *ratio* within one run, so it is noise-tolerant.
+# The basket runs fault-free through the default LockstepTransport, so
+# routing cost stays inside the committed BENCH_runner.json envelope
+# too.  The batch engine is additionally held to a same-machine floor:
+# every batch:* case must move at least BATCH_SMOKE_SPEEDUP (default 5)
+# times the messages/sec of its scalar runner baseline — a *ratio*
+# within one run, so it is noise-tolerant.
 # The service layer is held to an absolute SERVE_RATE_FLOOR (default 20)
 # agreements/sec on every service:* case — set an order of magnitude
 # under a healthy run, so only a cliff trips it.  Timings are the median

@@ -20,12 +20,12 @@ from repro.analysis.parallel import (
     ScenarioSpec,
     default_workers,
     expand,
-    run_specs,
+    run_tasks,
     sweep_parallel,
 )
 from repro.analysis.report import ExperimentRecord, ExperimentReport
 from repro.analysis.search import ProbeResult, probe, worst_case_probe
-from repro.analysis.sweep import SweepPoint, measure, sweep, worst_case
+from repro.analysis.sweep import SweepPoint, measure, worst_case
 from repro.analysis.tables import format_markdown_table, format_table, ratio_series
 from repro.analysis.trace import (
     phase_summary,
@@ -48,7 +48,7 @@ __all__ = [
     "SweepPoint",
     "default_workers",
     "expand",
-    "run_specs",
+    "run_tasks",
     "sweep_parallel",
     "format_markdown_table",
     "format_table",
@@ -62,7 +62,6 @@ __all__ = [
     "report_to_dict",
     "run_all_experiments",
     "run_to_dict",
-    "sweep",
     "sweep_to_dicts",
     "trace_lines",
     "worst_case",

@@ -1,10 +1,11 @@
 """Batched sweep execution: scenario grids through the batch engine.
 
-:func:`~repro.analysis.parallel.sweep_parallel` amortises nothing — every
-:class:`~repro.analysis.sweep.SweepPoint` pays algorithm construction,
-digest computation and a full scalar run, even when thousands of grid
-points differ only in their seed or repeat index.  This module routes a
-spec list through :func:`~repro.core.batch.run_batch` instead:
+The default :func:`~repro.analysis.parallel.sweep_parallel` path amortises
+nothing — every :class:`~repro.analysis.sweep.SweepPoint` pays algorithm
+construction, digest computation and a full scalar run, even when
+thousands of grid points differ only in their seed or repeat index.
+``sweep_parallel(..., batch=True)`` routes the spec list through
+:func:`~repro.core.batch.run_batch` instead:
 
 * specs are **grouped by factory** (equal pickled factories share one
   arena — one algorithm instance, one shared digest table, one run-class
@@ -18,19 +19,21 @@ The output is element-wise equal to ``[spec.run() for spec in specs]`` in
 the same order, verdicts included: the engine judges each run by its
 family's conditions, as :func:`~repro.analysis.sweep.measure` does (the
 property suites assert this).  Traced specs (``trace_dir`` set) keep the
-scalar path so their per-run JSONL files come out byte-identical.
+scalar path so their per-run JSONL files come out byte-identical.  The
+engine's amortisation counters are on each stripe's
+:class:`~repro.core.batch.BatchResult`; the sweep returns points only.
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
 from typing import Any, Sequence
 
 from repro.analysis.parallel import ScenarioSpec, default_workers, run_tasks
 from repro.analysis.sweep import SweepPoint
-from repro.core.batch import BatchCase, BatchOutcome, BatchStats, run_batch
+from repro.core.batch import BatchCase, BatchOutcome, run_batch
 from repro.core.protocol import AgreementAlgorithm
 
 #: Below this many specs a group is not worth splitting across workers —
@@ -72,41 +75,14 @@ class BatchStripe:
     """One pool task: a slice of same-factory specs run as a single batch."""
 
     specs: tuple[ScenarioSpec, ...]
-    strict: bool = False
 
-    def run(self) -> tuple[list[SweepPoint], dict[str, Any]]:
+    def run(self) -> list[SweepPoint]:
         algorithm = self.specs[0].factory()
-        result = run_batch(
-            algorithm,
-            [_spec_case(spec) for spec in self.specs],
-            strict=self.strict,
-        )
-        points = [
+        result = run_batch(algorithm, [_spec_case(spec) for spec in self.specs])
+        return [
             _point(spec, algorithm, outcome)
             for spec, outcome in zip(self.specs, result.outcomes)
         ]
-        return points, result.stats.to_json_dict()
-
-
-@dataclass(slots=True)
-class BatchSweepResult:
-    """The point stream plus the aggregated amortisation stats."""
-
-    points: list[SweepPoint] = field(default_factory=list)
-    stats: BatchStats = field(default_factory=BatchStats)
-
-
-def _merge_stats(total: BatchStats, part: dict[str, Any]) -> None:
-    for name in (
-        "runs",
-        "unique_runs",
-        "replicated_runs",
-        "kernel_runs",
-        "scalar_runs",
-        "digest_hits",
-        "digest_misses",
-    ):
-        setattr(total, name, getattr(total, name) + int(part[name]))
 
 
 def _group_key(spec: ScenarioSpec) -> Any:
@@ -125,26 +101,18 @@ def _stripes(indices: Sequence[int], workers: int) -> list[list[int]]:
 
 
 def batch_specs(
-    specs: Sequence[ScenarioSpec],
-    *,
-    workers: int | None = None,
-    strict: bool = False,
-    task_timeout: float | None = None,
-    max_retries: int = 2,
-) -> BatchSweepResult:
+    specs: Sequence[ScenarioSpec], *, workers: int | None = None
+) -> list[SweepPoint]:
     """Execute *specs* through the batch engine, in spec order.
 
     Specs are grouped by factory (one arena per group), groups are split
     into worker stripes, and the stripes run on the self-healing pool.
-    *strict* forwards to :func:`~repro.core.batch.run_batch` (every unique
-    run re-checked against the scalar runner).  Traced specs always take
-    the scalar path so their JSONL trace files are produced exactly as the
-    scalar sweep would.
+    Traced specs always take the scalar path so their JSONL trace files
+    are produced exactly as the scalar sweep would.
     """
     specs = list(specs)
     workers = default_workers() if workers is None else max(1, workers)
     points: list[SweepPoint | None] = [None] * len(specs)
-    stats = BatchStats()
 
     groups: dict[Any, list[int]] = {}
     for index, spec in enumerate(specs):
@@ -152,28 +120,22 @@ def batch_specs(
             groups.setdefault(_group_key(spec), []).append(index)
         else:
             points[index] = spec.run()
-            stats.runs += 1
-            stats.unique_runs += 1
-            stats.scalar_runs += 1
 
-    stripe_indices: list[list[int]] = []
-    for indices in groups.values():
-        stripe_indices.extend(_stripes(indices, workers))
+    stripe_indices = [
+        stripe for indices in groups.values() for stripe in _stripes(indices, workers)
+    ]
     outputs = run_tasks(
         [
-            BatchStripe(specs=tuple(specs[index] for index in indices), strict=strict)
+            BatchStripe(specs=tuple(specs[index] for index in indices))
             for indices in stripe_indices
         ],
         workers=workers,
         chunk_size=1,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
     )
-    for indices, (stripe_points, stripe_stats) in zip(stripe_indices, outputs):
-        _merge_stats(stats, stripe_stats)
+    for indices, stripe_points in zip(stripe_indices, outputs):
         for index, point in zip(indices, stripe_points):
             points[index] = point
 
     final = [point for point in points if point is not None]
     assert len(final) == len(specs), "every spec must produce a point"
-    return BatchSweepResult(points=final, stats=stats)
+    return final

@@ -1,13 +1,12 @@
-"""Parallel sweep executor: the same scenario grids, across processes.
+"""Sweep executor: scenario grids in order, serially or across processes.
 
 The paper's claims are worst-case counts over ``(n, t, s, α)`` grids, so
 the repo's empirical reach is bounded by how many scenarios it can run per
 second.  Scenarios are embarrassingly parallel — every
 :class:`~repro.analysis.sweep.SweepPoint` is a pure function of its
 scenario spec — so :func:`sweep_parallel` fans a grid out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` and still returns the
-*exact* point stream the serial :func:`~repro.analysis.sweep.sweep` would
-produce, in the same deterministic order.
+:class:`~concurrent.futures.ProcessPoolExecutor` and returns the *exact*
+point stream for any worker count, in the grid's deterministic order.
 
 Requirements for the parallel path (``workers > 1``):
 
@@ -18,8 +17,8 @@ Requirements for the parallel path (``workers > 1``):
 * the fault-free adversary is spelled ``None`` (not a lambda returning
   ``None``).
 
-``workers=1`` is a guaranteed-serial fallback that never pickles anything,
-so it accepts the same lambdas :func:`~repro.analysis.sweep.sweep` does.
+``workers=1`` is a guaranteed-serial path that never pickles anything,
+so it accepts lambdas and closures too.
 
 The engine is *self-healing*: long grids survive wedged or killed workers.
 Each chunk gets a deadline (``task_timeout`` × chunk length), failed
@@ -97,8 +96,6 @@ class ScenarioSpec:
         stem = "-".join(parts)
         safe = "".join(c if c.isalnum() or c in "-._" else "_" for c in stem)
         if safe != stem:
-            import hashlib
-
             digest = hashlib.sha256(stem.encode("utf-8")).hexdigest()[:8]
             safe = f"{safe}-{digest}"
         return f"{safe}.jsonl"
@@ -119,8 +116,6 @@ class ScenarioSpec:
                 adversary_name=self.adversary_name,
                 params=dict(self.params),
             )
-        from pathlib import Path
-
         from repro.obs import JsonlTraceSink
 
         directory = Path(self.trace_dir)
@@ -145,10 +140,10 @@ def expand(
 ) -> list[ScenarioSpec]:
     """Flatten a cartesian grid into scenario specs.
 
-    The nesting order (configurations → adversaries → values) matches
-    :func:`~repro.analysis.sweep.sweep` exactly, so running the specs in
-    list order reproduces the serial point stream.  *trace_dir* opts every
-    scenario into a per-run JSONL trace (see :class:`ScenarioSpec`).
+    The nesting order is configurations → adversaries → values, and
+    :func:`sweep_parallel` returns its points in exactly this order.
+    *trace_dir* opts every scenario into a per-run JSONL trace (see
+    :class:`ScenarioSpec`).
     """
     adversaries = list(adversaries)
     values = list(values)
@@ -183,10 +178,21 @@ def _run_chunk(tasks: Sequence[Task]) -> list[object]:
 
 def default_workers() -> int:
     """Worker count when none is given: ``$REPRO_SWEEP_WORKERS`` or the
-    machine's CPU count."""
+    machine's CPU count.
+
+    Raises:
+        ValueError: naming the variable and its value, when it is set to
+            something that is not an integer.
+    """
     configured = os.environ.get(WORKERS_ENV, "").strip()
     if configured:
-        return max(1, int(configured))
+        try:
+            return max(1, int(configured))
+        except ValueError:
+            raise ValueError(
+                f"{WORKERS_ENV} must be an integer worker count, "
+                f"got {configured!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -388,9 +394,11 @@ def run_tasks(
 ) -> list:
     """Execute *tasks* (anything with a picklable ``.run()``) in order.
 
-    The generic engine behind :func:`run_specs` — the fuzz campaign reuses
-    it with :class:`~repro.fuzz.campaign.FuzzCase` tasks.  The returned
-    list is identical (element-wise equal, same order) to
+    The one pool entry: :func:`sweep_parallel` runs
+    :class:`ScenarioSpec` tasks on it, ``repro fuzz`` runs
+    :class:`~repro.fuzz.campaign.FuzzCase` tasks, and the batched sweep
+    and the service run stripes.  The returned list is identical
+    (element-wise equal, same order) to
     ``[task.run() for task in tasks]`` regardless of *workers* and
     *chunk_size* — chunks preserve submission order and results are
     concatenated in that order.
@@ -465,80 +473,36 @@ def run_tasks(
     ]
 
 
-def run_specs(
-    specs: Sequence[ScenarioSpec],
-    *,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    task_timeout: float | None = None,
-    max_retries: int = 2,
-    checkpoint: str | Path | None = None,
-) -> list[SweepPoint]:
-    """Execute sweep *specs* in grid order (see :func:`run_tasks`)."""
-    return run_tasks(
-        specs,
-        workers=workers,
-        chunk_size=chunk_size,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        checkpoint=checkpoint,
-    )
-
-
 def sweep_parallel(
     configurations: Iterable[tuple[Mapping[str, object], AlgorithmFactory]],
     values: Iterable[Value] = (0, 1),
     adversaries: Iterable[tuple[str, AdversaryFactory | None]] = FAULT_FREE,
     *,
     workers: int | None = None,
-    chunk_size: int | None = None,
     trace_dir: str | None = None,
-    task_timeout: float | None = None,
-    max_retries: int = 2,
-    checkpoint: str | Path | None = None,
     batch: bool = False,
-    batch_strict: bool = False,
 ) -> list[SweepPoint]:
-    """Drop-in parallel :func:`~repro.analysis.sweep.sweep`.
+    """Run the cartesian grid configurations × adversaries × values.
 
-    Same grid semantics and point order as ``sweep``; *workers* defaults to
-    :func:`default_workers` (clamped to the grid size), ``workers=1`` runs
-    serially in-process.  *trace_dir* opts every scenario into a per-run
-    ``repro-trace/1`` JSONL file under that directory (traces are written
-    by the worker that executes the scenario; names are deterministic, so
-    the file set is identical for any worker count).  *task_timeout*,
-    *max_retries* and *checkpoint* are the self-healing knobs of
-    :func:`run_tasks`.
+    Returns one :class:`~repro.analysis.sweep.SweepPoint` per scenario, in
+    :func:`expand` order, identical for any worker count.  *workers*
+    defaults to :func:`default_workers` (clamped to the grid size);
+    ``workers=1`` runs serially in-process.  *trace_dir* opts every
+    scenario into a per-run ``repro-trace/1`` JSONL file under that
+    directory (traces are written by the worker that executes the
+    scenario; names are deterministic, so the file set is identical for
+    any worker count).  The pool's self-healing knobs (timeouts, retries,
+    checkpoints) are on :func:`run_tasks`, which takes
+    ``expand(configurations, values, adversaries)`` directly.
 
     ``batch=True`` routes the grid through the batch engine
     (:mod:`repro.analysis.batchsweep`): same-factory scenarios share one
     arena, repeated run classes execute once, and workers run whole
     stripes instead of per-scenario chunks — same points, same order.
-    *batch_strict* re-checks every unique batch run against the scalar
-    runner.  *checkpoint* is incompatible with *batch* (stripes are not
-    the chunk layout the checkpoint fingerprint covers).
     """
     specs = expand(configurations, values, adversaries, trace_dir=trace_dir)
     if batch:
-        if checkpoint is not None:
-            raise ValueError(
-                "checkpoint is not supported with batch=True: batch stripes "
-                "do not match the checkpoint's chunk fingerprinting"
-            )
         from repro.analysis.batchsweep import batch_specs
 
-        return batch_specs(
-            specs,
-            workers=workers,
-            strict=batch_strict,
-            task_timeout=task_timeout,
-            max_retries=max_retries,
-        ).points
-    return run_specs(
-        specs,
-        workers=workers,
-        chunk_size=chunk_size,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        checkpoint=checkpoint,
-    )
+        return batch_specs(specs, workers=workers)
+    return run_tasks(specs, workers=workers)

@@ -1,15 +1,16 @@
-"""Parameter sweeps: run scenario grids and collect cost records.
+"""Sweep points: the cost record of one scenario, and the worst case.
 
-This is the workhorse behind the benchmark harness and EXPERIMENTS.md —
-the paper's evaluation is a family of worst-case cost claims over
-``(n, t, s, α)``, so reproducing it means sweeping those parameters and
-recording messages / signatures / phases per run.
+The paper's evaluation is a family of worst-case cost claims over
+``(n, t, s, α)``.  :func:`measure` condenses one run into a
+:class:`SweepPoint` (messages / signatures / phases),
+:func:`~repro.analysis.parallel.sweep_parallel` runs whole grids of them,
+and :func:`worst_case` picks the point a bound speaks about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.adversary.base import Adversary
 from repro.approx.coins import coins_for
@@ -112,33 +113,6 @@ def measure(
         message_bound=algorithm.upper_bound_messages(),
         agreement_ok=report.ok,
     )
-
-
-def sweep(
-    configurations: Iterable[tuple[Mapping[str, object], Callable[[], AgreementAlgorithm]]],
-    values: Iterable[Value] = (0, 1),
-    adversaries: Iterable[tuple[str, Callable[[AgreementAlgorithm], Adversary | None]]] = (
-        ("fault-free", lambda _: None),
-    ),
-) -> list[SweepPoint]:
-    """Cartesian sweep: configurations × adversaries × values."""
-    points: list[SweepPoint] = []
-    adversaries = list(adversaries)
-    values = list(values)
-    for params, factory in configurations:
-        for adversary_name, adversary_factory in adversaries:
-            for value in values:
-                algorithm = factory()
-                points.append(
-                    measure(
-                        algorithm,
-                        value,
-                        adversary_factory(algorithm),
-                        adversary_name=adversary_name,
-                        params=params,
-                    )
-                )
-    return points
 
 
 #: Fields of :class:`SweepPoint` that :func:`worst_case` may maximise.

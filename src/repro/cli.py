@@ -485,7 +485,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import time
     from functools import partial
 
-    from repro.analysis.parallel import default_workers, expand, run_specs
+    from repro.analysis.parallel import default_workers, expand, run_tasks
     from repro.core.batch import run_batch
 
     workers = args.workers if args.workers is not None else default_workers()
@@ -580,7 +580,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         values=sweep_values,
     )
     started = time.perf_counter()
-    points = run_specs(specs, workers=workers)
+    points = run_tasks(specs, workers=workers)
     seconds = time.perf_counter() - started
     swept_messages = sum(p.messages for p in points)
     cases["sweep:algorithm-3:grid"] = {
@@ -670,12 +670,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finish_service_run(report, args: argparse.Namespace, command: str) -> int:
-    """Shared tail of ``loadgen``/``serve``: summary, outputs, exit code."""
+def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
+    """Shared tail of ``loadgen``/``serve``: serve *schedule*, then the
+    summary, outputs and exit code (2 for a malformed stripe setting)."""
     import json
 
     from repro.obs.export import write_service_metrics
+    from repro.service import Scheduler
 
+    try:
+        scheduler = Scheduler(
+            workers=args.workers,
+            max_stripe=args.max_stripe,
+            telemetry_sample=args.telemetry_sample,
+        )
+    except ValueError as error:
+        print(f"{command}: {error}", file=sys.stderr)
+        return 2
+    report = scheduler.serve(schedule)
     stats = report.stats
     verdicts = report.verdict_counts()
     rate = stats.agreements_per_sec
@@ -737,7 +749,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.service import DEFAULT_MIX, MixSpecError, Scheduler, generate_schedule
+    from repro.service import DEFAULT_MIX, MixSpecError, generate_schedule
 
     try:
         schedule = generate_schedule(
@@ -761,13 +773,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         print(f"wrote {len(schedule)} requests to {args.emit}")
         return 0
 
-    scheduler = Scheduler(
-        workers=args.workers,
-        max_stripe=args.max_stripe,
-        telemetry_sample=args.telemetry_sample,
-    )
-    report = scheduler.serve(schedule)
-    return _finish_service_run(report, args, "loadgen")
+    return _serve_and_report(schedule, args, "loadgen")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -780,12 +786,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.service import (
-        AgreementRequest,
-        RequestFormatError,
-        ScheduledRequest,
-        Scheduler,
-    )
+    from repro.service import AgreementRequest, RequestFormatError, ScheduledRequest
 
     source = args.input
     try:
@@ -814,13 +815,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {source} contains no requests", file=sys.stderr)
         return 2
 
-    scheduler = Scheduler(
-        workers=args.workers,
-        max_stripe=args.max_stripe,
-        telemetry_sample=args.telemetry_sample,
-    )
-    report = scheduler.serve(schedule)
-    return _finish_service_run(report, args, "serve")
+    return _serve_and_report(schedule, args, "serve")
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -831,12 +826,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     shrunk to minimal counterexamples and, with ``--save-corpus``, persisted
     as replayable JSON (replay one with ``--replay FILE``).
     """
+    from repro.analysis.parallel import run_tasks
     from repro.fuzz import (
         CorpusEntry,
         load_entry,
         plan_cases,
         replay_entry,
-        run_campaign,
         save_entry,
         save_trace,
         shrink_result,
@@ -891,7 +886,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         )
     else:
         cases = plan_cases(names, budget=args.budget, seed=args.seed)
-    results = run_campaign(
+    results = run_tasks(
         cases,
         workers=args.workers,
         task_timeout=args.task_timeout,

@@ -32,10 +32,14 @@ from repro.core.types import INPUT_SOURCE, ProcessorId, Value
 from repro.crypto.signatures import SignatureService
 from repro.obs.events import TRACE_SCHEMA, EventSink, jsonable, safe_digest
 from repro.obs.telemetry import SYSTEM_CLOCK, Clock, PhaseTiming, RunTelemetry
+from repro.transport.base import LockstepTransport, Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.approx.coins import CoinSource
-    from repro.transport.base import Transport
+
+#: The perfect network every run without a transport of its own routes
+#: through (stateless, so one instance serves every run).
+_LOCKSTEP = LockstepTransport()
 
 
 @dataclass
@@ -94,65 +98,6 @@ class RunResult:
         return next(iter(values))
 
 
-def _route_sorted(sent: list[Envelope]) -> dict[ProcessorId, list[Envelope]]:
-    """Reference delivery: bucket every sent envelope by destination, then
-    stable-sort each inbox by source.
-
-    This is the seed implementation, kept verbatim as the oracle for the
-    equivalence tests of :func:`_route_merged` (``tests/core``); production
-    runs use the merge-based routing below.
-    """
-    pending: dict[ProcessorId, list[Envelope]] = {}
-    for envelope in sent:
-        pending.setdefault(envelope.dst, []).append(envelope)
-    for inbox in pending.values():
-        inbox.sort(key=lambda e: e.src)
-    return pending
-
-
-def _merge_by_src(base: list[Envelope], extra: list[Envelope]) -> list[Envelope]:
-    """Merge two src-sorted envelope lists, *base* winning ties.
-
-    Correct and faulty sender sets are disjoint, so ties cannot actually
-    occur; base-first matches the stable sort of the reference routing.
-    """
-    merged: list[Envelope] = []
-    i = j = 0
-    while i < len(base) and j < len(extra):
-        if extra[j].src < base[i].src:
-            merged.append(extra[j])
-            j += 1
-        else:
-            merged.append(base[i])
-            i += 1
-    merged.extend(base[i:])
-    merged.extend(extra[j:])
-    return merged
-
-
-def _route_merged(
-    sent: list[Envelope], correct_count: int
-) -> dict[ProcessorId, list[Envelope]]:
-    """Optimised delivery: exploit that the first *correct_count* envelopes
-    of *sent* were produced by iterating correct processors in ascending pid
-    order, so per destination they are already sorted by source.  Only the
-    adversary's sends (which may name sources in any order) are sorted, and
-    the two src-sorted streams merge in linear time.
-    """
-    pending: dict[ProcessorId, list[Envelope]] = {}
-    for envelope in sent[:correct_count]:
-        pending.setdefault(envelope.dst, []).append(envelope)
-    if correct_count < len(sent):
-        adversarial: dict[ProcessorId, list[Envelope]] = {}
-        for envelope in sent[correct_count:]:
-            adversarial.setdefault(envelope.dst, []).append(envelope)
-        for dst, extra in adversarial.items():
-            extra.sort(key=lambda e: e.src)
-            base = pending.get(dst)
-            pending[dst] = extra if base is None else _merge_by_src(base, extra)
-    return pending
-
-
 def _emit(
     sinks: Sequence[EventSink],
     event: dict[str, Any],
@@ -178,8 +123,7 @@ def run(
     *,
     rushing: bool = False,
     record_history: bool = True,
-    delivery: str = "merged",
-    transport: "Transport | None" = None,
+    transport: Transport | None = None,
     sinks: Sequence[EventSink] = (),
     collect_telemetry: bool = False,
     clock: Clock | None = None,
@@ -198,19 +142,12 @@ def run(
             match the paper's history model).
         record_history: set ``False`` to skip history recording for large
             parameter sweeps (metrics are always recorded).
-        delivery: inbox routing strategy — ``"merged"`` (default, linear
-            merge of the already-sorted correct traffic with the sorted
-            adversary traffic) or ``"sorted"`` (the straightforward
-            per-inbox sort, kept as the reference for equivalence tests).
-            Both produce identical inboxes; see ``tests/core``.
-        transport: a :class:`~repro.transport.base.Transport` that owns
+        transport: the :class:`~repro.transport.base.Transport` that owns
             phase delivery — e.g.
             :class:`~repro.transport.faulty.FaultyTransport` to inject
             crash/omission/partition faults.  ``None`` (the default)
-            keeps the guarded in-line lockstep fast path, which is
-            byte-identical to ``LockstepTransport`` (pinned by
-            ``tests/transport``).  When a transport is given, *delivery*
-            must stay ``"merged"`` — the transport owns the strategy.
+            routes through the perfect
+            :class:`~repro.transport.base.LockstepTransport`.
             Fault events the transport records are forwarded to *sinks*
             and collected on :attr:`RunResult.fault_events`.  Faults
             affect delivery only: the history and the metrics ledger
@@ -247,17 +184,7 @@ def run(
         AdversaryError / ProtocolViolationError: on model violations.
     """
     adversary = adversary if adversary is not None else NullAdversary()
-    if delivery not in ("merged", "sorted"):
-        raise ConfigurationError(
-            f"unknown delivery strategy {delivery!r}; expected 'merged' or 'sorted'"
-        )
-    if transport is not None and delivery != "merged":
-        raise ConfigurationError(
-            "delivery= and transport= are mutually exclusive: the transport "
-            "owns the routing strategy (LockstepTransport('sorted') is the "
-            "transport spelling of delivery='sorted')"
-        )
-    route_sorted = delivery == "sorted"
+    transport = transport if transport is not None else _LOCKSTEP
     n, t = algorithm.n, algorithm.t
     if (
         algorithm.value_domain is not None
@@ -333,10 +260,7 @@ def run(
     history = History.with_input(algorithm.transmitter, input_value)
 
     fault_events: list[dict[str, Any]] = []
-    if transport is not None:
-        transport.begin_run(
-            n=n, num_phases=algorithm.num_phases(), correct=correct
-        )
+    transport.begin_run()
 
     if sinks:
         run_start_event = {
@@ -449,20 +373,13 @@ def run(
                     },
                     telemetry,
                 )
-        if transport is None:
-            pending = (
-                _route_sorted(sent)
-                if route_sorted
-                else _route_merged(sent, correct_count)
-            )
-        else:
-            pending = transport.deliver(phase, sent, correct_count)
-            injected = transport.drain_faults()
-            if injected:
-                fault_events.extend(injected)
-                if sinks:
-                    for fault in injected:
-                        _emit(sinks, fault, telemetry)
+        pending = transport.deliver(phase, sent, correct_count)
+        injected = transport.drain_faults()
+        if injected:
+            fault_events.extend(injected)
+            if sinks:
+                for fault in injected:
+                    _emit(sinks, fault, telemetry)
         if sinks:
             for dst in sorted(pending):
                 _emit(
@@ -492,13 +409,12 @@ def run(
         ):
             break
 
-    if transport is not None:
-        leftover = transport.end_run(algorithm.num_phases())
-        if leftover:
-            fault_events.extend(leftover)
-            if sinks:
-                for fault in leftover:
-                    _emit(sinks, fault, telemetry)
+    leftover = transport.end_run()
+    if leftover:
+        fault_events.extend(leftover)
+        if sinks:
+            for fault in leftover:
+                _emit(sinks, fault, telemetry)
 
     for pid in sorted(correct):
         processors[pid].on_final(tuple(pending.get(pid, ())))

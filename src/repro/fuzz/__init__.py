@@ -10,8 +10,10 @@ classifies each finished run (safety violated / declared bound exceeded /
 crash), and a shrinker minimises failing scripts into replayable JSON
 counterexamples persisted under ``tests/fuzz_corpus/``.
 
-Entry points: the ``repro fuzz`` CLI subcommand and
-:func:`~repro.fuzz.campaign.run_campaign`.
+Entry points: the ``repro fuzz`` CLI subcommand, or
+:func:`~repro.fuzz.campaign.plan_cases` (Byzantine scripts) and
+:func:`~repro.fuzz.campaign.plan_chaos_cases` (benign fault plans), whose
+cases run in order on :func:`repro.analysis.parallel.run_tasks`.
 """
 
 from repro.fuzz.campaign import (
@@ -19,7 +21,6 @@ from repro.fuzz.campaign import (
     FuzzCase,
     FuzzResult,
     plan_cases,
-    run_campaign,
     shrink_result,
     summarize,
 )
@@ -86,7 +87,6 @@ __all__ = [
     "FuzzResult",
     "FUZZ_CONFIGS",
     "plan_cases",
-    "run_campaign",
     "shrink_result",
     "summarize",
 ]

@@ -232,33 +232,6 @@ def plan_chaos_cases(
     return cases
 
 
-def run_campaign(
-    cases: Sequence[FuzzCase],
-    *,
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    task_timeout: float | None = None,
-    max_retries: int = 2,
-    checkpoint: str | None = None,
-) -> list[FuzzResult]:
-    """Execute *cases* in order across the sweep worker pool.
-
-    *task_timeout*, *max_retries* and *checkpoint* are the self-healing
-    knobs of :func:`repro.analysis.parallel.run_tasks` — an interrupted
-    campaign with a checkpoint file resumes instead of re-fuzzing.
-    """
-    from repro.analysis.parallel import run_tasks
-
-    return run_tasks(
-        cases,
-        workers=workers,
-        chunk_size=chunk_size,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        checkpoint=checkpoint,
-    )
-
-
 def shrink_result(result: FuzzResult, *, max_attempts: int = 200) -> FuzzResult:
     """Minimise a failing result's script (no-op for passing results).
 

@@ -214,6 +214,10 @@ class Scheduler:
     ) -> None:
         if max_stripe < 1:
             raise ValueError(f"max_stripe must be >= 1, got {max_stripe}")
+        if telemetry_sample < 0:
+            raise ValueError(
+                f"telemetry_sample must be >= 0, got {telemetry_sample}"
+            )
         self.workers = workers
         self.max_stripe = max_stripe
         self.telemetry_sample = telemetry_sample

@@ -42,17 +42,13 @@ class FaultyTransport:
         self.base: Transport = base if base is not None else LockstepTransport()
         self._delayed: dict[int, list[Envelope]] = {}
         self._events: list[dict[str, Any]] = []
-        self._num_phases = 0
 
     # ------------------------------------------------------------- lifecycle
 
-    def begin_run(
-        self, *, n: int, num_phases: int, correct: frozenset[ProcessorId]
-    ) -> None:
+    def begin_run(self) -> None:
         self._delayed = {}
         self._events = []
-        self._num_phases = num_phases
-        self.base.begin_run(n=n, num_phases=num_phases, correct=correct)
+        self.base.begin_run()
 
     def deliver(
         self, phase: int, sent: list[Envelope], correct_count: int
@@ -93,7 +89,7 @@ class FaultyTransport:
         events, self._events = self._events, []
         return events
 
-    def end_run(self, final_phase: int) -> list[dict[str, Any]]:
+    def end_run(self) -> list[dict[str, Any]]:
         """Report delayed envelopes that never made it before the end."""
         for due_phase in sorted(self._delayed):
             for envelope in self._delayed[due_phase]:
@@ -105,7 +101,7 @@ class FaultyTransport:
                     detail=f"delayed past the final phase (due {due_phase})",
                 )
         self._delayed = {}
-        leftovers = self.base.end_run(final_phase)
+        leftovers = self.base.end_run()
         return self.drain_faults() + list(leftovers)
 
     # ------------------------------------------------------------ fault logic

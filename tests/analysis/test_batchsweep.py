@@ -4,9 +4,10 @@ from functools import partial
 
 import pytest
 
+import repro.analysis.batchsweep as batchsweep
 from repro.algorithms.registry import get
-from repro.analysis.batchsweep import MIN_STRIPE, BatchStripe, batch_specs
-from repro.analysis.parallel import expand, run_specs, sweep_parallel
+from repro.analysis.batchsweep import MIN_STRIPE, BatchStripe, _stripes, batch_specs
+from repro.analysis.parallel import expand, run_tasks, sweep_parallel
 
 
 def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
@@ -16,52 +17,71 @@ def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
     return expand(configs, values=values)
 
 
+@pytest.fixture
+def engine_stats(monkeypatch):
+    """The BatchStats of every in-process run_batch call (workers=1)."""
+    calls = []
+    original = batchsweep.run_batch
+
+    def spy(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result.stats)
+        return result
+
+    monkeypatch.setattr(batchsweep, "run_batch", spy)
+    return calls
+
+
+def total(calls, name):
+    return sum(getattr(stats, name) for stats in calls)
+
+
 class TestEquality:
     def test_points_equal_scalar_run_specs_in_order(self):
         specs = grid()
-        assert batch_specs(specs, workers=1).points == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=1) == run_tasks(specs, workers=1)
 
-    def test_mixed_algorithm_grids_group_by_factory(self):
+    def test_mixed_algorithm_grids_group_by_factory(self, engine_stats):
         specs = grid(name="dolev-strong") + grid(name="phase-king", ns=(9,), t=2)
-        result = batch_specs(specs, workers=1, strict=True)
-        assert result.points == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=1) == run_tasks(specs, workers=1)
         # dedup worked within each factory group: 2 values x 3 configs.
-        assert result.stats.runs == len(specs)
-        assert result.stats.unique_runs == 6
+        assert total(engine_stats, "runs") == len(specs)
+        assert total(engine_stats, "unique_runs") == 6
 
     def test_parallel_workers_preserve_order(self):
         specs = grid(ns=(5, 6, 7), values=(0, 1) * 4)
-        assert batch_specs(specs, workers=2).points == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=2) == run_tasks(specs, workers=1)
 
-    def test_large_groups_are_striped(self):
+    def test_large_groups_are_striped(self, engine_stats):
         specs = grid(ns=(5,), values=tuple([0, 1] * MIN_STRIPE))
-        result = batch_specs(specs, workers=2)
-        assert result.points == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=2) == run_tasks(specs, workers=1)
         # Striping splits one group into several batches, so each stripe
         # re-runs its own class representatives.
-        assert result.stats.unique_runs >= 2
+        stripes = _stripes(range(len(specs)), 2)
+        assert len(stripes) == 2
+        for stripe in stripes:
+            BatchStripe(specs=tuple(specs[index] for index in stripe)).run()
+        assert total(engine_stats, "unique_runs") >= 2
 
 
 class TestStripe:
-    def test_stripe_runs_standalone(self):
+    def test_stripe_runs_standalone(self, engine_stats):
         specs = tuple(grid(ns=(5,), values=(0, 1, 0)))
-        points, stats = BatchStripe(specs=specs).run()
-        assert points == run_specs(list(specs), workers=1)
-        assert stats["runs"] == 3
-        assert stats["replicated_runs"] == 1
+        assert BatchStripe(specs=specs).run() == run_tasks(list(specs), workers=1)
+        assert total(engine_stats, "runs") == 3
+        assert total(engine_stats, "replicated_runs") == 1
 
 
 class TestTraceFallback:
-    def test_traced_specs_keep_their_scalar_trace_files(self, tmp_path):
+    def test_traced_specs_keep_their_scalar_trace_files(self, tmp_path, engine_stats):
         trace_dir = tmp_path / "traces"
         configs = [({"n": 5, "t": 1}, partial(get("dolev-strong").build, 5, 1))]
         specs = expand(configs, values=(0, 1), trace_dir=str(trace_dir))
-        result = batch_specs(specs, workers=1)
-        assert result.points == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=1) == run_tasks(specs, workers=1)
         produced = sorted(p.name for p in trace_dir.glob("*.jsonl"))
         assert len(produced) == 2
         # Traced specs bypass the batch engine entirely.
-        assert result.stats.scalar_runs == len(specs)
+        assert engine_stats == []
 
 
 class TestSweepParallelWiring:
@@ -73,25 +93,10 @@ class TestSweepParallelWiring:
         batched = sweep_parallel(configs, values=(0, 1, 1), workers=1, batch=True)
         assert batched == scalar
 
-    def test_batch_strict_flag_passes_through(self):
-        configs = [({"n": 9}, partial(get("phase-king").build, 9, 2))]
-        points = sweep_parallel(
-            configs, values=(0, 1), workers=1, batch=True, batch_strict=True
-        )
-        assert len(points) == 2
-
-    def test_checkpoint_with_batch_is_rejected(self, tmp_path):
-        configs = [({"n": 5}, partial(get("dolev-strong").build, 5, 1))]
-        with pytest.raises(ValueError, match="checkpoint"):
-            sweep_parallel(
-                configs, workers=1, batch=True,
-                checkpoint=str(tmp_path / "ck.bin"),
-            )
-
     def test_unpicklable_factories_still_work_serially(self):
         configs = [({"n": 5}, lambda: get("dolev-strong").build(5, 1))]
         specs = expand(configs, values=(0, 1))
-        assert batch_specs(specs, workers=1).points == run_specs(specs, workers=1)
+        assert batch_specs(specs, workers=1) == run_tasks(specs, workers=1)
 
 
 class TestFamilyVerdicts:

@@ -1,8 +1,8 @@
 """Tests for the parallel sweep executor.
 
-The load-bearing property is determinism: for the same grid, the parallel
-executor must produce the *identical* ordered ``SweepPoint`` list as the
-serial :func:`repro.analysis.sweep.sweep` — regardless of worker count or
+The load-bearing property is determinism: for the same grid, the executor
+must produce the *identical* ordered ``SweepPoint`` list as a plain loop of
+:func:`repro.analysis.sweep.measure` calls — regardless of worker count or
 chunking.  The grids below mirror experiments E7 (Algorithm 3 over n) and
 E10 (Algorithm 5 over s).
 """
@@ -20,10 +20,10 @@ from repro.analysis.parallel import (
     ScenarioSpec,
     default_workers,
     expand,
-    run_specs,
+    run_tasks,
     sweep_parallel,
 )
-from repro.analysis.sweep import sweep
+from repro.analysis.sweep import measure
 
 
 def e7_grid():
@@ -42,7 +42,7 @@ def silent_one(algorithm):
 
 class TestExpand:
     def test_matches_sweep_order(self):
-        """expand() flattens in the exact nesting order sweep() iterates."""
+        """expand() flattens configurations → adversaries → values."""
         configurations = [({"t": t}, partial(Algorithm1, 2 * t + 1, t)) for t in (1, 2)]
         adversaries = [("fault-free", None), ("silent-1", silent_one)]
         specs = expand(configurations, values=(0, 1), adversaries=adversaries)
@@ -78,7 +78,7 @@ class TestDeterminism:
 
     def test_e7_grid_matches_sweep(self):
         grid = e7_grid()
-        reference = sweep(grid, values=(1,), adversaries=(("fault-free", lambda _: None),))
+        reference = [measure(factory(), 1, params=params) for params, factory in grid]
         assert sweep_parallel(grid, values=(1,), workers=2) == reference
 
     def test_e10_grid_parallel_equals_serial(self):
@@ -90,9 +90,9 @@ class TestDeterminism:
 
     def test_chunk_size_does_not_change_order(self):
         specs = expand(e7_grid(), values=(0, 1))
-        reference = run_specs(specs, workers=1)
+        reference = run_tasks(specs, workers=1)
         for chunk_size in (1, 2, 5):
-            assert run_specs(specs, workers=2, chunk_size=chunk_size) == reference
+            assert run_tasks(specs, workers=2, chunk_size=chunk_size) == reference
 
     def test_adversary_axis(self):
         grid = [({"t": 2}, partial(Algorithm1, 5, 2))]
@@ -105,7 +105,7 @@ class TestDeterminism:
 
 class TestFallbacksAndErrors:
     def test_workers_1_accepts_lambdas(self):
-        """The serial fallback never pickles, so sweep()-style lambdas work."""
+        """The serial path never pickles, so lambdas work."""
         points = sweep_parallel(
             [({}, lambda: Algorithm1(5, 2))],
             values=(1,),
@@ -127,6 +127,11 @@ class TestFallbacksAndErrors:
         assert default_workers() == 3
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "0")
         assert default_workers() == 1
+
+    def test_default_workers_rejects_a_non_integer(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "four")
+        with pytest.raises(ValueError, match="REPRO_SWEEP_WORKERS.*'four'"):
+            default_workers()
 
     def test_trace_dir_writes_one_trace_per_scenario(self, tmp_path):
         from repro.obs import summarize_trace
@@ -153,7 +158,7 @@ class TestFallbacksAndErrors:
             assert (serial_dir / name).read_bytes() != b""
 
     def test_fresh_algorithm_per_point(self):
-        """Like sweep(): every measurement builds a fresh instance."""
+        """Every measurement builds a fresh instance."""
         spec = ScenarioSpec(
             params=(),
             factory=partial(Algorithm1, 5, 2),

@@ -3,7 +3,8 @@
 from repro.adversary.standard import SilentAdversary
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.algorithms.dolev_strong import DolevStrong
-from repro.analysis.sweep import measure, sweep, worst_case
+from repro.analysis.parallel import sweep_parallel
+from repro.analysis.sweep import measure, worst_case
 
 import pytest
 
@@ -43,13 +44,14 @@ class TestSweep:
         configurations = [
             ({"t": t}, (lambda t=t: Algorithm1(2 * t + 1, t))) for t in (1, 2)
         ]
-        points = sweep(
+        points = sweep_parallel(
             configurations,
             values=(0, 1),
             adversaries=(
                 ("fault-free", lambda alg: None),
                 ("silent-1", lambda alg: SilentAdversary([1])),
             ),
+            workers=1,
         )
         assert len(points) == 2 * 2 * 2
         assert all(p.agreement_ok for p in points)
@@ -62,15 +64,16 @@ class TestSweep:
             counter["built"] += 1
             return DolevStrong(4, 1)
 
-        sweep([({}, factory)], values=(0, 1))
+        sweep_parallel([({}, factory)], values=(0, 1), workers=1)
         assert counter["built"] == 2
 
 
 class TestWorstCase:
     def test_maximises_messages(self):
-        points = sweep(
+        points = sweep_parallel(
             [({"t": t}, (lambda t=t: Algorithm1(2 * t + 1, t))) for t in (1, 2, 3)],
             values=(1,),
+            workers=1,
         )
         worst = worst_case(points)
         assert worst.param("t") == 3
@@ -80,9 +83,10 @@ class TestWorstCase:
             worst_case([])
 
     def test_accepts_other_cost_measures(self):
-        points = sweep(
+        points = sweep_parallel(
             [({"t": t}, (lambda t=t: Algorithm1(2 * t + 1, t))) for t in (1, 2)],
             values=(1,),
+            workers=1,
         )
         assert worst_case(points, key="signatures").param("t") == 2
         # phases_used ties across this grid (both settle in 2 phases), so
@@ -91,7 +95,7 @@ class TestWorstCase:
         assert worst_phases.phases_used == max(p.phases_used for p in points)
 
     def test_unknown_key_raises_value_error(self):
-        points = sweep([({}, lambda: Algorithm1(5, 2))], values=(1,))
+        points = sweep_parallel([({}, lambda: Algorithm1(5, 2))], values=(1,), workers=1)
         with pytest.raises(ValueError, match="unknown worst_case key"):
             worst_case(points, key="message")  # typo for "messages"
         with pytest.raises(ValueError, match="params"):

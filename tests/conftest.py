@@ -10,6 +10,7 @@ from hypothesis import settings
 from repro.core.protocol import Context
 from repro.core.types import TRANSMITTER
 from repro.crypto.signatures import SignatureService
+from repro.transport.base import LockstepTransport, _route_sorted
 
 # Deterministic Hypothesis runs by default: property tests are part of the
 # tier-1 suite, so they must not flake.  ``derandomize=True`` derives the
@@ -46,3 +47,13 @@ def service() -> SignatureService:
 @pytest.fixture
 def ctx(service: SignatureService) -> Context:
     return make_context(service=service)
+
+
+class SortedTransport(LockstepTransport):
+    """The perfect network routed by the reference per-inbox sort: the
+    oracle the runner's default merge routing is compared against."""
+
+    __slots__ = ()
+
+    def deliver(self, phase, sent, correct_count):
+        return _route_sorted(sent)

@@ -1,8 +1,8 @@
 """Equivalence of the optimized inbox routing against the sorted reference.
 
-The runner's merge-based delivery (``delivery="merged"``, the default)
+The runner's merge-based delivery (its default ``LockstepTransport``)
 must be observationally identical to the straightforward per-inbox sort it
-replaced (``delivery="sorted"``): same inboxes, hence same decisions, same
+replaced (``SortedTransport``): same inboxes, hence same decisions, same
 :class:`~repro.core.history.History` and same
 :class:`~repro.core.metrics.MetricsLedger`.  The adversaries here are the
 ones that stress source ordering hardest: a replay adversary re-sending
@@ -17,16 +17,19 @@ from repro.adversary.lowerbound import ReplayAdversary, build_split_plan
 from repro.adversary.standard import EquivocatingTransmitter, ScriptedAdversary
 from repro.algorithms.dolev_strong import DolevStrong
 from repro.algorithms.oral_messages import OralMessages
-from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope
-from repro.core.runner import _merge_by_src, _route_merged, _route_sorted, run
+from repro.core.runner import run
+from repro.transport.base import _merge_by_src, _route_merged, _route_sorted
+from tests.conftest import SortedTransport
 
 
 def assert_equivalent(algorithm_factory, value, adversary_factory):
-    """Run the same scenario under both delivery strategies and compare
-    everything observable."""
-    merged = run(algorithm_factory(), value, adversary_factory(), delivery="merged")
-    reference = run(algorithm_factory(), value, adversary_factory(), delivery="sorted")
+    """Run the same scenario through the default routing and the sorted
+    reference and compare everything observable."""
+    merged = run(algorithm_factory(), value, adversary_factory())
+    reference = run(
+        algorithm_factory(), value, adversary_factory(), transport=SortedTransport()
+    )
     assert merged.decisions == reference.decisions
     assert merged.history == reference.history
     assert merged.metrics == reference.metrics
@@ -80,13 +83,9 @@ class TestDeliveryEquivalence:
             lambda: ScriptedAdversary([3, 4], script),
         )
 
-    def test_unknown_delivery_rejected(self):
-        with pytest.raises(ConfigurationError, match="delivery"):
-            run(DolevStrong(4, 1), 1, delivery="bogus")
-
 
 class TestFuzzScriptEquivalence:
-    """Generated adversary scripts through both delivery modes.
+    """Generated adversary scripts through both routings.
 
     The fuzzer composes every mutation primitive (drops, garbling, replays,
     forged chains, equivocation), producing far messier source interleavings

@@ -5,11 +5,11 @@ import json
 import pytest
 
 from repro.algorithms.registry import get
+from repro.analysis.parallel import run_tasks
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.fuzz.campaign import (
     FuzzCase,
     plan_chaos_cases,
-    run_campaign,
     summarize,
 )
 from repro.fuzz.corpus import CorpusEntry, load_entry, save_entry
@@ -110,7 +110,7 @@ class TestChaosOracle:
 
     def test_campaign_smoke_counts_benign(self):
         cases = plan_chaos_cases(["dolev-strong"], budget=10, seed=0, fault_rate=0.5)
-        results = run_campaign(cases, workers=1)
+        results = run_tasks(cases, workers=1)
         (summary,) = summarize(results)
         assert summary.cases == 10
         assert summary.safety == summary.bound == summary.crash == 0
@@ -120,8 +120,8 @@ class TestChaosOracle:
 
     def test_chaos_worker_count_invariance(self):
         cases = plan_chaos_cases(["dolev-strong"], budget=6, seed=1, fault_rate=0.5)
-        serial = run_campaign(cases, workers=1)
-        parallel = run_campaign(cases, workers=2)
+        serial = run_tasks(cases, workers=1)
+        parallel = run_tasks(cases, workers=2)
         assert [r.outcome for r in serial] == [r.outcome for r in parallel]
 
 

@@ -8,9 +8,9 @@ fixed-round algorithm:
 * ``has_terminated`` is **never consulted** — a poisoned override that
   raises on call must not fire (the fast path pays zero per-phase cost);
 * decisions, the metrics ledger, and the full ``repro-trace/1`` event
-  stream are **identical** across both delivery strategies and across
-  repeated runs (byte-identity via deterministic :class:`TickClock`
-  traces);
+  stream are **identical** between the default routing and the sorted
+  reference (``SortedTransport``) and across repeated runs (byte-identity
+  via deterministic :class:`TickClock` traces);
 * a coin-less run's ``run_start`` event carries **no** ``coin_seed`` key,
   so pre-refactor trace files and fresh ones stay byte-comparable.
 """
@@ -26,6 +26,7 @@ from repro.algorithms.registry import ALGORITHMS
 from repro.core.protocol import Processor
 from repro.core.runner import run
 from repro.obs import ListSink, TickClock
+from tests.conftest import SortedTransport
 
 #: One modest (n, t) per zoo algorithm — enough processors for every
 #: resilience precondition, small enough for a hypothesis ensemble.
@@ -47,13 +48,13 @@ def _zoo():
         yield name, ALGORITHMS[name](n, t)
 
 
-def _traced_run(algorithm, value, adversary, delivery):
+def _traced_run(algorithm, value, adversary, transport=None):
     sink = ListSink()
     result = run(
         algorithm,
         value,
         adversary,
-        delivery=delivery,
+        transport=transport,
         sinks=(sink,),
         collect_telemetry=True,
         clock=TickClock(),
@@ -83,7 +84,7 @@ def test_fixed_round_zoo_never_consults_has_terminated(name, monkeypatch):
 def test_coinless_run_start_event_has_no_coin_seed(name):
     n, t = ZOO_SIZES[name]
     algorithm = ALGORITHMS[name](n, t)
-    _, events = _traced_run(algorithm, 1, None, "merged")
+    _, events = _traced_run(algorithm, 1, None)
     run_start = events[0]
     assert run_start["event"] == "run_start"
     assert "coin_seed" not in run_start
@@ -100,13 +101,14 @@ def adversary_case(draw):
 @given(adversary_case())
 @settings(max_examples=15, deadline=None)
 def test_zoo_runs_identical_across_delivery_modes(case):
-    """Decisions, ledger, and trace events agree between 'merged' and
-    'sorted' delivery, and between repeated runs, for every zoo member."""
+    """Decisions, ledger, and trace events agree between the default
+    routing and the sorted reference, and between repeated runs, for
+    every zoo member."""
     seed, value, pick_faulty = case
     for name, _ in _zoo():
         n, t = ZOO_SIZES[name]
 
-        def scenario(delivery):
+        def scenario(transport=None):
             # Fresh algorithm and adversary per run: RandomizedAdversary
             # draws from an internal RNG, so reuse would diverge.
             algorithm = ALGORITHMS[name](n, t)
@@ -115,11 +117,11 @@ def test_zoo_runs_identical_across_delivery_modes(case):
                 if pick_faulty
                 else None
             )
-            return _traced_run(algorithm, value, adversary, delivery)
+            return _traced_run(algorithm, value, adversary, transport)
 
-        merged, merged_events = scenario("merged")
-        again, again_events = scenario("merged")
-        sorted_, sorted_events = scenario("sorted")
+        merged, merged_events = scenario()
+        again, again_events = scenario()
+        sorted_, sorted_events = scenario(SortedTransport())
 
         assert merged.decisions == again.decisions == sorted_.decisions, name
         assert merged.metrics == again.metrics == sorted_.metrics, name

@@ -160,6 +160,10 @@ class TestScheduler:
         with pytest.raises(ValueError, match="max_stripe"):
             Scheduler(max_stripe=0)
 
+    def test_telemetry_sample_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="telemetry_sample"):
+            Scheduler(telemetry_sample=-1)
+
 
 class TestStripes:
     def test_sharded_by_config_key_and_split_at_max_stripe(self):

@@ -607,6 +607,31 @@ class TestServiceCli:
         assert code == 2
         assert "loadgen:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--max-stripe", "0"), ("--telemetry-sample", "-1")]
+    )
+    def test_loadgen_bad_stripe_setting_exits_2(self, capsys, flag, value):
+        code = main(
+            ["loadgen", "--requests", "5", "--rate", "5000", "--workers", "1",
+             flag, value]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loadgen: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--max-stripe", "0"), ("--telemetry-sample", "-1")]
+    )
+    def test_serve_bad_stripe_setting_exits_2(self, capsys, tmp_path, flag, value):
+        emitted = tmp_path / "requests.jsonl"
+        assert main(
+            ["loadgen", "--requests", "5", "--rate", "5000", "--emit", str(emitted)]
+        ) == 0
+        capsys.readouterr()
+        assert main(["serve", str(emitted), "--workers", "1", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ") and err.count("\n") == 1
+
     def test_serve_missing_file_exits_2(self, capsys):
         assert main(["serve", "/no/such/requests.jsonl"]) == 2
         assert "serve:" in capsys.readouterr().err

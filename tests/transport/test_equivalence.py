@@ -1,11 +1,12 @@
-"""The tentpole equivalence guarantee: a fault-free transport is invisible.
+"""The routing equivalence guarantee: a fault-free transport is invisible.
 
-Pins, across the algorithm zoo, that routing through
-:class:`LockstepTransport` (both strategies) or a zero-fault
-:class:`FaultyTransport` produces **byte-identical** ``repro-trace/1``
-streams — and identical metrics and decisions — to the runner's inline
-fast path.  Timing fields come from an injected
-:class:`~repro.obs.TickClock`, so byte equality is exact, not fuzzy.
+Pins, across the algorithm zoo, that the runner's default routing, an
+explicit :class:`LockstepTransport` and a zero-fault
+:class:`FaultyTransport` produce **byte-identical** ``repro-trace/1``
+streams — and identical metrics and decisions — to the reference
+per-inbox sort (:class:`tests.conftest.SortedTransport`).  Timing fields
+come from an injected :class:`~repro.obs.TickClock`, so byte equality is
+exact, not fuzzy.
 """
 
 import json
@@ -18,6 +19,7 @@ from repro.algorithms.registry import get
 from repro.core.runner import run
 from repro.obs import ListSink, TickClock
 from repro.transport import FaultPlan, FaultyTransport, LockstepTransport
+from tests.conftest import SortedTransport
 
 #: (name, n, t): small-but-real shapes for every registered algorithm
 #: family exercised by the fuzz configs.
@@ -32,9 +34,9 @@ ZOO = (
 )
 
 TRANSPORTS = (
-    ("inline", None),
-    ("lockstep-merged", LockstepTransport()),
-    ("lockstep-sorted", LockstepTransport(delivery="sorted")),
+    ("sorted-reference", SortedTransport()),
+    ("default", None),
+    ("lockstep", LockstepTransport()),
     ("faulty-empty", FaultyTransport(FaultPlan())),
 )
 
@@ -71,7 +73,7 @@ def test_fault_free_transports_are_byte_identical(case, value, seed, corrupt):
         t,
         value,
         RandomizedAdversary([n - 1], seed) if corrupt else None,
-        None,
+        TRANSPORTS[0][1],
     )
     assert result.fault_events == ()
     for label, transport in TRANSPORTS[1:]:
