@@ -50,6 +50,17 @@ fi
 echo "== benchmarks collect =="
 PYTHONPATH=src:. python -m pytest benchmarks/ --collect-only -q || status=1
 
+# Experiment suite: the grid experiments (E7, E10, E11) run through
+# sweep_parallel and tier-1 never runs them, so run benchmarks/ end to
+# end with its timing harness off (about 25s on a 2-vCPU host).
+# Disable with EXPERIMENTS_SMOKE=0.
+if [ "${EXPERIMENTS_SMOKE:-1}" != "0" ]; then
+    echo "== experiments smoke =="
+    PYTHONPATH=src:. python -m pytest benchmarks/ -q --benchmark-disable || status=1
+else
+    echo "== experiments smoke == (EXPERIMENTS_SMOKE=0, skipped)"
+fi
+
 # Optional perf smoke: time the fixed basket and diff it against the
 # committed baseline.  Skipped when no baseline JSON exists or when
 # PERF_SMOKE=0; wall-clock comparisons across different machines are noisy,

@@ -1,11 +1,8 @@
-"""Batched sweep execution: scenario grids through the batch engine.
+"""Striped sweep execution: every scenario grid runs through the batch engine.
 
-The default :func:`~repro.analysis.parallel.sweep_parallel` path amortises
-nothing — every :class:`~repro.analysis.sweep.SweepPoint` pays algorithm
-construction, digest computation and a full scalar run, even when
-thousands of grid points differ only in their seed or repeat index.
-``sweep_parallel(..., batch=True)`` routes the spec list through
-:func:`~repro.core.batch.run_batch` instead:
+:func:`~repro.analysis.parallel.sweep_parallel` hands its spec list to
+:func:`batch_specs`, which routes it through
+:func:`~repro.core.batch.run_batch`:
 
 * specs are **grouped by factory** (equal pickled factories share one
   arena — one algorithm instance, one shared digest table, one run-class
@@ -18,8 +15,10 @@ thousands of grid points differ only in their seed or repeat index.
 The output is element-wise equal to ``[spec.run() for spec in specs]`` in
 the same order, verdicts included: the engine judges each run by its
 family's conditions, as :func:`~repro.analysis.sweep.measure` does (the
-property suites assert this).  Traced specs (``trace_dir`` set) keep the
-scalar path so their per-run JSONL files come out byte-identical.  The
+property suites assert this).  Traced specs (``trace_dir`` set) form
+stripes of their own, which run each spec through
+:meth:`~repro.analysis.parallel.ScenarioSpec.run` in the worker, so each
+writes the JSONL trace the scalar path writes, at any worker count.  The
 engine's amortisation counters are on each stripe's
 :class:`~repro.core.batch.BatchResult`; the sweep returns points only.
 """
@@ -72,11 +71,17 @@ def _point(
 
 @dataclass(frozen=True, slots=True)
 class BatchStripe:
-    """One pool task: a slice of same-factory specs run as a single batch."""
+    """One pool task: a slice of same-factory specs, all traced or none.
+
+    An untraced stripe builds one algorithm and runs as a single batch; a
+    traced stripe runs each spec on its own, writing its trace file.
+    """
 
     specs: tuple[ScenarioSpec, ...]
 
     def run(self) -> list[SweepPoint]:
+        if self.specs[0].trace_dir is not None:
+            return [spec.run() for spec in self.specs]
         algorithm = self.specs[0].factory()
         result = run_batch(algorithm, [_spec_case(spec) for spec in self.specs])
         return [
@@ -86,11 +91,13 @@ class BatchStripe:
 
 
 def _group_key(spec: ScenarioSpec) -> Any:
-    """Arena-sharing key: equal pickled factories share one batch."""
+    """Arena-sharing key: equal pickled factories share one batch, and
+    traced specs never share a stripe with untraced ones."""
     try:
-        return pickle.dumps(spec.factory)
+        factory: Any = pickle.dumps(spec.factory)
     except Exception:
-        return ("unpicklable", id(spec.factory))
+        factory = ("unpicklable", id(spec.factory))
+    return spec.trace_dir, factory
 
 
 def _stripes(indices: Sequence[int], workers: int) -> list[list[int]]:
@@ -107,19 +114,12 @@ def batch_specs(
 
     Specs are grouped by factory (one arena per group), groups are split
     into worker stripes, and the stripes run on the self-healing pool.
-    Traced specs always take the scalar path so their JSONL trace files
-    are produced exactly as the scalar sweep would.
     """
     specs = list(specs)
     workers = default_workers() if workers is None else max(1, workers)
-    points: list[SweepPoint | None] = [None] * len(specs)
-
     groups: dict[Any, list[int]] = {}
     for index, spec in enumerate(specs):
-        if spec.trace_dir is None:
-            groups.setdefault(_group_key(spec), []).append(index)
-        else:
-            points[index] = spec.run()
+        groups.setdefault(_group_key(spec), []).append(index)
 
     stripe_indices = [
         stripe for indices in groups.values() for stripe in _stripes(indices, workers)
@@ -132,6 +132,7 @@ def batch_specs(
         workers=workers,
         chunk_size=1,
     )
+    points: list[SweepPoint | None] = [None] * len(specs)
     for indices, stripe_points in zip(stripe_indices, outputs):
         for index, point in zip(indices, stripe_points):
             points[index] = point

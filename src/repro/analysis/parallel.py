@@ -2,9 +2,10 @@
 
 The paper's claims are worst-case counts over ``(n, t, s, α)`` grids, so
 the repo's empirical reach is bounded by how many scenarios it can run per
-second.  Scenarios are embarrassingly parallel — every
-:class:`~repro.analysis.sweep.SweepPoint` is a pure function of its
-scenario spec — so :func:`sweep_parallel` fans a grid out over a
+second.  Every :class:`~repro.analysis.sweep.SweepPoint` is a pure
+function of its scenario spec, so :func:`sweep_parallel` groups a grid by
+factory, stripes each group through the batch engine
+(:mod:`repro.analysis.batchsweep`), fans the stripes out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` and returns the *exact*
 point stream for any worker count, in the grid's deterministic order.
 
@@ -50,7 +51,7 @@ from repro.analysis.sweep import SweepPoint, measure
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
 
-#: Builds a fresh, configured algorithm instance (one per measurement).
+#: Builds a configured algorithm instance (one per sweep stripe).
 AlgorithmFactory = Callable[[], AgreementAlgorithm]
 #: Builds the adversary for one measurement; ``None`` means fault-free.
 AdversaryFactory = Callable[[AgreementAlgorithm], "Adversary | None"]
@@ -394,11 +395,10 @@ def run_tasks(
 ) -> list:
     """Execute *tasks* (anything with a picklable ``.run()``) in order.
 
-    The one pool entry: :func:`sweep_parallel` runs
-    :class:`ScenarioSpec` tasks on it, ``repro fuzz`` runs
-    :class:`~repro.fuzz.campaign.FuzzCase` tasks, and the batched sweep
-    and the service run stripes.  The returned list is identical
-    (element-wise equal, same order) to
+    The one pool entry: :func:`sweep_parallel` and the service run
+    stripes on it, and ``repro fuzz`` runs
+    :class:`~repro.fuzz.campaign.FuzzCase` tasks.  The returned list is
+    identical (element-wise equal, same order) to
     ``[task.run() for task in tasks]`` regardless of *workers* and
     *chunk_size* — chunks preserve submission order and results are
     concatenated in that order.
@@ -480,29 +480,23 @@ def sweep_parallel(
     *,
     workers: int | None = None,
     trace_dir: str | None = None,
-    batch: bool = False,
 ) -> list[SweepPoint]:
     """Run the cartesian grid configurations × adversaries × values.
 
     Returns one :class:`~repro.analysis.sweep.SweepPoint` per scenario, in
     :func:`expand` order, identical for any worker count.  *workers*
-    defaults to :func:`default_workers` (clamped to the grid size);
-    ``workers=1`` runs serially in-process.  *trace_dir* opts every
-    scenario into a per-run ``repro-trace/1`` JSONL file under that
-    directory (traces are written by the worker that executes the
-    scenario; names are deterministic, so the file set is identical for
-    any worker count).  The pool's self-healing knobs (timeouts, retries,
-    checkpoints) are on :func:`run_tasks`, which takes
-    ``expand(configurations, values, adversaries)`` directly.
-
-    ``batch=True`` routes the grid through the batch engine
-    (:mod:`repro.analysis.batchsweep`): same-factory scenarios share one
-    arena, repeated run classes execute once, and workers run whole
-    stripes instead of per-scenario chunks — same points, same order.
+    defaults to :func:`default_workers`; ``workers=1`` runs serially
+    in-process.  Same-factory scenarios share one batch-engine arena and
+    repeated run classes execute once; workers run whole stripes
+    (:mod:`repro.analysis.batchsweep`).  *trace_dir* opts every scenario
+    into a per-run ``repro-trace/1`` JSONL file under that directory
+    (traces are written by the worker that runs the scenario's stripe;
+    names are deterministic, so the file set is identical for any worker
+    count).  The stripes run on :func:`run_tasks` with its default
+    self-healing settings.
     """
-    specs = expand(configurations, values, adversaries, trace_dir=trace_dir)
-    if batch:
-        from repro.analysis.batchsweep import batch_specs
+    # Imported here: batchsweep imports this module.
+    from repro.analysis.batchsweep import batch_specs
 
-        return batch_specs(specs, workers=workers)
-    return run_tasks(specs, workers=workers)
+    specs = expand(configurations, values, adversaries, trace_dir=trace_dir)
+    return batch_specs(specs, workers=workers)

@@ -485,7 +485,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     import time
     from functools import partial
 
-    from repro.analysis.parallel import default_workers, expand, run_tasks
+    from repro.analysis.parallel import default_workers, sweep_parallel
     from repro.core.batch import run_batch
 
     workers = args.workers if args.workers is not None else default_workers()
@@ -575,26 +575,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sweep_t = 2
     sweep_ns = (60, 120) if args.quick else (60, 120, 180, 240)
     sweep_values = (1,) if args.quick else (0, 1)
-    specs = expand(
+    started = time.perf_counter()
+    points = sweep_parallel(
         [({"n": n}, partial(get("algorithm-3").build, n, sweep_t)) for n in sweep_ns],
         values=sweep_values,
+        workers=workers,
     )
-    started = time.perf_counter()
-    points = run_tasks(specs, workers=workers)
     seconds = time.perf_counter() - started
     swept_messages = sum(p.messages for p in points)
     cases["sweep:algorithm-3:grid"] = {
         "kind": "sweep",
-        "scenarios": len(specs),
+        "scenarios": len(points),
         "workers": workers,
         "seconds": round(seconds, 6),
         "messages": swept_messages,
-        "scenarios_per_sec": round(len(specs) / seconds, 2) if seconds else None,
+        "scenarios_per_sec": round(len(points) / seconds, 2) if seconds else None,
         "messages_per_sec": round(swept_messages / seconds, 1) if seconds else None,
     }
 
     # Service-layer throughput: one seeded open-loop traffic run per
     # case, one worker — a stable single-core agreements/sec floor.
+    from repro.obs.export import service_bench_json
     from repro.service import Scheduler, generate_schedule
 
     for label, requests, fault_rate in service_basket:
@@ -606,36 +607,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             report = Scheduler(workers=1).serve(schedule)
             trial_stats.append(report.stats)
         trial_stats.sort(key=lambda s: s.wall_s)
-        service_stats = trial_stats[len(trial_stats) // 2]
-        e2e = service_stats.e2e
-        cases[f"service:{label}"] = {
-            "kind": "service",
-            "requests": requests,
-            "ok": service_stats.ok,
-            "failed": service_stats.failed,
-            "fault_rate": fault_rate,
-            "waves": service_stats.waves,
-            "seconds": round(service_stats.wall_s, 6),
-            "messages": service_stats.messages_total,
-            "messages_per_sec": (
-                round(rate, 1)
-                if (rate := service_stats.messages_per_sec) is not None
-                else None
-            ),
-            "agreements_per_sec": (
-                round(rate, 2)
-                if (rate := service_stats.agreements_per_sec) is not None
-                else None
-            ),
-            "p50_s": round(e2e.p50_s, 6) if e2e else None,
-            "p99_s": round(e2e.p99_s, 6) if e2e else None,
-            "unique_runs": service_stats.unique_runs,
-            "dedup_ratio": (
-                round(ratio, 2)
-                if (ratio := service_stats.dedup_ratio) is not None
-                else None
-            ),
-        }
+        key = f"service:{label}"
+        case = service_bench_json(trial_stats[len(trial_stats) // 2], key)
+        cases[key] = {**case["cases"][key], "fault_rate": fault_rate}
 
     document = {
         "schema": "repro-bench/1",
@@ -785,6 +759,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     arrives immediately.
     """
     import json
+    import math
 
     from repro.service import AgreementRequest, RequestFormatError, ScheduledRequest
 
@@ -803,8 +778,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             try:
                 data = json.loads(line)
                 request = AgreementRequest.from_json_dict(data)
-                arrival = float(data.get("arrival_s", 0.0))
-            except (json.JSONDecodeError, RequestFormatError, TypeError) as error:
+                arrival = data.get("arrival_s", 0.0)
+                if type(arrival) not in (int, float) or not math.isfinite(arrival):
+                    raise RequestFormatError(
+                        f"arrival_s must be a finite number, got {arrival!r}"
+                    )
+            except (json.JSONDecodeError, RequestFormatError) as error:
                 print(f"serve: {source}:{lineno}: {error}", file=sys.stderr)
                 return 2
             schedule.append(ScheduledRequest(arrival_s=arrival, request=request))

@@ -29,8 +29,8 @@ The engine builds each run's
 and judges every class once, before replicating it, by its family's
 conditions (:func:`repro.approx.validation.check_run_conditions`: exact
 BA, ε-agreement or randomized consensus), holding only the processors no
-injected fault excuses to them.  The batched sweeps and the service both
-run through here, so they reach the scalar ``measure()``'s verdict.
+injected fault excuses to them.  Every sweep and the service run
+through here, so they reach the scalar ``measure()``'s verdict.
 
 ``strict=True`` re-executes every unique class through the scalar runner
 and asserts byte-identical decisions, metrics and verdicts — the

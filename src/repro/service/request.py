@@ -108,25 +108,43 @@ class AgreementRequest:
         ]
         if missing:
             raise RequestFormatError(f"request line missing {missing}")
+        from repro.algorithms.registry import get
+
+        algorithm = str(data["algorithm"])
+        try:
+            get(algorithm)
+        except KeyError as error:
+            raise RequestFormatError(error.args[0]) from None
         plan = None
         if data.get("fault_plan") is not None:
             from repro.transport.faults import FaultPlan
 
-            plan = FaultPlan.from_json_dict(data["fault_plan"])
+            try:
+                plan = FaultPlan.from_json_dict(data["fault_plan"])
+            except (TypeError, ValueError) as error:
+                raise RequestFormatError(f"malformed fault_plan: {error}") from None
         params = data.get("params") or {}
         if not isinstance(params, Mapping):
             raise RequestFormatError(f"params must be an object, got {params!r}")
         coin_seed = data.get("coin_seed")
         return cls(
-            request_id=int(data["request_id"]),
-            algorithm=str(data["algorithm"]),
-            n=int(data["n"]),
-            t=int(data["t"]),
+            request_id=_integer(data, "request_id"),
+            algorithm=algorithm,
+            n=_integer(data, "n"),
+            t=_integer(data, "t"),
             value=data["value"],
             params=tuple(sorted(params.items())),
             fault_plan=plan,
-            coin_seed=int(coin_seed) if coin_seed is not None else None,
+            coin_seed=None if coin_seed is None else _integer(data, "coin_seed"),
         )
+
+
+def _integer(data: Mapping[str, Any], key: str) -> int:
+    """``data[key]``, which must be a JSON integer (not a bool, float or string)."""
+    value = data[key]
+    if type(value) is not int:
+        raise RequestFormatError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)

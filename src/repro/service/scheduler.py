@@ -199,8 +199,6 @@ class Scheduler:
             flight per wave).
         telemetry_sample: instrumented representative runs per stripe
             feeding the per-phase percentiles (0 disables).
-        task_timeout / max_retries: the pool's self-healing knobs, as in
-            :func:`~repro.analysis.parallel.run_tasks`.
     """
 
     def __init__(
@@ -209,8 +207,6 @@ class Scheduler:
         workers: int | None = None,
         max_stripe: int = 256,
         telemetry_sample: int = 1,
-        task_timeout: float | None = None,
-        max_retries: int = 2,
     ) -> None:
         if max_stripe < 1:
             raise ValueError(f"max_stripe must be >= 1, got {max_stripe}")
@@ -221,8 +217,6 @@ class Scheduler:
         self.workers = workers
         self.max_stripe = max_stripe
         self.telemetry_sample = telemetry_sample
-        self.task_timeout = task_timeout
-        self.max_retries = max_retries
 
     def _stripes(
         self, wave: Sequence[tuple[int, AgreementRequest]]
@@ -296,10 +290,7 @@ class Scheduler:
             dispatch_s = clock() - start
             stripes = self._stripes(wave)
             stripe_results: list[StripeResult] = run_tasks(
-                stripes,
-                workers=self.workers,
-                task_timeout=self.task_timeout,
-                max_retries=self.max_retries,
+                stripes, workers=self.workers
             )
             harvest_s = clock() - start
             waves += 1

@@ -195,6 +195,8 @@ def fault_to_json(fault: Fault) -> dict[str, Any]:
 
 def fault_from_json(data: Mapping[str, Any]) -> Fault:
     """Rebuild a fault from :func:`fault_to_json` output."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"a fault must be an object, got {data!r}")
     kind = data.get("kind")
     cls = FAULT_KINDS.get(str(kind))
     if cls is None:
@@ -246,6 +248,8 @@ class FaultPlan:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a fault plan must be an object, got {data!r}")
         schema = data.get("schema", FAULT_SCHEMA)
         if schema != FAULT_SCHEMA:
             raise ValueError(f"unsupported fault-plan schema {schema!r}")

@@ -1,5 +1,7 @@
-"""Tests for the batched sweep executor (repro.analysis.batchsweep)."""
+"""Tests for the striped sweep executor (repro.analysis.batchsweep)."""
 
+import json
+import os
 from functools import partial
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import repro.analysis.batchsweep as batchsweep
 from repro.algorithms.registry import get
 from repro.analysis.batchsweep import MIN_STRIPE, BatchStripe, _stripes, batch_specs
-from repro.analysis.parallel import expand, run_tasks, sweep_parallel
+from repro.analysis.parallel import ScenarioSpec, expand, run_tasks, sweep_parallel
 
 
 def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
@@ -34,6 +36,24 @@ def engine_stats(monkeypatch):
 
 def total(calls, name):
     return sum(getattr(stats, name) for stats in calls)
+
+
+#: run_end telemetry fields read from the wall or CPU clock, which differ
+#: between any two runs of one scenario.
+CLOCK_FIELDS = ("cpu_s", "wall_s", "handler_wall_s", "per_phase")
+
+
+def without_clock_readings(path):
+    """The trace's lines, byte for byte, with the clock readings removed."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        event = json.loads(line)
+        if event["event"] == "run_end":
+            for key in CLOCK_FIELDS:
+                del event["telemetry"][key]
+            line = json.dumps(event, sort_keys=True, separators=(",", ":"))
+        lines.append(line)
+    return lines
 
 
 class TestEquality:
@@ -83,15 +103,62 @@ class TestTraceFallback:
         # Traced specs bypass the batch engine entirely.
         assert engine_stats == []
 
+    def test_traced_grid_runs_on_the_pool(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        in_parent = []
+        scalar_run = ScenarioSpec.run
+
+        def spy(spec):
+            if os.getpid() == parent:
+                in_parent.append(spec)
+            return scalar_run(spec)
+
+        configs = [
+            ({"n": n}, partial(get("dolev-strong").build, n, 1)) for n in (5, 6, 7)
+        ]
+        serial_dir, pooled_dir = tmp_path / "serial", tmp_path / "pooled"
+        serial = batch_specs(
+            expand(configs, trace_dir=str(serial_dir)), workers=1
+        )
+        monkeypatch.setattr(ScenarioSpec, "run", spy)
+        pooled = batch_specs(
+            expand(configs, trace_dir=str(pooled_dir)), workers=2
+        )
+        assert in_parent == []
+        assert pooled == serial
+        names = sorted(path.name for path in serial_dir.glob("*.jsonl"))
+        assert len(names) == 6
+        assert sorted(path.name for path in pooled_dir.glob("*.jsonl")) == names
+        for name in names:
+            assert without_clock_readings(pooled_dir / name) == (
+                without_clock_readings(serial_dir / name)
+            )
+
 
 class TestSweepParallelWiring:
-    def test_batch_flag_matches_scalar_sweep(self):
+    def test_sweep_matches_per_spec_runs(self):
         configs = [
             ({"n": n}, partial(get("algorithm-3").build, n, 2)) for n in (9, 12)
         ]
-        scalar = sweep_parallel(configs, values=(0, 1, 1), workers=1)
-        batched = sweep_parallel(configs, values=(0, 1, 1), workers=1, batch=True)
-        assert batched == scalar
+        specs = expand(configs, values=(0, 1, 1))
+        batched = sweep_parallel(configs, values=(0, 1, 1), workers=1)
+        assert batched == run_tasks(specs, workers=1)
+
+    def test_untraced_grid_reaches_run_batch_once_per_factory_group(
+        self, engine_stats
+    ):
+        dolev_strong = get("dolev-strong").build
+        configs = [
+            ({"n": 5}, partial(dolev_strong, 5, 1)),
+            ({"n": 7}, partial(dolev_strong, 7, 1)),
+            ({"n": 5, "again": True}, partial(dolev_strong, 5, 1)),
+            ({"n": 9}, partial(get("phase-king").build, 9, 2)),
+        ]
+        points = sweep_parallel(configs, values=(0, 1), workers=1)
+        assert points == run_tasks(expand(configs, values=(0, 1)), workers=1)
+        # Equal factories share a group, so three groups for four configs.
+        assert len(engine_stats) == 3
+        assert total(engine_stats, "runs") == len(points) == 8
 
     def test_unpicklable_factories_still_work_serially(self):
         configs = [({"n": 5}, lambda: get("dolev-strong").build(5, 1))]
@@ -100,23 +167,23 @@ class TestSweepParallelWiring:
 
 
 class TestFamilyVerdicts:
-    """The batched sweep judges each family as the scalar sweep does."""
+    """The striped sweep judges each family as the per-spec path does."""
 
     @pytest.mark.parametrize(
         "name,n,t", [("midpoint-approx", 7, 2), ("filtered-mean-approx", 7, 1)]
     )
     def test_approx_points_match_the_scalar_sweep(self, name, n, t):
         configs = [({"n": n}, partial(get(name).build, n, t))]
-        batched = sweep_parallel(configs, workers=1, batch=True)
-        assert batched == sweep_parallel(configs, workers=1)
+        batched = sweep_parallel(configs, workers=1)
+        assert batched == run_tasks(expand(configs), workers=1)
         assert [point.agreement_ok for point in batched] == [True, True]
 
     def test_ben_or_runs_on_seed_zero_on_both_sweep_paths(self):
         from repro.core.runner import run
 
         configs = [({"n": 6}, partial(get("ben-or").build, 6, 1))]
-        scalar = sweep_parallel(configs, workers=1)
-        assert sweep_parallel(configs, workers=1, batch=True) == scalar
+        scalar = run_tasks(expand(configs), workers=1)
+        assert sweep_parallel(configs, workers=1) == scalar
         assert [point.agreement_ok for point in scalar] == [True, True]
         algorithm = get("ben-or")(6, 1)
         for point in scalar:

@@ -1,8 +1,11 @@
 """Tests for the sweep harness."""
 
-from repro.adversary.standard import SilentAdversary
+from functools import partial
+
+from repro.adversary.standard import RandomizedAdversary, SilentAdversary
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.algorithms.dolev_strong import DolevStrong
+from repro.algorithms.registry import get
 from repro.analysis.parallel import sweep_parallel
 from repro.analysis.sweep import measure, worst_case
 
@@ -56,16 +59,49 @@ class TestSweep:
         assert len(points) == 2 * 2 * 2
         assert all(p.agreement_ok for p in points)
 
-    def test_fresh_algorithm_per_point(self):
-        """Each measurement must use a fresh instance (state isolation)."""
+    def test_factory_called_once_per_stripe(self):
+        """A stripe's scenarios share one instance, the batch engine's arena."""
         counter = {"built": 0}
 
         def factory():
             counter["built"] += 1
             return DolevStrong(4, 1)
 
-        sweep_parallel([({}, factory)], values=(0, 1), workers=1)
-        assert counter["built"] == 2
+        points = sweep_parallel([({}, factory)], values=(0, 1, 0, 1), workers=1)
+        assert len(points) == 4
+        assert counter["built"] == 1
+
+    def test_shared_instance_matches_fresh_measure_per_point(self):
+        """Sharing the arena changes no point of a grid that mixes values
+        and adversaries."""
+        configurations = [
+            ({"n": 5}, partial(DolevStrong, 5, 1)),
+            ({"n": 9}, partial(get("phase-king").build, 9, 2)),
+        ]
+        values = (0, 1, 1)
+        adversaries = (
+            ("fault-free", None),
+            ("silent-1", lambda algorithm: SilentAdversary([1])),
+            ("randomized", lambda algorithm: RandomizedAdversary([2], 7)),
+        )
+        expected = []
+        for params, factory in configurations:
+            for name, make_adversary in adversaries:
+                for value in values:
+                    algorithm = factory()
+                    expected.append(
+                        measure(
+                            algorithm,
+                            value,
+                            make_adversary(algorithm) if make_adversary else None,
+                            adversary_name=name,
+                            params=params,
+                        )
+                    )
+        points = sweep_parallel(
+            configurations, values=values, adversaries=adversaries, workers=1
+        )
+        assert points == expected
 
 
 class TestWorstCase:

@@ -4,7 +4,7 @@ One input is a registry entry at a small valid ``(n, t)``, a value from
 its domain, optionally a seeded benign fault plan (exact entries) and
 optionally a coin seed (randomized entries).  Four paths run it: the
 scalar ``measure()``, ``run_batch(strict=True)`` (which also re-checks
-every class against the runner), the batched sweep and the service
+every class against the runner), ``sweep_parallel`` and the service
 ``Scheduler``.  They must agree on the unexcused decisions, messages,
 signatures, phases used and the verdict, including its text where the
 path reports one.  ``measure()`` and the sweeps take no plan or coin
@@ -107,7 +107,7 @@ def assert_paths_agree(name, n, t, value, plan, coin_seed) -> None:
         plain.agreement_ok,
     )
     configs = [({}, partial(info.build, n, t))]
-    assert sweep_parallel(configs, values=(value,), workers=1, batch=True) == [point]
+    assert sweep_parallel(configs, values=(value,), workers=1) == [point]
 
     reset_worker_cache()
     served = serve(

@@ -7,6 +7,8 @@ import pytest
 
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.cli import main, parse_adversary
+from repro.obs.export import service_bench_json
+from repro.service.stats import ServiceStats
 
 
 class TestParseAdversary:
@@ -492,6 +494,25 @@ class TestListFamilies:
         assert rows["ben-or"] == "randomized"
 
 
+#: The keys of every ``service:*`` case of ``repro bench``.
+SERVICE_CASE_KEYS = {
+    "kind",
+    "requests",
+    "ok",
+    "failed",
+    "fault_rate",
+    "waves",
+    "seconds",
+    "messages",
+    "messages_per_sec",
+    "agreements_per_sec",
+    "p50_s",
+    "p99_s",
+    "unique_runs",
+    "dedup_ratio",
+}
+
+
 class TestBenchTrials:
     def test_trials_recorded_and_service_cases_present(self, capsys, tmp_path):
         output = tmp_path / "bench.json"
@@ -515,7 +536,24 @@ class TestBenchTrials:
             assert case["p50_s"] > 0
             assert case["p99_s"] >= case["p50_s"]
         assert service_cases["service:faulty"]["fault_rate"] == 0.2
+        # One spelling: the exporter's service case plus the fault rate,
+        # in the shape BENCH_runner.json pins.
+        exported = service_bench_json(ServiceStats())["cases"]["service:loadgen"]
+        assert set(exported) | {"fault_rate"} == SERVICE_CASE_KEYS
+        for case in service_cases.values():
+            assert set(case) == SERVICE_CASE_KEYS
         assert "trials=2" in capsys.readouterr().out
+
+
+#: A well-formed ``repro-service/1`` request line.
+GOOD_REQUEST = {
+    "schema": "repro-service/1",
+    "request_id": 0,
+    "algorithm": "dolev-strong",
+    "n": 5,
+    "t": 1,
+    "value": 1,
+}
 
 
 class TestServiceCli:
@@ -636,11 +674,63 @@ class TestServiceCli:
         assert main(["serve", "/no/such/requests.jsonl"]) == 2
         assert "serve:" in capsys.readouterr().err
 
-    def test_serve_malformed_line_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            pytest.param({"schema": "repro-service/1"}, "missing", id="missing-fields"),
+            pytest.param(
+                {**GOOD_REQUEST, "n": "five"}, "n must be an integer", id="n-string"
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "request_id": 1.5},
+                "request_id must be an integer",
+                id="request-id-float",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "coin_seed": "x"},
+                "coin_seed must be an integer",
+                id="coin-seed-string",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "arrival_s": "soon"},
+                "arrival_s must be a finite number",
+                id="arrival-string",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "arrival_s": 1e999},
+                "arrival_s must be a finite number",
+                id="arrival-infinite",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "fault_plan": {"faults": [{"kind": "crash"}]}},
+                "malformed fault_plan",
+                id="fault-missing-pid",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "fault_plan": {"faults": [{"kind": "nope"}]}},
+                "malformed fault_plan",
+                id="fault-unknown-kind",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "fault_plan": "crash"},
+                "malformed fault_plan",
+                id="fault-plan-string",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "algorithm": "no-such"},
+                "unknown algorithm",
+                id="unknown-algorithm",
+            ),
+        ],
+    )
+    def test_serve_malformed_line_exits_2(self, capsys, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"schema": "repro-service/1"}\n', encoding="utf-8")
-        assert main(["serve", str(path)]) == 2
-        assert "missing" in capsys.readouterr().err
+        lines = [json.dumps(GOOD_REQUEST), json.dumps(line)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["serve", str(path), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"serve: {path}:2: ") and err.count("\n") == 1
+        assert message in err
 
     def test_serve_empty_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"
