@@ -31,6 +31,11 @@ surfaces with its real traceback.  An optional ``checkpoint`` file
 persists finished chunks (pickle frames behind a fingerprinted header),
 letting an interrupted sweep or fuzz campaign resume instead of starting
 over; a corrupt tail costs only the partial frame.
+
+A :class:`WorkerPool` gives the pool a lifetime.  :func:`run_tasks`
+forks a one-shot pool per call unless it is handed one; the service
+scheduler keeps one for its whole life, so its workers fork once and
+keep their setup caches from wave to wave.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ import hashlib
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
+import weakref
+from contextlib import nullcontext
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -307,80 +314,121 @@ class SweepCheckpoint:
                 pass
 
 
-def _rebuild_pool(
-    pool: ProcessPoolExecutor, workers: int
-) -> ProcessPoolExecutor:
-    """Tear a suspect pool down (stuck workers terminated best-effort)
-    and hand back a fresh one."""
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except Exception:
-            pass
+#: Resubmissions of a failed chunk before it runs serially in-process.
+MAX_RETRIES = 2
+#: Seconds slept before a chunk's first resubmission; doubled each time.
+BACKOFF_S = 0.1
+
+
+def _shutdown(executor: ProcessPoolExecutor) -> None:
+    """Shut *executor* down without waiting, cancelling queued chunks."""
     try:
-        pool.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
-    return ProcessPoolExecutor(max_workers=workers)
 
 
-def _run_chunks_parallel(
-    chunks: Sequence[Sequence[Task]],
-    pending: Sequence[int],
-    results: dict[int, list],
-    *,
-    workers: int,
-    task_timeout: float | None,
-    max_retries: int,
-    backoff: float,
-    checkpoint: "SweepCheckpoint | None",
-) -> None:
-    """The self-healing harvest loop: fill ``results`` for *pending*."""
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        futures = {
-            index: pool.submit(_run_chunk, chunks[index]) for index in pending
-        }
-        attempts = {index: 0 for index in pending}
-        queue = list(pending)
-        while queue:
-            index = queue.pop(0)
-            deadline = (
-                task_timeout * len(chunks[index])
-                if task_timeout is not None
-                else None
-            )
+class WorkerPool:
+    """The self-healing process pool, alive until :meth:`close`.
+
+    It owns one :class:`~concurrent.futures.ProcessPoolExecutor`, forked
+    on the first chunk submitted, and the one harvest loop
+    (:meth:`run_chunks`).  A dead or wedged worker gets the executor
+    replaced.  Workers keep their process-local state (imported modules,
+    the service's setup cache) from one call to the next.  :meth:`close`
+    or leaving a ``with`` block shuts them down, and so does dropping the
+    pool; a closed pool forks afresh if used again.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = max(1, workers)
+        self._executor: ProcessPoolExecutor | None = None
+        self._finalizer: weakref.finalize | None = None
+
+    def _submit(self, chunk: Sequence[Task]) -> Future:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+            self._finalizer = weakref.finalize(self, _shutdown, self._executor)
+        try:
+            return self._executor.submit(_run_chunk, chunk)
+        except BrokenProcessPool:
+            # A worker died while the pool sat idle between calls.
+            self._rebuild()
+            return self._submit(chunk)
+
+    def _rebuild(self) -> None:
+        """Tear the suspect executor down (stuck workers terminated
+        best-effort); the next submit forks a fresh one."""
+        for process in list(getattr(self._executor, "_processes", {}).values()):
             try:
-                chunk_results = futures[index].result(timeout=deadline)
-            except Exception as error:
-                attempts[index] += 1
-                # A timeout means a worker is wedged mid-chunk; a broken
-                # pool means one died.  Either way every in-flight future
-                # is suspect: rebuild and resubmit the survivors.
-                pool_suspect = isinstance(
-                    error, (BrokenProcessPool, FutureTimeoutError)
+                process.terminate()
+            except Exception:
+                pass
+        self.close()
+
+    def close(self) -> None:
+        """Shut the workers down; idempotent."""
+        if self._finalizer is not None:
+            self._finalizer()
+        self._executor = None
+        self._finalizer = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def run_chunks(
+        self,
+        chunks: Sequence[Sequence[Task]],
+        pending: Sequence[int],
+        results: dict[int, list],
+        *,
+        task_timeout: float | None,
+        checkpoint: "SweepCheckpoint | None",
+    ) -> None:
+        """The self-healing harvest loop: fill ``results`` for *pending*."""
+        futures = {index: self._submit(chunks[index]) for index in pending}
+        try:
+            attempts = {index: 0 for index in pending}
+            queue = list(pending)
+            while queue:
+                index = queue.pop(0)
+                deadline = (
+                    task_timeout * len(chunks[index])
+                    if task_timeout is not None
+                    else None
                 )
-                if pool_suspect:
-                    pool = _rebuild_pool(pool, workers)
-                    for waiting in queue:
-                        futures[waiting] = pool.submit(
-                            _run_chunk, chunks[waiting]
-                        )
-                if attempts[index] > max_retries:
-                    # Last resort: run the chunk here, in-process.  A
-                    # transient fault heals; a real task bug raises with
-                    # its true traceback instead of a pool autopsy.
-                    chunk_results = _run_chunk(chunks[index])
-                else:
-                    time.sleep(backoff * (2 ** (attempts[index] - 1)))
-                    futures[index] = pool.submit(_run_chunk, chunks[index])
-                    queue.insert(0, index)
-                    continue
-            results[index] = chunk_results
-            if checkpoint is not None:
-                checkpoint.record(index, chunk_results)
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+                try:
+                    chunk_results = futures[index].result(timeout=deadline)
+                except Exception as error:
+                    attempts[index] += 1
+                    # A timeout means a worker is wedged mid-chunk; a broken
+                    # pool means one died.  Either way every in-flight future
+                    # is suspect: rebuild and resubmit the survivors.
+                    if isinstance(error, (BrokenProcessPool, FutureTimeoutError)):
+                        self._rebuild()
+                        for waiting in queue:
+                            futures[waiting] = self._submit(chunks[waiting])
+                    if attempts[index] > MAX_RETRIES:
+                        # Last resort: run the chunk here, in-process.  A
+                        # transient fault heals; a real task bug raises with
+                        # its true traceback instead of a pool autopsy.
+                        chunk_results = _run_chunk(chunks[index])
+                    else:
+                        time.sleep(BACKOFF_S * (2 ** (attempts[index] - 1)))
+                        futures[index] = self._submit(chunks[index])
+                        queue.insert(0, index)
+                        continue
+                results[index] = chunk_results
+                if checkpoint is not None:
+                    checkpoint.record(index, chunk_results)
+        finally:
+            # Chunks a raising task left queued must not run into the
+            # pool's next call.
+            for future in futures.values():
+                future.cancel()
 
 
 def run_tasks(
@@ -389,9 +437,8 @@ def run_tasks(
     workers: int | None = None,
     chunk_size: int | None = None,
     task_timeout: float | None = None,
-    max_retries: int = 2,
-    backoff: float = 0.1,
     checkpoint: str | Path | None = None,
+    pool: WorkerPool | None = None,
 ) -> list:
     """Execute *tasks* (anything with a picklable ``.run()``) in order.
 
@@ -409,18 +456,25 @@ def run_tasks(
       times its length.  Expired chunks count as pool failures.  Only
       enforceable on the multi-process path (a serial run cannot interrupt
       itself), where workers can be terminated.
-    * *max_retries* / *backoff* — how often a failed chunk is resubmitted,
-      sleeping ``backoff * 2**(attempt-1)`` seconds in between; after the
-      retries the chunk runs serially in-process (which surfaces real task
-      bugs with their original traceback).
     * *checkpoint* — path to a resumable progress file: finished chunks
       are flushed as pickle frames, a rerun with identical tasks and
       chunking skips them, and the file is deleted when the run completes.
       Requires picklable tasks and results even for ``workers=1``.
+
+    A failed chunk is resubmitted up to :data:`MAX_RETRIES` times, sleeping
+    ``BACKOFF_S * 2**(attempt-1)`` seconds in between; after that it runs
+    serially in-process (which surfaces real task bugs with their original
+    traceback).
+
+    *pool* is a long-lived :class:`WorkerPool` to run on (its workers keep
+    their state across calls; *workers* then defaults to its size).
+    Without one, a multi-process call forks a one-shot pool and shuts it
+    down on return.
     """
     tasks = list(tasks)
-    workers = default_workers() if workers is None else max(1, workers)
-    workers = min(workers, len(tasks)) if tasks else 1
+    if workers is None:
+        workers = pool.workers if pool is not None else default_workers()
+    workers = min(max(1, workers), len(tasks)) if tasks else 1
     serial = workers <= 1 or len(tasks) <= 1
     if serial and checkpoint is None:
         return _run_chunk(tasks)
@@ -452,16 +506,15 @@ def run_tasks(
                 if ledger is not None:
                     ledger.record(index, results[index])
         elif pending:
-            _run_chunks_parallel(
-                chunks,
-                pending,
-                results,
-                workers=workers,
-                task_timeout=task_timeout,
-                max_retries=max_retries,
-                backoff=backoff,
-                checkpoint=ledger,
-            )
+            owner = nullcontext(pool) if pool is not None else WorkerPool(workers)
+            with owner as active:
+                active.run_chunks(
+                    chunks,
+                    pending,
+                    results,
+                    task_timeout=task_timeout,
+                    checkpoint=ledger,
+                )
     except BaseException:
         if ledger is not None:
             ledger.close(remove=False)

@@ -661,7 +661,8 @@ def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
     except ValueError as error:
         print(f"{command}: {error}", file=sys.stderr)
         return 2
-    report = scheduler.serve(schedule)
+    with scheduler:
+        report = scheduler.serve(schedule)
     stats = report.stats
     verdicts = report.verdict_counts()
     rate = stats.agreements_per_sec
@@ -756,12 +757,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     Reads one request per line (``-`` for stdin) — the format
     ``repro loadgen --emit`` writes.  An optional ``arrival_s`` field per
     line is honoured as the open-loop arrival offset; absent, the request
-    arrives immediately.
+    arrives immediately.  Each configuration is built once while parsing,
+    so one its algorithm rejects is a malformed line like any other.
     """
     import json
     import math
 
     from repro.service import AgreementRequest, RequestFormatError, ScheduledRequest
+    from repro.service.cache import build_arena
 
     source = args.input
     try:
@@ -770,6 +773,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {error}", file=sys.stderr)
         return 2
     schedule: list[ScheduledRequest] = []
+    checked: set[tuple] = set()
     try:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
@@ -778,6 +782,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             try:
                 data = json.loads(line)
                 request = AgreementRequest.from_json_dict(data)
+                if request.config_key() not in checked:
+                    build_arena(request.config_key())
+                    checked.add(request.config_key())
                 arrival = data.get("arrival_s", 0.0)
                 if type(arrival) not in (int, float) or not math.isfinite(arrival):
                     raise RequestFormatError(

@@ -18,9 +18,15 @@ layer therefore memoizes, per worker process:
 The cache is deliberately *process-local* (one module-level instance per
 worker, reached through :func:`worker_cache`): digest tables are plain
 dicts, and sharing them across processes would cost more in pickling
-than it saves in hashing.  A serial scheduler (``workers=1``) keeps one
-cache for the whole traffic run, which is where the hit counters in
-``repro loadgen``'s report come from.
+than it saves in hashing.  A scheduler's workers live as long as the
+scheduler, so every cache — theirs, and the serving process's own, which
+serves one-stripe waves — lasts the whole traffic run, and each process
+misses a configuration at most once.  ``repro loadgen``'s hit and miss
+counters sum over all of them.
+
+:func:`build_arena` is the one place an arena is built: ``repro serve``
+and ``repro loadgen`` call it once per configuration while parsing, so a
+configuration its algorithm rejects fails there, not in a worker.
 """
 
 from __future__ import annotations
@@ -29,13 +35,31 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.algorithms.registry import get
+from repro.core.errors import ConfigurationError
 from repro.core.protocol import AgreementAlgorithm
 from repro.crypto.signatures import SharedDigestTable
+from repro.service.request import RequestFormatError
 
-__all__ = ["SetupCache", "worker_cache", "reset_worker_cache"]
+__all__ = ["SetupCache", "build_arena", "worker_cache", "reset_worker_cache"]
 
 #: The cache key: ``AgreementRequest.config_key()``'s shape.
 ConfigKey = tuple[str, int, int, tuple[tuple[str, Any], ...]]
+
+
+def build_arena(key: ConfigKey) -> AgreementAlgorithm:
+    """The configured algorithm instance *key* names.
+
+    Raises:
+        RequestFormatError: when the algorithm rejects ``(n, t, params)``.
+    """
+    name, n, t, params = key
+    try:
+        return get(name)(n, t, **dict(params))
+    except (ConfigurationError, TypeError) as error:
+        shown = f", params={dict(params)}" if params else ""
+        raise RequestFormatError(
+            f"{name} rejects n={n}, t={t}{shown}: {error}"
+        ) from None
 
 
 @dataclass(slots=True)
@@ -57,9 +81,7 @@ class SetupCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            name, n, t, params = key
-            algorithm = get(name)(n, t, **dict(params))
-            entry = _Entry(algorithm=algorithm, table=SharedDigestTable())
+            entry = _Entry(algorithm=build_arena(key), table=SharedDigestTable())
             self._entries[key] = entry
         else:
             self.hits += 1

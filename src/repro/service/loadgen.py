@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.algorithms.registry import get
+from repro.service.cache import build_arena
 from repro.service.request import AgreementRequest, ScheduledRequest
 
 __all__ = [
@@ -174,6 +175,10 @@ def generate_schedule(
     Returns:
         ``ScheduledRequest`` list in arrival order, request ids ``0..N-1``
         in arrival order.
+
+    Raises:
+        ValueError: on a bad argument, including a mix configuration its
+            algorithm rejects (:class:`~repro.service.request.RequestFormatError`).
     """
     if requests < 0:
         raise ValueError(f"requests must be >= 0, got {requests}")
@@ -186,9 +191,10 @@ def generate_schedule(
         raise MixSpecError("empty mix")
     weights = [item.weight for item in items]
     # Prototype instances answer num_phases() for fault-plan shaping —
-    # built once per mix item, never run.
+    # built once per mix item, never run.  Building them also rejects a
+    # configuration its algorithm rejects before any request is served.
     prototypes = {
-        item: get(item.algorithm)(item.n, item.t, **dict(item.params))
+        item: build_arena((item.algorithm, item.n, item.t, item.params))
         for item in items
     }
     rng = random.Random(seed)

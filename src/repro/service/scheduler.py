@@ -17,8 +17,9 @@ Inside a stripe every request rides :func:`repro.core.batch.run_batch`:
 
 * **setup cache** — the per-worker :func:`~repro.service.cache.worker_cache`
   hands every stripe of a configuration the same arena and
-  :class:`~repro.crypto.signatures.SharedDigestTable`, so signature
-  setup amortises across requests and waves;
+  :class:`~repro.crypto.signatures.SharedDigestTable`; workers live as
+  long as the scheduler, so signature setup amortises across requests,
+  waves and ``serve`` calls;
 * **run-class dedup + kernels** — requests with equal
   ``(value, fault plan, coin seed)`` share one execution (or one row of a
   vectorised kernel), so a thousand identical requests cost one run;
@@ -37,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from repro.analysis.parallel import run_tasks
+from repro.analysis.parallel import WorkerPool, default_workers, run_tasks
 from repro.approx.coins import coins_for
 from repro.core.batch import BatchCase, BatchOutcome, run_batch
 from repro.core.runner import run as run_algorithm
@@ -187,13 +188,18 @@ class ServiceReport:
 
 
 class Scheduler:
-    """Wave-dispatching front end over the self-healing worker pool.
+    """Wave-dispatching front end over one long-lived worker pool.
+
+    The pool forks on the first wave that has more than one stripe (a
+    one-stripe wave runs in-process) and keeps its workers, and so their
+    setup caches, for every later wave and ``serve`` call.  :meth:`close`
+    or leaving a ``with`` block shuts them down; a scheduler dropped
+    without either shuts them down when it is collected.
 
     Args:
-        workers: pool size per wave (``None``: ``$REPRO_SWEEP_WORKERS``
-            or the CPU count; ``1`` serves serially in-process, which
-            also makes the setup cache traffic-lifetime instead of
-            wave-lifetime).
+        workers: worker processes in the pool (``None``:
+            ``$REPRO_SWEEP_WORKERS`` or the CPU count; ``1`` serves
+            serially in-process and never forks).
         max_stripe: cap on requests per stripe — the batching stripe of
             the sizing formula (``workers × max_stripe`` requests in
             flight per wave).
@@ -217,6 +223,17 @@ class Scheduler:
         self.workers = workers
         self.max_stripe = max_stripe
         self.telemetry_sample = telemetry_sample
+        self._pool = WorkerPool(default_workers() if workers is None else workers)
+
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent)."""
+        self._pool.close()
+
+    def __enter__(self) -> "Scheduler":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def _stripes(
         self, wave: Sequence[tuple[int, AgreementRequest]]
@@ -290,7 +307,7 @@ class Scheduler:
             dispatch_s = clock() - start
             stripes = self._stripes(wave)
             stripe_results: list[StripeResult] = run_tasks(
-                stripes, workers=self.workers
+                stripes, workers=self.workers, pool=self._pool
             )
             harvest_s = clock() - start
             waves += 1

@@ -8,6 +8,7 @@ module-level so they pickle across the pool.
 
 import os
 import pickle
+import signal
 import time
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import pytest
 from repro.analysis.parallel import (
     CHECKPOINT_MAGIC,
     SweepCheckpoint,
+    WorkerPool,
     _fingerprint,
     run_tasks,
 )
@@ -60,6 +62,14 @@ class HangOnce:
         return "recovered"
 
 
+class Pid:
+    """Reports the process that ran it (after a nap, so both workers get work)."""
+
+    def run(self):
+        time.sleep(0.02)
+        return os.getpid()
+
+
 class AlwaysRaises:
     def run(self):
         raise RuntimeError("deterministic task bug")
@@ -85,28 +95,37 @@ def expected(n):
 class TestSelfHealing:
     def test_broken_pool_is_rebuilt_and_chunk_retried(self, tmp_path):
         tasks = [KillWorkerOnce(tmp_path / "died")] + [Square(i) for i in range(3)]
-        out = run_tasks(tasks, workers=2, chunk_size=1, backoff=0.01)
+        out = run_tasks(tasks, workers=2, chunk_size=1)
         assert out == ["recovered", 0, 1, 4]
 
     def test_wedged_worker_is_timed_out_and_chunk_retried(self, tmp_path):
         tasks = [HangOnce(tmp_path / "hung")] + [Square(i) for i in range(3)]
         started = time.monotonic()
-        out = run_tasks(
-            tasks, workers=2, chunk_size=1, task_timeout=2.0, backoff=0.01
-        )
+        out = run_tasks(tasks, workers=2, chunk_size=1, task_timeout=2.0)
         assert out == ["recovered", 0, 1, 4]
         # Well under the 600s the wedged worker would have taken.
         assert time.monotonic() - started < 60
 
     def test_deterministic_bug_surfaces_with_its_own_traceback(self):
         with pytest.raises(RuntimeError, match="deterministic task bug"):
-            run_tasks(
-                [AlwaysRaises(), Square(1)],
-                workers=2,
-                chunk_size=1,
-                max_retries=1,
-                backoff=0.01,
-            )
+            run_tasks([AlwaysRaises(), Square(1)], workers=2, chunk_size=1)
+
+
+class TestWorkerPool:
+    def test_calls_on_one_pool_share_its_workers(self):
+        with WorkerPool(2) as pool:
+            first = run_tasks([Pid() for _ in range(6)], chunk_size=1, pool=pool)
+            second = run_tasks([Pid() for _ in range(6)], chunk_size=1, pool=pool)
+        pids = set(first) | set(second)
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+
+    def test_worker_killed_between_calls_is_replaced(self):
+        with WorkerPool(2) as pool:
+            pids = set(run_tasks([Pid() for _ in range(4)], chunk_size=1, pool=pool))
+            os.kill(pids.pop(), signal.SIGKILL)
+            time.sleep(0.5)  # the executor notices while the pool sits idle
+            assert run_tasks([Square(i) for i in range(4)], pool=pool) == expected(4)
 
 
 class TestCheckpoint:

@@ -1,8 +1,16 @@
 """Tests for the wave-dispatching scheduler and its stripes."""
 
+import gc
+import multiprocessing
+import os
+import time as wallclock
+from dataclasses import dataclass, fields
+from pathlib import Path
+
 import pytest
 
 from repro.algorithms.registry import get
+from repro.analysis.parallel import WorkerPool
 from repro.core.batch import BatchCase, run_batch
 from repro.service import (
     AgreementRequest,
@@ -163,6 +171,141 @@ class TestScheduler:
     def test_telemetry_sample_must_not_be_negative(self):
         with pytest.raises(ValueError, match="telemetry_sample"):
             Scheduler(telemetry_sample=-1)
+
+
+#: Three small configurations: every wave of :func:`multi_stripe_waves`
+#: shards into three stripes, so it runs on the pool at ``workers=2``.
+CONFIGS = (("phase-king", 8, 1), ("dolev-strong", 5, 1), ("oral-messages", 4, 1))
+
+
+def multi_stripe_waves(waves, first_id=0):
+    """*waves* waves one virtual second apart, two requests per configuration."""
+    scheduled = []
+    for wave in range(waves):
+        for offset, (name, n, t) in enumerate(CONFIGS * 2):
+            request_id = first_id + wave * 2 * len(CONFIGS) + offset
+            scheduled.append(
+                ScheduledRequest(
+                    arrival_s=float(wave),
+                    request=request(
+                        request_id, algorithm=name, n=n, t=t, value=request_id % 2
+                    ),
+                )
+            )
+    return scheduled
+
+
+@dataclass(frozen=True, slots=True)
+class DieOnceStripe(ServiceStripe):
+    """A stripe whose first run in a pool worker kills that worker
+    (``os._exit``, behind a marker file); every later run serves."""
+
+    marker: str = ""
+    parent: int = 0
+
+    def run(self):
+        marker = Path(self.marker)
+        if os.getpid() != self.parent and not marker.exists():
+            marker.write_text("died")
+            os._exit(1)
+        return ServiceStripe.run(self)
+
+
+class DieInWave(Scheduler):
+    """Ships the first stripe of wave *wave* as a :class:`DieOnceStripe`."""
+
+    def __init__(self, marker, wave, **kwargs):
+        super().__init__(**kwargs)
+        self.marker = str(marker)
+        self.wave = wave
+        self.waves_seen = 0
+
+    def _stripes(self, wave):
+        stripes = super()._stripes(wave)
+        if self.waves_seen == self.wave:
+            first = stripes[0]
+            stripes[0] = DieOnceStripe(
+                **{f.name: getattr(first, f.name) for f in fields(ServiceStripe)},
+                marker=self.marker,
+                parent=os.getpid(),
+            )
+        self.waves_seen += 1
+        return stripes
+
+
+def wait_for_no_children(seconds=10.0):
+    deadline = wallclock.monotonic() + seconds
+    while multiprocessing.active_children() and wallclock.monotonic() < deadline:
+        wallclock.sleep(0.05)
+    return multiprocessing.active_children()
+
+
+class TestPoolLifetime:
+    def test_workers_keep_their_setup_cache_across_waves_and_serves(self):
+        time = VirtualTime()
+        with Scheduler(workers=2) as scheduler:
+            first = scheduler.serve(
+                multi_stripe_waves(3), clock=time.clock, sleep=time.sleep
+            )
+            second = scheduler.serve(
+                multi_stripe_waves(3, first_id=100), clock=time.clock, sleep=time.sleep
+            )
+        assert first.stats.waves == second.stats.waves == 3
+        assert first.verdict_counts() == second.verdict_counts() == {"ok": 18}
+        # Two workers and the serving process each miss a configuration
+        # at most once over the scheduler's life; a pool per wave would
+        # miss up to twice per configuration per wave.
+        misses = first.stats.setup_misses + second.stats.setup_misses
+        assert misses <= (2 + 1) * len(CONFIGS)
+
+    def test_killed_worker_is_replaced_once_and_every_request_served(
+        self, tmp_path, monkeypatch
+    ):
+        rebuilt_in_wave = []
+        rebuild = WorkerPool._rebuild
+
+        def counting_rebuild(pool):
+            rebuilt_in_wave.append(scheduler.waves_seen - 1)
+            rebuild(pool)
+
+        monkeypatch.setattr(WorkerPool, "_rebuild", counting_rebuild)
+        schedule = multi_stripe_waves(4)
+        time = VirtualTime()
+        with DieInWave(tmp_path / "died", wave=1, workers=2) as scheduler:
+            report = scheduler.serve(schedule, clock=time.clock, sleep=time.sleep)
+        assert (tmp_path / "died").exists(), "the stripe must have killed a worker"
+        # One rebuild, in the wave that lost its worker; waves 2 and 3 (three
+        # stripes each) ran on the rebuilt pool without another.
+        assert rebuilt_in_wave == [1]
+        assert report.stats.waves == 4
+        ids = [outcome.request_id for outcome in report.outcomes]
+        assert ids == [item.request.request_id for item in schedule]
+        time = VirtualTime()
+        serial = Scheduler(workers=1).serve(schedule, clock=time.clock, sleep=time.sleep)
+        assert report.verdict_counts() == serial.verdict_counts()
+        assert [(o.verdict, o.decided) for o in report.outcomes] == [
+            (o.verdict, o.decided) for o in serial.outcomes
+        ]
+
+    @pytest.mark.parametrize("ending", ["close", "with", "dropped"])
+    def test_no_worker_outlives_the_scheduler(self, ending):
+        assert wait_for_no_children() == []
+        time = VirtualTime()
+        scheduled = multi_stripe_waves(1)
+        if ending == "with":
+            with Scheduler(workers=2) as scheduler:
+                scheduler.serve(scheduled, clock=time.clock, sleep=time.sleep)
+                assert multiprocessing.active_children()
+        else:
+            scheduler = Scheduler(workers=2)
+            scheduler.serve(scheduled, clock=time.clock, sleep=time.sleep)
+            assert multiprocessing.active_children()
+            if ending == "close":
+                scheduler.close()
+            else:
+                del scheduler
+                gc.collect()
+        assert wait_for_no_children() == []
 
 
 class TestStripes:

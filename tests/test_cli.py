@@ -645,6 +645,18 @@ class TestServiceCli:
         assert code == 2
         assert "loadgen:" in capsys.readouterr().err
 
+    def test_loadgen_mix_configuration_rejected_exits_2(self, capsys):
+        code = main(
+            [
+                "loadgen", "--requests", "20", "--rate", "5000", "--workers", "2",
+                "--mix", "algorithm-1:n=4,t=1:1; phase-king:n=8,t=1:1",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("loadgen: algorithm-1 rejects n=4, t=1")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "flag,value", [("--max-stripe", "0"), ("--telemetry-sample", "-1")]
     )
@@ -720,6 +732,16 @@ class TestServiceCli:
                 {**GOOD_REQUEST, "algorithm": "no-such"},
                 "unknown algorithm",
                 id="unknown-algorithm",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "algorithm": "algorithm-1", "n": 4, "t": 1},
+                "algorithm-1 rejects n=4, t=1",
+                id="configuration-rejected",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "params": {"rounds": 3}},
+                "dolev-strong rejects n=5, t=1, params={'rounds': 3}",
+                id="unknown-param",
             ),
         ],
     )
