@@ -75,7 +75,7 @@ approx-smoke:
 
 # Service smoke: a seeded open-loop traffic run (mixed workloads, 20%
 # faulty) through the agreement scheduler, sized under ~10s.  The
-# loadgen exits non-zero on any non-ok verdict; the follow-up assertion
+# loadgen exits non-zero on any failing verdict; the follow-up assertion
 # additionally pins non-zero measured throughput.  Verdicts are
 # deterministic for the seed (timing figures are not).  The last
 # assertion gates the worker pool's lifetime by a count that does not
@@ -83,9 +83,17 @@ approx-smoke:
 # whole run, so each of them and the serving process misses each of the
 # default mix's three configurations at most once (the --json summary's
 # setup_misses <= (2 + 1) x 3).  A pool per wave misses about once a wave.
+# Then one request past the fault budget (oral-messages n=7 t=2, three
+# processors crashed) is replayed through repro serve: its divergence is
+# benign, so it must exit 0 with failed 0 and benign 1.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro loadgen --requests 600 --rate 200 \
 		--seed 0 --fault-rate 0.2 --workers 2 --json \
 		--metrics-out /tmp/serve_smoke.json > /tmp/serve_smoke.out \
 		|| { cat /tmp/serve_smoke.out; exit 1; }
 	$(PYTHON) -c "import json; text = open('/tmp/serve_smoke.out').read(); print(text, end=''); case = json.load(open('/tmp/serve_smoke.json'))['cases']['service:loadgen']; assert case['failed'] == 0 and (case['agreements_per_sec'] or 0) > 0, case; stats = json.JSONDecoder().raw_decode(text, text.index('\n{') + 1)[0]; pool = '%d setup misses over %d waves' % (stats['setup_misses'], stats['waves']); assert stats['setup_misses'] <= (2 + 1) * 3, pool; print('serve-smoke: ok,', pool)"
+	echo '{"request_id": 0, "algorithm": "oral-messages", "n": 7, "t": 2, "value": 1, "fault_plan": {"faults": [{"kind": "crash", "pid": 1}, {"kind": "crash", "pid": 2}, {"kind": "crash", "pid": 3}]}}' \
+		| PYTHONPATH=src $(PYTHON) -m repro serve - \
+		--workers 1 --json > /tmp/serve_budget.out \
+		|| { cat /tmp/serve_budget.out; exit 1; }
+	$(PYTHON) -c "import json; text = open('/tmp/serve_budget.out').read(); print(text.splitlines()[0]); stats = json.JSONDecoder().raw_decode(text, text.index('\n{') + 1)[0]; assert stats['failed'] == 0 and stats['benign'] == 1, stats; print('serve-smoke: over-budget request benign')"

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 from repro.adversary.base import Adversary
 from repro.approx.coins import coins_for
-from repro.approx.validation import check_run_conditions
+from repro.approx.validation import declared_costs, judge_run
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import run
 from repro.core.types import Value
@@ -86,6 +86,8 @@ def measure(
     sweeps can opt into per-scenario traces; the default keeps the
     un-instrumented fast path.  A coin-flipping algorithm runs on the
     default coin stream (:func:`~repro.approx.coins.coins_for`).
+    ``agreement_ok`` is false when :func:`~repro.approx.validation.judge_run`
+    fails the run: its conditions, or a declared bound.
     """
     result = run(
         algorithm,
@@ -95,10 +97,8 @@ def measure(
         sinks=sinks,
         coins=coins_for(algorithm),
     )
-    # Family-aware: exact BA for the zoo, ε-agreement / randomized
-    # conditions for the workloads — float-ε sweep grids judge the right
-    # predicate instead of demanding bit-equality of float decisions.
-    report = check_run_conditions(result, algorithm)
+    declared = declared_costs(algorithm)
+    verdict = judge_run(result, algorithm, declared)
     return SweepPoint(
         algorithm=algorithm.name,
         n=algorithm.n,
@@ -110,8 +110,8 @@ def measure(
         signatures=result.metrics.signatures_by_correct,
         phases_used=result.metrics.last_active_phase,
         phases_configured=algorithm.num_phases(),
-        message_bound=algorithm.upper_bound_messages(),
-        agreement_ok=report.ok,
+        message_bound=declared.messages,
+        agreement_ok=not verdict.failed,
     )
 
 

@@ -22,10 +22,11 @@ This package opens that frontier as runnable workloads:
   algorithm opts into the runner's variable-round mode and the run stops
   as soon as every correct processor has decided.
 
-Correctness is judged by :mod:`repro.approx.validation` (the fuzz
-oracle's ``eps_violation`` verdict) and, for the probabilistic claims, by
-the dependency-free statistical helpers in :mod:`repro.approx.stats`
-(seeded KS / χ² assertions, geometric round-count tails).
+Correctness is judged by :mod:`repro.approx.validation`, whose verdict
+predicate calls an approximate-agreement failure ``eps_violation``, and,
+for the probabilistic claims, by the dependency-free statistical helpers
+in :mod:`repro.approx.stats` (seeded KS / χ² assertions, geometric
+round-count tails).
 """
 
 from repro.approx.base import ApproximateAgreement, RandomizedConsensus

@@ -3,8 +3,7 @@
 Exact BA's conditions (agreement = equality, validity = the transmitter's
 value) do not apply verbatim to the new family, so each workload gets its
 own reading, reported through the same
-:class:`~repro.core.validation.ValidationReport` shape the fuzz oracle
-already consumes:
+:class:`~repro.core.validation.ValidationReport` shape:
 
 * **ε-agreement** (:func:`check_epsilon_agreement`) — every pair of
   unexcused correct decisions within ``algorithm.eps`` of each other
@@ -17,19 +16,36 @@ already consumes:
   (``validity``).  Termination is probabilistic, so undecided processors
   at the round cap are *not* a violation — liveness is judged
   statistically by :mod:`repro.approx.stats`, not per run.
+
+:func:`judge_run` is the one verdict every path reaches (``run_batch``,
+and so sweeps and the service, ``measure()``, the fuzz oracle and
+``repro run``): these conditions, the fault budget ``t``, then the
+declared message, signature and phase bounds (Theorems 3–7, Lemma 1).
 """
 
 from __future__ import annotations
 
-from repro.approx.base import ApproximateAgreement, RandomizedConsensus
-from repro.core.runner import RunResult
-from repro.core.validation import ValidationReport
+from typing import NamedTuple
 
-__all__ = [
-    "check_epsilon_agreement",
-    "check_randomized_consensus",
-    "check_run_conditions",
-]
+from repro.approx.base import ApproximateAgreement, RandomizedConsensus
+from repro.core.protocol import AgreementAlgorithm
+from repro.core.runner import RunResult
+from repro.core.validation import ValidationReport, check_byzantine_agreement
+from repro.transport.faults import excused_processors
+
+#: Verdict classes (plain strings: JSON-friendly, picklable).  ``benign``
+#: is divergence the injected faults account for: confined to the excused,
+#: or past the fault budget ``t``, where no guarantee binds.
+#: ``eps_violation`` is approximate agreement's ``safety``, kept apart so
+#: the shrinker preserves it; ``bound`` is a correct-sender count above its
+#: declared bound (the budget, or the theorem it cites, is wrong).
+OK = "ok"
+BENIGN = "benign"
+SAFETY = "safety"
+EPS_VIOLATION = "eps_violation"
+BOUND = "bound"
+#: The classes that fail a run (the fuzz oracle adds ``crash``).
+FAILING = frozenset({SAFETY, EPS_VIOLATION, BOUND})
 
 
 def check_epsilon_agreement(
@@ -167,10 +183,84 @@ def check_run_conditions(
     excused: frozenset[int] = frozenset(),
 ) -> ValidationReport:
     """Dispatch to the right condition set for *algorithm*'s family."""
-    from repro.core.validation import check_byzantine_agreement
-
     if isinstance(algorithm, ApproximateAgreement):
         return check_epsilon_agreement(result, algorithm, excused=excused)
     if isinstance(algorithm, RandomizedConsensus):
         return check_randomized_consensus(result, algorithm, excused=excused)
     return check_byzantine_agreement(result, excused=excused)
+
+
+class Costs(NamedTuple):
+    """Correct-sender messages and signatures and the last active phase:
+    what a run used, or what its algorithm declares (``None``: no bound)."""
+
+    messages: int | None
+    signatures: int | None
+    phases: int | None
+
+
+def declared_costs(algorithm: AgreementAlgorithm) -> Costs:
+    """*algorithm*'s declared bounds.  Each call parses and compiles the
+    expressions, so a batch evaluates them once, not once per run."""
+    return Costs(
+        algorithm.upper_bound_messages(),
+        algorithm.upper_bound_signatures(),
+        algorithm.upper_bound_phases(),
+    )
+
+
+class Verdict(NamedTuple):
+    """A run's class, its text (``"ok"`` when the unexcused met their
+    conditions and the bounds held, else the violations) and the
+    processors its faults excuse."""
+
+    kind: str
+    text: str
+    excused: frozenset[int]
+
+    @property
+    def failed(self) -> bool:
+        return self.kind in FAILING
+
+
+#: How an exceeded bound reads, in :class:`Costs` order.
+_OVER_BOUND = (
+    "correct processors sent {} messages, declared bound {}",
+    "correct processors sent {} signatures, declared bound {}",
+    "traffic in phase {}, declared phase bound {}",
+)
+
+
+def judge_run(
+    result: RunResult, algorithm: object, declared: Costs, used: Costs | None = None
+) -> Verdict:
+    """Judge one finished run against the *declared* bounds, on the counts
+    its correct processors *used* (default: its ledger's; a kernel row
+    passes the counts it carries).
+
+    1. The processors an injected fault touched are excused.  If the rest
+       fail their family's conditions, the run is ``benign`` when the
+       faulty and excused exceed ``t`` or nobody is left, else ``safety``
+       (``eps_violation`` for approximate agreement).
+    2. Divergence confined to the excused is ``benign``.
+    3. A count above its declared bound is ``bound``; else ``ok``.
+    """
+    excused = excused_processors(result.fault_events) & result.correct
+    report = check_run_conditions(result, algorithm, excused=excused)
+    if not report.ok:
+        text = "; ".join(report.violations) or "violation"
+        if len(result.faulty | excused) > result.t or not result.correct - excused:
+            return Verdict(BENIGN, f"fault budget exceeded: {text}", excused)
+        kind = EPS_VIOLATION if isinstance(algorithm, ApproximateAgreement) else SAFETY
+        return Verdict(kind, text, excused)
+    if excused and not check_run_conditions(result, algorithm).ok:
+        return Verdict(BENIGN, OK, excused)
+    if used is None:
+        metrics = result.metrics
+        used = Costs(
+            metrics.messages_by_correct, metrics.signatures_by_correct, metrics.last_active_phase
+        )
+    for count, bound, text in zip(used, declared, _OVER_BOUND):
+        if bound is not None and count is not None and count > bound:
+            return Verdict(BOUND, text.format(count, bound), excused)
+    return Verdict(OK, OK, excused)

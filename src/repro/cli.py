@@ -37,13 +37,13 @@ from repro.adversary.standard import (
     SilentAdversary,
 )
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
+from repro.analysis.sweep import measure
 from repro.analysis.tables import format_table
 from repro.approx.coins import coins_for
 from repro.bounds.theorem1 import theorem1_experiment
 from repro.bounds.theorem2 import theorem2_experiment
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import run as run_algorithm
-from repro.core.validation import check_byzantine_agreement
 
 
 def _parse_pids(spec: str) -> list[int]:
@@ -161,30 +161,28 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         if trace_sink is not None:
             trace_sink.close()
-    excused: frozenset[int] = frozenset()
-    if result.fault_events:
-        from repro.transport import excused_processors
+    from repro.approx.validation import OK, declared_costs, judge_run
 
-        excused = excused_processors(result.fault_events) & result.correct
-    from repro.approx.validation import check_run_conditions
-
-    report = check_run_conditions(result, algorithm, excused=excused)
+    declared = declared_costs(algorithm)
+    verdict = judge_run(result, algorithm, declared)
+    excused = sorted(verdict.excused)
 
     print(f"algorithm            : {algorithm.name} (n={algorithm.n}, t={algorithm.t})")
     print(f"phases               : {algorithm.num_phases()}")
     print(f"faulty               : {sorted(result.faulty) or 'none'}")
     if result.fault_events:
         print(f"faults injected      : {len(result.fault_events)} "
-              f"(excused: {sorted(excused) or 'nobody'})")
+              f"(excused: {excused or 'nobody'})")
     if coins is not None:
         print(f"coin seed / flips    : {coins.seed} / {coins.flips}")
     print(f"decisions            : {result.decided_values()}")
     print(f"messages (correct)   : {result.metrics.messages_by_correct}")
     print(f"signatures (correct) : {result.metrics.signatures_by_correct}")
-    bound = algorithm.upper_bound_messages()
-    if bound is not None:
-        print(f"paper's message bound: {bound}")
-    print(f"byzantine agreement  : {report}")
+    if declared.messages is not None:
+        print(f"paper's message bound: {declared.messages}")
+    text = "Byzantine Agreement holds" if verdict.text == OK else verdict.text
+    suffix = f" (excused: {excused})" if excused else ""
+    print(f"verdict              : {verdict.kind} — {text}{suffix}")
     if trace_out:
         print(f"trace written        : {trace_out}")
     if metrics_out:
@@ -192,7 +190,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         written = write_metrics(result, metrics_out)
         print(f"metrics written      : {metrics_out} ({written})")
-    return 0 if report.ok else 1
+    return 1 if verdict.failed else 0
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
@@ -222,15 +220,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
         except Exception as error:  # size constraints differ per algorithm
             rows.append({"algorithm": info.name, "note": str(error)})
             continue
-        result = run_algorithm(algorithm, 1, record_history=False)
-        report = check_byzantine_agreement(result)
+        point = measure(algorithm, 1)
         rows.append(
             {
                 "algorithm": info.name,
-                "phases": algorithm.num_phases(),
-                "messages": result.metrics.messages_by_correct,
-                "signatures": result.metrics.signatures_by_correct,
-                "agreement": report.ok,
+                "phases": point.phases_configured,
+                "messages": point.messages,
+                "signatures": point.signatures,
+                "agreement": point.agreement_ok,
             }
         )
     print(format_table(rows, title=f"Fault-free comparison at n={args.n}, t={args.t}"))
@@ -670,8 +667,8 @@ def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
     print(
         f"repro {command}: {stats.requests} requests in "
         f"{stats.wall_s:.3f}s — {rate_text}"
-        f"({stats.ok} ok, {stats.failed} failed, {stats.waves} "
-        f"wave{'s' if stats.waves != 1 else ''})"
+        f"({stats.ok} ok incl. {stats.benign} benign, {stats.failed} failed, "
+        f"{stats.waves} wave{'s' if stats.waves != 1 else ''})"
     )
     for stage, summary in (
         ("e2e", stats.e2e),
@@ -758,11 +755,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``repro loadgen --emit`` writes.  An optional ``arrival_s`` field per
     line is honoured as the open-loop arrival offset; absent, the request
     arrives immediately.  Each configuration is built once while parsing,
-    so one its algorithm rejects is a malformed line like any other.
+    so one its algorithm rejects is a malformed line like any other, and
+    so is a value that is unhashable or outside the algorithm's
+    ``value_domain``.
     """
     import json
     import math
 
+    from repro.core.errors import ConfigurationError
     from repro.service import AgreementRequest, RequestFormatError, ScheduledRequest
     from repro.service.cache import build_arena
 
@@ -773,7 +773,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"serve: {error}", file=sys.stderr)
         return 2
     schedule: list[ScheduledRequest] = []
-    checked: set[tuple] = set()
+    arenas: dict[tuple, AgreementAlgorithm] = {}
     try:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
@@ -782,15 +782,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
             try:
                 data = json.loads(line)
                 request = AgreementRequest.from_json_dict(data)
-                if request.config_key() not in checked:
-                    build_arena(request.config_key())
-                    checked.add(request.config_key())
+                key = request.config_key()
+                if key not in arenas:
+                    arenas[key] = build_arena(key)
+                arenas[key].check_value(request.value)
                 arrival = data.get("arrival_s", 0.0)
                 if type(arrival) not in (int, float) or not math.isfinite(arrival):
                     raise RequestFormatError(
                         f"arrival_s must be a finite number, got {arrival!r}"
                     )
-            except (json.JSONDecodeError, RequestFormatError) as error:
+            except (json.JSONDecodeError, RequestFormatError, ConfigurationError) as error:
                 print(f"serve: {source}:{lineno}: {error}", file=sys.stderr)
                 return 2
             schedule.append(ScheduledRequest(arrival_s=arrival, request=request))

@@ -26,11 +26,13 @@ seed)``.  This module amortises all three:
 
 The engine builds each run's
 :class:`~repro.transport.faulty.FaultyTransport` and coin source itself,
-and judges every class once, before replicating it, by its family's
-conditions (:func:`repro.approx.validation.check_run_conditions`: exact
-BA, ε-agreement or randomized consensus), holding only the processors no
-injected fault excuses to them.  Every sweep and the service run
-through here, so they reach the scalar ``measure()``'s verdict.
+and judges every class once, before replicating it, with the one verdict
+predicate (:func:`repro.approx.validation.judge_run`): its family's
+conditions on the processors no injected fault excuses, the fault budget
+``t``, and the algorithm's declared bounds, which are evaluated once per
+call.  Kernel rows are judged on the counts they carry.  Every sweep and
+the service run through here, so they reach the scalar ``measure()``'s
+verdict.
 
 ``strict=True`` re-executes every unique class through the scalar runner
 and asserts byte-identical decisions, metrics and verdicts — the
@@ -50,8 +52,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.adversary.base import Adversary
 from repro.approx.coins import coins_for
-from repro.approx.validation import check_run_conditions
-from repro.core.errors import ConfigurationError
+from repro.approx.validation import FAILING, Costs, declared_costs, judge_run
 from repro.core.history import History
 from repro.core.message import UninternableError, intern_key
 from repro.core.metrics import MetricsLedger
@@ -59,7 +60,6 @@ from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import RunResult, run
 from repro.core.types import ProcessorId, Value
 from repro.crypto.signatures import InternedSignatureService, SharedDigestTable
-from repro.transport.faults import excused_processors
 from repro.transport.faulty import FaultyTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -101,7 +101,8 @@ class BatchOutcome:
     the correct processors' decisions, the full
     :class:`~repro.core.metrics.MetricsLedger` headline/per-phase counters
     and the number of fault events the transport recorded.  Kernels fill
-    in those; the engine adds the verdict: ``agreement_ok``, its
+    in those; the engine adds the verdict
+    (:class:`~repro.approx.validation.Verdict`): its ``kind``, its
     ``verdict`` text (``"ok"`` or the violations) and the ``excused``
     processors whose decisions it ignored.  ``replicated`` marks outcomes
     copied from a deduplicated class mate; ``kernel`` marks outcomes
@@ -118,11 +119,16 @@ class BatchOutcome:
     messages_per_phase: tuple[tuple[int, int], ...]
     signatures_per_phase: tuple[tuple[int, int], ...]
     fault_events: int = 0
-    agreement_ok: bool = False
+    kind: str = ""
     verdict: str = ""
     excused: tuple[ProcessorId, ...] = ()
     replicated: bool = False
     kernel: bool = False
+
+    @property
+    def agreement_ok(self) -> bool:
+        """Whether the verdict passes: any class but a failing one."""
+        return self.kind not in FAILING
 
     def decisions_dict(self) -> dict[ProcessorId, Value]:
         """The decisions as a pid-keyed dict (the runner's shape)."""
@@ -259,32 +265,33 @@ def _class_key(case: BatchCase) -> Any | None:
         return None
 
 
-def _verdict(algorithm: AgreementAlgorithm, result: RunResult) -> dict[str, Any]:
-    """The verdict fields of the :class:`BatchOutcome` of *result*.
-
-    Processors an injected fault excuses are held to nothing; every other
-    correct processor is held to the conditions of the algorithm's family.
-    """
-    excused = excused_processors(result.fault_events) & result.correct
-    report = check_run_conditions(result, algorithm, excused=excused)
-    return {
-        "agreement_ok": report.ok,
-        "verdict": "ok" if report.ok else ("; ".join(report.violations) or "violation"),
-        "excused": tuple(sorted(excused)),
-    }
+def _judged(
+    algorithm: AgreementAlgorithm,
+    declared: Costs,
+    result: RunResult,
+    outcome: BatchOutcome,
+    **flags: bool,
+) -> BatchOutcome:
+    """*outcome* with the verdict on *result*, judged on the outcome's own counts."""
+    used = Costs(outcome.messages_by_correct, outcome.signatures_by_correct, outcome.phases_used)
+    kind, text, excused = judge_run(result, algorithm, declared, used)
+    return dataclasses.replace(
+        outcome, kind=kind, verdict=text, excused=tuple(sorted(excused)), **flags
+    )
 
 
 def _judged_rows(
     algorithm: AgreementAlgorithm,
+    declared: Costs,
     values: Sequence[Value],
     rows: Sequence[BatchOutcome],
 ) -> list[BatchOutcome]:
     """Kernel *rows* for inputs *values*, judged like runner executions.
 
-    The verdict reads a run's decisions, correct set, transmitter and
-    input only.  A kernel row is a fault-free run in which every
-    processor is correct; its counts stay on the row, so the runs the
-    verdict reads share one empty ledger and history.
+    A kernel row is a fault-free run in which every processor is correct.
+    The verdict reads the run's decisions, correct set, transmitter and
+    input, and the counts on the row, so the runs it reads share one
+    empty ledger and history.
     """
     correct, faulty = frozenset(range(algorithm.n)), frozenset()
     metrics, history = MetricsLedger(), History()
@@ -302,14 +309,13 @@ def _judged_rows(
             metrics=metrics,
             history=history,
         )
-        judged.append(
-            dataclasses.replace(row, kernel=True, **_verdict(algorithm, result))
-        )
+        judged.append(_judged(algorithm, declared, result, row, kernel=True))
     return judged
 
 
 def _execute(
     algorithm: AgreementAlgorithm,
+    declared: Costs,
     case: BatchCase,
     table: SharedDigestTable | None,
 ) -> BatchOutcome:
@@ -335,7 +341,7 @@ def _execute(
         coins=coins_for(algorithm, case.coin_seed),
     )
     metrics = result.metrics
-    return BatchOutcome(
+    outcome = BatchOutcome(
         decisions=tuple(sorted(result.decisions.items())),
         messages_by_correct=metrics.messages_by_correct,
         messages_by_faulty=metrics.messages_by_faulty,
@@ -346,8 +352,8 @@ def _execute(
         messages_per_phase=tuple(sorted(metrics.messages_per_phase.items())),
         signatures_per_phase=tuple(sorted(metrics.signatures_per_phase.items())),
         fault_events=len(result.fault_events),
-        **_verdict(algorithm, result),
     )
+    return _judged(algorithm, declared, result, outcome)
 
 
 def _describe_diff(batch: BatchOutcome, scalar: BatchOutcome) -> str:
@@ -363,10 +369,10 @@ def _describe_diff(batch: BatchOutcome, scalar: BatchOutcome) -> str:
 
 
 def _check_strict(
-    algorithm: AgreementAlgorithm, case: BatchCase, outcome: BatchOutcome
+    algorithm: AgreementAlgorithm, declared: Costs, case: BatchCase, outcome: BatchOutcome
 ) -> None:
     """Assert *outcome* equals an independent scalar-runner execution."""
-    reference = _execute(algorithm, case, table=None)
+    reference = _execute(algorithm, declared, case, table=None)
     # repr-compare on top of ==: the decisions must be *byte*-identical,
     # and Python's 1 == True would otherwise let a kernel that decides
     # True where the runner decides 1 slip through.
@@ -414,16 +420,11 @@ def run_batch(
         case if isinstance(case, BatchCase) else BatchCase(value=case)
         for case in cases
     ]
-    if algorithm.value_domain is not None:
-        for case in case_list:
-            if case.value not in algorithm.value_domain:
-                raise ConfigurationError(
-                    f"{algorithm.name} only agrees on values in "
-                    f"{sorted(algorithm.value_domain, key=repr)}; got "
-                    f"{case.value!r}"
-                )
+    for case in case_list:
+        algorithm.check_value(case.value)
     table = table if table is not None else SharedDigestTable()
     hits0, misses0 = table.hits, table.misses
+    declared = declared_costs(algorithm)
     stats = BatchStats(runs=len(case_list))
     outcomes: list[BatchOutcome | None] = [None] * len(case_list)
 
@@ -453,9 +454,9 @@ def run_batch(
         kernel_classes, values, rows = [], [], []
 
     # Execute and judge each class once, then replicate it to its mates.
-    executed = list(zip(kernel_classes, _judged_rows(algorithm, values, rows)))
+    executed = list(zip(kernel_classes, _judged_rows(algorithm, declared, values, rows)))
     executed += [
-        (indices, _execute(algorithm, case_list[indices[0]], table))
+        (indices, _execute(algorithm, declared, case_list[indices[0]], table))
         for indices in scalar_classes + singletons
     ]
     stats.unique_runs = len(executed)
@@ -463,7 +464,7 @@ def run_batch(
     stats.scalar_runs = stats.unique_runs - stats.kernel_runs
     for indices, outcome in executed:
         if strict:
-            _check_strict(algorithm, case_list[indices[0]], outcome)
+            _check_strict(algorithm, declared, case_list[indices[0]], outcome)
         _fill(outcomes, indices, outcome, stats)
 
     stats.digest_hits = table.hits - hits0

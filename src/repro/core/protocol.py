@@ -18,6 +18,7 @@ driven by an :class:`~repro.adversary.base.Adversary` instead.
 from __future__ import annotations
 
 import abc
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Sequence
 
@@ -194,6 +195,19 @@ class AgreementAlgorithm(abc.ABC):
     @abc.abstractmethod
     def make_processor(self, pid: ProcessorId) -> Processor:
         """Create the protocol instance for processor *pid*."""
+
+    def check_value(self, value: Value) -> None:
+        """Raise :class:`ConfigurationError` unless this algorithm can agree
+        on *value*: it must be hashable and in ``value_domain``, if declared."""
+        if not isinstance(value, Hashable):
+            raise ConfigurationError(f"value must be hashable, got {value!r}")
+        if self.value_domain is not None and value not in self.value_domain:
+            raise ConfigurationError(
+                f"{self.name} only agrees on values in "
+                f"{sorted(self.value_domain, key=repr)}; got {value!r} "
+                f"(wrap a binary algorithm with MultivaluedAgreement for wider "
+                f"domains)"
+            )
 
     # ------------------------------------------------------- paper's bounds
 

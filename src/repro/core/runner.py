@@ -186,16 +186,7 @@ def run(
     adversary = adversary if adversary is not None else NullAdversary()
     transport = transport if transport is not None else _LOCKSTEP
     n, t = algorithm.n, algorithm.t
-    if (
-        algorithm.value_domain is not None
-        and input_value not in algorithm.value_domain
-    ):
-        raise ConfigurationError(
-            f"{algorithm.name} only agrees on values in "
-            f"{sorted(algorithm.value_domain, key=repr)}; got {input_value!r} "
-            f"(wrap a binary algorithm with MultivaluedAgreement for wider "
-            f"domains)"
-        )
+    algorithm.check_value(input_value)
     faulty = adversary.faulty
     if len(faulty) > t:
         raise ConfigurationError(

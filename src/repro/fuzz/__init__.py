@@ -16,6 +16,7 @@ Entry points: the ``repro fuzz`` CLI subcommand, or
 cases run in order on :func:`repro.analysis.parallel.run_tasks`.
 """
 
+from repro.approx.validation import BOUND, OK, SAFETY
 from repro.fuzz.campaign import (
     FUZZ_CONFIGS,
     FuzzCase,
@@ -44,15 +45,7 @@ from repro.fuzz.mutations import (
     ReplayStale,
     SelectiveSilence,
 )
-from repro.fuzz.oracle import (
-    BOUND,
-    CRASH,
-    OK,
-    SAFETY,
-    FuzzOutcome,
-    classify_run,
-    execute_script,
-)
+from repro.fuzz.oracle import CRASH, FuzzOutcome, classify_run, execute_script
 from repro.fuzz.script import AdversaryScript, ScriptAdversary
 from repro.fuzz.shrinker import shrink_script
 

@@ -19,10 +19,11 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
+from repro.approx.validation import BENIGN, BOUND, EPS_VIOLATION, OK, SAFETY
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
 from repro.fuzz.generator import generate_script
-from repro.fuzz.oracle import BENIGN, EPS_VIOLATION, OK, FuzzOutcome, execute_script
+from repro.fuzz.oracle import FuzzOutcome, execute_script
 from repro.fuzz.script import AdversaryScript
 from repro.fuzz.shrinker import shrink_script
 from repro.transport.faults import FaultPlan, random_plan
@@ -319,11 +320,11 @@ def summarize(results: Sequence[FuzzResult]) -> list[AlgorithmSummary]:
             summary.ok += 1
         elif verdict == BENIGN:
             summary.benign += 1
-        elif verdict == "safety":
+        elif verdict == SAFETY:
             summary.safety += 1
         elif verdict == EPS_VIOLATION:
             summary.eps += 1
-        elif verdict == "bound":
+        elif verdict == BOUND:
             summary.bound += 1
         else:
             summary.crash += 1

@@ -13,9 +13,9 @@ happen on schedule whether or not earlier requests have finished, which
 is what makes the measured queue waits honest under overload.
 
 A :class:`RequestOutcome` is the per-request completion record: the
-verdict, the cost counters, and the three timestamps (arrival, dispatch,
-completion) every latency percentile in :mod:`repro.service.stats` is
-derived from.
+verdict class and text, the cost counters, and the three timestamps
+(arrival, dispatch, completion) every latency percentile in
+:mod:`repro.service.stats` is derived from.
 """
 
 from __future__ import annotations
@@ -172,6 +172,8 @@ class RequestOutcome:
     algorithm: str
     ok: bool
     verdict: str
+    #: The verdict class; ``ok`` is false exactly when it is a failing one.
+    kind: str = ""
     decided: tuple[Any, ...] = ()
     messages: int = 0
     signatures: int = 0
@@ -207,6 +209,7 @@ class RequestOutcome:
             "request_id": self.request_id,
             "algorithm": self.algorithm,
             "ok": self.ok,
+            "kind": self.kind,
             "verdict": self.verdict,
             "decided": list(self.decided),
             "messages": self.messages,

@@ -23,9 +23,10 @@ Inside a stripe every request rides :func:`repro.core.batch.run_batch`:
 * **run-class dedup + kernels** — requests with equal
   ``(value, fault plan, coin seed)`` share one execution (or one row of a
   vectorised kernel), so a thousand identical requests cost one run;
-* **family-aware verdicts** — the engine judges each run by
-  :func:`repro.approx.validation.check_run_conditions`, excusing the
-  processors an injected fault touched.
+* **one verdict** — the engine judges each run with
+  :func:`repro.approx.validation.judge_run`, excusing the processors an
+  injected fault touched; a request's ``kind`` is the verdict class, and
+  only ``safety``, ``eps_violation`` and ``bound`` fail it.
 
 Verdicts are deterministic in the request content (never in timing), so
 the same schedule produces the same verdict multiset for any worker
@@ -120,6 +121,7 @@ class ServiceStripe:
                 algorithm=self.algorithm,
                 ok=outcome.agreement_ok,
                 verdict=outcome.verdict,
+                kind=outcome.kind,
                 decided=_decided(outcome),
                 messages=outcome.messages_by_correct,
                 signatures=outcome.signatures_by_correct,
@@ -176,7 +178,7 @@ class ServiceReport:
     stats: ServiceStats
 
     def failures(self) -> list[RequestOutcome]:
-        """The outcomes whose verdict is not ``"ok"``."""
+        """The outcomes whose verdict class fails."""
         return [outcome for outcome in self.outcomes if not outcome.ok]
 
     def verdict_counts(self) -> dict[str, int]:

@@ -1,12 +1,12 @@
 """Capacity metrics for a traffic run: throughput and latency percentiles.
 
-The product metric of the service layer is **agreements/sec** — completed,
-verdict-ok instances per wall-clock second — sitting next to the engine
-metric messages/sec.  Latency is summarised per *stage* (end-to-end,
-queue wait, in-service) and per *phase* (from sampled instrumented runs)
-as nearest-rank percentiles: p50/p95/p99 over the measured samples, no
-interpolation, so a reported number is always one that actually occurred.
-Everything here is arithmetic over finished
+The product metric of the service layer is **agreements/sec** — completed
+instances whose verdict did not fail, per wall-clock second — sitting next
+to the engine metric messages/sec.  Latency is summarised per *stage*
+(end-to-end, queue wait, in-service) and per *phase* (from sampled
+instrumented runs) as nearest-rank percentiles: p50/p95/p99 over the
+measured samples, no interpolation, so a reported number is always one
+that actually occurred.  Everything here is arithmetic over finished
 :class:`~repro.service.request.RequestOutcome` records — no clocks, no
 I/O — which is what makes the unit tests exact.
 """
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
+
+from repro.approx.validation import BENIGN
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.service.request import RequestOutcome
@@ -89,8 +91,11 @@ class ServiceStats:
     """Everything a capacity planner reads off one finished traffic run."""
 
     requests: int = 0
+    #: Requests whose verdict did not fail, ``benign`` ones included.
     ok: int = 0
     failed: int = 0
+    #: The ``ok`` requests whose divergence the injected faults account for.
+    benign: int = 0
     wall_s: float = 0.0
     waves: int = 0
     messages_total: int = 0
@@ -114,7 +119,7 @@ class ServiceStats:
 
     @property
     def agreements_per_sec(self) -> float | None:
-        """Verdict-ok completions per wall second (the product metric)."""
+        """Completions that did not fail per wall second (the product metric)."""
         return (self.ok / self.wall_s) if self.wall_s > 0 else None
 
     @property
@@ -142,6 +147,7 @@ class ServiceStats:
             "requests": self.requests,
             "ok": self.ok,
             "failed": self.failed,
+            "benign": self.benign,
             "wall_s": round(self.wall_s, 6),
             "waves": self.waves,
             "agreements_per_sec": rate(self.agreements_per_sec),
@@ -193,6 +199,7 @@ def build_stats(
             stats.ok += 1
         else:
             stats.failed += 1
+        stats.benign += int(outcome.kind == BENIGN)
         stats.messages_total += outcome.messages
         stats.signatures_total += outcome.signatures
         per = stats.per_algorithm.setdefault(

@@ -17,6 +17,7 @@ from repro.core.batch import (
     run_batch,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.protocol import AgreementAlgorithm
 from repro.core.message import UninternableError
 from repro.crypto.chains import SignatureChain, forge_chain
 from repro.crypto.signatures import (
@@ -149,6 +150,41 @@ class TestKernels:
         assert default_index == 0
         with pytest.raises(UninternableError):
             kernel_value_table([object()], 0)
+
+
+class TestVerdict:
+    def test_declared_bounds_are_evaluated_once_per_batch(self, monkeypatch):
+        # Evaluating a bound parses and compiles its expression; judging
+        # each class with a fresh evaluation would cost more than the
+        # kernel rows themselves.
+        calls = []
+        evaluate = AgreementAlgorithm.declared_bound
+
+        def spy(self, declaration):
+            calls.append(declaration)
+            return evaluate(self, declaration)
+
+        monkeypatch.setattr(AgreementAlgorithm, "declared_bound", spy)
+        plans = [
+            FaultPlan(faults=(CrashFault(pid=pid, phase=2),)) for pid in (1, 2, 3)
+        ]
+        result = run_batch(
+            PhaseKing(9, 2),
+            [*range(256), *(BatchCase(value=1, fault_plan=plan) for plan in plans)],
+        )
+        assert result.stats.unique_runs == 259
+        assert all(o.agreement_ok for o in result.outcomes)
+        assert len(calls) == len(set(calls)) <= 3, calls
+
+    def test_confined_divergence_is_benign_with_text_ok(self):
+        # The crashed transmitter keeps its own value while the others
+        # decide the default: divergence confined to the excused.
+        plan = FaultPlan(faults=(CrashFault(pid=0, phase=1),))
+        (outcome,) = run_batch(
+            DolevStrong(5, 1), [BatchCase(value=1, fault_plan=plan)], strict=True
+        ).outcomes
+        assert (outcome.kind, outcome.verdict, outcome.excused) == ("benign", "ok", (0,))
+        assert outcome.agreement_ok
 
 
 class TestSharedDigestTable:

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.approx.validation import SAFETY
 from repro.core.errors import DisagreementError, ReproError
 from repro.core.runner import run
-from repro.fuzz.oracle import SAFETY
 from tests.fuzz.test_oracle import SplitBrainAlgorithm
 
 

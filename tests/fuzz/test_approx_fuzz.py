@@ -9,6 +9,7 @@ exact coin stream that produced it.
 
 import pytest
 
+from repro.approx.validation import EPS_VIOLATION, OK
 from repro.fuzz.campaign import (
     FUZZ_CONFIGS,
     plan_cases,
@@ -16,7 +17,6 @@ from repro.fuzz.campaign import (
     summarize,
 )
 from repro.fuzz.corpus import CorpusEntry
-from repro.fuzz.oracle import EPS_VIOLATION, OK
 
 pytestmark = pytest.mark.fuzz
 

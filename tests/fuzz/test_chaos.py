@@ -6,6 +6,7 @@ import pytest
 
 from repro.algorithms.registry import get
 from repro.analysis.parallel import run_tasks
+from repro.approx.validation import BENIGN, OK, SAFETY
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.fuzz.campaign import (
     FuzzCase,
@@ -13,7 +14,7 @@ from repro.fuzz.campaign import (
     summarize,
 )
 from repro.fuzz.corpus import CorpusEntry, load_entry, save_entry
-from repro.fuzz.oracle import BENIGN, OK, SAFETY, classify_run, execute_script
+from repro.fuzz.oracle import classify_run, execute_script
 from repro.fuzz.script import AdversaryScript
 from repro.transport import CrashFault, FaultPlan
 from repro.core.runner import run

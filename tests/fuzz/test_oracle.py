@@ -3,9 +3,10 @@
 import pytest
 
 from repro.algorithms.dolev_strong import DolevStrong
+from repro.approx.validation import BOUND, OK, SAFETY
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.runner import run
-from repro.fuzz.oracle import BOUND, CRASH, OK, SAFETY, classify_run, execute_script
+from repro.fuzz.oracle import CRASH, classify_run, execute_script
 from repro.fuzz.script import AdversaryScript
 
 pytestmark = pytest.mark.fuzz

@@ -10,10 +10,11 @@ import json
 
 import pytest
 
+from repro.approx.validation import OK, SAFETY
 from repro.core.message import Envelope
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.fuzz.generator import generate_script
-from repro.fuzz.oracle import OK, SAFETY, execute_script
+from repro.fuzz.oracle import execute_script
 from repro.fuzz.script import AdversaryScript
 from repro.fuzz.shrinker import shrink_script
 

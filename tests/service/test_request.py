@@ -1,5 +1,6 @@
 """Tests for the repro-service/1 wire objects."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -99,9 +100,9 @@ class TestRequestOutcome:
         assert outcome.latency_s == 0.0
 
     def test_json_dict_carries_verdict_and_latencies(self):
-        data = self.outcome().to_json_dict()
+        data = dataclasses.replace(self.outcome(), kind="benign").to_json_dict()
         assert data["schema"] == SERVICE_SCHEMA
-        assert data["verdict"] == "ok"
+        assert (data["kind"], data["verdict"]) == ("benign", "ok")
         assert data["latency_s"] == pytest.approx(1.25)
         assert data["queue_wait_s"] == pytest.approx(0.5)
         assert "excused" not in data

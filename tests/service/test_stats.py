@@ -77,6 +77,13 @@ class TestBuildStats:
         assert stats.requests_per_sec == pytest.approx(1.5)
         assert stats.messages_per_sec == pytest.approx(15.0)
 
+    def test_benign_requests_count_as_ok(self):
+        outcomes = [outcome(0), outcome(1, kind="benign"), outcome(2, ok=False)]
+        stats = build_stats(outcomes, wall_s=1.0, waves=1)
+        assert (stats.ok, stats.failed, stats.benign) == (2, 1, 1)
+        assert stats.agreements_per_sec == pytest.approx(2.0)
+        assert stats.to_json_dict()["benign"] == 1
+
     def test_zero_wall_means_no_rates(self):
         stats = build_stats([], wall_s=0.0, waves=0)
         assert stats.agreements_per_sec is None

@@ -414,6 +414,18 @@ class TestFaultInjectionCli:
         inspect_out = capsys.readouterr().out
         assert "injected" in inspect_out and "excusing [2]" in inspect_out
 
+    def test_run_past_the_fault_budget_is_benign(self, capsys):
+        # Three crashes against t=2: no guarantee binds, so the divergence
+        # among the rest is benign and the run does not fail.
+        code = main(
+            ["run", "--algorithm", "oral-messages", "--n", "7", "--t", "2",
+             "--value", "1", "--faults", "crash:1@1;crash:2@1;crash:3@1"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "verdict              : benign — fault budget exceeded:" in out
+        assert "(excused: [1, 2, 3])" in out
+
     def test_run_bad_fault_spec_exits_2(self, capsys):
         code = main(
             ["run", "--algorithm", "dolev-strong", "--n", "6", "--t", "2",
@@ -569,6 +581,29 @@ class TestServiceCli:
         assert "agreements/sec" in out
         assert "latency e2e" in out
         assert "verdicts: ok=40" in out
+
+    def test_serve_over_budget_request_is_benign(self, capsys, tmp_path):
+        path = tmp_path / "budget.jsonl"
+        crashes = [{"kind": "crash", "pid": pid} for pid in (1, 2, 3)]
+        request = {
+            **GOOD_REQUEST,
+            "algorithm": "oral-messages",
+            "n": 7,
+            "t": 2,
+            "fault_plan": {"faults": crashes},
+        }
+        out_path = tmp_path / "responses.jsonl"
+        path.write_text(json.dumps(request) + "\n", encoding="utf-8")
+        assert main(
+            ["serve", str(path), "--workers", "1", "--json", "--out", str(out_path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "(1 ok incl. 1 benign, 0 failed, 1 wave)" in out
+        summary = json.loads(out[out.index("\n{") + 1 : out.rindex("}") + 1])
+        assert (summary["ok"], summary["failed"], summary["benign"]) == (1, 0, 1)
+        (response,) = [json.loads(line) for line in out_path.read_text().splitlines()]
+        assert (response["ok"], response["kind"]) == (True, "benign")
+        assert response["verdict"].startswith("fault budget exceeded: ")
 
     def test_loadgen_verdicts_deterministic_across_runs(self, capsys):
         arguments = [
@@ -742,6 +777,21 @@ class TestServiceCli:
                 {**GOOD_REQUEST, "params": {"rounds": 3}},
                 "dolev-strong rejects n=5, t=1, params={'rounds': 3}",
                 id="unknown-param",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "algorithm": "algorithm-1", "n": 7, "t": 3, "value": 7},
+                "algorithm-1 only agrees on values in [0, 1]; got 7",
+                id="value-outside-domain",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "algorithm": "phase-king", "n": 8, "t": 1, "value": [1, 2]},
+                "value must be hashable, got [1, 2]",
+                id="value-list",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "algorithm": "phase-king", "n": 8, "t": 1, "value": {"v": 1}},
+                "value must be hashable, got {'v': 1}",
+                id="value-object",
             ),
         ],
     )
