@@ -83,6 +83,9 @@ approx-smoke:
 # whole run, so each of them and the serving process misses each of the
 # default mix's three configurations at most once (the --json summary's
 # setup_misses <= (2 + 1) x 3).  A pool per wave misses about once a wave.
+# The summed counters must also keep two identities that hold on any
+# machine: unique_runs + replicated_runs == requests and
+# kernel_runs + scalar_runs == unique_runs.
 # Then one request past the fault budget (oral-messages n=7 t=2, three
 # processors crashed) is replayed through repro serve: its divergence is
 # benign, so it must exit 0 with failed 0 and benign 1.
@@ -91,7 +94,7 @@ serve-smoke:
 		--seed 0 --fault-rate 0.2 --workers 2 --json \
 		--metrics-out /tmp/serve_smoke.json > /tmp/serve_smoke.out \
 		|| { cat /tmp/serve_smoke.out; exit 1; }
-	$(PYTHON) -c "import json; text = open('/tmp/serve_smoke.out').read(); print(text, end=''); case = json.load(open('/tmp/serve_smoke.json'))['cases']['service:loadgen']; assert case['failed'] == 0 and (case['agreements_per_sec'] or 0) > 0, case; stats = json.JSONDecoder().raw_decode(text, text.index('\n{') + 1)[0]; pool = '%d setup misses over %d waves' % (stats['setup_misses'], stats['waves']); assert stats['setup_misses'] <= (2 + 1) * 3, pool; print('serve-smoke: ok,', pool)"
+	$(PYTHON) -c "import json; text = open('/tmp/serve_smoke.out').read(); print(text, end=''); case = json.load(open('/tmp/serve_smoke.json'))['cases']['service:loadgen']; assert case['failed'] == 0 and (case['agreements_per_sec'] or 0) > 0, case; stats = json.JSONDecoder().raw_decode(text, text.index('\n{') + 1)[0]; pool = '%d setup misses over %d waves' % (stats['setup_misses'], stats['waves']); assert stats['setup_misses'] <= (2 + 1) * 3, pool; runs = '%(requests)d = %(unique_runs)d unique + %(replicated_runs)d replicated, %(unique_runs)d = %(kernel_runs)d kernel + %(scalar_runs)d scalar' % stats; assert stats['unique_runs'] + stats['replicated_runs'] == stats['requests'] and stats['kernel_runs'] + stats['scalar_runs'] == stats['unique_runs'], runs; print('serve-smoke: ok,', pool + ';', runs)"
 	echo '{"request_id": 0, "algorithm": "oral-messages", "n": 7, "t": 2, "value": 1, "fault_plan": {"faults": [{"kind": "crash", "pid": 1}, {"kind": "crash", "pid": 2}, {"kind": "crash", "pid": 3}]}}' \
 		| PYTHONPATH=src $(PYTHON) -m repro serve - \
 		--workers 1 --json > /tmp/serve_budget.out \

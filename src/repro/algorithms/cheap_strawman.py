@@ -122,7 +122,8 @@ class EchoBroadcast(AgreementAlgorithm):
     name = "strawman-echo"
     authenticated = True
     phase_bound = "2"
-    message_bound = "(n - 1) * (n - 1)"
+    # The transmitter's n - 1 sends plus n - 1 receivers echoing to n - 1 peers.
+    message_bound = "n * (n - 1)"
     signature_bound = "unstated"
 
     def __init__(self, n: int, t: int, *, default: Value = DEFAULT_VALUE) -> None:

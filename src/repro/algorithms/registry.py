@@ -148,7 +148,7 @@ STRAWMEN: dict[str, AlgorithmInfo] = {
             authenticated=True,
             source="counterexample: volume without signature diversity",
             phases_formula="2",
-            messages_formula="(n-1)^2",
+            messages_formula="n (n-1)",
         ),
         AlgorithmInfo(
             name="strawman-overshoot",

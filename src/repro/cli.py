@@ -650,11 +650,7 @@ def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
     from repro.service import Scheduler
 
     try:
-        scheduler = Scheduler(
-            workers=args.workers,
-            max_stripe=args.max_stripe,
-            telemetry_sample=args.telemetry_sample,
-        )
+        scheduler = Scheduler(workers=args.workers, max_stripe=args.max_stripe)
     except ValueError as error:
         print(f"{command}: {error}", file=sys.stderr)
         return 2
@@ -1121,11 +1117,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-stripe", type=int, default=256,
             help="max requests per worker stripe — the batching stripe of "
             "the sizing formula (default: 256)",
-        )
-        p.add_argument(
-            "--telemetry-sample", type=int, default=1,
-            help="instrumented representative runs per stripe feeding the "
-            "per-phase latency percentiles; 0 disables (default: 1)",
         )
         p.add_argument(
             "--out", default=None, metavar="FILE",

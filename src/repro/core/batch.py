@@ -47,7 +47,7 @@ forgery in another.  Only value-pure computations (digests) are shared.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.adversary.base import Adversary
@@ -140,9 +140,14 @@ class BatchOutcome:
 
 
 @dataclass(slots=True)
-class BatchStats:
-    """Amortisation accounting for one :func:`run_batch` call."""
+class Counters:
+    """Work counts of a :func:`run_batch` call, a service stripe or a traffic run.
 
+    One mergeable value: ``a + b`` adds every field, ``Counters()`` is the
+    identity, so stripes sum into a run without naming a field.
+    """
+
+    #: Cases served (one per batch case or service request).
     runs: int = 0
     #: Distinct run classes actually executed (kernel or scalar).
     unique_runs: int = 0
@@ -152,9 +157,20 @@ class BatchStats:
     kernel_runs: int = 0
     #: Unique classes (plus non-dedupable cases) run through the runner.
     scalar_runs: int = 0
-    #: Digest-table lookups made by this batch's runs.
+    #: Digest-table lookups made by the runs.
     digest_hits: int = 0
     digest_misses: int = 0
+    #: Service setup-cache lookups (arena and digest table per configuration).
+    setup_hits: int = 0
+    setup_misses: int = 0
+
+    def __add__(self, other: "Counters") -> "Counters":
+        return Counters(
+            **{
+                f.name: getattr(self, f.name) + getattr(other, f.name)
+                for f in dataclasses.fields(Counters)
+            }
+        )
 
     @property
     def digest_hit_rate(self) -> float | None:
@@ -163,26 +179,20 @@ class BatchStats:
         return (self.digest_hits / total) if total else None
 
     def to_json_dict(self) -> dict[str, Any]:
-        """Flat JSON form (used by the ``repro bench`` batch cases)."""
+        """Flat JSON form: every field plus ``digest_hit_rate``."""
         rate = self.digest_hit_rate
         return {
-            "runs": self.runs,
-            "unique_runs": self.unique_runs,
-            "replicated_runs": self.replicated_runs,
-            "kernel_runs": self.kernel_runs,
-            "scalar_runs": self.scalar_runs,
-            "digest_hits": self.digest_hits,
-            "digest_misses": self.digest_misses,
+            **{f.name: getattr(self, f.name) for f in dataclasses.fields(Counters)},
             "digest_hit_rate": round(rate, 4) if rate is not None else None,
         }
 
 
 @dataclass(slots=True)
 class BatchResult:
-    """Outcomes (in case order) plus the batch's amortisation stats."""
+    """Outcomes (in case order) plus the batch's counters."""
 
-    outcomes: list[BatchOutcome] = field(default_factory=list)
-    stats: BatchStats = field(default_factory=BatchStats)
+    outcomes: list[BatchOutcome]
+    stats: Counters
 
 
 #: A vectorised fault-free executor: ``(algorithm, values)`` → one outcome
@@ -409,7 +419,8 @@ def run_batch(
             existing table to share digests across several batches).
 
     Returns:
-        A :class:`BatchResult` with one outcome per case, in case order.
+        A :class:`BatchResult` with one outcome per case, in case order,
+        and the call's :class:`Counters`.
     """
     algorithm = (
         algorithm_or_factory
@@ -425,7 +436,6 @@ def run_batch(
     table = table if table is not None else SharedDigestTable()
     hits0, misses0 = table.hits, table.misses
     declared = declared_costs(algorithm)
-    stats = BatchStats(runs=len(case_list))
     outcomes: list[BatchOutcome | None] = [None] * len(case_list)
 
     # Partition: dedupable classes (key -> case indices) and singletons.
@@ -459,18 +469,24 @@ def run_batch(
         (indices, _execute(algorithm, declared, case_list[indices[0]], table))
         for indices in scalar_classes + singletons
     ]
-    stats.unique_runs = len(executed)
-    stats.kernel_runs = len(kernel_classes)
-    stats.scalar_runs = stats.unique_runs - stats.kernel_runs
     for indices, outcome in executed:
         if strict:
             _check_strict(algorithm, declared, case_list[indices[0]], outcome)
-        _fill(outcomes, indices, outcome, stats)
+        _fill(outcomes, indices, outcome)
 
-    stats.digest_hits = table.hits - hits0
-    stats.digest_misses = table.misses - misses0
     final = [outcome for outcome in outcomes if outcome is not None]
     assert len(final) == len(case_list), "every case must produce an outcome"
+    # Every case sits in exactly one executed class, so whatever was not
+    # executed was replicated.
+    stats = Counters(
+        runs=len(case_list),
+        unique_runs=len(executed),
+        replicated_runs=len(case_list) - len(executed),
+        kernel_runs=len(kernel_classes),
+        scalar_runs=len(executed) - len(kernel_classes),
+        digest_hits=table.hits - hits0,
+        digest_misses=table.misses - misses0,
+    )
     return BatchResult(outcomes=final, stats=stats)
 
 
@@ -478,7 +494,6 @@ def _fill(
     outcomes: list[BatchOutcome | None],
     indices: Sequence[int],
     outcome: BatchOutcome,
-    stats: BatchStats,
 ) -> None:
     """Place *outcome* at the class representative and replicate to mates."""
     outcomes[indices[0]] = outcome
@@ -486,4 +501,3 @@ def _fill(
         replica = dataclasses.replace(outcome, replicated=True)
         for index in indices[1:]:
             outcomes[index] = replica
-        stats.replicated_runs += len(indices) - 1

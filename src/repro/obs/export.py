@@ -17,19 +17,22 @@ The service layer exports through the same two paths:
 :func:`prometheus_service_metrics` renders a finished traffic run's
 :class:`~repro.service.stats.ServiceStats` (request counters, the
 agreements/sec product metric, latency summary families with
-p50/p95/p99 quantile labels, per-phase wall-time summaries, dedup and
-cache counters), and :func:`service_bench_json` produces a
-``repro-bench/1`` document whose ``service:*`` case carries
-``agreements_per_sec`` — the field ``scripts/bench_compare.py
---min-service-rate`` gates on.  :func:`write_service_metrics` is the
-extension-dispatching writer behind ``repro loadgen --metrics-out``.
+p50/p95/p99 quantile labels, and the run's
+:class:`~repro.core.batch.Counters`: dedup and cache counters), and
+:func:`service_bench_json` produces a ``repro-bench/1`` document whose
+``service:*`` case carries ``agreements_per_sec`` — the field
+``scripts/bench_compare.py --min-service-rate`` gates on.
+:func:`write_service_metrics` is the same extension-dispatching writer
+behind ``repro loadgen --metrics-out``.  Per-phase wall time is a
+run-level family only (``repro_phase_wall_seconds``): the service
+never re-runs a request to time it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # break the cycle: core.runner imports repro.obs.*
     from repro.core.runner import RunResult
@@ -60,6 +63,12 @@ def _line(name: str, value: object, **labels: object) -> str:
     return f"{PROMETHEUS_PREFIX}_{name}{rendered} {value}"
 
 
+def _header(out: list[str], name: str, kind: str, help_text: str) -> None:
+    """Emit the HELP/TYPE header for a metric family once."""
+    out.append(f"# HELP {PROMETHEUS_PREFIX}_{name} {help_text}")
+    out.append(f"# TYPE {PROMETHEUS_PREFIX}_{name} {kind}")
+
+
 def prometheus_metrics(result: RunResult) -> str:
     """Render *result* as Prometheus text exposition (trailing newline).
 
@@ -70,13 +79,7 @@ def prometheus_metrics(result: RunResult) -> str:
     """
     metrics = result.metrics
     out: list[str] = []
-
-    def header(name: str, kind: str, help_text: str) -> None:
-        """Emit the HELP/TYPE header for a metric family once."""
-        out.append(f"# HELP {PROMETHEUS_PREFIX}_{name} {help_text}")
-        out.append(f"# TYPE {PROMETHEUS_PREFIX}_{name} {kind}")
-
-    header("run_info", "gauge", "Static labels of the traced run")
+    _header(out, "run_info", "gauge", "Static labels of the traced run")
     out.append(
         _line(
             "run_info",
@@ -88,17 +91,18 @@ def prometheus_metrics(result: RunResult) -> str:
             faults=len(result.faulty),
         )
     )
-    header("messages_total", "counter", "Messages sent, by sender class")
+    _header(out, "messages_total", "counter", "Messages sent, by sender class")
     out.append(_line("messages_total", metrics.messages_by_correct, sender="correct"))
     out.append(_line("messages_total", metrics.messages_by_faulty, sender="faulty"))
-    header("signatures_total", "counter", "Signatures appended, by sender class")
+    _header(out, "signatures_total", "counter", "Signatures appended, by sender class")
     out.append(
         _line("signatures_total", metrics.signatures_by_correct, sender="correct")
     )
     out.append(
         _line("signatures_total", metrics.signatures_by_faulty, sender="faulty")
     )
-    header(
+    _header(
+        out,
         "unsigned_correct_messages_total",
         "counter",
         "Correct-sender messages carrying no signature (Theorem 1 assumption)",
@@ -106,7 +110,7 @@ def prometheus_metrics(result: RunResult) -> str:
     out.append(
         _line("unsigned_correct_messages_total", metrics.unsigned_correct_messages)
     )
-    header("phase_messages_total", "counter", "Messages sent during each phase")
+    _header(out, "phase_messages_total", "counter", "Messages sent during each phase")
     for phase in range(1, metrics.phases_configured + 1):
         out.append(
             _line(
@@ -115,7 +119,7 @@ def prometheus_metrics(result: RunResult) -> str:
                 phase=phase,
             )
         )
-    header("phase_signatures_total", "counter", "Signatures appended during each phase")
+    _header(out, "phase_signatures_total", "counter", "Signatures appended during each phase")
     for phase in range(1, metrics.phases_configured + 1):
         out.append(
             _line(
@@ -124,7 +128,7 @@ def prometheus_metrics(result: RunResult) -> str:
                 phase=phase,
             )
         )
-    header("processor_sent_total", "counter", "Messages sent per processor")
+    _header(out, "processor_sent_total", "counter", "Messages sent per processor")
     for pid in range(result.n):
         out.append(
             _line(
@@ -134,7 +138,7 @@ def prometheus_metrics(result: RunResult) -> str:
                 role="faulty" if pid in result.faulty else "correct",
             )
         )
-    header("processor_received_total", "counter", "Messages received per processor")
+    _header(out, "processor_received_total", "counter", "Messages received per processor")
     for pid in range(result.n):
         out.append(
             _line(
@@ -143,23 +147,24 @@ def prometheus_metrics(result: RunResult) -> str:
                 processor=pid,
             )
         )
-    header("last_active_phase", "gauge", "Highest phase with any traffic")
+    _header(out, "last_active_phase", "gauge", "Highest phase with any traffic")
     out.append(_line("last_active_phase", metrics.last_active_phase))
-    header("phases_configured", "gauge", "Phases the algorithm declared")
+    _header(out, "phases_configured", "gauge", "Phases the algorithm declared")
     out.append(_line("phases_configured", metrics.phases_configured))
 
     telemetry = result.telemetry
     if telemetry is not None:
-        header("run_wall_seconds", "gauge", "Wall-clock duration of the run")
+        _header(out, "run_wall_seconds", "gauge", "Wall-clock duration of the run")
         out.append(_line("run_wall_seconds", round(telemetry.wall_s, 9)))
-        header("run_cpu_seconds", "gauge", "Process CPU time of the run")
+        _header(out, "run_cpu_seconds", "gauge", "Process CPU time of the run")
         out.append(_line("run_cpu_seconds", round(telemetry.cpu_s, 9)))
-        header("phase_wall_seconds", "gauge", "Wall-clock duration per phase")
+        _header(out, "phase_wall_seconds", "gauge", "Wall-clock duration per phase")
         for timing in telemetry.per_phase:
             out.append(
                 _line("phase_wall_seconds", round(timing.wall_s, 9), phase=timing.phase)
             )
-        header(
+        _header(
+            out,
             "processor_handler_wall_seconds",
             "gauge",
             "Wall time inside each correct processor's on_phase handler",
@@ -223,20 +228,15 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
 
     Families: request counters by outcome and by algorithm, the
     agreements/sec / requests/sec / messages/sec gauges, one summary per
-    latency stage (``e2e`` / ``queue`` / ``service``) and per sampled
-    phase, and the amortisation counters (run dedup, digest table, setup
-    cache).
+    latency stage (``e2e`` / ``queue`` / ``service``), and the
+    amortisation counters (run dedup, digest table, setup cache).
     """
     out: list[str] = []
-
-    def header(name: str, kind: str, help_text: str) -> None:
-        out.append(f"# HELP {PROMETHEUS_PREFIX}_{name} {help_text}")
-        out.append(f"# TYPE {PROMETHEUS_PREFIX}_{name} {kind}")
-
-    header("service_requests_total", "counter", "Requests served, by verdict")
+    _header(out, "service_requests_total", "counter", "Requests served, by verdict")
     out.append(_line("service_requests_total", stats.ok, outcome="ok"))
     out.append(_line("service_requests_total", stats.failed, outcome="failed"))
-    header(
+    _header(
+        out,
         "service_algorithm_requests_total",
         "counter",
         "Requests served per algorithm, by verdict",
@@ -259,11 +259,12 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
                 outcome="failed",
             )
         )
-    header("service_wall_seconds", "gauge", "Wall-clock duration of the traffic run")
+    _header(out, "service_wall_seconds", "gauge", "Wall-clock duration of the traffic run")
     out.append(_line("service_wall_seconds", round(stats.wall_s, 9)))
-    header("service_waves_total", "counter", "Dispatch waves the scheduler ran")
+    _header(out, "service_waves_total", "counter", "Dispatch waves the scheduler ran")
     out.append(_line("service_waves_total", stats.waves))
-    header(
+    _header(
+        out,
         "service_agreements_per_second",
         "gauge",
         "Verdict-ok agreement instances completed per second",
@@ -271,11 +272,12 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
     out.append(
         _line("service_agreements_per_second", round(stats.agreements_per_sec or 0, 3))
     )
-    header("service_requests_per_second", "gauge", "Completions per second")
+    _header(out, "service_requests_per_second", "gauge", "Completions per second")
     out.append(
         _line("service_requests_per_second", round(stats.requests_per_sec or 0, 3))
     )
-    header(
+    _header(
+        out,
         "service_messages_per_second",
         "gauge",
         "Correct-sender messages moved per second",
@@ -283,7 +285,8 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
     out.append(
         _line("service_messages_per_second", round(stats.messages_per_sec or 0, 1))
     )
-    header(
+    _header(
+        out,
         "service_latency_seconds",
         "summary",
         "Request latency by stage (e2e, queue, service)",
@@ -295,16 +298,8 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
     ):
         if summary is not None:
             _summary_lines(out, "service_latency_seconds", summary, stage=stage)
-    header(
-        "service_phase_wall_seconds",
-        "summary",
-        "Sampled per-phase wall time of served instances",
-    )
-    for phase in sorted(stats.per_phase):
-        _summary_lines(
-            out, "service_phase_wall_seconds", stats.per_phase[phase], phase=phase
-        )
-    header(
+    _header(
+        out,
         "service_runs_total",
         "counter",
         "Run executions by amortisation kind (dedup accounting)",
@@ -316,14 +311,16 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
         ("scalar", stats.scalar_runs),
     ):
         out.append(_line("service_runs_total", value, kind=kind))
-    header(
+    _header(
+        out,
         "service_digest_lookups_total",
         "counter",
         "Shared digest table lookups across all stripes",
     )
     out.append(_line("service_digest_lookups_total", stats.digest_hits, result="hit"))
     out.append(_line("service_digest_lookups_total", stats.digest_misses, result="miss"))
-    header(
+    _header(
+        out,
         "service_setup_cache_total",
         "counter",
         "Arena/key-registry setup cache lookups across all stripes",
@@ -374,21 +371,34 @@ def service_bench_json(
     }
 
 
+def _write(
+    path: str | Path,
+    value: Any,
+    to_json: Callable[[Any], dict[str, Any]],
+    to_text: Callable[[Any], str],
+) -> str:
+    """Write *value* to *path*: ``.json`` gets *to_json*, anything else *to_text*.
+
+    Returns the format written (``"json"`` or ``"prometheus"``).
+    """
+    path = Path(path)
+    if path.suffix.lower() == ".json":
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(to_json(value), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        return "json"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(to_text(value))
+    return "prometheus"
+
+
 def write_service_metrics(stats: "ServiceStats", path: str | Path) -> str:
     """Write a traffic run's metrics; the extension picks the format.
 
     ``.json`` gets :func:`service_bench_json`; anything else gets
     :func:`prometheus_service_metrics`.  Returns the format written.
     """
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(service_bench_json(stats), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return "json"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(prometheus_service_metrics(stats))
-    return "prometheus"
+    return _write(path, stats, service_bench_json, prometheus_service_metrics)
 
 
 def write_metrics(result: RunResult, path: str | Path) -> str:
@@ -398,12 +408,4 @@ def write_metrics(result: RunResult, path: str | Path) -> str:
     (conventionally ``.prom`` or ``.txt``) gets :func:`prometheus_metrics`.
     Returns the format written (``"json"`` or ``"prometheus"``).
     """
-    path = Path(path)
-    if path.suffix.lower() == ".json":
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(bench_json(result), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return "json"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(prometheus_metrics(result))
-    return "prometheus"
+    return _write(path, result, bench_json, prometheus_metrics)

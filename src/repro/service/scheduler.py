@@ -36,13 +36,13 @@ count — the property ``make serve-smoke`` pins.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.analysis.parallel import WorkerPool, default_workers, run_tasks
-from repro.approx.coins import coins_for
-from repro.core.batch import BatchCase, BatchOutcome, run_batch
-from repro.core.runner import run as run_algorithm
+from repro.core.batch import BatchCase, BatchOutcome, Counters, run_batch
+# Unused here; perfbench/tracing.py wraps the runner under this name.
+from repro.core.runner import run as run_algorithm  # noqa: F401
 from repro.core.types import Value
 from repro.service.cache import worker_cache
 from repro.service.request import AgreementRequest, RequestOutcome, ScheduledRequest
@@ -56,19 +56,10 @@ class StripeResult:
     """Everything one executed stripe reports back to the scheduler."""
 
     #: One outcome per case, in case order; the scheduler stamps the times.
-    outcomes: list[RequestOutcome] = field(default_factory=list)
-    wall_s: float = 0.0
-    unique_runs: int = 0
-    replicated_runs: int = 0
-    kernel_runs: int = 0
-    scalar_runs: int = 0
-    digest_hits: int = 0
-    digest_misses: int = 0
-    setup_hits: int = 0
-    setup_misses: int = 0
-    #: Sampled per-phase wall seconds: ``(phase, seconds)`` pairs from
-    #: instrumented representative runs (the per-phase percentile source).
-    phase_samples: tuple[tuple[int, float], ...] = ()
+    outcomes: list[RequestOutcome]
+    wall_s: float
+    #: The batch's counters plus this stripe's setup-cache lookups.
+    counters: Counters
 
 
 def _decided(outcome: BatchOutcome) -> tuple[Any, ...]:
@@ -86,7 +77,7 @@ class ServiceStripe:
     Picklable by construction (strings, ints and frozen fault plans), so
     the self-healing pool can ship, retry and re-ship it.  ``cases``
     holds ``(submission index, request id, value, fault plan, coin seed)``
-    tuples.
+    tuples.  Every runner execution it makes serves one of its cases.
     """
 
     algorithm: str
@@ -94,9 +85,6 @@ class ServiceStripe:
     t: int
     params: tuple[tuple[str, Any], ...]
     cases: tuple[tuple[int, int, Value, Any, int | None], ...]
-    #: Instrumented representative runs per stripe feeding the per-phase
-    #: latency percentiles (0 disables sampling).
-    telemetry_sample: int = 1
 
     def run(self) -> StripeResult:
         """Execute every case as one batch on the worker's cached arena."""
@@ -104,7 +92,7 @@ class ServiceStripe:
         cache = worker_cache()
         hits0, misses0 = cache.hits, cache.misses
         algorithm, table = cache.setup((self.algorithm, self.n, self.t, self.params))
-        setup_hits, setup_misses = cache.hits - hits0, cache.misses - misses0
+        setup = Counters(setup_hits=cache.hits - hits0, setup_misses=cache.misses - misses0)
 
         batch = run_batch(
             algorithm,
@@ -133,41 +121,11 @@ class ServiceStripe:
             )
             for (_, request_id, *_), outcome in zip(self.cases, batch.outcomes)
         ]
-        phase_samples = self._sample_phases(algorithm)
-        stats = batch.stats
         return StripeResult(
             outcomes=outcomes,
             wall_s=time.perf_counter() - started,
-            unique_runs=stats.unique_runs,
-            replicated_runs=stats.replicated_runs,
-            kernel_runs=stats.kernel_runs,
-            scalar_runs=stats.scalar_runs,
-            digest_hits=stats.digest_hits,
-            digest_misses=stats.digest_misses,
-            setup_hits=setup_hits,
-            setup_misses=setup_misses,
-            phase_samples=phase_samples,
+            counters=batch.stats + setup,
         )
-
-    def _sample_phases(self, algorithm) -> tuple[tuple[int, float], ...]:
-        """Per-phase wall times from instrumented representative runs."""
-        samples: list[tuple[int, float]] = []
-        for _, _, value, plan, coin_seed in self.cases[: self.telemetry_sample]:
-            if plan is not None and not plan.is_empty:
-                continue  # faulted runs would time the fault, not the phase
-            run_result = run_algorithm(
-                algorithm,
-                value,
-                record_history=False,
-                collect_telemetry=True,
-                coins=coins_for(algorithm, coin_seed),
-            )
-            telemetry = run_result.telemetry
-            if telemetry is not None:
-                samples.extend(
-                    (timing.phase, timing.wall_s) for timing in telemetry.per_phase
-                )
-        return tuple(samples)
 
 
 @dataclass(slots=True)
@@ -198,6 +156,11 @@ class Scheduler:
     or leaving a ``with`` block shuts them down; a scheduler dropped
     without either shuts them down when it is collected.
 
+    Every runner execution serves a request, and the report's counters
+    are the sum of its stripes' :class:`~repro.core.batch.Counters`.
+    Per-phase wall time is not sampled here; it is measured on a run
+    itself (``repro run --metrics-out``, JSONL traces).
+
     Args:
         workers: worker processes in the pool (``None``:
             ``$REPRO_SWEEP_WORKERS`` or the CPU count; ``1`` serves
@@ -205,26 +168,13 @@ class Scheduler:
         max_stripe: cap on requests per stripe — the batching stripe of
             the sizing formula (``workers × max_stripe`` requests in
             flight per wave).
-        telemetry_sample: instrumented representative runs per stripe
-            feeding the per-phase percentiles (0 disables).
     """
 
-    def __init__(
-        self,
-        *,
-        workers: int | None = None,
-        max_stripe: int = 256,
-        telemetry_sample: int = 1,
-    ) -> None:
+    def __init__(self, *, workers: int | None = None, max_stripe: int = 256) -> None:
         if max_stripe < 1:
             raise ValueError(f"max_stripe must be >= 1, got {max_stripe}")
-        if telemetry_sample < 0:
-            raise ValueError(
-                f"telemetry_sample must be >= 0, got {telemetry_sample}"
-            )
         self.workers = workers
         self.max_stripe = max_stripe
-        self.telemetry_sample = telemetry_sample
         self._pool = WorkerPool(default_workers() if workers is None else workers)
 
     def close(self) -> None:
@@ -264,7 +214,6 @@ class Scheduler:
                         t=t,
                         params=params,
                         cases=tuple(cases[offset : offset + self.max_stripe]),
-                        telemetry_sample=self.telemetry_sample,
                     )
                 )
         return stripes
@@ -288,8 +237,7 @@ class Scheduler:
         order = sorted(
             range(len(submissions)), key=lambda i: (submissions[i].arrival_s, i)
         )
-        aggregates = StripeResult()
-        phase_samples: list[tuple[int, float]] = []
+        counters = Counters()
         waves = 0
         start = clock()
         cursor = 0
@@ -326,30 +274,9 @@ class Scheduler:
                     outcome.finish_s = harvest_s
                     outcome.stripe_s = per_request
                     outcomes[index] = outcome
-                for counter in (
-                    "unique_runs",
-                    "replicated_runs",
-                    "kernel_runs",
-                    "scalar_runs",
-                    "digest_hits",
-                    "digest_misses",
-                    "setup_hits",
-                    "setup_misses",
-                ):
-                    setattr(
-                        aggregates,
-                        counter,
-                        getattr(aggregates, counter) + getattr(stripe_result, counter),
-                    )
-                phase_samples.extend(stripe_result.phase_samples)
+                counters += stripe_result.counters
         wall_s = clock() - start
         finished = [outcome for outcome in outcomes if outcome is not None]
         assert len(finished) == len(submissions), "every request must complete"
-        stats = build_stats(
-            finished,
-            wall_s=wall_s,
-            waves=waves,
-            aggregates=aggregates,
-            phase_samples=phase_samples,
-        )
+        stats = build_stats(finished, wall_s=wall_s, waves=waves, counters=counters)
         return ServiceReport(outcomes=finished, stats=stats)

@@ -3,24 +3,26 @@
 The product metric of the service layer is **agreements/sec** — completed
 instances whose verdict did not fail, per wall-clock second — sitting next
 to the engine metric messages/sec.  Latency is summarised per *stage*
-(end-to-end, queue wait, in-service) and per *phase* (from sampled
-instrumented runs) as nearest-rank percentiles: p50/p95/p99 over the
-measured samples, no interpolation, so a reported number is always one
-that actually occurred.  Everything here is arithmetic over finished
-:class:`~repro.service.request.RequestOutcome` records — no clocks, no
-I/O — which is what makes the unit tests exact.
+(end-to-end, queue wait, in-service) as nearest-rank percentiles:
+p50/p95/p99 over the measured samples, no interpolation, so a reported
+number is always one that actually occurred.  The work counts are the
+stripes' summed :class:`~repro.core.batch.Counters`, which
+:class:`ServiceStats` extends.  Everything here is arithmetic over
+finished :class:`~repro.service.request.RequestOutcome` records — no
+clocks, no I/O — which is what makes the unit tests exact.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.approx.validation import BENIGN
+from repro.core.batch import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.service.request import RequestOutcome
-    from repro.service.scheduler import StripeResult
 
 __all__ = ["percentile", "LatencySummary", "ServiceStats", "build_stats"]
 
@@ -87,8 +89,12 @@ class LatencySummary:
 
 
 @dataclass(slots=True)
-class ServiceStats:
-    """Everything a capacity planner reads off one finished traffic run."""
+class ServiceStats(Counters):
+    """Everything a capacity planner reads off one finished traffic run.
+
+    The inherited :class:`~repro.core.batch.Counters` fields are the sum
+    over every stripe of the run.
+    """
 
     requests: int = 0
     #: Requests whose verdict did not fail, ``benign`` ones included.
@@ -100,20 +106,9 @@ class ServiceStats:
     waves: int = 0
     messages_total: int = 0
     signatures_total: int = 0
-    #: Amortisation counters aggregated over every stripe of the run.
-    unique_runs: int = 0
-    replicated_runs: int = 0
-    kernel_runs: int = 0
-    scalar_runs: int = 0
-    digest_hits: int = 0
-    digest_misses: int = 0
-    setup_hits: int = 0
-    setup_misses: int = 0
     e2e: LatencySummary | None = None
     queue: LatencySummary | None = None
     service: LatencySummary | None = None
-    #: Sampled per-phase wall-time summaries, keyed by phase number.
-    per_phase: dict[int, LatencySummary] = field(default_factory=dict)
     #: Per-algorithm request/ok counts, keyed by registry name.
     per_algorithm: dict[str, dict[str, int]] = field(default_factory=dict)
 
@@ -144,6 +139,7 @@ class ServiceStats:
             return round(value, 2) if value is not None else None
 
         return {
+            **Counters.to_json_dict(self),
             "requests": self.requests,
             "ok": self.ok,
             "failed": self.failed,
@@ -155,15 +151,7 @@ class ServiceStats:
             "messages_total": self.messages_total,
             "signatures_total": self.signatures_total,
             "messages_per_sec": rate(self.messages_per_sec),
-            "unique_runs": self.unique_runs,
-            "replicated_runs": self.replicated_runs,
-            "kernel_runs": self.kernel_runs,
-            "scalar_runs": self.scalar_runs,
             "dedup_ratio": rate(self.dedup_ratio),
-            "digest_hits": self.digest_hits,
-            "digest_misses": self.digest_misses,
-            "setup_hits": self.setup_hits,
-            "setup_misses": self.setup_misses,
             "latency": {
                 stage: summary.to_json_dict()
                 for stage, summary in (
@@ -172,10 +160,6 @@ class ServiceStats:
                     ("service", self.service),
                 )
                 if summary is not None
-            },
-            "per_phase": {
-                str(phase): summary.to_json_dict()
-                for phase, summary in sorted(self.per_phase.items())
             },
             "per_algorithm": {
                 name: dict(counts)
@@ -189,11 +173,15 @@ def build_stats(
     *,
     wall_s: float,
     waves: int,
-    aggregates: "StripeResult | None" = None,
-    phase_samples: Iterable[tuple[int, float]] = (),
+    counters: Counters | None = None,
 ) -> ServiceStats:
-    """Fold finished outcomes (plus stripe aggregates) into one summary."""
-    stats = ServiceStats(requests=len(outcomes), wall_s=wall_s, waves=waves)
+    """Fold finished outcomes (plus the stripes' summed *counters*) into one summary."""
+    stats = ServiceStats(
+        **dataclasses.asdict(counters or Counters()),
+        requests=len(outcomes),
+        wall_s=wall_s,
+        waves=waves,
+    )
     for outcome in outcomes:
         if outcome.ok:
             stats.ok += 1
@@ -207,27 +195,7 @@ def build_stats(
         )
         per["requests"] += 1
         per["ok"] += int(outcome.ok)
-    if aggregates is not None:
-        for counter in (
-            "unique_runs",
-            "replicated_runs",
-            "kernel_runs",
-            "scalar_runs",
-            "digest_hits",
-            "digest_misses",
-            "setup_hits",
-            "setup_misses",
-        ):
-            setattr(stats, counter, getattr(aggregates, counter))
     stats.e2e = LatencySummary.from_samples(o.latency_s for o in outcomes)
     stats.queue = LatencySummary.from_samples(o.queue_wait_s for o in outcomes)
     stats.service = LatencySummary.from_samples(o.service_s for o in outcomes)
-    by_phase: dict[int, list[float]] = {}
-    for phase, seconds in phase_samples:
-        by_phase.setdefault(int(phase), []).append(seconds)
-    stats.per_phase = {
-        phase: summary
-        for phase, samples in sorted(by_phase.items())
-        if (summary := LatencySummary.from_samples(samples)) is not None
-    }
     return stats

@@ -21,7 +21,7 @@ def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
 
 @pytest.fixture
 def engine_stats(monkeypatch):
-    """The BatchStats of every in-process run_batch call (workers=1)."""
+    """The Counters of every in-process run_batch call (workers=1)."""
     calls = []
     original = batchsweep.run_batch
 

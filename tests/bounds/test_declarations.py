@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN
+from repro.analysis.sweep import measure
 from repro.bounds.expressions import SENTINELS
 from repro.core.runner import run
 from repro.core.validation import check_byzantine_agreement
@@ -77,3 +78,10 @@ def test_fault_free_run_within_declared_budgets(info):
     signature_bound = algorithm.upper_bound_signatures()
     if signature_bound is not None:
         assert result.metrics.signatures_by_correct <= signature_bound
+
+
+@pytest.mark.parametrize("info", ALL_INFOS, ids=lambda info: info.name)
+def test_fault_free_run_passes_its_verdict(info):
+    # The verdict (judge_run) checks each family's own conditions, so it
+    # also covers strawman-overshoot's ε-agreement, and every declared bound.
+    assert measure(configured(info), 1).agreement_ok

@@ -45,9 +45,6 @@ def golden_service_stats() -> ServiceStats:
     service = LatencySummary(
         count=4, mean_s=0.2, p50_s=0.16, p95_s=0.32, p99_s=0.32, max_s=0.32
     )
-    phase1 = LatencySummary(
-        count=2, mean_s=0.01, p50_s=0.01, p95_s=0.012, p99_s=0.012, max_s=0.012
-    )
     return ServiceStats(
         requests=4,
         ok=3,
@@ -67,7 +64,6 @@ def golden_service_stats() -> ServiceStats:
         e2e=summary,
         queue=queue,
         service=service,
-        per_phase={1: phase1},
         per_algorithm={
             "phase-king": {"requests": 3, "ok": 3},
             "ben-or": {"requests": 1, "ok": 0},
@@ -94,7 +90,6 @@ class TestGoldenRenderings:
             ("repro_service_requests_total", "counter"),
             ("repro_service_agreements_per_second", "gauge"),
             ("repro_service_latency_seconds", "summary"),
-            ("repro_service_phase_wall_seconds", "summary"),
             ("repro_service_runs_total", "counter"),
             ("repro_service_digest_lookups_total", "counter"),
             ("repro_service_setup_cache_total", "counter"),
@@ -113,10 +108,6 @@ class TestGoldenRenderings:
         )
         assert 'repro_service_latency_seconds_count{stage="e2e"} 4' in text
         assert 'repro_service_latency_seconds_sum{stage="e2e"} 1.0' in text
-        assert (
-            'repro_service_phase_wall_seconds{phase="1",quantile="0.95"} 0.012'
-            in text
-        )
 
 
 class TestServiceBenchJson:

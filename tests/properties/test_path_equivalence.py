@@ -72,7 +72,7 @@ def test_entries_cover_the_whole_registry():
 def serve(requests, workers=1) -> list[RequestOutcome]:
     """Serve *requests* as one wave and return the outcomes in order."""
     scheduled = [ScheduledRequest(arrival_s=0.0, request=r) for r in requests]
-    with Scheduler(workers=workers, telemetry_sample=0) as scheduler:
+    with Scheduler(workers=workers) as scheduler:
         report = scheduler.serve(scheduled, clock=lambda: 0.0)
     return report.outcomes
 

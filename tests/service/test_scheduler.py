@@ -11,7 +11,9 @@ import pytest
 
 from repro.algorithms.registry import get
 from repro.analysis.parallel import WorkerPool
-from repro.core.batch import BatchCase, run_batch
+from repro.core.batch import BatchCase, Counters, run_batch
+from repro.core.metrics import MetricsLedger
+from repro.obs.telemetry import RunTelemetry
 from repro.service import (
     AgreementRequest,
     ScheduledRequest,
@@ -167,10 +169,6 @@ class TestScheduler:
     def test_max_stripe_must_be_positive(self):
         with pytest.raises(ValueError, match="max_stripe"):
             Scheduler(max_stripe=0)
-
-    def test_telemetry_sample_must_not_be_negative(self):
-        with pytest.raises(ValueError, match="telemetry_sample"):
-            Scheduler(telemetry_sample=-1)
 
 
 #: Three small configurations: every wave of :func:`multi_stripe_waves`
@@ -336,28 +334,12 @@ class TestStripes:
                 (2, 2, 1, plan, None),
                 (3, 3, 1, plan, None),
             ),
-            telemetry_sample=0,
         )
         result = stripe.run()
         assert len(result.outcomes) == 4
         # The two faulted cases share one run class: one scalar execution.
-        assert result.scalar_runs == 1
-        assert result.replicated_runs >= 1
-        assert result.phase_samples == ()
-
-    def test_telemetry_sampling_yields_phase_samples(self):
-        stripe = ServiceStripe(
-            algorithm="phase-king",
-            n=8,
-            t=1,
-            params=(),
-            cases=((0, 0, 1, None, None),),
-            telemetry_sample=1,
-        )
-        result = stripe.run()
-        phases = {phase for phase, _ in result.phase_samples}
-        assert phases, "sampling must produce per-phase timings"
-        assert all(seconds >= 0.0 for _, seconds in result.phase_samples)
+        assert result.counters.scalar_runs == 1
+        assert result.counters.replicated_runs >= 1
 
 
 class TestOneVerdict:
@@ -376,7 +358,102 @@ class TestOneVerdict:
             t=t,
             params=(),
             cases=((0, 0, 1, plan, None),),
-            telemetry_sample=0,
         )
         (served,) = stripe.run().outcomes
         assert (served.ok, served.verdict, served.excused) == (True, "ok", (0,))
+
+
+def counting(cls):
+    """A subclass of *cls* that counts its constructions in ``built``."""
+
+    class Counting(cls):
+        built = 0
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            type(self).built += 1
+
+    return Counting
+
+
+def run_classes(stats):
+    return (
+        stats.requests,
+        stats.unique_runs,
+        stats.replicated_runs,
+        stats.kernel_runs,
+        stats.scalar_runs,
+    )
+
+
+class TestCounters:
+    def test_every_runner_execution_serves_a_request(self, monkeypatch):
+        # The runner builds exactly one ledger per run(), whatever name
+        # its caller imported it under.
+        ledger, telemetry = counting(MetricsLedger), counting(RunTelemetry)
+        monkeypatch.setattr("repro.core.runner.MetricsLedger", ledger)
+        monkeypatch.setattr("repro.core.runner.RunTelemetry", telemetry)
+        time = VirtualTime()
+        report = Scheduler(workers=1).serve(
+            multi_stripe_waves(4), clock=time.clock, sleep=time.sleep
+        )
+        assert report.stats.scalar_runs > 0
+        assert ledger.built == report.stats.scalar_runs
+        assert telemetry.built == 0
+
+    def test_add_merges_every_field_and_zero_is_the_identity(self):
+        names = [f.name for f in fields(Counters)]
+        a = Counters(**{name: 1 + i for i, name in enumerate(names)})
+        b = Counters(**{name: 100 * (1 + i) for i, name in enumerate(names)})
+        merged = a + b
+        assert {name: getattr(merged, name) for name in names} == {
+            name: 101 * (1 + i) for i, name in enumerate(names)
+        }
+        assert a + Counters() == a == Counters() + a
+
+    def test_serve_reports_the_sum_of_its_stripes(self, monkeypatch):
+        stripe_counters = []
+        original = ServiceStripe.run
+
+        def spy(stripe):
+            result = original(stripe)
+            stripe_counters.append(result.counters)
+            return result
+
+        monkeypatch.setattr(ServiceStripe, "run", spy)
+        time = VirtualTime()
+        stats = (
+            Scheduler(workers=1)
+            .serve(multi_stripe_waves(3), clock=time.clock, sleep=time.sleep)
+            .stats
+        )
+        assert len(stripe_counters) == 3 * len(CONFIGS)
+        total = sum(stripe_counters, Counters())
+        names = [f.name for f in fields(Counters)]
+        assert [getattr(stats, name) for name in names] == [
+            getattr(total, name) for name in names
+        ]
+        assert total.runs == stats.requests == total.unique_runs + total.replicated_runs
+        assert total.unique_runs == total.kernel_runs + total.scalar_runs
+        assert (total.setup_misses, total.setup_hits) == (len(CONFIGS), 2 * len(CONFIGS))
+
+    def test_run_class_counts_equal_across_worker_counts(self):
+        # One wave (every arrival at 0), split into stripes of at most 64
+        # requests: the run classes depend only on which requests share a
+        # stripe.  Digest and setup counts depend on which process's cache
+        # serves a stripe, so they are left out.
+        schedule = [
+            ScheduledRequest(arrival_s=0.0, request=item.request)
+            for item in generate_schedule(
+                requests=300, rate=100_000, seed=5, fault_rate=0.25
+            )
+        ]
+        counts = []
+        for workers in (1, 2):
+            with Scheduler(workers=workers, max_stripe=64) as scheduler:
+                stats = scheduler.serve(schedule, clock=lambda: 0.0).stats
+            counts.append(run_classes(stats))
+            requests, unique, replicated, kernel, scalar = counts[-1]
+            assert requests == unique + replicated == 300
+            assert unique == kernel + scalar
+        assert counts[0] == counts[1]

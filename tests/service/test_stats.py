@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.batch import Counters
 from repro.service import LatencySummary, ServiceStats, build_stats, percentile
 from repro.service.request import RequestOutcome
 
@@ -109,22 +110,19 @@ class TestBuildStats:
         assert stats.queue.p50_s == pytest.approx(0.1)
         assert stats.service.p50_s == pytest.approx(0.1)
 
-    def test_phase_samples_grouped_by_phase(self):
-        stats = build_stats(
-            [outcome(0)],
-            wall_s=1.0,
-            waves=1,
-            phase_samples=[(1, 0.01), (1, 0.03), (2, 0.05)],
-        )
-        assert sorted(stats.per_phase) == [1, 2]
-        assert stats.per_phase[1].count == 2
-        assert stats.per_phase[2].p50_s == pytest.approx(0.05)
-
     def test_json_dict_shape(self):
         data = build_stats([outcome(0)], wall_s=1.0, waves=1).to_json_dict()
         assert data["requests"] == 1
         assert set(data["latency"]) == {"e2e", "queue", "service"}
         assert data["per_algorithm"]["algorithm-3"]["ok"] == 1
+
+    def test_json_dict_renders_the_counters(self):
+        counters = Counters(
+            runs=1, unique_runs=1, scalar_runs=1, digest_hits=3, digest_misses=1
+        )
+        stats = build_stats([outcome(0)], wall_s=1.0, waves=1, counters=counters)
+        assert counters.to_json_dict().items() <= stats.to_json_dict().items()
+        assert stats.to_json_dict()["digest_hit_rate"] == 0.75
 
     def test_dedup_ratio(self):
         stats = ServiceStats(requests=100, unique_runs=4)

@@ -692,9 +692,7 @@ class TestServiceCli:
         assert err.startswith("loadgen: algorithm-1 rejects n=4, t=1")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "flag,value", [("--max-stripe", "0"), ("--telemetry-sample", "-1")]
-    )
+    @pytest.mark.parametrize("flag,value", [("--max-stripe", "0")])
     def test_loadgen_bad_stripe_setting_exits_2(self, capsys, flag, value):
         code = main(
             ["loadgen", "--requests", "5", "--rate", "5000", "--workers", "1",
@@ -704,9 +702,7 @@ class TestServiceCli:
         err = capsys.readouterr().err
         assert err.startswith("loadgen: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "flag,value", [("--max-stripe", "0"), ("--telemetry-sample", "-1")]
-    )
+    @pytest.mark.parametrize("flag,value", [("--max-stripe", "0")])
     def test_serve_bad_stripe_setting_exits_2(self, capsys, tmp_path, flag, value):
         emitted = tmp_path / "requests.jsonl"
         assert main(
