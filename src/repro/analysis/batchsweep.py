@@ -50,9 +50,13 @@ def _spec_case(spec: ScenarioSpec) -> BatchCase:
 
 
 def _point(
-    spec: ScenarioSpec, algorithm: AgreementAlgorithm, outcome: BatchOutcome
+    spec: ScenarioSpec,
+    algorithm: AgreementAlgorithm,
+    message_bound: int | None,
+    outcome: BatchOutcome,
 ) -> SweepPoint:
-    """Assemble the SweepPoint exactly as :func:`~repro.analysis.sweep.measure` would."""
+    """Assemble the SweepPoint exactly as :func:`~repro.analysis.sweep.measure`
+    would; *message_bound* is the algorithm's, evaluated once per stripe."""
     return SweepPoint(
         algorithm=algorithm.name,
         n=algorithm.n,
@@ -64,7 +68,7 @@ def _point(
         signatures=outcome.signatures_by_correct,
         phases_used=outcome.phases_used,
         phases_configured=algorithm.num_phases(),
-        message_bound=algorithm.upper_bound_messages(),
+        message_bound=message_bound,
         agreement_ok=outcome.agreement_ok,
     )
 
@@ -84,8 +88,9 @@ class BatchStripe:
             return [spec.run() for spec in self.specs]
         algorithm = self.specs[0].factory()
         result = run_batch(algorithm, [_spec_case(spec) for spec in self.specs])
+        bound = algorithm.upper_bound_messages()
         return [
-            _point(spec, algorithm, outcome)
+            _point(spec, algorithm, bound, outcome)
             for spec, outcome in zip(self.specs, result.outcomes)
         ]
 

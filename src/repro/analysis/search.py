@@ -18,9 +18,7 @@ Used two ways:
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from repro.adversary.base import Adversary
@@ -30,24 +28,11 @@ from repro.adversary.standard import (
     RandomizedAdversary,
     SilentAdversary,
 )
+from repro.analysis.sweep import SweepPoint, measure, worst_case
 from repro.core.protocol import AgreementAlgorithm
-from repro.core.runner import run
 from repro.core.types import Value
-from repro.core.validation import check_byzantine_agreement
 
 AlgorithmFactory = Callable[[], AgreementAlgorithm]
-
-
-@dataclass(frozen=True, slots=True)
-class ProbeResult:
-    """Outcome of one probed scenario."""
-
-    adversary: str
-    faulty: tuple[int, ...]
-    value: Value
-    messages: int
-    signatures: int
-    agreement_ok: bool
 
 
 def fault_placements(n: int, t: int, *, samples: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
@@ -95,37 +80,21 @@ def probe(
     values: Iterable[Value] = (0, 1),
     samples: int = 10,
     seed: int = 0,
-) -> list[ProbeResult]:
-    """Run the full probe grid against *factory*'s algorithm."""
+) -> list[SweepPoint]:
+    """Run the full probe grid against *factory*'s algorithm.
+
+    Each scenario runs on a fresh algorithm through
+    :func:`~repro.analysis.sweep.measure`, so it is judged by
+    :func:`~repro.approx.validation.judge_run` like every other path.
+    """
     rng = random.Random(seed)
     reference = factory()
-    results: list[ProbeResult] = []
-    for value in values:
-        results.append(_measure(factory, value, "fault-free", None, ()))
+    points = [measure(factory(), value) for value in values]
     for faulty in fault_placements(reference.n, reference.t, samples=samples, rng=rng):
         for value in values:
             for name, adversary in adversary_family(faulty, rng):
-                results.append(_measure(factory, value, name, adversary, faulty))
-    return results
-
-
-def _measure(
-    factory: AlgorithmFactory,
-    value: Value,
-    name: str,
-    adversary: Adversary | None,
-    faulty: tuple[int, ...],
-) -> ProbeResult:
-    result = run(factory(), value, adversary, record_history=False)
-    report = check_byzantine_agreement(result)
-    return ProbeResult(
-        adversary=name,
-        faulty=faulty,
-        value=value,
-        messages=result.metrics.messages_by_correct,
-        signatures=result.metrics.signatures_by_correct,
-        agreement_ok=report.ok,
-    )
+                points.append(measure(factory(), value, adversary, adversary_name=name))
+    return points
 
 
 def worst_case_probe(
@@ -135,17 +104,18 @@ def worst_case_probe(
     samples: int = 10,
     seed: int = 0,
     key: str = "messages",
-) -> tuple[ProbeResult, list[ProbeResult]]:
-    """Probe and return ``(costliest scenario, all results)``.
+) -> tuple[SweepPoint, list[SweepPoint]]:
+    """Probe and return ``(costliest scenario, all points)``.
 
-    Raises :class:`AssertionError` if any probed scenario breaks agreement
-    — a probe that finds a correctness bug should never pass silently.
+    Raises :class:`AssertionError` if any probed scenario fails its
+    verdict — a probe that finds a correctness bug should never pass
+    silently.
     """
-    results = probe(factory, values=values, samples=samples, seed=seed)
-    broken = [r for r in results if not r.agreement_ok]
+    points = probe(factory, values=values, samples=samples, seed=seed)
+    broken = [p for p in points if not p.agreement_ok]
     if broken:
         raise AssertionError(
-            f"probing broke agreement: {[(r.adversary, r.value) for r in broken[:5]]}"
+            f"probed scenarios failed their verdict: "
+            f"{[(p.adversary, p.value) for p in broken[:5]]}"
         )
-    worst = max(results, key=lambda r: getattr(r, key))
-    return worst, results
+    return worst_case(points, key), points

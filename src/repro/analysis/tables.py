@@ -6,7 +6,7 @@ No dependency on any plotting stack — the paper's evaluation is tabular
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 def format_table(
@@ -71,17 +71,3 @@ def format_markdown_table(
     for row in rows:
         lines.append("| " + " | ".join(cell(row, c) for c in cols) + " |")
     return "\n".join(lines)
-
-
-def ratio_series(
-    rows: Iterable[Mapping[str, object]],
-    numerator: str,
-    denominator: str,
-) -> list[float]:
-    """Per-row ``numerator / denominator`` — used to check O-bounds: the
-    series must stay bounded as the swept parameter grows."""
-    out: list[float] = []
-    for row in rows:
-        denom = row[denominator]
-        out.append(float(row[numerator]) / float(denom) if denom else float("inf"))
-    return out

@@ -2,11 +2,10 @@
 
 Renders a finished run's :class:`~repro.core.history.History` as a
 phase-by-phase timeline — who sent what to whom, how many signatures each
-message carried, which phases were silent — plus per-phase and per-
-processor summaries.  Useful for debugging new algorithms and for
-teaching: the paper's algorithms are much easier to follow watching the
-correct 1-messages hop across the bipartite graph or the chain sets being
-walked.
+message carried, which phases were silent.  Useful for debugging new
+algorithms and for teaching: the paper's algorithms are much easier to
+follow watching the correct 1-messages hop across the bipartite graph or
+the chain sets being walked.
 """
 
 from __future__ import annotations
@@ -82,20 +81,12 @@ def describe_payload(payload: object, max_length: int = 60) -> str:
 
 
 def trace_lines(
-    history: History,
-    *,
-    processors: set[ProcessorId] | None = None,
-    phases: range | None = None,
+    history: History, *, processors: set[ProcessorId] | None = None
 ) -> list[TraceLine]:
-    """Flatten a history into trace lines, optionally filtered.
-
-    *processors* keeps only messages touching one of the given ids;
-    *phases* keeps only the given phase numbers.
-    """
+    """Flatten a history into trace lines; *processors*, when given, keeps
+    only messages touching one of those ids."""
     lines: list[TraceLine] = []
     for phase_number, phase in enumerate(history.phases):
-        if phases is not None and phase_number not in phases:
-            continue
         for edge in phase.edges():
             if processors is not None and not (
                 edge.src in processors or edge.dst in processors
@@ -158,37 +149,3 @@ def render_trace(
     decisions = {pid: result.decisions[pid] for pid in sorted(result.decisions)}
     out.append(f"decisions: {decisions}")
     return "\n".join(out)
-
-
-def phase_summary(result: RunResult) -> list[dict[str, object]]:
-    """Per-phase totals: rows for tables/plots."""
-    rows: list[dict[str, object]] = []
-    metrics = result.metrics
-    for phase in range(1, metrics.phases_configured + 1):
-        rows.append(
-            {
-                "phase": phase,
-                "messages": metrics.messages_per_phase.get(phase, 0),
-                "signatures": metrics.signatures_per_phase.get(phase, 0),
-            }
-        )
-    return rows
-
-
-def processor_summary(result: RunResult) -> list[dict[str, object]]:
-    """Per-processor totals: sent, received, role, decision."""
-    rows: list[dict[str, object]] = []
-    for pid in range(result.n):
-        role = "faulty" if pid in result.faulty else "correct"
-        if pid == result.transmitter:
-            role = f"transmitter/{role}"
-        rows.append(
-            {
-                "processor": pid,
-                "role": role,
-                "sent": result.metrics.sent_per_processor.get(pid, 0),
-                "received": result.metrics.received_per_processor.get(pid, 0),
-                "decision": result.decisions.get(pid, "-"),
-            }
-        )
-    return rows

@@ -3,9 +3,10 @@
 For a grid of scenarios (algorithm × adversary × value) this module runs
 the executions and checks, per run:
 
-* Byzantine Agreement holds (the adversary corrupts at most ``t``);
-* messages sent by correct processors never exceed the algorithm's
-  declared upper bound;
+* the run passes :func:`~repro.approx.validation.judge_run`, the verdict
+  every path reaches: its family's conditions, then the declared message,
+  signature and phase bounds;
+* correct processors of an authenticated algorithm sign every message;
 * fault-free runs respect both lower bounds (Theorem 2 for messages, and
   for authenticated algorithms the Theorem 1 signature budget across the
   ``H``/``G`` pair).
@@ -19,12 +20,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.adversary.base import Adversary
+from repro.approx.coins import coins_for
+from repro.approx.validation import declared_costs, judge_run
 from repro.bounds.formulas import theorem2_message_lower_bound
 from repro.bounds.theorem1 import theorem1_experiment
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import run
 from repro.core.types import Value
-from repro.core.validation import check_byzantine_agreement
 
 AlgorithmFactory = Callable[[], AgreementAlgorithm]
 AdversaryFactory = Callable[[AgreementAlgorithm], Adversary | None]
@@ -67,19 +69,13 @@ def check_scenario(
     """Run one scenario and compare it against every applicable bound."""
     algorithm = factory()
     adversary = adversary_factory(algorithm)
-    result = run(algorithm, value, adversary)
-    report = check_byzantine_agreement(result)
+    result = run(algorithm, value, adversary, coins=coins_for(algorithm))
+    declared = declared_costs(algorithm)
+    verdict = judge_run(result, algorithm, declared)
 
-    violations = list(report.violations)
-    upper = algorithm.upper_bound_messages()
+    violations = [verdict.text] if verdict.failed else []
+    upper = declared.messages
     messages = result.metrics.messages_by_correct
-    within = upper is None or messages <= upper
-    if not within:
-        violations.append(
-            f"messages {messages} exceed the paper's bound {upper}"
-        )
-    if result.metrics.last_active_phase > algorithm.num_phases():
-        violations.append("traffic after the declared last phase")
     if algorithm.authenticated and result.metrics.unsigned_correct_messages:
         violations.append(
             f"{result.metrics.unsigned_correct_messages} unsigned messages "
@@ -106,8 +102,8 @@ def check_scenario(
         phases_used=result.metrics.last_active_phase,
         phases_configured=algorithm.num_phases(),
         message_upper_bound=upper,
-        agreement_ok=report.ok,
-        within_upper_bound=within,
+        agreement_ok=not verdict.failed,
+        within_upper_bound=upper is None or messages <= upper,
         violations=violations,
     )
 

@@ -56,6 +56,16 @@ class TestFaultFree:
         result = run(Algorithm1(2 * t + 1, t), 0)
         assert result.metrics.messages_by_correct == 2 * t
 
+    def test_relay_structure_is_bipartite_plus_transmitter(self):
+        """Algorithm 1's fault-free communication pattern: the transmitter
+        fans out, and all relays cross sides."""
+        result = run(Algorithm1(7, 3), 1)
+        relay_graph = result.processors[1].graph
+        edges = [edge for phase in result.history.phases[1:] for edge in phase.edges()]
+        assert edges
+        for edge in edges:
+            assert relay_graph.has_edge(edge.src, edge.dst), (edge.src, edge.dst)
+
 
 class TestByzantineResilience:
     @pytest.mark.parametrize("t", [1, 2, 3])

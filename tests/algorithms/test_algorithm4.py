@@ -44,7 +44,7 @@ class TestFaultFree:
         assert not violations
         assert p_set == set(range(m * m))
 
-    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_message_count_exactly_at_bound(self, m):
         algorithm = Algorithm4(m, 1, values_for(m * m))
         result = run(algorithm, 0)

@@ -10,6 +10,7 @@ import repro.analysis.batchsweep as batchsweep
 from repro.algorithms.registry import get
 from repro.analysis.batchsweep import MIN_STRIPE, BatchStripe, _stripes, batch_specs
 from repro.analysis.parallel import ScenarioSpec, expand, run_tasks, sweep_parallel
+from repro.core.protocol import AgreementAlgorithm
 
 
 def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
@@ -159,6 +160,25 @@ class TestSweepParallelWiring:
         # Equal factories share a group, so three groups for four configs.
         assert len(engine_stats) == 3
         assert total(engine_stats, "runs") == len(points) == 8
+
+    def test_message_bound_is_evaluated_once_per_stripe(self, monkeypatch):
+        # Evaluating a declared bound parses and compiles its expression:
+        # run_batch evaluates it once, the stripe once more for its
+        # points, and no point evaluates it again.
+        dolev_strong = get("dolev-strong").build
+        expected = dolev_strong(5, 1).upper_bound_messages()
+        calls = []
+        evaluate = AgreementAlgorithm.declared_bound
+
+        def spy(self, declaration):
+            calls.append(declaration)
+            return evaluate(self, declaration)
+
+        monkeypatch.setattr(AgreementAlgorithm, "declared_bound", spy)
+        configs = [({"n": 5}, partial(dolev_strong, 5, 1))]
+        points = sweep_parallel(configs, values=(0, 1) * 4, workers=1)
+        assert [point.message_bound for point in points] == [expected] * 8
+        assert calls.count(dolev_strong.message_bound) <= 2, calls
 
     def test_unpicklable_factories_still_work_serially(self):
         configs = [({"n": 5}, lambda: get("dolev-strong").build(5, 1))]

@@ -13,6 +13,7 @@ from repro.analysis.search import (
     probe,
     worst_case_probe,
 )
+from repro.analysis.sweep import SweepPoint, worst_case
 
 
 class TestFaultPlacements:
@@ -74,6 +75,16 @@ class TestProbe:
         )
         assert worst.messages > fault_free
         assert worst.messages <= factory().upper_bound_messages()
+
+    def test_points_are_measured_sweep_points(self):
+        worst, points = worst_case_probe(lambda: DolevStrong(5, 1), samples=2)
+        assert all(isinstance(point, SweepPoint) for point in points)
+        assert worst == worst_case(points)
+        assert {point.message_bound for point in points} == {
+            DolevStrong(5, 1).upper_bound_messages()
+        }
+        with pytest.raises(ValueError, match="unknown worst_case key"):
+            worst_case_probe(lambda: DolevStrong(5, 1), samples=2, key="faulty")
 
     def test_deterministic_given_seed(self):
         a = probe(lambda: DolevStrong(5, 1), samples=3, seed=7)

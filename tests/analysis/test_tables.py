@@ -1,6 +1,6 @@
 """Tests for the table renderers."""
 
-from repro.analysis.tables import format_markdown_table, format_table, ratio_series
+from repro.analysis.tables import format_markdown_table, format_table
 
 
 ROWS = [
@@ -46,12 +46,3 @@ class TestMarkdownTable:
 
     def test_empty(self):
         assert format_markdown_table([]) == "(no rows)"
-
-
-class TestRatioSeries:
-    def test_ratios(self):
-        rows = [{"m": 10, "s": 5}, {"m": 9, "s": 3}]
-        assert ratio_series(rows, "m", "s") == [2.0, 3.0]
-
-    def test_zero_denominator_is_infinite(self):
-        assert ratio_series([{"m": 1, "s": 0}], "m", "s") == [float("inf")]

@@ -3,13 +3,7 @@
 from repro.adversary.standard import SilentAdversary
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.algorithms.dolev_strong import DolevStrong
-from repro.analysis.trace import (
-    describe_payload,
-    phase_summary,
-    processor_summary,
-    render_trace,
-    trace_lines,
-)
+from repro.analysis.trace import describe_payload, render_trace, trace_lines
 from repro.core.runner import run
 
 
@@ -67,11 +61,6 @@ class TestTraceLines:
         lines = trace_lines(result.history, processors={2})
         assert all(line.src == 2 or line.dst == 2 for line in lines)
 
-    def test_phase_filter(self):
-        result = run(DolevStrong(4, 1), 1)
-        lines = trace_lines(result.history, phases=range(1, 2))
-        assert {line.phase for line in lines} == {1}
-
     def test_signature_counts(self):
         result = run(DolevStrong(4, 1), 1)
         phase1 = [l for l in trace_lines(result.history) if l.phase == 1]
@@ -105,19 +94,3 @@ class TestRenderTrace:
         text = render_trace(result)
         expected = result.metrics.signatures_per_phase[1]
         assert f"--- phase 1 (3 messages, {expected} signatures) ---" in text
-
-
-class TestSummaries:
-    def test_phase_summary_rows(self):
-        result = run(DolevStrong(5, 1), 1)
-        rows = phase_summary(result)
-        assert [row["phase"] for row in rows] == [1, 2]
-        assert sum(row["messages"] for row in rows) == result.metrics.total_messages
-
-    def test_processor_summary_roles(self):
-        result = run(DolevStrong(5, 1), 1, SilentAdversary([2]))
-        rows = processor_summary(result)
-        assert rows[0]["role"] == "transmitter/correct"
-        assert rows[2]["role"] == "faulty"
-        assert rows[2]["decision"] == "-"
-        assert rows[1]["decision"] == 1

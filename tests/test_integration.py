@@ -2,9 +2,11 @@
 
 These exercise whole pipelines rather than single modules: Lemma 4's
 activation accounting inside Algorithm 5, determinism of complete runs,
-rushing-adversary mode, and the bounds-verification harness over the full
-algorithm registry.
+rushing-adversary mode, and the bounds-verification harness and the
+adversary probe over the full algorithm registry.
 """
+
+from functools import partial
 
 import pytest
 
@@ -14,10 +16,12 @@ from repro.adversary.standard import (
     SimulatingAdversary,
 )
 from repro.algorithms.algorithm5 import Algorithm5, Algorithm5Passive
-from repro.algorithms.registry import ALGORITHMS
-from repro.bounds.verification import check_grid, no_adversary
+from repro.algorithms.registry import ALGORITHMS, WORKLOADS
+from repro.analysis.search import worst_case_probe
+from repro.bounds.verification import check_grid, check_scenario, no_adversary
 from repro.core.runner import run
 from repro.core.validation import check_byzantine_agreement
+from repro.fuzz.campaign import FUZZ_CONFIGS
 
 
 class TestLemma4ActivationBound:
@@ -146,3 +150,19 @@ class TestFullRegistryGrid:
         )
         bad = [r for r in records if not r.ok]
         assert not bad, [(r.algorithm, r.adversary, r.violations) for r in bad]
+
+
+class TestHarnessesJudgeEveryFamily:
+    """The adversary probe and the bounds harness judge each workload by
+    its own family's conditions and run it on its coins, as every other
+    path does."""
+
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_workload_passes_both_harnesses(self, name):
+        n, t, params = FUZZ_CONFIGS[name]
+        factory = partial(WORKLOADS[name], n, t, **params)
+        _, points = worst_case_probe(factory, samples=1)
+        assert points and all(point.agreement_ok for point in points)
+        for value in (0, 1):
+            record = check_scenario(factory, value)
+            assert record.ok, record.violations
