@@ -53,6 +53,7 @@ offset in block ``x``  action
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -164,21 +165,16 @@ def is_valid_message(
     return len(active_signers) >= t + 1
 
 
-def count_pi(
-    strings: Mapping[ProcessorId, set],
-    q: ProcessorId,
-    index: int,
-) -> int:
-    """``π(M, q, index)``: distinct active signers whose gathered string has
-    the given index and lists ``q``."""
-    count = 0
-    for _signer, values in sorted(strings.items()):
-        if any(
-            parsed is not None and parsed[0] == index and q in parsed[1]
-            for parsed in map(parse_flist, values)
-        ):
-            count += 1
-    return count
+def pi_counts(
+    flists: Mapping[ProcessorId, Iterable[frozenset[ProcessorId]]],
+) -> Counter[ProcessorId]:
+    """``π(M, q, index)`` for every ``q`` at once, from each active signer's
+    parsed F-lists with that index in ``M``: the number of signers that
+    list ``q`` in at least one of them.  A missing ``q`` counts 0."""
+    counts: Counter[ProcessorId] = Counter()
+    for _signer, members in sorted(flists.items()):
+        counts.update(frozenset().union(*members))
+    return counts
 
 
 class Algorithm5Active(Processor):
@@ -291,15 +287,32 @@ class Algorithm5Active(Processor):
         return self._exchange.outgoing(1, ())
 
     def _finish_exchange(self, inbox: Sequence[Envelope], index: int) -> None:
-        """Absorb the last exchange step; recompute B and C for index ``x-1``."""
+        """Absorb the last exchange step; recompute B and C for index ``x-1``.
+
+        Each gathered string is parsed once.  Those with the given index
+        (F-list tuples, so they sort) are the proof sent with every
+        activation, and give π for every processor in one pass.
+        """
         assert self._exchange is not None
         self._exchange.absorb_final(inbox)
-        strings = self._exchange.gathered
+        chains: list[SignatureChain] = []
+        flists: dict[ProcessorId, list[frozenset[ProcessorId]]] = {}
+        for signer, per_signer in sorted(self._exchange.chains.items()):
+            indexed: list[tuple[tuple, frozenset[ProcessorId]]] = []
+            for value in per_signer:
+                parsed = parse_flist(value)
+                if parsed is not None and parsed[0] == index:
+                    indexed.append((value, parsed[1]))
+            for value, members in sorted(indexed):
+                chains.append(per_signer[value])
+                flists.setdefault(signer, []).append(members)
+        proof = tuple(chains)
+        pi = pi_counts(flists)
         threshold = self.alpha - 2 * self.ctx.t
 
         def qualifies(q: ProcessorId) -> bool:
-            """Whether the candidate chain passes the block's filter."""
-            return count_pi(strings, q, index) >= threshold
+            """Whether at least ``α − 2t`` actives still list *q*."""
+            return pi[q] >= threshold
 
         self.b_set = frozenset(q for q in self._f_list if qualifies(q))
 
@@ -310,7 +323,7 @@ class Algorithm5Active(Processor):
                 ref = SubtreeRef(tree=tree_number, root_index=root_index)
                 if self._subtree_proven(tree, root_index, qualifies):
                     new_c.append(ref)
-                    new_proofs[ref] = self._proof_chains(index)
+                    new_proofs[ref] = proof
         self.c_set = new_c
         self.proofs = new_proofs
         self._exchange = None
@@ -329,21 +342,6 @@ class Algorithm5Active(Processor):
             any(qualifies(q) for q in tree.subtree_members(child))
             for child in children
         )
-
-    def _proof_chains(self, index: int) -> tuple[SignatureChain, ...]:
-        """All gathered signed F-list strings with the given index.
-
-        Sent wholesale as the transferable proof; roots re-derive π from
-        them, so including extra strings is harmless.
-        """
-        assert self._exchange is not None
-        chains: list[SignatureChain] = []
-        for _signer, per_signer in sorted(self._exchange.chains.items()):
-            for value, chain in sorted(per_signer.items()):
-                parsed = parse_flist(value)
-                if parsed is not None and parsed[0] == index:
-                    chains.append(chain)
-        return tuple(chains)
 
     # ----------------------------------------------------------------- phases
 
@@ -497,23 +495,15 @@ class Algorithm5Passive(Processor):
                 continue
             listed.setdefault(signer, set()).add(parsed[1])
 
+        pi = pi_counts(listed)
         threshold = self.alpha - 2 * self.ctx.t
-
-        def pi(q: ProcessorId) -> int:
-            """The processor at position *index* of the tree permutation."""
-            return sum(
-                1
-                for lists in listed.values()
-                if any(q in members for members in lists)
-            )
-
-        if pi(self.ctx.pid) >= threshold:
+        if pi[self.ctx.pid] >= threshold:
             return True
         children = self.tree.children(self.heap_index)
         if len(children) < 2:
             return False
         return all(
-            any(pi(q) >= threshold for q in self.tree.subtree_members(child))
+            any(pi[q] >= threshold for q in self.tree.subtree_members(child))
             for child in children
         )
 

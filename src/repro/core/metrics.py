@@ -18,10 +18,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 
 from repro.core.message import Envelope, count_parts
-from repro.core.types import ProcessorId
+from repro.core.types import INPUT_SOURCE, ProcessorId
 from repro.crypto.signatures import Signature
+
+_SRC, _DST, _PHASE, _PAYLOAD = map(attrgetter, ("src", "dst", "phase", "payload"))
 
 
 def count_signatures(payload: object) -> int:
@@ -69,31 +73,49 @@ class MetricsLedger:
         once per phase, after every handler and the adversary have
         returned, so no payload can change while the memo is live; and
         *sent* holds every payload, so no ``id`` is reused within the call.
+        The per-envelope bookkeeping runs in C (``map``, ``compress``,
+        ``Counter.update``); only a call that holds several phases or an
+        input edge loops over envelopes in Python.
         """
-        memo: dict[int, int] = {}
-        counts: list[int] = []
-        for envelope in sent:
-            payload = envelope.payload
-            n_sigs = memo.get(id(payload))
-            if n_sigs is None:
-                n_sigs = memo[id(payload)] = count_signatures(payload)
-            counts.append(n_sigs)
-            if envelope.is_input_edge():
-                continue
-            self.sent_per_processor[envelope.src] += 1
-            self.received_per_processor[envelope.dst] += 1
-            self.messages_per_phase[envelope.phase] += 1
-            self.signatures_per_phase[envelope.phase] += n_sigs
-            self.last_active_phase = max(self.last_active_phase, envelope.phase)
-            if envelope.src in correct:
-                self.messages_by_correct += 1
-                self.signatures_by_correct += n_sigs
-                self.correct_messages_received_by[envelope.dst] += 1
-                if n_sigs == 0:
-                    self.unsigned_correct_messages += 1
-            else:
-                self.messages_by_faulty += 1
-                self.signatures_by_faulty += n_sigs
+        if not sent:
+            return []
+        payloads = list(map(_PAYLOAD, sent))
+        ids = list(map(id, payloads))
+        distinct = dict(zip(ids, payloads))
+        memo = {key: count_signatures(payload) for key, payload in distinct.items()}
+        counts = list(map(memo.__getitem__, ids))
+        srcs = list(map(_SRC, sent))
+        dsts = list(map(_DST, sent))
+        phases = list(map(_PHASE, sent))
+        kept = counts
+        if INPUT_SOURCE in srcs:
+            keep = [not envelope.is_input_edge() for envelope in sent]
+            srcs, dsts, phases, kept = (
+                list(compress(column, keep)) for column in (srcs, dsts, phases, counts)
+            )
+            if not srcs:
+                return counts
+        total = sum(kept)
+        self.sent_per_processor.update(srcs)
+        self.received_per_processor.update(dsts)
+        self.messages_per_phase.update(phases)
+        last = phases[0]
+        if phases.count(last) == len(phases):
+            self.signatures_per_phase[last] += total
+        else:
+            for phase, n_sigs in zip(phases, kept):
+                self.signatures_per_phase[phase] += n_sigs
+            last = max(phases)
+        self.last_active_phase = max(self.last_active_phase, last)
+        by_correct = list(map(correct.__contains__, srcs))
+        correct_counts = list(compress(kept, by_correct))
+        correct_sigs = sum(correct_counts)
+        self.messages_by_correct += len(correct_counts)
+        self.signatures_by_correct += correct_sigs
+        self.unsigned_correct_messages += correct_counts.count(0)
+        self.correct_messages_received_by.update(compress(dsts, by_correct))
+        self.messages_by_faulty += len(kept) - len(correct_counts)
+        self.signatures_by_faulty += total - correct_sigs
         return counts
 
     # ------------------------------------------------------------- summaries

@@ -16,11 +16,26 @@ and signatures cannot be altered undetectably.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any
 
 from repro.core.message import UninternableError, intern_key
 from repro.core.types import ProcessorId, Value
 from repro.crypto.signatures import Signature, SignatureService, SigningKey
+
+_signer = attrgetter("signer")
+
+#: Builtin scalar types: exactly these, not subclasses, which may carry
+#: mutable state.
+_SCALARS = frozenset({type(None), bool, int, float, str, bytes})
+
+
+def _immutable(value: Value) -> bool:
+    """Whether *value* can never change: a builtin scalar, or a tuple built
+    from them."""
+    if type(value) is tuple:
+        return all(map(_immutable, value))
+    return type(value) in _SCALARS
 
 
 def chain_body(value: Value, prefix: tuple[Signature, ...]) -> Any:
@@ -64,7 +79,7 @@ class SignatureChain:
     @property
     def signers(self) -> tuple[ProcessorId, ...]:
         """Signer ids in signing order."""
-        return tuple(sig.signer for sig in self.signatures)
+        return tuple(map(_signer, self.signatures))
 
     def __len__(self) -> int:
         return len(self.signatures)
@@ -75,34 +90,41 @@ class SignatureChain:
 
     # ------------------------------------------------------------ validation
 
-    def verify(self, service: SignatureService, *, distinct: bool = True) -> bool:
-        """Check that every link was legitimately signed in order.
-
-        With ``distinct=True`` (the default, and what every algorithm in the
-        paper requires) a repeated signer also invalidates the chain.
+    def verify(self, service: SignatureService) -> bool:
+        """Check that every link was legitimately signed in order, each by
+        a different signer (what every algorithm in the paper requires).
 
         Services that cache chain verdicts (the batch engine's per-run
-        :class:`~repro.crypto.signatures.InternedSignatureService`) answer
-        repeated verifications of an equal chain in O(1); the default
+        :class:`~repro.crypto.signatures.InternedSignatureService`) answer a
+        repeat verification in O(1): of this very object by identity when
+        it cannot change, else of an equal chain by value.  The default
         service always walks every link.
         """
-        key = None
-        if service.caches_chain_verdicts:
-            key = self._verdict_key(distinct)
-            if key is not None and service.chain_verdict_seen(key):
-                return True
-        if distinct and len(set(self.signers)) != len(self.signatures):
+        if not service.caches_chain_verdicts:
+            return self._walk(service)
+        if service.chain_verified(self):
+            return True
+        key = self._verdict_key()
+        if key is None:
+            return self._walk(service)
+        if service.chain_verdict_seen(key) or self._walk(service):
+            frozen = type(self.signatures) is tuple and _immutable(self.value)
+            service.chain_verdict_add(key, self if frozen else None)
+            return True
+        return False
+
+    def _walk(self, service: SignatureService) -> bool:
+        """Verify every link against *service*, rejecting repeated signers."""
+        if len(set(self.signers)) != len(self.signatures):
             return False
         prefix: tuple[Signature, ...] = ()
         for signature in self.signatures:
             if not service.verify(signature, chain_body(self.value, prefix)):
                 return False
             prefix = prefix + (signature,)
-        if key is not None:
-            service.chain_verdict_add(key)
         return True
 
-    def _verdict_key(self, distinct: bool) -> Any | None:
+    def _verdict_key(self) -> Any | None:
         """Value-equality cache key for this chain's verification verdict.
 
         ``None`` when the value cannot be interned — such chains are simply
@@ -113,11 +135,7 @@ class SignatureChain:
             value_key = intern_key(self.value)
         except UninternableError:
             return None
-        return (
-            distinct,
-            value_key,
-            tuple((sig.signer, sig.digest) for sig in self.signatures),
-        )
+        return (value_key, tuple((sig.signer, sig.digest) for sig in self.signatures))
 
     def verify_prefix_signers(
         self,

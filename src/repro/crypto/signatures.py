@@ -80,13 +80,9 @@ class SignatureService:
     :mod:`repro.core.metrics`).
     """
 
-    #: Memo-size backstop; one run never gets near it, but a service reused
-    #: across a very long sweep must not grow without bound.
-    _DIGEST_MEMO_MAX = 1 << 16
-
-    #: Whether :meth:`chain_verdict_seen` can ever answer ``True`` — lets
-    #: :meth:`repro.crypto.chains.SignatureChain.verify` skip building a
-    #: cache key entirely against this (the default) service.
+    #: Whether the chain-verdict hooks can ever answer ``True`` — lets
+    #: :meth:`repro.crypto.chains.SignatureChain.verify` skip them
+    #: entirely against this (the default) service.
     caches_chain_verdicts = False
 
     def __init__(self) -> None:
@@ -94,16 +90,10 @@ class SignatureService:
         self._keys: dict[ProcessorId, SigningKey] = {}
         self._sealed = False
         self._sign_operations = 0
-        #: id(payload) -> (payload, digest).  Protocols forward the *same*
-        #: payload object many times (relay chains re-send what they
-        #: received), so identity-keyed memoisation skips the repeated
-        #: canonicalisation walk.  Holding the payload in the value keeps it
-        #: alive, which is what makes keying on ``id`` sound — a memoised id
-        #: can never be recycled for a different object.
-        self._digest_memo: dict[int, tuple[Any, str]] = {}
-        #: Memo accounting: a *hit* answered from a memo (identity or, for
-        #: the batch service, the shared value-keyed table); a *miss* paid
-        #: the full canonical-walk-plus-hash computation.
+        #: Digest accounting: a *hit* was answered from the batch service's
+        #: shared value-keyed table; a *miss* paid the full
+        #: canonical-walk-plus-hash computation.  This service has no table,
+        #: so every digest is a miss.
         self.digest_memo_hits = 0
         self.digest_memo_misses = 0
 
@@ -141,40 +131,36 @@ class SignatureService:
     # --------------------------------------------------------------- digests
 
     def _digest(self, payload: Any) -> str:
-        """:func:`~repro.core.message.payload_digest`, memoised by identity.
+        """:func:`~repro.core.message.payload_digest` of the payload's
+        current contents.
 
-        Behaviour-identical to calling ``payload_digest(payload)`` directly
-        (the digest is a pure function of the payload's value); the memo only
-        short-circuits the canonical walk when the very same object is signed
-        or verified again.
+        Never keyed on the object: a list signed, then appended to, must
+        digest differently, or its contents would change undetectably.
         """
-        key = id(payload)
-        hit = self._digest_memo.get(key)
-        if hit is not None and hit[0] is payload:
-            self.digest_memo_hits += 1
-            return hit[1]
         self.digest_memo_misses += 1
-        digest = payload_digest(payload)
-        if len(self._digest_memo) >= self._DIGEST_MEMO_MAX:
-            self._digest_memo.clear()
-        self._digest_memo[key] = (payload, digest)
-        return digest
+        return payload_digest(payload)
 
     # --------------------------------------------------- chain verdict hooks
 
-    def chain_verdict_seen(self, key: Any) -> bool:
-        """Whether a chain with cache key *key* already verified ``True``.
+    def chain_verified(self, chain: Any) -> bool:
+        """Whether this very *chain* object already verified ``True``.
 
         The base service never caches (see :attr:`caches_chain_verdicts`);
-        the batch engine's :class:`InternedSignatureService` overrides both
-        hooks with a per-run, true-verdicts-only set — sound because the
-        issued-signature set only grows within a run, so a chain that once
-        verified can never stop verifying.
+        the batch engine's :class:`InternedSignatureService` overrides the
+        three hooks with per-run, true-verdicts-only memos — sound because
+        the issued-signature set only grows within a run, so a chain that
+        once verified can never stop verifying.
         """
         return False
 
-    def chain_verdict_add(self, key: Any) -> None:
-        """Record that a chain with cache key *key* verified ``True``."""
+    def chain_verdict_seen(self, key: Any) -> bool:
+        """Whether a chain with cache key *key* already verified ``True``."""
+        return False
+
+    def chain_verdict_add(self, key: Any, chain: Any) -> None:
+        """Record that a chain with cache key *key* verified ``True``, and
+        remember *chain* itself by identity unless it is ``None`` (a chain
+        that can change)."""
 
     # --------------------------------------------------------------- signing
 
@@ -266,10 +252,9 @@ class SignatureService:
 class SharedDigestTable:
     """A value-keyed payload-digest memo shared across many runs.
 
-    The per-service identity memo only helps when the *same object* is
-    digested twice; protocols that rebuild equal payloads (signature
-    chains reconstruct their link bodies on every verification) defeat it
-    entirely.  This table keys on :func:`~repro.core.message.intern_key`
+    Protocols rebuild equal payloads (signature chains reconstruct their
+    link bodies on every verification), so an identity-keyed memo would
+    never hit.  This table keys on :func:`~repro.core.message.intern_key`
     — a type-tagged mirror of the canonical form — so *equal* payloads
     share one digest computation across every run of a batch.  The digest
     is a pure function of the payload's value, which is what makes
@@ -322,7 +307,7 @@ class InternedSignatureService(SignatureService):
     payload values — are shared through *table* across the whole batch.
 
     It also caches chain verdicts (see
-    :meth:`SignatureService.chain_verdict_seen`) — per run, true verdicts
+    :meth:`SignatureService.chain_verified`) — per run, true verdicts
     only, so a ``False`` caused by a not-yet-issued signature can still
     flip to ``True`` later in the run.
     """
@@ -333,28 +318,30 @@ class InternedSignatureService(SignatureService):
         super().__init__()
         self._table = table
         self._chain_verdicts: set[Any] = set()
+        #: id(chain) -> chain for chains that verified and cannot change.
+        #: Holding the chain keeps it alive, so its ``id`` cannot be reused
+        #: by another object while the entry lives.
+        self._verified_chains: dict[int, Any] = {}
 
     def _digest(self, payload: Any) -> str:
-        key = id(payload)
-        hit = self._digest_memo.get(key)
-        if hit is not None and hit[0] is payload:
-            self.digest_memo_hits += 1
-            return hit[1]
         before = self._table.hits
         digest = self._table.digest(payload)
         if self._table.hits > before:
             self.digest_memo_hits += 1
         else:
             self.digest_memo_misses += 1
-        if len(self._digest_memo) >= self._DIGEST_MEMO_MAX:
-            self._digest_memo.clear()
-        self._digest_memo[key] = (payload, digest)
         return digest
+
+    def chain_verified(self, chain: Any) -> bool:
+        """True iff this chain object already verified in *this* run."""
+        return self._verified_chains.get(id(chain)) is chain
 
     def chain_verdict_seen(self, key: Any) -> bool:
         """True iff an equal chain already verified in *this* run."""
         return key in self._chain_verdicts
 
-    def chain_verdict_add(self, key: Any) -> None:
+    def chain_verdict_add(self, key: Any, chain: Any) -> None:
         """Remember a successful verification for the rest of this run."""
         self._chain_verdicts.add(key)
+        if chain is not None:
+            self._verified_chains[id(chain)] = chain

@@ -94,8 +94,9 @@ class RunTelemetry:
     handler_wall_s: dict[int, float] = field(default_factory=dict)
     handler_calls: dict[int, int] = field(default_factory=dict)
     events_emitted: int = 0
-    #: Signature-digest memo accounting for this run (hits answered from a
-    #: memo, misses that paid the canonical-walk-plus-hash computation).
+    #: Signature-digest accounting for this run (hits answered from the
+    #: batch engine's shared digest table, misses that paid the
+    #: canonical-walk-plus-hash computation).
     digest_memo_hits: int = 0
     digest_memo_misses: int = 0
     #: :func:`~repro.core.message.canonical` tuple accounting for this run:

@@ -13,10 +13,11 @@ from repro.algorithms.algorithm5 import (
     Algorithm5,
     Algorithm5Passive,
     Algorithm5Schedule,
-    count_pi,
     flist_string,
     parse_flist,
+    pi_counts,
 )
+from repro.core.batch import BatchCase, run_batch
 from repro.core.errors import ConfigurationError
 from repro.core.runner import run
 from repro.core.validation import check_byzantine_agreement
@@ -37,11 +38,27 @@ class TestFlistStrings:
             0: {flist_string(2, [10, 11])},
             1: {flist_string(2, [10]), flist_string(1, [12])},
             2: {flist_string(1, [10])},
+            # lists 10 in two strings of index 2: one signer, counted once
+            3: {flist_string(2, [10, 13]), flist_string(2, [10])},
         }
-        assert count_pi(strings, 10, 2) == 2
-        assert count_pi(strings, 10, 1) == 1
-        assert count_pi(strings, 12, 1) == 1
-        assert count_pi(strings, 12, 2) == 0
+
+        def pi(index):
+            flists = {
+                signer: [
+                    parsed[1]
+                    for parsed in map(parse_flist, values)
+                    if parsed[0] == index
+                ]
+                for signer, values in strings.items()
+            }
+            return pi_counts(flists)
+
+        assert pi(2)[10] == 3
+        assert pi(1)[10] == 1
+        assert pi(1)[12] == 1
+        assert pi(2)[12] == 0
+        assert pi(2)[13] == 1
+        assert pi(2) == {10: 3, 11: 1, 13: 1}
 
 
 class TestSchedule:
@@ -264,3 +281,32 @@ class TestTradeoff:
             result_large.metrics.messages_by_correct
             < result_small.metrics.messages_by_correct
         )
+
+
+class TestExactCounts:
+    """Operation counts pinned at their current values: a count that rises
+    fails on any machine, however fast it runs."""
+
+    def test_batch_counts_are_unchanged(self):
+        def silent_last(algorithm):
+            return SilentAdversary(range(algorithm.n - algorithm.t, algorithm.n))
+
+        cases = [BatchCase(value=value) for value in (0, 1)] + [
+            BatchCase(
+                value=value,
+                adversary_name="silent-last",
+                adversary_factory=silent_last,
+            )
+            for value in (0, 1)
+        ]
+        result = run_batch(Algorithm5(80, 2), cases)
+        assert (result.stats.digest_hits, result.stats.digest_misses) == (1219, 15)
+        assert [
+            (o.messages_by_correct, o.signatures_by_correct, o.phases_used, o.kind)
+            for o in result.outcomes
+        ] == [
+            (1431, 8226, 24, "ok"),
+            (1439, 8242, 24, "ok"),
+            (1429, 8455, 24, "ok"),
+            (1437, 8471, 24, "ok"),
+        ]

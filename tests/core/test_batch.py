@@ -264,6 +264,43 @@ class TestChainVerdictCache:
         assert SignatureService.caches_chain_verdicts is False
         assert InternedSignatureService.caches_chain_verdicts is True
 
+    def test_repeat_verify_of_an_immutable_chain_builds_no_key(self, monkeypatch):
+        service = InternedSignatureService(SharedDigestTable())
+        keys = {pid: service.key_for(pid) for pid in range(2)}
+        chain = SignatureChain.initial(("v", 1), keys[0], service)
+        chain = chain.extend(keys[1], service)
+        built = []
+        real = SignatureChain._verdict_key
+
+        def counting(self):
+            built.append(self)
+            return real(self)
+
+        monkeypatch.setattr(SignatureChain, "_verdict_key", counting)
+        assert chain.verify(service)
+        assert chain.verify(service)  # answered by identity
+        assert built == [chain]
+        twin = SignatureChain(("v", 1), chain.signatures)
+        assert twin.verify(service)  # equal but distinct: answered by value
+        assert len(built) == 2
+
+    def test_mutated_list_value_gets_the_plain_answer(self):
+        # A list value can change after the chain verified, so the chain
+        # is not remembered by identity.
+        answers = []
+        for service in (
+            SignatureService(),
+            InternedSignatureService(SharedDigestTable()),
+        ):
+            keys = {pid: service.key_for(pid) for pid in range(2)}
+            value = [1, 2]
+            chain = SignatureChain.initial(value, keys[0], service)
+            chain = chain.extend(keys[1], service)
+            assert chain.verify(service)
+            value.append(3)
+            answers.append(chain.verify(service))
+        assert answers == [False, False]
+
 
 class TestFactories:
     def test_factory_argument_builds_one_arena(self):

@@ -59,7 +59,6 @@ class TestVerification:
         chain = build(service, [0, 1])
         duplicated = chain.extend(service.key_for(0), service)
         assert not duplicated.verify(service)
-        assert duplicated.verify(service, distinct=False)
 
     def test_prefix_signers_restriction(self, service):
         chain = build(service, [0, 1])

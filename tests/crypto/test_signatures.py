@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core.errors import ForgeryError
-from repro.crypto.signatures import Signature, SignatureService, SigningKey
+from repro.crypto.signatures import (
+    InternedSignatureService,
+    SharedDigestTable,
+    Signature,
+    SignatureService,
+    SigningKey,
+)
 
 
 class TestSigning:
@@ -145,35 +151,17 @@ class TestSealing:
 
 
 class TestDigestMemo:
-    """The identity-keyed digest memo must be invisible behaviourally —
-    same digests, same verdicts — and actually skip recomputation."""
+    """Digests are a function of the payload's current contents: the same
+    digests and verdicts as ``payload_digest``, for equal objects and for
+    an object mutated after it was signed."""
 
     def test_memo_matches_payload_digest(self, service):
         from repro.core.message import payload_digest
 
         payload = ("relay", 3, ("inner", 1, 2))
         assert service._digest(payload) == payload_digest(payload)
-        # second call hits the memo and must return the identical digest
+        # a second call returns the identical digest
         assert service._digest(payload) == payload_digest(payload)
-
-    def test_repeated_verify_skips_canonical_walk(self, service, monkeypatch):
-        import repro.crypto.signatures as signatures_module
-
-        payload = ("forwarded", 1, 2, 3)
-        signature = service.sign(service.key_for(0), payload)
-
-        calls = {"count": 0}
-        real = signatures_module.payload_digest
-
-        def counting(p):
-            calls["count"] += 1
-            return real(p)
-
-        monkeypatch.setattr(signatures_module, "payload_digest", counting)
-        for _ in range(5):
-            assert service.verify(signature, payload)
-        # the same payload object was memoised at sign time: zero recomputes
-        assert calls["count"] == 0
 
     def test_equal_but_distinct_objects_still_agree(self, service):
         first = ("msg", 1, ("a", "b"))
@@ -189,17 +177,23 @@ class TestDigestMemo:
         assert service.verify(signature, payload)
         assert service.verify(signature, ["list", {"k": 1}])
 
-    def test_memo_is_bounded(self, service):
-        service._DIGEST_MEMO_MAX = 4  # shrink the backstop for the test
-        for i in range(20):
-            service._digest(("payload", i))
-        assert len(service._digest_memo) <= 4
+    @pytest.mark.parametrize("interned", [False, True])
+    def test_mutated_payload_no_longer_verifies(self, interned):
+        service = (
+            InternedSignatureService(SharedDigestTable())
+            if interned
+            else SignatureService()
+        )
+        payload = [1, 2]
+        signature = service.sign(service.key_for(0), payload)
+        assert service.verify(signature, payload)
+        payload.append(3)
+        assert not service.verify(signature, payload)
 
     def test_clone_does_not_share_memo(self, service):
         payload = ("p", 1)
         service.sign(service.key_for(0), payload)
         clone = service.clone()
-        assert clone._digest_memo == {}
-        # but issued signatures still verify in the clone
+        # issued signatures still verify in the clone
         signature = Signature(signer=0, digest=service._digest(payload))
         assert clone.verify(signature, payload)

@@ -1,9 +1,9 @@
 """Cache-counter telemetry: digest memo and canonical fast-path accounting.
 
 Telemetry runs report how much signature-digest work was answered from the
-per-service memo versus computed fresh, and how often ``canonical()`` took
-the all-primitives shortcut.  ``repro inspect`` renders both pairs on a
-``caches`` line.
+batch engine's shared digest table versus computed fresh, and how often
+``canonical()`` took the all-primitives shortcut.  ``repro inspect``
+renders both pairs on a ``caches`` line.
 """
 
 from repro.algorithms.registry import get
@@ -18,15 +18,15 @@ class TestTelemetryCounters:
         result = run(get("dolev-strong")(5, 2), 1, collect_telemetry=True)
         telemetry = result.telemetry
         assert telemetry is not None
-        # Every chain link pays one digest under the identity memo — the
-        # base service sees fresh ``chain_body`` tuples each time.
+        # The base service has no digest table: every chain link pays
+        # one digest, counted as a miss.
         assert telemetry.digest_memo_misses > 0
         assert telemetry.digest_memo_hits == 0
         assert telemetry.canonical_fast_hits + telemetry.canonical_slow_hits > 0
 
     def test_interned_service_turns_repeat_digests_into_hits(self):
         # The batch engine's service interns payloads by value, so
-        # re-verifying equal chain bodies is answered from the memo.
+        # re-verifying equal chain bodies is answered from the table.
         service = InternedSignatureService(SharedDigestTable())
         result = run(
             get("dolev-strong")(5, 2), 1,

@@ -29,6 +29,7 @@ from repro.core.message import (
     payload_digest,
 )
 from repro.core.metrics import MetricsLedger, count_signatures
+from repro.core.types import INPUT_SOURCE
 from repro.crypto.chains import SignatureChain
 from repro.crypto.signatures import Signature, SignatureService
 
@@ -195,8 +196,9 @@ primitive_tuples = st.tuples(
 
 
 class TestFastPathEquivalence:
-    """The primitive-tuple fast path and the identity-keyed digest memo are
-    optimisations; on every payload they must agree with the slow path."""
+    """The primitive-tuple fast path is an optimisation, and the service
+    digest is ``payload_digest``; on every payload both must agree with
+    the slow path."""
 
     @given(payloads)
     @settings(max_examples=120)
@@ -220,7 +222,7 @@ class TestFastPathEquivalence:
         service = SignatureService()
         slow = payload_digest(payload)
         assert service._digest(payload) == slow
-        # second call is the memo hit — must still agree
+        # a second call must still agree
         assert service._digest(payload) == slow
 
 
@@ -302,35 +304,72 @@ class TestInternKey:
         assert intern_key(payload) == intern_key(copy.deepcopy(payload))
 
 
+def reference_record(ledger, sent, correct):
+    """The ledger's bookkeeping one envelope at a time, counting every
+    payload afresh: the oracle for ``record_phase``."""
+    counts = []
+    for envelope in sent:
+        n_sigs = count_signatures(envelope.payload)
+        counts.append(n_sigs)
+        if envelope.is_input_edge():
+            continue
+        ledger.sent_per_processor[envelope.src] += 1
+        ledger.received_per_processor[envelope.dst] += 1
+        ledger.messages_per_phase[envelope.phase] += 1
+        ledger.signatures_per_phase[envelope.phase] += n_sigs
+        ledger.last_active_phase = max(ledger.last_active_phase, envelope.phase)
+        if envelope.src in correct:
+            ledger.messages_by_correct += 1
+            ledger.signatures_by_correct += n_sigs
+            ledger.correct_messages_received_by[envelope.dst] += 1
+            if n_sigs == 0:
+                ledger.unsigned_correct_messages += 1
+        else:
+            ledger.messages_by_faulty += 1
+            ledger.signatures_by_faulty += n_sigs
+    return counts
+
+
 @st.composite
-def phases_with_shared_payloads(draw):
-    """Phases of sends over a small pool of payload objects, shared by
-    several envelopes, as a broadcast shares one object."""
+def calls_with_shared_payloads(draw):
+    """``record_phase`` calls over a small pool of payload objects, shared
+    by several envelopes, as a broadcast shares one object.  A call holds
+    one phase or two, and may hold the phase-0 input edge; senders
+    include ``INPUT_SOURCE`` outside phase 0, which is a message."""
     pool = draw(st.lists(payloads, min_size=1, max_size=4))
-    sends = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 9))
-    phases = draw(st.lists(st.lists(sends, max_size=12), min_size=1, max_size=4))
-    correct = draw(st.frozensets(st.integers(0, 5)))
-    return pool, phases, correct
+    sends = st.tuples(st.integers(INPUT_SOURCE, 5), st.integers(0, 5), st.integers(0, 9))
+    calls = []
+    for _ in range(draw(st.integers(1, 4))):
+        phases = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
+        call = [
+            (src, dst, draw(st.sampled_from(phases)), pick)
+            for src, dst, pick in draw(st.lists(sends, max_size=12))
+        ]
+        if draw(st.booleans()):
+            at = draw(st.integers(0, len(call)))
+            call.insert(at, (INPUT_SOURCE, 0, 0, draw(st.integers(0, 9))))
+        calls.append(call)
+    correct = draw(st.frozensets(st.integers(INPUT_SOURCE, 5)))
+    return pool, calls, correct
 
 
 class TestLedgerCountsEachPayloadOncePerPhase:
-    @given(phases_with_shared_payloads())
-    @settings(max_examples=80)
+    @given(calls_with_shared_payloads())
+    @settings(max_examples=120)
+    @example(([()], [[(0, 1, 1, 0)], []], frozenset({0})))
     def test_same_ledger_as_counting_each_envelope(self, drawn):
-        pool, phases, correct = drawn
+        pool, calls, correct = drawn
         growing: list = []
         memoised, plain = MetricsLedger(), MetricsLedger()
-        for phase, sends in enumerate(phases, start=1):
-            # A list payload shared across phases and mutated between
-            # them: a count from an earlier phase must not be reused.
-            growing.append(Signature(signer=phase, digest="ab"))
+        for number, sends in enumerate(calls, start=1):
+            # A list payload shared across calls and mutated between
+            # them: a count from an earlier call must not be reused.
+            growing.append(Signature(signer=number, digest="ab"))
             objects = [*pool, growing]
             sent = [
                 Envelope(src, dst, phase, objects[pick % len(objects)])
-                for src, dst, pick in sends
+                for src, dst, phase, pick in sends
             ]
             counts = memoised.record_phase(sent, correct)
-            for envelope in sent:
-                plain.record_phase([envelope], correct)
-            assert counts == [count_signatures(e.payload) for e in sent]
+            assert counts == reference_record(plain, sent, correct)
         assert memoised == plain

@@ -78,4 +78,3 @@ class TestChainProperties:
             chain = chain.extend(service.key_for(pid), service)
         has_duplicates = len(set(signers)) != len(signers)
         assert chain.verify(service) == (not has_duplicates)
-        assert chain.verify(service, distinct=False)
