@@ -15,10 +15,10 @@
 The output is element-wise equal to ``[spec.run() for spec in specs]`` in
 the same order, verdicts included: the engine judges each run by its
 family's conditions, as :func:`~repro.analysis.sweep.measure` does (the
-property suites assert this).  Traced specs (``trace_dir`` set) form
-stripes of their own, which run each spec through
-:meth:`~repro.analysis.parallel.ScenarioSpec.run` in the worker, so each
-writes the JSONL trace the scalar path writes, at any worker count.  The
+property suites assert this).  A traced spec (``trace_dir`` set) is one
+more case of its stripe's batch, carrying the path of its trace file:
+it runs with the stripe's digest table and an interned signature
+service, so its trace records the work the untraced sweep does.  The
 engine's amortisation counters are on each stripe's
 :class:`~repro.core.batch.BatchResult`; the sweep returns points only.
 """
@@ -28,11 +28,12 @@ from __future__ import annotations
 import pickle
 from dataclasses import dataclass
 from math import ceil
+from pathlib import Path
 from typing import Any, Sequence
 
 from repro.analysis.parallel import ScenarioSpec, default_workers, run_tasks
-from repro.analysis.sweep import SweepPoint
-from repro.core.batch import BatchCase, BatchOutcome, run_batch
+from repro.analysis.sweep import SweepPoint, sweep_points
+from repro.core.batch import BatchCase, run_batch
 from repro.core.protocol import AgreementAlgorithm
 
 #: Below this many specs a group is not worth splitting across workers —
@@ -40,69 +41,42 @@ from repro.core.protocol import AgreementAlgorithm
 MIN_STRIPE = 64
 
 
-def _spec_case(spec: ScenarioSpec) -> BatchCase:
-    """The batch case of one (untraced) scenario spec."""
+def _spec_case(spec: ScenarioSpec, algorithm: AgreementAlgorithm) -> BatchCase:
+    """The batch case of one scenario spec; a traced spec's case names its
+    trace file, whose directory is created here."""
+    trace = None
+    if spec.trace_dir is not None:
+        directory = Path(spec.trace_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        trace = str(directory / spec.trace_file_name(algorithm))
     return BatchCase(
         value=spec.value,
         adversary_name=spec.adversary_name,
         adversary_factory=spec.adversary_factory,
-    )
-
-
-def _point(
-    spec: ScenarioSpec,
-    algorithm: AgreementAlgorithm,
-    message_bound: int | None,
-    outcome: BatchOutcome,
-) -> SweepPoint:
-    """Assemble the SweepPoint exactly as :func:`~repro.analysis.sweep.measure`
-    would; *message_bound* is the algorithm's, evaluated once per stripe."""
-    return SweepPoint(
-        algorithm=algorithm.name,
-        n=algorithm.n,
-        t=algorithm.t,
-        params=spec.params,
-        adversary=spec.adversary_name,
-        value=spec.value,
-        messages=outcome.messages_by_correct,
-        signatures=outcome.signatures_by_correct,
-        phases_used=outcome.phases_used,
-        phases_configured=algorithm.num_phases(),
-        message_bound=message_bound,
-        agreement_ok=outcome.agreement_ok,
+        trace=trace,
     )
 
 
 @dataclass(frozen=True, slots=True)
 class BatchStripe:
-    """One pool task: a slice of same-factory specs, all traced or none.
-
-    An untraced stripe builds one algorithm and runs as a single batch; a
-    traced stripe runs each spec on its own, writing its trace file.
-    """
+    """One pool task: a slice of same-factory specs, run as one batch on
+    one algorithm instance."""
 
     specs: tuple[ScenarioSpec, ...]
 
     def run(self) -> list[SweepPoint]:
-        if self.specs[0].trace_dir is not None:
-            return [spec.run() for spec in self.specs]
         algorithm = self.specs[0].factory()
-        result = run_batch(algorithm, [_spec_case(spec) for spec in self.specs])
-        bound = algorithm.upper_bound_messages()
-        return [
-            _point(spec, algorithm, bound, outcome)
-            for spec, outcome in zip(self.specs, result.outcomes)
-        ]
+        cases = [_spec_case(spec, algorithm) for spec in self.specs]
+        result = run_batch(algorithm, cases)
+        return sweep_points(algorithm, cases, [spec.params for spec in self.specs], result)
 
 
 def _group_key(spec: ScenarioSpec) -> Any:
-    """Arena-sharing key: equal pickled factories share one batch, and
-    traced specs never share a stripe with untraced ones."""
+    """Arena-sharing key: equal pickled factories share one batch."""
     try:
-        factory: Any = pickle.dumps(spec.factory)
+        return pickle.dumps(spec.factory)
     except Exception:
-        factory = ("unpicklable", id(spec.factory))
-    return spec.trace_dir, factory
+        return ("unpicklable", id(spec.factory))
 
 
 def _stripes(indices: Sequence[int], workers: int) -> list[list[int]]:

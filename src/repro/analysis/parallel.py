@@ -8,6 +8,9 @@ factory, stripes each group through the batch engine
 (:mod:`repro.analysis.batchsweep`), fans the stripes out over a
 :class:`~concurrent.futures.ProcessPoolExecutor` and returns the *exact*
 point stream for any worker count, in the grid's deterministic order.
+Traced and untraced scenarios take that one path;
+:meth:`ScenarioSpec.run` (one :func:`~repro.analysis.sweep.measure`
+call) stays as the per-scenario reference the tests compare against.
 
 Requirements for the parallel path (``workers > 1``):
 
@@ -79,22 +82,24 @@ class ScenarioSpec:
     adversary_name: str
     adversary_factory: AdversaryFactory | None
     value: Value
-    #: Opt-in observability: when set, the scenario's run is traced into a
-    #: deterministically named ``repro-trace/1`` JSONL file under this
-    #: directory (a plain string so the spec stays picklable).
+    #: Opt-in observability: when set, the batch stripe that runs this
+    #: scenario traces its run into a deterministically named
+    #: ``repro-trace/1`` JSONL file under this directory (a plain string
+    #: so the spec stays picklable).
     trace_dir: str | None = None
 
-    def trace_file_name(self, algorithm_name: str) -> str:
+    def trace_file_name(self, algorithm: AgreementAlgorithm) -> str:
         """Deterministic, filesystem-safe trace name for this scenario.
 
-        Float params (``eps``, ``coin_bias``) use ``repr`` — Python's
-        shortest round-trip form — so ``0.25`` names the file ``eps0.25``
-        on every platform.  When sanitization is lossy (a param value
-        containing ``/`` or spaces), a short digest of the unsanitized
-        stem is appended: two distinct scenarios can never silently share
-        one trace file.
+        The stem names the algorithm with its ``n`` and ``t``, the sweep
+        params, the adversary and the value.  Float params (``eps``,
+        ``coin_bias``) use ``repr`` — Python's shortest round-trip form —
+        so ``0.25`` names the file ``eps0.25`` on every platform.  When
+        sanitization is lossy (a param value containing ``/`` or spaces),
+        a short digest of the unsanitized stem is appended: two distinct
+        scenarios can never silently share one trace file.
         """
-        parts = [algorithm_name]
+        parts = [algorithm.name, f"n{algorithm.n}", f"t{algorithm.t}"]
         parts.extend(
             f"{key}{value!r}" if isinstance(value, float) else f"{key}{value}"
             for key, value in self.params
@@ -109,34 +114,22 @@ class ScenarioSpec:
         return f"{safe}.jsonl"
 
     def run(self) -> SweepPoint:
-        """Execute the scenario (fresh algorithm instance, fresh run)."""
+        """The scenario's point from :func:`~repro.analysis.sweep.measure`
+        on a fresh algorithm instance: the untraced reference the striped
+        sweep (:mod:`repro.analysis.batchsweep`) is tested against."""
         algorithm = self.factory()
         adversary = (
             self.adversary_factory(algorithm)
             if self.adversary_factory is not None
             else None
         )
-        if self.trace_dir is None:
-            return measure(
-                algorithm,
-                self.value,
-                adversary,
-                adversary_name=self.adversary_name,
-                params=dict(self.params),
-            )
-        from repro.obs import JsonlTraceSink
-
-        directory = Path(self.trace_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        with JsonlTraceSink(directory / self.trace_file_name(algorithm.name)) as sink:
-            return measure(
-                algorithm,
-                self.value,
-                adversary,
-                adversary_name=self.adversary_name,
-                params=dict(self.params),
-                sinks=(sink,),
-            )
+        return measure(
+            algorithm,
+            self.value,
+            adversary,
+            adversary_name=self.adversary_name,
+            params=dict(self.params),
+        )
 
 
 def expand(
@@ -542,11 +535,14 @@ def sweep_parallel(
     in-process.  Same-factory scenarios share one batch-engine arena and
     repeated run classes execute once; workers run whole stripes
     (:mod:`repro.analysis.batchsweep`).  *trace_dir* opts every scenario
-    into a per-run ``repro-trace/1`` JSONL file under that directory
-    (traces are written by the worker that runs the scenario's stripe;
-    names are deterministic, so the file set is identical for any worker
-    count).  The stripes run on :func:`run_tasks` with its default
-    self-healing settings.
+    into a per-run ``repro-trace/1`` JSONL file under that directory,
+    written by the worker that runs the scenario's stripe.  Names are
+    deterministic, so the file set is identical for any worker count.  A
+    traced scenario is one more case of its stripe's batch, so its trace
+    records the work the untraced sweep does; the ``run_end`` digest and
+    canonical-walk counters read the stripe's shared digest table, and
+    so depend on how the grid was striped.  The stripes run on
+    :func:`run_tasks` with its default self-healing settings.
     """
     # Imported here: batchsweep imports this module.
     from repro.analysis.batchsweep import batch_specs

@@ -1,22 +1,24 @@
 """Sweep points: the cost record of one scenario, and the worst case.
 
 The paper's evaluation is a family of worst-case cost claims over
-``(n, t, s, α)``.  :func:`measure` condenses one run into a
-:class:`SweepPoint` (messages / signatures / phases),
-:func:`~repro.analysis.parallel.sweep_parallel` runs whole grids of them,
-and :func:`worst_case` picks the point a bound speaks about.
+``(n, t, s, α)``.  :func:`sweep_points` condenses a finished
+:func:`~repro.core.batch.run_batch` call into :class:`SweepPoint`
+records (messages / signatures / phases); :func:`measure` is a one-case
+batch, :func:`~repro.analysis.parallel.sweep_parallel` runs whole grids
+through the same engine, and :func:`worst_case` picks the point a bound
+speaks about.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.adversary.base import Adversary
-from repro.approx.coins import coins_for
-from repro.approx.validation import declared_costs, judge_run
+from repro.core.batch import BatchCase, BatchResult, run_batch
 from repro.core.protocol import AgreementAlgorithm
-from repro.core.runner import run
+# Unused here; perfbench/tracing.py wraps the runner under this name.
+from repro.core.runner import run  # noqa: F401
 from repro.core.types import Value
 
 
@@ -70,6 +72,34 @@ class SweepPoint:
         return row
 
 
+def sweep_points(
+    algorithm: AgreementAlgorithm,
+    cases: Sequence[BatchCase],
+    params: Sequence[tuple[tuple[str, object], ...]],
+    result: BatchResult,
+) -> list[SweepPoint]:
+    """One :class:`SweepPoint` per case of the finished batch *result*,
+    in case order; *params* holds each case's sweep parameters.  The
+    message bound is the one the batch judged its outcomes against."""
+    return [
+        SweepPoint(
+            algorithm=algorithm.name,
+            n=algorithm.n,
+            t=algorithm.t,
+            params=case_params,
+            adversary=case.adversary_name,
+            value=case.value,
+            messages=outcome.messages_by_correct,
+            signatures=outcome.signatures_by_correct,
+            phases_used=outcome.phases_used,
+            phases_configured=outcome.phases_configured,
+            message_bound=result.declared.messages,
+            agreement_ok=outcome.agreement_ok,
+        )
+        for case, case_params, outcome in zip(cases, params, result.outcomes)
+    ]
+
+
 def measure(
     algorithm: AgreementAlgorithm,
     value: Value,
@@ -77,42 +107,22 @@ def measure(
     *,
     adversary_name: str = "fault-free",
     params: Mapping[str, object] | None = None,
-    record_history: bool = False,
-    sinks: tuple = (),
 ) -> SweepPoint:
-    """Run one scenario and condense it into a :class:`SweepPoint`.
+    """Run one scenario as a one-case :func:`~repro.core.batch.run_batch`
+    and condense it into a :class:`SweepPoint`.
 
-    *sinks* (``repro.obs`` event sinks) are forwarded to the runner so
-    sweeps can opt into per-scenario traces; the default keeps the
-    un-instrumented fast path.  A coin-flipping algorithm runs on the
-    default coin stream (:func:`~repro.approx.coins.coins_for`).
-    ``agreement_ok`` is false when :func:`~repro.approx.validation.judge_run`
-    fails the run: its conditions, or a declared bound.
+    A coin-flipping algorithm runs on the default coin stream
+    (:func:`~repro.approx.coins.coins_for`).  ``agreement_ok`` is false
+    when :func:`~repro.approx.validation.judge_run` fails the run: its
+    conditions, or a declared bound.
     """
-    result = run(
-        algorithm,
-        value,
-        adversary,
-        record_history=record_history,
-        sinks=sinks,
-        coins=coins_for(algorithm),
-    )
-    declared = declared_costs(algorithm)
-    verdict = judge_run(result, algorithm, declared)
-    return SweepPoint(
-        algorithm=algorithm.name,
-        n=algorithm.n,
-        t=algorithm.t,
-        params=tuple(sorted((params or {}).items())),
-        adversary=adversary_name,
+    case = BatchCase(
         value=value,
-        messages=result.metrics.messages_by_correct,
-        signatures=result.metrics.signatures_by_correct,
-        phases_used=result.metrics.last_active_phase,
-        phases_configured=algorithm.num_phases(),
-        message_bound=declared.messages,
-        agreement_ok=not verdict.failed,
+        adversary_name=adversary_name,
+        adversary_factory=None if adversary is None else (lambda _: adversary),
     )
+    result = run_batch(algorithm, [case])
+    return sweep_points(algorithm, [case], [tuple(sorted((params or {}).items()))], result)[0]
 
 
 #: Fields of :class:`SweepPoint` that :func:`worst_case` may maximise.

@@ -13,20 +13,10 @@ from repro.bounds.theorem2 import (
     sensitivity_set,
     theorem2_experiment,
 )
-from repro.bounds.verification import (
-    BoundCheckRecord,
-    check_grid,
-    check_scenario,
-    check_signature_budget,
-)
 
 __all__ = [
-    "BoundCheckRecord",
     "Theorem1Report",
     "Theorem2Report",
-    "check_grid",
-    "check_scenario",
-    "check_signature_budget",
     "empty_view_decision",
     "exchange_sets",
     "formulas",

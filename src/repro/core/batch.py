@@ -30,14 +30,17 @@ and judges every class once, before replicating it, with the one verdict
 predicate (:func:`repro.approx.validation.judge_run`): its family's
 conditions on the processors no injected fault excuses, the fault budget
 ``t``, and the algorithm's declared bounds, which are evaluated once per
-call.  Kernel rows are judged on the counts they carry.  Every sweep and
-the service run through here, so they reach the scalar ``measure()``'s
-verdict.
+call.  Kernel rows are judged on the counts they carry.  Every sweep, the
+service and :func:`~repro.analysis.sweep.measure` (a one-case batch) run
+through here.  A case may carry a trace path: its run then streams a
+``repro-trace/1`` JSONL file, so a trace records exactly the work this
+engine does — the shared table, the per-run interned service and the
+same operation counts.
 
 ``strict=True`` re-executes every unique class through the scalar runner
 and asserts byte-identical decisions, metrics and verdicts — the
 equivalence gate the property suites (``tests/properties``) run across
-the whole registry.
+the whole registry.  That reference re-run writes no trace.
 
 The per-run signature registries stay strictly isolated: sharing issued
 signatures across runs would let a signature issued in one run validate a
@@ -47,6 +50,7 @@ forgery in another.  Only value-pure computations (digests) are shared.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -60,6 +64,7 @@ from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import RunResult, run
 from repro.core.types import ProcessorId, Value
 from repro.crypto.signatures import InternedSignatureService, SharedDigestTable
+from repro.obs.events import JsonlTraceSink
 from repro.transport.faulty import FaultyTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -81,9 +86,11 @@ class BatchCase:
     value, optionally an adversary factory (which disables deduplication
     for that case — adversaries may close over mutable state), optionally
     a :class:`~repro.transport.faults.FaultPlan` routed through a
-    :class:`~repro.transport.faulty.FaultyTransport`, and optionally the
+    :class:`~repro.transport.faulty.FaultyTransport`, optionally the
     seed of a coin-flipping algorithm's coin stream (see
-    :func:`~repro.approx.coins.coins_for`).
+    :func:`~repro.approx.coins.coins_for`), and optionally the path of
+    the ``repro-trace/1`` JSONL file its run writes (a traced case is
+    never deduplicated: its own run writes the file).
     """
 
     value: Value
@@ -91,6 +98,7 @@ class BatchCase:
     adversary_factory: AdversaryFactory | None = None
     fault_plan: "FaultPlan | None" = None
     coin_seed: int | None = None
+    trace: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,10 +197,12 @@ class Counters:
 
 @dataclass(slots=True)
 class BatchResult:
-    """Outcomes (in case order) plus the batch's counters."""
+    """Outcomes (in case order), the batch's counters and the declared
+    bounds every outcome was judged against."""
 
     outcomes: list[BatchOutcome]
     stats: Counters
+    declared: Costs
 
 
 #: A vectorised fault-free executor: ``(algorithm, values)`` → one outcome
@@ -262,12 +272,13 @@ def _class_key(case: BatchCase) -> Any | None:
     """Deduplication key of *case*, or ``None`` when it must not be deduped.
 
     Adversary cases never dedupe (factories may close over state and the
-    adversary itself is stateful).  Fault plans are frozen value objects,
-    and the runner, :class:`~repro.transport.faulty.FaultyTransport` and
-    the coin source are deterministic in their inputs, so ``(value, plan,
-    coin seed)`` fully determines an adversary-free run.
+    adversary itself is stateful), nor do traced cases (each writes its
+    own file).  Fault plans are frozen value objects, and the runner,
+    :class:`~repro.transport.faulty.FaultyTransport` and the coin source
+    are deterministic in their inputs, so ``(value, plan, coin seed)``
+    fully determines an adversary-free run.
     """
-    if case.adversary_factory is not None:
+    if case.adversary_factory is not None or case.trace is not None:
         return None
     try:
         return (intern_key(case.value), case.fault_plan, case.coin_seed)
@@ -331,9 +342,9 @@ def _execute(
 ) -> BatchOutcome:
     """Run one case through the runner and judge it.
 
-    With *table* given, the run's registry shares the batch digest table;
-    with ``None`` the run is a fully independent scalar reference (used by
-    strict mode).
+    With *table* given, the run's registry shares the batch digest table
+    and a traced case streams its trace file; with ``None`` the run is a
+    fully independent, untraced scalar reference (used by strict mode).
     """
     adversary = (
         case.adversary_factory(algorithm)
@@ -341,15 +352,18 @@ def _execute(
         else None
     )
     plan = case.fault_plan
-    result = run(
-        algorithm,
-        case.value,
-        adversary,
-        record_history=False,
-        transport=FaultyTransport(plan) if plan is not None and not plan.is_empty else None,
-        service=InternedSignatureService(table) if table is not None else None,
-        coins=coins_for(algorithm, case.coin_seed),
-    )
+    trace = case.trace if table is not None else None
+    with JsonlTraceSink(trace) if trace is not None else nullcontext() as sink:
+        result = run(
+            algorithm,
+            case.value,
+            adversary,
+            record_history=False,
+            transport=FaultyTransport(plan) if plan is not None and not plan.is_empty else None,
+            sinks=(sink,) if sink is not None else (),
+            service=InternedSignatureService(table) if table is not None else None,
+            coins=coins_for(algorithm, case.coin_seed),
+        )
     metrics = result.metrics
     outcome = BatchOutcome(
         decisions=tuple(sorted(result.decisions.items())),
@@ -420,7 +434,7 @@ def run_batch(
 
     Returns:
         A :class:`BatchResult` with one outcome per case, in case order,
-        and the call's :class:`Counters`.
+        the call's :class:`Counters` and the algorithm's declared bounds.
     """
     algorithm = (
         algorithm_or_factory
@@ -487,7 +501,7 @@ def run_batch(
         digest_hits=table.hits - hits0,
         digest_misses=table.misses - misses0,
     )
-    return BatchResult(outcomes=final, stats=stats)
+    return BatchResult(outcomes=final, stats=stats, declared=declared)
 
 
 def _fill(

@@ -61,7 +61,6 @@ def execute_script(
     value: Value,
     script: AdversaryScript,
     *,
-    record_history: bool = False,
     sinks: tuple = (),
     fault_plan: FaultPlan | None = None,
     coin_seed: int | None = None,
@@ -92,7 +91,7 @@ def execute_script(
             algorithm,
             value,
             script.build(),
-            record_history=record_history,
+            record_history=False,
             sinks=sinks,
             transport=transport,
             coins=coins,

@@ -2,15 +2,19 @@
 
 import json
 import os
+from collections import Counter
 from functools import partial
 
 import pytest
 
 import repro.analysis.batchsweep as batchsweep
+import repro.crypto.signatures as signatures
+from repro.adversary.standard import SilentAdversary
 from repro.algorithms.registry import get
 from repro.analysis.batchsweep import MIN_STRIPE, BatchStripe, _stripes, batch_specs
-from repro.analysis.parallel import ScenarioSpec, expand, run_tasks, sweep_parallel
+from repro.analysis.parallel import expand, run_tasks, sweep_parallel
 from repro.core.protocol import AgreementAlgorithm
+from repro.obs import read_events, summarize_trace
 
 
 def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
@@ -57,6 +61,41 @@ def without_clock_readings(path):
     return lines
 
 
+def without_run_end_telemetry(path):
+    """The trace's events with ``run_end``'s telemetry removed: its cache
+    counters read the stripe's shared digest table."""
+    events = list(read_events(path))
+    for event in events:
+        if event["event"] == "run_end":
+            del event["telemetry"]
+    return events
+
+
+def silent_last_t(algorithm):
+    return SilentAdversary(range(algorithm.n - algorithm.t, algorithm.n))
+
+
+@pytest.fixture
+def crypto_counts(monkeypatch):
+    """Calls of the signing, verifying and digesting primitives."""
+    counts = Counter()
+
+    def count(owner, name, key):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(signatures.SignatureService, "sign", "sign")
+    count(signatures.SignatureService, "verify", "verify")
+    count(signatures.SharedDigestTable, "digest", "table_digest")
+    count(signatures, "payload_digest", "payload_digest")
+    return counts
+
+
 class TestEquality:
     def test_points_equal_scalar_run_specs_in_order(self):
         specs = grid()
@@ -93,26 +132,53 @@ class TestStripe:
         assert total(engine_stats, "replicated_runs") == 1
 
 
-class TestTraceFallback:
-    def test_traced_specs_keep_their_scalar_trace_files(self, tmp_path, engine_stats):
+class TestTracedCases:
+    """A traced spec is one more case of its stripe's batch."""
+
+    def test_traced_specs_run_as_one_batch(self, tmp_path, engine_stats):
         trace_dir = tmp_path / "traces"
         configs = [({"n": 5, "t": 1}, partial(get("dolev-strong").build, 5, 1))]
         specs = expand(configs, values=(0, 1), trace_dir=str(trace_dir))
         assert batch_specs(specs, workers=1) == run_tasks(specs, workers=1)
-        produced = sorted(p.name for p in trace_dir.glob("*.jsonl"))
+        produced = sorted(trace_dir.glob("*.jsonl"))
         assert len(produced) == 2
-        # Traced specs bypass the batch engine entirely.
-        assert engine_stats == []
+        for path in produced:
+            assert summarize_trace(path).consistency_errors() == []
+        # One engine call; traced cases are not deduplicated.
+        assert len(engine_stats) == 1
+        assert total(engine_stats, "scalar_runs") == 2
+
+    def test_traced_sweep_does_the_untraced_work(self, tmp_path, crypto_counts):
+        configs = [
+            ({"n": 5}, partial(get("dolev-strong").build, 5, 1)),
+            ({"n": 9}, partial(get("algorithm-5").build, 9, 1)),
+        ]
+        adversaries = (("fault-free", None), ("silent-last-t", silent_last_t))
+
+        def sweep(**trace):
+            points = sweep_parallel(
+                configs, values=(0, 1), adversaries=adversaries, workers=1, **trace
+            )
+            counts = dict(crypto_counts)
+            crypto_counts.clear()
+            return points, counts
+
+        untraced, untraced_counts = sweep()
+        traced, traced_counts = sweep(trace_dir=str(tmp_path))
+        assert traced == untraced
+        assert traced_counts == untraced_counts
+        assert set(untraced_counts) == {"sign", "verify", "table_digest", "payload_digest"}
+        assert len(list(tmp_path.glob("*.jsonl"))) == len(traced) == 8
 
     def test_traced_grid_runs_on_the_pool(self, tmp_path, monkeypatch):
         parent = os.getpid()
         in_parent = []
-        scalar_run = ScenarioSpec.run
+        stripe_run = BatchStripe.run
 
-        def spy(spec):
+        def spy(stripe):
             if os.getpid() == parent:
-                in_parent.append(spec)
-            return scalar_run(spec)
+                in_parent.append(stripe)
+            return stripe_run(stripe)
 
         configs = [
             ({"n": n}, partial(get("dolev-strong").build, n, 1)) for n in (5, 6, 7)
@@ -121,7 +187,7 @@ class TestTraceFallback:
         serial = batch_specs(
             expand(configs, trace_dir=str(serial_dir)), workers=1
         )
-        monkeypatch.setattr(ScenarioSpec, "run", spy)
+        monkeypatch.setattr(BatchStripe, "run", spy)
         pooled = batch_specs(
             expand(configs, trace_dir=str(pooled_dir)), workers=2
         )
@@ -133,6 +199,26 @@ class TestTraceFallback:
         for name in names:
             assert without_clock_readings(pooled_dir / name) == (
                 without_clock_readings(serial_dir / name)
+            )
+
+    def test_striping_changes_only_run_end_telemetry(self, tmp_path):
+        # One factory group of 80 specs: one stripe at workers=1, two at 2.
+        dolev_strong = partial(get("dolev-strong").build, 5, 1)
+        configs = [({"k": k}, dolev_strong) for k in range(40)]
+        assert len(_stripes(range(80), 2)) == 2
+        points = {}
+        for workers in (1, 2):
+            directory = tmp_path / f"w{workers}"
+            points[workers] = sweep_parallel(
+                configs, values=(0, 1), workers=workers, trace_dir=str(directory)
+            )
+        assert points[2] == points[1]
+        names = sorted(path.name for path in (tmp_path / "w1").glob("*.jsonl"))
+        assert len(names) == 80
+        assert sorted(path.name for path in (tmp_path / "w2").glob("*.jsonl")) == names
+        for name in names:
+            assert without_run_end_telemetry(tmp_path / "w2" / name) == (
+                without_run_end_telemetry(tmp_path / "w1" / name)
             )
 
 
@@ -163,8 +249,8 @@ class TestSweepParallelWiring:
 
     def test_message_bound_is_evaluated_once_per_stripe(self, monkeypatch):
         # Evaluating a declared bound parses and compiles its expression:
-        # run_batch evaluates it once, the stripe once more for its
-        # points, and no point evaluates it again.
+        # run_batch evaluates it once, and the stripe's points read it
+        # from the batch result.
         dolev_strong = get("dolev-strong").build
         expected = dolev_strong(5, 1).upper_bound_messages()
         calls = []
@@ -178,7 +264,7 @@ class TestSweepParallelWiring:
         configs = [({"n": 5}, partial(dolev_strong, 5, 1))]
         points = sweep_parallel(configs, values=(0, 1) * 4, workers=1)
         assert [point.message_bound for point in points] == [expected] * 8
-        assert calls.count(dolev_strong.message_bound) <= 2, calls
+        assert calls.count(dolev_strong.message_bound) == 1, calls
 
     def test_unpicklable_factories_still_work_serially(self):
         configs = [({"n": 5}, lambda: get("dolev-strong").build(5, 1))]

@@ -16,6 +16,7 @@ from repro.adversary.standard import SilentAdversary
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.algorithms.algorithm3 import Algorithm3
 from repro.algorithms.algorithm5 import Algorithm5
+from repro.algorithms.dolev_strong import DolevStrong
 from repro.analysis.parallel import (
     ScenarioSpec,
     default_workers,
@@ -156,6 +157,18 @@ class TestFallbacksAndErrors:
         assert serial_names == parallel_names
         for name in serial_names:
             assert (serial_dir / name).read_bytes() != b""
+
+    @pytest.mark.parametrize(
+        "configs",
+        [
+            [({}, partial(DolevStrong, n, 1)) for n in (5, 6, 7)],
+            [({"n": 7}, partial(DolevStrong, 7, t)) for t in (1, 2)],
+        ],
+        ids=["n-not-in-params", "t-not-in-params"],
+    )
+    def test_distinct_scenarios_get_distinct_trace_files(self, tmp_path, configs):
+        points = sweep_parallel(configs, values=(0, 1), workers=1, trace_dir=str(tmp_path))
+        assert len(list(tmp_path.glob("*.jsonl"))) == len(points) == 2 * len(configs)
 
     def test_fresh_algorithm_per_point(self):
         """Every measurement builds a fresh instance."""

@@ -2,6 +2,7 @@
 
 from functools import partial
 
+import repro.analysis.sweep as sweep
 from repro.adversary.standard import RandomizedAdversary, SilentAdversary
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.algorithms.dolev_strong import DolevStrong
@@ -20,6 +21,22 @@ class TestMeasure:
         assert point.agreement_ok
         assert point.param("n") == 5
         assert point.param("missing", "x") == "x"
+
+    def test_measure_is_a_one_case_batch(self, monkeypatch):
+        calls = []
+        run_batch = sweep.run_batch
+
+        def spy(algorithm, cases, **kwargs):
+            calls.append(list(cases))
+            return run_batch(algorithm, calls[-1], **kwargs)
+
+        monkeypatch.setattr(sweep, "run_batch", spy)
+        adversary = SilentAdversary([1])
+        point = measure(DolevStrong(5, 1), 1, adversary, adversary_name="silent-1")
+        assert [len(cases) for cases in calls] == [1]
+        (case,) = calls[0]
+        assert case.adversary_factory(None) is adversary
+        assert (point.adversary, point.agreement_ok) == ("silent-1", True)
 
     def test_as_row_merges_params(self):
         point = measure(Algorithm1(5, 2), 1, params={"t": 2})

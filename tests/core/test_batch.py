@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import repro.core.batch as batch
 from repro.adversary.standard import RandomizedAdversary
 from repro.algorithms.dolev_strong import DolevStrong
 from repro.algorithms.oral_messages import OralMessages
@@ -25,6 +26,7 @@ from repro.crypto.signatures import (
     SharedDigestTable,
     SignatureService,
 )
+from repro.obs import summarize_trace
 from repro.transport.faults import CrashFault, FaultPlan
 
 
@@ -84,6 +86,29 @@ class TestDeduplication:
     def test_value_domain_is_validated_upfront(self):
         with pytest.raises(ConfigurationError, match="values in"):
             run_batch(get("algorithm-3")(9, 2), [0, 2])
+
+
+class TestTracedCases:
+    def test_strict_mode_writes_one_trace_of_the_engine_run(self, tmp_path, monkeypatch):
+        opened = []
+        sink_class = batch.JsonlTraceSink
+
+        def sink(path):
+            opened.append(path)
+            return sink_class(path)
+
+        monkeypatch.setattr(batch, "JsonlTraceSink", sink)
+        path = tmp_path / "run.jsonl"
+        cases = [BatchCase(value=1, trace=str(path)), BatchCase(value=1)]
+        result = run_batch(PhaseKing(9, 2), cases, strict=True)
+        # The strict re-run of the traced case writes no trace.
+        assert opened == [str(path)]
+        assert list(tmp_path.iterdir()) == [path]
+        assert summarize_trace(path).consistency_errors() == []
+        # A traced case runs on its own, through the runner; its untraced
+        # twin takes the kernel.
+        assert (result.stats.scalar_runs, result.stats.kernel_runs) == (1, 1)
+        assert result.outcomes[0].comparable() == result.outcomes[1].comparable()
 
 
 class TestKernels:
