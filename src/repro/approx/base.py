@@ -36,7 +36,7 @@ from typing import Any, ClassVar, Iterable, Sequence
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
 from repro.core.protocol import AgreementAlgorithm, Processor
-from repro.core.types import TRANSMITTER, ProcessorId, Value
+from repro.core.types import ProcessorId, Value
 
 from repro.approx.coins import CoinSource
 
@@ -79,9 +79,8 @@ class ApproximateAgreement(AgreementAlgorithm):
         *,
         eps: float = 0.25,
         inputs: Sequence[float] | None = None,
-        transmitter: ProcessorId = TRANSMITTER,
     ) -> None:
-        super().__init__(n, t, transmitter=transmitter)
+        super().__init__(n, t)
         if not eps > 0:
             raise ConfigurationError(f"eps must be positive, got {eps!r}")
         self.eps = float(eps)
@@ -244,9 +243,8 @@ class RandomizedConsensus(AgreementAlgorithm):
         coin_bias: float = 0.5,
         coin_scope: str = "local",
         inputs: Sequence[int] | None = None,
-        transmitter: ProcessorId = TRANSMITTER,
     ) -> None:
-        super().__init__(n, t, transmitter=transmitter)
+        super().__init__(n, t)
         if max_rounds < 1:
             raise ConfigurationError(
                 f"max_rounds must be at least 1, got {max_rounds!r}"

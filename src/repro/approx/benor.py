@@ -34,7 +34,7 @@ from repro.approx.base import RandomizedConsensus
 from repro.core.errors import ConfigurationError, ProtocolViolationError
 from repro.core.message import Envelope, Outgoing
 from repro.core.protocol import Processor
-from repro.core.types import TRANSMITTER, ProcessorId, Value
+from repro.core.types import ProcessorId, Value
 
 __all__ = ["Report", "Proposal", "BenOr", "BenOrProcessor"]
 
@@ -71,7 +71,6 @@ class BenOr(RandomizedConsensus):
         coin_bias: float = 0.5,
         coin_scope: str = "local",
         inputs: Sequence[int] | None = None,
-        transmitter: ProcessorId = TRANSMITTER,
     ) -> None:
         if n <= 5 * t:
             raise ConfigurationError(
@@ -84,7 +83,6 @@ class BenOr(RandomizedConsensus):
             coin_bias=coin_bias,
             coin_scope=coin_scope,
             inputs=inputs,
-            transmitter=transmitter,
         )
 
     def num_phases(self) -> int:

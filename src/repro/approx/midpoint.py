@@ -19,7 +19,6 @@ from typing import ClassVar, Sequence
 
 from repro.approx.base import ApproximateAgreement
 from repro.core.errors import ConfigurationError
-from repro.core.types import ProcessorId, TRANSMITTER
 
 __all__ = ["MidpointApprox"]
 
@@ -39,13 +38,12 @@ class MidpointApprox(ApproximateAgreement):
         *,
         eps: float = 0.25,
         inputs: Sequence[float] | None = None,
-        transmitter: ProcessorId = TRANSMITTER,
     ) -> None:
         if n <= 3 * t:
             raise ConfigurationError(
                 f"midpoint ε-agreement needs n > 3t; got n={n}, t={t}"
             )
-        super().__init__(n, t, eps=eps, inputs=inputs, transmitter=transmitter)
+        super().__init__(n, t, eps=eps, inputs=inputs)
 
     def update(self, values: Sequence[float]) -> float:
         survivors = self.trimmed(values)

@@ -19,9 +19,9 @@ own reading, reported through the same
 
 :func:`judge_run` is the one verdict every path reaches (``run_batch``,
 and so sweeps and the service; ``measure()``, and so the adversary probe;
-the bounds harness, the fuzz oracle and ``repro run``): these conditions,
-the fault budget ``t``, then the declared message, signature and phase
-bounds (Theorems 3–7, Lemma 1).
+the fuzz oracle and ``repro run``): these conditions, the fault budget
+``t``, then the declared message, signature and phase bounds (Theorems
+3–7, Lemma 1).
 """
 
 from __future__ import annotations

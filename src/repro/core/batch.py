@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 from repro.adversary.base import Adversary
 from repro.approx.coins import coins_for
 from repro.approx.validation import FAILING, Costs, declared_costs, judge_run
+from repro.core.counters import Counters
 from repro.core.history import History
 from repro.core.message import UninternableError, intern_key
 from repro.core.metrics import MetricsLedger
@@ -145,54 +146,6 @@ class BatchOutcome:
     def comparable(self) -> "BatchOutcome":
         """The outcome with provenance flags cleared, for equality checks."""
         return dataclasses.replace(self, replicated=False, kernel=False)
-
-
-@dataclass(slots=True)
-class Counters:
-    """Work counts of a :func:`run_batch` call, a service stripe or a traffic run.
-
-    One mergeable value: ``a + b`` adds every field, ``Counters()`` is the
-    identity, so stripes sum into a run without naming a field.
-    """
-
-    #: Cases served (one per batch case or service request).
-    runs: int = 0
-    #: Distinct run classes actually executed (kernel or scalar).
-    unique_runs: int = 0
-    #: Outcomes replicated from an already-executed class mate.
-    replicated_runs: int = 0
-    #: Unique classes computed by a vectorised kernel.
-    kernel_runs: int = 0
-    #: Unique classes (plus non-dedupable cases) run through the runner.
-    scalar_runs: int = 0
-    #: Digest-table lookups made by the runs.
-    digest_hits: int = 0
-    digest_misses: int = 0
-    #: Service setup-cache lookups (arena and digest table per configuration).
-    setup_hits: int = 0
-    setup_misses: int = 0
-
-    def __add__(self, other: "Counters") -> "Counters":
-        return Counters(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in dataclasses.fields(Counters)
-            }
-        )
-
-    @property
-    def digest_hit_rate(self) -> float | None:
-        """Fraction of digest lookups served by the table (``None``: unused)."""
-        total = self.digest_hits + self.digest_misses
-        return (self.digest_hits / total) if total else None
-
-    def to_json_dict(self) -> dict[str, Any]:
-        """Flat JSON form: every field plus ``digest_hit_rate``."""
-        rate = self.digest_hit_rate
-        return {
-            **{f.name: getattr(self, f.name) for f in dataclasses.fields(Counters)},
-            "digest_hit_rate": round(rate, 4) if rate is not None else None,
-        }
 
 
 @dataclass(slots=True)
@@ -339,8 +292,8 @@ def _execute(
     declared: Costs,
     case: BatchCase,
     table: SharedDigestTable | None,
-) -> BatchOutcome:
-    """Run one case through the runner and judge it.
+) -> tuple[BatchOutcome, Counters]:
+    """Run one case through the runner; its judged outcome and counters.
 
     With *table* given, the run's registry shares the batch digest table
     and a traced case streams its trace file; with ``None`` the run is a
@@ -377,7 +330,7 @@ def _execute(
         signatures_per_phase=tuple(sorted(metrics.signatures_per_phase.items())),
         fault_events=len(result.fault_events),
     )
-    return _judged(algorithm, declared, result, outcome)
+    return _judged(algorithm, declared, result, outcome), result.counters
 
 
 def _describe_diff(batch: BatchOutcome, scalar: BatchOutcome) -> str:
@@ -396,7 +349,7 @@ def _check_strict(
     algorithm: AgreementAlgorithm, declared: Costs, case: BatchCase, outcome: BatchOutcome
 ) -> None:
     """Assert *outcome* equals an independent scalar-runner execution."""
-    reference = _execute(algorithm, declared, case, table=None)
+    reference, _ = _execute(algorithm, declared, case, table=None)
     # repr-compare on top of ==: the decisions must be *byte*-identical,
     # and Python's 1 == True would otherwise let a kernel that decides
     # True where the runner decides 1 slip through.
@@ -434,7 +387,10 @@ def run_batch(
 
     Returns:
         A :class:`BatchResult` with one outcome per case, in case order,
-        the call's :class:`Counters` and the algorithm's declared bounds.
+        the call's :class:`Counters` (its run-class counts plus the sum of
+        the counters of the runs it executed on *table*; strict mode's
+        reference re-runs are not counted) and the algorithm's declared
+        bounds.
     """
     algorithm = (
         algorithm_or_factory
@@ -448,7 +404,6 @@ def run_batch(
     for case in case_list:
         algorithm.check_value(case.value)
     table = table if table is not None else SharedDigestTable()
-    hits0, misses0 = table.hits, table.misses
     declared = declared_costs(algorithm)
     outcomes: list[BatchOutcome | None] = [None] * len(case_list)
 
@@ -479,10 +434,11 @@ def run_batch(
 
     # Execute and judge each class once, then replicate it to its mates.
     executed = list(zip(kernel_classes, _judged_rows(algorithm, declared, values, rows)))
-    executed += [
-        (indices, _execute(algorithm, declared, case_list[indices[0]], table))
-        for indices in scalar_classes + singletons
-    ]
+    counters = Counters()
+    for indices in scalar_classes + singletons:
+        outcome, run_counters = _execute(algorithm, declared, case_list[indices[0]], table)
+        executed.append((indices, outcome))
+        counters += run_counters
     for indices, outcome in executed:
         if strict:
             _check_strict(algorithm, declared, case_list[indices[0]], outcome)
@@ -492,14 +448,12 @@ def run_batch(
     assert len(final) == len(case_list), "every case must produce an outcome"
     # Every case sits in exactly one executed class, so whatever was not
     # executed was replicated.
-    stats = Counters(
+    stats = counters + Counters(
         runs=len(case_list),
         unique_runs=len(executed),
         replicated_runs=len(case_list) - len(executed),
         kernel_runs=len(kernel_classes),
         scalar_runs=len(executed) - len(kernel_classes),
-        digest_hits=table.hits - hits0,
-        digest_misses=table.misses - misses0,
     )
     return BatchResult(outcomes=final, stats=stats, declared=declared)
 

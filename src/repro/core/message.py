@@ -66,12 +66,6 @@ class UninternableError(TypeError):
 #: Scalar types that are their own canonical form.
 _PRIMITIVES = (bool, int, float, str, bytes)
 
-#: Fast-path accounting for :func:`canonical`: ``fast`` counts tuples that
-#: took the all-primitives shortcut, ``slow`` counts tuples that needed the
-#: per-item recursion.  Monotonic process-wide counters — consumers (the
-#: runner's telemetry) snapshot and diff them around a region of interest.
-CANONICAL_STATS = {"fast": 0, "slow": 0}
-
 # ------------------------------------------------------------ shape table
 #
 # Every walk below dispatches on one per-class table, ``_SHAPES``, from a
@@ -191,18 +185,9 @@ def canonical(payload: Any) -> Any:
     if kind == _TUPLE:
         # Fast path: a tuple of scalars (the dominant payload shape on hot
         # sign/verify paths) is its own canonical form item by item.
-        if not _SCALAR_TYPES.issuperset(map(type, payload)):
-            known = len(_SHAPES)
-            items = tuple(map(canonical, payload))
-            # Only an item type met for the first time just now can have
-            # failed the check above and still be a scalar.
-            if len(_SHAPES) == known or not _SCALAR_TYPES.issuperset(
-                map(type, payload)
-            ):
-                CANONICAL_STATS["slow"] += 1
-                return ("tuple", *items)
-        CANONICAL_STATS["fast"] += 1
-        return ("tuple", *payload)
+        if _SCALAR_TYPES.issuperset(map(type, payload)):
+            return ("tuple", *payload)
+        return ("tuple", *map(canonical, payload))
     if kind == _DATACLASS:
         values = shape[2](payload)
         if _SCALAR_TYPES.issuperset(map(type, values)):

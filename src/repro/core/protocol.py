@@ -177,16 +177,14 @@ class AgreementAlgorithm(abc.ABC):
     #: derivation in the fuzz campaign and the ``--seed`` CLI flag.
     uses_coins: ClassVar[bool] = False
 
-    def __init__(self, n: int, t: int, *, transmitter: ProcessorId = TRANSMITTER) -> None:
+    def __init__(self, n: int, t: int) -> None:
         check_population(n, t)
-        if transmitter != TRANSMITTER:
-            # All algorithm descriptions in the paper index processors from
-            # the transmitter; relabeling is trivial for callers, so the
-            # library standardises on transmitter == 0.
-            raise ConfigurationError("this library fixes the transmitter at id 0")
         self.n = n
         self.t = t
-        self.transmitter = transmitter
+        # All algorithm descriptions in the paper index processors from
+        # the transmitter; relabeling is trivial for callers, so the
+        # library fixes the transmitter at id 0.
+        self.transmitter: ProcessorId = TRANSMITTER
 
     @abc.abstractmethod
     def num_phases(self) -> int:

@@ -14,10 +14,11 @@ The runner also records the complete :class:`~repro.core.history.History`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.adversary.base import Adversary, AdversaryEnvironment, NullAdversary, PhaseView
+from repro.core.counters import Counters
 from repro.core.errors import (
     AdversaryError,
     ConfigurationError,
@@ -25,7 +26,7 @@ from repro.core.errors import (
     ProtocolViolationError,
 )
 from repro.core.history import History
-from repro.core.message import CANONICAL_STATS, Envelope
+from repro.core.message import Envelope
 from repro.core.metrics import MetricsLedger
 from repro.core.protocol import AgreementAlgorithm, Context, Processor
 from repro.core.types import INPUT_SOURCE, ProcessorId, Value
@@ -64,6 +65,10 @@ class RunResult:
     #: The run's signature registry — needed to re-verify recorded payloads
     #: (e.g. by the conformance checker or an external proof auditor).
     service: SignatureService | None = None
+    #: The run's work counts: its signature service's :attr:`counters`
+    #: as the run ended (payload digests, answered from a shared table or
+    #: computed), so later use of :attr:`service` does not change them.
+    counters: Counters = field(default_factory=Counters)
     #: Timing profile, recorded only when the run was instrumented (any
     #: sink attached or ``collect_telemetry=True``); ``None`` on the
     #: un-instrumented fast path.
@@ -75,10 +80,6 @@ class RunResult:
     #: or ``None`` for deterministic algorithms.  Replay layers rebuild
     #: the identical coin stream from this.
     coin_seed: int | None = None
-
-    def decision_of(self, pid: ProcessorId) -> Value:
-        """Decision of correct processor *pid*."""
-        return self.decisions[pid]
 
     def decided_values(self) -> set[Value]:
         """The set of distinct values decided by correct processors."""
@@ -168,7 +169,8 @@ def run(
             The batch engine injects per-run
             :class:`~repro.crypto.signatures.InternedSignatureService`
             instances so digest computations are shared across a batch
-            while the issued-signature sets stay strictly per-run.
+            while the issued-signature sets stay strictly per-run.  The
+            service's counters are the run's :attr:`RunResult.counters`.
         coins: seeded :class:`~repro.approx.coins.CoinSource` for
             randomized algorithms; exposed to every correct processor as
             ``Context.coins`` and recorded as
@@ -238,14 +240,9 @@ def run(
     telemetry: RunTelemetry | None = None
     clk = clock if clock is not None else SYSTEM_CLOCK
     run_wall_started = run_cpu_started = 0.0
-    digest_hits_0 = digest_misses_0 = canonical_fast_0 = canonical_slow_0 = 0
     if sinks or collect_telemetry:
         telemetry = RunTelemetry()
         run_wall_started, run_cpu_started = clk.wall(), clk.cpu()
-        digest_hits_0 = service.digest_memo_hits
-        digest_misses_0 = service.digest_memo_misses
-        canonical_fast_0 = CANONICAL_STATS["fast"]
-        canonical_slow_0 = CANONICAL_STATS["slow"]
 
     metrics = MetricsLedger(phases_configured=algorithm.num_phases())
     history = History.with_input(algorithm.transmitter, input_value)
@@ -414,10 +411,6 @@ def run(
     if telemetry is not None:
         telemetry.wall_s = clk.wall() - run_wall_started
         telemetry.cpu_s = clk.cpu() - run_cpu_started
-        telemetry.digest_memo_hits = service.digest_memo_hits - digest_hits_0
-        telemetry.digest_memo_misses = service.digest_memo_misses - digest_misses_0
-        telemetry.canonical_fast_hits = CANONICAL_STATS["fast"] - canonical_fast_0
-        telemetry.canonical_slow_hits = CANONICAL_STATS["slow"] - canonical_slow_0
     if sinks:
         for pid in sorted(correct):
             _emit(
@@ -436,6 +429,7 @@ def run(
                 "signatures_per_phase": {
                     str(p): c for p, c in sorted(metrics.signatures_per_phase.items())
                 },
+                "counters": service.counters.to_json_dict(),
                 "telemetry": telemetry.to_json_dict() if telemetry is not None else None,
             },
             telemetry,
@@ -453,6 +447,7 @@ def run(
         history=history,
         processors=processors,
         service=service,
+        counters=replace(service.counters),
         telemetry=telemetry,
         fault_events=tuple(fault_events),
         coin_seed=coins.seed if coins is not None else None,

@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.counters import Counters
 from repro.core.errors import ForgeryError
 from repro.core.message import UninternableError, intern_key, payload_digest
 from repro.core.types import ProcessorId
@@ -74,10 +75,9 @@ class SignatureService:
 
     One instance exists per run.  It records every ``(signer, digest)`` pair
     produced through a legitimate :meth:`sign` call; :meth:`verify` simply
-    checks membership.  The number of legitimate signing operations is
-    tracked for diagnostics (this differs from the paper's *signatures sent*
-    metric, which counts signature occurrences inside sent messages — see
-    :mod:`repro.core.metrics`).
+    checks membership.  Its :attr:`counters` count the run's payload
+    digests (the runner reports them as the run's
+    :attr:`~repro.core.runner.RunResult.counters`).
     """
 
     #: Whether the chain-verdict hooks can ever answer ``True`` — lets
@@ -89,13 +89,10 @@ class SignatureService:
         self._issued: set[tuple[ProcessorId, str]] = set()
         self._keys: dict[ProcessorId, SigningKey] = {}
         self._sealed = False
-        self._sign_operations = 0
-        #: Digest accounting: a *hit* was answered from the batch service's
-        #: shared value-keyed table; a *miss* paid the full
-        #: canonical-walk-plus-hash computation.  This service has no table,
-        #: so every digest is a miss.
-        self.digest_memo_hits = 0
-        self.digest_memo_misses = 0
+        #: Digest accounting: a hit was answered from the batch service's
+        #: shared value-keyed table; a miss paid the canonical walk plus
+        #: hash.  This service has no table, so every digest is a miss.
+        self.counters = Counters()
 
     # ------------------------------------------------------------------ keys
 
@@ -137,7 +134,7 @@ class SignatureService:
         Never keyed on the object: a list signed, then appended to, must
         digest differently, or its contents would change undetectably.
         """
-        self.digest_memo_misses += 1
+        self.counters.digest_misses += 1
         return payload_digest(payload)
 
     # --------------------------------------------------- chain verdict hooks
@@ -177,7 +174,6 @@ class SignatureService:
             )
         digest = self._digest(payload)
         self._issued.add((key.pid, digest))
-        self._sign_operations += 1
         return Signature(signer=key.pid, digest=digest)
 
     def endorse(self, key: SigningKey, digest: str) -> Signature:
@@ -197,7 +193,6 @@ class SignatureService:
                 f"key for processor {key.pid} was not issued by this service"
             )
         self._issued.add((key.pid, digest))
-        self._sign_operations += 1
         return Signature(signer=key.pid, digest=digest)
 
     def forge(self, signer: ProcessorId, payload: Any) -> Signature:
@@ -216,11 +211,6 @@ class SignatureService:
         if self._digest(payload) != signature.digest:
             return False
         return (signature.signer, signature.digest) in self._issued
-
-    @property
-    def sign_operations(self) -> int:
-        """Number of legitimate signing operations performed so far."""
-        return self._sign_operations
 
     @classmethod
     def fresh_registries(cls, count: int) -> tuple["SignatureService", ...]:
@@ -259,42 +249,36 @@ class SharedDigestTable:
     share one digest computation across every run of a batch.  The digest
     is a pure function of the payload's value, which is what makes
     cross-run sharing sound (unlike signature registries, which are
-    strictly per-run).
+    strictly per-run).  The table keeps no totals: each lookup counts
+    into the caller's :class:`~repro.core.counters.Counters`.
     """
 
     #: Entry-count backstop: a full table is cleared, not grown.
     _MAX_ENTRIES = 1 << 18
 
-    __slots__ = ("_digests", "hits", "misses")
+    __slots__ = ("_digests",)
 
     def __init__(self) -> None:
         self._digests: dict[Any, str] = {}
-        self.hits = 0
-        self.misses = 0
 
-    def digest(self, payload: Any) -> str:
-        """Digest *payload*, answering from the table when possible."""
+    def digest(self, payload: Any, counters: Counters) -> str:
+        """Digest *payload*, answering from the table when possible, and
+        count the lookup as a hit or a miss into *counters*."""
         try:
             key = intern_key(payload)
         except UninternableError:
-            self.misses += 1
+            counters.digest_misses += 1
             return payload_digest(payload)
         hit = self._digests.get(key)
         if hit is not None:
-            self.hits += 1
+            counters.digest_hits += 1
             return hit
-        self.misses += 1
+        counters.digest_misses += 1
         digest = payload_digest(payload)
         if len(self._digests) >= self._MAX_ENTRIES:
             self._digests.clear()
         self._digests[key] = digest
         return digest
-
-    @property
-    def hit_rate(self) -> float | None:
-        """Fraction of lookups answered from the table (``None`` if unused)."""
-        total = self.hits + self.misses
-        return (self.hits / total) if total else None
 
 
 class InternedSignatureService(SignatureService):
@@ -324,13 +308,7 @@ class InternedSignatureService(SignatureService):
         self._verified_chains: dict[int, Any] = {}
 
     def _digest(self, payload: Any) -> str:
-        before = self._table.hits
-        digest = self._table.digest(payload)
-        if self._table.hits > before:
-            self.digest_memo_hits += 1
-        else:
-            self.digest_memo_misses += 1
-        return digest
+        return self._table.digest(payload, self.counters)
 
     def chain_verified(self, chain: Any) -> bool:
         """True iff this chain object already verified in *this* run."""

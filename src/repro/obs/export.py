@@ -17,8 +17,8 @@ The service layer exports through the same two paths:
 :func:`prometheus_service_metrics` renders a finished traffic run's
 :class:`~repro.service.stats.ServiceStats` (request counters, the
 agreements/sec product metric, latency summary families with
-p50/p95/p99 quantile labels, and the run's
-:class:`~repro.core.batch.Counters`: dedup and cache counters), and
+p50/p95/p99 quantile labels, and its summed
+:class:`~repro.core.counters.Counters`), and
 :func:`service_bench_json` produces a ``repro-bench/1`` document whose
 ``service:*`` case carries ``agreements_per_sec`` — the field
 ``scripts/bench_compare.py --min-service-rate`` gates on.
@@ -26,6 +26,11 @@ p50/p95/p99 quantile labels, and the run's
 behind ``repro loadgen --metrics-out``.  Per-phase wall time is a
 run-level family only (``repro_phase_wall_seconds``): the service
 never re-runs a request to time it.
+
+Both expositions render their :class:`~repro.core.counters.Counters`
+through one function, :func:`_counters_family`: one ``repro_counters_total``
+family with one line per field, labelled ``counter=<field name>`` — the
+names ``repro loadgen --json`` and ``repro inspect`` use.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # break the cycle: core.runner imports repro.obs.*
+    from repro.core.counters import Counters
     from repro.core.runner import RunResult
     from repro.service.stats import LatencySummary, ServiceStats
 
@@ -69,13 +75,20 @@ def _header(out: list[str], name: str, kind: str, help_text: str) -> None:
     out.append(f"# TYPE {PROMETHEUS_PREFIX}_{name} {kind}")
 
 
+def _counters_family(out: list[str], counters: "Counters") -> None:
+    """Emit *counters* as the ``counters_total`` family, one line per field."""
+    _header(out, "counters_total", "counter", "Work counts, by counter name")
+    for name, value in counters.counts().items():
+        out.append(_line("counters_total", value, counter=name))
+
+
 def prometheus_metrics(result: RunResult) -> str:
     """Render *result* as Prometheus text exposition (trailing newline).
 
     Counters cover the ledger (messages/signatures split by sender class,
-    per phase, per processor); gauges cover the phase counts and — when the
-    run was instrumented — the wall/CPU timings of
-    :class:`~repro.obs.telemetry.RunTelemetry`.
+    per phase, per processor) and the run's work counts; gauges cover the
+    phase counts and — when the run was instrumented — the wall/CPU
+    timings of :class:`~repro.obs.telemetry.RunTelemetry`.
     """
     metrics = result.metrics
     out: list[str] = []
@@ -151,6 +164,7 @@ def prometheus_metrics(result: RunResult) -> str:
     out.append(_line("last_active_phase", metrics.last_active_phase))
     _header(out, "phases_configured", "gauge", "Phases the algorithm declared")
     out.append(_line("phases_configured", metrics.phases_configured))
+    _counters_family(out, result.counters)
 
     telemetry = result.telemetry
     if telemetry is not None:
@@ -228,8 +242,9 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
 
     Families: request counters by outcome and by algorithm, the
     agreements/sec / requests/sec / messages/sec gauges, one summary per
-    latency stage (``e2e`` / ``queue`` / ``service``), and the
-    amortisation counters (run dedup, digest table, setup cache).
+    latency stage (``e2e`` / ``queue`` / ``service``), and the summed
+    :class:`~repro.core.counters.Counters` (run dedup, digest table,
+    setup cache).
     """
     out: list[str] = []
     _header(out, "service_requests_total", "counter", "Requests served, by verdict")
@@ -298,35 +313,7 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
     ):
         if summary is not None:
             _summary_lines(out, "service_latency_seconds", summary, stage=stage)
-    _header(
-        out,
-        "service_runs_total",
-        "counter",
-        "Run executions by amortisation kind (dedup accounting)",
-    )
-    for kind, value in (
-        ("unique", stats.unique_runs),
-        ("replicated", stats.replicated_runs),
-        ("kernel", stats.kernel_runs),
-        ("scalar", stats.scalar_runs),
-    ):
-        out.append(_line("service_runs_total", value, kind=kind))
-    _header(
-        out,
-        "service_digest_lookups_total",
-        "counter",
-        "Shared digest table lookups across all stripes",
-    )
-    out.append(_line("service_digest_lookups_total", stats.digest_hits, result="hit"))
-    out.append(_line("service_digest_lookups_total", stats.digest_misses, result="miss"))
-    _header(
-        out,
-        "service_setup_cache_total",
-        "counter",
-        "Arena/key-registry setup cache lookups across all stripes",
-    )
-    out.append(_line("service_setup_cache_total", stats.setup_hits, result="hit"))
-    out.append(_line("service_setup_cache_total", stats.setup_misses, result="miss"))
+    _counters_family(out, stats)
     return "\n".join(out) + "\n"
 
 

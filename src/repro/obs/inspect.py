@@ -12,7 +12,9 @@ The summary also reports *adaptive cost*: how much traffic the run cost
 against the number of processors that were **actually** faulty (``f``),
 not the tolerance ``t`` it was configured for — the per-actual-fault view
 of Cohen–Keidar–Spiegelman (2022), which a totals-only ledger cannot
-express after the fact.
+express after the fact.  ``f`` counts the adversary-corrupted processors
+and the ones an injected fault touched, as
+:func:`repro.approx.validation.judge_run` does.
 """
 
 from __future__ import annotations
@@ -60,14 +62,18 @@ class TraceSummary:
     recorded_ledger: dict[str, Any] | None = None
     recorded_messages_per_phase: dict[int, int] | None = None
     recorded_signatures_per_phase: dict[int, int] | None = None
+    #: The run's :class:`~repro.core.counters.Counters` as ``run_end``
+    #: recorded them (``None`` for a trace written before they were).
+    counters: dict[str, Any] | None = None
     telemetry: dict[str, Any] | None = None
 
     # ---------------------------------------------------------------- derived
 
     @property
     def actual_faults(self) -> int:
-        """``f``: how many processors were actually corrupted (``<= t``)."""
-        return len(self.faulty)
+        """``f``: the processors that were faulty or that an injected fault
+        touched — ``judge_run``'s count, which may exceed ``t``."""
+        return len(set(self.faulty).union(self.fault_excused()))
 
     @property
     def total_messages(self) -> int:
@@ -175,6 +181,7 @@ class TraceSummary:
             "fault_excused": self.fault_excused(),
             "adaptive_cost": self.adaptive_cost(),
             "consistency_errors": self.consistency_errors(),
+            "counters": self.counters,
             "telemetry": self.telemetry,
         }
 
@@ -257,6 +264,8 @@ def summarize_trace(path: str | Path) -> TraceSummary:
                         target,
                         {int(k): int(v) for k, v in recorded.items()},
                     )
+            counters = event.get("counters")
+            summary.counters = counters if isinstance(counters, dict) else None
             telemetry = event.get("telemetry")
             summary.telemetry = telemetry if isinstance(telemetry, dict) else None
     if summary is None:
@@ -271,8 +280,8 @@ def render_summary(summary: TraceSummary) -> str:
         f"{'' if summary.complete else ', INCOMPLETE'})",
         f"run       : {summary.algorithm} n={summary.n} t={summary.t} "
         f"transmitter={summary.transmitter} input={summary.input_value!r}",
-        f"faulty    : {summary.faulty or 'none'} "
-        f"(f={summary.actual_faults} of t={summary.t} tolerated)",
+        f"faulty    : {summary.faulty or 'none'} (f={summary.actual_faults}, "
+        f"{'within' if summary.actual_faults <= summary.t else 'over'} t={summary.t})",
     ]
     out.append("phase  messages  signatures")
     for phase in range(1, summary.phases_configured + 1):
@@ -315,15 +324,9 @@ def render_summary(summary: TraceSummary) -> str:
             f"cpu {summary.telemetry.get('cpu_s')}s over "
             f"{len(summary.telemetry.get('per_phase', []))} phases"
         )
-        if "digest_memo_hits" in summary.telemetry:
-            out.append(
-                f"caches    : digest memo "
-                f"{summary.telemetry.get('digest_memo_hits')} hit / "
-                f"{summary.telemetry.get('digest_memo_misses')} miss, "
-                f"canonical fast path "
-                f"{summary.telemetry.get('canonical_fast_hits')} fast / "
-                f"{summary.telemetry.get('canonical_slow_hits')} slow"
-            )
+    if summary.counters is not None:
+        nonzero = [f"{name} {value}" for name, value in summary.counters.items() if value]
+        out.append(f"counters  : {', '.join(nonzero) or 'all zero'}")
     errors = summary.consistency_errors()
     if errors:
         out.append("consistency: FAILED")

@@ -94,15 +94,6 @@ class RunTelemetry:
     handler_wall_s: dict[int, float] = field(default_factory=dict)
     handler_calls: dict[int, int] = field(default_factory=dict)
     events_emitted: int = 0
-    #: Signature-digest accounting for this run (hits answered from the
-    #: batch engine's shared digest table, misses that paid the
-    #: canonical-walk-plus-hash computation).
-    digest_memo_hits: int = 0
-    digest_memo_misses: int = 0
-    #: :func:`~repro.core.message.canonical` tuple accounting for this run:
-    #: ``fast`` took the all-primitives shortcut, ``slow`` recursed.
-    canonical_fast_hits: int = 0
-    canonical_slow_hits: int = 0
 
     def add_handler_time(self, pid: int, seconds: float) -> None:
         """Account one ``on_phase`` call of processor *pid*."""
@@ -124,8 +115,4 @@ class RunTelemetry:
                 for pid, calls in sorted(self.handler_calls.items())
             },
             "events_emitted": self.events_emitted,
-            "digest_memo_hits": self.digest_memo_hits,
-            "digest_memo_misses": self.digest_memo_misses,
-            "canonical_fast_hits": self.canonical_fast_hits,
-            "canonical_slow_hits": self.canonical_slow_hits,
         }

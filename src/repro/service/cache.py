@@ -21,8 +21,9 @@ dicts, and sharing them across processes would cost more in pickling
 than it saves in hashing.  A scheduler's workers live as long as the
 scheduler, so every cache — theirs, and the serving process's own, which
 serves one-stripe waves — lasts the whole traffic run, and each process
-misses a configuration at most once.  ``repro loadgen``'s hit and miss
-counters sum over all of them.
+misses a configuration at most once.  Each lookup counts into the
+stripe's :class:`~repro.core.counters.Counters`, so ``repro loadgen``'s
+hit and miss counters sum over all of them.
 
 :func:`build_arena` is the one place an arena is built: ``repro serve``
 and ``repro loadgen`` call it once per configuration while parsing, so a
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.algorithms.registry import get
+from repro.core.counters import Counters
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import AgreementAlgorithm
 from repro.crypto.signatures import SharedDigestTable
@@ -69,22 +71,23 @@ class _Entry:
 
 
 class SetupCache:
-    """Memoized ``config_key -> (arena, digest table)`` with hit counters."""
+    """Memoized ``config_key -> (arena, digest table)``."""
 
     def __init__(self) -> None:
         self._entries: dict[ConfigKey, _Entry] = {}
-        self.hits = 0
-        self.misses = 0
 
-    def setup(self, key: ConfigKey) -> tuple[AgreementAlgorithm, SharedDigestTable]:
-        """The arena and digest table for *key*, building both on first use."""
+    def setup(
+        self, key: ConfigKey, counters: Counters
+    ) -> tuple[AgreementAlgorithm, SharedDigestTable]:
+        """The arena and digest table for *key*, building both on first
+        use; the lookup counts as a setup hit or miss into *counters*."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            counters.setup_misses += 1
             entry = _Entry(algorithm=build_arena(key), table=SharedDigestTable())
             self._entries[key] = entry
         else:
-            self.hits += 1
+            counters.setup_hits += 1
         return entry.algorithm, entry.table
 
     def __len__(self) -> int:

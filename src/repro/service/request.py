@@ -163,9 +163,7 @@ class RequestOutcome:
     scheduler dispatches arrivals in waves, so ``start_s`` is the wave's
     dispatch time and ``finish_s`` the wave's harvest time — every
     percentile derived from them measures what a client would observe,
-    including time spent queued behind an in-flight wave.  ``stripe_s``
-    is the in-worker execution cost of the request's stripe amortised
-    over its requests (the number the sizing formula uses).
+    including time spent queued behind an in-flight wave.
     """
 
     request_id: int
@@ -183,7 +181,6 @@ class RequestOutcome:
     arrival_s: float = 0.0
     start_s: float = 0.0
     finish_s: float = 0.0
-    stripe_s: float = 0.0
     fault_events: int = 0
     excused: tuple[int, ...] = ()
 

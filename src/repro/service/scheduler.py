@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.analysis.parallel import WorkerPool, default_workers, run_tasks
-from repro.core.batch import BatchCase, BatchOutcome, Counters, run_batch
+from repro.core.batch import BatchCase, BatchOutcome, run_batch
+from repro.core.counters import Counters
 # Unused here; perfbench/tracing.py wraps the runner under this name.
 from repro.core.runner import run as run_algorithm  # noqa: F401
 from repro.core.types import Value
@@ -57,8 +58,7 @@ class StripeResult:
 
     #: One outcome per case, in case order; the scheduler stamps the times.
     outcomes: list[RequestOutcome]
-    wall_s: float
-    #: The batch's counters plus this stripe's setup-cache lookups.
+    #: The batch's counters plus this stripe's setup-cache lookup.
     counters: Counters
 
 
@@ -88,12 +88,10 @@ class ServiceStripe:
 
     def run(self) -> StripeResult:
         """Execute every case as one batch on the worker's cached arena."""
-        started = time.perf_counter()
-        cache = worker_cache()
-        hits0, misses0 = cache.hits, cache.misses
-        algorithm, table = cache.setup((self.algorithm, self.n, self.t, self.params))
-        setup = Counters(setup_hits=cache.hits - hits0, setup_misses=cache.misses - misses0)
-
+        setup = Counters()
+        algorithm, table = worker_cache().setup(
+            (self.algorithm, self.n, self.t, self.params), setup
+        )
         batch = run_batch(
             algorithm,
             [
@@ -121,11 +119,7 @@ class ServiceStripe:
             )
             for (_, request_id, *_), outcome in zip(self.cases, batch.outcomes)
         ]
-        return StripeResult(
-            outcomes=outcomes,
-            wall_s=time.perf_counter() - started,
-            counters=batch.stats + setup,
-        )
+        return StripeResult(outcomes=outcomes, counters=batch.stats + setup)
 
 
 @dataclass(slots=True)
@@ -157,7 +151,7 @@ class Scheduler:
     without either shuts them down when it is collected.
 
     Every runner execution serves a request, and the report's counters
-    are the sum of its stripes' :class:`~repro.core.batch.Counters`.
+    are the sum of its stripes' :class:`~repro.core.counters.Counters`.
     Per-phase wall time is not sampled here; it is measured on a run
     itself (``repro run --metrics-out``, JSONL traces).
 
@@ -262,17 +256,11 @@ class Scheduler:
             harvest_s = clock() - start
             waves += 1
             for stripe, stripe_result in zip(stripes, stripe_results):
-                per_request = (
-                    stripe_result.wall_s / len(stripe_result.outcomes)
-                    if stripe_result.outcomes
-                    else 0.0
-                )
                 for case, outcome in zip(stripe.cases, stripe_result.outcomes):
                     index = case[0]
                     outcome.arrival_s = submissions[index].arrival_s
                     outcome.start_s = dispatch_s
                     outcome.finish_s = harvest_s
-                    outcome.stripe_s = per_request
                     outcomes[index] = outcome
                 counters += stripe_result.counters
         wall_s = clock() - start

@@ -6,7 +6,7 @@ to the engine metric messages/sec.  Latency is summarised per *stage*
 (end-to-end, queue wait, in-service) as nearest-rank percentiles:
 p50/p95/p99 over the measured samples, no interpolation, so a reported
 number is always one that actually occurred.  The work counts are the
-stripes' summed :class:`~repro.core.batch.Counters`, which
+stripes' summed :class:`~repro.core.counters.Counters`, which
 :class:`ServiceStats` extends.  Everything here is arithmetic over
 finished :class:`~repro.service.request.RequestOutcome` records — no
 clocks, no I/O — which is what makes the unit tests exact.
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.approx.validation import BENIGN
-from repro.core.batch import Counters
+from repro.core.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.service.request import RequestOutcome
@@ -92,7 +92,7 @@ class LatencySummary:
 class ServiceStats(Counters):
     """Everything a capacity planner reads off one finished traffic run.
 
-    The inherited :class:`~repro.core.batch.Counters` fields are the sum
+    The inherited :class:`~repro.core.counters.Counters` fields are the sum
     over every stripe of the run.
     """
 

@@ -1,7 +1,7 @@
-"""FaultyTransport: a fault-injecting decorator over any base transport.
+"""FaultyTransport: a fault-injecting decorator over the lockstep network.
 
-Wraps a base :class:`~repro.transport.base.Transport` (the perfect
-lockstep network by default) and applies a seeded
+Wraps the perfect :class:`~repro.transport.base.LockstepTransport` and
+applies a seeded
 :class:`~repro.transport.faults.FaultPlan` to every phase's traffic:
 crash-stop processors (with optional recovery), send/receive omissions,
 per-link drops, k-phase delays, duplicates, and network partitions.
@@ -15,7 +15,7 @@ input is an adversary strategy, not a network fault.
 
 With an empty plan the decorator is behaviourally transparent: the
 equivalence tests pin that traces and metrics are byte-identical to the
-undecorated base transport.
+undecorated lockstep transport.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.transport.faults import FAULT_SCHEMA, FaultPlan, unit_coin
 
 
 class FaultyTransport:
-    """Applies a :class:`FaultPlan` around a base transport's routing.
+    """Applies a :class:`FaultPlan` around the lockstep network's routing.
 
     Per-run state (delayed envelopes, recorded events) is reset by
     :meth:`begin_run`, so one instance can be reused across sequential
@@ -37,9 +37,9 @@ class FaultyTransport:
     campaign wants.
     """
 
-    def __init__(self, plan: FaultPlan, base: Transport | None = None) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.base: Transport = base if base is not None else LockstepTransport()
+        self.base: Transport = LockstepTransport()
         self._delayed: dict[int, list[Envelope]] = {}
         self._events: list[dict[str, Any]] = []
 

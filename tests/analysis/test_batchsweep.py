@@ -62,12 +62,13 @@ def without_clock_readings(path):
 
 
 def without_run_end_telemetry(path):
-    """The trace's events with ``run_end``'s telemetry removed: its cache
+    """The trace's events with ``run_end``'s telemetry and counters
+    removed: the clock readings differ run to run, and the digest
     counters read the stripe's shared digest table."""
     events = list(read_events(path))
     for event in events:
         if event["event"] == "run_end":
-            del event["telemetry"]
+            del event["telemetry"], event["counters"]
     return events
 
 

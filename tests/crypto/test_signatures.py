@@ -27,12 +27,6 @@ class TestSigning:
     def test_same_key_returned_per_processor(self, service):
         assert service.key_for(1) is service.key_for(1)
 
-    def test_sign_operations_counted(self, service):
-        key = service.key_for(0)
-        service.sign(key, "x")
-        service.sign(key, "y")
-        assert service.sign_operations == 2
-
 
 class TestUnforgeability:
     def test_hand_built_key_rejected(self, service):

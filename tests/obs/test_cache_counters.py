@@ -1,75 +1,102 @@
-"""Cache-counter telemetry: digest memo and canonical fast-path accounting.
+"""Per-run work counters: every digest a run makes lands in its ``Counters``.
 
-Telemetry runs report how much signature-digest work was answered from the
-batch engine's shared digest table versus computed fresh, and how often
-``canonical()`` took the all-primitives shortcut.  ``repro inspect``
-renders both pairs on a ``caches`` line.
+A run's signature service counts each payload digest — answered from the
+batch engine's shared digest table (a hit) or computed (a miss) — into
+its own :class:`~repro.core.counters.Counters`.  ``run()`` returns that
+value as ``RunResult.counters``, the trace's ``run_end`` event records
+it, and ``repro inspect`` renders it on a ``counters`` line.  Tracing a
+run does not change it.
 """
+
+import json
+
+import pytest
 
 from repro.algorithms.registry import get
 from repro.core.runner import run
-from repro.crypto.signatures import InternedSignatureService, SharedDigestTable
-from repro.obs import JsonlTraceSink, TickClock, summarize_trace
+from repro.crypto.signatures import InternedSignatureService, SharedDigestTable, Signature
+from repro.obs import JsonlTraceSink, ListSink, TickClock, summarize_trace
 from repro.obs.inspect import render_summary
 
 
 class TestTelemetryCounters:
     def test_authenticated_run_populates_digest_counters(self):
-        result = run(get("dolev-strong")(5, 2), 1, collect_telemetry=True)
-        telemetry = result.telemetry
-        assert telemetry is not None
-        # The base service has no digest table: every chain link pays
-        # one digest, counted as a miss.
-        assert telemetry.digest_memo_misses > 0
-        assert telemetry.digest_memo_hits == 0
-        assert telemetry.canonical_fast_hits + telemetry.canonical_slow_hits > 0
+        counters = run(get("dolev-strong")(5, 2), 1).counters
+        # The base service has no digest table: every digest is a miss.
+        assert counters.digest_misses > 0
+        assert counters.digest_hits == 0
 
     def test_interned_service_turns_repeat_digests_into_hits(self):
         # The batch engine's service interns payloads by value, so
         # re-verifying equal chain bodies is answered from the table.
         service = InternedSignatureService(SharedDigestTable())
-        result = run(
-            get("dolev-strong")(5, 2), 1,
-            collect_telemetry=True, service=service,
-        )
-        assert result.telemetry is not None
-        assert result.telemetry.digest_memo_hits > 0
+        result = run(get("dolev-strong")(5, 2), 1, service=service)
+        assert result.counters == service.counters
+        assert result.counters.digest_hits > 0
 
     def test_counters_are_per_run_deltas(self):
-        # Two identical runs see identical counters: the second run must
+        # Two identical runs see identical counters: the second run does
         # not inherit the first run's totals.
-        first = run(get("algorithm-3")(9, 2), 1, collect_telemetry=True)
-        second = run(get("algorithm-3")(9, 2), 1, collect_telemetry=True)
-        assert first.telemetry is not None and second.telemetry is not None
-        assert second.telemetry.digest_memo_hits == first.telemetry.digest_memo_hits
-        assert (
-            second.telemetry.digest_memo_misses
-            == first.telemetry.digest_memo_misses
-        )
-        assert (
-            second.telemetry.canonical_fast_hits
-            == first.telemetry.canonical_fast_hits
-        )
+        first = run(get("algorithm-3")(9, 2), 1)
+        second = run(get("algorithm-3")(9, 2), 1)
+        assert first.counters.digest_misses > 0
+        assert second.counters == first.counters
+        # Digests made through the run's service after the run are not
+        # the run's.
+        first.service.verify(Signature(0, "?"), ("after", "the", "run"))
+        assert first.counters == second.counters
 
-    def test_counters_survive_the_json_round_trip(self):
-        result = run(get("dolev-strong")(5, 1), 0, collect_telemetry=True)
-        assert result.telemetry is not None
-        document = result.telemetry.to_json_dict()
-        assert document["digest_memo_hits"] == result.telemetry.digest_memo_hits
-        assert document["digest_memo_misses"] == result.telemetry.digest_memo_misses
-        assert document["canonical_fast_hits"] == result.telemetry.canonical_fast_hits
-        assert document["canonical_slow_hits"] == result.telemetry.canonical_slow_hits
+    def test_counters_survive_the_json_round_trip(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceSink(path) as sink:
+            result = run(get("dolev-strong")(5, 1), 0, sinks=(sink,), clock=TickClock())
+        summary = summarize_trace(path)
+        assert summary.counters == result.counters.to_json_dict()
+        assert summary.to_json_dict()["counters"] == summary.counters
+
+    def test_plain_run_digest_count_is_exact(self):
+        assert run(get("dolev-strong")(6, 2), 1).counters.digest_misses == 51
+
+
+class TestNoObserverEffect:
+    @pytest.mark.parametrize(
+        "name,n,t", [("oral-messages", 7, 2), ("dolev-strong", 6, 2), ("algorithm-3", 20, 2)]
+    )
+    def test_traced_run_counts_what_the_untraced_run_counts(self, name, n, t):
+        untraced = run(get(name)(n, t), 1)
+        sink = ListSink()
+        traced = run(get(name)(n, t), 1, sinks=(sink,))
+        (run_end,) = sink.of_kind("run_end")
+        assert run_end["counters"] == untraced.counters.to_json_dict()
+        assert traced.counters == untraced.counters
 
 
 class TestInspectRendering:
-    def test_inspect_renders_the_caches_line(self, tmp_path):
+    def test_inspect_renders_the_counters_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with JsonlTraceSink(path) as sink:
+            result = run(get("dolev-strong")(5, 1), 1, sinks=(sink,), clock=TickClock())
+        rendered = render_summary(summarize_trace(path))
+        counter_lines = [
+            line for line in rendered.splitlines() if line.startswith("counters")
+        ]
+        # Zero counters are left out; the plain service only misses.
+        assert counter_lines == [
+            f"counters  : digest_misses {result.counters.digest_misses}"
+        ]
+
+    def test_trace_without_counters_still_inspects(self, tmp_path):
+        # A trace written before run_end carried counters has no such key.
         path = tmp_path / "trace.jsonl"
         with JsonlTraceSink(path) as sink:
             run(get("dolev-strong")(5, 1), 1, sinks=(sink,), clock=TickClock())
-        rendered = render_summary(summarize_trace(path))
-        cache_lines = [
-            line for line in rendered.splitlines() if line.startswith("caches")
-        ]
-        assert len(cache_lines) == 1
-        assert "digest memo" in cache_lines[0]
-        assert "canonical fast path" in cache_lines[0]
+        events = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        del events[-1]["counters"]
+        path.write_text(
+            "".join(json.dumps(event) + "\n" for event in events), encoding="utf-8"
+        )
+        summary = summarize_trace(path)
+        assert summary.counters is None
+        assert summary.consistency_errors() == []
+        rendered = render_summary(summary).splitlines()
+        assert not [line for line in rendered if line.startswith("counters")]

@@ -90,11 +90,11 @@ class TestGoldenRenderings:
             ("repro_service_requests_total", "counter"),
             ("repro_service_agreements_per_second", "gauge"),
             ("repro_service_latency_seconds", "summary"),
-            ("repro_service_runs_total", "counter"),
-            ("repro_service_digest_lookups_total", "counter"),
-            ("repro_service_setup_cache_total", "counter"),
+            ("repro_counters_total", "counter"),
         ]:
             assert f"# TYPE {family} {kind}" in text
+        assert 'repro_counters_total{counter="unique_runs"} 2' in text
+        assert 'repro_counters_total{counter="setup_misses"} 1' in text
 
     def test_summary_quantiles_and_count_sum(self):
         text = golden_service_metrics()

@@ -9,7 +9,6 @@ frozen and slotted dataclasses, ``Enum`` and ``IntEnum`` members, and
 
 import copy
 import dataclasses
-from collections import Counter
 from enum import Enum, IntEnum
 from typing import Any
 
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.core.message import (
     _PRIMITIVES,
-    CANONICAL_STATS,
     CanonicalisationError,
     Envelope,
     UninternableError,
@@ -122,38 +120,33 @@ class TestCanonicalProperties:
         assert canonical(members) == canonical(shuffled)
 
 
-def _canonical_reference(payload, stats=None):
+def _canonical_reference(payload):
     """``canonical()`` with no shortcuts: always recurses per item.
 
     The production function dispatches on a per-class table and
     short-circuits tuples of primitives (the hot sign/verify shape); this
     reference spells out the plain ``isinstance`` walk so the properties
-    below can assert the optimisations are behaviourally invisible.  When
-    *stats* is given it counts, like ``CANONICAL_STATS``, the tuples whose
-    items are all primitives (``fast``) and the rest (``slow``).
+    below can assert the optimisations are behaviourally invisible.
     """
     if payload is None or isinstance(payload, _PRIMITIVES):
         return payload
     if isinstance(payload, Enum):
         return ("enum", type(payload).__qualname__, payload.name)
     if isinstance(payload, tuple):
-        if stats is not None:
-            fast = all(i is None or isinstance(i, _PRIMITIVES) for i in payload)
-            stats["fast" if fast else "slow"] += 1
-        return ("tuple", *(_canonical_reference(item, stats) for item in payload))
+        return ("tuple", *(_canonical_reference(item) for item in payload))
     if isinstance(payload, list):
-        return ("list", *(_canonical_reference(item, stats) for item in payload))
+        return ("list", *(_canonical_reference(item) for item in payload))
     if isinstance(payload, (frozenset, set)):
-        return ("set", *sorted(repr(_canonical_reference(i, stats)) for i in payload))
+        return ("set", *sorted(repr(_canonical_reference(i)) for i in payload))
     if isinstance(payload, dict):
         items = sorted(
-            (repr(_canonical_reference(k, stats)), _canonical_reference(v, stats))
+            (repr(_canonical_reference(k)), _canonical_reference(v))
             for k, v in payload.items()
         )
         return ("dict", *items)
     if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
         fields = tuple(
-            _canonical_reference(getattr(payload, f.name), stats)
+            _canonical_reference(getattr(payload, f.name))
             for f in dataclasses.fields(payload)
         )
         return ("dc", type(payload).__qualname__, *fields)
@@ -228,16 +221,6 @@ class TestFastPathEquivalence:
 
 class TestShapeTable:
     """Every walk on the shape table agrees with its reference walk."""
-
-    @given(payloads)
-    @settings(max_examples=120)
-    def test_canonical_stats_move_as_the_reference_predicts(self, payload):
-        predicted: Counter[str] = Counter()
-        expected = _canonical_reference(payload, predicted)
-        before = dict(CANONICAL_STATS)
-        assert canonical(payload) == expected
-        moved = {key: CANONICAL_STATS[key] - before[key] for key in before}
-        assert moved == {"fast": predicted["fast"], "slow": predicted["slow"]}
 
     @given(payloads)
     @settings(max_examples=120)

@@ -6,9 +6,14 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.algorithm1 import Algorithm1
+from repro.algorithms.registry import get
+from repro.approx.validation import declared_costs, judge_run
 from repro.cli import main, parse_adversary
+from repro.core.runner import run
 from repro.obs.export import service_bench_json
 from repro.service.stats import ServiceStats
+from repro.transport.faulty import FaultyTransport
+from repro.transport.spec import parse_fault_plan
 
 
 class TestParseAdversary:
@@ -301,6 +306,26 @@ class TestRunObservability:
         document = json.loads(capsys.readouterr().out)
         assert document["schema"] == "repro-trace/1"
         assert document["consistency_errors"] == []
+
+    def test_inspect_counts_f_as_judge_run_does(self, capsys, tmp_path):
+        # Three crashed processors and no adversary: f = 3 > t = 2 in both
+        # the verdict (benign, over budget) and the trace summary.
+        trace = tmp_path / "t.jsonl"
+        faults = "crash:1@1; crash:2@1; crash:3@1"
+        assert main(
+            ["run", "--algorithm", "oral-messages", "--n", "7", "--t", "2",
+             "--faults", faults, "--trace-out", str(trace)]
+        ) == 0
+        assert "benign — fault budget exceeded" in capsys.readouterr().out
+        assert main(["inspect", str(trace), "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["adaptive_cost"]["actual_faults"] == 3
+
+        algorithm = get("oral-messages")(7, 2)
+        plan = parse_fault_plan(faults, n=7, t=2, num_phases=algorithm.num_phases())
+        result = run(algorithm, 1, transport=FaultyTransport(plan))
+        verdict = judge_run(result, algorithm, declared_costs(algorithm))
+        assert len(result.faulty | verdict.excused) == 3
 
     def test_inspect_missing_file_is_an_error(self, capsys):
         assert main(["inspect", "/no/such/trace.jsonl"]) == 2
