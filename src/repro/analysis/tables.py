@@ -9,6 +9,17 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 
+def _cell(row: Mapping[str, object], col: str) -> str:
+    """Format one value for its column: ``-`` for ``None``, two decimals
+    for a float, ``str`` otherwise."""
+    value = row.get(col)
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.2f}"
+    return str(value)
+
+
 def format_table(
     rows: Sequence[Mapping[str, object]],
     columns: Sequence[str] | None = None,
@@ -24,16 +35,7 @@ def format_table(
         return f"{title}\n(no rows)" if title else "(no rows)"
     cols = list(columns) if columns is not None else list(rows[0].keys())
 
-    def cell(row: Mapping[str, object], col: str) -> str:
-        """Format one value for its column."""
-        value = row.get(col)
-        if value is None:
-            return "-"
-        if isinstance(value, float):
-            return f"{value:.2f}"
-        return str(value)
-
-    rendered = [[cell(row, col) for col in cols] for row in rows]
+    rendered = [[_cell(row, col) for col in cols] for row in rows]
     widths = [
         max(len(col), *(len(r[i]) for r in rendered)) for i, col in enumerate(cols)
     ]
@@ -55,19 +57,10 @@ def format_markdown_table(
         return "(no rows)"
     cols = list(columns) if columns is not None else list(rows[0].keys())
 
-    def cell(row: Mapping[str, object], col: str) -> str:
-        """Format one value for its column."""
-        value = row.get(col)
-        if value is None:
-            return "-"
-        if isinstance(value, float):
-            return f"{value:.2f}"
-        return str(value)
-
     lines = [
         "| " + " | ".join(cols) + " |",
         "|" + "|".join("---" for _ in cols) + "|",
     ]
     for row in rows:
-        lines.append("| " + " | ".join(cell(row, c) for c in cols) + " |")
+        lines.append("| " + " | ".join(_cell(row, c) for c in cols) + " |")
     return "\n".join(lines)

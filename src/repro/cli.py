@@ -42,19 +42,21 @@ from repro.analysis.tables import format_table
 from repro.approx.coins import coins_for
 from repro.bounds.theorem1 import theorem1_experiment
 from repro.bounds.theorem2 import theorem2_experiment
+from repro.core.errors import ConfigurationError
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import run as run_algorithm
+
+
+class UsageError(SystemExit):
+    """Bad command-line input: :func:`main` prints it as one line on
+    stderr and exits 2."""
 
 
 def _parse_pids(spec: str) -> list[int]:
     return [int(p) for p in spec.split(",") if p]
 
 
-def parse_adversary(spec: str | None, algorithm: AgreementAlgorithm) -> Adversary | None:
-    """Build an adversary from a CLI spec string (see module docstring)."""
-    if not spec or spec == "none":
-        return None
-    kind, _, rest = spec.partition(":")
+def _adversary(kind: str, rest: str, algorithm: AgreementAlgorithm) -> Adversary:
     if kind == "silent":
         return SilentAdversary(_parse_pids(rest))
     if kind == "crash":
@@ -73,11 +75,35 @@ def parse_adversary(spec: str | None, algorithm: AgreementAlgorithm) -> Adversar
     if kind == "random":
         seed, _, pids = rest.partition(":")
         return RandomizedAdversary(_parse_pids(pids), int(seed))
-    raise SystemExit(f"unknown adversary spec {spec!r}")
+    raise ValueError(
+        f"unknown kind {kind!r}; kinds: silent, crash, equivocate, garbage, random"
+    )
+
+
+def parse_adversary(spec: str | None, algorithm: AgreementAlgorithm) -> Adversary | None:
+    """Build an adversary from a CLI spec string (see module docstring).
+
+    Raises :class:`UsageError` on a malformed spec, and on one that
+    corrupts more than ``t`` processors or names a pid outside the system.
+    """
+    if not spec or spec == "none":
+        return None
+    kind, _, rest = spec.partition(":")
+    try:
+        adversary = _adversary(kind, rest, algorithm)
+    except ValueError as error:
+        raise UsageError(f"bad adversary spec {spec!r}: {error}") from None
+    n, t = algorithm.n, algorithm.t
+    faulty = sorted(adversary.faulty)
+    if len(faulty) > t or any(not 0 <= pid < n for pid in faulty):
+        raise UsageError(
+            f"adversary spec {spec!r} corrupts {faulty}, but n={n}, t={t} "
+            f"allows at most {t} of pids 0..{n - 1}"
+        )
+    return adversary
 
 
 def _build(args: argparse.Namespace) -> AgreementAlgorithm:
-    info = get(args.algorithm)
     params = {}
     if args.s is not None:
         params["s"] = args.s
@@ -85,7 +111,10 @@ def _build(args: argparse.Namespace) -> AgreementAlgorithm:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    return info(args.n, args.t, **params)
+    try:
+        return get(args.algorithm)(args.n, args.t, **params)
+    except (KeyError, ValueError, TypeError, ConfigurationError) as error:
+        raise UsageError(error.args[0]) from None
 
 
 def _coins_for(args: argparse.Namespace, algorithm: AgreementAlgorithm):
@@ -135,8 +164,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 num_phases=algorithm.num_phases(),
             )
         except FaultSpecError as error:
-            print(f"repro run: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(str(error)) from None
         if not plan.is_empty:
             transport = FaultyTransport(plan)
 
@@ -202,8 +230,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     try:
         summary = summarize_trace(args.trace)
     except (OSError, ValueError) as error:
-        print(f"repro inspect: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(str(error)) from None
     if args.json:
         print(json.dumps(summary.to_json_dict(), indent=2, sort_keys=True))
     else:
@@ -335,25 +362,19 @@ def cmd_lint(args: argparse.Namespace) -> int:
     if args.explain:
         explanation = explain_rule(args.explain)
         if explanation is None:
-            print(f"repro lint: unknown rule {args.explain!r}", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown rule {args.explain!r}")
         print(explanation)
         return 0
     paths = args.paths or [str(Path(repro.__file__).parent)]
     missing = [p for p in paths if not Path(p).exists()]
     if missing:
         # A typo'd path must not look like a clean bill of health.
-        print(f"repro lint: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no such path: {', '.join(missing)}")
     report = lint_paths(paths)
 
     if args.write_baseline:
         if not args.baseline:
-            print(
-                "repro lint: --write-baseline requires --baseline FILE",
-                file=sys.stderr,
-            )
-            return 2
+            raise UsageError("--write-baseline requires --baseline FILE")
         target = Path(args.baseline)
         previous = load_baseline(target) if target.exists() else []
         count = write_baseline(report, target, previous)
@@ -368,8 +389,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         try:
             entries = load_baseline(Path(args.baseline))
         except BaselineError as error:
-            print(f"repro lint: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(str(error)) from None
         diff = apply_baseline(report, entries)
         baselined, stale = diff.matched, diff.stale
         exit_code = diff.exit_code
@@ -758,7 +778,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import json
     import math
 
-    from repro.core.errors import ConfigurationError
     from repro.service import AgreementRequest, RequestFormatError, ScheduledRequest
     from repro.service.cache import build_arena
 
@@ -820,29 +839,23 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         shrink_result,
         summarize,
     )
-    from repro.fuzz.campaign import (
-        default_algorithm_names,
-        known_algorithm_names,
-        plan_chaos_cases,
-    )
+    from repro.fuzz.campaign import default_algorithm_names, known_algorithm_names
 
     if args.replay:
         try:
             entry = load_entry(args.replay)
         except OSError as error:
-            print(f"repro fuzz: cannot read corpus file: {error}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot read corpus file: {error}") from None
         except (ValueError, KeyError, TypeError) as error:
-            print(f"repro fuzz: corrupt corpus file {args.replay!r}: {error}",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"corrupt corpus file {args.replay!r}: {error}") from None
         outcome = replay_entry(entry)
-        print(f"algorithm : {entry.algorithm} (n={entry.n}, t={entry.t}, "
-              f"params={entry.params or '{}'})")
-        print(f"value     : {entry.value}")
-        print(f"script    : {entry.script.describe()}")
-        if entry.fault_plan is not None and not entry.fault_plan.is_empty:
-            print(f"faults    : {entry.fault_plan.describe()}")
+        case = entry.case
+        print(f"algorithm : {case.algorithm} (n={case.n}, t={case.t}, "
+              f"params={dict(case.params)})")
+        print(f"value     : {case.value}")
+        print(f"script    : {case.script.describe()}")
+        if case.fault_plan is not None and not case.fault_plan.is_empty:
+            print(f"faults    : {case.fault_plan.describe()}")
         print(f"recorded  : {entry.verdict} — {entry.detail or '(no detail)'}")
         print(f"replayed  : {outcome.verdict} — {outcome.detail or '(no detail)'}")
         reproduced = outcome.verdict == entry.verdict
@@ -854,21 +867,17 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     else:
         known = known_algorithm_names()
         if args.algorithm not in known:
-            print(f"repro fuzz: unknown algorithm {args.algorithm!r}; "
-                  f"known: {', '.join(known)} (or 'all')", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown algorithm {args.algorithm!r}; "
+                             f"known: {', '.join(known)} (or 'all')")
         names = [args.algorithm]
 
-    if args.fault_rate is not None:
-        if not 0.0 < args.fault_rate <= 1.0:
-            print(f"repro fuzz: --fault-rate must be in (0, 1], "
-                  f"got {args.fault_rate}", file=sys.stderr)
-            return 2
-        cases = plan_chaos_cases(
-            names, budget=args.budget, seed=args.seed, fault_rate=args.fault_rate
-        )
-    else:
-        cases = plan_cases(names, budget=args.budget, seed=args.seed)
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
+    if args.fault_rate is not None and not 0.0 < args.fault_rate <= 1.0:
+        raise UsageError(f"--fault-rate must be in (0, 1], got {args.fault_rate}")
+    cases = plan_cases(
+        names, budget=args.budget, seed=args.seed, fault_rate=args.fault_rate
+    )
     results = run_tasks(
         cases,
         workers=args.workers,
@@ -894,26 +903,17 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     for result in failures:
         case = result.case
-        script = result.minimal_script
         print(f"\n[{result.outcome.verdict}] {case.algorithm} "
               f"(n={case.n}, t={case.t}) value={case.value} seed={case.seed}")
         print(f"  detail : {result.outcome.detail or '(none)'}")
-        print(f"  script : {script.describe()}")
+        print(f"  script : {case.script.describe()}")
         if case.fault_plan is not None and not case.fault_plan.is_empty:
             print(f"  faults : {case.fault_plan.describe()}")
         if args.save_corpus:
             entry = CorpusEntry(
-                algorithm=case.algorithm,
-                n=case.n,
-                t=case.t,
-                value=case.value,
-                seed=case.seed,
+                case=case,
                 verdict=result.outcome.verdict,
                 detail=result.outcome.detail,
-                script=script,
-                params=dict(case.params),
-                fault_plan=case.fault_plan,
-                coin_seed=case.coin_seed,
             )
             path = save_entry(args.save_corpus, entry)
             print(f"  saved  : {path}")
@@ -1276,7 +1276,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,14 +6,17 @@ traffic, Theorem 2's ``B`` set plays deaf.  This package mechanises that
 search: a seeded generator composes small *mutation primitives* (drop,
 equivocate, garble, replay, forge-attempt, selective silence) into
 picklable :class:`~repro.fuzz.script.AdversaryScript` values, an oracle
-classifies each finished run (safety violated / declared bound exceeded /
-crash), and a shrinker minimises failing scripts into replayable JSON
-counterexamples persisted under ``tests/fuzz_corpus/``.
+runs each as a one-case :func:`~repro.core.batch.run_batch` and
+classifies it (safety violated / declared bound exceeded / crash), and a
+shrinker minimises failing scripts into replayable JSON counterexamples
+persisted under ``tests/fuzz_corpus/``.
 
 Entry points: the ``repro fuzz`` CLI subcommand, or
-:func:`~repro.fuzz.campaign.plan_cases` (Byzantine scripts) and
-:func:`~repro.fuzz.campaign.plan_chaos_cases` (benign fault plans), whose
-cases run in order on :func:`repro.analysis.parallel.run_tasks`.
+:func:`~repro.fuzz.campaign.plan_cases` (Byzantine scripts, or benign
+fault plans with ``fault_rate=``), whose cases run in order on
+:func:`repro.analysis.parallel.run_tasks`.  The campaign, the shrinker
+and a corpus replay all run a :class:`~repro.fuzz.campaign.FuzzCase`
+through :meth:`~repro.fuzz.campaign.FuzzCase.execute`.
 """
 
 from repro.approx.validation import BOUND, OK, SAFETY
@@ -45,7 +48,7 @@ from repro.fuzz.mutations import (
     ReplayStale,
     SelectiveSilence,
 )
-from repro.fuzz.oracle import CRASH, FuzzOutcome, classify_run, execute_script
+from repro.fuzz.oracle import CRASH, FuzzOutcome, execute_script
 from repro.fuzz.script import AdversaryScript, ScriptAdversary
 from repro.fuzz.shrinker import shrink_script
 
@@ -63,7 +66,6 @@ __all__ = [
     "ReplayStale",
     "generate_script",
     "FuzzOutcome",
-    "classify_run",
     "execute_script",
     "OK",
     "SAFETY",

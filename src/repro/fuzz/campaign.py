@@ -1,8 +1,9 @@
 """Fuzz campaigns: per-algorithm budgets, parallel execution, shrinking.
 
-A campaign is a deterministic function of ``(algorithms, budget, seed)``:
-per-case seeds are derived by hashing, scripts are generated up front, and
-the cases fan out over the same process pool the parameter sweeps use
+A campaign is a deterministic function of ``(algorithms, budget, seed,
+fault rate)``: per-case seeds are derived by hashing, scripts and fault
+plans are generated up front, and the cases fan out over the same
+process pool the parameter sweeps use
 (:func:`repro.analysis.parallel.run_tasks`), which preserves submission
 order — so the summary is identical for any worker count, and running the
 same campaign twice produces the same bytes.
@@ -88,33 +89,34 @@ class FuzzCase:
     def build_algorithm(self) -> AgreementAlgorithm:
         return get(self.algorithm)(self.n, self.t, **dict(self.params))
 
-    def run(self) -> "FuzzResult":
-        """Execute the case (worker-pool entry point)."""
-        outcome = execute_script(
+    def execute(self, trace: str | None = None) -> FuzzOutcome:
+        """The oracle's verdict on this case: :func:`execute_script` on a
+        fresh algorithm, writing a ``repro-trace/1`` file to *trace* if given."""
+        return execute_script(
             self.build_algorithm(),
             self.value,
             self.script,
             fault_plan=self.fault_plan,
             coin_seed=self.coin_seed,
+            trace=trace,
         )
-        return FuzzResult(case=self, outcome=outcome)
+
+    def run(self) -> "FuzzResult":
+        """Execute the case (worker-pool entry point)."""
+        return FuzzResult(case=self, outcome=self.execute())
 
 
 @dataclass(frozen=True)
 class FuzzResult:
-    """A case plus its oracle verdict (and, later, its shrunk script)."""
+    """A case plus its oracle verdict (after :func:`shrink_result`, the
+    case carries the shrunk script)."""
 
     case: FuzzCase
     outcome: FuzzOutcome
-    shrunk: AdversaryScript | None = None
 
     @property
     def failed(self) -> bool:
         return self.outcome.failed
-
-    @property
-    def minimal_script(self) -> AdversaryScript:
-        return self.shrunk if self.shrunk is not None else self.case.script
 
 
 def plan_cases(
@@ -122,15 +124,23 @@ def plan_cases(
     *,
     budget: int,
     seed: int,
+    fault_rate: float | None = None,
     values: Sequence[Value] = CAMPAIGN_VALUES,
     configs: Mapping[str, tuple[int, int, dict[str, object]]] | None = None,
 ) -> list[FuzzCase]:
     """Generate the full deterministic case list for a campaign.
 
     *budget* is per algorithm; case ``i`` fuzzes value ``values[i % len]``
-    under the script of :func:`derive_seed`'s per-case seed, so the list is
-    a pure function of the arguments.  Coin-flipping algorithms get a
-    second derived seed (lane ``"<name>/coin"``) for their coin stream.
+    under :func:`derive_seed`'s per-case seed, so the list is a pure
+    function of the arguments.  Coin-flipping algorithms get a second
+    derived seed (lane ``"<name>/coin"``) for their coin stream.
+
+    Without *fault_rate*, each case runs the seed's generated Byzantine
+    script.  With it, a chaos campaign: each case runs an *empty* script
+    (no Byzantine coalition) under the seed's
+    :func:`~repro.transport.faults.random_plan` of benign delivery faults
+    at that rate, whose fault-carrying processors stay within ``t`` — so
+    a ``safety`` verdict is a genuine finding, not fault-budget noise.
     """
     configs = dict(configs) if configs is not None else FUZZ_CONFIGS
     cases: list[FuzzCase] = []
@@ -146,14 +156,21 @@ def plan_cases(
         domain = sorted(algorithm.value_domain or {0, 1}, key=repr)
         for index in range(budget):
             case_seed = derive_seed(seed, name, index)
-            script = generate_script(
-                case_seed,
-                n=n,
-                t=t,
-                num_phases=num_phases,
-                transmitter=algorithm.transmitter,
-                value_domain=domain,
-            )
+            if fault_rate is None:
+                plan = None
+                script = generate_script(
+                    case_seed,
+                    n=n,
+                    t=t,
+                    num_phases=num_phases,
+                    transmitter=algorithm.transmitter,
+                    value_domain=domain,
+                )
+            else:
+                plan = random_plan(
+                    case_seed, n=n, t=t, num_phases=num_phases, rate=fault_rate
+                )
+                script = AdversaryScript(faulty=())
             cases.append(
                 FuzzCase(
                     algorithm=name,
@@ -162,65 +179,6 @@ def plan_cases(
                     value=values[index % len(values)],
                     seed=case_seed,
                     script=script,
-                    params=tuple(sorted(params.items())),
-                    coin_seed=(
-                        derive_seed(seed, name + "/coin", index)
-                        if algorithm.uses_coins
-                        else None
-                    ),
-                )
-            )
-    return cases
-
-
-def plan_chaos_cases(
-    algorithms: Iterable[str],
-    *,
-    budget: int,
-    seed: int,
-    fault_rate: float,
-    values: Sequence[Value] = CAMPAIGN_VALUES,
-    configs: Mapping[str, tuple[int, int, dict[str, object]]] | None = None,
-) -> list[FuzzCase]:
-    """Chaos campaign: benign delivery faults instead of Byzantine scripts.
-
-    Each case runs the algorithm with an *empty* adversary script (no
-    Byzantine coalition) under a seeded
-    :func:`~repro.transport.faults.random_plan` of crash/omission faults
-    whose fault-carrying processors stay within the tolerance ``t`` — so
-    the crash-tolerant oracle reading applies and any ``safety`` verdict
-    is a genuine finding, not fault-budget noise.  Deterministic in
-    ``(algorithms, budget, seed, fault_rate)`` exactly like
-    :func:`plan_cases`.
-    """
-    configs = dict(configs) if configs is not None else FUZZ_CONFIGS
-    cases: list[FuzzCase] = []
-    for name in algorithms:
-        if name not in configs:
-            raise KeyError(
-                f"no fuzz configuration for algorithm {name!r}; "
-                f"known: {sorted(configs)}"
-            )
-        n, t, params = configs[name]
-        algorithm = get(name)(n, t, **params)
-        num_phases = algorithm.num_phases()
-        for index in range(budget):
-            case_seed = derive_seed(seed, name, index)
-            plan = random_plan(
-                case_seed,
-                n=n,
-                t=t,
-                num_phases=num_phases,
-                rate=fault_rate,
-            )
-            cases.append(
-                FuzzCase(
-                    algorithm=name,
-                    n=n,
-                    t=t,
-                    value=values[index % len(values)],
-                    seed=case_seed,
-                    script=AdversaryScript(faulty=()),
                     params=tuple(sorted(params.items())),
                     fault_plan=plan,
                     coin_seed=(
@@ -234,7 +192,8 @@ def plan_chaos_cases(
 
 
 def shrink_result(result: FuzzResult, *, max_attempts: int = 200) -> FuzzResult:
-    """Minimise a failing result's script (no-op for passing results).
+    """Minimise a failing result's script (no-op for passing results);
+    the outcome stays the one the original script produced.
 
     A candidate reproduces when it yields the *same verdict class* as the
     original failure — shrinking never trades a safety violation for a
@@ -242,33 +201,25 @@ def shrink_result(result: FuzzResult, *, max_attempts: int = 200) -> FuzzResult:
     """
     if not result.failed:
         return result
-    algorithm = result.case.build_algorithm()
-    target = result.outcome.verdict
-    value = result.case.value
+    case = result.case
 
     def reproduce(candidate: AdversaryScript) -> bool:
-        """Re-run one failure and check the verdict reproduces.
+        """Re-run the case with *candidate* and check the verdict reproduces.
 
         The case's fault plan and coin seed (if any) are held fixed:
         shrinking minimises the Byzantine script *under the same injected
         network faults and the same coin stream*.
         """
-        probe = execute_script(
-            result.case.build_algorithm(),
-            value,
-            candidate,
-            fault_plan=result.case.fault_plan,
-            coin_seed=result.case.coin_seed,
-        )
-        return probe.verdict == target
+        probe = replace(case, script=candidate).execute()
+        return probe.verdict == result.outcome.verdict
 
     shrunk = shrink_script(
-        result.case.script,
+        case.script,
         reproduce,
-        num_phases=algorithm.num_phases(),
+        num_phases=case.build_algorithm().num_phases(),
         max_attempts=max_attempts,
     )
-    return replace(result, shrunk=shrunk)
+    return replace(result, case=replace(case, script=shrunk))
 
 
 @dataclass

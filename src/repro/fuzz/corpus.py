@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.fuzz.campaign import FuzzCase
+from repro.fuzz.oracle import FuzzOutcome
 from repro.fuzz.script import AdversaryScript
 from repro.transport.faults import FaultPlan
 
@@ -29,48 +31,35 @@ CORPUS_SCHEMA = "repro-fuzz/1"
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One persisted counterexample."""
+    """One persisted counterexample: the case it replays (its script
+    shrunk) and the verdict it was recorded with."""
 
-    algorithm: str
-    n: int
-    t: int
-    value: Any
-    seed: int
+    case: FuzzCase
     verdict: str
     detail: str
-    script: AdversaryScript
-    #: Tuning parameters; ints (``s``, ``max_rounds``) stay ints and
-    #: floats (``eps``, ``coin_bias``) stay floats across the JSON
-    #: round-trip — both re-feed the algorithm constructor verbatim.
-    params: dict[str, int | float] = field(default_factory=dict)
-    #: Injected delivery faults the counterexample needs (chaos campaigns);
-    #: ``None`` for classic Byzantine-script findings, and omitted from the
-    #: JSON so pre-fault corpus files round-trip unchanged.
-    fault_plan: FaultPlan | None = None
-    #: Coin-stream seed for ``uses_coins`` algorithms; ``None`` for the
-    #: deterministic zoo, and omitted from the JSON in that case so
-    #: pre-coin corpus files round-trip unchanged.
-    coin_seed: int | None = None
 
     # ------------------------------------------------------------------ JSON
 
     def to_json_dict(self) -> dict[str, Any]:
+        case = self.case
         data = {
             "schema": CORPUS_SCHEMA,
-            "algorithm": self.algorithm,
-            "n": self.n,
-            "t": self.t,
-            "params": dict(self.params),
-            "value": self.value,
-            "seed": self.seed,
+            "algorithm": case.algorithm,
+            "n": case.n,
+            "t": case.t,
+            "params": dict(case.params),
+            "value": case.value,
+            "seed": case.seed,
             "verdict": self.verdict,
             "detail": self.detail,
-            "script": self.script.to_json_dict(),
+            "script": case.script.to_json_dict(),
         }
-        if self.fault_plan is not None and not self.fault_plan.is_empty:
-            data["fault_plan"] = self.fault_plan.to_json_dict()
-        if self.coin_seed is not None:
-            data["coin_seed"] = self.coin_seed
+        # Both are omitted when unset, so files that predate them
+        # round-trip unchanged.
+        if case.fault_plan is not None and not case.fault_plan.is_empty:
+            data["fault_plan"] = case.fault_plan.to_json_dict()
+        if case.coin_seed is not None:
+            data["coin_seed"] = case.coin_seed
         return data
 
     @classmethod
@@ -80,22 +69,20 @@ class CorpusEntry:
             raise ValueError(f"unsupported corpus schema {schema!r}")
         plan_data = data.get("fault_plan")
         coin_seed = data.get("coin_seed")
-        return cls(
+        case = FuzzCase(
             algorithm=data["algorithm"],
             n=int(data["n"]),
             t=int(data["t"]),
-            # int-vs-float distinguishes e.g. s=2 from eps=0.25; bools are
-            # excluded because bool is an int subclass json never emits
-            # for these keys anyway.
-            params={
-                k: (float(v) if isinstance(v, float) else int(v))
-                for k, v in data.get("params", {}).items()
-            },
             value=data["value"],
             seed=int(data["seed"]),
-            verdict=data["verdict"],
-            detail=data.get("detail", ""),
             script=AdversaryScript.from_json_dict(data["script"]),
+            # Ints (``s``, ``max_rounds``) stay ints and floats (``eps``,
+            # ``coin_bias``) stay floats: both re-feed the algorithm
+            # constructor verbatim.  json never emits bools for these keys.
+            params=tuple(
+                (k, float(v) if isinstance(v, float) else int(v))
+                for k, v in sorted(data.get("params", {}).items())
+            ),
             fault_plan=(
                 FaultPlan.from_json_dict(plan_data)
                 if plan_data is not None
@@ -103,12 +90,13 @@ class CorpusEntry:
             ),
             coin_seed=None if coin_seed is None else int(coin_seed),
         )
+        return cls(case=case, verdict=data["verdict"], detail=data.get("detail", ""))
 
     def file_name(self) -> str:
         digest = hashlib.sha256(
             json.dumps(self.to_json_dict(), sort_keys=True).encode("utf-8")
         ).hexdigest()[:10]
-        return f"{self.algorithm}-seed{self.seed}-{digest}.json"
+        return f"{self.case.algorithm}-seed{self.case.seed}-{digest}.json"
 
 
 def save_entry(directory: Path | str, entry: CorpusEntry) -> Path:
@@ -138,40 +126,19 @@ def load_entries(directory: Path | str) -> list[tuple[Path, CorpusEntry]]:
     ]
 
 
-def replay_entry(entry: CorpusEntry, *, sinks: tuple = ()):
-    """Re-execute a corpus entry; returns the fresh
-    :class:`~repro.fuzz.oracle.FuzzOutcome`.
-
-    Imported lazily to keep corpus I/O free of the runner dependency chain
-    (useful for tooling that only inspects files).  *sinks* receive the
-    replay's ``repro-trace/1`` event stream.
-    """
-    from repro.algorithms.registry import get
-    from repro.fuzz.oracle import execute_script
-
-    algorithm = get(entry.algorithm)(entry.n, entry.t, **entry.params)
-    return execute_script(
-        algorithm,
-        entry.value,
-        entry.script,
-        sinks=sinks,
-        fault_plan=entry.fault_plan,
-        coin_seed=entry.coin_seed,
-    )
+def replay_entry(entry: CorpusEntry) -> FuzzOutcome:
+    """Re-execute a corpus entry's case; returns the fresh outcome."""
+    return entry.case.execute()
 
 
 def save_trace(entry_path: Path | str, entry: CorpusEntry) -> Path:
-    """Replay *entry* with a trace sink; write the trace next to its JSON.
+    """Replay *entry* with a trace; write the trace next to its JSON.
 
     The trace lands at ``<entry>.trace.jsonl`` beside the corpus file, so
     a shrunk counterexample ships with the full event history of the run
     that exhibits it — ``repro inspect`` shows phase-by-phase where the
     minimal adversary spends its messages.
     """
-    from repro.obs import JsonlTraceSink
-
-    entry_path = Path(entry_path)
-    trace_path = entry_path.with_suffix(".trace.jsonl")
-    with JsonlTraceSink(trace_path) as sink:
-        replay_entry(entry, sinks=(sink,))
+    trace_path = Path(entry_path).with_suffix(".trace.jsonl")
+    entry.case.execute(trace=str(trace_path))
     return trace_path

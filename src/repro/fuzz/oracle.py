@@ -1,6 +1,9 @@
-"""The fuzzing oracle: classify one finished (or crashed) run.
+"""The fuzzing oracle: run one script on the batch engine and classify it.
 
-A finished run gets the verdict every path shares,
+A script runs as a one-case :func:`~repro.core.batch.run_batch`, the
+engine every sweep and service request runs on, so its forgeries,
+replays and equivocations meet the same interned signature service and
+shared digest table.  A finished run gets the verdict every path shares,
 :func:`~repro.approx.validation.judge_run`'s: its family's conditions on
 the processors no injected fault excuses, the fault budget ``t``, then
 the declared ``phase/message/signature_bound``.  The paper's upper-bound
@@ -14,14 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.approx.coins import coins_for
-from repro.approx.validation import FAILING, declared_costs, judge_run
+from repro.approx.validation import FAILING
+from repro.core.batch import BatchCase, run_batch
 from repro.core.protocol import AgreementAlgorithm
-from repro.core.runner import RunResult, run
 from repro.core.types import Value
 from repro.fuzz.script import AdversaryScript
 from repro.transport.faults import FaultPlan
-from repro.transport.faulty import FaultyTransport
 
 #: The run raised instead of finishing.
 CRASH = "crash"
@@ -42,62 +43,44 @@ class FuzzOutcome:
         return self.verdict in FAILING or self.verdict == CRASH
 
 
-def classify_run(algorithm: AgreementAlgorithm, result: RunResult) -> FuzzOutcome:
-    """:func:`~repro.approx.validation.judge_run`'s verdict on a finished
-    run, with the counts it judged, as a :class:`FuzzOutcome`."""
-    verdict = judge_run(result, algorithm, declared_costs(algorithm))
-    metrics = result.metrics
-    return FuzzOutcome(
-        verdict=verdict.kind,
-        detail=verdict.text,
-        messages=metrics.messages_by_correct,
-        signatures=metrics.signatures_by_correct,
-        phases_used=metrics.last_active_phase,
-    )
-
-
 def execute_script(
     algorithm: AgreementAlgorithm,
     value: Value,
     script: AdversaryScript,
     *,
-    sinks: tuple = (),
     fault_plan: FaultPlan | None = None,
     coin_seed: int | None = None,
+    trace: str | None = None,
 ) -> FuzzOutcome:
-    """Run *script* against *algorithm* and classify the outcome.
+    """Run *script* against *algorithm* as a one-case batch and classify it.
 
-    Exceptions escaping the runner become a ``crash`` verdict rather than
-    propagating: a fuzz campaign must survive its own findings.  *sinks*
-    (``repro.obs`` event sinks) receive the run's trace stream; a crashed
-    run leaves a truncated trace (no ``run_end``), which is itself useful
-    evidence.  A non-empty *fault_plan* routes delivery through a
-    :class:`~repro.transport.faulty.FaultyTransport`, whose fault events
-    excuse the processors they touched.
-
-    *coin_seed* feeds coin-flipping algorithms (``uses_coins``): the run
-    gets ``algorithm.make_coin_source(coin_seed)``, so a persisted case
-    replays the exact coin stream that produced its verdict.  Ignored —
-    and irrelevant — for deterministic algorithms.
+    The case carries the script's adversary, *fault_plan* (delivery
+    faults whose events excuse the processors they touched) and
+    *coin_seed* (the coin stream of a ``uses_coins`` algorithm, so a
+    persisted case replays the exact coins that produced its verdict).
+    With *trace*, the run streams a ``repro-trace/1`` JSONL file there; a
+    crashed run leaves it truncated (no ``run_end``), which is itself
+    useful evidence.  An exception becomes a ``crash`` verdict rather
+    than propagating: a fuzz campaign must survive its own findings.
     """
-    transport = (
-        FaultyTransport(fault_plan)
-        if fault_plan is not None and not fault_plan.is_empty
-        else None
+    case = BatchCase(
+        value=value,
+        adversary_name="script",
+        adversary_factory=lambda _: script.build(),
+        fault_plan=fault_plan,
+        coin_seed=coin_seed,
+        trace=trace,
     )
-    coins = coins_for(algorithm, coin_seed)
     try:
-        result = run(
-            algorithm,
-            value,
-            script.build(),
-            record_history=False,
-            sinks=sinks,
-            transport=transport,
-            coins=coins,
-        )
+        (outcome,) = run_batch(algorithm, [case]).outcomes
     except Exception as error:
         return FuzzOutcome(
             verdict=CRASH, detail=f"{type(error).__name__}: {error}"
         )
-    return classify_run(algorithm, result)
+    return FuzzOutcome(
+        verdict=outcome.kind,
+        detail=outcome.verdict,
+        messages=outcome.messages_by_correct,
+        signatures=outcome.signatures_by_correct,
+        phases_used=outcome.phases_used,
+    )

@@ -20,7 +20,7 @@ from typing import Any, Iterator, Sequence
 from repro.adversary.base import FaultySend, PhaseView
 from repro.adversary.standard import SimulatingAdversary
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Processor
+from repro.core.protocol import Context, Processor
 from repro.core.types import ProcessorId
 from repro.crypto.chains import SignatureChain, chain_body
 from repro.fuzz.mutations import (
@@ -121,8 +121,6 @@ class ScriptAdversary(SimulatingAdversary):
                 and mutation.pid in self.faulty
                 and mutation.pid not in self._alt
             ):
-                from repro.core.protocol import Context
-
                 processor = env.algorithm.make_processor(mutation.pid)
                 processor.bind(
                     Context(
@@ -132,6 +130,7 @@ class ScriptAdversary(SimulatingAdversary):
                         transmitter=env.transmitter,
                         key=env.keys[mutation.pid],
                         service=env.service,
+                        coins=env.coins,
                     )
                 )
                 self._alt[mutation.pid] = processor

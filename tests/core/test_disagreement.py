@@ -45,8 +45,9 @@ class TestDisagreementError:
     def test_oracle_uses_structured_comparison(self):
         # The oracle's verdict for a split brain is SAFETY whether or not
         # anyone inspects the exception message.
-        from repro.fuzz.oracle import classify_run
+        from repro.fuzz.oracle import execute_script
+        from repro.fuzz.script import AdversaryScript
 
         algorithm = SplitBrainAlgorithm(4, 1)
-        outcome = classify_run(algorithm, run(algorithm, 1))
+        outcome = execute_script(algorithm, 1, AdversaryScript(faulty=()))
         assert outcome.verdict == SAFETY

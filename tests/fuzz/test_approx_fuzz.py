@@ -7,6 +7,8 @@ Ben-Or cases must carry a derived coin seed so every finding replays the
 exact coin stream that produced it.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.approx.validation import EPS_VIOLATION, OK
@@ -40,8 +42,8 @@ class TestEpsViolationDiscovery:
         first = next(r for r in results if r.outcome.verdict == EPS_VIOLATION)
         shrunk = shrink_result(first)
         assert shrunk.outcome.verdict == EPS_VIOLATION
-        assert len(shrunk.minimal_script.mutations) <= 2
-        assert len(shrunk.minimal_script.faulty) <= first.case.t
+        assert len(shrunk.case.script.mutations) <= 2
+        assert len(shrunk.case.script.faulty) <= first.case.t
 
     def test_eps_detail_names_the_violated_condition(self):
         results = _run_overshoot_campaign()
@@ -88,35 +90,22 @@ class TestCorpusRoundTrip:
         results = _run_overshoot_campaign(budget=10)
         first = next(r for r in results if r.outcome.verdict == EPS_VIOLATION)
         entry = CorpusEntry(
-            algorithm=first.case.algorithm,
-            n=first.case.n,
-            t=first.case.t,
-            value=first.case.value,
-            seed=first.case.seed,
+            case=replace(first.case, coin_seed=99),
             verdict=first.outcome.verdict,
             detail=first.outcome.detail,
-            script=first.case.script,
-            params=dict(first.case.params),
-            coin_seed=99,
         )
         restored = CorpusEntry.from_json_dict(entry.to_json_dict())
         assert restored == entry
-        assert isinstance(restored.params["eps"], float)
-        assert restored.coin_seed == 99
+        assert isinstance(dict(restored.case.params)["eps"], float)
+        assert restored.case.coin_seed == 99
 
     def test_coinless_entry_omits_coin_seed_key(self):
         results = _run_overshoot_campaign(budget=10)
         first = next(r for r in results if r.outcome.failed)
         entry = CorpusEntry(
-            algorithm=first.case.algorithm,
-            n=first.case.n,
-            t=first.case.t,
-            value=first.case.value,
-            seed=first.case.seed,
+            case=first.case,
             verdict=first.outcome.verdict,
             detail=first.outcome.detail,
-            script=first.case.script,
-            params=dict(first.case.params),
         )
         assert "coin_seed" not in entry.to_json_dict()
 

@@ -10,11 +10,11 @@ from repro.approx.validation import BENIGN, OK, SAFETY
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.fuzz.campaign import (
     FuzzCase,
-    plan_chaos_cases,
+    plan_cases,
     summarize,
 )
 from repro.fuzz.corpus import CorpusEntry, load_entry, save_entry
-from repro.fuzz.oracle import classify_run, execute_script
+from repro.fuzz.oracle import execute_script
 from repro.fuzz.script import AdversaryScript
 from repro.transport import CrashFault, FaultPlan
 from repro.core.runner import run
@@ -49,15 +49,17 @@ class ChattySplitBrain(AgreementAlgorithm):
 
 
 class TestPlanChaosCases:
+    """``plan_cases`` with a ``fault_rate``: the chaos campaign."""
+
     def test_deterministic_in_arguments(self):
         kwargs = dict(budget=5, seed=3, fault_rate=0.4)
-        a = plan_chaos_cases(["dolev-strong"], **kwargs)
-        b = plan_chaos_cases(["dolev-strong"], **kwargs)
+        a = plan_cases(["dolev-strong"], **kwargs)
+        b = plan_cases(["dolev-strong"], **kwargs)
         assert a == b
-        assert a != plan_chaos_cases(["dolev-strong"], budget=5, seed=4, fault_rate=0.4)
+        assert a != plan_cases(["dolev-strong"], budget=5, seed=4, fault_rate=0.4)
 
     def test_cases_carry_plans_and_empty_scripts(self):
-        cases = plan_chaos_cases(["dolev-strong"], budget=4, seed=0, fault_rate=0.5)
+        cases = plan_cases(["dolev-strong"], budget=4, seed=0, fault_rate=0.5)
         assert len(cases) == 4
         for case in cases:
             assert case.script == AdversaryScript(faulty=())
@@ -65,7 +67,7 @@ class TestPlanChaosCases:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(KeyError, match="no fuzz configuration"):
-            plan_chaos_cases(["nonesuch"], budget=1, seed=0, fault_rate=0.5)
+            plan_cases(["nonesuch"], budget=1, seed=0, fault_rate=0.5)
 
 
 class TestChaosOracle:
@@ -94,7 +96,9 @@ class TestChaosOracle:
         plan = FaultPlan(faults=(CrashFault(pid=5, phase=1),))
         result = run(algorithm, 1, transport=FaultyTransport(plan))
         assert result.fault_events
-        outcome = classify_run(algorithm, result)
+        outcome = execute_script(
+            algorithm, 1, AdversaryScript(faulty=()), fault_plan=plan
+        )
         assert outcome.verdict == SAFETY
 
     def test_divergence_past_the_fault_budget_is_benign(self):
@@ -104,13 +108,14 @@ class TestChaosOracle:
         plan = FaultPlan(
             faults=tuple(CrashFault(pid=p, phase=1) for p in (3, 4, 5))
         )
-        result = run(algorithm, 1, transport=FaultyTransport(plan))
-        outcome = classify_run(algorithm, result)
+        outcome = execute_script(
+            algorithm, 1, AdversaryScript(faulty=()), fault_plan=plan
+        )
         assert outcome.verdict == BENIGN
         assert "budget" in outcome.detail
 
     def test_campaign_smoke_counts_benign(self):
-        cases = plan_chaos_cases(["dolev-strong"], budget=10, seed=0, fault_rate=0.5)
+        cases = plan_cases(["dolev-strong"], budget=10, seed=0, fault_rate=0.5)
         results = run_tasks(cases, workers=1)
         (summary,) = summarize(results)
         assert summary.cases == 10
@@ -120,7 +125,7 @@ class TestChaosOracle:
         assert row["benign"] == summary.benign
 
     def test_chaos_worker_count_invariance(self):
-        cases = plan_chaos_cases(["dolev-strong"], budget=6, seed=1, fault_rate=0.5)
+        cases = plan_cases(["dolev-strong"], budget=6, seed=1, fault_rate=0.5)
         serial = run_tasks(cases, workers=1)
         parallel = run_tasks(cases, workers=2)
         assert [r.outcome for r in serial] == [r.outcome for r in parallel]
@@ -129,15 +134,19 @@ class TestChaosOracle:
 class TestChaosCorpus:
     def entry(self):
         return CorpusEntry(
-            algorithm="dolev-strong",
-            n=6,
-            t=2,
-            value=1,
-            seed=11,
+            case=FuzzCase(
+                algorithm="dolev-strong",
+                n=6,
+                t=2,
+                value=1,
+                seed=11,
+                script=AdversaryScript(faulty=()),
+                fault_plan=FaultPlan(
+                    faults=(CrashFault(pid=2, phase=1),), seed=11
+                ),
+            ),
             verdict=BENIGN,
             detail="test entry",
-            script=AdversaryScript(faulty=()),
-            fault_plan=FaultPlan(faults=(CrashFault(pid=2, phase=1),), seed=11),
         )
 
     def test_fault_plan_round_trips(self, tmp_path):
@@ -150,18 +159,20 @@ class TestChaosCorpus:
         del data["fault_plan"]
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps(data))
-        assert load_entry(path).fault_plan is None
+        assert load_entry(path).case.fault_plan is None
 
     def test_plain_entries_omit_the_field(self):
         data = CorpusEntry(
-            algorithm="dolev-strong",
-            n=6,
-            t=2,
-            value=1,
-            seed=0,
+            case=FuzzCase(
+                algorithm="dolev-strong",
+                n=6,
+                t=2,
+                value=1,
+                seed=0,
+                script=AdversaryScript(faulty=(1,)),
+            ),
             verdict="safety",
             detail="",
-            script=AdversaryScript(faulty=(1,)),
         ).to_json_dict()
         assert "fault_plan" not in data
 
@@ -170,7 +181,7 @@ class TestFuzzCasePickles:
     def test_chaos_case_round_trips_through_pickle(self):
         import pickle
 
-        (case,) = plan_chaos_cases(
+        (case,) = plan_cases(
             ["dolev-strong"], budget=1, seed=0, fault_rate=0.5
         )
         assert pickle.loads(pickle.dumps(case)) == case

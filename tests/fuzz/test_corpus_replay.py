@@ -52,6 +52,14 @@ def test_entry_round_trips_through_json(item):
     assert CorpusEntry.from_json_dict(entry.to_json_dict()) == entry
 
 
+@pytest.mark.parametrize("item", ENTRIES, ids=_entry_id)
+def test_entry_resaves_byte_identical(item, tmp_path):
+    path, entry = item
+    saved = save_entry(tmp_path, entry)
+    assert saved.name == path.name
+    assert saved.read_bytes() == path.read_bytes()
+
+
 def test_save_trace_writes_replay_trace_beside_entry(tmp_path):
     from repro.obs import summarize_trace
 
@@ -61,8 +69,8 @@ def test_save_trace_writes_replay_trace_beside_entry(tmp_path):
     assert trace_path.parent == entry_path.parent
     assert trace_path.name == entry_path.stem + ".trace.jsonl"
     summary = summarize_trace(trace_path)
-    assert summary.algorithm == entry.algorithm
-    assert summary.n == entry.n and summary.t == entry.t
+    assert summary.algorithm == entry.case.algorithm
+    assert summary.n == entry.case.n and summary.t == entry.case.t
     # The trace suffix must not collide with the ``*.json`` corpus glob —
     # load_entries still sees exactly one entry in the directory.
     assert len(load_entries(tmp_path)) == 1
@@ -73,5 +81,5 @@ def test_entries_are_shrunk(item):
     # Corpus hygiene: committed counterexamples are minimised — a small
     # coalition and a script a human can read at a glance.
     _, entry = item
-    assert len(entry.script.faulty) <= entry.t
-    assert len(entry.script.mutations) <= 3
+    assert len(entry.case.script.faulty) <= entry.case.t
+    assert len(entry.case.script.mutations) <= 3

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.algorithms.dolev_strong import DolevStrong
-from repro.approx.validation import BOUND, OK, SAFETY
+from repro.approx.validation import BENIGN, BOUND, OK, SAFETY
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.runner import run
-from repro.fuzz.oracle import CRASH, classify_run, execute_script
+from repro.fuzz.oracle import CRASH, execute_script
 from repro.fuzz.script import AdversaryScript
+from repro.transport.faults import CrashFault, FaultPlan
 
 pytestmark = pytest.mark.fuzz
 
@@ -97,8 +98,46 @@ class TestVerdicts:
     def test_counts_reported_on_ok_runs(self):
         algorithm = DolevStrong(5, 1)
         result = run(algorithm, 1, EMPTY.build())
-        outcome = classify_run(algorithm, result)
+        outcome = execute_script(algorithm, 1, EMPTY)
         assert outcome.verdict == OK
         assert outcome.messages == result.metrics.messages_by_correct
         assert outcome.signatures == result.metrics.signatures_by_correct
         assert outcome.phases_used == result.metrics.last_active_phase
+
+
+class TestBatchEngine:
+    def test_script_runs_as_one_batch_case(self, monkeypatch):
+        import repro.fuzz.oracle as oracle
+
+        calls = []
+        real = oracle.run_batch
+
+        def spy(algorithm, cases, **kwargs):
+            calls.append(list(cases))
+            return real(algorithm, calls[-1], **kwargs)
+
+        monkeypatch.setattr(oracle, "run_batch", spy)
+        plan = FaultPlan(faults=(CrashFault(pid=2, phase=2),))
+        outcome = execute_script(DolevStrong(5, 1), 1, EMPTY, fault_plan=plan)
+        (cases,) = calls
+        (case,) = cases
+        assert case.value == 1 and case.fault_plan == plan
+        assert case.adversary_factory is not None and case.trace is None
+        assert case.adversary_factory(DolevStrong(5, 1)).faulty == {1}
+        # pid 1 faulty and pid 2 crashed: two faults against t=1.
+        assert outcome.verdict == BENIGN
+
+    def test_trace_path_records_the_run(self, tmp_path):
+        from repro.obs import summarize_trace
+
+        path = tmp_path / "run.trace.jsonl"
+        outcome = execute_script(DolevStrong(5, 1), 1, EMPTY, trace=str(path))
+        summary = summarize_trace(path)
+        assert summary.consistency_errors() == []
+        assert summary.messages_by_correct == outcome.messages
+
+    def test_crashed_run_leaves_a_truncated_trace(self, tmp_path):
+        path = tmp_path / "crash.trace.jsonl"
+        outcome = execute_script(ExplodingAlgorithm(4, 1), 1, EMPTY, trace=str(path))
+        assert outcome.verdict == CRASH
+        assert path.exists() and "run_end" not in path.read_text()

@@ -488,6 +488,52 @@ class TestFaultInjectionCli:
         assert not ckpt.exists()
 
 
+class TestBadInputExits2:
+    """Bad command-line input is one stderr line and exit 2; exit 1 is
+    reserved for a failing verdict."""
+
+    SYSTEM = ["--n", "5", "--t", "1"]
+
+    def assert_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {argv[0]}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command", ["run", "trace", "conformance", "theorem1", "theorem2"]
+    )
+    def test_unknown_algorithm(self, capsys, command):
+        self.assert_usage_error(
+            capsys, [command, "--algorithm", "nonesuch", *self.SYSTEM]
+        )
+
+    @pytest.mark.parametrize(
+        "command", ["run", "trace", "conformance", "theorem1", "theorem2"]
+    )
+    def test_rejected_configuration(self, capsys, command):
+        self.assert_usage_error(
+            capsys, [command, "--algorithm", "algorithm-1", "--n", "6", "--t", "2"]
+        )
+
+    @pytest.mark.parametrize("command", ["run", "trace", "conformance"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["silent:a", "crash:1@x", "random:x:1", "bogus", "silent:9", "silent:1,2"],
+    )
+    def test_bad_adversary_spec(self, capsys, command, spec):
+        self.assert_usage_error(
+            capsys,
+            [command, "--algorithm", "dolev-strong", *self.SYSTEM,
+             "--adversary", spec],
+        )
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_fuzz_budget_below_one(self, capsys, budget):
+        self.assert_usage_error(
+            capsys, ["fuzz", "--algorithm", "dolev-strong", "--budget", budget]
+        )
+
+
 class TestReplayErrorHandling:
     def test_replay_missing_file_is_a_clear_error(self, capsys):
         code = main(["fuzz", "--replay", "/no/such/corpus.json"])
