@@ -429,6 +429,18 @@ class Algorithm5Passive(Processor):
         self._m: SignatureChain | None = None
         #: BFS order of our own subtree (filled when activated).
         self._visit_order: list[ProcessorId] = []
+        #: Our heap index in our tree, and the block it makes us a root in
+        #: (set once the context names our pid).
+        self.heap_index = 0
+        self.root_block = 0
+        #: ``(x, slot)``: our :meth:`_slot_in_subtree` for block ``x``,
+        #: computed once per block.
+        self._slot: tuple[int, tuple[int, ProcessorId] | None] = (0, None)
+
+    def on_bind(self) -> None:
+        self.heap_index = self.tree.index_of(self.ctx.pid)
+        level = self.tree.level_of_index(self.heap_index)
+        self.root_block = self.schedule.levels - level + 1
 
     # --------------------------------------------------------------- helpers
 
@@ -436,34 +448,21 @@ class Algorithm5Passive(Processor):
     def tree(self) -> BinaryTree:
         return self.forest.trees[self.tree_number]
 
-    @property
-    def heap_index(self) -> int:
-        return self.tree.index_of(self.ctx.pid)
-
-    @property
-    def root_block(self) -> int:
-        """The block in which this node's own subtree is activated."""
-        return self.schedule.levels - self.tree.level_of_index(self.heap_index) + 1
-
-    def _ancestor_at_block(self, x: int) -> ProcessorId | None:
-        """The root of the depth-``x`` subtree we belong to (None if we sit
-        above depth ``x``)."""
+    def _slot_in_subtree(self, x: int) -> tuple[int, ProcessorId] | None:
+        """Our 1-based BFS position ``j`` within the depth-``x`` subtree we
+        belong to, and that subtree's root (``None`` if we sit above depth
+        ``x``)."""
+        if self._slot[0] == x:
+            return self._slot[1]
         level = self.schedule.levels - x + 1
         my_level = self.tree.level_of_index(self.heap_index)
-        if my_level < level:
-            return None
-        index = self.heap_index >> (my_level - level)
-        return self.tree.processor_at(index)
-
-    def _position_in_subtree(self, x: int) -> int | None:
-        """Our 1-based BFS position ``j`` within our depth-``x`` subtree."""
-        level = self.schedule.levels - x + 1
-        my_level = self.tree.level_of_index(self.heap_index)
-        if my_level < level:
-            return None
-        root_index = self.heap_index >> (my_level - level)
-        order = self.tree.subtree_indices(root_index)
-        return order.index(self.heap_index) + 1
+        slot = None
+        if my_level >= level:
+            root_index = self.heap_index >> (my_level - level)
+            order = self.tree.subtree_indices(root_index)
+            slot = (order.index(self.heap_index) + 1, self.tree.processor_at(root_index))
+        self._slot = (x, slot)
+        return slot
 
     def _note_valid(self, chain: SignatureChain) -> None:
         if self.first_valid is None:
@@ -588,13 +587,13 @@ class Algorithm5Passive(Processor):
     def _member_duty(
         self, block: Block, offset: int, inbox: Sequence[Envelope]
     ) -> list[Outgoing]:
-        j = self._position_in_subtree(block.x)
-        if j is None or j < 2:
+        slot = self._slot_in_subtree(block.x)
+        if slot is None or slot[0] < 2:
             return []
+        j, root = slot
         # the root sends to c(j) at offset 2(j-1); we answer one phase later.
         if offset != 2 * (j - 1) + 1:
             return []
-        root = self._ancestor_at_block(block.x)
         from_root = [e for e in inbox if e.src == root]
         if len(from_root) != 1 or not self._is_valid(from_root[0].payload):
             return []

@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Callable
 
 from repro.adversary.lowerbound import ReplayAdversary, build_split_plan
+from repro.approx.coins import coins_for
 from repro.bounds.formulas import theorem1_signature_lower_bound
 from repro.core.history import History, edge_payloads
 from repro.core.message import iter_payload_parts
@@ -121,8 +122,10 @@ def run_split_attack(
     result_g: RunResult,
     target: ProcessorId,
     faulty: frozenset[ProcessorId],
+    coin_seed: int | None = None,
 ) -> SplitAttackOutcome:
-    """Execute history ``H'`` against a fresh algorithm instance."""
+    """Execute history ``H'`` against a fresh algorithm instance, with
+    the coins of ``H`` and ``G`` (:func:`theorem1_experiment`)."""
     plan = build_split_plan(result_h.history, result_g.history, target, faulty)
     adversary = ReplayAdversary(faulty, plan)
     algorithm = factory()
@@ -133,7 +136,7 @@ def run_split_attack(
         if target == algorithm.transmitter
         else result_g.input_value
     )
-    result = run(algorithm, input_value, adversary)
+    result = run(algorithm, input_value, adversary, coins=coins_for(algorithm, coin_seed))
 
     view_h = result_h.history.individual(target)
     view_prime = result.history.individual(target)
@@ -153,12 +156,15 @@ def run_split_attack(
     )
 
 
-def theorem1_experiment(factory: AlgorithmFactory) -> Theorem1Report:
-    """Run the full Theorem 1 pipeline against one algorithm."""
-    result_h = run(factory(), 0)
-    result_g = run(factory(), 1)
+def theorem1_experiment(
+    factory: AlgorithmFactory, coin_seed: int | None = None
+) -> Theorem1Report:
+    """Run the full Theorem 1 pipeline against one algorithm; a
+    coin-flipping one flips the coins of *coin_seed* in every run."""
     algorithm = factory()
     n, t = algorithm.n, algorithm.t
+    result_h = run(factory(), 0, coins=coins_for(algorithm, coin_seed))
+    result_g = run(factory(), 1, coins=coins_for(algorithm, coin_seed))
 
     sets = exchange_sets(result_h.history, result_g.history, n)
     weak = sorted(p for p, a in sets.items() if len(a) <= t)
@@ -167,7 +173,7 @@ def theorem1_experiment(factory: AlgorithmFactory) -> Theorem1Report:
     if weak:
         target = weak[0]
         attack = run_split_attack(
-            factory, result_h, result_g, target, frozenset(sets[target])
+            factory, result_h, result_g, target, frozenset(sets[target]), coin_seed
         )
 
     return Theorem1Report(

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.adversary.lowerbound import IgnoreFirstAdversary, Theorem2SwitchAdversary
+from repro.approx.coins import coins_for
 from repro.bounds.formulas import (
     theorem2_b_set_size,
     theorem2_ignore_count,
@@ -45,12 +46,14 @@ from repro.crypto.signatures import SignatureService
 AlgorithmFactory = Callable[[], AgreementAlgorithm]
 
 
-def empty_view_decision(algorithm: AgreementAlgorithm, pid: ProcessorId) -> Value:
+def empty_view_decision(
+    algorithm: AgreementAlgorithm, pid: ProcessorId, coin_seed: int | None = None
+) -> Value:
     """What *pid* decides if it never receives a single message.
 
     Runs the processor's actual protocol against total silence — the
     operational meaning of "does not agree on v if it receives no messages
-    at all".
+    at all" — flipping the coins of *coin_seed* if it flips any.
     """
     service = SignatureService()
     processor = algorithm.make_processor(pid)
@@ -62,6 +65,7 @@ def empty_view_decision(algorithm: AgreementAlgorithm, pid: ProcessorId) -> Valu
             transmitter=algorithm.transmitter,
             key=service.key_for(pid),
             service=service,
+            coins=coins_for(algorithm, coin_seed),
         )
     )
     for phase in range(1, algorithm.num_phases() + 1):
@@ -70,21 +74,25 @@ def empty_view_decision(algorithm: AgreementAlgorithm, pid: ProcessorId) -> Valu
     return processor.decision()
 
 
-def sensitivity_set(algorithm: AgreementAlgorithm, value: Value) -> list[ProcessorId]:
+def sensitivity_set(
+    algorithm: AgreementAlgorithm, value: Value, coin_seed: int | None = None
+) -> list[ProcessorId]:
     """``Q(value)``: non-transmitter processors whose empty-view decision
     differs from *value*."""
     return [
         pid
         for pid in range(algorithm.n)
         if pid != algorithm.transmitter
-        and empty_view_decision(algorithm, pid) != value
+        and empty_view_decision(algorithm, pid, coin_seed) != value
     ]
 
 
-def pick_starved_value(algorithm: AgreementAlgorithm) -> tuple[Value, list[ProcessorId]]:
+def pick_starved_value(
+    algorithm: AgreementAlgorithm, coin_seed: int | None = None
+) -> tuple[Value, list[ProcessorId]]:
     """The value whose sensitivity set is larger (the proof's ``v*``)."""
-    q0 = sensitivity_set(algorithm, 0)
-    q1 = sensitivity_set(algorithm, 1)
+    q0 = sensitivity_set(algorithm, 0, coin_seed)
+    q1 = sensitivity_set(algorithm, 1, coin_seed)
     return (0, q0) if len(q0) >= len(q1) else (1, q1)
 
 
@@ -150,6 +158,7 @@ def run_switch_attack(
     b_set: Sequence[ProcessorId],
     target: ProcessorId,
     starved_value: Value,
+    coin_seed: int | None = None,
 ) -> SwitchAttackOutcome:
     """Execute ``H''`` for a *target* that received ≤ ⌈t/2⌉ messages."""
     algorithm = factory()
@@ -165,7 +174,7 @@ def run_switch_attack(
         target=target,
         ignore_count=theorem2_ignore_count(algorithm.t),
     )
-    result = run(algorithm, starved_value, adversary)
+    result = run(algorithm, starved_value, adversary, coins=coins_for(algorithm, coin_seed))
     report = check_byzantine_agreement(result)
     received = result.history.individual(target).total_received()
     others = {
@@ -186,17 +195,21 @@ def run_switch_attack(
 def theorem2_experiment(
     factory: AlgorithmFactory,
     b_set: Sequence[ProcessorId] | None = None,
+    coin_seed: int | None = None,
 ) -> Theorem2Report:
-    """Run the full Theorem 2 pipeline against one algorithm."""
+    """Run the full Theorem 2 pipeline against one algorithm; a
+    coin-flipping one flips the coins of *coin_seed* in every run."""
     algorithm = factory()
     n, t = algorithm.n, algorithm.t
 
-    starved_value, sensitive = pick_starved_value(algorithm)
-    fault_free = run(factory(), starved_value)
+    starved_value, sensitive = pick_starved_value(algorithm, coin_seed)
+    fault_free = run(factory(), starved_value, coins=coins_for(algorithm, coin_seed))
 
     chosen_b = tuple(b_set) if b_set is not None else default_b_set(algorithm, sensitive)
     adversary = IgnoreFirstAdversary(chosen_b, theorem2_ignore_count(t))
-    hprime = run(factory(), starved_value, adversary)
+    hprime = run(
+        factory(), starved_value, adversary, coins=coins_for(algorithm, coin_seed)
+    )
     hprime_report = check_byzantine_agreement(hprime)
     received = {
         b: hprime.metrics.correct_messages_received_by.get(b, 0) for b in chosen_b
@@ -208,7 +221,7 @@ def theorem2_experiment(
     ]
     if starved:
         attack = run_switch_attack(
-            factory, hprime, chosen_b, starved[0], starved_value
+            factory, hprime, chosen_b, starved[0], starved_value, coin_seed
         )
 
     return Theorem2Report(

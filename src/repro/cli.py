@@ -263,7 +263,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_theorem1(args: argparse.Namespace) -> int:
     """`repro theorem1`: the Ω(nt) signature bound as an experiment."""
-    report = theorem1_experiment(lambda: _build(args))
+    report = theorem1_experiment(lambda: _build(args), coin_seed=args.seed)
     print(f"bound n(t+1)/4         : {float(report.bound):.2f}")
     print(f"signatures in H + G    : {report.signatures_h + report.signatures_g}")
     print(f"min per-processor |A|  : {report.min_exchange} (needs {report.t + 1})")
@@ -281,7 +281,7 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 
 def cmd_theorem2(args: argparse.Namespace) -> int:
     """`repro theorem2`: the Ω(n + t²) message bound as an experiment."""
-    report = theorem2_experiment(lambda: _build(args))
+    report = theorem2_experiment(lambda: _build(args), coin_seed=args.seed)
     print(f"combined lower bound   : {report.bound}")
     print(f"fault-free messages    : {report.fault_free_messages}")
     print(f"B set                  : {list(report.b_set)}")

@@ -37,6 +37,12 @@ class Counters:
     #: computed by the canonical walk plus hash (misses).
     digest_hits: int = 0
     digest_misses: int = 0
+    #: Calls of the signature service's ``sign`` and ``verify`` (one link
+    #: each), and of ``SignatureChain.verify`` (repeats answered from the
+    #: service's per-run verdict memo included).
+    sign_calls: int = 0
+    verify_calls: int = 0
+    chain_verify_calls: int = 0
     #: Service setup-cache lookups (arena and digest table per configuration).
     setup_hits: int = 0
     setup_misses: int = 0

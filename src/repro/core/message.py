@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.types import INPUT_SOURCE, ProcessorId
 
@@ -301,27 +301,40 @@ def iter_payload_parts(payload: Any) -> Iterator[Any]:
         yield from iter_payload_parts(part)
 
 
-def count_parts(payload: Any, cls: type) -> int:
+#: Per-type count hooks for :func:`count_parts`: a part of a listed type
+#: is first offered to its hook, which returns the part's count or
+#: ``None`` to have it walked.
+CountHooks = Mapping[type, Callable[[Any], "int | None"]]
+
+
+def count_parts(payload: Any, cls: type, hooks: CountHooks | None = None) -> int:
     """How many of the parts :func:`iter_payload_parts` yields are
     instances of the dataclass *cls*, as a plain recursive sum.
 
     The metrics ledger counts signatures with it; the caller names the
     class because this module sits below the crypto layer.  Only dataclass
-    parts are tested, so *cls* must be a dataclass.
+    parts are tested, so *cls* must be a dataclass.  *hooks* let the
+    caller answer for dataclass parts whose count it already knows (the
+    ledger counts each unchangeable signature chain once per run).
     """
     shape = _SHAPES.get(type(payload)) or _shape_of(payload)
     walk = shape[1]
     if walk == _OPAQUE:
         return 0
     if walk == _DATACLASS:
+        hook = hooks.get(type(payload)) if hooks is not None else None
+        if hook is not None:
+            known = hook(payload)
+            if known is not None:
+                return known
         own = 1 if isinstance(payload, cls) else 0
         parts = shape[2](payload)
         if _LEAF_TYPES.issuperset(map(type, parts)):
             return own
-        return own + sum(map(count_parts, parts, repeat(cls)))
+        return own + sum(map(count_parts, parts, repeat(cls), repeat(hooks)))
     if walk == _DICT:
         parts = chain.from_iterable(payload.items())
-        return sum(map(count_parts, parts, repeat(cls)))
+        return sum(map(count_parts, parts, repeat(cls), repeat(hooks)))
     if _LEAF_TYPES.issuperset(map(type, payload)):
         return 0
-    return sum(map(count_parts, payload, repeat(cls)))
+    return sum(map(count_parts, payload, repeat(cls), repeat(hooks)))

@@ -21,16 +21,18 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter
 
-from repro.core.message import Envelope, count_parts
+from repro.core.message import CountHooks, Envelope, count_parts
 from repro.core.types import INPUT_SOURCE, ProcessorId
+from repro.crypto.chains import SignatureChain
 from repro.crypto.signatures import Signature
 
 _SRC, _DST, _PHASE, _PAYLOAD = map(attrgetter, ("src", "dst", "phase", "payload"))
 
 
-def count_signatures(payload: object) -> int:
-    """Number of signatures appended to *payload* (nested ones included)."""
-    return count_parts(payload, Signature)
+def count_signatures(payload: object, hooks: CountHooks | None = None) -> int:
+    """Number of signatures appended to *payload* (nested ones included),
+    with *hooks* the ledger's count hooks (see :func:`count_parts`)."""
+    return count_parts(payload, Signature, hooks)
 
 
 @dataclass(slots=True)
@@ -61,6 +63,13 @@ class MetricsLedger:
     #: reasons about how many messages each member of the faulty set B
     #: receives from correct processors.
     correct_messages_received_by: Counter[ProcessorId] = field(default_factory=Counter)
+    #: ``id(chain) -> (chain, its signature count)`` for the fixed chains
+    #: counted in this run (:meth:`~repro.crypto.chains.SignatureChain.is_fixed`).
+    #: Holding the chain keeps its ``id`` from being reused while the
+    #: entry lives.  A cache, not a count: left out of ``==`` and ``repr``.
+    _chain_counts: dict[int, tuple[SignatureChain, int]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def record_phase(
         self, sent: Sequence[Envelope], correct: Container[ProcessorId]
@@ -68,21 +77,25 @@ class MetricsLedger:
         """Account for the messages in *sent*, in order, and return each
         one's signature count; senders in *correct* are correct.
 
-        Each distinct payload object is counted once: a broadcast hands
-        one payload object to ``n - 1`` envelopes.  The runner calls this
-        once per phase, after every handler and the adversary have
-        returned, so no payload can change while the memo is live; and
-        *sent* holds every payload, so no ``id`` is reused within the call.
-        The per-envelope bookkeeping runs in C (``map``, ``compress``,
-        ``Counter.update``); only a call that holds several phases or an
-        input edge loops over envelopes in Python.
+        Each distinct payload object is counted once per call: a
+        broadcast hands one payload object to ``n - 1`` envelopes.  The
+        runner calls this once per phase, after every handler and the
+        adversary have returned, so no payload can change while the memo
+        is live; and *sent* holds every payload, so no ``id`` is reused
+        within the call.  A fixed signature chain, which can never change,
+        is counted once per ledger, however many phases re-send it, alone
+        or inside another payload; any other payload is counted afresh in
+        every call.  The per-envelope bookkeeping runs in C (``map``,
+        ``compress``, ``Counter.update``); only a call that holds several
+        phases or an input edge loops over envelopes in Python.
         """
         if not sent:
             return []
         payloads = list(map(_PAYLOAD, sent))
         ids = list(map(id, payloads))
         distinct = dict(zip(ids, payloads))
-        memo = {key: count_signatures(payload) for key, payload in distinct.items()}
+        hooks = {SignatureChain: self._chain_count}
+        memo = {key: count_signatures(payload, hooks) for key, payload in distinct.items()}
         counts = list(map(memo.__getitem__, ids))
         srcs = list(map(_SRC, sent))
         dsts = list(map(_DST, sent))
@@ -117,6 +130,20 @@ class MetricsLedger:
         self.messages_by_faulty += len(kept) - len(correct_counts)
         self.signatures_by_faulty += total - correct_sigs
         return counts
+
+    def _chain_count(self, chain: SignatureChain) -> int | None:
+        """The signature count of a fixed *chain*, counted once per ledger;
+        ``None`` (walk it) for a chain that may change."""
+        known = self._chain_counts.get(id(chain))
+        if known is not None:
+            return known[1]
+        if not chain.is_fixed():
+            return None
+        # Exact Signatures over a value of builtin scalars and tuples: no
+        # other part of the chain can be a Signature.
+        count = len(chain.signatures)
+        self._chain_counts[id(chain)] = (chain, count)
+        return count
 
     # ------------------------------------------------------------- summaries
 

@@ -19,15 +19,18 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any
 
-from repro.core.message import UninternableError, intern_key
+from repro.core.message import intern_key
 from repro.core.types import ProcessorId, Value
 from repro.crypto.signatures import Signature, SignatureService, SigningKey
 
 _signer = attrgetter("signer")
+_digest = attrgetter("digest")
 
 #: Builtin scalar types: exactly these, not subclasses, which may carry
 #: mutable state.
 _SCALARS = frozenset({type(None), bool, int, float, str, bytes})
+#: The exact types of a fixed chain's signatures and their two fields.
+_SIGNATURE, _INT, _STR = frozenset({Signature}), frozenset({int}), frozenset({str})
 
 
 def _immutable(value: Value) -> bool:
@@ -90,52 +93,84 @@ class SignatureChain:
 
     # ------------------------------------------------------------ validation
 
+    def is_fixed(self) -> bool:
+        """Whether this chain can never change and compares exactly: its
+        value passes :func:`_immutable`, and its signatures are a tuple of
+        exact :class:`~repro.crypto.signatures.Signature` objects, each
+        with an ``int`` signer and a ``str`` digest.
+
+        Per-run memos remember only fixed chains: the interned service's
+        verdicts (by identity and by :meth:`_verdict_key`) and the metrics
+        ledger's signature counts.  For a fixed chain, equal keys mean
+        equal digests, so a signer ``True`` cannot pass for processor ``1``.
+        """
+        signatures = self.signatures
+        return (
+            type(signatures) is tuple
+            and _SIGNATURE.issuperset(map(type, signatures))
+            and _INT.issuperset(map(type, map(_signer, signatures)))
+            and _STR.issuperset(map(type, map(_digest, signatures)))
+            and _immutable(self.value)
+        )
+
     def verify(self, service: SignatureService) -> bool:
         """Check that every link was legitimately signed in order, each by
         a different signer (what every algorithm in the paper requires).
 
         Services that cache chain verdicts (the batch engine's per-run
-        :class:`~repro.crypto.signatures.InternedSignatureService`) answer a
-        repeat verification in O(1): of this very object by identity when
-        it cannot change, else of an equal chain by value.  The default
-        service always walks every link.
+        :class:`~repro.crypto.signatures.InternedSignatureService`) answer
+        a repeat verification of a fixed chain (:meth:`is_fixed`) in O(1):
+        of this very object by identity, else of an equal chain by value.
+        When the chain minus its last link verified earlier in the run,
+        only the last link is checked: the ``i``-th signature binds the
+        value and the signatures before it, so that verdict covers every
+        other link.  The repeated-signer check always covers the whole
+        chain.  Any other chain, and every chain on the default service,
+        is walked link by link.
         """
+        service.counters.chain_verify_calls += 1
         if not service.caches_chain_verdicts:
             return self._walk(service)
         if service.chain_verified(self):
             return True
-        key = self._verdict_key()
-        if key is None:
+        if not self.is_fixed():
             return self._walk(service)
-        if service.chain_verdict_seen(key) or self._walk(service):
-            frozen = type(self.signatures) is tuple and _immutable(self.value)
-            service.chain_verdict_add(key, self if frozen else None)
-            return True
-        return False
+        key = self._verdict_key()
+        value_key, pairs = key
+        if service.chain_verdict_seen(key):
+            verified = True
+        elif pairs and service.chain_verdict_seen((value_key, pairs[:-1])):
+            verified = self._walk(service, len(pairs) - 1)
+        else:
+            verified = self._walk(service)
+        if verified:
+            service.chain_verdict_add(key, self)
+        return verified
 
-    def _walk(self, service: SignatureService) -> bool:
-        """Verify every link against *service*, rejecting repeated signers."""
-        if len(set(self.signers)) != len(self.signatures):
+    def _walk(self, service: SignatureService, verified: int = 0) -> bool:
+        """Verify the links after the first *verified* against *service*,
+        rejecting a signer that appears twice anywhere in the chain."""
+        signatures = self.signatures
+        if len(set(map(_signer, signatures))) != len(signatures):
             return False
         prefix: tuple[Signature, ...] = ()
-        for signature in self.signatures:
+        links = signatures
+        if verified:
+            prefix, links = signatures[:verified], signatures[verified:]
+        for signature in links:
             if not service.verify(signature, chain_body(self.value, prefix)):
                 return False
             prefix = prefix + (signature,)
         return True
 
-    def _verdict_key(self) -> Any | None:
-        """Value-equality cache key for this chain's verification verdict.
-
-        ``None`` when the value cannot be interned — such chains are simply
-        never cached.  Signatures are flattened to ``(signer, digest)``
-        pairs, the exact data :meth:`verify` consults.
-        """
-        try:
-            value_key = intern_key(self.value)
-        except UninternableError:
-            return None
-        return (value_key, tuple((sig.signer, sig.digest) for sig in self.signatures))
+    def _verdict_key(self) -> tuple[Any, tuple[tuple[ProcessorId, str], ...]]:
+        """Value-equality cache key of a fixed chain's verdict: the value's
+        :func:`~repro.core.message.intern_key` and the ``(signer, digest)``
+        pairs, the exact data :meth:`verify` consults.  Dropping the last
+        pair gives the key of the chain one link shorter."""
+        signatures = self.signatures
+        pairs = zip(map(_signer, signatures), map(_digest, signatures))
+        return intern_key(self.value), tuple(pairs)
 
     def verify_prefix_signers(
         self,

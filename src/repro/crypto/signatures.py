@@ -76,7 +76,8 @@ class SignatureService:
     One instance exists per run.  It records every ``(signer, digest)`` pair
     produced through a legitimate :meth:`sign` call; :meth:`verify` simply
     checks membership.  Its :attr:`counters` count the run's payload
-    digests (the runner reports them as the run's
+    digests, ``sign`` and ``verify`` calls and chain verifications (the
+    runner reports them as the run's
     :attr:`~repro.core.runner.RunResult.counters`).
     """
 
@@ -144,9 +145,10 @@ class SignatureService:
 
         The base service never caches (see :attr:`caches_chain_verdicts`);
         the batch engine's :class:`InternedSignatureService` overrides the
-        three hooks with per-run, true-verdicts-only memos — sound because
-        the issued-signature set only grows within a run, so a chain that
-        once verified can never stop verifying.
+        three hooks with per-run, true-verdicts-only memos of fixed chains
+        (:meth:`~repro.crypto.chains.SignatureChain.is_fixed`) — sound
+        because the issued-signature set only grows within a run, so a
+        chain that once verified can never stop verifying.
         """
         return False
 
@@ -155,9 +157,8 @@ class SignatureService:
         return False
 
     def chain_verdict_add(self, key: Any, chain: Any) -> None:
-        """Record that a chain with cache key *key* verified ``True``, and
-        remember *chain* itself by identity unless it is ``None`` (a chain
-        that can change)."""
+        """Record that the fixed *chain*, whose cache key is *key*,
+        verified ``True``."""
 
     # --------------------------------------------------------------- signing
 
@@ -172,6 +173,7 @@ class SignatureService:
             raise ForgeryError(
                 f"key for processor {key.pid} was not issued by this service"
             )
+        self.counters.sign_calls += 1
         digest = self._digest(payload)
         self._issued.add((key.pid, digest))
         return Signature(signer=key.pid, digest=digest)
@@ -208,6 +210,7 @@ class SignatureService:
 
     def verify(self, signature: Signature, payload: Any) -> bool:
         """True iff *signature* was legitimately produced over *payload*."""
+        self.counters.verify_calls += 1
         if self._digest(payload) != signature.digest:
             return False
         return (signature.signer, signature.digest) in self._issued
@@ -302,7 +305,7 @@ class InternedSignatureService(SignatureService):
         super().__init__()
         self._table = table
         self._chain_verdicts: set[Any] = set()
-        #: id(chain) -> chain for chains that verified and cannot change.
+        #: id(chain) -> chain for the fixed chains that verified.
         #: Holding the chain keeps it alive, so its ``id`` cannot be reused
         #: by another object while the entry lives.
         self._verified_chains: dict[int, Any] = {}
@@ -321,5 +324,4 @@ class InternedSignatureService(SignatureService):
     def chain_verdict_add(self, key: Any, chain: Any) -> None:
         """Remember a successful verification for the rest of this run."""
         self._chain_verdicts.add(key)
-        if chain is not None:
-            self._verified_chains[id(chain)] = chain
+        self._verified_chains[id(chain)] = chain

@@ -300,7 +300,13 @@ class TestExactCounts:
             for value in (0, 1)
         ]
         result = run_batch(Algorithm5(80, 2), cases)
-        assert (result.stats.digest_hits, result.stats.digest_misses) == (1219, 15)
+        stats = result.stats
+        assert (stats.digest_hits, stats.digest_misses) == (549, 15)
+        assert (stats.sign_calls, stats.verify_calls, stats.chain_verify_calls) == (
+            290,
+            274,
+            10638,
+        )
         assert [
             (o.messages_by_correct, o.signatures_by_correct, o.phases_used, o.kind)
             for o in result.outcomes

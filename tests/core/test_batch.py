@@ -262,6 +262,7 @@ class TestChainVerdictCache:
         assert chain.verify(service)
         counted = service.counters.counts()
         assert chain.verify(service)  # cached: no further digest work
+        counted["chain_verify_calls"] += 1  # the repeat call itself
         assert service.counters.counts() == counted
 
     def test_forged_chains_are_rejected_despite_the_cache(self):

@@ -1,7 +1,14 @@
 """Tests for multi-signature chains."""
 
+import pytest
+
 from repro.crypto.chains import SignatureChain, chain_body, forge_chain
-from repro.crypto.signatures import SignatureService
+from repro.crypto.signatures import (
+    InternedSignatureService,
+    SharedDigestTable,
+    Signature,
+    SignatureService,
+)
 
 
 def build(service: SignatureService, signers: list[int], value=1) -> SignatureChain:
@@ -80,3 +87,50 @@ class TestForgeChain:
     def test_chain_body_is_prefix_sensitive(self, service):
         chain = build(service, [0])
         assert chain_body("v", ()) != chain_body("v", chain.signatures)
+
+
+@pytest.fixture(params=["plain", "interned"])
+def either_service(request) -> SignatureService:
+    """The strict reference service and the batch engine's per-run one,
+    which answers repeats from its memo and checks only the last link of
+    a chain whose prefix verified."""
+    if request.param == "plain":
+        return SignatureService()
+    return InternedSignatureService(SharedDigestTable())
+
+
+class TestVerifiedPrefix:
+    """Each test verifies a chain first, then asks about a chain that
+    shares its prefix: both services must give the plain walk's answer."""
+
+    def test_bool_signer_does_not_pass_for_processor_one(self, either_service):
+        genuine = build(either_service, [1, 2], value="v")
+        assert genuine.verify(either_service)
+        first, second = genuine.signatures
+        forged = SignatureChain("v", (Signature(True, first.digest), second))
+        assert not forged.verify(either_service)
+
+    def test_forged_last_link_fails(self, either_service):
+        prefix = build(either_service, [0, 1])
+        assert prefix.verify(either_service)
+        fake = either_service.forge(2, chain_body(prefix.value, prefix.signatures))
+        forged = SignatureChain(prefix.value, prefix.signatures + (fake,))
+        before = either_service.counters.verify_calls
+        assert not forged.verify(either_service)
+        links = either_service.counters.verify_calls - before
+        assert links == (1 if either_service.caches_chain_verdicts else 3)
+
+    def test_repeated_last_signer_fails(self, either_service):
+        prefix = build(either_service, [0, 1])
+        assert prefix.verify(either_service)
+        repeated = prefix.extend(either_service.key_for(0), either_service)
+        assert not repeated.verify(either_service)
+
+    def test_extension_of_a_verified_chain_checks_one_link(self, either_service):
+        prefix = build(either_service, [0, 1, 2])
+        assert prefix.verify(either_service)
+        extended = prefix.extend(either_service.key_for(3), either_service)
+        before = either_service.counters.verify_calls
+        assert extended.verify(either_service)
+        links = either_service.counters.verify_calls - before
+        assert links == (1 if either_service.caches_chain_verdicts else 4)

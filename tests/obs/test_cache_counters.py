@@ -80,9 +80,14 @@ class TestInspectRendering:
         counter_lines = [
             line for line in rendered.splitlines() if line.startswith("counters")
         ]
-        # Zero counters are left out; the plain service only misses.
+        # Zero counters are left out, the rest appear by name (the trace
+        # stores them with sorted keys); the plain service misses every
+        # digest and has no table to hit.
+        counters = result.counters
         assert counter_lines == [
-            f"counters  : digest_misses {result.counters.digest_misses}"
+            f"counters  : chain_verify_calls {counters.chain_verify_calls}, "
+            f"digest_misses {counters.digest_misses}, sign_calls {counters.sign_calls}, "
+            f"verify_calls {counters.verify_calls}"
         ]
 
     def test_trace_without_counters_still_inspects(self, tmp_path):

@@ -313,13 +313,35 @@ def reference_record(ledger, sent, correct):
     return counts
 
 
+#: Chains that can never change: builtin scalar and tuple values, a tuple
+#: of exact signatures.  A ledger counts each such object once.
+fixed_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-9, 9),
+        st.floats(allow_nan=False),
+        st.text(max_size=3),
+        st.binary(max_size=3),
+    ),
+    lambda inner: st.tuples(inner, inner),
+    max_leaves=4,
+)
+fixed_chains = st.builds(
+    SignatureChain,
+    value=fixed_values,
+    signatures=st.lists(signatures, max_size=3).map(tuple),
+)
+
+
 @st.composite
 def calls_with_shared_payloads(draw):
     """``record_phase`` calls over a small pool of payload objects, shared
     by several envelopes, as a broadcast shares one object.  A call holds
     one phase or two, and may hold the phase-0 input edge; senders
-    include ``INPUT_SOURCE`` outside phase 0, which is a message."""
-    pool = draw(st.lists(payloads, min_size=1, max_size=4))
+    include ``INPUT_SOURCE`` outside phase 0, which is a message.  The
+    pool draws fixed chains too, so later calls re-send them."""
+    pool = draw(st.lists(st.one_of(payloads, fixed_chains), min_size=1, max_size=4))
     sends = st.tuples(st.integers(INPUT_SOURCE, 5), st.integers(0, 5), st.integers(0, 9))
     calls = []
     for _ in range(draw(st.integers(1, 4))):
@@ -340,15 +362,22 @@ class TestLedgerCountsEachPayloadOncePerPhase:
     @given(calls_with_shared_payloads())
     @settings(max_examples=120)
     @example(([()], [[(0, 1, 1, 0)], []], frozenset({0})))
+    @example(
+        ([SignatureChain(1, (Signature(0, "ab"),))], [[(0, 1, 1, 0)], [(0, 2, 2, 0)]], frozenset())
+    )
     def test_same_ledger_as_counting_each_envelope(self, drawn):
         pool, calls, correct = drawn
         growing: list = []
+        # The pool's payloads re-sent inside one tuple, and a chain over
+        # the growing list, which is not fixed.
+        nested = tuple(pool)
+        growing_chain = SignatureChain(growing, (Signature(signer=0, digest="cd"),))
         memoised, plain = MetricsLedger(), MetricsLedger()
         for number, sends in enumerate(calls, start=1):
             # A list payload shared across calls and mutated between
             # them: a count from an earlier call must not be reused.
             growing.append(Signature(signer=number, digest="ab"))
-            objects = [*pool, growing]
+            objects = [*pool, growing, nested, growing_chain]
             sent = [
                 Envelope(src, dst, phase, objects[pick % len(objects)])
                 for src, dst, phase, pick in sends
@@ -356,3 +385,4 @@ class TestLedgerCountsEachPayloadOncePerPhase:
             counts = memoised.record_phase(sent, correct)
             assert counts == reference_record(plain, sent, correct)
         assert memoised == plain
+        assert repr(memoised) == repr(plain)

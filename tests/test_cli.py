@@ -141,6 +141,22 @@ class TestCommands:
         assert code == 0
         assert "agreement violated     : True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command, verdict",
+        [
+            # Ben-Or signs nothing, so every processor is splittable; the
+            # attack corrupts nobody and agreement holds.
+            ("theorem1", "agreement violated     : False"),
+            ("theorem2", "verdict                : B cannot be starved"),
+        ],
+    )
+    def test_theorems_run_coin_flipping_algorithms(self, capsys, command, verdict):
+        code = main(
+            [command, "--algorithm", "ben-or", "--n", "6", "--t", "1", "--seed", "3"]
+        )
+        assert code == 0
+        assert verdict in capsys.readouterr().out
+
 
 LINT_FIXTURES = str(Path(__file__).parent / "lint" / "fixtures")
 
