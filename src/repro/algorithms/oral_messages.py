@@ -29,7 +29,7 @@ recursive majority defends against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import perm
 from typing import Iterable, Sequence
 
 from repro.algorithms.base import (
@@ -38,13 +38,9 @@ from repro.algorithms.base import (
     Processor,
     input_value_from,
 )
-from repro.core.batch import (
-    BatchOutcome,
-    kernel_value_table,
-    register_batch_kernel,
-)
+from repro.core.batch import BatchOutcome, fault_free_rows, register_batch_kernel
 from repro.core.errors import ConfigurationError
-from repro.core.message import Envelope, Outgoing, UninternableError
+from repro.core.message import Envelope, Outgoing
 from repro.core.types import ProcessorId, Value
 
 
@@ -186,107 +182,36 @@ class OralMessages(AgreementAlgorithm):
         return OralMessagesProcessor(default=self.default)
 
     def upper_bound_messages(self) -> int:
-        """Exact worst-case relay count.
-
-        At phase ``k ≥ 2`` a processor holds at most ``P(k)`` length-
-        ``(k-1)`` paths avoiding itself and relays each to the ``n - k``
-        processors not on the extended path, where ``P(k)`` counts paths
-        ``(transmitter, q_2, .., q_{k-1})`` of distinct non-self ids.
-        """
-        n, t = self.n, self.t
-        total = n - 1  # phase 1, the transmitter's broadcast
-        for k in range(2, t + 2):
-            # choose and order k - 2 intermediate hops from the n - 2
-            # processors that are neither the transmitter nor the relayer.
-            paths = comb(n - 2, k - 2) * _factorial(k - 2)
-            total += (n - 1) * paths * (n - k)
-        return total
+        """Exact worst-case relay count: the fault-free schedule's total."""
+        return sum(count for _, count in _relay_schedule(self.n, self.t))
 
 
-def _factorial(x: int) -> int:
-    result = 1
-    for i in range(2, x + 1):
-        result *= i
-    return result
+def _relay_schedule(n: int, t: int) -> list[tuple[int, int]]:
+    """Messages per phase of a fault-free run, which attains the worst case.
+
+    Phase 1 is the transmitter's broadcast.  At phase ``k ≥ 2`` each of the
+    ``n − 1`` lieutenants holds one length-``(k − 1)`` path per ordered
+    choice of ``k − 2`` intermediate hops among the ``n − 2`` processors
+    that are neither the transmitter nor itself, and relays each to the
+    ``n − k`` processors off the extended path.
+    """
+    schedule = [(1, n - 1)]
+    for k in range(2, t + 2):
+        schedule.append((k, (n - 1) * perm(n - 2, k - 2) * (n - k)))
+    return schedule
 
 
 @register_batch_kernel("oral-messages")
 def _oral_messages_batch_kernel(
     algorithm: AgreementAlgorithm, values: Sequence[Value]
 ) -> list[BatchOutcome] | None:
-    """Vectorised fault-free OM(t) over ``(runs, values)`` vote arrays.
+    """Fault-free OM(t) in closed form.
 
     Fault-free, every EIG subtree resolves to the broadcast value, so each
-    non-transmitter's root resolution is a majority over its ``n − 1``
-    root-child votes — computed here as one numpy bincount/argmax per run
-    (ties resolve to the default, exactly as :meth:`_resolve` does).  The
-    message schedule is closed-form: computed with exact Python integers
-    (the path counts overflow int64 fast) matching
-    :meth:`OralMessages.upper_bound_messages` phase by phase, which
-    fault-free executions attain.  Declines (``None``) on subclasses,
-    missing numpy, uninternable values, or ``None`` inputs.
+    lieutenant's root majority is unanimous and every processor decides
+    the input; the schedule is :func:`_relay_schedule`.  Declines
+    (``None``) on subclasses and on ``None`` inputs.
     """
-    if type(algorithm) is not OralMessages:
+    if type(algorithm) is not OralMessages or any(value is None for value in values):
         return None
-    if any(value is None for value in values):
-        return None
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is part of the toolchain
-        return None
-    try:
-        table, indices, default_index = kernel_value_table(
-            values, algorithm.default
-        )
-    except UninternableError:
-        return None
-
-    n, t = algorithm.n, algorithm.t
-    runs, width = len(values), len(table)
-    index_array = np.asarray(indices, dtype=np.int64)
-    # Root-majority vote: n − 1 root children per lieutenant, all carrying
-    # the broadcast value.  Ties (impossible with a real vote, but kept for
-    # shape-faithfulness) fall back to the default, as _resolve does.
-    votes = np.zeros((runs, width), dtype=np.int64)
-    votes[np.arange(runs), index_array] = n - 1
-    best = votes.max(axis=1)
-    tie = (votes == best[:, None]).sum(axis=1) > 1
-    resolved = np.where(tie, default_index, votes.argmax(axis=1))
-    if n == 1:  # a lone transmitter never votes; it decides its own value
-        resolved = index_array
-
-    # Exact fault-free message schedule (== upper_bound_messages, phase by
-    # phase): at phase k each of the n − 1 lieutenants relays its
-    # comb(n−2, k−2)·(k−2)! held paths to the n − k off-path processors.
-    per_phase: list[tuple[int, int]] = []
-    if n > 1:
-        per_phase.append((1, n - 1))
-    for k in range(2, t + 2):
-        paths = comb(n - 2, k - 2) * _factorial(k - 2)
-        count = (n - 1) * paths * (n - k)
-        if count > 0:
-            per_phase.append((k, count))
-    total = sum(count for _, count in per_phase)
-    phases_used = max((phase for phase, _ in per_phase), default=0)
-
-    outcomes: list[BatchOutcome] = []
-    for row in range(runs):
-        value = table[int(resolved[row])]
-        decisions = {pid: value for pid in range(n)}
-        decisions[algorithm.transmitter] = values[row]
-        outcomes.append(
-            BatchOutcome(
-                decisions=tuple(sorted(decisions.items())),
-                messages_by_correct=total,
-                messages_by_faulty=0,
-                signatures_by_correct=0,
-                signatures_by_faulty=0,
-                phases_used=phases_used,
-                phases_configured=algorithm.num_phases(),
-                messages_per_phase=tuple(per_phase),
-                signatures_per_phase=tuple(
-                    (phase, 0) for phase, _ in per_phase
-                ),
-            )
-        )
-    return outcomes
+    return fault_free_rows(algorithm, values, _relay_schedule(algorithm.n, algorithm.t))

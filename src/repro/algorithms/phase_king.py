@@ -39,13 +39,9 @@ from repro.algorithms.base import (
     Processor,
     input_value_from,
 )
-from repro.core.batch import (
-    BatchOutcome,
-    kernel_value_table,
-    register_batch_kernel,
-)
+from repro.core.batch import BatchOutcome, fault_free_rows, register_batch_kernel
 from repro.core.errors import ConfigurationError
-from repro.core.message import Envelope, Outgoing, UninternableError
+from repro.core.message import Envelope, Outgoing
 from repro.core.types import ProcessorId, Value
 
 
@@ -192,75 +188,20 @@ class PhaseKing(AgreementAlgorithm):
 def _phase_king_batch_kernel(
     algorithm: AgreementAlgorithm, values: Sequence[Value]
 ) -> list[BatchOutcome] | None:
-    """Vectorised fault-free Phase King over ``(runs, processors)`` arrays.
+    """Fault-free Phase King in closed form.
 
-    Replays the exact per-iteration dynamics — majority tally, the
-    ``cnt ≥ n − t`` threshold test, king absorption — as numpy reductions
-    over a ``(runs, n)`` preference array instead of per-run Counters.
-    The value table is sorted by ``repr`` so ``argmax``'s first-maximum
-    tie-break coincides with the scalar tally's repr-sorted winner rule.
-    Declines (``None``) on subclasses, missing numpy, uninternable values,
-    or a ``None`` input (whose scalar semantics involve the silent-
+    Every processor starts from the transmitter's value, so each tally
+    counts ``n ≥ n − t`` copies of it and every processor keeps it through
+    all ``t + 1`` iterations: each decides the input.  The schedule is the
+    transmitter's broadcast, then per iteration one all-to-all round A and
+    one king broadcast in round B.  Declines (``None``) on subclasses and
+    on a ``None`` input (whose scalar semantics involve the silent-
     transmitter default path).
     """
-    if type(algorithm) is not PhaseKing:
+    if type(algorithm) is not PhaseKing or any(value is None for value in values):
         return None
-    if any(value is None for value in values):
-        return None
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is part of the toolchain
-        return None
-    try:
-        table, indices, _ = kernel_value_table(values, algorithm.default)
-    except UninternableError:
-        return None
-
-    n, t = algorithm.n, algorithm.t
-    runs, width = len(values), len(table)
-    # Every processor starts from the transmitter's broadcast value.
-    prefs = np.broadcast_to(
-        np.asarray(indices, dtype=np.int64)[:, None], (runs, n)
-    ).copy()
-    rows = np.arange(width, dtype=np.int64)
-    for _iteration in range(t + 1):
-        # Round A+B of one iteration: every processor tallies all n
-        # preferences (own vote included) ...
-        counts = (prefs[:, :, None] == rows[None, None, :]).sum(axis=1)
-        best = counts.max(axis=1)
-        maj = counts.argmax(axis=1)  # first max == repr-smallest winner
-        # ... keeps its majority iff it saw ≥ n − t copies, else adopts the
-        # king's word (the king tallies the same inbox, so its word is maj).
-        keep = best >= n - t
-        prefs = np.where(keep[:, None], maj[:, None], maj[:, None])
-        prefs = np.broadcast_to(prefs, (runs, n)).copy()
-
-    # Fault-free message schedule: the transmitter's broadcast, then per
-    # iteration one all-to-all round A and one king broadcast in round B.
-    per_phase: list[tuple[int, int]] = [(1, n - 1)]
-    for k in range(t + 1):
-        per_phase.append((2 + 2 * k, n * (n - 1)))
-        per_phase.append((3 + 2 * k, n - 1))
-    per_phase = [(phase, count) for phase, count in per_phase if count > 0]
-    total = sum(count for _, count in per_phase)
-    phases_used = max((phase for phase, _ in per_phase), default=0)
-
-    outcomes: list[BatchOutcome] = []
-    for row in range(runs):
-        decisions = {pid: table[int(prefs[row, pid])] for pid in range(n)}
-        outcomes.append(
-            BatchOutcome(
-                decisions=tuple(sorted(decisions.items())),
-                messages_by_correct=total,
-                messages_by_faulty=0,
-                signatures_by_correct=0,
-                signatures_by_faulty=0,
-                phases_used=phases_used,
-                phases_configured=algorithm.num_phases(),
-                messages_per_phase=tuple(per_phase),
-                signatures_per_phase=tuple(
-                    (phase, 0) for phase, _ in per_phase
-                ),
-            )
-        )
-    return outcomes
+    n = algorithm.n
+    schedule = [(1, n - 1)]
+    for k in range(algorithm.t + 1):
+        schedule += [(2 + 2 * k, n * (n - 1)), (3 + 2 * k, n - 1)]
+    return fault_free_rows(algorithm, values, schedule)

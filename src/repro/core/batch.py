@@ -18,11 +18,12 @@ seed)``.  This module amortises all three:
   distinct classes); each class executes once and its outcome is
   replicated to the other members, which is sound because such runs are
   deterministic pure functions of the class key;
-* **vectorised kernels** — algorithms may register a batch kernel
-  (:func:`register_batch_kernel`) that computes the outcomes of *all*
-  fault-free classes at once over ``(classes, processors)`` integer
-  arrays (numpy majority votes and threshold tests instead of per-run
-  Counters); ``oral-messages`` and ``phase-king`` ship kernels.
+* **closed-form kernels** — algorithms may register a batch kernel
+  (:func:`register_batch_kernel`) that writes down the outcomes of *all*
+  fault-free classes at once instead of executing them: under validity
+  every processor decides the class's input, and the message schedule
+  is the algorithm's fault-free one (:func:`fault_free_rows`);
+  ``oral-messages`` and ``phase-king`` ship kernels.
 
 The engine builds each run's
 :class:`~repro.transport.faulty.FaultyTransport` and coin source itself,
@@ -115,7 +116,7 @@ class BatchOutcome:
     ``verdict`` text (``"ok"`` or the violations) and the ``excused``
     processors whose decisions it ignored.  ``replicated`` marks outcomes
     copied from a deduplicated class mate; ``kernel`` marks outcomes
-    computed by a vectorised kernel.
+    computed by a closed-form kernel.
     """
 
     decisions: tuple[tuple[ProcessorId, Value], ...]
@@ -158,8 +159,8 @@ class BatchResult:
     declared: Costs
 
 
-#: A vectorised fault-free executor: ``(algorithm, values)`` → one outcome
-#: per value, or ``None`` to decline (e.g. numpy unavailable).  *values*
+#: A closed-form fault-free executor: ``(algorithm, values)`` → one outcome
+#: per value, or ``None`` to decline (e.g. an algorithm subclass).  *values*
 #: are the representatives of the batch's fault-free run classes.
 BatchKernel = Callable[
     [AgreementAlgorithm, Sequence[Value]], "list[BatchOutcome] | None"
@@ -188,37 +189,36 @@ def register_batch_kernel(name: str) -> Callable[[BatchKernel], BatchKernel]:
     return decorate
 
 
-def batch_kernel_for(name: str) -> BatchKernel | None:
-    """The registered kernel for algorithm *name*, if any."""
-    return _KERNELS.get(name)
+def fault_free_rows(
+    algorithm: AgreementAlgorithm,
+    values: Sequence[Value],
+    schedule: Iterable[tuple[int, int]],
+) -> list[BatchOutcome]:
+    """One kernel row per run-class input, in which every processor decides it.
 
-
-def kernel_value_table(
-    values: Sequence[Value], default: Value
-) -> tuple[list[Value], list[int], int]:
-    """Map run-class values (plus the algorithm default) to small ints.
-
-    Returns ``(table, indices, default_index)``: *table* holds one
-    representative per distinct value (distinct under
-    :func:`~repro.core.message.intern_key`, so ``1`` and ``True`` get
-    separate rows) sorted by ``repr`` — the tie-break order the scalar
-    majority votes use — and ``indices[i]`` is the table row of
-    ``values[i]``.  Raises
-    :class:`~repro.core.message.UninternableError` for values that cannot
-    be keyed; kernels decline such batches and the scalar path takes over.
+    *schedule* lists the fault-free run's ``(phase, messages)`` pairs; the
+    phases that send nothing are dropped, as the runner's ledger never
+    records them.  Kernel algorithms are unauthenticated, so no row signs.
     """
-    reps: list[tuple[Any, Value]] = []
-    seen: set[Any] = set()
-    for value in [*values, default]:
-        key = intern_key(value)
-        if key not in seen:
-            seen.add(key)
-            reps.append((key, value))
-    reps.sort(key=lambda item: repr(item[1]))
-    index_of = {key: row for row, (key, _) in enumerate(reps)}
-    table = [value for _, value in reps]
-    indices = [index_of[intern_key(value)] for value in values]
-    return table, indices, index_of[intern_key(default)]
+    per_phase = tuple((phase, count) for phase, count in schedule if count)
+    unsigned = tuple((phase, 0) for phase, _ in per_phase)
+    messages = sum(count for _, count in per_phase)
+    phases_used = max((phase for phase, _ in per_phase), default=0)
+    pids = range(algorithm.n)
+    return [
+        BatchOutcome(
+            decisions=tuple((pid, value) for pid in pids),
+            messages_by_correct=messages,
+            messages_by_faulty=0,
+            signatures_by_correct=0,
+            signatures_by_faulty=0,
+            phases_used=phases_used,
+            phases_configured=algorithm.num_phases(),
+            messages_per_phase=per_phase,
+            signatures_per_phase=unsigned,
+        )
+        for value in values
+    ]
 
 
 def _class_key(case: BatchCase) -> Any | None:

@@ -29,7 +29,7 @@ class Counters:
     unique_runs: int = 0
     #: Outcomes replicated from an already-executed class mate.
     replicated_runs: int = 0
-    #: Unique classes computed by a vectorised kernel.
+    #: Unique classes written down by a closed-form kernel.
     kernel_runs: int = 0
     #: Unique classes (plus non-dedupable cases) run through the runner.
     scalar_runs: int = 0

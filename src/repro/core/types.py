@@ -49,19 +49,3 @@ def check_population(n: int, t: int) -> None:
         raise ValueError(f"fault bound must be non-negative, got t={t}")
     if t >= n:
         raise ValueError(f"fault bound t={t} must be smaller than n={n}")
-
-
-def check_processor_id(pid: ProcessorId, n: int) -> None:
-    """Validate that *pid* identifies a processor in a system of size *n*."""
-    if not 0 <= pid < n:
-        raise ValueError(f"processor id {pid} out of range for n={n}")
-
-
-def all_processors(n: int) -> range:
-    """All processor ids of a system of size *n*, transmitter first."""
-    return range(n)
-
-
-def other_processors(n: int, pid: ProcessorId) -> list[ProcessorId]:
-    """All processor ids except *pid* (the usual broadcast destination set)."""
-    return [q for q in range(n) if q != pid]

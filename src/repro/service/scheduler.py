@@ -22,7 +22,7 @@ Inside a stripe every request rides :func:`repro.core.batch.run_batch`:
   waves and ``serve`` calls;
 * **run-class dedup + kernels** — requests with equal
   ``(value, fault plan, coin seed)`` share one execution (or one row of a
-  vectorised kernel), so a thousand identical requests cost one run;
+  closed-form kernel), so a thousand identical requests cost one run;
 * **one verdict** — the engine judges each run with
   :func:`repro.approx.validation.judge_run`, excusing the processors an
   injected fault touched; a request's ``kind`` is the verdict class, and

@@ -10,16 +10,9 @@ from repro.algorithms.dolev_strong import DolevStrong
 from repro.algorithms.oral_messages import OralMessages
 from repro.algorithms.phase_king import PhaseKing
 from repro.algorithms.registry import get
-from repro.core.batch import (
-    BatchCase,
-    BatchEquivalenceError,
-    batch_kernel_for,
-    kernel_value_table,
-    run_batch,
-)
+from repro.core.batch import BatchCase, BatchEquivalenceError, run_batch
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import AgreementAlgorithm
-from repro.core.message import UninternableError
 from repro.crypto.chains import SignatureChain, forge_chain
 from repro.crypto.signatures import (
     InternedSignatureService,
@@ -49,8 +42,8 @@ class TestDeduplication:
         assert result.stats.replicated_runs == 2
 
     def test_one_and_true_keep_their_types_through_the_kernel(self):
-        # Phase King decides the transmitter's raw value, so 1-vs-True
-        # confusion in the kernel's value table would be visible here.
+        # Phase King decides the transmitter's raw value, so a kernel row
+        # that confused 1 with True would be visible here.
         result = run_batch(PhaseKing(9, 2), [1, True], strict=True)
         assert result.stats.kernel_runs == 2
         assert repr(dict(result.outcomes[0].decisions)[1]) == "1"
@@ -121,35 +114,27 @@ class TestKernels:
         assert all(o.agreement_ok for o in result.outcomes)
 
     def test_kernel_registered_for_known_algorithms(self):
-        assert batch_kernel_for("phase-king") is not None
-        assert batch_kernel_for("oral-messages") is not None
-        assert batch_kernel_for("dolev-strong") is None
+        assert set(batch._KERNELS) == {"phase-king", "oral-messages"}
 
     def test_kernel_declines_subclasses(self):
         class TweakedPhaseKing(PhaseKing):
             pass
 
-        kernel = batch_kernel_for("phase-king")
+        kernel = batch._KERNELS["phase-king"]
         assert kernel(TweakedPhaseKing(9, 2), [0, 1]) is None
 
     def test_kernel_declines_none_values(self):
-        kernel = batch_kernel_for("phase-king")
+        kernel = batch._KERNELS["phase-king"]
         assert kernel(PhaseKing(9, 2), [0, None]) is None
 
     def test_kernel_decline_falls_back_to_scalar(self, monkeypatch):
-        from repro.core import batch as batch_module
-
-        monkeypatch.setitem(
-            batch_module._KERNELS, "phase-king", lambda algorithm, values: None
-        )
+        monkeypatch.setitem(batch._KERNELS, "phase-king", lambda algorithm, values: None)
         result = run_batch(PhaseKing(9, 2), [0, 1, 0], strict=True)
         assert result.stats.kernel_runs == 0
         assert result.stats.scalar_runs == 2
 
     def test_strict_mode_catches_a_lying_kernel(self, monkeypatch):
-        from repro.core import batch as batch_module
-
-        real = batch_module._KERNELS["phase-king"]
+        real = batch._KERNELS["phase-king"]
 
         def lying(algorithm, values):
             outcomes = real(algorithm, values)
@@ -158,7 +143,7 @@ class TestKernels:
                 for o in outcomes
             ]
 
-        monkeypatch.setitem(batch_module._KERNELS, "phase-king", lying)
+        monkeypatch.setitem(batch._KERNELS, "phase-king", lying)
         with pytest.raises(BatchEquivalenceError, match="messages_by_correct"):
             run_batch(PhaseKing(9, 2), [0, 1], strict=True)
 
@@ -167,14 +152,6 @@ class TestKernels:
         outcome = run_batch(algorithm, [1]).outcomes[0]
         assert outcome.kernel
         assert outcome.messages_by_correct == algorithm.upper_bound_messages()
-
-    def test_value_table_orders_by_repr_and_tags_types(self):
-        table, indices, default_index = kernel_value_table([1, True, 0], 0)
-        assert table == [0, 1, True]
-        assert indices == [1, 2, 0]
-        assert default_index == 0
-        with pytest.raises(UninternableError):
-            kernel_value_table([object()], 0)
 
 
 class TestVerdict:

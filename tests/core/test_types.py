@@ -6,10 +6,7 @@ from repro.core.types import (
     BINARY_VALUES,
     INPUT_SOURCE,
     TRANSMITTER,
-    all_processors,
     check_population,
-    check_processor_id,
-    other_processors,
 )
 
 
@@ -36,17 +33,6 @@ class TestCheckPopulation:
             check_population(3, 7)
 
 
-class TestCheckProcessorId:
-    def test_accepts_boundary_ids(self):
-        check_processor_id(0, 5)
-        check_processor_id(4, 5)
-
-    @pytest.mark.parametrize("pid", [-1, 5, 100])
-    def test_rejects_out_of_range(self, pid):
-        with pytest.raises(ValueError, match="out of range"):
-            check_processor_id(pid, 5)
-
-
 class TestConstants:
     def test_transmitter_is_processor_zero(self):
         assert TRANSMITTER == 0
@@ -56,14 +42,3 @@ class TestConstants:
 
     def test_binary_value_domain(self):
         assert BINARY_VALUES == (0, 1)
-
-
-class TestEnumerations:
-    def test_all_processors(self):
-        assert list(all_processors(3)) == [0, 1, 2]
-
-    def test_other_processors_excludes_self(self):
-        assert other_processors(4, 2) == [0, 1, 3]
-
-    def test_other_processors_of_singleton_system(self):
-        assert other_processors(1, 0) == []

@@ -6,13 +6,16 @@ verdict — so these properties simply drive strict batches across the full
 algorithm zoo, value streams that mix ``0``/``1``/``True`` (type-punning
 dict keys), and seeded benign fault plans.  A silent pass
 means byte-identical outcomes; kernels (``phase-king``,
-``oral-messages``) and the dedup/digest-sharing machinery are all under
-the same gate.
+``oral-messages``, over values of every hashable kind and several
+shapes) and the dedup/digest-sharing machinery are all under the same
+gate.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.base import DEFAULT_VALUE
 from repro.algorithms.registry import ALGORITHMS
 from repro.core.batch import BatchCase, run_batch
 from repro.transport.faults import random_plan
@@ -31,12 +34,42 @@ ZOO = [
 ]
 
 
-def build(name: str, n: int, t: int):
-    return ALGORITHMS[name](n, t)
+def build(name: str, n: int, t: int, **params):
+    return ALGORITHMS[name](n, t, **params)
 
 
 values_streams = st.lists(
     st.sampled_from([0, 1, True]), min_size=1, max_size=8
+)
+
+#: The shapes at which the kernel gate runs each kernel algorithm.
+KERNEL_SHAPES = [
+    ("phase-king", 1, 0),
+    ("phase-king", 5, 1),
+    ("phase-king", 9, 2),
+    ("phase-king", 13, 3),
+    ("oral-messages", 1, 0),
+    ("oral-messages", 4, 1),
+    ("oral-messages", 7, 2),
+    ("oral-messages", 10, 3),
+]
+
+#: A kernel row decides the class's input object itself, so draw inputs of
+#: every kind a scalar run passes through unchanged.
+kernel_values = st.lists(
+    st.one_of(
+        st.integers(-(2**70), -1),
+        st.integers(2**63, 2**70),
+        st.booleans(),
+        st.text(max_size=3),
+        st.tuples(st.integers(-2, 2), st.text(max_size=2)),
+        st.frozensets(st.integers(-2, 2), max_size=3),
+        st.floats(),
+        st.binary(max_size=3),
+        st.just(DEFAULT_VALUE),
+    ),
+    min_size=1,
+    max_size=8,
 )
 
 
@@ -66,14 +99,14 @@ class TestStrictEquivalence:
             assert result.stats.unique_runs == 1
             assert result.stats.replicated_runs == 2
 
-    @settings(max_examples=6, deadline=None)
-    @given(values=values_streams)
+    @settings(max_examples=12, deadline=None)
+    @given(values=kernel_values)
     def test_kernel_and_scalar_agree_when_both_forced(self, values):
         # Run the kernel algorithms once normally (kernel path) and once
         # with the kernel disabled (scalar path): same outcomes.
         from repro.core import batch as batch_module
 
-        for name, n, t in (("phase-king", 9, 2), ("oral-messages", 7, 2)):
+        for name, n, t in KERNEL_SHAPES:
             with_kernel = run_batch(build(name, n, t), values, strict=True)
             saved = batch_module._KERNELS.pop(name)
             try:
@@ -85,3 +118,10 @@ class TestStrictEquivalence:
             ]
             assert with_kernel.stats.kernel_runs > 0
             assert without.stats.kernel_runs == 0
+
+    @pytest.mark.parametrize("name,n,t", [("phase-king", 9, 2), ("oral-messages", 7, 2)])
+    def test_an_uninternable_default_takes_the_kernel(self, name, n, t):
+        # The closed forms never read the default, so a complex one (which
+        # intern_key cannot key) leaves the batch on the kernel.
+        result = run_batch(build(name, n, t, default=1j), [0, 1, 0], strict=True)
+        assert (result.stats.kernel_runs, result.stats.scalar_runs) == (2, 0)
