@@ -149,10 +149,6 @@ class Algorithm5Schedule:
                 return block
         return None
 
-    def previous_block(self, block: Block) -> Block | None:
-        index = self.blocks.index(block)
-        return self.blocks[index - 1] if index > 0 else None
-
 
 def is_valid_message(
     payload: object, t: int, alpha: int, ctx: Context

@@ -25,6 +25,7 @@ Adversary specs: ``silent:PIDS``, ``crash:PID@PHASE,...``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -421,244 +422,12 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return exit_code
 
 
-#: The fixed perf basket: one pinned scenario per registered algorithm.
-#: Sizes are chosen so the full basket finishes in seconds while still
-#: exercising each algorithm's hot path; ``--quick`` halves the sizes for
-#: use as a CI smoke.
-BENCH_BASKET: tuple[tuple[str, int, int], ...] = (
-    ("dolev-strong", 40, 2),
-    ("active-set", 40, 2),
-    ("oral-messages", 11, 2),
-    ("algorithm-1", 9, 4),
-    ("algorithm-2", 7, 3),
-    ("algorithm-3", 120, 2),
-    ("algorithm-5", 120, 2),
-    ("informed-algorithm-2", 120, 2),
-    ("phase-king", 24, 2),
-)
-
-BENCH_BASKET_QUICK: tuple[tuple[str, int, int], ...] = (
-    ("dolev-strong", 20, 2),
-    ("active-set", 20, 2),
-    ("oral-messages", 9, 2),
-    ("algorithm-1", 9, 4),
-    ("algorithm-2", 7, 3),
-    ("algorithm-3", 60, 2),
-    ("algorithm-5", 60, 2),
-    ("informed-algorithm-2", 60, 2),
-    ("phase-king", 16, 2),
-)
-
-#: Batch-engine throughput cases: ``(name, n, t, runs)``.  Each runs a
-#: whole seed sweep (alternating 0/1 inputs) through
-#: :func:`repro.core.batch.run_batch` in one process; ``baseline_case``
-#: in the emitted JSON names the scalar ``runner:`` case the speedup is
-#: measured against (``scripts/bench_compare.py --min-batch-speedup``).
-BENCH_BATCH: tuple[tuple[str, int, int, int], ...] = (
-    ("algorithm-3", 120, 2, 256),
-    ("algorithm-5", 120, 2, 64),
-    # The kernel-backed cases get big run counts: their per-run cost is so
-    # small that anything less is a sub-millisecond timing target, which
-    # makes the wall-clock regression check needlessly noisy.
-    ("phase-king", 24, 2, 4096),
-    ("oral-messages", 11, 2, 4096),
-)
-
-BENCH_BATCH_QUICK: tuple[tuple[str, int, int, int], ...] = (
-    ("algorithm-3", 60, 2, 128),
-    ("algorithm-5", 60, 2, 32),
-    ("phase-king", 16, 2, 2048),
-    ("oral-messages", 9, 2, 2048),
-)
-
-#: Service-layer throughput cases: ``(label, requests, fault_rate)``.
-#: Each replays a seeded open-loop traffic run (default workload mix)
-#: through the :class:`~repro.service.scheduler.Scheduler` with one
-#: worker, so the reported agreements/sec is a stable single-core floor —
-#: the number ``scripts/bench_compare.py --min-service-rate`` gates on.
-BENCH_SERVICE: tuple[tuple[str, int, float], ...] = (
-    ("mixed", 400, 0.0),
-    ("faulty", 200, 0.2),
-)
-
-BENCH_SERVICE_QUICK: tuple[tuple[str, int, float], ...] = (
-    ("mixed", 120, 0.0),
-    ("faulty", 60, 0.2),
-)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Time the fixed scenario basket and write a ``BENCH_*.json`` point.
+    """`repro bench`: time the case table of :mod:`repro.bench`, write its JSON."""
+    from repro.bench import run_bench
 
-    The JSON (schema ``repro-bench/1``) is the unit of the repo's perf
-    trajectory: ``scripts/bench_compare.py`` diffs two of them and fails on
-    regression.  Each case's figure is the **median over ``--trials``** of
-    min-of-``--repeat`` wall-clock seconds — the min strips scheduler
-    noise within a trial, the median strips whole-trial outliers (a GC
-    pause, a noisy neighbour), which is what keeps the perf smoke quiet.
-    """
-    import json
-    import statistics
-    import time
-    from functools import partial
-
-    from repro.analysis.parallel import default_workers, sweep_parallel
-    from repro.core.batch import run_batch
-
-    workers = args.workers if args.workers is not None else default_workers()
-    repeat = max(1, args.repeat)
-    trials = max(1, args.trials)
-    basket = BENCH_BASKET_QUICK if args.quick else BENCH_BASKET
-    batch_basket = BENCH_BATCH_QUICK if args.quick else BENCH_BATCH
-    service_basket = BENCH_SERVICE_QUICK if args.quick else BENCH_SERVICE
-    cases: dict[str, dict[str, object]] = {}
-
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-
-    for name, n, t in basket:
-        info = get(name)
-        trial_seconds: list[float] = []
-        messages = 0
-        for _ in range(trials):
-            best = float("inf")
-            for _ in range(repeat):
-                algorithm = info(n, t)
-                started = time.perf_counter()
-                result = run_algorithm(algorithm, 1, record_history=False)
-                best = min(best, time.perf_counter() - started)
-                messages = result.metrics.messages_by_correct
-            trial_seconds.append(best)
-        seconds = statistics.median(trial_seconds)
-        cases[f"runner:{name}"] = {
-            "kind": "runner",
-            "n": n,
-            "t": t,
-            "seconds": round(seconds, 6),
-            "messages": messages,
-            "messages_per_sec": round(messages / seconds, 1) if seconds else None,
-        }
-
-    # Batch-engine throughput: one whole seed sweep per case, one process.
-    for name, n, t, runs in batch_basket:
-        info = get(name)
-        values = [run % 2 for run in range(runs)]
-        trial_seconds = []
-        messages = 0
-        stats_json: dict[str, object] = {}
-        for _ in range(trials):
-            best = float("inf")
-            for _ in range(repeat):
-                algorithm = info(n, t)
-                started = time.perf_counter()
-                batch = run_batch(algorithm, values)
-                best = min(best, time.perf_counter() - started)
-                messages = sum(o.messages_by_correct for o in batch.outcomes)
-                stats_json = batch.stats.to_json_dict()
-            trial_seconds.append(best)
-        seconds = statistics.median(trial_seconds)
-        cases[f"batch:{name}"] = {
-            "kind": "batch",
-            "n": n,
-            "t": t,
-            "runs": runs,
-            "unique_runs": stats_json.get("unique_runs"),
-            "kernel_runs": stats_json.get("kernel_runs"),
-            "digest_hit_rate": stats_json.get("digest_hit_rate"),
-            "baseline_case": f"runner:{name}",
-            "seconds": round(seconds, 6),
-            "messages": messages,
-            "messages_per_sec": round(messages / seconds, 1) if seconds else None,
-        }
-
-    if profiler is not None:
-        import pstats
-
-        profiler.disable()
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats("cumulative").print_stats(20)
-        print(
-            "repro bench --profile: top-20 cumulative hotspots over the "
-            "runner and batch baskets (sweep/service cases and JSON "
-            "output skipped)"
-        )
-        return 0
-
-    # Large-n sweep throughput: the parallel executor over an E7-style grid.
-    sweep_t = 2
-    sweep_ns = (60, 120) if args.quick else (60, 120, 180, 240)
-    sweep_values = (1,) if args.quick else (0, 1)
-    started = time.perf_counter()
-    points = sweep_parallel(
-        [({"n": n}, partial(get("algorithm-3").build, n, sweep_t)) for n in sweep_ns],
-        values=sweep_values,
-        workers=workers,
-    )
-    seconds = time.perf_counter() - started
-    swept_messages = sum(p.messages for p in points)
-    cases["sweep:algorithm-3:grid"] = {
-        "kind": "sweep",
-        "scenarios": len(points),
-        "workers": workers,
-        "seconds": round(seconds, 6),
-        "messages": swept_messages,
-        "scenarios_per_sec": round(len(points) / seconds, 2) if seconds else None,
-        "messages_per_sec": round(swept_messages / seconds, 1) if seconds else None,
-    }
-
-    # Service-layer throughput: one seeded open-loop traffic run per
-    # case, one worker — a stable single-core agreements/sec floor.
-    from repro.obs.export import service_bench_json
-    from repro.service import Scheduler, generate_schedule
-
-    for label, requests, fault_rate in service_basket:
-        schedule = generate_schedule(
-            requests=requests, rate=50_000.0, seed=7, fault_rate=fault_rate
-        )
-        trial_stats = []
-        for _ in range(trials):
-            report = Scheduler(workers=1).serve(schedule)
-            trial_stats.append(report.stats)
-        trial_stats.sort(key=lambda s: s.wall_s)
-        key = f"service:{label}"
-        case = service_bench_json(trial_stats[len(trial_stats) // 2], key)
-        cases[key] = {**case["cases"][key], "fault_rate": fault_rate}
-
-    document = {
-        "schema": "repro-bench/1",
-        "workers": workers,
-        "repeat": repeat,
-        "trials": trials,
-        "quick": bool(args.quick),
-        "cases": cases,
-    }
-    rows = [
-        {
-            "case": key,
-            "seconds": data["seconds"],
-            "messages": data["messages"],
-            "msgs/sec": data["messages_per_sec"],
-        }
-        for key, data in cases.items()
-    ]
-    print(
-        format_table(
-            rows,
-            title=(
-                f"repro bench (workers={workers}, repeat={repeat}, "
-                f"trials={trials})"
-            ),
-        )
-    )
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nwrote {args.output}")
-    return 0
+    return run_bench(args.output, workers=args.workers, repeat=args.repeat,
+                     trials=args.trials, quick=args.quick, profile=args.profile)
 
 
 def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
@@ -858,6 +627,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"faults    : {case.fault_plan.describe()}")
         print(f"recorded  : {entry.verdict} — {entry.detail or '(no detail)'}")
         print(f"replayed  : {outcome.verdict} — {outcome.detail or '(no detail)'}")
+        if outcome.retired:
+            print(f"retired   : {outcome.retired} simulated instance(s) raised")
         reproduced = outcome.verdict == entry.verdict
         print(f"reproduced: {reproduced}")
         return 0 if reproduced else 1
@@ -920,6 +691,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             trace_path = save_trace(path, entry)
             print(f"  trace  : {trace_path}")
 
+    retired = sum(result.outcome.retired for result in results)
+    if retired:
+        print(f"\n{retired} simulated faulty instance(s) raised and were retired")
     print(f"\n{len(results)} cases, {len(failures)} failing")
     return 1 if failures else 0
 
@@ -1087,7 +861,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--repeat", type=int, default=3,
-        help="timing repetitions per runner case; min is reported (default: 3)",
+        help="timed calls per trial of every case; the min is kept (default: 3)",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
@@ -1101,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--profile", action="store_true",
-        help="run the runner and batch baskets under cProfile and print the "
+        help="run the runner and batch rows under cProfile and print the "
         "top-20 cumulative hotspots instead of writing the JSON",
     )
     p_bench.set_defaults(func=cmd_bench)
@@ -1273,10 +1047,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The destinations of the flags that name a file a command writes.
+#: ``repro fuzz --checkpoint`` is not one: it creates its directories.
+OUTPUT_FLAGS = ("output", "trace_out", "metrics_out", "out", "emit")
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse, before any work, an output file that cannot be created."""
+    for dest in OUTPUT_FLAGS:
+        path = getattr(args, dest, None)
+        if path is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if os.path.isdir(path):
+            raise UsageError(f"{flag} {path} is a directory")
+        directory = os.path.dirname(path)
+        if not os.path.isdir(directory or "."):
+            raise UsageError(f"{flag} {path}: no such directory {directory}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except UsageError as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)

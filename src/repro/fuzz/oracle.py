@@ -21,7 +21,7 @@ from repro.approx.validation import FAILING
 from repro.core.batch import BatchCase, run_batch
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
-from repro.fuzz.script import AdversaryScript
+from repro.fuzz.script import AdversaryScript, ScriptAdversary
 from repro.transport.faults import FaultPlan
 
 #: The run raised instead of finishing.
@@ -37,6 +37,9 @@ class FuzzOutcome:
     messages: int = 0
     signatures: int = 0
     phases_used: int = 0
+    #: Simulated faulty instances the script retired because they raised
+    #: (:attr:`ScriptAdversary.retired`); a corpus entry does not save it.
+    retired: int = 0
 
     @property
     def failed(self) -> bool:
@@ -63,10 +66,18 @@ def execute_script(
     useful evidence.  An exception becomes a ``crash`` verdict rather
     than propagating: a fuzz campaign must survive its own findings.
     """
+    built: list[ScriptAdversary] = []
+
+    def build(_: AgreementAlgorithm) -> ScriptAdversary:
+        # The engine's run builds the first; strict mode's reference
+        # re-run would build a second.
+        built.append(script.build())
+        return built[-1]
+
     case = BatchCase(
         value=value,
         adversary_name="script",
-        adversary_factory=lambda _: script.build(),
+        adversary_factory=build,
         fault_plan=fault_plan,
         coin_seed=coin_seed,
         trace=trace,
@@ -83,4 +94,5 @@ def execute_script(
         messages=outcome.messages_by_correct,
         signatures=outcome.signatures_by_correct,
         phases_used=outcome.phases_used,
+        retired=built[0].retired,
     )

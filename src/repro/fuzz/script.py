@@ -96,6 +96,7 @@ class ScriptAdversary(SimulatingAdversary):
     raises on its (mutated) view is retired — from then on that processor
     sends nothing through its protocol, exactly what a wedged faulty node
     looks like from outside; injection primitives keep applying.
+    :attr:`retired` counts those retirements.
     """
 
     def __init__(self, script: AdversaryScript) -> None:
@@ -107,6 +108,11 @@ class ScriptAdversary(SimulatingAdversary):
         self._wedged: set[ProcessorId] = set()
         self._alt: dict[ProcessorId, Processor] = {}
         self._alt_wedged: set[ProcessorId] = set()
+
+    @property
+    def retired(self) -> int:
+        """Simulated instances retired for raising, equivocation twins included."""
+        return len(self._wedged) + len(self._alt_wedged)
 
     # ---------------------------------------------------------------- set-up
 

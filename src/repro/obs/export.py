@@ -27,6 +27,12 @@ behind ``repro loadgen --metrics-out``.  Per-phase wall time is a
 run-level family only (``repro_phase_wall_seconds``): the service
 never re-runs a request to time it.
 
+The ``repro-bench/1`` format is written here alone: :func:`bench_document`
+builds the envelope, one builder per case kind (:func:`runner_case`,
+:func:`batch_case`, :func:`sweep_case`, :func:`service_case`) builds a
+case, and :func:`write_bench` writes a document.  ``repro bench``
+(:mod:`repro.bench`) and both exports above use them.
+
 Both expositions render their :class:`~repro.core.counters.Counters`
 through one function, :func:`_counters_family`: one ``repro_counters_total``
 family with one line per field, labelled ``counter=<field name>`` — the
@@ -37,15 +43,20 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # break the cycle: core.runner imports repro.obs.*
+    from repro.analysis.sweep import SweepPoint
+    from repro.core.batch import BatchResult
     from repro.core.counters import Counters
     from repro.core.runner import RunResult
     from repro.service.stats import LatencySummary, ServiceStats
 
 #: Metric name prefix for every exported Prometheus line.
 PROMETHEUS_PREFIX = "repro"
+
+#: The schema of ``repro bench`` documents and of bench-comparable exports.
+BENCH_SCHEMA = "repro-bench/1"
 
 
 def _escape_label(value: object) -> str:
@@ -69,17 +80,21 @@ def _line(name: str, value: object, **labels: object) -> str:
     return f"{PROMETHEUS_PREFIX}_{name}{rendered} {value}"
 
 
-def _header(out: list[str], name: str, kind: str, help_text: str) -> None:
-    """Emit the HELP/TYPE header for a metric family once."""
+def _family(
+    out: list[str], name: str, kind: str, help_text: str,
+    *samples: tuple[object, dict[str, object]],
+) -> None:
+    """Emit one metric family: its HELP/TYPE header, then one line per
+    ``(value, labels)`` sample."""
     out.append(f"# HELP {PROMETHEUS_PREFIX}_{name} {help_text}")
     out.append(f"# TYPE {PROMETHEUS_PREFIX}_{name} {kind}")
+    out.extend(_line(name, value, **labels) for value, labels in samples)
 
 
 def _counters_family(out: list[str], counters: "Counters") -> None:
     """Emit *counters* as the ``counters_total`` family, one line per field."""
-    _header(out, "counters_total", "counter", "Work counts, by counter name")
-    for name, value in counters.counts().items():
-        out.append(_line("counters_total", value, counter=name))
+    _family(out, "counters_total", "counter", "Work counts, by counter name",
+            *((value, {"counter": name}) for name, value in counters.counts().items()))
 
 
 def prometheus_metrics(result: RunResult) -> str:
@@ -91,107 +106,141 @@ def prometheus_metrics(result: RunResult) -> str:
     timings of :class:`~repro.obs.telemetry.RunTelemetry`.
     """
     metrics = result.metrics
+    phases, pids = range(1, metrics.phases_configured + 1), range(result.n)
     out: list[str] = []
-    _header(out, "run_info", "gauge", "Static labels of the traced run")
-    out.append(
-        _line(
-            "run_info",
-            1,
-            algorithm=result.algorithm_name,
-            n=result.n,
-            t=result.t,
-            transmitter=result.transmitter,
-            faults=len(result.faulty),
-        )
-    )
-    _header(out, "messages_total", "counter", "Messages sent, by sender class")
-    out.append(_line("messages_total", metrics.messages_by_correct, sender="correct"))
-    out.append(_line("messages_total", metrics.messages_by_faulty, sender="faulty"))
-    _header(out, "signatures_total", "counter", "Signatures appended, by sender class")
-    out.append(
-        _line("signatures_total", metrics.signatures_by_correct, sender="correct")
-    )
-    out.append(
-        _line("signatures_total", metrics.signatures_by_faulty, sender="faulty")
-    )
-    _header(
-        out,
-        "unsigned_correct_messages_total",
-        "counter",
-        "Correct-sender messages carrying no signature (Theorem 1 assumption)",
-    )
-    out.append(
-        _line("unsigned_correct_messages_total", metrics.unsigned_correct_messages)
-    )
-    _header(out, "phase_messages_total", "counter", "Messages sent during each phase")
-    for phase in range(1, metrics.phases_configured + 1):
-        out.append(
-            _line(
-                "phase_messages_total",
-                metrics.messages_per_phase.get(phase, 0),
-                phase=phase,
-            )
-        )
-    _header(out, "phase_signatures_total", "counter", "Signatures appended during each phase")
-    for phase in range(1, metrics.phases_configured + 1):
-        out.append(
-            _line(
-                "phase_signatures_total",
-                metrics.signatures_per_phase.get(phase, 0),
-                phase=phase,
-            )
-        )
-    _header(out, "processor_sent_total", "counter", "Messages sent per processor")
-    for pid in range(result.n):
-        out.append(
-            _line(
-                "processor_sent_total",
-                metrics.sent_per_processor.get(pid, 0),
-                processor=pid,
-                role="faulty" if pid in result.faulty else "correct",
-            )
-        )
-    _header(out, "processor_received_total", "counter", "Messages received per processor")
-    for pid in range(result.n):
-        out.append(
-            _line(
-                "processor_received_total",
-                metrics.received_per_processor.get(pid, 0),
-                processor=pid,
-            )
-        )
-    _header(out, "last_active_phase", "gauge", "Highest phase with any traffic")
-    out.append(_line("last_active_phase", metrics.last_active_phase))
-    _header(out, "phases_configured", "gauge", "Phases the algorithm declared")
-    out.append(_line("phases_configured", metrics.phases_configured))
+    _family(out, "run_info", "gauge", "Static labels of the traced run", (1, {
+        "algorithm": result.algorithm_name, "n": result.n, "t": result.t,
+        "transmitter": result.transmitter, "faults": len(result.faulty),
+    }))
+    _family(out, "messages_total", "counter", "Messages sent, by sender class",
+            (metrics.messages_by_correct, {"sender": "correct"}),
+            (metrics.messages_by_faulty, {"sender": "faulty"}))
+    _family(out, "signatures_total", "counter", "Signatures appended, by sender class",
+            (metrics.signatures_by_correct, {"sender": "correct"}),
+            (metrics.signatures_by_faulty, {"sender": "faulty"}))
+    _family(out, "unsigned_correct_messages_total", "counter",
+            "Correct-sender messages carrying no signature (Theorem 1 assumption)",
+            (metrics.unsigned_correct_messages, {}))
+    _family(out, "phase_messages_total", "counter", "Messages sent during each phase",
+            *((metrics.messages_per_phase.get(p, 0), {"phase": p}) for p in phases))
+    _family(out, "phase_signatures_total", "counter", "Signatures appended during each phase",
+            *((metrics.signatures_per_phase.get(p, 0), {"phase": p}) for p in phases))
+    _family(out, "processor_sent_total", "counter", "Messages sent per processor", *(
+        (metrics.sent_per_processor.get(pid, 0),
+         {"processor": pid, "role": "faulty" if pid in result.faulty else "correct"})
+        for pid in pids
+    ))
+    _family(out, "processor_received_total", "counter", "Messages received per processor",
+            *((metrics.received_per_processor.get(pid, 0), {"processor": pid}) for pid in pids))
+    _family(out, "last_active_phase", "gauge", "Highest phase with any traffic",
+            (metrics.last_active_phase, {}))
+    _family(out, "phases_configured", "gauge", "Phases the algorithm declared",
+            (metrics.phases_configured, {}))
     _counters_family(out, result.counters)
 
     telemetry = result.telemetry
     if telemetry is not None:
-        _header(out, "run_wall_seconds", "gauge", "Wall-clock duration of the run")
-        out.append(_line("run_wall_seconds", round(telemetry.wall_s, 9)))
-        _header(out, "run_cpu_seconds", "gauge", "Process CPU time of the run")
-        out.append(_line("run_cpu_seconds", round(telemetry.cpu_s, 9)))
-        _header(out, "phase_wall_seconds", "gauge", "Wall-clock duration per phase")
-        for timing in telemetry.per_phase:
-            out.append(
-                _line("phase_wall_seconds", round(timing.wall_s, 9), phase=timing.phase)
-            )
-        _header(
-            out,
-            "processor_handler_wall_seconds",
-            "gauge",
-            "Wall time inside each correct processor's on_phase handler",
-        )
-        for pid, seconds in sorted(telemetry.handler_wall_s.items()):
-            out.append(
-                _line(
-                    "processor_handler_wall_seconds",
-                    round(seconds, 9),
-                    processor=pid,
-                )
-            )
+        _family(out, "run_wall_seconds", "gauge", "Wall-clock duration of the run",
+                (round(telemetry.wall_s, 9), {}))
+        _family(out, "run_cpu_seconds", "gauge", "Process CPU time of the run",
+                (round(telemetry.cpu_s, 9), {}))
+        _family(out, "phase_wall_seconds", "gauge", "Wall-clock duration per phase",
+                *((round(p.wall_s, 9), {"phase": p.phase}) for p in telemetry.per_phase))
+        _family(out, "processor_handler_wall_seconds", "gauge",
+                "Wall time inside each correct processor's on_phase handler",
+                *((round(seconds, 9), {"processor": pid})
+                  for pid, seconds in sorted(telemetry.handler_wall_s.items())))
     return "\n".join(out) + "\n"
+
+
+def bench_document(
+    cases: dict[str, dict[str, Any]],
+    *,
+    workers: int = 1,
+    repeat: int = 1,
+    quick: bool = False,
+    **extra: Any,
+) -> dict[str, Any]:
+    """The ``repro-bench/1`` envelope around *cases*; *extra* holds
+    ``trials`` for ``repro bench`` and ``source`` for an export."""
+    return {
+        "schema": BENCH_SCHEMA, "workers": workers, "repeat": repeat,
+        "quick": quick, "cases": cases, **extra,
+    }
+
+
+def _per_sec(count: float, seconds: float, digits: int) -> float | None:
+    return round(count / seconds, digits) if seconds > 0 else None
+
+
+def _timing(seconds: float, messages: int) -> dict[str, Any]:
+    """The fields of every case: its seconds and the messages moved in them."""
+    return {
+        "seconds": round(seconds, 6),
+        "messages": messages,
+        "messages_per_sec": _per_sec(messages, seconds, 1),
+    }
+
+
+def runner_case(result: RunResult, seconds: float) -> dict[str, Any]:
+    """A ``runner:*`` case: one scalar run."""
+    return {
+        "kind": "runner", "n": result.n, "t": result.t,
+        **_timing(seconds, result.metrics.messages_by_correct),
+    }
+
+
+def batch_case(
+    batch: "BatchResult", seconds: float, *, name: str, n: int, t: int
+) -> dict[str, Any]:
+    """A ``batch:*`` case: one ``run_batch`` call of *name*, rated against
+    the scalar case ``runner:<name>``."""
+    stats, rate = batch.stats, batch.stats.digest_hit_rate
+    return {
+        "kind": "batch", "n": n, "t": t, "runs": stats.runs,
+        "unique_runs": stats.unique_runs, "kernel_runs": stats.kernel_runs,
+        "digest_hit_rate": round(rate, 4) if rate is not None else None,
+        "baseline_case": f"runner:{name}",
+        **_timing(seconds, sum(o.messages_by_correct for o in batch.outcomes)),
+    }
+
+
+def sweep_case(
+    points: Sequence["SweepPoint"], seconds: float, *, workers: int
+) -> dict[str, Any]:
+    """A ``sweep:*`` case: one parallel sweep over *workers* processes."""
+    return {
+        "kind": "sweep", "scenarios": len(points), "workers": workers,
+        "scenarios_per_sec": _per_sec(len(points), seconds, 2),
+        **_timing(seconds, sum(point.messages for point in points)),
+    }
+
+
+def service_case(stats: "ServiceStats", seconds: float, **extra: Any) -> dict[str, Any]:
+    """A ``service:*`` case: one traffic run, its rates over *seconds*.
+
+    ``agreements_per_sec`` is what ``bench_compare.py --min-service-rate``
+    gates.  *extra* holds the ``fault_rate`` of a ``repro bench`` row.
+    """
+    e2e, dedup = stats.e2e, stats.dedup_ratio
+    return {
+        "kind": "service", "requests": stats.requests, "ok": stats.ok,
+        "failed": stats.failed, "waves": stats.waves,
+        "agreements_per_sec": _per_sec(stats.ok, seconds, 2),
+        "p50_s": round(e2e.p50_s, 6) if e2e is not None else None,
+        "p99_s": round(e2e.p99_s, 6) if e2e is not None else None,
+        "unique_runs": stats.unique_runs,
+        "dedup_ratio": round(dedup, 2) if dedup is not None else None,
+        **_timing(seconds, stats.messages_total),
+        **extra,
+    }
+
+
+def write_bench(document: dict[str, Any], path: str | Path) -> None:
+    """Write a ``repro-bench/1`` *document* to *path*, keys sorted."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def bench_json(result: RunResult) -> dict[str, Any]:
@@ -202,25 +251,10 @@ def bench_json(result: RunResult) -> dict[str, Any]:
     against a committed baseline or against another exported run.
     """
     telemetry = result.telemetry
-    seconds = telemetry.wall_s if telemetry is not None else 0.0
-    messages = result.metrics.messages_by_correct
-    return {
-        "schema": "repro-bench/1",
-        "source": "repro run --metrics-out",
-        "workers": 1,
-        "repeat": 1,
-        "quick": False,
-        "cases": {
-            f"runner:{result.algorithm_name}": {
-                "kind": "runner",
-                "n": result.n,
-                "t": result.t,
-                "seconds": round(seconds, 6),
-                "messages": messages,
-                "messages_per_sec": round(messages / seconds, 1) if seconds else None,
-            }
-        },
-    }
+    case = runner_case(result, telemetry.wall_s if telemetry is not None else 0.0)
+    return bench_document(
+        {f"runner:{result.algorithm_name}": case}, source="repro run --metrics-out"
+    )
 
 
 def _summary_lines(
@@ -247,70 +281,32 @@ def prometheus_service_metrics(stats: "ServiceStats") -> str:
     setup cache).
     """
     out: list[str] = []
-    _header(out, "service_requests_total", "counter", "Requests served, by verdict")
-    out.append(_line("service_requests_total", stats.ok, outcome="ok"))
-    out.append(_line("service_requests_total", stats.failed, outcome="failed"))
-    _header(
-        out,
-        "service_algorithm_requests_total",
-        "counter",
-        "Requests served per algorithm, by verdict",
-    )
-    for name in sorted(stats.per_algorithm):
-        counts = stats.per_algorithm[name]
-        out.append(
-            _line(
-                "service_algorithm_requests_total",
-                counts.get("ok", 0),
-                algorithm=name,
-                outcome="ok",
-            )
-        )
-        out.append(
-            _line(
-                "service_algorithm_requests_total",
-                counts.get("requests", 0) - counts.get("ok", 0),
-                algorithm=name,
-                outcome="failed",
-            )
-        )
-    _header(out, "service_wall_seconds", "gauge", "Wall-clock duration of the traffic run")
-    out.append(_line("service_wall_seconds", round(stats.wall_s, 9)))
-    _header(out, "service_waves_total", "counter", "Dispatch waves the scheduler ran")
-    out.append(_line("service_waves_total", stats.waves))
-    _header(
-        out,
-        "service_agreements_per_second",
-        "gauge",
-        "Verdict-ok agreement instances completed per second",
-    )
-    out.append(
-        _line("service_agreements_per_second", round(stats.agreements_per_sec or 0, 3))
-    )
-    _header(out, "service_requests_per_second", "gauge", "Completions per second")
-    out.append(
-        _line("service_requests_per_second", round(stats.requests_per_sec or 0, 3))
-    )
-    _header(
-        out,
-        "service_messages_per_second",
-        "gauge",
-        "Correct-sender messages moved per second",
-    )
-    out.append(
-        _line("service_messages_per_second", round(stats.messages_per_sec or 0, 1))
-    )
-    _header(
-        out,
-        "service_latency_seconds",
-        "summary",
-        "Request latency by stage (e2e, queue, service)",
-    )
-    for stage, summary in (
-        ("e2e", stats.e2e),
-        ("queue", stats.queue),
-        ("service", stats.service),
-    ):
+    _family(out, "service_requests_total", "counter", "Requests served, by verdict",
+            (stats.ok, {"outcome": "ok"}), (stats.failed, {"outcome": "failed"}))
+    _family(out, "service_algorithm_requests_total", "counter",
+            "Requests served per algorithm, by verdict", *(
+                (count, {"algorithm": name, "outcome": outcome})
+                for name, counts in sorted(stats.per_algorithm.items())
+                for outcome, count in (
+                    ("ok", counts.get("ok", 0)),
+                    ("failed", counts.get("requests", 0) - counts.get("ok", 0)),
+                )
+            ))
+    _family(out, "service_wall_seconds", "gauge", "Wall-clock duration of the traffic run",
+            (round(stats.wall_s, 9), {}))
+    _family(out, "service_waves_total", "counter", "Dispatch waves the scheduler ran",
+            (stats.waves, {}))
+    _family(out, "service_agreements_per_second", "gauge",
+            "Verdict-ok agreement instances completed per second",
+            (round(stats.agreements_per_sec or 0, 3), {}))
+    _family(out, "service_requests_per_second", "gauge", "Completions per second",
+            (round(stats.requests_per_sec or 0, 3), {}))
+    _family(out, "service_messages_per_second", "gauge",
+            "Correct-sender messages moved per second",
+            (round(stats.messages_per_sec or 0, 1), {}))
+    _family(out, "service_latency_seconds", "summary",
+            "Request latency by stage (e2e, queue, service)")
+    for stage, summary in (("e2e", stats.e2e), ("queue", stats.queue), ("service", stats.service)):
         if summary is not None:
             _summary_lines(out, "service_latency_seconds", summary, stage=stage)
     _counters_family(out, stats)
@@ -326,36 +322,10 @@ def service_bench_json(
     so the document diffs against a committed baseline and passes the
     ``--min-service-rate`` floor of ``scripts/bench_compare.py``.
     """
-    seconds = stats.wall_s
-    e2e = stats.e2e
-
-    def rounded(value: float | None, digits: int) -> float | None:
-        return round(value, digits) if value is not None else None
-
-    return {
-        "schema": "repro-bench/1",
-        "source": "repro loadgen --metrics-out",
-        "workers": 1,
-        "repeat": 1,
-        "quick": False,
-        "cases": {
-            case: {
-                "kind": "service",
-                "requests": stats.requests,
-                "ok": stats.ok,
-                "failed": stats.failed,
-                "waves": stats.waves,
-                "seconds": round(seconds, 6),
-                "messages": stats.messages_total,
-                "messages_per_sec": rounded(stats.messages_per_sec, 1),
-                "agreements_per_sec": rounded(stats.agreements_per_sec, 2),
-                "p50_s": rounded(e2e.p50_s if e2e else None, 6),
-                "p99_s": rounded(e2e.p99_s if e2e else None, 6),
-                "unique_runs": stats.unique_runs,
-                "dedup_ratio": rounded(stats.dedup_ratio, 2),
-            }
-        },
-    }
+    return bench_document(
+        {case: service_case(stats, stats.wall_s)},
+        source="repro loadgen --metrics-out",
+    )
 
 
 def _write(
@@ -370,9 +340,7 @@ def _write(
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(to_json(value), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_bench(to_json(value), path)
         return "json"
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(to_text(value))

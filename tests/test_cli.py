@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -494,6 +495,31 @@ class TestFaultInjectionCli:
         assert code == 2
         assert "--fault-rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("retired", [0, 1])
+    def test_fuzz_reports_retired_instances_only_when_any(
+        self, capsys, monkeypatch, retired
+    ):
+        import repro.fuzz.campaign as campaign
+
+        real = campaign.execute_script
+        monkeypatch.setattr(
+            campaign,
+            "execute_script",
+            lambda *args, **kwargs: dataclasses.replace(
+                real(*args, **kwargs), retired=retired
+            ),
+        )
+        corpus = sorted(Path(__file__).parent.joinpath("fuzz_corpus").glob("*[0-9a-f].json"))
+        assert main(["fuzz", "--replay", str(corpus[0])]) == 0
+        replay = capsys.readouterr().out
+        main(["fuzz", "--algorithm", "dolev-strong", "--budget", "3", "--workers", "1"])
+        campaign_out = capsys.readouterr().out
+        if retired:
+            assert "retired   : 1 simulated instance(s) raised" in replay
+            assert "3 simulated faulty instance(s) raised and were retired" in campaign_out
+        else:
+            assert "retired" not in replay and "retired" not in campaign_out
+
     def test_fuzz_checkpoint_completes_and_cleans_up(self, capsys, tmp_path):
         ckpt = tmp_path / "campaign.ckpt"
         code = main(
@@ -548,6 +574,34 @@ class TestBadInputExits2:
         self.assert_usage_error(
             capsys, ["fuzz", "--algorithm", "dolev-strong", "--budget", budget]
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--quick", "--repeat", "1", "--output"],
+            ["run", "--algorithm", "dolev-strong", *SYSTEM, "--trace-out"],
+            ["run", "--algorithm", "dolev-strong", *SYSTEM, "--metrics-out"],
+            ["loadgen", "--requests", "5", "--workers", "1", "--metrics-out"],
+            ["loadgen", "--requests", "5", "--workers", "1", "--out"],
+            ["loadgen", "--requests", "5", "--emit"],
+            ["serve", "REQUESTS", "--workers", "1", "--metrics-out"],
+            ["serve", "REQUESTS", "--workers", "1", "--out"],
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing-dir/out.json", "."])
+    def test_unwritable_output_is_refused_before_any_work(
+        self, capsys, tmp_path, argv, target
+    ):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps(GOOD_REQUEST) + "\n", encoding="utf-8")
+        argv = [str(requests) if arg == "REQUESTS" else arg for arg in argv]
+        path = tmp_path / target
+        assert main([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"repro {argv[0]}: {argv[-1]} {path}")
+        assert captured.err.count("\n") == 1
+        assert not path.is_file()
 
 
 class TestReplayErrorHandling:
