@@ -32,7 +32,7 @@ from repro.crypto.signatures import SignatureService, SigningKey
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.approx.coins import CoinSource
     from repro.core.history import History
-    from repro.core.protocol import AgreementAlgorithm
+    from repro.core.protocol import AgreementAlgorithm, Processor
 
 
 #: What the adversary emits: (faulty source, destination, payload).
@@ -58,6 +58,11 @@ class AdversaryEnvironment:
     #: faulty processor behaving correctly flips the same coins a correct
     #: one would.  The full-information adversary may read it freely.
     coins: "CoinSource | None" = None
+
+    def spawn(self, pid: ProcessorId) -> "Processor":
+        """A protocol instance for faulty *pid*, bound as a correct one would
+        be: with its own key and the run's service and coins."""
+        return self.algorithm.spawn(pid, self.keys[pid], self.service, self.coins)
 
 
 @dataclass

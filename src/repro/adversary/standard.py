@@ -14,12 +14,21 @@ adversaries in :mod:`repro.adversary.lowerbound` build on this module.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.adversary.base import Adversary, AdversaryEnvironment, FaultySend, PhaseView
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Context, Processor
+from repro.core.protocol import Processor
 from repro.core.types import ProcessorId, Value
+
+
+def with_input(inbox: Sequence[Envelope], value: Value) -> tuple[Envelope, ...]:
+    """*inbox* with the phase-0 input edge's payload replaced by *value*:
+    what a simulated transmitter sees when it runs on a doctored input."""
+    return tuple(
+        replace(e, payload=value) if e.is_input_edge() else e for e in inbox
+    )
 
 
 class SimulatingAdversary(Adversary):
@@ -46,19 +55,7 @@ class SimulatingAdversary(Adversary):
         env = self.env
         assert env is not None
         for pid in sorted(self.faulty):
-            processor = env.algorithm.make_processor(pid)
-            processor.bind(
-                Context(
-                    pid=pid,
-                    n=env.n,
-                    t=env.t,
-                    transmitter=env.transmitter,
-                    key=env.keys[pid],
-                    service=env.service,
-                    coins=env.coins,
-                )
-            )
-            self._simulated[pid] = processor
+            self._simulated[pid] = env.spawn(pid)
 
     def simulated(self, pid: ProcessorId) -> Processor:
         """The protocol instance driving faulty processor *pid*."""
@@ -159,31 +156,13 @@ class EquivocatingTransmitter(SimulatingAdversary):
         env = self.env
         assert env is not None
         for value in sorted(set(self.value_for.values()), key=repr):
-            processor = env.algorithm.make_processor(self.transmitter_id)
-            processor.bind(
-                Context(
-                    pid=self.transmitter_id,
-                    n=env.n,
-                    t=env.t,
-                    transmitter=env.transmitter,
-                    key=env.keys[self.transmitter_id],
-                    service=env.service,
-                    coins=env.coins,
-                )
-            )
-            self._instances[value] = processor
+            self._instances[value] = env.spawn(self.transmitter_id)
 
     def on_phase(self, view: PhaseView) -> list[FaultySend]:
         sends: list[FaultySend] = []
         inbox = view.inbox(self.transmitter_id)
         for value, processor in self._instances.items():
-            doctored = [
-                Envelope(src=e.src, dst=e.dst, phase=e.phase, payload=value)
-                if e.is_input_edge()
-                else e
-                for e in inbox
-            ]
-            for dst, payload in processor.on_phase(view.phase, tuple(doctored)):
+            for dst, payload in processor.on_phase(view.phase, with_input(inbox, value)):
                 if self.value_for.get(dst) == value:
                     sends.append((self.transmitter_id, dst, payload))
         return sends
@@ -218,29 +197,19 @@ class ComposedAdversary(Adversary):
 
 
 class RandomizedAdversary(SimulatingAdversary):
-    """Seeded chaos: each faulty processor randomly drops what it hears,
-    drops or redirects what it says, and occasionally injects garbage.
+    """Seeded chaos: each faulty processor drops each message it hears
+    (never its input edge) and each message it sends with probability 0.3,
+    and with probability 0.1 per phase sends garbage to a random processor.
 
     Deterministic given the seed — used by the property-based test suite to
     fuzz every algorithm with reproducible Byzantine behaviour.
     """
 
-    def __init__(
-        self,
-        faulty: Iterable[ProcessorId],
-        seed: int,
-        *,
-        drop_in: float = 0.3,
-        drop_out: float = 0.3,
-        garbage: float = 0.1,
-    ) -> None:
+    def __init__(self, faulty: Iterable[ProcessorId], seed: int) -> None:
         super().__init__(faulty)
         import random
 
         self._rng = random.Random(seed)
-        self.drop_in = drop_in
-        self.drop_out = drop_out
-        self.garbage = garbage
 
     def filter_inbox(
         self, pid: ProcessorId, phase: int, inbox: Sequence[Envelope]
@@ -248,7 +217,7 @@ class RandomizedAdversary(SimulatingAdversary):
         return [
             e
             for e in inbox
-            if e.is_input_edge() or self._rng.random() >= self.drop_in
+            if e.is_input_edge() or self._rng.random() >= 0.3
         ]
 
     def transform_outbox(
@@ -259,9 +228,9 @@ class RandomizedAdversary(SimulatingAdversary):
         kept = [
             (dst, payload)
             for dst, payload in outgoing
-            if self._rng.random() >= self.drop_out
+            if self._rng.random() >= 0.3
         ]
-        if self._rng.random() < self.garbage:
+        if self._rng.random() < 0.1:
             dst = self._rng.randrange(env.n)
             if dst != pid:
                 kept.append((dst, ("garbage", phase, self._rng.random())))

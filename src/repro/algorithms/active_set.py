@@ -20,6 +20,7 @@ Total: ``O(nt + t²)`` messages in ``t + 2`` phases (one more phase than
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.algorithms.algorithm3 import count_value_endorsements, unique_majority_value
@@ -31,7 +32,6 @@ from repro.algorithms.base import (
 from repro.algorithms.dolev_strong import DolevStrong, DolevStrongProcessor
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Context
 from repro.core.types import ProcessorId, Value
 from repro.crypto.chains import SignatureChain
 
@@ -44,17 +44,7 @@ class ActiveSetActive(Processor):
         self.passive = tuple(passive)
 
     def on_bind(self) -> None:
-        core_n = 2 * self.ctx.t + 1
-        self.inner.bind(
-            Context(
-                pid=self.ctx.pid,
-                n=core_n,
-                t=self.ctx.t,
-                transmitter=self.ctx.transmitter,
-                key=self.ctx.key,
-                service=self.ctx.service,
-            )
-        )
+        self.inner.bind(replace(self.ctx, n=2 * self.ctx.t + 1))
 
     def on_phase(self, phase: int, inbox: Sequence[Envelope]) -> Iterable[Outgoing]:
         t = self.ctx.t

@@ -43,7 +43,7 @@ every message carries at least its sender's signature):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from repro.algorithms.algorithm1 import (
@@ -109,7 +109,7 @@ def count_value_endorsements(
             continue
         if not isinstance(chain, SignatureChain) or len(chain) != 1:
             continue
-        if chain.signers[0] != envelope.src or not chain.verify(ctx.service):
+        if chain.signatures[0].signer != envelope.src or not chain.verify(ctx.service):
             continue
         tally.setdefault(chain.value, set()).add(envelope.src)
     return tally
@@ -140,17 +140,7 @@ class Algorithm3Active(Processor):
         self.agreed: Value | None = None
 
     def on_bind(self) -> None:
-        active_n = 2 * self.ctx.t + 1
-        self.inner.bind(
-            Context(
-                pid=self.ctx.pid,
-                n=active_n,
-                t=self.ctx.t,
-                transmitter=self.ctx.transmitter,
-                key=self.ctx.key,
-                service=self.ctx.service,
-            )
-        )
+        self.inner.bind(replace(self.ctx, n=2 * self.ctx.t + 1))
 
     # ------------------------------------------------------------ validation
 
@@ -160,7 +150,7 @@ class Algorithm3Active(Processor):
         chain = envelope.payload
         if not isinstance(chain, SignatureChain) or len(chain) < 1:
             return False
-        if chain.signers[0] != chain_set.root:
+        if chain.signatures[0].signer != chain_set.root:
             return False
         positions = []
         for signer in chain.signers[1:]:
@@ -292,7 +282,7 @@ class Algorithm3Member(Processor):
         ``c(2) .. c(j-1)`` in visit order, verified."""
         if not isinstance(chain, SignatureChain) or len(chain) < 1:
             return False
-        if chain.signers[0] != self.chain_set.root:
+        if chain.signatures[0].signer != self.chain_set.root:
             return False
         my_position = self.chain_set.position(self.ctx.pid)
         positions = []

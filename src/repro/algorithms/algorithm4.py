@@ -48,7 +48,7 @@ def _valid_signed_value(
     return (
         isinstance(payload, SignatureChain)
         and len(payload) == 1
-        and payload.signers[0] == expected_signer
+        and payload.signatures[0].signer == expected_signer
         and payload.verify(ctx.service)
     )
 
@@ -66,7 +66,7 @@ def _valid_row_bundle(
     for item in payload:
         if not isinstance(item, SignatureChain) or len(item) != 1:
             return None
-        signer = item.signers[0]
+        signer = item.signatures[0].signer
         if signer not in allowed or signer in seen:
             return None
         if not item.verify(ctx.service):
@@ -167,7 +167,7 @@ class GridExchange:
     # -------------------------------------------------------------- results
 
     def _note(self, chain: SignatureChain) -> None:
-        signer = chain.signers[0]
+        signer = chain.signatures[0].signer
         self.gathered.setdefault(signer, set()).add(chain.value)
         self.chains.setdefault(signer, {})[chain.value] = chain
 

@@ -54,7 +54,7 @@ offset in block ``x``  action
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from repro.algorithms.algorithm2 import (
@@ -207,17 +207,7 @@ class Algorithm5Active(Processor):
 
     def on_bind(self) -> None:
         if self.inner is not None:
-            core_n = 2 * self.ctx.t + 1
-            self.inner.bind(
-                Context(
-                    pid=self.ctx.pid,
-                    n=core_n,
-                    t=self.ctx.t,
-                    transmitter=self.ctx.transmitter,
-                    key=self.ctx.key,
-                    service=self.ctx.service,
-                )
-            )
+            self.inner.bind(replace(self.ctx, n=2 * self.ctx.t + 1))
 
     # --------------------------------------------------------------- helpers
 
@@ -480,7 +470,7 @@ class Algorithm5Passive(Processor):
         for chain in proof:
             if not isinstance(chain, SignatureChain) or len(chain) != 1:
                 continue
-            signer = chain.signers[0]
+            signer = chain.signatures[0].signer
             if not 0 <= signer < self.alpha:
                 continue
             parsed = parse_flist(chain.value)

@@ -40,7 +40,7 @@ class _TrustingReceiver(Processor):
                 self.received is None
                 and isinstance(chain, SignatureChain)
                 and len(chain) == 1
-                and chain.signers[0] == self.ctx.transmitter
+                and chain.signatures[0].signer == self.ctx.transmitter
                 and chain.verify(self.ctx.service)
             ):
                 self.received = chain.value
@@ -154,7 +154,7 @@ class _EchoReceiver(Processor):
                 if (
                     isinstance(chain, SignatureChain)
                     and len(chain) == 1
-                    and chain.signers[0] == self.ctx.transmitter
+                    and chain.signatures[0].signer == self.ctx.transmitter
                     and chain.verify(self.ctx.service)
                 ):
                     self.direct = chain
@@ -169,8 +169,8 @@ class _EchoReceiver(Processor):
             if (
                 isinstance(chain, SignatureChain)
                 and len(chain) == 2
-                and chain.signers[0] == self.ctx.transmitter
-                and chain.signers[1] == envelope.src
+                and chain.signatures[0].signer == self.ctx.transmitter
+                and chain.signatures[1].signer == envelope.src
                 and chain.verify(self.ctx.service)
             ):
                 self.echo_values.append(chain.value)

@@ -58,9 +58,9 @@ class DolevStrongProcessor(Processor):
             return False
         if len(chain) != phase - 1 or len(chain) < 1:
             return False
-        if chain.signers[0] != self.ctx.transmitter:
+        if chain.signatures[0].signer != self.ctx.transmitter:
             return False
-        if self.ctx.pid in chain.signers:
+        if chain.has_signed(self.ctx.pid):
             return False
         return chain.verify(self.ctx.service)
 

@@ -48,7 +48,7 @@ class HubProcessor(Processor):
         return self.ctx.pid in self.relays
 
     def _note(self, chain: SignatureChain) -> None:
-        self.gathered.setdefault(chain.signers[0], set()).add(chain.value)
+        self.gathered.setdefault(chain.signatures[0].signer, set()).add(chain.value)
 
     def _absorb_signed_values(self, inbox: Sequence[Envelope]) -> None:
         for envelope in inbox:
@@ -56,7 +56,7 @@ class HubProcessor(Processor):
             if (
                 isinstance(chain, SignatureChain)
                 and len(chain) == 1
-                and chain.signers[0] == envelope.src
+                and chain.signatures[0].signer == envelope.src
                 and chain.verify(self.ctx.service)
             ):
                 self._received_chains[envelope.src] = chain

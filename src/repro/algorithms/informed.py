@@ -23,6 +23,7 @@ same construction.)
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.algorithms.algorithm2 import (
@@ -59,17 +60,7 @@ class InformedCoreProcessor(Processor):
         self.passive = tuple(passive)
 
     def on_bind(self) -> None:
-        core_n = 2 * self.ctx.t + 1
-        self.inner.bind(
-            Context(
-                pid=self.ctx.pid,
-                n=core_n,
-                t=self.ctx.t,
-                transmitter=self.ctx.transmitter,
-                key=self.ctx.key,
-                service=self.ctx.service,
-            )
-        )
+        self.inner.bind(replace(self.ctx, n=2 * self.ctx.t + 1))
 
     def on_phase(self, phase: int, inbox: Sequence[Envelope]) -> Iterable[Outgoing]:
         t = self.ctx.t

@@ -23,13 +23,12 @@ interactive-consistency bill.  (Algorithm 4 is the paper's answer for the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.algorithms.base import AgreementAlgorithm, Processor
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Context
 from repro.core.types import INPUT_SOURCE, ProcessorId, Value
 from repro.crypto.signatures import SignatureService
 
@@ -68,13 +67,8 @@ class InteractiveConsistencyProcessor(Processor):
             virtual = (self.ctx.pid - source) % n
             service = self.services[source]
             copy.bind(
-                Context(
-                    pid=virtual,
-                    n=n,
-                    t=self.ctx.t,
-                    transmitter=0,
-                    key=service.key_for(virtual),
-                    service=service,
+                replace(
+                    self.ctx, pid=virtual, key=service.key_for(virtual), service=service
                 )
             )
 

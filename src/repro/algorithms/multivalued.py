@@ -20,13 +20,12 @@ per destination so the message *count* reflects the actual envelopes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from repro.algorithms.base import AgreementAlgorithm, Processor, input_value_from
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Context
 from repro.core.types import ProcessorId, Value
 
 
@@ -60,17 +59,8 @@ class MultivaluedProcessor(Processor):
         self.width = width
 
     def on_bind(self) -> None:
-        for bit, copy in enumerate(self.copies):
-            copy.bind(
-                Context(
-                    pid=self.ctx.pid,
-                    n=self.ctx.n,
-                    t=self.ctx.t,
-                    transmitter=self.ctx.transmitter,
-                    key=self.ctx.key,
-                    service=self.ctx.service,
-                )
-            )
+        for copy in self.copies:
+            copy.bind(replace(self.ctx))
 
     def _split_inbox(self, inbox: Sequence[Envelope]) -> list[list[Envelope]]:
         """Route each wrapped payload to its bit copy.

@@ -13,9 +13,9 @@ instantiate them at arbitrary ``(n, t)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.algorithms.active_set import ActiveSetBroadcast
+from repro.approx.base import ApproximateAgreement, RandomizedConsensus
 from repro.approx.benor import BenOr
 from repro.approx.filtered_mean import FilteredMeanApprox
 from repro.approx.midpoint import MidpointApprox
@@ -37,17 +37,28 @@ class AlgorithmInfo:
     """Registry entry: constructor plus table metadata."""
 
     name: str
-    build: Callable[..., AgreementAlgorithm]
-    authenticated: bool
+    build: type[AgreementAlgorithm]
     source: str  # citation within the paper
     phases_formula: str
     messages_formula: str
-    #: Workload family: ``"exact"`` (classic BA), ``"approx"``
-    #: (ε-agreement) or ``"randomized"`` (probabilistic termination,
-    #: flips coins).  ``repro list`` shows it and the service load
-    #: generator uses it to pick valid mixes (coin seeds for randomized
-    #: entries, fault plans for exact ones).
-    family: str = "exact"
+
+    @property
+    def authenticated(self) -> bool:
+        """Whether the algorithm relies on the signature scheme."""
+        return self.build.authenticated
+
+    @property
+    def family(self) -> str:
+        """Workload family: ``"approx"`` (ε-agreement), ``"randomized"``
+        (probabilistic termination, flips coins) or ``"exact"`` (classic
+        BA).  ``repro list`` shows it and the service load generator uses
+        it to pick valid mixes (coin seeds for randomized entries, fault
+        plans for exact ones)."""
+        if issubclass(self.build, ApproximateAgreement):
+            return "approx"
+        if issubclass(self.build, RandomizedConsensus):
+            return "randomized"
+        return "exact"
 
     def __call__(self, n: int, t: int, **params) -> AgreementAlgorithm:
         return self.build(n, t, **params)
@@ -59,7 +70,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="dolev-strong",
             build=DolevStrong,
-            authenticated=True,
             source="baseline [9], classic form",
             phases_formula="t + 1",
             messages_formula="O(n^2)",
@@ -67,7 +77,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="active-set",
             build=ActiveSetBroadcast,
-            authenticated=True,
             source="baseline [9], active-set form",
             phases_formula="t + 2",
             messages_formula="O(nt + t^2)",
@@ -75,7 +84,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="oral-messages",
             build=OralMessages,
-            authenticated=False,
             source="baseline [14], OM(t)",
             phases_formula="t + 1",
             messages_formula="O(n^t)",
@@ -83,7 +91,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="algorithm-1",
             build=Algorithm1,
-            authenticated=True,
             source="Theorem 3",
             phases_formula="t + 2",
             messages_formula="2t^2 + 2t",
@@ -91,7 +98,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="algorithm-2",
             build=Algorithm2,
-            authenticated=True,
             source="Theorem 4",
             phases_formula="3t + 3",
             messages_formula="5t^2 + 5t",
@@ -99,7 +105,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="algorithm-3",
             build=Algorithm3,
-            authenticated=True,
             source="Lemma 1 / Theorem 5",
             phases_formula="t + 2s + 3",
             messages_formula="2n + 4tn/s + 3t^2 s",
@@ -107,7 +112,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="algorithm-5",
             build=Algorithm5,
-            authenticated=True,
             source="Lemma 5 / Theorem 7",
             phases_formula="~ 3t + 4s",
             messages_formula="O(t^2 + nt/s)",
@@ -115,7 +119,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="informed-algorithm-2",
             build=InformedAlgorithm2,
-            authenticated=True,
             source="Section 5's n < α remedy (Algorithm 2 + informing phase)",
             phases_formula="3t + 4",
             messages_formula="5t^2 + 5t + (t+1)(n-2t-1)",
@@ -123,7 +126,6 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="phase-king",
             build=PhaseKing,
-            authenticated=False,
             source="post-paper reference (Berman-Garay 1989)",
             phases_formula="2t + 3",
             messages_formula="O(t n^2)",
@@ -137,7 +139,6 @@ STRAWMEN: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="strawman-undersigning",
             build=UnderSigningBroadcast,
-            authenticated=True,
             source="counterexample for Theorems 1 and 2",
             phases_formula="1",
             messages_formula="n - 1",
@@ -145,7 +146,6 @@ STRAWMEN: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="strawman-echo",
             build=EchoBroadcast,
-            authenticated=True,
             source="counterexample: volume without signature diversity",
             phases_formula="2",
             messages_formula="n (n-1)",
@@ -153,11 +153,9 @@ STRAWMEN: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="strawman-overshoot",
             build=OvershootMidpoint,
-            authenticated=False,
             source="counterexample: untrimmed midpoint breaks ε-validity",
             phases_formula="m",
             messages_formula="m n (n-1)",
-            family="approx",
         ),
     )
 }
@@ -172,29 +170,23 @@ WORKLOADS: dict[str, AlgorithmInfo] = {
         AlgorithmInfo(
             name="midpoint-approx",
             build=MidpointApprox,
-            authenticated=False,
             source="ε-agreement, midpoint rule (DLPSW 1986; n > 3t)",
             phases_formula="m = ceil(log2(K/eps))",
             messages_formula="m n (n-1)",
-            family="approx",
         ),
         AlgorithmInfo(
             name="filtered-mean-approx",
             build=FilteredMeanApprox,
-            authenticated=False,
             source="ε-agreement, trimmed-mean rule (rate t/(n-2t); n > 3t)",
             phases_formula="m = ceil(log_{1/rate}(K/eps))",
             messages_formula="m n (n-1)",
-            family="approx",
         ),
         AlgorithmInfo(
             name="ben-or",
             build=BenOr,
-            authenticated=False,
             source="randomized consensus (Ben-Or 1983; n > 5t)",
             phases_formula="2 per round, geometric rounds",
             messages_formula="2 m n (n-1) cap",
-            family="randomized",
         ),
     )
 }

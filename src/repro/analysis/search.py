@@ -30,7 +30,6 @@ from repro.adversary.standard import (
 )
 from repro.analysis.sweep import SweepPoint, measure, worst_case
 from repro.core.protocol import AgreementAlgorithm
-from repro.core.types import Value
 
 AlgorithmFactory = Callable[[], AgreementAlgorithm]
 
@@ -77,11 +76,11 @@ def adversary_family(
 def probe(
     factory: AlgorithmFactory,
     *,
-    values: Iterable[Value] = (0, 1),
     samples: int = 10,
     seed: int = 0,
 ) -> list[SweepPoint]:
-    """Run the full probe grid against *factory*'s algorithm.
+    """Run the full probe grid, on input values 0 and 1, against
+    *factory*'s algorithm.
 
     Each scenario runs on a fresh algorithm through
     :func:`~repro.analysis.sweep.measure`, so it is judged by
@@ -89,9 +88,9 @@ def probe(
     """
     rng = random.Random(seed)
     reference = factory()
-    points = [measure(factory(), value) for value in values]
+    points = [measure(factory(), value) for value in (0, 1)]
     for faulty in fault_placements(reference.n, reference.t, samples=samples, rng=rng):
-        for value in values:
+        for value in (0, 1):
             for name, adversary in adversary_family(faulty, rng):
                 points.append(measure(factory(), value, adversary, adversary_name=name))
     return points
@@ -100,7 +99,6 @@ def probe(
 def worst_case_probe(
     factory: AlgorithmFactory,
     *,
-    values: Iterable[Value] = (0, 1),
     samples: int = 10,
     seed: int = 0,
     key: str = "messages",
@@ -111,7 +109,7 @@ def worst_case_probe(
     verdict — a probe that finds a correctness bug should never pass
     silently.
     """
-    points = probe(factory, values=values, samples=samples, seed=seed)
+    points = probe(factory, samples=samples, seed=seed)
     broken = [p for p in points if not p.agreement_ok]
     if broken:
         raise AssertionError(

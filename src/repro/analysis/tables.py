@@ -48,14 +48,12 @@ def format_table(
     return f"{title}\n{table}" if title else table
 
 
-def format_markdown_table(
-    rows: Sequence[Mapping[str, object]],
-    columns: Sequence[str] | None = None,
-) -> str:
-    """The same rows as a GitHub-flavoured markdown table."""
+def format_markdown_table(rows: Sequence[Mapping[str, object]]) -> str:
+    """The same rows as a GitHub-flavoured markdown table, columns in the
+    first row's key order."""
     if not rows:
         return "(no rows)"
-    cols = list(columns) if columns is not None else list(rows[0].keys())
+    cols = list(rows[0].keys())
 
     lines = [
         "| " + " | ".join(cols) + " |",

@@ -198,15 +198,15 @@ def sample_benor_rounds(
     count: int,
     *,
     seed: int = 0,
-    max_rounds: int = 40,
 ) -> list[int | None]:
     """Coin-round counts from *count* seeded fault-free Ben-Or runs.
 
     Run ``i`` uses coin seed ``seed + i``; inputs alternate by pid, so
     every run starts from the mixed-report stalemate the geometric model
-    assumes.  Entries are ``None`` for (rare) runs censored at the cap.
+    assumes.  Entries are ``None`` for (rare) runs censored at the cap of
+    40 rounds.
     """
-    algorithm = BenOr(n, t, max_rounds=max_rounds, coin_bias=bias)
+    algorithm = BenOr(n, t, max_rounds=40, coin_bias=bias)
     samples: list[int | None] = []
     for i in range(count):
         result = run(

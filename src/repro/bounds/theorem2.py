@@ -37,7 +37,7 @@ from repro.bounds.formulas import (
     theorem2_message_lower_bound,
     theorem2_per_b_member_messages,
 )
-from repro.core.protocol import AgreementAlgorithm, Context
+from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import RunResult, run
 from repro.core.types import ProcessorId, Value
 from repro.core.validation import check_byzantine_agreement
@@ -56,17 +56,8 @@ def empty_view_decision(
     at all" — flipping the coins of *coin_seed* if it flips any.
     """
     service = SignatureService()
-    processor = algorithm.make_processor(pid)
-    processor.bind(
-        Context(
-            pid=pid,
-            n=algorithm.n,
-            t=algorithm.t,
-            transmitter=algorithm.transmitter,
-            key=service.key_for(pid),
-            service=service,
-            coins=coins_for(algorithm, coin_seed),
-        )
+    processor = algorithm.spawn(
+        pid, service.key_for(pid), service, coins_for(algorithm, coin_seed)
     )
     for phase in range(1, algorithm.num_phases() + 1):
         processor.on_phase(phase, ())

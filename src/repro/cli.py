@@ -314,7 +314,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_conformance(args: argparse.Namespace) -> int:
     """`repro conformance`: replay §2's correctness rules over a run."""
-    from repro.core.conformance import check_conformance
+    from repro.core.conformance import behaviourally_faulty, check_conformance
 
     algorithm = _build(args)
     adversary = parse_adversary(args.adversary, algorithm)
@@ -337,7 +337,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             }
         )
     print(format_table(rows, title="Section 2 conformance (correct-at-phase-k)"))
-    behavioural = [p for p in range(algorithm.n) if not verdicts[p].correct_in_history]
+    behavioural = sorted(behaviourally_faulty(result, _build(args)))
     print(f"\nbehaviourally faulty: {behavioural or 'none'} "
           f"(corrupted: {sorted(result.faulty) or 'none'})")
     return 0
@@ -432,7 +432,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
     """Shared tail of ``loadgen``/``serve``: serve *schedule*, then the
-    summary, outputs and exit code (2 for a malformed stripe setting)."""
+    summary, outputs and exit code (a malformed stripe setting is a
+    :class:`UsageError`)."""
     import json
 
     from repro.obs.export import write_service_metrics
@@ -441,8 +442,7 @@ def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
     try:
         scheduler = Scheduler(workers=args.workers, max_stripe=args.max_stripe)
     except ValueError as error:
-        print(f"{command}: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(str(error)) from None
     with scheduler:
         report = scheduler.serve(schedule)
     stats = report.stats
@@ -517,8 +517,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             fault_rate=args.fault_rate,
         )
     except (MixSpecError, ValueError) as error:
-        print(f"loadgen: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(str(error)) from None
 
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as handle:
@@ -554,8 +553,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         handle = sys.stdin if source == "-" else open(source, encoding="utf-8")
     except OSError as error:
-        print(f"serve: {error}", file=sys.stderr)
-        return 2
+        raise UsageError(str(error)) from None
     schedule: list[ScheduledRequest] = []
     arenas: dict[tuple, AgreementAlgorithm] = {}
     try:
@@ -576,15 +574,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                         f"arrival_s must be a finite number, got {arrival!r}"
                     )
             except (json.JSONDecodeError, RequestFormatError, ConfigurationError) as error:
-                print(f"serve: {source}:{lineno}: {error}", file=sys.stderr)
-                return 2
+                raise UsageError(f"{source}:{lineno}: {error}") from None
             schedule.append(ScheduledRequest(arrival_s=arrival, request=request))
     finally:
         if handle is not sys.stdin:
             handle.close()
     if not schedule:
-        print(f"serve: {source} contains no requests", file=sys.stderr)
-        return 2
+        raise UsageError(f"{source} contains no requests")
 
     return _serve_and_report(schedule, args, "serve")
 

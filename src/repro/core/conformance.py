@@ -31,10 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.approx.coins import coins_for
 from repro.core.errors import ConfigurationError
 from repro.core.history import History, edge_payloads
 from repro.core.message import Envelope, canonical
-from repro.core.protocol import AgreementAlgorithm, Context
+from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import RunResult
 from repro.core.types import INPUT_SOURCE, ProcessorId
 
@@ -109,22 +110,8 @@ def conformance_of(
     # Coin-flipping protocols are deterministic given their coin stream:
     # rebuild the run's CoinSource from the recorded seed so the replayed
     # rule specifies the exact same flips as the history.
-    coins = None
-    if result.coin_seed is not None:
-        make_coins = getattr(algorithm, "make_coin_source", None)
-        if make_coins is not None:
-            coins = make_coins(result.coin_seed)
-    processor = algorithm.make_processor(pid)
-    processor.bind(
-        Context(
-            pid=pid,
-            n=algorithm.n,
-            t=algorithm.t,
-            transmitter=algorithm.transmitter,
-            key=service.key_for(pid),
-            service=service,
-            coins=coins,
-        )
+    processor = algorithm.spawn(
+        pid, service.key_for(pid), service, coins_for(algorithm, result.coin_seed)
     )
 
     deviations: list[PhaseDeviation] = []

@@ -95,8 +95,11 @@ class PhaseGraph:
             return NotImplemented
         if self._edges.keys() != other._edges.keys():
             return False
+        # Labels compare by their canonical text, the digest preimage:
+        # 1, True and 1.0 are different messages, though Python calls
+        # them equal.
         return all(
-            canonical(self._edges[k].label) == canonical(other._edges[k].label)
+            repr(canonical(self._edges[k].label)) == repr(canonical(other._edges[k].label))
             for k in self._edges
         )
 
@@ -189,7 +192,7 @@ class History:
         return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndividualSubhistory:
     """Everything processor *pid* has seen: its inedges, phase by phase.
 
@@ -197,11 +200,20 @@ class IndividualSubhistory:
     exactly the same labels from the same sources in the same phases — the
     equality the paper's indistinguishability arguments rely on.  Labels are
     stored in canonical form so structurally identical payloads compare
-    equal even if built independently.
+    equal even if built independently, and are compared by their text, as
+    :class:`PhaseGraph` compares them.
     """
 
     pid: ProcessorId
     per_phase: tuple[tuple[tuple[ProcessorId, object], ...], ...]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IndividualSubhistory):
+            return NotImplemented
+        return self.pid == other.pid and repr(self.per_phase) == repr(other.per_phase)
+
+    def __hash__(self) -> int:
+        return hash((self.pid, repr(self.per_phase)))
 
     @property
     def num_phases(self) -> int:

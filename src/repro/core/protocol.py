@@ -38,10 +38,14 @@ if TYPE_CHECKING:
 
 @dataclass
 class Context:
-    """Per-processor runtime context supplied by the runner.
+    """Per-processor runtime context.
 
     Carries the processor's identity, the system parameters, and its signing
-    capability.  Verification needs no capability; signing does.
+    capability.  Verification needs no capability; signing does.  Every
+    context comes from :meth:`AgreementAlgorithm.spawn`, or from its
+    parent's through :func:`dataclasses.replace` when a composite binds an
+    inner protocol, so a derived context keeps every field it does not
+    change.
     """
 
     pid: ProcessorId
@@ -193,6 +197,29 @@ class AgreementAlgorithm(abc.ABC):
     @abc.abstractmethod
     def make_processor(self, pid: ProcessorId) -> Processor:
         """Create the protocol instance for processor *pid*."""
+
+    def spawn(
+        self,
+        pid: ProcessorId,
+        key: SigningKey,
+        service: SignatureService,
+        coins: "CoinSource | None",
+    ) -> Processor:
+        """Create processor *pid* and bind it to its context in this
+        configuration: signing with *key* on *service*, flipping *coins*."""
+        processor = self.make_processor(pid)
+        processor.bind(
+            Context(
+                pid=pid,
+                n=self.n,
+                t=self.t,
+                transmitter=self.transmitter,
+                key=key,
+                service=service,
+                coins=coins,
+            )
+        )
+        return processor
 
     def check_value(self, value: Value) -> None:
         """Raise :class:`ConfigurationError` unless this algorithm can agree

@@ -28,7 +28,7 @@ from repro.core.errors import (
 from repro.core.history import History
 from repro.core.message import Envelope
 from repro.core.metrics import MetricsLedger
-from repro.core.protocol import AgreementAlgorithm, Context, Processor
+from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.types import INPUT_SOURCE, ProcessorId, Value
 from repro.crypto.signatures import SignatureService
 from repro.obs.events import TRACE_SCHEMA, EventSink, jsonable, safe_digest
@@ -202,19 +202,7 @@ def run(
     service = service if service is not None else SignatureService()
     processors: dict[ProcessorId, Processor] = {}
     for pid in sorted(correct):
-        processor = algorithm.make_processor(pid)
-        processor.bind(
-            Context(
-                pid=pid,
-                n=n,
-                t=t,
-                transmitter=algorithm.transmitter,
-                key=service.key_for(pid),
-                service=service,
-                coins=coins,
-            )
-        )
-        processors[pid] = processor
+        processors[pid] = algorithm.spawn(pid, service.key_for(pid), service, coins)
 
     adversary.bind(
         AdversaryEnvironment(

@@ -89,7 +89,7 @@ class SignatureChain:
 
     def has_signed(self, pid: ProcessorId) -> bool:
         """True iff *pid* appears among the signers."""
-        return any(sig.signer == pid for sig in self.signatures)
+        return pid in map(_signer, self.signatures)
 
     # ------------------------------------------------------------ validation
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
 from repro.approx.validation import BENIGN, BOUND, EPS_VIOLATION, OK, SAFETY
@@ -125,14 +125,13 @@ def plan_cases(
     budget: int,
     seed: int,
     fault_rate: float | None = None,
-    values: Sequence[Value] = CAMPAIGN_VALUES,
-    configs: Mapping[str, tuple[int, int, dict[str, object]]] | None = None,
 ) -> list[FuzzCase]:
     """Generate the full deterministic case list for a campaign.
 
-    *budget* is per algorithm; case ``i`` fuzzes value ``values[i % len]``
-    under :func:`derive_seed`'s per-case seed, so the list is a pure
-    function of the arguments.  Coin-flipping algorithms get a second
+    *budget* is per algorithm, each configured as :data:`FUZZ_CONFIGS`
+    says; case ``i`` fuzzes value ``CAMPAIGN_VALUES[i % 2]`` under
+    :func:`derive_seed`'s per-case seed, so the list is a pure function of
+    the arguments.  Coin-flipping algorithms get a second
     derived seed (lane ``"<name>/coin"``) for their coin stream.
 
     Without *fault_rate*, each case runs the seed's generated Byzantine
@@ -142,15 +141,14 @@ def plan_cases(
     at that rate, whose fault-carrying processors stay within ``t`` — so
     a ``safety`` verdict is a genuine finding, not fault-budget noise.
     """
-    configs = dict(configs) if configs is not None else FUZZ_CONFIGS
     cases: list[FuzzCase] = []
     for name in algorithms:
-        if name not in configs:
+        if name not in FUZZ_CONFIGS:
             raise KeyError(
                 f"no fuzz configuration for algorithm {name!r}; "
-                f"known: {sorted(configs)}"
+                f"known: {sorted(FUZZ_CONFIGS)}"
             )
-        n, t, params = configs[name]
+        n, t, params = FUZZ_CONFIGS[name]
         algorithm = get(name)(n, t, **params)
         num_phases = algorithm.num_phases()
         domain = sorted(algorithm.value_domain or {0, 1}, key=repr)
@@ -176,7 +174,7 @@ def plan_cases(
                     algorithm=name,
                     n=n,
                     t=t,
-                    value=values[index % len(values)],
+                    value=CAMPAIGN_VALUES[index % len(CAMPAIGN_VALUES)],
                     seed=case_seed,
                     script=script,
                     params=tuple(sorted(params.items())),
@@ -191,7 +189,7 @@ def plan_cases(
     return cases
 
 
-def shrink_result(result: FuzzResult, *, max_attempts: int = 200) -> FuzzResult:
+def shrink_result(result: FuzzResult) -> FuzzResult:
     """Minimise a failing result's script (no-op for passing results);
     the outcome stays the one the original script produced.
 
@@ -217,7 +215,6 @@ def shrink_result(result: FuzzResult, *, max_attempts: int = 200) -> FuzzResult:
         case.script,
         reproduce,
         num_phases=case.build_algorithm().num_phases(),
-        max_attempts=max_attempts,
     )
     return replace(result, case=replace(case, script=shrunk))
 

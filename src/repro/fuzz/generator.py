@@ -136,9 +136,9 @@ def generate_script(
     num_phases: int,
     transmitter: ProcessorId = 0,
     value_domain: Sequence[object] = (0, 1),
-    max_mutations: int = 4,
 ) -> AdversaryScript:
-    """Sample one adversary script; deterministic in *seed*."""
+    """Sample one adversary script of one to four mutations; deterministic
+    in *seed*."""
     rng = random.Random(seed)
     fault_budget = rng.randint(1, max(1, t))
     pool = list(range(n))
@@ -165,7 +165,7 @@ def generate_script(
 
     mutations: list[Mutation] = []
     seen_equivocate = False
-    for _ in range(rng.randint(1, max_mutations)):
+    for _ in range(rng.randint(1, 4)):
         kind = rng.choices(names, weights=weights, k=1)[0]
         pid = transmitter if kind == "equivocate" else rng.choice(faulty)
         if kind == "equivocate":

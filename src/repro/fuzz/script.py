@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from repro.adversary.base import FaultySend, PhaseView
-from repro.adversary.standard import SimulatingAdversary
+from repro.adversary.standard import SimulatingAdversary, with_input
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Context, Processor
+from repro.core.protocol import Processor
 from repro.core.types import ProcessorId
 from repro.crypto.chains import SignatureChain, chain_body
 from repro.fuzz.mutations import (
@@ -127,19 +127,7 @@ class ScriptAdversary(SimulatingAdversary):
                 and mutation.pid in self.faulty
                 and mutation.pid not in self._alt
             ):
-                processor = env.algorithm.make_processor(mutation.pid)
-                processor.bind(
-                    Context(
-                        pid=mutation.pid,
-                        n=env.n,
-                        t=env.t,
-                        transmitter=env.transmitter,
-                        key=env.keys[mutation.pid],
-                        service=env.service,
-                        coins=env.coins,
-                    )
-                )
-                self._alt[mutation.pid] = processor
+                self._alt[mutation.pid] = env.spawn(mutation.pid)
 
     # ------------------------------------------------------------- execution
 
@@ -221,14 +209,8 @@ class ScriptAdversary(SimulatingAdversary):
         alt_out: list[Outgoing] = []
         if pid not in self._alt_wedged:
             equivocate = next(m for m in mutations if isinstance(m, Equivocate))
-            doctored = [
-                Envelope(src=e.src, dst=e.dst, phase=e.phase, payload=equivocate.alt_value)
-                if e.is_input_edge()
-                else e
-                for e in inbox
-            ]
             try:
-                alt_out = self._step(alt, phase, doctored)
+                alt_out = self._step(alt, phase, with_input(inbox, equivocate.alt_value))
             except Exception:
                 self._alt_wedged.add(pid)
                 alt_out = []

@@ -31,7 +31,7 @@ SYSTEM_CLOCK = Clock()
 
 
 class TickClock:
-    """A deterministic fake clock: every reading advances by a fixed step.
+    """A deterministic fake clock: every reading advances by 1 ms.
 
     Both ``wall()`` and ``cpu()`` read the same counter, so any quantity
     derived from it is a pure function of *how many* readings were taken —
@@ -39,14 +39,13 @@ class TickClock:
     traces and telemetry byte-reproducible.
     """
 
-    __slots__ = ("_now", "_step")
+    __slots__ = ("_now",)
 
-    def __init__(self, step: float = 0.001) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._step = step
 
     def _tick(self) -> float:
-        self._now += self._step
+        self._now += 0.001
         return self._now
 
     @property

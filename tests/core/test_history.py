@@ -53,6 +53,12 @@ class TestPhaseGraph:
         b = PhaseGraph([LabeledEdge(0, 2, "x")])
         assert a != b
 
+    def test_labels_equal_in_python_but_not_in_digest_differ(self):
+        one = PhaseGraph([LabeledEdge(0, 1, (1, "x"))])
+        assert one == PhaseGraph([LabeledEdge(0, 1, (1, "x"))])
+        assert one != PhaseGraph([LabeledEdge(0, 1, (True, "x"))])
+        assert one != PhaseGraph([LabeledEdge(0, 1, (1.0, "x"))])
+
 
 class TestHistory:
     def test_initial_phase_holds_transmitter_value(self):
@@ -104,6 +110,13 @@ class TestIndividualSubhistory:
     def test_equality_is_view_equality(self):
         assert make_history().individual(1) == make_history().individual(1)
         assert make_history().individual(1) != make_history().individual(2)
+
+    def test_inputs_equal_in_python_but_not_in_digest_differ(self):
+        view = History.with_input(0, 1).individual(0)
+        assert view == History.with_input(0, 1).individual(0)
+        assert hash(view) == hash(History.with_input(0, 1).individual(0))
+        assert view != History.with_input(0, True).individual(0)
+        assert view != History.with_input(0, 1.0).individual(0)
 
     def test_input_edge_visible_to_transmitter_only(self):
         history = make_history()

@@ -830,7 +830,7 @@ class TestServiceCli:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("loadgen: algorithm-1 rejects n=4, t=1")
+        assert err.startswith("repro loadgen: algorithm-1 rejects n=4, t=1")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("flag,value", [("--max-stripe", "0")])
@@ -841,7 +841,7 @@ class TestServiceCli:
         )
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("loadgen: ") and err.count("\n") == 1
+        assert err.startswith("repro loadgen: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag,value", [("--max-stripe", "0")])
     def test_serve_bad_stripe_setting_exits_2(self, capsys, tmp_path, flag, value):
@@ -852,7 +852,7 @@ class TestServiceCli:
         capsys.readouterr()
         assert main(["serve", str(emitted), "--workers", "1", flag, value]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("serve: ") and err.count("\n") == 1
+        assert err.startswith("repro serve: ") and err.count("\n") == 1
 
     def test_serve_missing_file_exits_2(self, capsys):
         assert main(["serve", "/no/such/requests.jsonl"]) == 2
@@ -938,7 +938,7 @@ class TestServiceCli:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["serve", str(path), "--workers", "1"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"serve: {path}:2: ") and err.count("\n") == 1
+        assert err.startswith(f"repro serve: {path}:2: ") and err.count("\n") == 1
         assert message in err
 
     def test_serve_empty_file_exits_2(self, capsys, tmp_path):
