@@ -36,11 +36,15 @@ from repro.core.protocol import AgreementAlgorithm
 class AlgorithmInfo:
     """Registry entry: constructor plus table metadata."""
 
-    name: str
     build: type[AgreementAlgorithm]
     source: str  # citation within the paper
     phases_formula: str
     messages_formula: str
+
+    @property
+    def name(self) -> str:
+        """The registry name: the class's ``name``."""
+        return self.build.name
 
     @property
     def authenticated(self) -> bool:
@@ -68,63 +72,54 @@ ALGORITHMS: dict[str, AlgorithmInfo] = {
     info.name: info
     for info in (
         AlgorithmInfo(
-            name="dolev-strong",
             build=DolevStrong,
             source="baseline [9], classic form",
             phases_formula="t + 1",
             messages_formula="O(n^2)",
         ),
         AlgorithmInfo(
-            name="active-set",
             build=ActiveSetBroadcast,
             source="baseline [9], active-set form",
             phases_formula="t + 2",
             messages_formula="O(nt + t^2)",
         ),
         AlgorithmInfo(
-            name="oral-messages",
             build=OralMessages,
             source="baseline [14], OM(t)",
             phases_formula="t + 1",
             messages_formula="O(n^t)",
         ),
         AlgorithmInfo(
-            name="algorithm-1",
             build=Algorithm1,
             source="Theorem 3",
             phases_formula="t + 2",
             messages_formula="2t^2 + 2t",
         ),
         AlgorithmInfo(
-            name="algorithm-2",
             build=Algorithm2,
             source="Theorem 4",
             phases_formula="3t + 3",
             messages_formula="5t^2 + 5t",
         ),
         AlgorithmInfo(
-            name="algorithm-3",
             build=Algorithm3,
             source="Lemma 1 / Theorem 5",
             phases_formula="t + 2s + 3",
             messages_formula="2n + 4tn/s + 3t^2 s",
         ),
         AlgorithmInfo(
-            name="algorithm-5",
             build=Algorithm5,
             source="Lemma 5 / Theorem 7",
             phases_formula="~ 3t + 4s",
             messages_formula="O(t^2 + nt/s)",
         ),
         AlgorithmInfo(
-            name="informed-algorithm-2",
             build=InformedAlgorithm2,
             source="Section 5's n < α remedy (Algorithm 2 + informing phase)",
             phases_formula="3t + 4",
             messages_formula="5t^2 + 5t + (t+1)(n-2t-1)",
         ),
         AlgorithmInfo(
-            name="phase-king",
             build=PhaseKing,
             source="post-paper reference (Berman-Garay 1989)",
             phases_formula="2t + 3",
@@ -137,21 +132,18 @@ STRAWMEN: dict[str, AlgorithmInfo] = {
     info.name: info
     for info in (
         AlgorithmInfo(
-            name="strawman-undersigning",
             build=UnderSigningBroadcast,
             source="counterexample for Theorems 1 and 2",
             phases_formula="1",
             messages_formula="n - 1",
         ),
         AlgorithmInfo(
-            name="strawman-echo",
             build=EchoBroadcast,
             source="counterexample: volume without signature diversity",
             phases_formula="2",
             messages_formula="n (n-1)",
         ),
         AlgorithmInfo(
-            name="strawman-overshoot",
             build=OvershootMidpoint,
             source="counterexample: untrimmed midpoint breaks ε-validity",
             phases_formula="m",
@@ -168,21 +160,18 @@ WORKLOADS: dict[str, AlgorithmInfo] = {
     info.name: info
     for info in (
         AlgorithmInfo(
-            name="midpoint-approx",
             build=MidpointApprox,
             source="ε-agreement, midpoint rule (DLPSW 1986; n > 3t)",
             phases_formula="m = ceil(log2(K/eps))",
             messages_formula="m n (n-1)",
         ),
         AlgorithmInfo(
-            name="filtered-mean-approx",
             build=FilteredMeanApprox,
             source="ε-agreement, trimmed-mean rule (rate t/(n-2t); n > 3t)",
             phases_formula="m = ceil(log_{1/rate}(K/eps))",
             messages_formula="m n (n-1)",
         ),
         AlgorithmInfo(
-            name="ben-or",
             build=BenOr,
             source="randomized consensus (Ben-Or 1983; n > 5t)",
             phases_formula="2 per round, geometric rounds",

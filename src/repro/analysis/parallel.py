@@ -4,8 +4,11 @@ The paper's claims are worst-case counts over ``(n, t, s, α)`` grids, so
 the repo's empirical reach is bounded by how many scenarios it can run per
 second.  Every :class:`~repro.analysis.sweep.SweepPoint` is a pure
 function of its scenario spec, so :func:`sweep_parallel` groups a grid by
-factory, stripes each group through the batch engine
-(:mod:`repro.analysis.batchsweep`), fans the stripes out over a
+factory (equal pickled factories share one batch-engine arena), cuts each
+group into stripes of at most :data:`MAX_STRIPE` specs with
+:func:`stripe_positions` (the service's rule too, so a stripe never
+depends on the worker count), runs each stripe as one
+:func:`~repro.core.batch.run_batch` task on a
 :class:`~concurrent.futures.ProcessPoolExecutor` and returns the *exact*
 point stream for any worker count, in the grid's deterministic order.
 Traced and untraced scenarios take that one path;
@@ -54,10 +57,11 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 from repro.adversary.base import Adversary
-from repro.analysis.sweep import SweepPoint, measure
+from repro.analysis.sweep import SweepPoint, measure, sweep_points
+from repro.core.batch import BatchCase, run_batch
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
 
@@ -116,7 +120,7 @@ class ScenarioSpec:
     def run(self) -> SweepPoint:
         """The scenario's point from :func:`~repro.analysis.sweep.measure`
         on a fresh algorithm instance: the untraced reference the striped
-        sweep (:mod:`repro.analysis.batchsweep`) is tested against."""
+        sweep (:func:`batch_specs`) is tested against."""
         algorithm = self.factory()
         adversary = (
             self.adversary_factory(algorithm)
@@ -211,6 +215,24 @@ def _ensure_picklable(tasks: Sequence[Task]) -> None:
 
 def _chunked(tasks: Sequence[_TaskT], size: int) -> list[Sequence[_TaskT]]:
     return [tasks[i : i + size] for i in range(0, len(tasks), size)]
+
+
+#: Cases per stripe, at most: sweeps and the service cut each
+#: configuration's cases every ``MAX_STRIPE``, at any worker count.
+MAX_STRIPE = 256
+
+
+def stripe_positions(keys: Iterable[Hashable]) -> list[Sequence[int]]:
+    """The stripes of a case list, as runs of positions in it.
+
+    *keys* gives each case's configuration, in case order.  Cases with
+    equal keys form one group, groups come in first-seen order, and each
+    group is cut into runs of at most :data:`MAX_STRIPE` positions.
+    """
+    groups: dict[Hashable, list[int]] = {}
+    for position, key in enumerate(keys):
+        groups.setdefault(key, []).append(position)
+    return [stripe for group in groups.values() for stripe in _chunked(group, MAX_STRIPE)]
 
 
 #: Version tag in every checkpoint file's header frame.
@@ -519,6 +541,70 @@ def run_tasks(
     ]
 
 
+def _spec_case(spec: ScenarioSpec, algorithm: AgreementAlgorithm) -> BatchCase:
+    """The batch case of one scenario spec; a traced spec's case names its
+    trace file, whose directory is created here."""
+    trace = None
+    if spec.trace_dir is not None:
+        directory = Path(spec.trace_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        trace = str(directory / spec.trace_file_name(algorithm))
+    return BatchCase(
+        value=spec.value,
+        adversary_name=spec.adversary_name,
+        adversary_factory=spec.adversary_factory,
+        trace=trace,
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class BatchStripe:
+    """One pool task: a stripe of same-factory specs, run as one batch on
+    one algorithm instance."""
+
+    specs: tuple[ScenarioSpec, ...]
+
+    def run(self) -> list[SweepPoint]:
+        algorithm = self.specs[0].factory()
+        cases = [_spec_case(spec, algorithm) for spec in self.specs]
+        result = run_batch(algorithm, cases)
+        return sweep_points(algorithm, cases, [spec.params for spec in self.specs], result)
+
+
+def _group_key(spec: ScenarioSpec) -> Any:
+    """Arena-sharing key: equal pickled factories share one batch."""
+    try:
+        return pickle.dumps(spec.factory)
+    except Exception:
+        return ("unpicklable", id(spec.factory))
+
+
+def batch_specs(
+    specs: Sequence[ScenarioSpec], *, workers: int | None = None
+) -> list[SweepPoint]:
+    """Execute *specs* through the batch engine, in spec order.
+
+    Specs are grouped by factory (one arena per group) and cut into
+    stripes by :func:`stripe_positions`; the pool runs one stripe per
+    chunk, in grid order.
+    """
+    specs = list(specs)
+    stripes = stripe_positions(_group_key(spec) for spec in specs)
+    outputs = run_tasks(
+        [BatchStripe(specs=tuple(specs[index] for index in stripe)) for stripe in stripes],
+        workers=workers,
+        chunk_size=1,
+    )
+    points: list[SweepPoint | None] = [None] * len(specs)
+    for stripe, stripe_points in zip(stripes, outputs):
+        for index, point in zip(stripe, stripe_points):
+            points[index] = point
+
+    final = [point for point in points if point is not None]
+    assert len(final) == len(specs), "every spec must produce a point"
+    return final
+
+
 def sweep_parallel(
     configurations: Iterable[tuple[Mapping[str, object], AlgorithmFactory]],
     values: Iterable[Value] = (0, 1),
@@ -534,18 +620,15 @@ def sweep_parallel(
     defaults to :func:`default_workers`; ``workers=1`` runs serially
     in-process.  Same-factory scenarios share one batch-engine arena and
     repeated run classes execute once; workers run whole stripes
-    (:mod:`repro.analysis.batchsweep`).  *trace_dir* opts every scenario
-    into a per-run ``repro-trace/1`` JSONL file under that directory,
-    written by the worker that runs the scenario's stripe.  Names are
-    deterministic, so the file set is identical for any worker count.  A
-    traced scenario is one more case of its stripe's batch, so its trace
-    records the work the untraced sweep does; the ``run_end`` digest and
-    canonical-walk counters read the stripe's shared digest table, and
-    so depend on how the grid was striped.  The stripes run on
+    (:func:`batch_specs`).  *trace_dir* opts every scenario into a
+    per-run ``repro-trace/1`` JSONL file under that directory, written
+    by the worker that runs the scenario's stripe.  A traced scenario is
+    one more case of its stripe's batch, so its trace records the work
+    the untraced sweep does; the ``run_end`` digest and canonical-walk
+    counters read the stripe's shared digest table.  Stripes depend on
+    the grid alone, so every trace line but the clock readings is
+    identical for any worker count.  The stripes run on
     :func:`run_tasks` with its default self-healing settings.
     """
-    # Imported here: batchsweep imports this module.
-    from repro.analysis.batchsweep import batch_specs
-
     specs = expand(configurations, values, adversaries, trace_dir=trace_dir)
     return batch_specs(specs, workers=workers)

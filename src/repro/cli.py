@@ -118,6 +118,17 @@ def _build(args: argparse.Namespace) -> AgreementAlgorithm:
         raise UsageError(error.args[0]) from None
 
 
+def _scenario(args: argparse.Namespace) -> tuple[AgreementAlgorithm, Adversary | None]:
+    """The algorithm and adversary of ``run``, ``trace`` and ``conformance``,
+    with ``--value`` checked against the algorithm before any file opens."""
+    algorithm = _build(args)
+    try:
+        algorithm.check_value(args.value)
+    except ConfigurationError as error:
+        raise UsageError(str(error)) from None
+    return algorithm, parse_adversary(args.adversary, algorithm)
+
+
 def _coins_for(args: argparse.Namespace, algorithm: AgreementAlgorithm):
     """A seeded coin source when *algorithm* flips coins, else ``None``."""
     return coins_for(algorithm, getattr(args, "seed", None))
@@ -146,8 +157,7 @@ def cmd_list(_: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """`repro run`: one execution, optionally traced and exported."""
-    algorithm = _build(args)
-    adversary = parse_adversary(args.adversary, algorithm)
+    algorithm, adversary = _scenario(args)
     trace_out = getattr(args, "trace_out", None)
     metrics_out = getattr(args, "metrics_out", None)
     instrument = bool(trace_out or metrics_out)
@@ -303,8 +313,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """`repro trace`: human-readable phase-by-phase timeline."""
     from repro.analysis.trace import render_trace
 
-    algorithm = _build(args)
-    adversary = parse_adversary(args.adversary, algorithm)
+    algorithm, adversary = _scenario(args)
     result = run_algorithm(
         algorithm, args.value, adversary, coins=_coins_for(args, algorithm)
     )
@@ -316,12 +325,11 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     """`repro conformance`: replay §2's correctness rules over a run."""
     from repro.core.conformance import behaviourally_faulty, check_conformance
 
-    algorithm = _build(args)
-    adversary = parse_adversary(args.adversary, algorithm)
+    algorithm, adversary = _scenario(args)
     result = run_algorithm(
         algorithm, args.value, adversary, coins=_coins_for(args, algorithm)
     )
-    verdicts = check_conformance(result, _build(args))
+    verdicts = check_conformance(result, algorithm)
     rows = []
     for pid in range(algorithm.n):
         verdict = verdicts[pid]
@@ -337,7 +345,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
             }
         )
     print(format_table(rows, title="Section 2 conformance (correct-at-phase-k)"))
-    behavioural = sorted(behaviourally_faulty(result, _build(args)))
+    behavioural = sorted(behaviourally_faulty(verdicts))
     print(f"\nbehaviourally faulty: {behavioural or 'none'} "
           f"(corrupted: {sorted(result.faulty) or 'none'})")
     return 0
@@ -432,18 +440,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
     """Shared tail of ``loadgen``/``serve``: serve *schedule*, then the
-    summary, outputs and exit code (a malformed stripe setting is a
-    :class:`UsageError`)."""
+    summary, outputs and exit code."""
     import json
 
     from repro.obs.export import write_service_metrics
     from repro.service import Scheduler
 
-    try:
-        scheduler = Scheduler(workers=args.workers, max_stripe=args.max_stripe)
-    except ValueError as error:
-        raise UsageError(str(error)) from None
-    with scheduler:
+    with Scheduler(workers=args.workers) as scheduler:
         report = scheduler.serve(schedule)
     stats = report.stats
     verdicts = report.verdict_counts()
@@ -499,10 +502,13 @@ def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """`repro loadgen`: seeded open-loop traffic against the service layer.
 
-    Deterministic in ``(--requests, --rate, --seed, --mix, --fault-rate)``:
-    verdicts are pure functions of request content, never of timing, so
-    the printed verdict multiset is identical across repeats and worker
-    counts — only the latency and throughput figures move.
+    ``(--requests, --rate, --seed, --mix, --fault-rate)`` fix the
+    requests, and verdicts are pure functions of request content, so the
+    verdict multiset is identical across repeats and worker counts.
+    Waves form by arrival timing, so the run classes on the dedup line
+    repeat only when every request arrives in one wave; the digest and
+    setup counts also depend on which process served a stripe, and the
+    latency and throughput figures always move.
     """
     import json
 
@@ -882,11 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers", type=int, default=None,
             help="scheduler pool size (default: $REPRO_SWEEP_WORKERS or CPU "
             "count; 1 serves serially in-process)",
-        )
-        p.add_argument(
-            "--max-stripe", type=int, default=256,
-            help="max requests per worker stripe — the batching stripe of "
-            "the sizing formula (default: 256)",
         )
         p.add_argument(
             "--out", default=None, metavar="FILE",

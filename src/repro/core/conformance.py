@@ -29,7 +29,7 @@ processor reproduces its recorded labels *bit for bit*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.approx.coins import coins_for
 from repro.core.errors import ConfigurationError
@@ -172,12 +172,12 @@ def check_conformance(
 
 
 def behaviourally_faulty(
-    result: RunResult, algorithm: AgreementAlgorithm
+    verdicts: Mapping[ProcessorId, ProcessorConformance],
 ) -> frozenset[ProcessorId]:
     """The processors that are *incorrect in the history* — the set the
     paper's ``t``-faulty definition actually constrains (always a subset
-    of the adversary's corrupted set)."""
-    verdicts = check_conformance(result, algorithm)
+    of the adversary's corrupted set) — from :func:`check_conformance`'s
+    verdicts."""
     return frozenset(
         pid for pid, verdict in verdicts.items() if not verdict.correct_in_history
     )

@@ -93,7 +93,8 @@ class AgreementRequest:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "AgreementRequest":
-        """Parse one ``repro-service/1`` line; raise on malformed input."""
+        """Parse one ``repro-service/1`` line; raise on malformed input
+        (a fault plan that cannot act on ``n`` processors included)."""
         if not isinstance(data, Mapping):
             raise RequestFormatError(f"request line is not an object: {data!r}")
         schema = data.get("schema", SERVICE_SCHEMA)
@@ -115,12 +116,14 @@ class AgreementRequest:
             get(algorithm)
         except KeyError as error:
             raise RequestFormatError(error.args[0]) from None
+        n = _integer(data, "n")
         plan = None
         if data.get("fault_plan") is not None:
             from repro.transport.faults import FaultPlan
 
             try:
                 plan = FaultPlan.from_json_dict(data["fault_plan"])
+                plan.check(n)
             except (TypeError, ValueError) as error:
                 raise RequestFormatError(f"malformed fault_plan: {error}") from None
         params = data.get("params") or {}
@@ -130,7 +133,7 @@ class AgreementRequest:
         return cls(
             request_id=_integer(data, "request_id"),
             algorithm=algorithm,
-            n=_integer(data, "n"),
+            n=n,
             t=_integer(data, "t"),
             value=data["value"],
             params=tuple(sorted(params.items())),

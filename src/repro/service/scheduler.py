@@ -9,9 +9,12 @@ over the self-healing :func:`~repro.analysis.parallel.run_tasks` pool in
    the wall clock, independent of service progress — open loop);
 2. take everything that has arrived, shard it by
    :meth:`~repro.service.request.AgreementRequest.config_key` into
-   :class:`ServiceStripe` tasks (at most ``max_stripe`` requests each);
-3. dispatch the stripes across the pool, harvest, and stamp every
-   request in the wave with the wave's dispatch/harvest times.
+   :class:`ServiceStripe` tasks (at most
+   :data:`~repro.analysis.parallel.MAX_STRIPE` requests each, the rule
+   sweeps stripe by);
+3. dispatch the stripes across the pool, one per chunk, harvest, and
+   stamp every request in the wave with the wave's dispatch/harvest
+   times.
 
 Inside a stripe every request rides :func:`repro.core.batch.run_batch`:
 
@@ -39,7 +42,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.analysis.parallel import WorkerPool, default_workers, run_tasks
+from repro.analysis.parallel import WorkerPool, default_workers, run_tasks, stripe_positions
 from repro.core.batch import BatchCase, BatchOutcome, run_batch
 from repro.core.counters import Counters
 # Unused here; perfbench/tracing.py wraps the runner under this name.
@@ -159,16 +162,10 @@ class Scheduler:
         workers: worker processes in the pool (``None``:
             ``$REPRO_SWEEP_WORKERS`` or the CPU count; ``1`` serves
             serially in-process and never forks).
-        max_stripe: cap on requests per stripe — the batching stripe of
-            the sizing formula (``workers × max_stripe`` requests in
-            flight per wave).
     """
 
-    def __init__(self, *, workers: int | None = None, max_stripe: int = 256) -> None:
-        if max_stripe < 1:
-            raise ValueError(f"max_stripe must be >= 1, got {max_stripe}")
+    def __init__(self, *, workers: int | None = None) -> None:
         self.workers = workers
-        self.max_stripe = max_stripe
         self._pool = WorkerPool(default_workers() if workers is None else workers)
 
     def close(self) -> None:
@@ -184,32 +181,21 @@ class Scheduler:
     def _stripes(
         self, wave: Sequence[tuple[int, AgreementRequest]]
     ) -> list[ServiceStripe]:
-        """Shard one wave by configuration, splitting at ``max_stripe``."""
-        shards: dict[tuple, list[tuple[int, int, Value, Any, int | None]]] = {}
-        for index, request in wave:
-            shards.setdefault(request.config_key(), []).append(
-                (
-                    index,
-                    request.request_id,
-                    request.value,
-                    request.fault_plan,
-                    request.coin_seed,
-                )
-            )
+        """Shard one wave by configuration with
+        :func:`~repro.analysis.parallel.stripe_positions`; the stripes
+        dispatch in ``repr`` order of the configuration key."""
+        shards = sorted(
+            stripe_positions(request.config_key() for _, request in wave),
+            key=lambda positions: repr(wave[positions[0]][1].config_key()),
+        )
         stripes: list[ServiceStripe] = []
-        for key in sorted(shards, key=repr):
-            name, n, t, params = key
-            cases = shards[key]
-            for offset in range(0, len(cases), self.max_stripe):
-                stripes.append(
-                    ServiceStripe(
-                        algorithm=name,
-                        n=n,
-                        t=t,
-                        params=params,
-                        cases=tuple(cases[offset : offset + self.max_stripe]),
-                    )
-                )
+        for positions in shards:
+            name, n, t, params = wave[positions[0]][1].config_key()
+            cases = tuple(
+                (index, request.request_id, request.value, request.fault_plan, request.coin_seed)
+                for index, request in (wave[position] for position in positions)
+            )
+            stripes.append(ServiceStripe(algorithm=name, n=n, t=t, params=params, cases=cases))
         return stripes
 
     def serve(
@@ -251,7 +237,7 @@ class Scheduler:
             dispatch_s = clock() - start
             stripes = self._stripes(wave)
             stripe_results: list[StripeResult] = run_tasks(
-                stripes, workers=self.workers, pool=self._pool
+                stripes, workers=self.workers, chunk_size=1, pool=self._pool
             )
             harvest_s = clock() - start
             waves += 1

@@ -184,6 +184,43 @@ FAULT_KINDS: dict[str, type] = {
 }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fault_problem(fault: Fault, n: int) -> str | None:
+    """Why *fault* cannot act on processors ``0 .. n-1``, or ``None``."""
+    values = {field.name: getattr(fault, field.name) for field in fields(fault)}
+    for name, value in values.items():
+        if name == "rate":
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+                return f"rate must be a number in [0, 1], got {value!r}"
+        elif name == "group":
+            if not value or not all(_is_int(pid) and 0 <= pid < n for pid in value):
+                return f"group must name pids in 0..{n - 1}, got {list(value)}"
+        elif not _is_int(value) and not (value is None and name in ("last", "recovery_phase")):
+            return f"{name} must be an integer, got {value!r}"
+        elif name in ("pid", "src", "dst") and not 0 <= value < n:
+            return f"{name} {value} is outside 0..{n - 1}"
+    if "src" in values and values["src"] == values["dst"]:
+        return "a link needs two processors"
+    if fault.first < 1 or (fault.last is not None and fault.last < fault.first):
+        return "the window holds no phase"
+    if isinstance(fault, Delay) and fault.delay < 1:
+        return "delay must be at least 1"
+    if isinstance(fault, Duplicate) and fault.copies < 2:
+        return "copies must be at least 2"
+    return None
+
+
+def _describe_fault(fault: Fault) -> str:
+    """One fault as ``kind(field=value, ...)``, unset fields left out."""
+    data = fault_to_json(fault)
+    data.pop("kind")
+    inner = ", ".join(f"{k}={v}" for k, v in data.items() if v is not None)
+    return f"{fault.kind}({inner})"
+
+
 def fault_to_json(fault: Fault) -> dict[str, Any]:
     """One fault as a flat JSON object tagged with its ``kind``."""
     data: dict[str, Any] = {"kind": fault.kind}
@@ -229,13 +266,21 @@ class FaultPlan:
     def describe(self) -> str:
         if self.is_empty:
             return "no faults"
-        parts = []
+        return ", ".join(_describe_fault(fault) for fault in self.faults)
+
+    def check(self, n: int) -> None:
+        """Raise :class:`ValueError`, naming the fault, unless every fault
+        can act on processors ``0 .. n-1``: ``int`` phase, pid, count and
+        window fields (a ``bool`` is not one), pids in ``range(n)``, a
+        ``rate`` in ``[0, 1]``, links between two processors, non-empty
+        groups and windows (``1 <= first <= last``; a crash recovers after
+        it crashed), ``delay >= 1`` and ``copies >= 2``.  A window may run
+        past the last phase.  The constructors check nothing; the CLI and
+        the service check the plans they are handed."""
         for fault in self.faults:
-            data = fault_to_json(fault)
-            data.pop("kind")
-            inner = ", ".join(f"{k}={v}" for k, v in data.items() if v is not None)
-            parts.append(f"{fault.kind}({inner})")
-        return ", ".join(parts)
+            problem = _fault_problem(fault, n)
+            if problem is not None:
+                raise ValueError(f"fault {_describe_fault(fault)}: {problem}")
 
     # ------------------------------------------------------------------ JSON
 

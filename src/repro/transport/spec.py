@@ -73,7 +73,8 @@ def parse_fault_plan(
     ``random:`` clause consumes them.
 
     Raises:
-        FaultSpecError: on any clause that does not parse.
+        FaultSpecError: on any clause that does not parse, and on a plan
+            :meth:`FaultPlan.check` refuses for *n*.
     """
     faults: list[Fault] = []
     seed = 0
@@ -139,8 +140,6 @@ def parse_fault_plan(
             elif kind == "partition":
                 body, first, last = _window(rest)
                 group = tuple(int(p) for p in body.split(",") if p)
-                if not group:
-                    raise FaultSpecError(f"{clause!r}: empty partition group")
                 faults.append(Partition(group=group, first=first, last=last))
             elif kind == "random":
                 seed_text, _, rate_text = rest.partition(":")
@@ -164,4 +163,9 @@ def parse_fault_plan(
             raise
         except ValueError as error:
             raise FaultSpecError(f"bad fault clause {clause!r}: {error}") from error
-    return FaultPlan(faults=tuple(faults), seed=seed)
+    plan = FaultPlan(faults=tuple(faults), seed=seed)
+    try:
+        plan.check(n)
+    except ValueError as error:
+        raise FaultSpecError(str(error)) from None
+    return plan

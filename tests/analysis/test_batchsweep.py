@@ -1,4 +1,4 @@
-"""Tests for the striped sweep executor (repro.analysis.batchsweep)."""
+"""Tests for the striped sweep executor (batch_specs in repro.analysis.parallel)."""
 
 import json
 import os
@@ -7,14 +7,21 @@ from functools import partial
 
 import pytest
 
-import repro.analysis.batchsweep as batchsweep
+import repro.analysis.parallel as parallel
 import repro.crypto.signatures as signatures
 from repro.adversary.standard import SilentAdversary
 from repro.algorithms.registry import get
-from repro.analysis.batchsweep import MIN_STRIPE, BatchStripe, _stripes, batch_specs
-from repro.analysis.parallel import expand, run_tasks, sweep_parallel
+from repro.analysis.parallel import (
+    MAX_STRIPE,
+    BatchStripe,
+    batch_specs,
+    expand,
+    run_tasks,
+    stripe_positions,
+    sweep_parallel,
+)
 from repro.core.protocol import AgreementAlgorithm
-from repro.obs import read_events, summarize_trace
+from repro.obs import summarize_trace
 
 
 def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
@@ -28,14 +35,14 @@ def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):
 def engine_stats(monkeypatch):
     """The Counters of every in-process run_batch call (workers=1)."""
     calls = []
-    original = batchsweep.run_batch
+    original = parallel.run_batch
 
     def spy(*args, **kwargs):
         result = original(*args, **kwargs)
         calls.append(result.stats)
         return result
 
-    monkeypatch.setattr(batchsweep, "run_batch", spy)
+    monkeypatch.setattr(parallel, "run_batch", spy)
     return calls
 
 
@@ -59,17 +66,6 @@ def without_clock_readings(path):
             line = json.dumps(event, sort_keys=True, separators=(",", ":"))
         lines.append(line)
     return lines
-
-
-def without_run_end_telemetry(path):
-    """The trace's events with ``run_end``'s telemetry and counters
-    removed: the clock readings differ run to run, and the digest
-    counters read the stripe's shared digest table."""
-    events = list(read_events(path))
-    for event in events:
-        if event["event"] == "run_end":
-            del event["telemetry"], event["counters"]
-    return events
 
 
 def silent_last_t(algorithm):
@@ -113,19 +109,40 @@ class TestEquality:
         specs = grid(ns=(5, 6, 7), values=(0, 1) * 4)
         assert batch_specs(specs, workers=2) == run_tasks(specs, workers=1)
 
-    def test_large_groups_are_striped(self, engine_stats):
-        specs = grid(ns=(5,), values=tuple([0, 1] * MIN_STRIPE))
-        assert batch_specs(specs, workers=2) == run_tasks(specs, workers=1)
-        # Striping splits one group into several batches, so each stripe
-        # re-runs its own class representatives.
-        stripes = _stripes(range(len(specs)), 2)
-        assert len(stripes) == 2
-        for stripe in stripes:
-            BatchStripe(specs=tuple(specs[index] for index in stripe)).run()
-        assert total(engine_stats, "unique_runs") >= 2
+    def test_large_groups_are_striped(self, engine_stats, monkeypatch):
+        # One factory group of MAX_STRIPE + 2 specs is cut at MAX_STRIPE
+        # whatever the pool size, and the pool gets one stripe per chunk.
+        specs = grid(ns=(5,), values=(0, 1) * (MAX_STRIPE // 2 + 1))
+        reference = run_tasks(specs, workers=1)
+        dispatched = []
+        real = parallel.run_tasks
+
+        def spy(tasks, **kwargs):
+            dispatched.append(([len(task.specs) for task in tasks], kwargs["chunk_size"]))
+            return real(tasks, **kwargs)
+
+        monkeypatch.setattr(parallel, "run_tasks", spy)
+        for workers in (1, 2):
+            assert batch_specs(specs, workers=workers) == reference
+        assert dispatched == [([MAX_STRIPE, 2], 1)] * 2
+        # Each stripe re-runs its own class representatives (the spy sees
+        # the in-process batches of workers=1 only).
+        assert [stats.runs for stats in engine_stats] == [MAX_STRIPE, 2]
+        assert total(engine_stats, "unique_runs") == 4
 
 
 class TestStripe:
+    def test_positions_group_by_key_in_first_seen_order(self):
+        keys = ["b", "a"] * (MAX_STRIPE + 1) + ["c"]
+        stripes = stripe_positions(iter(keys))
+        assert [(keys[stripe[0]], len(stripe)) for stripe in stripes] == [
+            ("b", MAX_STRIPE), ("b", 1), ("a", MAX_STRIPE), ("a", 1), ("c", 1)
+        ]
+        for stripe in stripes:
+            assert {keys[position] for position in stripe} == {keys[stripe[0]]}
+            assert list(stripe) == sorted(stripe)
+        assert sorted(p for stripe in stripes for p in stripe) == list(range(len(keys)))
+
     def test_stripe_runs_standalone(self, engine_stats):
         specs = tuple(grid(ns=(5,), values=(0, 1, 0)))
         assert BatchStripe(specs=specs).run() == run_tasks(list(specs), workers=1)
@@ -203,10 +220,11 @@ class TestTracedCases:
             )
 
     def test_striping_changes_only_run_end_telemetry(self, tmp_path):
-        # One factory group of 80 specs: one stripe at workers=1, two at 2.
+        # One factory group of 80 specs is one stripe at any pool size, so
+        # the traces agree at workers 1 and 2 in everything but the clock
+        # readings, the run_end digest counters included.
         dolev_strong = partial(get("dolev-strong").build, 5, 1)
         configs = [({"k": k}, dolev_strong) for k in range(40)]
-        assert len(_stripes(range(80), 2)) == 2
         points = {}
         for workers in (1, 2):
             directory = tmp_path / f"w{workers}"
@@ -218,8 +236,8 @@ class TestTracedCases:
         assert len(names) == 80
         assert sorted(path.name for path in (tmp_path / "w2").glob("*.jsonl")) == names
         for name in names:
-            assert without_run_end_telemetry(tmp_path / "w2" / name) == (
-                without_run_end_telemetry(tmp_path / "w1" / name)
+            assert without_clock_readings(tmp_path / "w2" / name) == (
+                without_clock_readings(tmp_path / "w1" / name)
             )
 
 

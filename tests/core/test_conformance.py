@@ -88,7 +88,7 @@ class TestFaultLocalisation:
         algorithm = DolevStrong(6, 1)
         adversary = EquivocatingTransmitter(0, {q: q % 2 for q in range(1, 6)})
         result = run(algorithm, 0, adversary)
-        assert 0 in behaviourally_faulty(result, DolevStrong(6, 1))
+        assert 0 in behaviourally_faulty(check_conformance(result, DolevStrong(6, 1)))
 
 
 class TestBehaviouralCorrectness:
@@ -97,7 +97,7 @@ class TestBehaviouralCorrectness:
     def test_identity_simulated_faulty_are_correct_in_history(self):
         algorithm = DolevStrong(7, 2)
         result = run(algorithm, 1, SimulatingAdversary([2, 3]))
-        assert behaviourally_faulty(result, DolevStrong(7, 2)) == frozenset()
+        assert behaviourally_faulty(check_conformance(result, DolevStrong(7, 2))) == frozenset()
 
     def test_behavioural_set_is_subset_of_corrupted_set(self):
         """Corrupting a processor does not make it incorrect-in-H until it
@@ -106,7 +106,7 @@ class TestBehaviouralCorrectness:
         whose only duty already passed stays correct-in-H."""
         algorithm = Algorithm1(7, 3)
         result = run(algorithm, 1, CrashAdversary({1: 2, 2: 3, 4: 99}))
-        behavioural = behaviourally_faulty(result, Algorithm1(7, 3))
+        behavioural = behaviourally_faulty(check_conformance(result, Algorithm1(7, 3)))
         assert behavioural <= result.faulty
         # 1 missed its relay; 2 relayed at phase 2 and owed nothing more;
         # 4 never reached its crash phase.

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms.registry import get
-from repro.analysis.parallel import WorkerPool
+import repro.service.scheduler as scheduler_module
+from repro.analysis.parallel import MAX_STRIPE, WorkerPool
 from repro.core.batch import BatchCase, Counters, run_batch
 from repro.core.metrics import MetricsLedger
 from repro.obs.telemetry import RunTelemetry
@@ -166,10 +167,6 @@ class TestScheduler:
             o.decided for o in pooled.outcomes
         ]
 
-    def test_max_stripe_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_stripe"):
-            Scheduler(max_stripe=0)
-
 
 #: Three small configurations: every wave of :func:`multi_stripe_waves`
 #: shards into three stripes, so it runs on the pool at ``workers=2``.
@@ -307,19 +304,34 @@ class TestPoolLifetime:
 
 
 class TestStripes:
-    def test_sharded_by_config_key_and_split_at_max_stripe(self):
-        scheduler = Scheduler(workers=1, max_stripe=2)
-        wave = [
-            (0, request(0)),
-            (1, request(1)),
-            (2, request(2)),
-            (3, request(3, algorithm="dolev-strong", n=9, t=2)),
+    def test_sharded_by_config_key_and_split_at_max_stripe(self, monkeypatch):
+        # A configuration's requests split every MAX_STRIPE in arrival
+        # order, at any pool size; the stripes dispatch in repr order of
+        # the configuration key, one per chunk.
+        last = MAX_STRIPE + 1
+        wave = [(i, request(i)) for i in range(last)]
+        wave.append((last, request(last, algorithm="dolev-strong", n=9, t=2)))
+        expected = [
+            ("dolev-strong", [last]),
+            ("phase-king", list(range(MAX_STRIPE))),
+            ("phase-king", [MAX_STRIPE]),
         ]
-        stripes = scheduler._stripes(wave)
-        assert len(stripes) == 3  # phase-king split 2+1, dolev-strong 1
-        sizes = sorted(len(s.cases) for s in stripes)
-        assert sizes == [1, 1, 2]
-        assert all(len(s.cases) <= 2 for s in stripes)
+        for workers in (1, 2):
+            stripes = Scheduler(workers=workers)._stripes(wave)
+            assert [(s.algorithm, [case[0] for case in s.cases]) for s in stripes] == expected
+        dispatched = []
+        real = scheduler_module.run_tasks
+
+        def spy(tasks, **kwargs):
+            dispatched.append(([len(task.cases) for task in tasks], kwargs["chunk_size"]))
+            return real(tasks, **kwargs)
+
+        monkeypatch.setattr(scheduler_module, "run_tasks", spy)
+        report = Scheduler(workers=1).serve(
+            immediate([item for _, item in wave]), clock=lambda: 0.0
+        )
+        assert dispatched == [([1, MAX_STRIPE, 1], 1)]
+        assert [o.request_id for o in report.outcomes] == list(range(last + 1))
 
     def test_stripe_batches_clean_exact_and_memoises_scalar(self):
         plan = random_plan(3, n=8, t=1, num_phases=3, rate=0.8)
@@ -438,10 +450,10 @@ class TestCounters:
         assert (total.setup_misses, total.setup_hits) == (len(CONFIGS), 2 * len(CONFIGS))
 
     def test_run_class_counts_equal_across_worker_counts(self):
-        # One wave (every arrival at 0), split into stripes of at most 64
-        # requests: the run classes depend only on which requests share a
-        # stripe.  Digest and setup counts depend on which process's cache
-        # serves a stripe, so they are left out.
+        # One wave (every arrival at 0): the run classes depend only on
+        # which requests share a stripe, and the stripes on the requests.
+        # Digest and setup counts depend on which process's cache serves a
+        # stripe, so they are left out.
         schedule = [
             ScheduledRequest(arrival_s=0.0, request=item.request)
             for item in generate_schedule(
@@ -450,7 +462,7 @@ class TestCounters:
         ]
         counts = []
         for workers in (1, 2):
-            with Scheduler(workers=workers, max_stripe=64) as scheduler:
+            with Scheduler(workers=workers) as scheduler:
                 stats = scheduler.serve(schedule, clock=lambda: 0.0).stats
             counts.append(run_classes(stats))
             requests, unique, replicated, kernel, scalar = counts[-1]

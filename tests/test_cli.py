@@ -128,6 +128,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "behaviourally faulty: [2]" in out
 
+    def test_conformance_builds_once_and_replays_each_processor_once(
+        self, capsys, monkeypatch
+    ):
+        import repro.cli as cli
+        import repro.core.conformance as conformance
+
+        built, replayed = [], []
+        build, replay = cli._build, conformance.conformance_of
+
+        def counted_build(args):
+            built.append(args.algorithm)
+            return build(args)
+
+        def counted_replay(result, algorithm, pid):
+            replayed.append(pid)
+            return replay(result, algorithm, pid)
+
+        monkeypatch.setattr(cli, "_build", counted_build)
+        monkeypatch.setattr(conformance, "conformance_of", counted_replay)
+        assert main(
+            ["conformance", "--algorithm", "algorithm-5", "--n", "16", "--t", "2"]
+        ) == 0
+        assert "behaviourally faulty: none" in capsys.readouterr().out
+        assert built == ["algorithm-5"]
+        assert replayed == list(range(16))
+
     def test_experiments(self, capsys):
         code = main(["experiments"])
         assert code == 0
@@ -569,6 +595,24 @@ class TestBadInputExits2:
              "--adversary", spec],
         )
 
+    @pytest.mark.parametrize("command", ["run", "trace", "conformance"])
+    def test_value_outside_the_domain(self, capsys, tmp_path, command):
+        trace = tmp_path / "trace.jsonl"
+        argv = [command, "--algorithm", "algorithm-1", "--n", "7", "--t", "3", "--value", "2"]
+        if command == "run":
+            argv += ["--trace-out", str(trace)]
+        self.assert_usage_error(capsys, argv)
+        assert not trace.exists()
+
+    @pytest.mark.parametrize(
+        "spec", ["crash:9@1", "delay:0->1:-3", "omit-send:1:1.5"]
+    )
+    def test_fault_plan_that_cannot_act(self, capsys, spec):
+        self.assert_usage_error(
+            capsys,
+            ["run", "--algorithm", "dolev-strong", *self.SYSTEM, "--faults", spec],
+        )
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_fuzz_budget_below_one(self, capsys, budget):
         self.assert_usage_error(
@@ -833,27 +877,6 @@ class TestServiceCli:
         assert err.startswith("repro loadgen: algorithm-1 rejects n=4, t=1")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("flag,value", [("--max-stripe", "0")])
-    def test_loadgen_bad_stripe_setting_exits_2(self, capsys, flag, value):
-        code = main(
-            ["loadgen", "--requests", "5", "--rate", "5000", "--workers", "1",
-             flag, value]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro loadgen: ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize("flag,value", [("--max-stripe", "0")])
-    def test_serve_bad_stripe_setting_exits_2(self, capsys, tmp_path, flag, value):
-        emitted = tmp_path / "requests.jsonl"
-        assert main(
-            ["loadgen", "--requests", "5", "--rate", "5000", "--emit", str(emitted)]
-        ) == 0
-        capsys.readouterr()
-        assert main(["serve", str(emitted), "--workers", "1", flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro serve: ") and err.count("\n") == 1
-
     def test_serve_missing_file_exits_2(self, capsys):
         assert main(["serve", "/no/such/requests.jsonl"]) == 2
         assert "serve:" in capsys.readouterr().err
@@ -899,6 +922,14 @@ class TestServiceCli:
                 {**GOOD_REQUEST, "fault_plan": "crash"},
                 "malformed fault_plan",
                 id="fault-plan-string",
+            ),
+            pytest.param(
+                {
+                    **GOOD_REQUEST,
+                    "fault_plan": {"faults": [{"kind": "crash", "pid": 1, "phase": "x"}]},
+                },
+                "malformed fault_plan: fault crash(pid=1, phase=x): phase must be an integer",
+                id="fault-phase-string",
             ),
             pytest.param(
                 {**GOOD_REQUEST, "algorithm": "no-such"},

@@ -161,3 +161,51 @@ class TestRandomPlan:
 
     def test_zero_rate_is_empty(self):
         assert random_plan(0, n=5, t=1, num_phases=2, rate=0.0).is_empty
+
+    @pytest.mark.parametrize("rate", [0.2, 1.0])
+    def test_generated_plans_pass_the_check(self, rate):
+        from repro.algorithms.registry import get
+        from repro.fuzz.campaign import FUZZ_CONFIGS
+
+        for name, (n, t, params) in FUZZ_CONFIGS.items():
+            num_phases = get(name)(n, t, **params).num_phases()
+            for seed in range(200):
+                random_plan(seed, n=n, t=t, num_phases=num_phases, rate=rate).check(n)
+
+
+class TestCheck:
+    def test_every_kind_passes_in_range(self):
+        ALL_KINDS_PLAN.check(6)
+        FaultPlan().check(1)
+
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            (CrashFault(pid=1, phase="x"), "phase must be an integer, got 'x'"),
+            (CrashFault(pid=True), "pid must be an integer, got True"),
+            (CrashFault(pid=6), "pid 6 is outside 0..5"),
+            (CrashFault(pid=1, phase=2, recovery_phase=2), "the window holds no phase"),
+            (SendOmission(pid=1, rate="1"), "rate must be a number in [0, 1], got '1'"),
+            (ReceiveOmission(pid=1, rate=2), "rate must be a number in [0, 1], got 2"),
+            (SendOmission(pid=1, first=0), "the window holds no phase"),
+            (LinkDrop(src=2, dst=2), "a link needs two processors"),
+            (LinkDrop(src=0, dst=1, first=3, last=2), "the window holds no phase"),
+            (Delay(src=0, dst=1, delay=1.5), "delay must be an integer, got 1.5"),
+            (Delay(src=0, dst=1, delay=0), "delay must be at least 1"),
+            (Duplicate(src=0, dst=-1), "dst -1 is outside 0..5"),
+            (Duplicate(src=0, dst=1, copies=1), "copies must be at least 2"),
+            (Partition(group=()), "group must name pids in 0..5, got []"),
+            (Partition(group=(1, 6)), "group must name pids in 0..5, got [1, 6]"),
+        ],
+        ids=[
+            "phase-string", "pid-bool", "pid-outside", "recovery-at-crash", "rate-string",
+            "rate-outside", "first-zero", "self-link", "empty-window", "delay-float",
+            "delay-zero", "dst-outside", "one-copy", "empty-group", "group-outside",
+        ],
+    )
+    def test_refuses_a_fault_that_cannot_act(self, fault, message):
+        plan = FaultPlan(faults=(CrashFault(pid=0), fault))
+        with pytest.raises(ValueError) as caught:
+            plan.check(6)
+        assert str(caught.value).startswith(f"fault {fault.kind}(")
+        assert str(caught.value).endswith(message)

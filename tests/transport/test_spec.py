@@ -82,11 +82,35 @@ class TestErrors:
             "omit-send:1:fast",
             "partition:@2",
             "crash:2@x-y",
+            # Plans that parse but cannot act on n=7 processors.
+            "crash:9@1",
+            "crash:-1",
+            "partition:1,7",
+            "drop:1->1",
+            "delay:0->1:-3",
+            "delay:0->1:0",
+            "dup:0->1:1",
+            "omit-send:1:1.5",
+            "omit-recv:1:-0.5",
+            "omit-send:1:nan",
+            "crash:2@0",
+            "crash:2@3-2",
+            "drop:0->4@3-2",
         ],
     )
     def test_bad_clause_raises_fault_spec_error(self, bad):
         with pytest.raises(FaultSpecError):
             parse(bad)
+
+    def test_plan_error_names_the_fault(self):
+        with pytest.raises(FaultSpecError, match=r"crash\(pid=9, phase=1\): pid 9 is outside 0..6"):
+            parse("crash:1; crash:9@1")
+
+    def test_a_window_may_run_past_the_last_phase(self):
+        assert parse("crash:2@5; drop:0->4@2-9").faults == (
+            CrashFault(pid=2, phase=5),
+            LinkDrop(src=0, dst=4, first=2, last=9),
+        )
 
     def test_error_names_the_clause(self):
         with pytest.raises(FaultSpecError, match="drop:a->b"):
