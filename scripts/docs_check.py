@@ -20,13 +20,22 @@ Checks, in order:
    ``TRACE_SCHEMA`` string and ``docs/service.md`` the current
    ``SERVICE_SCHEMA`` string, so a schema bump cannot leave the docs
    describing a format the code no longer writes.
+5. **Code names** — in the checked files and ``DESIGN.md``, every
+   backticked dotted name that starts with ``repro.`` must resolve (its
+   longest importable module prefix, then the remaining attributes), and
+   every backticked ``*.py`` path must exist under the repo root,
+   ``src/`` or ``src/repro/``; a bare file name may exist anywhere in the
+   tree.  So a deletion cannot leave a doc naming the code it removed.
 
 Run via ``make docs-check`` (wired into ``scripts/check.sh``).
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -43,8 +52,14 @@ COMMAND_DOCS: list[tuple[Path, str | None]] = [
     (REPO / "docs" / "service.md", "SERVICE_SCHEMA"),
 ]
 
+#: Docs whose backticked code names must resolve (check 5).
+NAME_DOCS = [*DOC_FILES, REPO / "DESIGN.md"]
+
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE = re.compile(r"^```(\w*)\s*$")
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+DOTTED_NAME = re.compile(r"repro(?:\.\w+)+")
+PY_PATH = re.compile(r"[\w./-]+\.py")
 
 
 def iter_fences(text: str):
@@ -150,11 +165,68 @@ def check_schema_pin(path: Path, attribute: str, errors: list[str]) -> None:
         )
 
 
+def resolves(name: str) -> bool:
+    """Whether the dotted *name* exists: import its longest importable
+    module prefix, then read the remaining attributes."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attribute in parts[cut:]:
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+    return False
+
+
+@functools.cache
+def py_file_names() -> frozenset[str]:
+    """The name of every ``.py`` file in the repo."""
+    return frozenset(path.name for path in REPO.rglob("*.py"))
+
+
+def py_path_exists(path: str) -> bool:
+    """Whether *path* exists under the repo root, ``src/`` or
+    ``src/repro/``, or, as a bare file name, anywhere in the repo."""
+    if "/" not in path:
+        return path in py_file_names()
+    return any((base / path).exists() for base in (REPO, REPO / "src", REPO / "src" / "repro"))
+
+
+def check_code_names(path: Path, errors: list[str]) -> int:
+    """Fail on each backticked ``repro.`` name in *path* that does not
+    resolve and each backticked ``.py`` path that does not exist; return
+    how many distinct names and paths were checked."""
+    text = strip_fenced_code(path.read_text(encoding="utf-8"))
+    checked = 0
+    sys.path.insert(0, str(REPO / "src"))
+    try:
+        for span in sorted(set(CODE_SPAN.findall(text))):
+            if DOTTED_NAME.fullmatch(span):
+                found = resolves(span)
+            elif PY_PATH.fullmatch(span):
+                found = py_path_exists(span)
+            else:
+                continue
+            checked += 1
+            if not found:
+                errors.append(
+                    f"{os.path.relpath(path, REPO)}: `{span}` names code that does not exist"
+                )
+    finally:
+        sys.path.remove(str(REPO / "src"))
+    return checked
+
+
 def main() -> int:
     errors: list[str] = []
     for path in DOC_FILES:
         check_links(path, errors)
         check_json_fences(path, errors)
+    names = sum(check_code_names(path, errors) for path in NAME_DOCS)
     executed = 0
     for path, pin in COMMAND_DOCS:
         if not path.exists():
@@ -165,6 +237,7 @@ def main() -> int:
             check_schema_pin(path, pin, errors)
     files = ", ".join(str(p.relative_to(REPO)) for p in DOC_FILES)
     print(f"docs-check: {len(DOC_FILES)} files ({files}); "
+          f"{names} code names checked in them and DESIGN.md; "
           f"{executed} documented commands executed")
     if errors:
         for error in errors:

@@ -38,7 +38,6 @@ from repro.algorithms.base import (
     Processor,
     input_value_from,
 )
-from repro.core.batch import BatchOutcome, fault_free_rows, register_batch_kernel
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
 from repro.core.types import ProcessorId, Value
@@ -185,6 +184,16 @@ class OralMessages(AgreementAlgorithm):
         """Exact worst-case relay count: the fault-free schedule's total."""
         return sum(count for _, count in _relay_schedule(self.n, self.t))
 
+    def fault_free_schedule(self) -> list[tuple[int, int]] | None:
+        """Fault-free, every EIG subtree resolves to the broadcast value,
+        so each lieutenant's root majority is unanimous and every
+        processor decides the input; the schedule is
+        :func:`_relay_schedule`.  ``None`` on a subclass, which may change
+        what runs."""
+        if type(self) is not OralMessages:
+            return None
+        return _relay_schedule(self.n, self.t)
+
 
 def _relay_schedule(n: int, t: int) -> list[tuple[int, int]]:
     """Messages per phase of a fault-free run, which attains the worst case.
@@ -200,18 +209,3 @@ def _relay_schedule(n: int, t: int) -> list[tuple[int, int]]:
         schedule.append((k, (n - 1) * perm(n - 2, k - 2) * (n - k)))
     return schedule
 
-
-@register_batch_kernel("oral-messages")
-def _oral_messages_batch_kernel(
-    algorithm: AgreementAlgorithm, values: Sequence[Value]
-) -> list[BatchOutcome] | None:
-    """Fault-free OM(t) in closed form.
-
-    Fault-free, every EIG subtree resolves to the broadcast value, so each
-    lieutenant's root majority is unanimous and every processor decides
-    the input; the schedule is :func:`_relay_schedule`.  Declines
-    (``None``) on subclasses and on ``None`` inputs.
-    """
-    if type(algorithm) is not OralMessages or any(value is None for value in values):
-        return None
-    return fault_free_rows(algorithm, values, _relay_schedule(algorithm.n, algorithm.t))

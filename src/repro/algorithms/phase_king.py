@@ -39,7 +39,6 @@ from repro.algorithms.base import (
     Processor,
     input_value_from,
 )
-from repro.core.batch import BatchOutcome, fault_free_rows, register_batch_kernel
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
 from repro.core.types import ProcessorId, Value
@@ -183,25 +182,17 @@ class PhaseKing(AgreementAlgorithm):
     def make_processor(self, pid: ProcessorId) -> Processor:
         return PhaseKingProcessor(default=self.default)
 
-
-@register_batch_kernel("phase-king")
-def _phase_king_batch_kernel(
-    algorithm: AgreementAlgorithm, values: Sequence[Value]
-) -> list[BatchOutcome] | None:
-    """Fault-free Phase King in closed form.
-
-    Every processor starts from the transmitter's value, so each tally
-    counts ``n ≥ n − t`` copies of it and every processor keeps it through
-    all ``t + 1`` iterations: each decides the input.  The schedule is the
-    transmitter's broadcast, then per iteration one all-to-all round A and
-    one king broadcast in round B.  Declines (``None``) on subclasses and
-    on a ``None`` input (whose scalar semantics involve the silent-
-    transmitter default path).
-    """
-    if type(algorithm) is not PhaseKing or any(value is None for value in values):
-        return None
-    n = algorithm.n
-    schedule = [(1, n - 1)]
-    for k in range(algorithm.t + 1):
-        schedule += [(2 + 2 * k, n * (n - 1)), (3 + 2 * k, n - 1)]
-    return fault_free_rows(algorithm, values, schedule)
+    def fault_free_schedule(self) -> list[tuple[int, int]] | None:
+        """Every processor starts from the transmitter's value, so each
+        tally counts ``n ≥ n − t`` copies of it and every processor keeps
+        it through all ``t + 1`` iterations: each decides the input.  The
+        schedule is the transmitter's broadcast, then per iteration one
+        all-to-all round A and one king broadcast in round B.  ``None`` on
+        a subclass, which may change what runs."""
+        if type(self) is not PhaseKing:
+            return None
+        n = self.n
+        schedule = [(1, n - 1)]
+        for k in range(self.t + 1):
+            schedule += [(2 + 2 * k, n * (n - 1)), (3 + 2 * k, n - 1)]
+        return schedule

@@ -543,11 +543,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     Reads one request per line (``-`` for stdin) — the format
     ``repro loadgen --emit`` writes.  An optional ``arrival_s`` field per
-    line is honoured as the open-loop arrival offset; absent, the request
-    arrives immediately.  Each configuration is built once while parsing,
-    so one its algorithm rejects is a malformed line like any other, and
-    so is a value that is unhashable or outside the algorithm's
-    ``value_domain``.
+    line, a finite number of seconds >= 0, is honoured as the open-loop
+    arrival offset; absent, the request arrives immediately.  Each
+    configuration is built once while parsing, so one its algorithm
+    rejects is a malformed line like any other, and so is a value that is
+    unhashable or outside the algorithm's ``value_domain``.
     """
     import json
     import math
@@ -575,9 +575,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     arenas[key] = build_arena(key)
                 arenas[key].check_value(request.value)
                 arrival = data.get("arrival_s", 0.0)
-                if type(arrival) not in (int, float) or not math.isfinite(arrival):
+                if (
+                    type(arrival) not in (int, float)
+                    or not math.isfinite(arrival)
+                    or arrival < 0
+                ):
                     raise RequestFormatError(
-                        f"arrival_s must be a finite number, got {arrival!r}"
+                        f"arrival_s must be a finite number >= 0, got {arrival!r}"
                     )
             except (json.JSONDecodeError, RequestFormatError, ConfigurationError) as error:
                 raise UsageError(f"{source}:{lineno}: {error}") from None

@@ -18,12 +18,13 @@ seed)``.  This module amortises all three:
   distinct classes); each class executes once and its outcome is
   replicated to the other members, which is sound because such runs are
   deterministic pure functions of the class key;
-* **closed-form kernels** — algorithms may register a batch kernel
-  (:func:`register_batch_kernel`) that writes down the outcomes of *all*
-  fault-free classes at once instead of executing them: under validity
-  every processor decides the class's input, and the message schedule
-  is the algorithm's fault-free one (:func:`fault_free_rows`);
-  ``oral-messages`` and ``phase-king`` ship kernels.
+* **closed-form kernels** — an algorithm that states its fault-free
+  message schedule
+  (:meth:`~repro.core.protocol.AgreementAlgorithm.fault_free_schedule`)
+  has every plan-free, coin-free class with an input other than ``None``
+  written down instead of executed: every processor decides the class's
+  input, and correct processors send the schedule's messages.
+  ``oral-messages`` and ``phase-king`` state theirs.
 
 The engine builds each run's
 :class:`~repro.transport.faulty.FaultyTransport` and coin source itself,
@@ -31,9 +32,10 @@ and judges every class once, before replicating it, with the one verdict
 predicate (:func:`repro.approx.validation.judge_run`): its family's
 conditions on the processors no injected fault excuses, the fault budget
 ``t``, and the algorithm's declared bounds, which are evaluated once per
-call.  Kernel rows are judged on the counts they carry.  Every sweep, the
-service and :func:`~repro.analysis.sweep.measure` (a one-case batch) run
-through here.  A case may carry a trace path: its run then streams a
+call.  A kernel row is built and judged in one step, on its own input
+and the counts it carries.  Every sweep, the service and
+:func:`~repro.analysis.sweep.measure` (a one-case batch) run through
+here.  A case may carry a trace path: its run then streams a
 ``repro-trace/1`` JSONL file, so a trace records exactly the work this
 engine does — the shared table, the per-run interned service and the
 same operation counts.
@@ -109,14 +111,13 @@ class BatchOutcome:
 
     Mirrors the scalar runner's observable surface for a history-free run:
     the correct processors' decisions, the full
-    :class:`~repro.core.metrics.MetricsLedger` headline/per-phase counters
-    and the number of fault events the transport recorded.  Kernels fill
-    in those; the engine adds the verdict
+    :class:`~repro.core.metrics.MetricsLedger` headline/per-phase counters,
+    the number of fault events the transport recorded and the verdict
     (:class:`~repro.approx.validation.Verdict`): its ``kind``, its
     ``verdict`` text (``"ok"`` or the violations) and the ``excused``
     processors whose decisions it ignored.  ``replicated`` marks outcomes
     copied from a deduplicated class mate; ``kernel`` marks outcomes
-    computed by a closed-form kernel.
+    written down from the algorithm's fault-free schedule.
     """
 
     decisions: tuple[tuple[ProcessorId, Value], ...]
@@ -140,10 +141,6 @@ class BatchOutcome:
         """Whether the verdict passes: any class but a failing one."""
         return self.kind not in FAILING
 
-    def decisions_dict(self) -> dict[ProcessorId, Value]:
-        """The decisions as a pid-keyed dict (the runner's shape)."""
-        return dict(self.decisions)
-
     def comparable(self) -> "BatchOutcome":
         """The outcome with provenance flags cleared, for equality checks."""
         return dataclasses.replace(self, replicated=False, kernel=False)
@@ -157,68 +154,6 @@ class BatchResult:
     outcomes: list[BatchOutcome]
     stats: Counters
     declared: Costs
-
-
-#: A closed-form fault-free executor: ``(algorithm, values)`` → one outcome
-#: per value, or ``None`` to decline (e.g. an algorithm subclass).  *values*
-#: are the representatives of the batch's fault-free run classes.
-BatchKernel = Callable[
-    [AgreementAlgorithm, Sequence[Value]], "list[BatchOutcome] | None"
-]
-
-_KERNELS: dict[str, BatchKernel] = {}
-
-
-def register_batch_kernel(name: str) -> Callable[[BatchKernel], BatchKernel]:
-    """Register *fn* as the batch kernel for the algorithm named *name*.
-
-    A kernel receives the batch's algorithm instance and the input values
-    of every adversary-free, plan-free, coin-free run class, and returns
-    one :class:`BatchOutcome` per value — decisions and counts
-    byte-identical to what the scalar runner would produce; the engine
-    judges them — or ``None`` to decline the whole batch (the engine then
-    falls back to scalar execution).  Kernels must
-    type-check the instance (``type(algorithm) is …``) so subclasses with
-    overridden behaviour fall back to the scalar path.
-    """
-
-    def decorate(fn: BatchKernel) -> BatchKernel:
-        _KERNELS[name] = fn
-        return fn
-
-    return decorate
-
-
-def fault_free_rows(
-    algorithm: AgreementAlgorithm,
-    values: Sequence[Value],
-    schedule: Iterable[tuple[int, int]],
-) -> list[BatchOutcome]:
-    """One kernel row per run-class input, in which every processor decides it.
-
-    *schedule* lists the fault-free run's ``(phase, messages)`` pairs; the
-    phases that send nothing are dropped, as the runner's ledger never
-    records them.  Kernel algorithms are unauthenticated, so no row signs.
-    """
-    per_phase = tuple((phase, count) for phase, count in schedule if count)
-    unsigned = tuple((phase, 0) for phase, _ in per_phase)
-    messages = sum(count for _, count in per_phase)
-    phases_used = max((phase for phase, _ in per_phase), default=0)
-    pids = range(algorithm.n)
-    return [
-        BatchOutcome(
-            decisions=tuple((pid, value) for pid in pids),
-            messages_by_correct=messages,
-            messages_by_faulty=0,
-            signatures_by_correct=0,
-            signatures_by_faulty=0,
-            phases_used=phases_used,
-            phases_configured=algorithm.num_phases(),
-            messages_per_phase=per_phase,
-            signatures_per_phase=unsigned,
-        )
-        for value in values
-    ]
 
 
 def _class_key(case: BatchCase) -> Any | None:
@@ -239,38 +174,33 @@ def _class_key(case: BatchCase) -> Any | None:
         return None
 
 
-def _judged(
+def _kernel_rows(
     algorithm: AgreementAlgorithm,
     declared: Costs,
-    result: RunResult,
-    outcome: BatchOutcome,
-    **flags: bool,
-) -> BatchOutcome:
-    """*outcome* with the verdict on *result*, judged on the outcome's own counts."""
-    used = Costs(outcome.messages_by_correct, outcome.signatures_by_correct, outcome.phases_used)
-    kind, text, excused = judge_run(result, algorithm, declared, used)
-    return dataclasses.replace(
-        outcome, kind=kind, verdict=text, excused=tuple(sorted(excused)), **flags
-    )
-
-
-def _judged_rows(
-    algorithm: AgreementAlgorithm,
-    declared: Costs,
+    schedule: Sequence[tuple[int, int]],
     values: Sequence[Value],
-    rows: Sequence[BatchOutcome],
 ) -> list[BatchOutcome]:
-    """Kernel *rows* for inputs *values*, judged like runner executions.
+    """One judged kernel row per run-class input in *values*.
 
-    A kernel row is a fault-free run in which every processor is correct.
-    The verdict reads the run's decisions, correct set, transmitter and
-    input, and the counts on the row, so the runs it reads share one
-    empty ledger and history.
+    A kernel row is the fault-free run *schedule* describes: every
+    processor is correct and decides the input, and correct processors
+    send the schedule's messages, none signed.  The phases that send
+    nothing are dropped, as the runner's ledger never records them.  The
+    verdict reads the run's decisions, correct set, transmitter and input,
+    and the row's counts, so the runs it reads share one empty ledger and
+    history.
     """
+    per_phase = tuple((phase, count) for phase, count in schedule if count)
+    unsigned = tuple((phase, 0) for phase, _ in per_phase)
+    messages = sum(count for _, count in per_phase)
+    phases_used = max((phase for phase, _ in per_phase), default=0)
+    used = Costs(messages, 0, phases_used)
+    phases_configured = algorithm.num_phases()
     correct, faulty = frozenset(range(algorithm.n)), frozenset()
     metrics, history = MetricsLedger(), History()
-    judged = []
-    for value, row in zip(values, rows):
+    rows = []
+    for value in values:
+        decisions = {pid: value for pid in range(algorithm.n)}
         result = RunResult(
             algorithm_name=algorithm.name,
             n=algorithm.n,
@@ -279,12 +209,29 @@ def _judged_rows(
             input_value=value,
             correct=correct,
             faulty=faulty,
-            decisions=row.decisions_dict(),
+            decisions=decisions,
             metrics=metrics,
             history=history,
         )
-        judged.append(_judged(algorithm, declared, result, row, kernel=True))
-    return judged
+        kind, text, excused = judge_run(result, algorithm, declared, used)
+        rows.append(
+            BatchOutcome(
+                decisions=tuple(decisions.items()),
+                messages_by_correct=messages,
+                messages_by_faulty=0,
+                signatures_by_correct=0,
+                signatures_by_faulty=0,
+                phases_used=phases_used,
+                phases_configured=phases_configured,
+                messages_per_phase=per_phase,
+                signatures_per_phase=unsigned,
+                kind=kind,
+                verdict=text,
+                excused=tuple(sorted(excused)),
+                kernel=True,
+            )
+        )
+    return rows
 
 
 def _execute(
@@ -318,6 +265,7 @@ def _execute(
             coins=coins_for(algorithm, case.coin_seed),
         )
     metrics = result.metrics
+    kind, text, excused = judge_run(result, algorithm, declared)
     outcome = BatchOutcome(
         decisions=tuple(sorted(result.decisions.items())),
         messages_by_correct=metrics.messages_by_correct,
@@ -329,8 +277,11 @@ def _execute(
         messages_per_phase=tuple(sorted(metrics.messages_per_phase.items())),
         signatures_per_phase=tuple(sorted(metrics.signatures_per_phase.items())),
         fault_events=len(result.fault_events),
+        kind=kind,
+        verdict=text,
+        excused=tuple(sorted(excused)),
     )
-    return _judged(algorithm, declared, result, outcome), result.counters
+    return outcome, result.counters
 
 
 def _describe_diff(batch: BatchOutcome, scalar: BatchOutcome) -> str:
@@ -365,7 +316,7 @@ def _check_strict(
 
 
 def run_batch(
-    algorithm_or_factory: AgreementAlgorithm | Callable[[], AgreementAlgorithm],
+    algorithm: AgreementAlgorithm,
     cases: Iterable[BatchCase | Value],
     *,
     strict: bool = False,
@@ -374,9 +325,8 @@ def run_batch(
     """Execute many runs of one algorithm, amortising shared work.
 
     Args:
-        algorithm_or_factory: a configured algorithm instance, or a
-            zero-argument factory for one; either way a **single**
-            instance serves the whole batch (the arena).
+        algorithm: the configured algorithm instance that serves the
+            whole batch (the arena).
         cases: :class:`BatchCase` objects (bare values are accepted and
             wrapped as fault-free cases).
         strict: re-run every unique class through the scalar runner and
@@ -392,11 +342,6 @@ def run_batch(
         reference re-runs are not counted) and the algorithm's declared
         bounds.
     """
-    algorithm = (
-        algorithm_or_factory
-        if isinstance(algorithm_or_factory, AgreementAlgorithm)
-        else algorithm_or_factory()
-    )
     case_list = [
         case if isinstance(case, BatchCase) else BatchCase(value=case)
         for case in cases
@@ -417,23 +362,22 @@ def run_batch(
         else:
             classes.setdefault(key, []).append(index)
 
-    # Kernel dispatch: every plan-free, coin-free class in one shot.
-    kernel = _KERNELS.get(algorithm.name)
+    # Closed form: when the algorithm states its fault-free schedule,
+    # every plan-free, coin-free class with an input is written down.
+    schedule = algorithm.fault_free_schedule()
     kernel_classes: list[list[int]] = []
     scalar_classes: list[list[int]] = []
     for (_, plan, coin_seed), indices in classes.items():
-        if kernel is not None and plan is None and coin_seed is None:
+        value = case_list[indices[0]].value
+        if schedule is not None and plan is None and coin_seed is None and value is not None:
             kernel_classes.append(indices)
         else:
             scalar_classes.append(indices)
     values = [case_list[indices[0]].value for indices in kernel_classes]
-    rows = kernel(algorithm, values) if kernel is not None and values else None
-    if rows is None:
-        scalar_classes.extend(kernel_classes)
-        kernel_classes, values, rows = [], [], []
+    rows = _kernel_rows(algorithm, declared, schedule, values) if schedule is not None else []
 
-    # Execute and judge each class once, then replicate it to its mates.
-    executed = list(zip(kernel_classes, _judged_rows(algorithm, declared, values, rows)))
+    # Build or execute and judge each class once, then replicate it.
+    executed = list(zip(kernel_classes, rows))
     counters = Counters()
     for indices in scalar_classes + singletons:
         outcome, run_counters = _execute(algorithm, declared, case_list[indices[0]], table)

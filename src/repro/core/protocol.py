@@ -221,6 +221,19 @@ class AgreementAlgorithm(abc.ABC):
         )
         return processor
 
+    def fault_free_schedule(self) -> Sequence[tuple[int, int]] | None:
+        """The ``(phase, messages)`` pairs of a fault-free run, or ``None``.
+
+        An algorithm that states its schedule promises that in a run with
+        no faults, no adversary and no coins, on any input but ``None``,
+        every processor decides the input and correct processors send
+        exactly these messages, none signed; the batch engine then writes
+        such runs down instead of executing them.  A phase may be listed
+        with 0 messages: the engine drops it, as the runner's ledger never
+        records such a phase.
+        """
+        return None
+
     def check_value(self, value: Value) -> None:
         """Raise :class:`ConfigurationError` unless this algorithm can agree
         on *value*: it must be hashable and in ``value_domain``, if declared."""

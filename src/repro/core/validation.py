@@ -79,7 +79,10 @@ def check_byzantine_agreement(
         }
         violations.append(f"agreement violated: {per_value}")
 
+    # Validity matches a decision to the input as a set matches a member:
+    # by identity first, so a NaN input its processors decided passes.
     validity = True
+    value = result.input_value
     if (
         result.transmitter in result.correct
         and result.transmitter not in excused
@@ -88,7 +91,7 @@ def check_byzantine_agreement(
         wrong = sorted(
             pid
             for pid, decided in decisions.items()
-            if decided != result.input_value
+            if not (decided is value or decided == value)
         )
         if wrong:
             validity = False

@@ -23,7 +23,7 @@ See ``docs/service.md`` for the capacity-planning guide and the latency
 methodology, and ``repro loadgen`` / ``repro serve`` for the CLI pair.
 """
 
-from repro.service.cache import SetupCache, reset_worker_cache, worker_cache
+from repro.service.cache import reset_worker_cache
 from repro.service.loadgen import (
     DEFAULT_MIX,
     MixItem,
@@ -65,12 +65,10 @@ __all__ = [
     "ServiceReport",
     "ServiceStats",
     "ServiceStripe",
-    "SetupCache",
     "StripeResult",
     "build_stats",
     "generate_schedule",
     "parse_mix",
     "percentile",
     "reset_worker_cache",
-    "worker_cache",
 ]

@@ -15,10 +15,10 @@ layer therefore memoizes, per worker process:
   so a payload's signature digest is computed once per worker lifetime
   instead of once per request.
 
-The cache is deliberately *process-local* (one module-level instance per
-worker, reached through :func:`worker_cache`): digest tables are plain
-dicts, and sharing them across processes would cost more in pickling
-than it saves in hashing.  A scheduler's workers live as long as the
+The cache is deliberately *process-local* (one module-level dict per
+worker, read through :func:`setup`): digest tables are plain dicts, and
+sharing them across processes would cost more in pickling than it saves
+in hashing.  A scheduler's workers live as long as the
 scheduler, so every cache — theirs, and the serving process's own, which
 serves one-stripe waves — lasts the whole traffic run, and each process
 misses a configuration at most once.  Each lookup counts into the
@@ -32,7 +32,6 @@ configuration its algorithm rejects fails there, not in a worker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.algorithms.registry import get
@@ -42,7 +41,7 @@ from repro.core.protocol import AgreementAlgorithm
 from repro.crypto.signatures import SharedDigestTable
 from repro.service.request import RequestFormatError
 
-__all__ = ["SetupCache", "build_arena", "worker_cache", "reset_worker_cache"]
+__all__ = ["build_arena", "reset_worker_cache", "setup"]
 
 #: The cache key: ``AgreementRequest.config_key()``'s shape.
 ConfigKey = tuple[str, int, int, tuple[tuple[str, Any], ...]]
@@ -64,50 +63,22 @@ def build_arena(key: ConfigKey) -> AgreementAlgorithm:
         ) from None
 
 
-@dataclass(slots=True)
-class _Entry:
-    algorithm: AgreementAlgorithm
-    table: SharedDigestTable
+#: This process's arena and digest table per configuration.
+_WORKER_CACHE: dict[ConfigKey, tuple[AgreementAlgorithm, SharedDigestTable]] = {}
 
 
-class SetupCache:
-    """Memoized ``config_key -> (arena, digest table)``."""
-
-    def __init__(self) -> None:
-        self._entries: dict[ConfigKey, _Entry] = {}
-
-    def setup(
-        self, key: ConfigKey, counters: Counters
-    ) -> tuple[AgreementAlgorithm, SharedDigestTable]:
-        """The arena and digest table for *key*, building both on first
-        use; the lookup counts as a setup hit or miss into *counters*."""
-        entry = self._entries.get(key)
-        if entry is None:
-            counters.setup_misses += 1
-            entry = _Entry(algorithm=build_arena(key), table=SharedDigestTable())
-            self._entries[key] = entry
-        else:
-            counters.setup_hits += 1
-        return entry.algorithm, entry.table
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_WORKER_CACHE: SetupCache | None = None
-
-
-def worker_cache() -> SetupCache:
-    """This process's :class:`SetupCache` (created on first use)."""
-    # Process-local by design: each pool worker memoises its own arenas
-    # and never expects cross-worker visibility.
-    global _WORKER_CACHE  # noqa: BA009
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = SetupCache()
-    return _WORKER_CACHE
+def setup(key: ConfigKey, counters: Counters) -> tuple[AgreementAlgorithm, SharedDigestTable]:
+    """The arena and digest table for *key*, building both on first use;
+    the lookup counts as a setup hit or miss into *counters*."""
+    entry = _WORKER_CACHE.get(key)
+    if entry is None:
+        counters.setup_misses += 1
+        entry = _WORKER_CACHE[key] = (build_arena(key), SharedDigestTable())
+    else:
+        counters.setup_hits += 1
+    return entry
 
 
 def reset_worker_cache() -> None:
     """Drop the process-local cache (tests; also frees arenas)."""
-    global _WORKER_CACHE
-    _WORKER_CACHE = None
+    _WORKER_CACHE.clear()

@@ -18,14 +18,15 @@ over the self-healing :func:`~repro.analysis.parallel.run_tasks` pool in
 
 Inside a stripe every request rides :func:`repro.core.batch.run_batch`:
 
-* **setup cache** — the per-worker :func:`~repro.service.cache.worker_cache`
+* **setup cache** — the per-worker :func:`~repro.service.cache.setup`
   hands every stripe of a configuration the same arena and
   :class:`~repro.crypto.signatures.SharedDigestTable`; workers live as
   long as the scheduler, so signature setup amortises across requests,
   waves and ``serve`` calls;
 * **run-class dedup + kernels** — requests with equal
-  ``(value, fault plan, coin seed)`` share one execution (or one row of a
-  closed-form kernel), so a thousand identical requests cost one run;
+  ``(value, fault plan, coin seed)`` share one execution, or one kernel
+  row the engine writes down from the algorithm's fault-free schedule,
+  so a thousand identical requests cost one run;
 * **one verdict** — the engine judges each run with
   :func:`repro.approx.validation.judge_run`, excusing the processors an
   injected fault touched; a request's ``kind`` is the verdict class, and
@@ -48,7 +49,7 @@ from repro.core.counters import Counters
 # Unused here; perfbench/tracing.py wraps the runner under this name.
 from repro.core.runner import run as run_algorithm  # noqa: F401
 from repro.core.types import Value
-from repro.service.cache import worker_cache
+from repro.service.cache import setup
 from repro.service.request import AgreementRequest, RequestOutcome, ScheduledRequest
 from repro.service.stats import ServiceStats, build_stats
 
@@ -91,10 +92,8 @@ class ServiceStripe:
 
     def run(self) -> StripeResult:
         """Execute every case as one batch on the worker's cached arena."""
-        setup = Counters()
-        algorithm, table = worker_cache().setup(
-            (self.algorithm, self.n, self.t, self.params), setup
-        )
+        lookup = Counters()
+        algorithm, table = setup((self.algorithm, self.n, self.t, self.params), lookup)
         batch = run_batch(
             algorithm,
             [
@@ -122,7 +121,7 @@ class ServiceStripe:
             )
             for (_, request_id, *_), outcome in zip(self.cases, batch.outcomes)
         ]
-        return StripeResult(outcomes=outcomes, counters=batch.stats + setup)
+        return StripeResult(outcomes=outcomes, counters=batch.stats + lookup)
 
 
 @dataclass(slots=True)

@@ -269,14 +269,17 @@ class FaultPlan:
         return ", ".join(_describe_fault(fault) for fault in self.faults)
 
     def check(self, n: int) -> None:
-        """Raise :class:`ValueError`, naming the fault, unless every fault
-        can act on processors ``0 .. n-1``: ``int`` phase, pid, count and
-        window fields (a ``bool`` is not one), pids in ``range(n)``, a
+        """Raise :class:`ValueError` unless the seed is an ``int`` and
+        every fault can act on processors ``0 .. n-1`` (the message then
+        names the fault): ``int`` phase, pid, count and window fields (a
+        ``bool`` is not one, as a seed or a field), pids in ``range(n)``, a
         ``rate`` in ``[0, 1]``, links between two processors, non-empty
         groups and windows (``1 <= first <= last``; a crash recovers after
         it crashed), ``delay >= 1`` and ``copies >= 2``.  A window may run
         past the last phase.  The constructors check nothing; the CLI and
         the service check the plans they are handed."""
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for fault in self.faults:
             problem = _fault_problem(fault, n)
             if problem is not None:
@@ -300,7 +303,7 @@ class FaultPlan:
             raise ValueError(f"unsupported fault-plan schema {schema!r}")
         return cls(
             faults=tuple(fault_from_json(f) for f in data.get("faults", ())),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
         )
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the batch execution engine (repro.core.batch)."""
 
-import dataclasses
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from repro.adversary.standard import RandomizedAdversary
 from repro.algorithms.dolev_strong import DolevStrong
 from repro.algorithms.oral_messages import OralMessages
 from repro.algorithms.phase_king import PhaseKing
-from repro.algorithms.registry import get
+from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
 from repro.core.batch import BatchCase, BatchEquivalenceError, run_batch
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import AgreementAlgorithm
@@ -19,8 +20,11 @@ from repro.crypto.signatures import (
     SharedDigestTable,
     SignatureService,
 )
+from repro.fuzz import FUZZ_CONFIGS
 from repro.obs import summarize_trace
 from repro.transport.faults import CrashFault, FaultPlan
+
+ALGORITHM_SOURCES = Path(__file__).parents[2] / "src" / "repro" / "algorithms"
 
 
 class TestDeduplication:
@@ -114,38 +118,61 @@ class TestKernels:
         assert all(o.agreement_ok for o in result.outcomes)
 
     def test_kernel_registered_for_known_algorithms(self):
-        assert set(batch._KERNELS) == {"phase-king", "oral-messages"}
+        stated = set()
+        for name in (*ALGORITHMS, *WORKLOADS, *STRAWMEN):
+            n, t, params = FUZZ_CONFIGS[name]
+            if get(name)(n, t, **params).fault_free_schedule() is not None:
+                stated.add(name)
+        assert stated == {"phase-king", "oral-messages"}
 
     def test_kernel_declines_subclasses(self):
         class TweakedPhaseKing(PhaseKing):
             pass
 
-        kernel = batch._KERNELS["phase-king"]
-        assert kernel(TweakedPhaseKing(9, 2), [0, 1]) is None
+        assert TweakedPhaseKing(9, 2).fault_free_schedule() is None
+        result = run_batch(TweakedPhaseKing(9, 2), [0, 1], strict=True)
+        assert (result.stats.kernel_runs, result.stats.scalar_runs) == (0, 2)
 
     def test_kernel_declines_none_values(self):
-        kernel = batch._KERNELS["phase-king"]
-        assert kernel(PhaseKing(9, 2), [0, None]) is None
+        # Only the None class runs on the runner; the 0 class keeps the
+        # closed form.
+        result = run_batch(PhaseKing(9, 2), [0, None], strict=True)
+        assert (result.stats.kernel_runs, result.stats.scalar_runs) == (1, 1)
+        assert [o.kernel for o in result.outcomes] == [True, False]
 
     def test_kernel_decline_falls_back_to_scalar(self, monkeypatch):
-        monkeypatch.setitem(batch._KERNELS, "phase-king", lambda algorithm, values: None)
+        monkeypatch.setattr(PhaseKing, "fault_free_schedule", lambda self: None)
         result = run_batch(PhaseKing(9, 2), [0, 1, 0], strict=True)
         assert result.stats.kernel_runs == 0
         assert result.stats.scalar_runs == 2
 
     def test_strict_mode_catches_a_lying_kernel(self, monkeypatch):
-        real = batch._KERNELS["phase-king"]
+        real = PhaseKing.fault_free_schedule
 
-        def lying(algorithm, values):
-            outcomes = real(algorithm, values)
-            return [
-                dataclasses.replace(o, messages_by_correct=o.messages_by_correct + 1)
-                for o in outcomes
-            ]
+        def lying(self):
+            (phase, count), *rest = real(self)
+            return [(phase, count + 1), *rest]
 
-        monkeypatch.setitem(batch._KERNELS, "phase-king", lying)
+        monkeypatch.setattr(PhaseKing, "fault_free_schedule", lying)
         with pytest.raises(BatchEquivalenceError, match="messages_by_correct"):
             run_batch(PhaseKing(9, 2), [0, 1], strict=True)
+
+    def test_no_algorithm_module_imports_the_batch_engine(self):
+        # The engine asks the algorithm for its schedule; an algorithm
+        # never reaches back into the engine.
+        importers = []
+        for path in sorted(ALGORITHM_SOURCES.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module is not None:
+                    modules = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+                else:
+                    continue
+                if "repro.core.batch" in modules:
+                    importers.append(path.name)
+        assert ALGORITHM_SOURCES.is_dir()
+        assert importers == []
 
     def test_oral_messages_kernel_message_counts_hit_the_bound(self):
         algorithm = OralMessages(7, 2)
@@ -177,6 +204,13 @@ class TestVerdict:
         assert result.stats.unique_runs == 259
         assert all(o.agreement_ok for o in result.outcomes)
         assert len(calls) == len(set(calls)) <= 3, calls
+
+    def test_each_kernel_row_is_judged_on_its_own_input(self):
+        # Validity compares each decision with its own input, so the NaN
+        # row and the 0 row are two verdicts, and both pass.
+        result = run_batch(PhaseKing(9, 2), [float("nan"), 0], strict=True)
+        assert result.stats.kernel_runs == 2
+        assert [(o.kernel, o.kind) for o in result.outcomes] == [(True, "ok"), (True, "ok")]
 
     def test_confined_divergence_is_benign_with_text_ok(self):
         # The crashed transmitter keeps its own value while the others
@@ -308,11 +342,6 @@ class TestChainVerdictCache:
 
 
 class TestFactories:
-    def test_factory_argument_builds_one_arena(self):
-        result = run_batch(lambda: DolevStrong(5, 1), [0, 1, 0], strict=True)
-        assert result.stats.runs == 3
-        assert result.stats.unique_runs == 2
-
     def test_digest_table_can_be_shared_across_batches(self):
         table = SharedDigestTable()
         first = run_batch(DolevStrong(5, 1), [0, 1], table=table)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.algorithms.registry import get
+from repro.analysis.sweep import measure
 from repro.core.errors import ValidationError
 from repro.core.history import History
 from repro.core.metrics import MetricsLedger
@@ -59,6 +61,22 @@ class TestValidityCondition:
     def test_validity_naming_is_informative(self):
         report = check_byzantine_agreement(make_result({0: 1, 1: 0, 2: 0, 3: 0}))
         assert any("validity" in v for v in report.violations)
+
+    def test_a_decision_matches_the_input_as_a_set_member_does(self):
+        # By identity first, then by equality: the input NaN object itself
+        # is valid, another NaN is not, and True still matches 1.
+        nan = float("nan")
+        decided = make_result({0: nan, 1: nan, 2: nan, 3: nan}, input_value=nan)
+        assert check_byzantine_agreement(decided).ok
+        other = make_result({0: nan, 1: nan, 2: nan, 3: nan}, input_value=float("nan"))
+        assert not check_byzantine_agreement(other).validity
+        assert check_byzantine_agreement(make_result({0: True, 1: 1, 2: 1, 3: True})).ok
+
+    @pytest.mark.parametrize(
+        "name,n,t", [("oral-messages", 7, 2), ("dolev-strong", 6, 2)], ids=["kernel", "scalar"]
+    )
+    def test_a_nan_input_every_processor_decided_is_valid(self, name, n, t):
+        assert measure(get(name)(n, t), float("nan")).agreement_ok
 
 
 class TestRequireAgreement:

@@ -103,16 +103,12 @@ class TestStrictEquivalence:
     @given(values=kernel_values)
     def test_kernel_and_scalar_agree_when_both_forced(self, values):
         # Run the kernel algorithms once normally (kernel path) and once
-        # with the kernel disabled (scalar path): same outcomes.
-        from repro.core import batch as batch_module
-
+        # stating no schedule (scalar path): same outcomes.
         for name, n, t in KERNEL_SHAPES:
             with_kernel = run_batch(build(name, n, t), values, strict=True)
-            saved = batch_module._KERNELS.pop(name)
-            try:
-                without = run_batch(build(name, n, t), values, strict=True)
-            finally:
-                batch_module._KERNELS[name] = saved
+            scalar_only = build(name, n, t)
+            scalar_only.fault_free_schedule = lambda: None
+            without = run_batch(scalar_only, values, strict=True)
             assert [o.comparable() for o in with_kernel.outcomes] == [
                 o.comparable() for o in without.outcomes
             ]

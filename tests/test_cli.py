@@ -751,6 +751,7 @@ GOOD_REQUEST = {
     "t": 1,
     "value": 1,
 }
+OMIT_HALF = {"kind": "omission_send", "pid": 1, "rate": 0.5}
 
 
 class TestServiceCli:
@@ -789,6 +790,15 @@ class TestServiceCli:
         (response,) = [json.loads(line) for line in out_path.read_text().splitlines()]
         assert (response["ok"], response["kind"]) == (True, "benign")
         assert response["verdict"].startswith("fault budget exceeded: ")
+
+    def test_serve_nan_value_decided_by_all_exits_0(self, capsys, tmp_path):
+        # Python's JSON reader reads NaN; every processor decides that
+        # very value, which validity accepts though NaN != NaN.
+        path = tmp_path / "nan.jsonl"
+        request = {**GOOD_REQUEST, "algorithm": "phase-king", "n": 9, "t": 2}
+        path.write_text(json.dumps({**request, "value": float("nan")}) + "\n", encoding="utf-8")
+        assert main(["serve", str(path), "--workers", "1"]) == 0
+        assert "(1 ok incl. 0 benign, 0 failed, 1 wave)" in capsys.readouterr().out
 
     def test_loadgen_verdicts_deterministic_across_runs(self, capsys):
         arguments = [
@@ -907,6 +917,19 @@ class TestServiceCli:
                 {**GOOD_REQUEST, "arrival_s": 1e999},
                 "arrival_s must be a finite number",
                 id="arrival-infinite",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "arrival_s": -5},
+                "arrival_s must be a finite number >= 0, got -5",
+                id="arrival-negative",
+            ),
+            *(
+                pytest.param(
+                    {**GOOD_REQUEST, "fault_plan": {"seed": seed, "faults": [OMIT_HALF]}},
+                    f"malformed fault_plan: seed must be an integer, got {seed!r}",
+                    id=f"fault-seed-{name}",
+                )
+                for name, seed in (("bool", True), ("float", 1.9), ("string", "7"))
             ),
             pytest.param(
                 {**GOOD_REQUEST, "fault_plan": {"faults": [{"kind": "crash"}]}},

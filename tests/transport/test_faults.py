@@ -209,3 +209,13 @@ class TestCheck:
             plan.check(6)
         assert str(caught.value).startswith(f"fault {fault.kind}(")
         assert str(caught.value).endswith(message)
+
+    @pytest.mark.parametrize("seed", [True, 1.9, "7"], ids=["bool", "float", "string"])
+    def test_refuses_a_seed_that_is_not_an_int(self, seed):
+        # The JSON reader keeps the seed as written, so check sees it.
+        faults = [fault_to_json(CrashFault(pid=0))]
+        plan = FaultPlan.from_json_dict({"seed": seed, "faults": faults})
+        assert plan.seed is seed
+        with pytest.raises(ValueError) as caught:
+            plan.check(6)
+        assert str(caught.value) == f"seed must be an integer, got {seed!r}"
