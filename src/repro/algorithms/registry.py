@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.algorithms.active_set import ActiveSetBroadcast
-from repro.approx.base import ApproximateAgreement, RandomizedConsensus
 from repro.approx.benor import BenOr
 from repro.approx.filtered_mean import FilteredMeanApprox
 from repro.approx.midpoint import MidpointApprox
@@ -53,16 +52,9 @@ class AlgorithmInfo:
 
     @property
     def family(self) -> str:
-        """Workload family: ``"approx"`` (ε-agreement), ``"randomized"``
-        (probabilistic termination, flips coins) or ``"exact"`` (classic
-        BA).  ``repro list`` shows it and the service load generator uses
-        it to pick valid mixes (coin seeds for randomized entries, fault
-        plans for exact ones)."""
-        if issubclass(self.build, ApproximateAgreement):
-            return "approx"
-        if issubclass(self.build, RandomizedConsensus):
-            return "randomized"
-        return "exact"
+        """The workload family: the class's ``family`` (``"exact"``,
+        ``"approx"`` or ``"randomized"``)."""
+        return self.build.family
 
     def __call__(self, n: int, t: int, **params) -> AgreementAlgorithm:
         return self.build(n, t, **params)

@@ -84,7 +84,7 @@ def probe(
 
     Each scenario runs on a fresh algorithm through
     :func:`~repro.analysis.sweep.measure`, so it is judged by
-    :func:`~repro.approx.validation.judge_run` like every other path.
+    :func:`~repro.core.validation.judge_run` like every other path.
     """
     rng = random.Random(seed)
     reference = factory()

@@ -112,9 +112,9 @@ def measure(
     and condense it into a :class:`SweepPoint`.
 
     A coin-flipping algorithm runs on the default coin stream
-    (:func:`~repro.approx.coins.coins_for`).  ``agreement_ok`` is false
-    when :func:`~repro.approx.validation.judge_run` fails the run: its
-    conditions, or a declared bound.
+    (:meth:`~repro.core.protocol.AgreementAlgorithm.coin_source`).
+    ``agreement_ok`` is false when :func:`~repro.core.validation.judge_run`
+    fails the run: its conditions, or a declared bound.
     """
     case = BatchCase(
         value=value,

@@ -22,11 +22,11 @@ This package opens that frontier as runnable workloads:
   algorithm opts into the runner's variable-round mode and the run stops
   as soon as every correct processor has decided.
 
-Correctness is judged by :mod:`repro.approx.validation`, whose verdict
-predicate calls an approximate-agreement failure ``eps_violation``, and,
-for the probabilistic claims, by the dependency-free statistical helpers
-in :mod:`repro.approx.stats` (seeded KS / χ² assertions, geometric
-round-count tails).
+Each family's base states its correctness conditions, which the one
+verdict (:func:`repro.core.validation.judge_run`) applies, and the
+probabilistic claims are judged by the dependency-free statistical
+helpers in :mod:`repro.approx.stats` (seeded KS / χ² assertions,
+geometric round-count tails).
 """
 
 from repro.approx.base import ApproximateAgreement, RandomizedConsensus
@@ -35,11 +35,6 @@ from repro.approx.coins import CoinSource
 from repro.approx.filtered_mean import FilteredMeanApprox
 from repro.approx.midpoint import MidpointApprox
 from repro.approx.strawman import OvershootMidpoint
-from repro.approx.validation import (
-    check_epsilon_agreement,
-    check_randomized_consensus,
-    check_run_conditions,
-)
 
 __all__ = [
     "ApproximateAgreement",
@@ -49,7 +44,4 @@ __all__ = [
     "FilteredMeanApprox",
     "MidpointApprox",
     "OvershootMidpoint",
-    "check_epsilon_agreement",
-    "check_randomized_consensus",
-    "check_run_conditions",
 ]

@@ -24,21 +24,33 @@ inputs from the algorithm configuration: the runner's single transmitter
 input edge is the exact-BA input model, so approx processors simply
 ignore the phase-0 edge and read their initial value from
 ``algorithm.inputs``.
+
+Exact BA's conditions do not apply verbatim to either family, so each
+base states its own in
+:meth:`~repro.core.protocol.AgreementAlgorithm.conditions`: ε-agreement
+and ε-validity (a failure is ``eps_violation``), or agreement and
+unanimity-validity, where a processor undecided at the round cap is no
+violation (liveness is judged statistically by :mod:`repro.approx.stats`).
 """
 
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, ClassVar, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.types import ProcessorId, Value
+from repro.core.validation import EPS_VIOLATION, ValidationReport
 
 from repro.approx.coins import CoinSource
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.core.runner import RunResult
 
 __all__ = [
     "RoundValue",
@@ -71,6 +83,8 @@ class ApproximateAgreement(AgreementAlgorithm):
     value_domain: ClassVar[frozenset[Any] | None] = None
     phase_bound: ClassVar[str | None] = "derived"
     message_bound: ClassVar[str | None] = "derived"
+    family: ClassVar[str] = "approx"
+    violation: ClassVar[str] = EPS_VIOLATION
 
     def __init__(
         self,
@@ -81,8 +95,8 @@ class ApproximateAgreement(AgreementAlgorithm):
         inputs: Sequence[float] | None = None,
     ) -> None:
         super().__init__(n, t)
-        if not eps > 0:
-            raise ConfigurationError(f"eps must be positive, got {eps!r}")
+        if not (eps > 0 and math.isfinite(eps)):
+            raise ConfigurationError(f"eps must be positive and finite, got {eps!r}")
         self.eps = float(eps)
         if inputs is None:
             # Defaults offset from 0 so that junk coerced to 0.0 (the
@@ -149,6 +163,73 @@ class ApproximateAgreement(AgreementAlgorithm):
         missing or malformed entries), unsorted; implementations
         typically start from :meth:`trimmed`.
         """
+
+    def conditions(
+        self, result: RunResult, excused: frozenset[int] = frozenset()
+    ) -> ValidationReport:
+        """ε-agreement + ε-validity containment on one finished run."""
+        violations: list[str] = []
+        decisions = {
+            pid: value
+            for pid, value in sorted(result.decisions.items())
+            if pid not in excused
+        }
+
+        undecided = sorted(
+            pid
+            for pid, value in decisions.items()
+            if not isinstance(value, float) or value != value
+        )
+        all_decided = not undecided
+        if undecided:
+            violations.append(
+                f"correct processors {undecided} hold no finite value"
+            )
+        settled = {
+            pid: value
+            for pid, value in sorted(decisions.items())
+            if pid not in undecided
+        }
+
+        agreement = True
+        if settled:
+            low_pid = min(settled, key=lambda pid: (settled[pid], pid))
+            high_pid = max(settled, key=lambda pid: (settled[pid], pid))
+            spread = settled[high_pid] - settled[low_pid]
+            # A strict float comparison would flag rounding dust; one ulp of
+            # slack keeps the check about the protocol, not the FPU.
+            if spread > self.eps * (1 + 1e-12):
+                agreement = False
+                violations.append(
+                    f"eps-agreement violated: |{settled[high_pid]!r} - "
+                    f"{settled[low_pid]!r}| = {spread!r} > eps={self.eps!r} "
+                    f"(processors {high_pid} vs {low_pid})"
+                )
+
+        validity = True
+        correct_inputs = [self.inputs[pid] for pid in sorted(result.correct)]
+        if settled and correct_inputs:
+            low, high = min(correct_inputs), max(correct_inputs)
+            outside = sorted(
+                pid
+                for pid, value in settled.items()
+                if not low - 1e-12 <= value <= high + 1e-12
+            )
+            if outside:
+                validity = False
+                violations.append(
+                    f"eps-validity violated: {outside} decided outside the "
+                    f"correct-input range [{low!r}, {high!r}]: "
+                    f"{[settled[pid] for pid in outside]!r}"
+                )
+
+        return ValidationReport(
+            agreement=agreement,
+            validity=validity,
+            all_decided=all_decided,
+            violations=violations,
+            excused=frozenset(excused) & result.correct,
+        )
 
     def describe(self) -> dict[str, object]:
         row = super().describe()
@@ -233,6 +314,7 @@ class RandomizedConsensus(AgreementAlgorithm):
     message_bound: ClassVar[str | None] = "derived"
     variable_rounds: ClassVar[bool] = True
     uses_coins: ClassVar[bool] = True
+    family: ClassVar[str] = "randomized"
 
     def __init__(
         self,
@@ -276,6 +358,59 @@ class RandomizedConsensus(AgreementAlgorithm):
         """The round cap (alias of the bound parameter ``m``)."""
         return self.m
 
-    def make_coin_source(self, seed: int) -> CoinSource:
-        """The coin stream a run of this configuration should use."""
-        return CoinSource(seed, bias=self.coin_bias, scope=self.coin_scope)
+    def coin_source(self, seed: int | None) -> CoinSource:
+        """The coin stream of one run of this configuration.  No *seed*
+        is seed 0, so every path that runs it without one (``measure()``,
+        the sweeps, a request with no ``coin_seed``) flips the same coins."""
+        return CoinSource(
+            0 if seed is None else seed, bias=self.coin_bias, scope=self.coin_scope
+        )
+
+    def conditions(
+        self, result: RunResult, excused: frozenset[int] = frozenset()
+    ) -> ValidationReport:
+        """Agreement + unanimity-validity; undecided-at-cap is not a failure."""
+        violations: list[str] = []
+        decisions = {
+            pid: value
+            for pid, value in sorted(result.decisions.items())
+            if pid not in excused
+        }
+        decided = {
+            pid: value
+            for pid, value in sorted(decisions.items())
+            if value is not None
+        }
+
+        values = set(decided.values())
+        agreement = len(values) <= 1
+        if not agreement:
+            per_value = {
+                repr(v): sorted(p for p, d in decided.items() if d == v)
+                for v in sorted(values)
+            }
+            violations.append(f"agreement violated: {per_value}")
+
+        validity = True
+        correct_inputs = {self.inputs[pid] for pid in sorted(result.correct)}
+        if decided and len(correct_inputs) == 1:
+            (unanimous,) = correct_inputs
+            wrong = sorted(
+                pid for pid, value in decided.items() if value != unanimous
+            )
+            if wrong:
+                validity = False
+                violations.append(
+                    f"validity violated: correct inputs are unanimously "
+                    f"{unanimous!r} but {wrong} decided otherwise"
+                )
+
+        # Probabilistic termination: a processor still undecided when the
+        # round cap ran out is a statistics question, not a per-run bug.
+        return ValidationReport(
+            agreement=agreement,
+            validity=validity,
+            all_decided=True,
+            violations=violations,
+            excused=frozenset(excused) & result.correct,
+        )

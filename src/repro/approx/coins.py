@@ -18,12 +18,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.core.protocol import AgreementAlgorithm
-
-__all__ = ["CoinSource", "coins_for"]
+__all__ = ["CoinSource"]
 
 _DENOM = 1 << 53
 
@@ -74,15 +70,3 @@ class CoinSource:
         self.flips += 1
         return 1 if self.uniform(lane, round_index) < self.bias else 0
 
-
-def coins_for(algorithm: AgreementAlgorithm, seed: int | None = None) -> CoinSource | None:
-    """The coin stream for one run of *algorithm*.
-
-    ``None`` for an algorithm that flips no coins.  A coin-using
-    algorithm given no *seed* gets seed 0, so every path that runs it
-    without one (``measure()``, the sweeps, a request with no
-    ``coin_seed``) flips the same coins.
-    """
-    if not algorithm.uses_coins:
-        return None
-    return algorithm.make_coin_source(0 if seed is None else seed)  # type: ignore[attr-defined]

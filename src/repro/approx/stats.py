@@ -212,7 +212,7 @@ def sample_benor_rounds(
         result = run(
             algorithm,
             algorithm.inputs[algorithm.transmitter],
-            coins=algorithm.make_coin_source(seed + i),
+            coins=algorithm.coin_source(seed + i),
             record_history=False,
         )
         samples.append(coin_rounds_to_success(result))
@@ -265,7 +265,6 @@ def run_statistical_smoke(seed: int = 0) -> dict[str, object]:
     """
     from repro.approx.filtered_mean import FilteredMeanApprox
     from repro.approx.midpoint import MidpointApprox
-    from repro.approx.validation import check_epsilon_agreement
 
     report: dict[str, object] = {"seed": seed}
 
@@ -301,7 +300,7 @@ def run_statistical_smoke(seed: int = 0) -> dict[str, object]:
             algorithm.inputs[algorithm.transmitter],
             record_history=False,
         )
-        verdict = check_epsilon_agreement(result, algorithm)
+        verdict = algorithm.conditions(result)
         report[f"{algorithm.name}_rounds"] = algorithm.m
         assert verdict.ok, (
             f"{algorithm.name} failed fault-free eps-convergence: {verdict}"

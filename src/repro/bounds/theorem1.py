@@ -30,7 +30,6 @@ from fractions import Fraction
 from typing import Callable
 
 from repro.adversary.lowerbound import ReplayAdversary, build_split_plan
-from repro.approx.coins import coins_for
 from repro.bounds.formulas import theorem1_signature_lower_bound
 from repro.core.history import History, edge_payloads
 from repro.core.message import iter_payload_parts
@@ -111,10 +110,6 @@ class Theorem1Report:
         """The two-history signature total meets the paper's bound."""
         return self.signatures_h + self.signatures_g >= self.bound
 
-    @property
-    def algorithm_is_breakable(self) -> bool:
-        return bool(self.weak_processors)
-
 
 def run_split_attack(
     factory: AlgorithmFactory,
@@ -136,7 +131,7 @@ def run_split_attack(
         if target == algorithm.transmitter
         else result_g.input_value
     )
-    result = run(algorithm, input_value, adversary, coins=coins_for(algorithm, coin_seed))
+    result = run(algorithm, input_value, adversary, coins=algorithm.coin_source(coin_seed))
 
     view_h = result_h.history.individual(target)
     view_prime = result.history.individual(target)
@@ -163,8 +158,8 @@ def theorem1_experiment(
     coin-flipping one flips the coins of *coin_seed* in every run."""
     algorithm = factory()
     n, t = algorithm.n, algorithm.t
-    result_h = run(factory(), 0, coins=coins_for(algorithm, coin_seed))
-    result_g = run(factory(), 1, coins=coins_for(algorithm, coin_seed))
+    result_h = run(factory(), 0, coins=algorithm.coin_source(coin_seed))
+    result_g = run(factory(), 1, coins=algorithm.coin_source(coin_seed))
 
     sets = exchange_sets(result_h.history, result_g.history, n)
     weak = sorted(p for p, a in sets.items() if len(a) <= t)

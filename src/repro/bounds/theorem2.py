@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.adversary.lowerbound import IgnoreFirstAdversary, Theorem2SwitchAdversary
-from repro.approx.coins import coins_for
 from repro.bounds.formulas import (
     theorem2_b_set_size,
     theorem2_ignore_count,
@@ -57,7 +56,7 @@ def empty_view_decision(
     """
     service = SignatureService()
     processor = algorithm.spawn(
-        pid, service.key_for(pid), service, coins_for(algorithm, coin_seed)
+        pid, service.key_for(pid), service, algorithm.coin_source(coin_seed)
     )
     for phase in range(1, algorithm.num_phases() + 1):
         processor.on_phase(phase, ())
@@ -165,7 +164,7 @@ def run_switch_attack(
         target=target,
         ignore_count=theorem2_ignore_count(algorithm.t),
     )
-    result = run(algorithm, starved_value, adversary, coins=coins_for(algorithm, coin_seed))
+    result = run(algorithm, starved_value, adversary, coins=algorithm.coin_source(coin_seed))
     report = check_byzantine_agreement(result)
     received = result.history.individual(target).total_received()
     others = {
@@ -194,12 +193,12 @@ def theorem2_experiment(
     n, t = algorithm.n, algorithm.t
 
     starved_value, sensitive = pick_starved_value(algorithm, coin_seed)
-    fault_free = run(factory(), starved_value, coins=coins_for(algorithm, coin_seed))
+    fault_free = run(factory(), starved_value, coins=algorithm.coin_source(coin_seed))
 
     chosen_b = tuple(b_set) if b_set is not None else default_b_set(algorithm, sensitive)
     adversary = IgnoreFirstAdversary(chosen_b, theorem2_ignore_count(t))
     hprime = run(
-        factory(), starved_value, adversary, coins=coins_for(algorithm, coin_seed)
+        factory(), starved_value, adversary, coins=algorithm.coin_source(coin_seed)
     )
     hprime_report = check_byzantine_agreement(hprime)
     received = {

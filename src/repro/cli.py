@@ -40,12 +40,12 @@ from repro.adversary.standard import (
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
 from repro.analysis.sweep import measure
 from repro.analysis.tables import format_table
-from repro.approx.coins import coins_for
 from repro.bounds.theorem1 import theorem1_experiment
 from repro.bounds.theorem2 import theorem2_experiment
 from repro.core.errors import ConfigurationError
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import run as run_algorithm
+from repro.core.validation import OK, declared_costs, judge_run
 
 
 class UsageError(SystemExit):
@@ -129,11 +129,6 @@ def _scenario(args: argparse.Namespace) -> tuple[AgreementAlgorithm, Adversary |
     return algorithm, parse_adversary(args.adversary, algorithm)
 
 
-def _coins_for(args: argparse.Namespace, algorithm: AgreementAlgorithm):
-    """A seeded coin source when *algorithm* flips coins, else ``None``."""
-    return coins_for(algorithm, getattr(args, "seed", None))
-
-
 def cmd_list(_: argparse.Namespace) -> int:
     """`repro list`: the registered algorithm table."""
     rows = [
@@ -186,7 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         trace_sink = JsonlTraceSink(trace_out)
         sinks = (trace_sink,)
-    coins = _coins_for(args, algorithm)
+    coins = algorithm.coin_source(args.seed)
     try:
         result = run_algorithm(
             algorithm,
@@ -200,8 +195,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         if trace_sink is not None:
             trace_sink.close()
-    from repro.approx.validation import OK, declared_costs, judge_run
-
     declared = declared_costs(algorithm)
     verdict = judge_run(result, algorithm, declared)
     excused = sorted(verdict.excused)
@@ -315,7 +308,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     algorithm, adversary = _scenario(args)
     result = run_algorithm(
-        algorithm, args.value, adversary, coins=_coins_for(args, algorithm)
+        algorithm, args.value, adversary, coins=algorithm.coin_source(args.seed)
     )
     print(render_trace(result, max_messages_per_phase=args.max_messages))
     return 0
@@ -327,7 +320,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
 
     algorithm, adversary = _scenario(args)
     result = run_algorithm(
-        algorithm, args.value, adversary, coins=_coins_for(args, algorithm)
+        algorithm, args.value, adversary, coins=algorithm.coin_source(args.seed)
     )
     verdicts = check_conformance(result, algorithm)
     rows = []

@@ -29,7 +29,7 @@ seed)``.  This module amortises all three:
 The engine builds each run's
 :class:`~repro.transport.faulty.FaultyTransport` and coin source itself,
 and judges every class once, before replicating it, with the one verdict
-predicate (:func:`repro.approx.validation.judge_run`): its family's
+predicate (:func:`repro.core.validation.judge_run`): the algorithm's
 conditions on the processors no injected fault excuses, the fault budget
 ``t``, and the algorithm's declared bounds, which are evaluated once per
 call.  A kernel row is built and judged in one step, on its own input
@@ -58,8 +58,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.adversary.base import Adversary
-from repro.approx.coins import coins_for
-from repro.approx.validation import FAILING, Costs, declared_costs, judge_run
 from repro.core.counters import Counters
 from repro.core.history import History
 from repro.core.message import UninternableError, intern_key
@@ -67,6 +65,7 @@ from repro.core.metrics import MetricsLedger
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.runner import RunResult, run
 from repro.core.types import ProcessorId, Value
+from repro.core.validation import FAILING, Costs, declared_costs, judge_run
 from repro.crypto.signatures import InternedSignatureService, SharedDigestTable
 from repro.obs.events import JsonlTraceSink
 from repro.transport.faulty import FaultyTransport
@@ -92,8 +91,9 @@ class BatchCase:
     a :class:`~repro.transport.faults.FaultPlan` routed through a
     :class:`~repro.transport.faulty.FaultyTransport`, optionally the
     seed of a coin-flipping algorithm's coin stream (see
-    :func:`~repro.approx.coins.coins_for`), and optionally the path of
-    the ``repro-trace/1`` JSONL file its run writes (a traced case is
+    :meth:`~repro.core.protocol.AgreementAlgorithm.coin_source`; an
+    algorithm that flips no coins ignores it), and optionally the path
+    of the ``repro-trace/1`` JSONL file its run writes (a traced case is
     never deduplicated: its own run writes the file).
     """
 
@@ -113,7 +113,7 @@ class BatchOutcome:
     the correct processors' decisions, the full
     :class:`~repro.core.metrics.MetricsLedger` headline/per-phase counters,
     the number of fault events the transport recorded and the verdict
-    (:class:`~repro.approx.validation.Verdict`): its ``kind``, its
+    (:class:`~repro.core.validation.Verdict`): its ``kind``, its
     ``verdict`` text (``"ok"`` or the violations) and the ``excused``
     processors whose decisions it ignored.  ``replicated`` marks outcomes
     copied from a deduplicated class mate; ``kernel`` marks outcomes
@@ -156,7 +156,7 @@ class BatchResult:
     declared: Costs
 
 
-def _class_key(case: BatchCase) -> Any | None:
+def _class_key(case: BatchCase, uses_coins: bool) -> Any | None:
     """Deduplication key of *case*, or ``None`` when it must not be deduped.
 
     Adversary cases never dedupe (factories may close over state and the
@@ -164,12 +164,14 @@ def _class_key(case: BatchCase) -> Any | None:
     own file).  Fault plans are frozen value objects, and the runner,
     :class:`~repro.transport.faulty.FaultyTransport` and the coin source
     are deterministic in their inputs, so ``(value, plan, coin seed)``
-    fully determines an adversary-free run.
+    fully determines an adversary-free run; the seed is kept only when
+    the algorithm *uses_coins*, as no other run reads it.
     """
     if case.adversary_factory is not None or case.trace is not None:
         return None
+    seed = case.coin_seed if uses_coins else None
     try:
-        return (intern_key(case.value), case.fault_plan, case.coin_seed)
+        return (intern_key(case.value), case.fault_plan, seed)
     except (UninternableError, TypeError):
         return None
 
@@ -262,7 +264,7 @@ def _execute(
             transport=FaultyTransport(plan) if plan is not None and not plan.is_empty else None,
             sinks=(sink,) if sink is not None else (),
             service=InternedSignatureService(table) if table is not None else None,
-            coins=coins_for(algorithm, case.coin_seed),
+            coins=algorithm.coin_source(case.coin_seed),
         )
     metrics = result.metrics
     kind, text, excused = judge_run(result, algorithm, declared)
@@ -356,7 +358,7 @@ def run_batch(
     classes: dict[Any, list[int]] = {}
     singletons: list[list[int]] = []
     for index, case in enumerate(case_list):
-        key = _class_key(case)
+        key = _class_key(case, algorithm.uses_coins)
         if key is None:
             singletons.append([index])
         else:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.approx.coins import coins_for
 from repro.core.errors import ConfigurationError
 from repro.core.history import History, edge_payloads
 from repro.core.message import Envelope, canonical
@@ -111,7 +110,7 @@ def conformance_of(
     # rebuild the run's CoinSource from the recorded seed so the replayed
     # rule specifies the exact same flips as the history.
     processor = algorithm.spawn(
-        pid, service.key_for(pid), service, coins_for(algorithm, result.coin_seed)
+        pid, service.key_for(pid), service, algorithm.coin_source(result.coin_seed)
     )
 
     deviations: list[PhaseDeviation] = []

@@ -30,10 +30,12 @@ from repro.core.types import (
     Value,
     check_population,
 )
+from repro.core.validation import SAFETY, ValidationReport, check_byzantine_agreement
 from repro.crypto.signatures import Signature, SignatureService, SigningKey
 
 if TYPE_CHECKING:
     from repro.approx.coins import CoinSource
+    from repro.core.runner import RunResult
 
 
 @dataclass
@@ -178,8 +180,17 @@ class AgreementAlgorithm(abc.ABC):
     #: ``num_phases()`` becomes the cap.
     variable_rounds: ClassVar[bool] = False
     #: Whether processors consult ``Context.coins``.  Drives coin-seed
-    #: derivation in the fuzz campaign and the ``--seed`` CLI flag.
+    #: derivation in the fuzz campaign, and a coin seed keys a batch's run
+    #: classes only when it is set.
     uses_coins: ClassVar[bool] = False
+    #: The problem the algorithm solves: ``"exact"`` (Byzantine Agreement),
+    #: ``"approx"`` (ε-agreement) or ``"randomized"`` (probabilistic
+    #: termination).  ``repro list`` shows it; the load generator picks
+    #: fault plans and coin seeds by it.
+    family: ClassVar[str] = "exact"
+    #: The verdict class of a run whose unexcused processors fail
+    #: :meth:`conditions` within the fault budget.
+    violation: ClassVar[str] = SAFETY
 
     def __init__(self, n: int, t: int) -> None:
         check_population(n, t)
@@ -232,6 +243,19 @@ class AgreementAlgorithm(abc.ABC):
         with 0 messages: the engine drops it, as the runner's ledger never
         records such a phase.
         """
+        return None
+
+    def conditions(
+        self, result: RunResult, excused: frozenset[int] = frozenset()
+    ) -> ValidationReport:
+        """The conditions a finished run of this algorithm must meet, on
+        the correct processors not in *excused*: by default the paper's
+        agreement and validity (:func:`check_byzantine_agreement`)."""
+        return check_byzantine_agreement(result, excused=excused)
+
+    def coin_source(self, seed: int | None) -> CoinSource | None:
+        """The coin stream of one run flipping the coins of *seed*, or
+        ``None`` for an algorithm that flips none (the default)."""
         return None
 
     def check_value(self, value: Value) -> None:

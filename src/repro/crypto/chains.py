@@ -172,14 +172,6 @@ class SignatureChain:
         pairs = zip(map(_signer, signatures), map(_digest, signatures))
         return intern_key(self.value), tuple(pairs)
 
-    def verify_prefix_signers(
-        self,
-        service: SignatureService,
-        allowed: frozenset[ProcessorId] | set[ProcessorId],
-    ) -> bool:
-        """Valid chain whose signers all come from *allowed*."""
-        return self.verify(service) and all(s in allowed for s in self.signers)
-
 
 def forge_chain(
     value: Value,

@@ -19,7 +19,7 @@ and a corpus replay all run a :class:`~repro.fuzz.campaign.FuzzCase`
 through :meth:`~repro.fuzz.campaign.FuzzCase.execute`.
 """
 
-from repro.approx.validation import BOUND, OK, SAFETY
+from repro.core.validation import BOUND, OK, SAFETY
 from repro.fuzz.campaign import (
     FUZZ_CONFIGS,
     FuzzCase,

@@ -20,9 +20,9 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
-from repro.approx.validation import BENIGN, BOUND, EPS_VIOLATION, OK, SAFETY
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
+from repro.core.validation import BENIGN, BOUND, EPS_VIOLATION, OK, SAFETY
 from repro.fuzz.generator import generate_script
 from repro.fuzz.oracle import FuzzOutcome, execute_script
 from repro.fuzz.script import AdversaryScript

@@ -4,7 +4,7 @@ A script runs as a one-case :func:`~repro.core.batch.run_batch`, the
 engine every sweep and service request runs on, so its forgeries,
 replays and equivocations meet the same interned signature service and
 shared digest table.  A finished run gets the verdict every path shares,
-:func:`~repro.approx.validation.judge_run`'s: its family's conditions on
+:func:`~repro.core.validation.judge_run`'s: its algorithm's conditions on
 the processors no injected fault excuses, the fault budget ``t``, then
 the declared ``phase/message/signature_bound``.  The paper's upper-bound
 theorems claim those hold for *every* t-faulty history, so a generated
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.approx.validation import FAILING
 from repro.core.batch import BatchCase, run_batch
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
+from repro.core.validation import FAILING
 from repro.fuzz.script import AdversaryScript, ScriptAdversary
 from repro.transport.faults import FaultPlan
 

@@ -219,10 +219,6 @@ class BinaryTree:
         """Existing child indices of *index*."""
         return [c for c in (2 * index, 2 * index + 1) if self.exists(c)]
 
-    def subtree_depth(self, index: int) -> int:
-        """Levels of the subtree rooted at *index* (``λ − level + 1``)."""
-        return self.levels - self.level_of_index(index) + 1
-
     def subtree_indices(self, index: int) -> list[int]:
         """Heap indices of the subtree rooted at *index*, BFS order."""
         if not self.exists(index):
@@ -267,22 +263,10 @@ class TreeForest:
         if s < 1:
             raise ConfigurationError(f"tree size must be positive, got s={s}")
         self.s = s
-        self.trees: list[BinaryTree] = []
-        self._tree_of: dict[ProcessorId, BinaryTree] = {}
-        for start in range(0, len(passive), s):
-            tree = BinaryTree(passive[start : start + s])
-            self.trees.append(tree)
-            for pid in tree.members:
-                self._tree_of[pid] = tree
-
-    @property
-    def max_levels(self) -> int:
-        """λ of the full trees (the block count of Algorithm 5)."""
-        return max((tree.levels for tree in self.trees), default=0)
-
-    def tree_of(self, pid: ProcessorId) -> BinaryTree:
-        """The tree containing passive processor *pid*."""
-        return self._tree_of[pid]
+        self.trees = [
+            BinaryTree(passive[start : start + s])
+            for start in range(0, len(passive), s)
+        ]
 
     def all_passive(self) -> Iterator[ProcessorId]:
         for tree in self.trees:

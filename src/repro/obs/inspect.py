@@ -14,7 +14,7 @@ not the tolerance ``t`` it was configured for — the per-actual-fault view
 of Cohen–Keidar–Spiegelman (2022), which a totals-only ledger cannot
 express after the fact.  ``f`` counts the adversary-corrupted processors
 and the ones an injected fault touched, as
-:func:`repro.approx.validation.judge_run` does.
+:func:`repro.core.validation.judge_run` does.
 """
 
 from __future__ import annotations

@@ -182,7 +182,7 @@ def generate_schedule(
     """
     if requests < 0:
         raise ValueError(f"requests must be >= 0, got {requests}")
-    if rate <= 0:
+    if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate}")
     if not 0.0 <= fault_rate <= 1.0:
         raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")

@@ -51,8 +51,9 @@ class AgreementRequest:
     ``params`` are the extra constructor keywords (``s``, ``eps``,
     ``max_rounds`` …) as a sorted tuple of pairs so the request stays
     hashable and picklable.  ``fault_plan`` injects benign delivery
-    faults into this instance only; ``coin_seed`` is required by (and
-    only meaningful for) coin-flipping algorithms.
+    faults into this instance only; ``coin_seed`` seeds a coin-flipping
+    algorithm's coins (seed 0 when absent), and a deterministic algorithm
+    ignores it.
     """
 
     request_id: int

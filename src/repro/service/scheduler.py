@@ -28,7 +28,7 @@ Inside a stripe every request rides :func:`repro.core.batch.run_batch`:
   row the engine writes down from the algorithm's fault-free schedule,
   so a thousand identical requests cost one run;
 * **one verdict** — the engine judges each run with
-  :func:`repro.approx.validation.judge_run`, excusing the processors an
+  :func:`repro.core.validation.judge_run`, excusing the processors an
   injected fault touched; a request's ``kind`` is the verdict class, and
   only ``safety``, ``eps_violation`` and ``bound`` fail it.
 

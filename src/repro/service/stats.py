@@ -18,8 +18,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.approx.validation import BENIGN
 from repro.core.counters import Counters
+from repro.core.validation import BENIGN
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.service.request import RequestOutcome

@@ -313,7 +313,7 @@ class TestFamilyVerdicts:
         algorithm = get("ben-or")(6, 1)
         for point in scalar:
             reference = run(
-                algorithm, point.value, coins=algorithm.make_coin_source(0)
+                algorithm, point.value, coins=algorithm.coin_source(0)
             )
             assert point.messages == reference.metrics.messages_by_correct
             assert point.phases_used == reference.metrics.last_active_phase

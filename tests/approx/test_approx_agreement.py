@@ -8,9 +8,9 @@ from repro.adversary.standard import GarbageAdversary, SilentAdversary
 from repro.approx.filtered_mean import FilteredMeanApprox
 from repro.approx.midpoint import MidpointApprox
 from repro.approx.strawman import OvershootMidpoint
-from repro.approx.validation import check_epsilon_agreement, check_run_conditions
 from repro.core.errors import ConfigurationError
 from repro.core.runner import run
+from repro.core.validation import check_byzantine_agreement
 from fractions import Fraction
 
 
@@ -72,7 +72,7 @@ class TestFaultFreeConvergence:
         assert max(values) - min(values) <= 0.25
         assert min(algorithm.inputs) <= min(values)
         assert max(values) <= max(algorithm.inputs)
-        assert check_epsilon_agreement(result, algorithm).ok
+        assert algorithm.conditions(result).ok
 
 
 class TestRobustness:
@@ -81,13 +81,13 @@ class TestRobustness:
         """t junk-spamming processors cannot break ε-agreement/validity."""
         algorithm = cls(7, 2, eps=0.25)
         result = run(algorithm, algorithm.inputs[0], GarbageAdversary([5, 6]))
-        report = check_epsilon_agreement(result, algorithm)
+        report = algorithm.conditions(result)
         assert report.ok, str(report)
 
     def test_silent_senders_are_substituted(self):
         algorithm = MidpointApprox(7, 2, eps=0.25)
         result = run(algorithm, algorithm.inputs[0], SilentAdversary([1, 2]))
-        report = check_epsilon_agreement(result, algorithm)
+        report = algorithm.conditions(result)
         assert report.ok, str(report)
 
     def test_overshoot_strawman_breaks_validity_under_garbage(self):
@@ -95,14 +95,14 @@ class TestRobustness:
         correct-input range — the seeded ε-bug the fuzzer must find."""
         algorithm = OvershootMidpoint(7, 2, eps=0.25)
         result = run(algorithm, algorithm.inputs[0], GarbageAdversary([6]))
-        report = check_epsilon_agreement(result, algorithm)
+        report = algorithm.conditions(result)
         assert not report.ok
         assert not report.validity
 
     def test_overshoot_strawman_is_fine_fault_free(self):
         algorithm = OvershootMidpoint(7, 2, eps=0.25)
         result = run(algorithm, algorithm.inputs[0])
-        assert check_epsilon_agreement(result, algorithm).ok
+        assert algorithm.conditions(result).ok
 
 
 class TestValidator:
@@ -110,26 +110,27 @@ class TestValidator:
         algorithm = MidpointApprox(7, 2, eps=0.25)
         result = run(algorithm, algorithm.inputs[0])
         result.decisions[0] = result.decisions[1] + 1.0
-        report = check_epsilon_agreement(result, algorithm)
+        report = algorithm.conditions(result)
         assert not report.ok and not report.agreement
 
     def test_flags_nan_decision_as_undecided(self):
         algorithm = MidpointApprox(7, 2, eps=0.25)
         result = run(algorithm, algorithm.inputs[0])
         result.decisions[3] = math.nan
-        report = check_epsilon_agreement(result, algorithm)
+        report = algorithm.conditions(result)
         assert not report.ok and not report.all_decided
 
     def test_excused_processors_are_ignored(self):
         algorithm = MidpointApprox(7, 2, eps=0.25)
         result = run(algorithm, algorithm.inputs[0])
         result.decisions[0] = 1e9
-        report = check_epsilon_agreement(
-            result, algorithm, excused=frozenset({0})
-        )
+        report = algorithm.conditions(result, excused=frozenset({0}))
         assert report.ok
 
     def test_dispatch_routes_by_family(self):
+        """The run passes its own family's conditions, not exact BA's:
+        nobody decides the transmitter's input."""
         algorithm = MidpointApprox(7, 2, eps=0.25)
         result = run(algorithm, algorithm.inputs[0])
-        assert check_run_conditions(result, algorithm).ok
+        assert algorithm.conditions(result).ok
+        assert not check_byzantine_agreement(result).validity

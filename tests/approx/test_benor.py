@@ -4,7 +4,6 @@ import pytest
 
 from repro.adversary.standard import GarbageAdversary, SilentAdversary
 from repro.approx.benor import BenOr
-from repro.approx.validation import check_randomized_consensus, check_run_conditions
 from repro.core.errors import ConfigurationError, ProtocolViolationError
 from repro.core.runner import run
 
@@ -14,7 +13,7 @@ def run_benor(algorithm: BenOr, seed: int, adversary=None):
         algorithm,
         algorithm.inputs[algorithm.transmitter],
         adversary,
-        coins=algorithm.make_coin_source(seed),
+        coins=algorithm.coin_source(seed),
     )
 
 
@@ -56,7 +55,7 @@ class TestMixedInputs:
             values = set(result.decisions.values())
             assert None not in values, f"seed {seed} hit the cap"
             assert len(values) == 1, f"seed {seed} disagreed: {values}"
-            assert check_randomized_consensus(result, algorithm).ok
+            assert algorithm.conditions(result).ok
 
     def test_same_seed_reproduces_exactly(self):
         algorithm = BenOr(6, 1)
@@ -80,13 +79,13 @@ class TestFaults:
             result = run_benor(algorithm, seed, SilentAdversary([5]))
             decided = {v for v in result.decisions.values() if v is not None}
             assert len(decided) <= 1
-            assert check_run_conditions(result, algorithm).ok
+            assert algorithm.conditions(result).ok
 
     def test_tolerates_t_garbage(self):
         algorithm = BenOr(6, 1)
         for seed in range(5):
             result = run_benor(algorithm, seed, GarbageAdversary([5]))
-            assert check_run_conditions(result, algorithm).ok
+            assert algorithm.conditions(result).ok
 
 
 class TestCoinsRequired:
@@ -99,5 +98,5 @@ class TestCoinsRequired:
         """A cap-censored run is a statistics question (see stats.py)."""
         algorithm = BenOr(6, 1, max_rounds=1)
         result = run_benor(algorithm, seed=0)
-        report = check_randomized_consensus(result, algorithm)
+        report = algorithm.conditions(result)
         assert report.ok

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.registry import get
-from repro.approx.coins import CoinSource, coins_for
+from repro.approx.coins import CoinSource
 
 
 class TestDeterminism:
@@ -80,11 +80,10 @@ class TestValidation:
 
 class TestCoinsFor:
     def test_deterministic_algorithms_get_no_coins(self):
-        assert coins_for(get("phase-king")(9, 2)) is None
-        assert coins_for(get("phase-king")(9, 2), 7) is None
+        assert get("phase-king")(9, 2).coin_source(None) is None
+        assert get("phase-king")(9, 2).coin_source(7) is None
 
     def test_a_missing_seed_means_seed_zero(self):
         algorithm = get("ben-or")(6, 1, coin_bias=0.25)
-        assert coins_for(algorithm) == algorithm.make_coin_source(0)
-        assert coins_for(algorithm, 7) == algorithm.make_coin_source(7)
-        assert coins_for(algorithm).bias == 0.25
+        assert algorithm.coin_source(None) == CoinSource(0, bias=0.25)
+        assert algorithm.coin_source(7) == CoinSource(7, bias=0.25)

@@ -58,7 +58,7 @@ class TestStrawmanIsBroken:
     @pytest.mark.parametrize("n,t", [(4, 1), (6, 2), (8, 3)])
     def test_split_attack_succeeds(self, n, t):
         report = theorem1_experiment(lambda: UnderSigningBroadcast(n, t))
-        assert report.algorithm_is_breakable
+        assert report.weak_processors
         attack = report.attack
         assert attack is not None
         # the proof's indistinguishability step holds exactly:

@@ -80,6 +80,17 @@ class TestDeduplication:
         clean = run_batch(DolevStrong(5, 1), [1]).outcomes[0]
         assert result.outcomes[0].messages_by_correct < clean.messages_by_correct
 
+    def test_a_coin_free_algorithm_ignores_the_coin_seed(self):
+        # Phase King flips no coins, so the seeds name one run: the kernel
+        # row, replicated to the seeded cases.
+        cases = [BatchCase(1)] + [BatchCase(1, coin_seed=seed) for seed in range(5)]
+        stats = run_batch(PhaseKing(9, 2), cases, strict=True).stats
+        assert (stats.unique_runs, stats.kernel_runs, stats.replicated_runs) == (1, 1, 5)
+        # Ben-Or flips coins: each seed is its own class.
+        cases = [BatchCase(1, coin_seed=seed) for seed in (1, 1, 2)]
+        stats = run_batch(get("ben-or")(6, 1), cases, strict=True).stats
+        assert (stats.unique_runs, stats.replicated_runs) == (2, 1)
+
     def test_value_domain_is_validated_upfront(self):
         with pytest.raises(ConfigurationError, match="values in"):
             run_batch(get("algorithm-3")(9, 2), [0, 2])

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.approx.validation import SAFETY
 from repro.core.errors import DisagreementError, ReproError
 from repro.core.runner import run
+from repro.core.validation import SAFETY
 from tests.fuzz.test_oracle import SplitBrainAlgorithm
 
 

@@ -67,11 +67,6 @@ class TestVerification:
         duplicated = chain.extend(service.key_for(0), service)
         assert not duplicated.verify(service)
 
-    def test_prefix_signers_restriction(self, service):
-        chain = build(service, [0, 1])
-        assert chain.verify_prefix_signers(service, {0, 1, 2})
-        assert not chain.verify_prefix_signers(service, {0, 2})
-
 
 class TestForgeChain:
     def test_full_collusion_verifies(self, service):

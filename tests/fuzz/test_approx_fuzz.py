@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.approx.validation import EPS_VIOLATION, OK
+from repro.core.validation import EPS_VIOLATION, OK
 from repro.fuzz.campaign import (
     FUZZ_CONFIGS,
     plan_cases,

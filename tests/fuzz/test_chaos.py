@@ -6,8 +6,8 @@ import pytest
 
 from repro.algorithms.registry import get
 from repro.analysis.parallel import run_tasks
-from repro.approx.validation import BENIGN, OK, SAFETY
 from repro.core.protocol import AgreementAlgorithm, Processor
+from repro.core.validation import BENIGN, OK, SAFETY
 from repro.fuzz.campaign import (
     FuzzCase,
     plan_cases,

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.algorithms.dolev_strong import DolevStrong
-from repro.approx.validation import BENIGN, BOUND, OK, SAFETY
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.runner import run
+from repro.core.validation import BENIGN, BOUND, OK, SAFETY
 from repro.fuzz.oracle import CRASH, execute_script
 from repro.fuzz.script import AdversaryScript
 from repro.transport.faults import CrashFault, FaultPlan

@@ -5,9 +5,8 @@ import pytest
 
 from repro.algorithms.dolev_strong import DolevStrong, DolevStrongProcessor
 from repro.algorithms.registry import get
-from repro.approx.coins import coins_for
-from repro.approx.validation import OK
 from repro.core.runner import run
+from repro.core.validation import OK
 from repro.fuzz.mutations import Equivocate
 from repro.fuzz.oracle import execute_script
 from repro.fuzz.script import AdversaryScript
@@ -30,7 +29,7 @@ class TestEquivocationTwin:
                 Equivocate(pid=tx, phase_from=1, phase_to=8, alt_value=0, parity=1),
             ),
         ).build()
-        result = run(algorithm, 1, adversary, coins=coins_for(algorithm, 5))
+        result = run(algorithm, 1, adversary, coins=algorithm.coin_source(5))
         assert adversary._alt_wedged == set()
         sent = result.history.edges_sent_by(tx)
         phases = {phase for phase, _ in sent}

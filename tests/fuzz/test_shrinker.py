@@ -10,9 +10,9 @@ import json
 
 import pytest
 
-from repro.approx.validation import OK, SAFETY
 from repro.core.message import Envelope
 from repro.core.protocol import AgreementAlgorithm, Processor
+from repro.core.validation import OK, SAFETY
 from repro.fuzz.generator import generate_script
 from repro.fuzz.oracle import execute_script
 from repro.fuzz.script import AdversaryScript

@@ -99,9 +99,6 @@ class TestBinaryTree:
         assert tree.root() == 100
         assert tree.children(1) == [2, 3]
         assert tree.children(4) == []
-        assert tree.subtree_depth(1) == 3
-        assert tree.subtree_depth(2) == 2
-        assert tree.subtree_depth(5) == 1
 
     def test_bfs_subtree_members(self):
         tree = BinaryTree(tuple(range(7)))
@@ -142,14 +139,6 @@ class TestTreeForest:
         sizes = [tree.size for tree in forest.trees]
         assert sizes == [3, 3, 3, 1]
         assert list(forest.all_passive()) == list(range(10, 20))
-
-    def test_tree_of(self):
-        forest = TreeForest(tuple(range(6)), s=3)
-        assert forest.tree_of(4) is forest.trees[1]
-
-    def test_max_levels(self):
-        assert TreeForest(tuple(range(14)), s=7).max_levels == 3
-        assert TreeForest((), s=3).max_levels == 0
 
     def test_rejects_bad_size(self):
         with pytest.raises(ConfigurationError):

@@ -24,8 +24,8 @@ from repro.algorithms.phase_king import PhaseKing
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
 from repro.analysis.parallel import sweep_parallel
 from repro.analysis.sweep import measure
-from repro.approx.validation import BENIGN, BOUND
 from repro.core.batch import BatchCase, BatchOutcome, run_batch
+from repro.core.validation import BENIGN, BOUND
 from repro.fuzz.oracle import FuzzOutcome, execute_script
 from repro.fuzz.script import AdversaryScript
 from repro.service import (

@@ -8,9 +8,9 @@ import pytest
 
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.algorithms.registry import get
-from repro.approx.validation import declared_costs, judge_run
 from repro.cli import main, parse_adversary
 from repro.core.runner import run
+from repro.core.validation import declared_costs, judge_run
 from repro.obs.export import service_bench_json
 from repro.service.stats import ServiceStats
 from repro.transport.faulty import FaultyTransport
@@ -613,6 +613,28 @@ class TestBadInputExits2:
             ["run", "--algorithm", "dolev-strong", *self.SYSTEM, "--faults", spec],
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["run", "--algorithm", "midpoint-approx", "--n", "7", "--t", "2",
+                 "--eps", "inf"],
+                id="run-eps-inf",
+            ),
+            pytest.param(
+                ["loadgen", "--requests", "5", "--workers", "1",
+                 "--mix", "midpoint-approx:n=7,t=2,eps=inf"],
+                id="loadgen-eps-inf",
+            ),
+            pytest.param(
+                ["loadgen", "--requests", "20", "--rate", "nan", "--workers", "1"],
+                id="loadgen-rate-nan",
+            ),
+        ],
+    )
+    def test_non_finite_number(self, capsys, argv):
+        self.assert_usage_error(capsys, argv)
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_fuzz_budget_below_one(self, capsys, budget):
         self.assert_usage_error(
@@ -968,6 +990,13 @@ class TestServiceCli:
                 {**GOOD_REQUEST, "params": {"rounds": 3}},
                 "dolev-strong rejects n=5, t=1, params={'rounds': 3}",
                 id="unknown-param",
+            ),
+            pytest.param(
+                {**GOOD_REQUEST, "algorithm": "midpoint-approx", "n": 7, "t": 2,
+                 "params": {"eps": float("inf")}},
+                "midpoint-approx rejects n=7, t=2, params={'eps': inf}: "
+                "eps must be positive and finite",
+                id="eps-infinity",
             ),
             pytest.param(
                 {**GOOD_REQUEST, "algorithm": "algorithm-1", "n": 7, "t": 3, "value": 7},

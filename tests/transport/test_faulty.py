@@ -1,7 +1,6 @@
 """FaultyTransport behaviour: each fault kind, observed through real runs."""
 
 from repro.algorithms.registry import get
-from repro.approx.validation import check_run_conditions
 from repro.core.runner import run
 from repro.core.validation import check_byzantine_agreement
 from repro.obs import ListSink
@@ -101,7 +100,7 @@ class TestOmissionsAndDrops:
         assert {e["pid"] for e in result.fault_events} == {1}
         excused = excused_processors(result.fault_events)
         assert excused == frozenset({1})
-        assert check_run_conditions(result, algorithm, excused=excused).ok
+        assert algorithm.conditions(result, excused).ok
 
 
 class TestDelayAndDuplicate:

@@ -74,7 +74,7 @@ class TestDefaultRouting:
     def test_early_stopping_run_delivers_only_executed_phases(self, calls):
         algorithm = get("ben-or")(6, 1)
         result = run(
-            algorithm, 1, collect_telemetry=True, coins=algorithm.make_coin_source(0)
+            algorithm, 1, collect_telemetry=True, coins=algorithm.coin_source(0)
         )
         executed = len(result.telemetry.per_phase)
         assert executed < algorithm.num_phases()
