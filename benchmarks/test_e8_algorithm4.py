@@ -8,7 +8,7 @@ undercuts the Θ(Nt) hub-relay solution once t ≳ √N.
 
 from benchmarks._harness import run_once, show
 from repro.adversary.standard import SilentAdversary
-from repro.algorithms.algorithm4 import Algorithm4, check_lemma2
+from repro.algorithms.algorithm4 import Algorithm4, nonisolated_set
 from repro.bounds.formulas import theorem6_message_upper_bound
 from repro.core.runner import run
 
@@ -25,11 +25,13 @@ def test_e8_exchange_costs_and_success_set(benchmark):
             t = max(1, m // 2)
             algorithm = Algorithm4(m, t, values_for(n))
             fault_free = run(algorithm, 0)
-            p_free, violations_free = check_lemma2(fault_free, algorithm)
+            p_free = nonisolated_set(algorithm.grid, fault_free.faulty)
+            violations_free = algorithm.conditions(fault_free).violations
             # worst case for Lemma 2: all faults packed into one row.
             packed = SilentAdversary(list(range(t)))
             faulty_run = run(Algorithm4(m, t, values_for(n)), 0, packed)
-            p_faulty, violations_faulty = check_lemma2(faulty_run, algorithm)
+            p_faulty = nonisolated_set(algorithm.grid, faulty_run.faulty)
+            violations_faulty = algorithm.conditions(faulty_run).violations
             rows.append(
                 {
                     "m": m,

@@ -70,7 +70,6 @@ from repro.algorithms import (
     Algorithm5,
     DolevStrong,
     OralMessages,
-    check_lemma2,
 )
 from repro.bounds import (
     formulas,
@@ -116,7 +115,6 @@ __all__ = [
     "SimulatingAdversary",
     "ValidationReport",
     "check_byzantine_agreement",
-    "check_lemma2",
     "formulas",
     "require_agreement",
     "run",

@@ -9,16 +9,13 @@ from repro.algorithms.active_set import ActiveSetBroadcast
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.algorithms.algorithm2 import Algorithm2
 from repro.algorithms.algorithm3 import Algorithm3
-from repro.algorithms.algorithm4 import Algorithm4, GridExchange, check_lemma2
+from repro.algorithms.algorithm4 import Algorithm4, GridExchange
 from repro.algorithms.algorithm5 import Algorithm5
 from repro.algorithms.cheap_strawman import EchoBroadcast, UnderSigningBroadcast
 from repro.algorithms.dolev_strong import DolevStrong
-from repro.algorithms.hub_exchange import HubExchange, check_full_exchange
+from repro.algorithms.hub_exchange import HubExchange
 from repro.algorithms.informed import InformedAlgorithm2
-from repro.algorithms.interactive import (
-    InteractiveConsistency,
-    check_interactive_consistency,
-)
+from repro.algorithms.interactive import InteractiveConsistency
 from repro.algorithms.multivalued import MultivaluedAgreement
 from repro.algorithms.oral_messages import OralMessages
 from repro.algorithms.phase_king import PhaseKing
@@ -44,8 +41,5 @@ __all__ = [
     "OralMessages",
     "PhaseKing",
     "UnderSigningBroadcast",
-    "check_full_exchange",
-    "check_interactive_consistency",
-    "check_lemma2",
     "get",
 ]

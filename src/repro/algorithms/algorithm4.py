@@ -37,6 +37,7 @@ from repro.core.message import Envelope, Outgoing
 from repro.core.protocol import Context
 from repro.core.runner import RunResult
 from repro.core.types import ProcessorId, Value
+from repro.core.validation import ValidationReport
 from repro.crypto.chains import SignatureChain
 from repro.network.topology import Grid
 
@@ -232,6 +233,34 @@ class Algorithm4(AgreementAlgorithm):
     def make_processor(self, pid: ProcessorId) -> Processor:
         return Algorithm4Processor(self.grid, self.values[pid])
 
+    def conditions(
+        self, result: RunResult, excused: frozenset[int] = frozenset()
+    ) -> ValidationReport:
+        """Lemma 2, with ``P`` the non-isolated set of the faulty and
+        *excused* processors: ``|P| ≥ N − 2·|faulty|``, and every member of
+        ``P`` gathered the signed value of every other member."""
+        lost = result.faulty | excused
+        p_set = nonisolated_set(self.grid, lost)
+        violations: list[str] = []
+        if len(p_set) < self.n - 2 * len(lost):
+            violations.append(
+                f"|P| = {len(p_set)} < N - 2·|faulty| = {self.n - 2 * len(lost)}"
+            )
+        for receiver in sorted(p_set):
+            exchange = result.processors[receiver].exchange  # type: ignore[attr-defined]
+            for source in sorted(p_set):
+                if not exchange.knows_value_of(source):
+                    violations.append(f"{receiver} missed the value of {source}")
+                elif self.values[source] not in exchange.gathered[source]:
+                    violations.append(f"{receiver} holds a wrong value for {source}")
+        return ValidationReport(
+            agreement=not violations,
+            validity=True,
+            all_decided=True,
+            violations=violations,
+            excused=frozenset(excused) & result.correct,
+        )
+
 
 def nonisolated_set(grid: Grid, faulty: frozenset[ProcessorId]) -> set[ProcessorId]:
     """Lemma 2's set ``P``: correct processors whose row has fewer than
@@ -244,28 +273,3 @@ def nonisolated_set(grid: Grid, faulty: frozenset[ProcessorId]) -> set[Processor
         if row_faulty < grid.m / 2:
             result.add(pid)
     return result
-
-
-def check_lemma2(result: RunResult, algorithm: Algorithm4) -> tuple[set[ProcessorId], list[str]]:
-    """Verify Lemma 2 on a finished Algorithm 4 run.
-
-    Returns the non-isolated set ``P`` and a list of violations (empty when
-    the lemma holds): ``|P| ≥ N − 2t`` and every member of ``P`` gathered
-    the signed value of every other member of ``P``.
-    """
-    grid = algorithm.grid
-    p_set = nonisolated_set(grid, result.faulty)
-    violations: list[str] = []
-    if len(p_set) < algorithm.n - 2 * len(result.faulty):
-        violations.append(
-            f"|P| = {len(p_set)} < N - 2·|faulty| = "
-            f"{algorithm.n - 2 * len(result.faulty)}"
-        )
-    for receiver in sorted(p_set):
-        exchange = result.processors[receiver].exchange  # type: ignore[attr-defined]
-        for source in sorted(p_set):
-            if not exchange.knows_value_of(source):
-                violations.append(f"{receiver} missed the value of {source}")
-            elif algorithm.values[source] not in exchange.gathered[source]:
-                violations.append(f"{receiver} holds a wrong value for {source}")
-    return p_set, violations

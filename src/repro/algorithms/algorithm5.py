@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.algorithms.algorithm2 import (
     Algorithm2,
@@ -64,9 +64,9 @@ from repro.algorithms.algorithm2 import (
 )
 from repro.algorithms.algorithm4 import GridExchange
 from repro.algorithms.base import AgreementAlgorithm, Processor
+from repro.algorithms.informed import is_proof_message
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Context
 from repro.core.types import ProcessorId, Value
 from repro.crypto.chains import SignatureChain
 from repro.network.topology import BinaryTree, Grid, TreeForest, smallest_square_above
@@ -150,15 +150,17 @@ class Algorithm5Schedule:
         return None
 
 
-def is_valid_message(
-    payload: object, t: int, alpha: int, ctx: Context
+def subtree_proven(
+    tree: BinaryTree, root_index: int, qualifies: Callable[[ProcessorId], bool]
 ) -> bool:
-    """The paper's validity test: a verified chain carrying at least
-    ``t + 1`` distinct signatures of active processors."""
-    if not isinstance(payload, SignatureChain) or not payload.verify(ctx.service):
-        return False
-    active_signers = {s for s in payload.signers if 0 <= s < alpha}
-    return len(active_signers) >= t + 1
+    """The paper's proof-of-work condition for one subtree: its root
+    qualifies, or both child subtrees hold a processor that does."""
+    if qualifies(tree.processor_at(root_index)):
+        return True
+    children = tree.children(root_index)
+    return len(children) == 2 and all(
+        any(qualifies(q) for q in tree.subtree_members(child)) for child in children
+    )
 
 
 def pi_counts(
@@ -219,7 +221,7 @@ class Algorithm5Active(Processor):
             return None
         if not proof.has_signed(self.ctx.pid):
             proof = proof.extend(self.ctx.key, self.ctx.service)
-        if is_valid_message(proof, self.ctx.t, self.alpha, self.ctx):
+        if is_proof_message(proof, self.ctx.t, self.alpha, self.ctx):
             return proof
         return None
 
@@ -227,7 +229,7 @@ class Algorithm5Active(Processor):
         for envelope in inbox:
             if self.valid_message is not None:
                 return
-            if is_valid_message(envelope.payload, self.ctx.t, self.alpha, self.ctx):
+            if is_proof_message(envelope.payload, self.ctx.t, self.alpha, self.ctx):
                 self.valid_message = envelope.payload
 
     def _root_pid(self, ref: SubtreeRef) -> ProcessorId:
@@ -256,7 +258,7 @@ class Algorithm5Active(Processor):
         for envelope in inbox:
             if envelope.src not in self._roots_contacted:
                 continue
-            if is_valid_message(envelope.payload, self.ctx.t, self.alpha, self.ctx):
+            if is_proof_message(envelope.payload, self.ctx.t, self.alpha, self.ctx):
                 chain: SignatureChain = envelope.payload
                 self._signers_seen.update(
                     s for s in chain.signers if s >= self.alpha
@@ -307,27 +309,12 @@ class Algorithm5Active(Processor):
         for tree_number, tree in enumerate(self.forest.trees):
             for root_index in tree.roots_at_depth(index):
                 ref = SubtreeRef(tree=tree_number, root_index=root_index)
-                if self._subtree_proven(tree, root_index, qualifies):
+                if subtree_proven(tree, root_index, qualifies):
                     new_c.append(ref)
                     new_proofs[ref] = proof
         self.c_set = new_c
         self.proofs = new_proofs
         self._exchange = None
-
-    def _subtree_proven(
-        self, tree: BinaryTree, root_index: int, qualifies
-    ) -> bool:
-        """The paper's proof-of-work condition for one subtree."""
-        root = tree.processor_at(root_index)
-        if qualifies(root):
-            return True
-        children = tree.children(root_index)
-        if len(children) < 2:
-            return False
-        return all(
-            any(qualifies(q) for q in tree.subtree_members(child))
-            for child in children
-        )
 
     # ----------------------------------------------------------------- phases
 
@@ -455,7 +442,7 @@ class Algorithm5Passive(Processor):
             self.first_valid = chain
 
     def _is_valid(self, payload: object) -> bool:
-        return is_valid_message(payload, self.ctx.t, self.alpha, self.ctx)
+        return is_proof_message(payload, self.ctx.t, self.alpha, self.ctx)
 
     # -------------------------------------------------------- proof checking
 
@@ -482,15 +469,7 @@ class Algorithm5Passive(Processor):
 
         pi = pi_counts(listed)
         threshold = self.alpha - 2 * self.ctx.t
-        if pi[self.ctx.pid] >= threshold:
-            return True
-        children = self.tree.children(self.heap_index)
-        if len(children) < 2:
-            return False
-        return all(
-            any(pi[q] >= threshold for q in self.tree.subtree_members(child))
-            for child in children
-        )
+        return subtree_proven(self.tree, self.heap_index, lambda q: pi[q] >= threshold)
 
     # ----------------------------------------------------------------- phases
 

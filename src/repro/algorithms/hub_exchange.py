@@ -30,6 +30,7 @@ from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
 from repro.core.runner import RunResult
 from repro.core.types import ProcessorId, Value
+from repro.core.validation import ValidationReport
 from repro.crypto.chains import SignatureChain
 
 
@@ -139,24 +140,26 @@ class HubExchange(AgreementAlgorithm):
     def make_processor(self, pid: ProcessorId) -> Processor:
         return HubProcessor(self.values[pid], self.relays)
 
-
-def check_full_exchange(
-    result: RunResult, algorithm: HubExchange
-) -> list[str]:
-    """The strong postcondition: every correct processor gathered the true
-    signed value of every correct processor.  Returns violations."""
-    violations: list[str] = []
-    # relays only guarantee delivery to non-relays plus themselves; a
-    # correct relay knows all, a non-relay learns via any correct relay.
-    for receiver in sorted(result.correct):
-        processor = result.processors[receiver]
-        for source in sorted(result.correct):
-            if source in algorithm.relays and receiver in algorithm.relays:
-                # relays do not bundle to each other; they heard sources
-                # directly at phase 1 (sources send to every relay).
-                pass
-            if not processor.knows_value_of(source):
-                violations.append(f"{receiver} missed the value of {source}")
-            elif algorithm.values[source] not in processor.gathered[source]:
-                violations.append(f"{receiver} holds a wrong value for {source}")
-    return violations
+    def conditions(
+        self, result: RunResult, excused: frozenset[int] = frozenset()
+    ) -> ValidationReport:
+        """The strong postcondition: every correct processor not in
+        *excused* gathered the true signed value of every such processor."""
+        judged = sorted(result.correct - excused)
+        violations: list[str] = []
+        # relays only guarantee delivery to non-relays plus themselves; a
+        # correct relay knows all, a non-relay learns via any correct relay.
+        for receiver in judged:
+            processor = result.processors[receiver]
+            for source in judged:
+                if not processor.knows_value_of(source):
+                    violations.append(f"{receiver} missed the value of {source}")
+                elif self.values[source] not in processor.gathered[source]:
+                    violations.append(f"{receiver} holds a wrong value for {source}")
+        return ValidationReport(
+            agreement=not violations,
+            validity=True,
+            all_decided=True,
+            violations=violations,
+            excused=frozenset(excused) & result.correct,
+        )

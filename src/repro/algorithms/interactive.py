@@ -29,7 +29,9 @@ from typing import Callable, Iterable, Sequence
 from repro.algorithms.base import AgreementAlgorithm, Processor
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
+from repro.core.runner import RunResult
 from repro.core.types import INPUT_SOURCE, ProcessorId, Value
+from repro.core.validation import ValidationReport
 from repro.crypto.signatures import SignatureService
 
 
@@ -213,22 +215,31 @@ class InteractiveConsistency(AgreementAlgorithm):
         inner_bound = self._inner[0].upper_bound_messages()
         return None if inner_bound is None else self.n * inner_bound
 
-
-def check_interactive_consistency(result, algorithm: InteractiveConsistency) -> list[str]:
-    """The [15] conditions: all correct processors hold the same vector,
-    and correct sources' slots are true.  Returns violations."""
-    violations: list[str] = []
-    vectors = {
-        pid: result.processors[pid].vector() for pid in sorted(result.correct)
-    }
-    distinct = {v for v in vectors.values()}
-    if len(distinct) > 1:
-        violations.append(f"correct processors hold {len(distinct)} different vectors")
-    for source in sorted(result.correct):
-        for pid, vector in sorted(vectors.items()):
-            if vector[source] != algorithm.values[source]:
-                violations.append(
-                    f"{pid} holds {vector[source]!r} for correct source "
-                    f"{source} (true value {algorithm.values[source]!r})"
-                )
-    return violations
+    def conditions(
+        self, result: RunResult, excused: frozenset[int] = frozenset()
+    ) -> ValidationReport:
+        """The [15] conditions on the correct processors not in *excused*:
+        they hold the same vector, and each one's slot in it is its value."""
+        judged = sorted(result.correct - excused)
+        vectors = {
+            pid: result.processors[pid].vector()  # type: ignore[attr-defined]
+            for pid in judged
+        }
+        violations: list[str] = []
+        distinct = set(vectors.values())
+        if len(distinct) > 1:
+            violations.append(f"correct processors hold {len(distinct)} different vectors")
+        wrong = [
+            f"{pid} holds {vector[source]!r} for correct source "
+            f"{source} (true value {self.values[source]!r})"
+            for source in judged
+            for pid, vector in sorted(vectors.items())
+            if vector[source] != self.values[source]
+        ]
+        return ValidationReport(
+            agreement=len(distinct) <= 1,
+            validity=not wrong,
+            all_decided=True,
+            violations=violations + wrong,
+            excused=frozenset(excused) & result.correct,
+        )

@@ -23,7 +23,7 @@ from repro.algorithms.active_set import ActiveSetBroadcast
 from repro.algorithms.algorithm1 import Algorithm1
 from repro.algorithms.algorithm2 import Algorithm2
 from repro.algorithms.algorithm3 import Algorithm3
-from repro.algorithms.algorithm4 import Algorithm4, check_lemma2
+from repro.algorithms.algorithm4 import Algorithm4, nonisolated_set
 from repro.algorithms.algorithm5 import Algorithm5
 from repro.algorithms.cheap_strawman import UnderSigningBroadcast
 from repro.algorithms.dolev_strong import DolevStrong
@@ -168,7 +168,8 @@ def experiment_e8(report: ExperimentReport) -> None:
     m, t = 4, 2
     algorithm = Algorithm4(m, t, {pid: ("v", pid) for pid in range(16)})
     result = run(algorithm, 0, SilentAdversary([0, 1]))
-    p_set, violations = check_lemma2(result, algorithm)
+    p_set = nonisolated_set(algorithm.grid, result.faulty)
+    violations = algorithm.conditions(result).violations
     report.add(
         "E8 / Theorem 6",
         "N=m² exchange: ≤ 3(m−1)m² messages, ≥ N−2t fully succeed",

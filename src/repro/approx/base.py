@@ -327,13 +327,17 @@ class RandomizedConsensus(AgreementAlgorithm):
         inputs: Sequence[int] | None = None,
     ) -> None:
         super().__init__(n, t)
-        if max_rounds < 1:
+        if (
+            isinstance(max_rounds, bool)
+            or not isinstance(max_rounds, int)
+            or max_rounds < 1
+        ):
             raise ConfigurationError(
-                f"max_rounds must be at least 1, got {max_rounds!r}"
+                f"max_rounds must be an int of at least 1, got {max_rounds!r}"
             )
         # Stored as ``m`` so the declared phase/message bounds can close
         # over it through bound_parameters().
-        self.m = int(max_rounds)
+        self.m = max_rounds
         if not 0.0 <= coin_bias <= 1.0:
             raise ConfigurationError(
                 f"coin_bias must be in [0, 1], got {coin_bias!r}"

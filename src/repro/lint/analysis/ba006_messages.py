@@ -32,6 +32,7 @@ from repro.bounds.expressions import (
 from repro.lint.analysis.callgraph import FunctionRecord, ProtocolGraph, protocol_graph
 from repro.lint.analysis.symbolic import (
     FanoutEstimate,
+    SiteFinder,
     accumulate_fanout,
     exceeds_everywhere,
 )
@@ -79,7 +80,7 @@ def message_sites(record: FunctionRecord) -> Iterator[ast.AST]:
             yield node
 
 
-def phase_reachable_methods(
+def _phase_reachable_methods(
     graph: ProtocolGraph, processor: str
 ) -> list[FunctionRecord]:
     """Methods executed by one ``on_phase`` call, via resolved edges.
@@ -97,19 +98,7 @@ def phase_reachable_methods(
     ]
 
 
-def instantiated_processors(
-    graph: ProtocolGraph, algorithm_node: ast.ClassDef
-) -> set[str]:
-    """Processor classes the algorithm constructs by name."""
-    found: set[str] = set()
-    for node in ast.walk(algorithm_node):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id in graph.processor_classes:
-                found.add(node.func.id)
-    return found
-
-
-def declared_bound(
+def _declared_bound(
     project: ProjectIndex, record: ClassRecord, attribute: str
 ) -> str | None:
     """The declared bound expression, or ``None`` when absent, a
@@ -124,10 +113,52 @@ def declared_bound(
     return declaration
 
 
-def bound_anchor(record: ClassRecord, node: ast.ClassDef, attribute: str) -> ast.AST:
-    """Anchor findings on the declaration when it is in this class body,
-    so a ``# noqa`` on the declaration line suppresses them."""
-    return record.attributes.get(attribute, node)
+def budget_findings(
+    rule_id: str,
+    file: SourceFile,
+    project: ProjectIndex,
+    attribute: str,
+    sites: SiteFinder,
+    verb: str,
+    noun: str,
+) -> Iterator[Finding]:
+    """Findings for every algorithm class of *file* one of whose
+    processors can, in a single ``on_phase`` call, reach more *sites*
+    than the algorithm's declared whole-run *attribute* allows."""
+    graph = protocol_graph(project)
+    estimates: dict[str, FanoutEstimate] = {}
+    for record in project.algorithm_classes.values():
+        if record.display != file.display:
+            continue
+        declaration = _declared_bound(project, record, attribute)
+        if declaration is None:
+            continue
+        for processor in sorted(graph.instantiated_processors(record.node)):
+            estimate = estimates.get(processor)
+            if estimate is None:
+                estimate = accumulate_fanout(
+                    _phase_reachable_methods(graph, processor), sites
+                )
+                estimates[processor] = estimate
+            if estimate.expr is None:
+                continue
+            exceeded = exceeds_everywhere(estimate.expr, declaration, SAMPLE_GRID)
+            if exceeded is None:
+                continue
+            point, static_value, declared_value = exceeded
+            sample = ", ".join(f"{name}={point[name]}" for name in ("n", "t"))
+            # Anchored on the declaration when it is in this class body,
+            # so a ``# noqa`` on the declaration line suppresses it.
+            yield file.finding(
+                record.attributes.get(attribute, record.node),
+                rule_id,
+                f"{processor} (used by {record.name}) can {verb} "
+                f"{estimate.expr} {noun} in a single on_phase call, "
+                f"which exceeds {attribute} = {declaration!r} at every "
+                f"sampled point (e.g. {sample}: {static_value} > "
+                f"{declared_value}); one invocation already overruns "
+                f"the whole-run budget",
+            )
 
 
 @register
@@ -141,43 +172,7 @@ class MessageBudgetRule(Rule):
         return file.protocol_code
 
     def check(self, file: SourceFile, project: ProjectIndex) -> Iterator[Finding]:
-        graph = protocol_graph(project)
-        estimates: dict[str, FanoutEstimate] = {}
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            record = project.algorithm_classes.get(node.name)
-            if record is None or record.display != file.display:
-                continue
-            declaration = declared_bound(project, record, "message_bound")
-            if declaration is None:
-                continue
-            for processor in sorted(instantiated_processors(graph, node)):
-                estimate = estimates.get(processor)
-                if estimate is None:
-                    estimate = accumulate_fanout(
-                        phase_reachable_methods(graph, processor),
-                        message_sites,
-                    )
-                    estimates[processor] = estimate
-                if estimate.expr is None:
-                    continue
-                exceeded = exceeds_everywhere(
-                    estimate.expr, declaration, SAMPLE_GRID
-                )
-                if exceeded is None:
-                    continue
-                point, static_value, declared_value = exceeded
-                sample = ", ".join(
-                    f"{name}={point[name]}" for name in ("n", "t")
-                )
-                yield file.finding(
-                    bound_anchor(record, node, "message_bound"),
-                    self.rule_id,
-                    f"{processor} (used by {node.name}) can emit "
-                    f"{estimate.expr} messages in a single on_phase call, "
-                    f"which exceeds message_bound = {declaration!r} at "
-                    f"every sampled point (e.g. {sample}: {static_value} "
-                    f"> {declared_value}); one invocation already overruns "
-                    f"the whole-run budget",
-                )
+        return budget_findings(
+            self.rule_id, file, project, "message_bound", message_sites,
+            "emit", "messages",
+        )

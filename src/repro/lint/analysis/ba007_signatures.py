@@ -11,9 +11,9 @@ Signing sites are the calls that mint new signatures in this codebase:
 ``service.sign(...)`` / ``ctx.sign(...)``, ``service.endorse(...)``,
 ``SignatureChain.initial(...)``, and ``chain.extend(key, service)``
 (recognised by a ``key`` argument, which distinguishes it from
-``list.extend``).  Multiplicities and the comparison grid are shared with
-BA006; unsized loops skip their sites, and a finding requires strict
-exceedance at every sampled point.
+``list.extend``).  The check is BA006's ``budget_findings`` over these
+sites and ``signature_bound``: unsized loops skip their sites, and a
+finding requires strict exceedance at every sampled point.
 """
 
 from __future__ import annotations
@@ -21,15 +21,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.analysis.ba006_messages import (
-    bound_anchor,
-    declared_bound,
-    instantiated_processors,
-    phase_reachable_methods,
-)
-from repro.lint.analysis.callgraph import FunctionRecord, protocol_graph
-from repro.bounds.expressions import SAMPLE_GRID
-from repro.lint.analysis.symbolic import FanoutEstimate, accumulate_fanout, exceeds_everywhere
+from repro.lint.analysis.ba006_messages import budget_findings
+from repro.lint.analysis.callgraph import FunctionRecord
 from repro.lint.engine import Finding, ProjectIndex, Rule, SourceFile, register
 
 #: attribute calls that always mint exactly one new signature.
@@ -71,43 +64,7 @@ class SignatureBudgetRule(Rule):
         return file.protocol_code
 
     def check(self, file: SourceFile, project: ProjectIndex) -> Iterator[Finding]:
-        graph = protocol_graph(project)
-        estimates: dict[str, FanoutEstimate] = {}
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            record = project.algorithm_classes.get(node.name)
-            if record is None or record.display != file.display:
-                continue
-            declaration = declared_bound(project, record, "signature_bound")
-            if declaration is None:
-                continue
-            for processor in sorted(instantiated_processors(graph, node)):
-                estimate = estimates.get(processor)
-                if estimate is None:
-                    estimate = accumulate_fanout(
-                        phase_reachable_methods(graph, processor),
-                        signature_sites,
-                    )
-                    estimates[processor] = estimate
-                if estimate.expr is None:
-                    continue
-                exceeded = exceeds_everywhere(
-                    estimate.expr, declaration, SAMPLE_GRID
-                )
-                if exceeded is None:
-                    continue
-                point, static_value, declared_value = exceeded
-                sample = ", ".join(
-                    f"{name}={point[name]}" for name in ("n", "t")
-                )
-                yield file.finding(
-                    bound_anchor(record, node, "signature_bound"),
-                    self.rule_id,
-                    f"{processor} (used by {node.name}) can create "
-                    f"{estimate.expr} signatures in a single on_phase "
-                    f"call, which exceeds signature_bound = "
-                    f"{declaration!r} at every sampled point (e.g. "
-                    f"{sample}: {static_value} > {declared_value}); one "
-                    f"invocation already overruns the whole-run budget",
-                )
+        return budget_findings(
+            self.rule_id, file, project, "signature_bound", signature_sites,
+            "create", "signatures",
+        )

@@ -341,18 +341,11 @@ class UnverifiedRelayRule(Rule):
         signatures to check, so the taint discipline does not apply.
         Processors no known algorithm instantiates default to checked.
         """
-        users = []
-        for algorithm, record in project.algorithm_classes.items():
-            node = graph.class_nodes.get(algorithm)
-            if node is None:
-                continue
-            if any(
-                isinstance(call, ast.Call)
-                and isinstance(call.func, ast.Name)
-                and call.func.id == class_name
-                for call in ast.walk(node)
-            ):
-                users.append(record)
+        users = [
+            record
+            for record in project.algorithm_classes.values()
+            if class_name in graph.instantiated_processors(record.node)
+        ]
         if not users:
             return True
         for record in users:

@@ -57,8 +57,6 @@ class ProtocolGraph:
     calls: dict[str, CallSummary] = field(default_factory=dict)
     #: class name -> methods defined in its own body (name -> qname).
     own_methods: dict[str, dict[str, str]] = field(default_factory=dict)
-    class_nodes: dict[str, ast.ClassDef] = field(default_factory=dict)
-    class_files: dict[str, SourceFile] = field(default_factory=dict)
     #: module display -> module-level functions (name -> qname).
     module_functions: dict[str, dict[str, str]] = field(default_factory=dict)
     #: bare name -> every module-level function qname with that name.
@@ -70,37 +68,29 @@ class ProtocolGraph:
 
     def resolve_method(self, class_name: str, method: str) -> str | None:
         """Find *method* on *class_name* or its statically-known bases."""
-        seen: set[str] = set()
-        queue = [class_name]
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            qname = self.own_methods.get(current, {}).get(method)
+        for name in self.project.lineage(class_name):
+            qname = self.own_methods.get(name, {}).get(method)
             if qname is not None:
                 return qname
-            record = self.project.classes.get(current)
-            if record is not None:
-                queue.extend(record.bases)
         return None
 
     def resolved_methods(self, class_name: str) -> dict[str, str]:
         """Every method visible on *class_name* (nearest definition wins)."""
         methods: dict[str, str] = {}
-        seen: set[str] = set()
-        queue = [class_name]
-        while queue:
-            current = queue.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            for name, qname in self.own_methods.get(current, {}).items():
-                methods.setdefault(name, qname)
-            record = self.project.classes.get(current)
-            if record is not None:
-                queue.extend(record.bases)
+        for name in self.project.lineage(class_name):
+            for method, qname in self.own_methods.get(name, {}).items():
+                methods.setdefault(method, qname)
         return methods
+
+    def instantiated_processors(self, algorithm: ast.ClassDef) -> set[str]:
+        """Processor classes the *algorithm* class constructs by name."""
+        return {
+            node.func.id
+            for node in ast.walk(algorithm)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in self.processor_classes
+        }
 
     # -- closures ------------------------------------------------------
 
@@ -170,7 +160,7 @@ def _extract_calls(graph: ProtocolGraph, record: FunctionRecord) -> CallSummary:
         func = node.func
         if isinstance(func, ast.Name):
             summary.names.add(func.id)
-            if func.id in graph.class_nodes:
+            if func.id in graph.project.classes:
                 summary.instantiated.add(func.id)
             elif func.id in module:
                 summary.resolved.add(module[func.id])
@@ -184,7 +174,7 @@ def _extract_calls(graph: ProtocolGraph, record: FunctionRecord) -> CallSummary:
                     resolved = graph.resolve_method(record.class_name, func.attr)
                     if resolved is not None:
                         summary.resolved.add(resolved)
-            elif isinstance(value, ast.Name) and value.id in graph.class_nodes:
+            elif isinstance(value, ast.Name) and value.id in graph.project.classes:
                 # ClassName.method(self, ...) delegation.
                 resolved = graph.resolve_method(value.id, func.attr)
                 if resolved is not None:
@@ -196,10 +186,6 @@ def build_graph(project: ProjectIndex) -> ProtocolGraph:
     """Build the call graph over ``project.files`` (no memoization)."""
     graph = ProtocolGraph(project=project)
     for file in project.files:
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.ClassDef):
-                graph.class_nodes[node.name] = node
-                graph.class_files[node.name] = file
         for node, class_name in _function_defs(file):
             scope = f"{class_name}." if class_name else ""
             qname = f"{file.display}::{scope}{node.name}"
@@ -218,22 +204,7 @@ def build_graph(project: ProjectIndex) -> ProtocolGraph:
                 graph.by_name.setdefault(node.name, []).append(qname)
             else:
                 graph.own_methods.setdefault(class_name, {})[node.name] = qname
-    # Fixpoint: transitive Processor subclasses, mirroring how the engine
-    # finds algorithm classes.
-    processors: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, record in project.classes.items():
-            if name in processors:
-                continue
-            if any(
-                base == PROCESSOR_BASE or base in processors
-                for base in record.bases
-            ):
-                processors.add(name)
-                changed = True
-    graph.processor_classes = processors
+    graph.processor_classes = project.subclasses(PROCESSOR_BASE)
     for record in graph.functions.values():
         graph.calls[record.qname] = _extract_calls(graph, record)
     return graph

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 import ast
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,8 +138,7 @@ class ClassRecord:
 
     name: str
     display: str
-    lineno: int
-    column: int
+    node: ast.ClassDef
     bases: tuple[str, ...]
     #: simple ``name = value`` / annotated assignments in the class body.
     attributes: dict[str, ast.expr]
@@ -157,22 +157,40 @@ class ProjectIndex:
     #: analysis name, so expensive whole-program passes build them once.
     caches: dict[str, object] = field(default_factory=dict)
 
+    def lineage(self, name: str) -> Iterator[str]:
+        """*name* and its statically-known bases, breadth-first, each once.
+
+        A base outside the index is yielded but not followed, so the
+        nearest definition comes first and a cycle ends.
+        """
+        seen = {name}
+        queue = [name]
+        for current in queue:  # the loop reaches what it appends
+            yield current
+            record = self.classes.get(current)
+            if record is None:
+                continue
+            for base in record.bases:
+                if base not in seen:
+                    seen.add(base)
+                    queue.append(base)
+
+    def subclasses(self, root: str) -> set[str]:
+        """The indexed classes with *root* in their lineage, after themselves."""
+        return {
+            name
+            for name in self.classes
+            if root in itertools.islice(self.lineage(name), 1, None)
+        }
+
     def resolve_class_attribute(
         self, record: ClassRecord, attribute: str
     ) -> ast.expr | None:
         """Look *attribute* up along the statically-known base chain."""
-        seen: set[str] = set()
-        queue = [record]
-        while queue:
-            current = queue.pop(0)
-            if current.name in seen:
-                continue
-            seen.add(current.name)
-            if attribute in current.attributes:
-                return current.attributes[attribute]
-            for base in current.bases:
-                if base in self.classes:
-                    queue.append(self.classes[base])
+        for name in self.lineage(record.name):
+            found = self.classes.get(name)
+            if found is not None and attribute in found.attributes:
+                return found.attributes[attribute]
         return None
 
 
@@ -287,35 +305,19 @@ def _class_attributes(node: ast.ClassDef) -> dict[str, ast.expr]:
 
 def _build_index(files: Iterable[SourceFile]) -> ProjectIndex:
     index = ProjectIndex()
-    bases_of: dict[str, tuple[str, ...]] = {}
     for file in files:
         for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            record = ClassRecord(
-                name=node.name,
-                display=file.display,
-                lineno=node.lineno,
-                column=node.col_offset + 1,
-                bases=_base_names(node),
-                attributes=_class_attributes(node),
-            )
-            index.classes[node.name] = record
-            bases_of[node.name] = record.bases
-    # Fixpoint: a class is an algorithm class when any statically-visible
-    # base is AgreementAlgorithm or another algorithm class.
-    algorithmic: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for name, bases in bases_of.items():
-            if name in algorithmic:
-                continue
-            if any(base == "AgreementAlgorithm" or base in algorithmic for base in bases):
-                algorithmic.add(name)
-                changed = True
+            if isinstance(node, ast.ClassDef):
+                index.classes[node.name] = ClassRecord(
+                    name=node.name,
+                    display=file.display,
+                    node=node,
+                    bases=_base_names(node),
+                    attributes=_class_attributes(node),
+                )
     index.algorithm_classes = {
-        name: index.classes[name] for name in sorted(algorithmic)
+        name: index.classes[name]
+        for name in sorted(index.subclasses("AgreementAlgorithm"))
     }
     return index
 

@@ -75,20 +75,12 @@ class BoundDeclarationRule(Rule):
     summary = "algorithms must declare paper bounds that match the closed forms"
 
     def check(self, file: SourceFile, project: ProjectIndex) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            record = project.algorithm_classes.get(node.name)
-            if record is None or record.display != file.display:
-                continue
-            yield from self._check_class(file, node, record, project)
+        for record in project.algorithm_classes.values():
+            if record.display == file.display:
+                yield from self._check_class(file, record, project)
 
     def _check_class(
-        self,
-        file: SourceFile,
-        node: ast.ClassDef,
-        record: ClassRecord,
-        project: ProjectIndex,
+        self, file: SourceFile, record: ClassRecord, project: ProjectIndex
     ) -> Iterator[Finding]:
         required = ["phase_bound", "message_bound"]
         if self._is_authenticated(record, project):
@@ -98,9 +90,9 @@ class BoundDeclarationRule(Rule):
             declaration_node = record.attributes.get(attribute)
             if declaration_node is None:
                 yield file.finding(
-                    node,
+                    record.node,
                     self.rule_id,
-                    f"algorithm class {node.name!r} does not declare "
+                    f"algorithm class {record.name!r} does not declare "
                     f"{attribute!r} in its own body",
                 )
                 continue
@@ -109,7 +101,7 @@ class BoundDeclarationRule(Rule):
                 yield file.finding(
                     declaration_node,
                     self.rule_id,
-                    f"{node.name}.{attribute} must be a string literal "
+                    f"{record.name}.{attribute} must be a string literal "
                     f"(a bound expression, 'derived' or 'unstated')",
                 )
                 continue
@@ -125,7 +117,7 @@ class BoundDeclarationRule(Rule):
             canonical = paper.get(attribute)
             if canonical is not None:
                 yield from self._cross_check(
-                    file, declaration_node, node.name, attribute,
+                    file, declaration_node, record.name, attribute,
                     declaration, canonical,
                 )
 

@@ -22,7 +22,6 @@ implementation against it (``strawman-overshoot`` declares an honest
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.bounds.expressions import (
@@ -45,23 +44,6 @@ from repro.lint.engine import (
 _APPROX_ROOT = "ApproximateAgreement"
 
 
-def _is_approx_subclass(record: ClassRecord, project: ProjectIndex) -> bool:
-    """Whether *record* transitively subclasses ``ApproximateAgreement``."""
-    seen: set[str] = set()
-    queue = list(record.bases)
-    while queue:
-        base = queue.pop(0)
-        if base in seen:
-            continue
-        seen.add(base)
-        if base == _APPROX_ROOT:
-            return True
-        parent = project.classes.get(base)
-        if parent is not None:
-            queue.extend(parent.bases)
-    return False
-
-
 @register
 class ConvergenceRateRule(Rule):
     """BA010: ε-agreement algorithms declare a contraction rate in (0, 1)."""
@@ -70,30 +52,21 @@ class ConvergenceRateRule(Rule):
     summary = "approximate algorithms must declare a convergence rate in (0, 1)"
 
     def check(self, file: SourceFile, project: ProjectIndex) -> Iterator[Finding]:
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            # The full class index, not just algorithm_classes: a subclass
-            # naming ``ApproximateAgreement`` as a base is in scope even
-            # when the abstract root itself is outside the linted paths.
-            record = project.classes.get(node.name)
-            if record is None or record.display != file.display:
-                continue
-            if node.name == _APPROX_ROOT:
-                continue
-            if not _is_approx_subclass(record, project):
-                continue
-            yield from self._check_class(file, node, record)
+        # The full class index, not just algorithm_classes: a subclass
+        # naming ``ApproximateAgreement`` as a base is in scope even when
+        # the abstract root itself is outside the linted paths.
+        approximate = project.subclasses(_APPROX_ROOT)
+        for record in project.classes.values():
+            if record.display == file.display and record.name in approximate:
+                yield from self._check_class(file, record)
 
-    def _check_class(
-        self, file: SourceFile, node: ast.ClassDef, record: ClassRecord
-    ) -> Iterator[Finding]:
+    def _check_class(self, file: SourceFile, record: ClassRecord) -> Iterator[Finding]:
         declaration_node = record.attributes.get("convergence_rate")
         if declaration_node is None:
             yield file.finding(
-                node,
+                record.node,
                 self.rule_id,
-                f"approximate algorithm {node.name!r} does not declare "
+                f"approximate algorithm {record.name!r} does not declare "
                 f"'convergence_rate' in its own body (the per-round "
                 f"diameter contraction its round budget is derived from)",
             )
@@ -103,7 +76,7 @@ class ConvergenceRateRule(Rule):
             yield file.finding(
                 declaration_node,
                 self.rule_id,
-                f"{node.name}.convergence_rate must be a string literal "
+                f"{record.name}.convergence_rate must be a string literal "
                 f"bound expression (e.g. '1 / 2' or 't / (n - 2*t)')",
             )
             return
@@ -117,7 +90,7 @@ class ConvergenceRateRule(Rule):
                 yield file.finding(
                     declaration_node,
                     self.rule_id,
-                    f"{node.name}.convergence_rate = {declaration!r} does "
+                    f"{record.name}.convergence_rate = {declaration!r} does "
                     f"not evaluate to a contraction at {sample}: {error}",
                 )
                 return
@@ -127,7 +100,7 @@ class ConvergenceRateRule(Rule):
                 yield file.finding(
                     declaration_node,
                     self.rule_id,
-                    f"{node.name}.convergence_rate = {declaration!r} must "
+                    f"{record.name}.convergence_rate = {declaration!r} must "
                     f"be a concrete expression, not a sentinel — the round "
                     f"budget m is derived from the rate",
                 )

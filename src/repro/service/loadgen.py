@@ -27,6 +27,7 @@ a fixed seed prints the same verdict multiset on every run.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -94,7 +95,8 @@ def parse_mix(spec: str) -> list[MixItem]:
     ``n`` and ``t`` are required in every clause; remaining pairs become
     constructor params (``s``, ``eps``, ``max_rounds`` …).  The trailing
     ``:WEIGHT`` defaults to 1.  Raises :class:`MixSpecError` on unknown
-    algorithms, missing ``n``/``t``, or non-positive weights.
+    algorithms, missing ``n``/``t``, or a weight that is not positive and
+    finite.
     """
     items: list[MixItem] = []
     for clause in spec.split(";"):
@@ -130,8 +132,10 @@ def parse_mix(spec: str) -> list[MixItem]:
                 raise MixSpecError(
                     f"mix clause {clause!r}: weight {pieces[2]!r} is not a number"
                 ) from None
-        if weight <= 0:
-            raise MixSpecError(f"mix clause {clause!r}: weight must be positive")
+        if not 0 < weight < math.inf:
+            raise MixSpecError(
+                f"mix clause {clause!r}: weight must be positive and finite"
+            )
         n = int(pairs.pop("n"))
         t = int(pairs.pop("t"))
         items.append(

@@ -7,11 +7,7 @@ from repro.adversary.standard import (
     ScriptedAdversary,
     SilentAdversary,
 )
-from repro.algorithms.algorithm4 import (
-    Algorithm4,
-    check_lemma2,
-    nonisolated_set,
-)
+from repro.algorithms.algorithm4 import Algorithm4, nonisolated_set
 from repro.bounds.formulas import theorem6_message_upper_bound
 from repro.core.errors import ConfigurationError
 from repro.core.runner import run
@@ -40,8 +36,8 @@ class TestFaultFree:
     def test_everyone_learns_everything(self, m):
         algorithm = Algorithm4(m, max(1, m // 2) if m > 1 else 0, values_for(m * m))
         result = run(algorithm, 0)
-        p_set, violations = check_lemma2(result, algorithm)
-        assert not violations
+        assert algorithm.conditions(result).violations == []
+        p_set = nonisolated_set(algorithm.grid, result.faulty)
         assert p_set == set(range(m * m))
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
@@ -68,8 +64,8 @@ class TestLemma2UnderFaults:
         # both faults in row 0: rows 1..3 stay clean, row 0 survivors have
         # half their row faulty and fall out of P.
         result = run(algorithm, 0, SilentAdversary([0, 1]))
-        p_set, violations = check_lemma2(result, algorithm)
-        assert not violations
+        assert algorithm.conditions(result).violations == []
+        p_set = nonisolated_set(algorithm.grid, result.faulty)
         assert p_set == set(range(4, 16))
 
     def test_spread_faults_keep_everyone_nonisolated(self):
@@ -77,16 +73,15 @@ class TestLemma2UnderFaults:
         algorithm = Algorithm4(m, t, values_for(m * m))
         # one fault in each of two different rows: < m/2 = 2 per row.
         result = run(algorithm, 0, SilentAdversary([0, 5]))
-        p_set, violations = check_lemma2(result, algorithm)
-        assert not violations
+        assert algorithm.conditions(result).violations == []
+        p_set = nonisolated_set(algorithm.grid, result.faulty)
         assert p_set == set(range(16)) - {0, 5}
 
     def test_garbage_bundles_rejected(self):
         m, t = 3, 2
         algorithm = Algorithm4(m, t, values_for(9))
         result = run(algorithm, 0, GarbageAdversary([0, 4]))
-        _, violations = check_lemma2(result, algorithm)
-        assert not violations
+        assert algorithm.conditions(result).violations == []
 
     def test_lying_relay_cannot_corrupt_values(self):
         """A faulty processor forwarding altered bundles cannot make a
@@ -107,13 +102,37 @@ class TestLemma2UnderFaults:
             return []
 
         result = run(algorithm, 0, ScriptedAdversary([4], script))
-        p_set, violations = check_lemma2(result, algorithm)
-        assert not violations
+        assert algorithm.conditions(result).violations == []
+        p_set = nonisolated_set(algorithm.grid, result.faulty)
         for receiver in p_set:
             exchange = result.processors[receiver].exchange
             for source, values in exchange.gathered.items():
                 if source != 4:
                     assert values == {("value-of", source)}
+
+
+class TestConditions:
+    def test_missed_and_wrong_values_are_violations_unless_excused(self):
+        algorithm = Algorithm4(3, 1, values_for(9))
+        result = run(algorithm, 0)
+        gathered = result.processors[3].exchange.gathered
+        del gathered[8]
+        gathered[2] = {("value-of", 99)}
+        report = algorithm.conditions(result)
+        assert not report.ok
+        assert report.violations == [
+            "3 holds a wrong value for 2", "3 missed the value of 8",
+        ]
+        assert algorithm.conditions(result, frozenset({3})).ok
+
+    def test_p_is_taken_over_the_faulty_and_excused(self):
+        """Excusing two of row 0's members isolates the third, as two
+        faulty members would."""
+        algorithm = Algorithm4(3, 2, values_for(9))
+        result = run(algorithm, 0)
+        del result.processors[2].exchange.gathered[5]
+        assert not algorithm.conditions(result).ok
+        assert algorithm.conditions(result, frozenset({0, 1})).ok
 
 
 class TestNonIsolatedSet:

@@ -7,7 +7,7 @@ from repro.adversary.standard import (
     ScriptedAdversary,
     SilentAdversary,
 )
-from repro.algorithms.hub_exchange import HubExchange, check_full_exchange
+from repro.algorithms.hub_exchange import HubExchange
 from repro.core.errors import ConfigurationError
 from repro.core.runner import run
 
@@ -34,7 +34,7 @@ class TestFaultFree:
     def test_everyone_learns_everyone(self, n, t):
         algorithm = HubExchange(n, t, values_for(n))
         result = run(algorithm, 0)
-        assert check_full_exchange(result, algorithm) == []
+        assert algorithm.conditions(result).violations == []
 
     @pytest.mark.parametrize("n,t", [(5, 1), (10, 2), (20, 3)])
     def test_message_count_matches_papers_formula(self, n, t):
@@ -50,7 +50,7 @@ class TestByzantineResilience:
         n, t = 12, 3
         algorithm = HubExchange(n, t, values_for(n))
         result = run(algorithm, 0, SilentAdversary(list(range(t))))
-        assert check_full_exchange(result, algorithm) == []
+        assert algorithm.conditions(result).violations == []
 
     def test_lying_relay_cannot_corrupt_values(self):
         """A relay rewriting bundle contents fails verification — receivers
@@ -67,8 +67,7 @@ class TestByzantineResilience:
 
         algorithm = HubExchange(n, t, values_for(n))
         result = run(algorithm, 0, ScriptedAdversary([0], script))
-        violations = check_full_exchange(result, algorithm)
-        assert violations == []
+        assert algorithm.conditions(result).violations == []
         # the fake value is attributed to the faulty relay only.
         for receiver in sorted(result.correct)[t + 1 :]:
             gathered = result.processors[receiver].gathered
@@ -80,7 +79,22 @@ class TestByzantineResilience:
         n, t = 10, 2
         algorithm = HubExchange(n, t, values_for(n))
         result = run(algorithm, 0, GarbageAdversary([5]))
-        assert check_full_exchange(result, algorithm) == []
+        assert algorithm.conditions(result).violations == []
+
+
+class TestConditions:
+    def test_missed_and_wrong_values_are_violations_unless_excused(self):
+        algorithm = HubExchange(5, 1, values_for(5))
+        result = run(algorithm, 0)
+        gathered = result.processors[3].gathered
+        del gathered[4]
+        gathered[2] = {("v", 99)}
+        report = algorithm.conditions(result)
+        assert not report.ok
+        assert report.violations == [
+            "3 holds a wrong value for 2", "3 missed the value of 4",
+        ]
+        assert algorithm.conditions(result, frozenset({3})).ok
 
 
 class TestComparisonWithGrid:

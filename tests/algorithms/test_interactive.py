@@ -8,10 +8,7 @@ from repro.adversary.standard import (
     SilentAdversary,
 )
 from repro.algorithms.dolev_strong import DolevStrong
-from repro.algorithms.interactive import (
-    InteractiveConsistency,
-    check_interactive_consistency,
-)
+from repro.algorithms.interactive import InteractiveConsistency
 from repro.algorithms.oral_messages import OralMessages
 from repro.core.errors import ConfigurationError
 from repro.core.runner import run
@@ -44,7 +41,7 @@ class TestFaultFree:
     def test_everyone_holds_the_true_vector(self):
         algorithm = make()
         result = run(algorithm, "v0")
-        assert check_interactive_consistency(result, algorithm) == []
+        assert algorithm.conditions(result).violations == []
         for pid in result.correct:
             assert result.processors[pid].vector() == tuple(
                 f"v{i}" for i in range(7)
@@ -53,7 +50,7 @@ class TestFaultFree:
     def test_unauthenticated_inner(self):
         algorithm = make(inner=OralMessages, values=list(range(7)))
         result = run(algorithm, 0)
-        assert check_interactive_consistency(result, algorithm) == []
+        assert algorithm.conditions(result).violations == []
 
     def test_within_message_bound(self):
         algorithm = make()
@@ -61,11 +58,26 @@ class TestFaultFree:
         assert result.metrics.messages_by_correct <= algorithm.upper_bound_messages()
 
 
+class TestConditions:
+    def test_split_vectors_and_wrong_slots_are_violations_unless_excused(self):
+        algorithm = make(n=5, t=1)
+        result = run(algorithm, "v0")
+        copies = result.processors[3].copies
+        copies[1].decision = lambda: "forged"
+        report = algorithm.conditions(result)
+        assert (report.agreement, report.validity) == (False, False)
+        assert report.violations == [
+            "correct processors hold 2 different vectors",
+            "3 holds 'forged' for correct source 1 (true value 'v1')",
+        ]
+        assert algorithm.conditions(result, frozenset({3})).ok
+
+
 class TestByzantineResilience:
     def test_silent_sources_default_consistently(self):
         algorithm = make()
         result = run(algorithm, "v0", SilentAdversary([2, 5]))
-        assert check_interactive_consistency(result, algorithm) == []
+        assert algorithm.conditions(result).violations == []
         vectors = {result.processors[p].vector() for p in result.correct}
         assert len(vectors) == 1
         vector = vectors.pop()
@@ -76,14 +88,14 @@ class TestByzantineResilience:
     def test_garbage_across_all_instances(self):
         algorithm = make(inner=OralMessages, values=list(range(7)))
         result = run(algorithm, 0, GarbageAdversary([4], forge=False))
-        assert check_interactive_consistency(result, algorithm) == []
+        assert algorithm.conditions(result).violations == []
 
     @pytest.mark.parametrize("seed", range(4))
     def test_randomized_chaos(self, seed):
         algorithm = make()
         adversary = RandomizedAdversary([1, 6], seed)
         result = run(algorithm, "v0", adversary)
-        assert check_interactive_consistency(result, algorithm) == []
+        assert algorithm.conditions(result).violations == []
 
     def test_signature_rotation_is_unforgeable_across_instances(self):
         """Real processor 3 signs as virtual 0 in instance 3 only; no other

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.algorithms.algorithm4 import Algorithm4
+from repro.algorithms.dolev_strong import DolevStrong
+from repro.algorithms.hub_exchange import HubExchange
+from repro.algorithms.interactive import InteractiveConsistency
 from repro.algorithms.registry import get
 from repro.analysis.sweep import measure
 from repro.core.errors import ValidationError
@@ -77,6 +81,24 @@ class TestValidityCondition:
     )
     def test_a_nan_input_every_processor_decided_is_valid(self, name, n, t):
         assert measure(get(name)(n, t), float("nan")).agreement_ok
+
+
+class TestExchangeConditions:
+    """Exchange algorithms are judged by their own conditions, not BA's."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: HubExchange(7, 2, {pid: pid for pid in range(7)}),
+            lambda: Algorithm4(3, 1, {pid: pid for pid in range(9)}),
+            lambda: InteractiveConsistency(
+                5, 1, values=range(5), inner_factory=DolevStrong
+            ),
+        ],
+        ids=["hub-exchange", "algorithm-4", "interactive-consistency"],
+    )
+    def test_a_fault_free_run_passes(self, build):
+        assert measure(build(), 0).agreement_ok
 
 
 class TestRequireAgreement:

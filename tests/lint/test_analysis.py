@@ -54,6 +54,62 @@ def parse_expr(source: str) -> ast.expr:
 
 
 # ---------------------------------------------------------------------------
+# class hierarchy
+
+
+class TestLineage:
+    SOURCE = {
+        "proto/mod.py": (
+            "class Top(External):\n"
+            "    pass\n"
+            "\n"
+            "\n"
+            "class Left(Top):\n"
+            "    pass\n"
+            "\n"
+            "\n"
+            "class Right(Top):\n"
+            "    pass\n"
+            "\n"
+            "\n"
+            "class Bottom(Left, Right):\n"
+            "    pass\n"
+            "\n"
+            "\n"
+            "class Ping(Pong):\n"
+            "    pass\n"
+            "\n"
+            "\n"
+            "class Pong(Ping):\n"
+            "    pass\n"
+        ),
+    }
+
+    def test_a_diamond_yields_each_base_once_breadth_first(self):
+        project = build_project(self.SOURCE)
+        assert list(project.lineage("Bottom")) == [
+            "Bottom", "Left", "Right", "Top", "External",
+        ]
+
+    def test_a_cycle_ends(self):
+        project = build_project(self.SOURCE)
+        assert list(project.lineage("Ping")) == ["Ping", "Pong"]
+        assert project.subclasses("Ping") == {"Pong"}
+
+    def test_a_base_outside_the_index_is_yielded_but_not_followed(self):
+        project = build_project(self.SOURCE)
+        assert "External" not in project.classes
+        assert list(project.lineage("Top")) == ["Top", "External"]
+        assert list(project.lineage("External")) == ["External"]
+
+    def test_subclasses_exclude_the_root(self):
+        project = build_project(self.SOURCE)
+        assert project.subclasses("Top") == {"Left", "Right", "Bottom"}
+        assert project.subclasses("External") == {"Top", "Left", "Right", "Bottom"}
+        assert project.subclasses("Bottom") == set()
+
+
+# ---------------------------------------------------------------------------
 # call graph
 
 

@@ -566,6 +566,7 @@ class TestBadInputExits2:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"repro {argv[0]}: ") and err.count("\n") == 1
+        return err
 
     @pytest.mark.parametrize(
         "command", ["run", "trace", "conformance", "theorem1", "theorem2"]
@@ -634,6 +635,22 @@ class TestBadInputExits2:
     )
     def test_non_finite_number(self, capsys, argv):
         self.assert_usage_error(capsys, argv)
+
+    def test_loadgen_max_rounds_not_an_int(self, capsys):
+        err = self.assert_usage_error(
+            capsys,
+            ["loadgen", "--requests", "5", "--workers", "1",
+             "--mix", "ben-or:n=6,t=1,max_rounds=2.5"],
+        )
+        assert "max_rounds must be an int of at least 1, got 2.5" in err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_loadgen_mix_weight_not_positive_and_finite(self, capsys, weight):
+        clause = f"phase-king:n=8,t=1:{weight}"
+        err = self.assert_usage_error(
+            capsys, ["loadgen", "--requests", "5", "--workers", "1", "--mix", clause]
+        )
+        assert f"mix clause {clause!r}: weight must be positive and finite" in err
 
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_fuzz_budget_below_one(self, capsys, budget):
@@ -997,6 +1014,18 @@ class TestServiceCli:
                 "midpoint-approx rejects n=7, t=2, params={'eps': inf}: "
                 "eps must be positive and finite",
                 id="eps-infinity",
+            ),
+            *(
+                pytest.param(
+                    {**GOOD_REQUEST, "algorithm": "ben-or", "n": 6, "t": 1,
+                     "params": {"max_rounds": rounds}},
+                    f"ben-or rejects n=6, t=1, params={{'max_rounds': {rounds!r}}}: "
+                    f"max_rounds must be an int of at least 1, got {rounds!r}",
+                    id=f"max-rounds-{name}",
+                )
+                for name, rounds in (
+                    ("infinity", float("inf")), ("nan", float("nan")), ("fraction", 2.5)
+                )
             ),
             pytest.param(
                 {**GOOD_REQUEST, "algorithm": "algorithm-1", "n": 7, "t": 3, "value": 7},

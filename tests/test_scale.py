@@ -11,7 +11,7 @@ import pytest
 from repro.adversary.standard import RandomizedAdversary, SilentAdversary
 from repro.algorithms.active_set import ActiveSetBroadcast
 from repro.algorithms.algorithm3 import Algorithm3
-from repro.algorithms.algorithm4 import Algorithm4, check_lemma2
+from repro.algorithms.algorithm4 import Algorithm4
 from repro.algorithms.algorithm5 import Algorithm5
 from repro.algorithms.oral_messages import OralMessages
 from repro.core.runner import run
@@ -56,8 +56,7 @@ class TestScale:
         m = 10
         algorithm = Algorithm4(m, 4, {pid: pid for pid in range(100)})
         result = run(algorithm, 0, SilentAdversary([0, 1, 2, 3]))
-        _, violations = check_lemma2(result, algorithm)
-        assert not violations
+        assert algorithm.conditions(result).violations == []
 
     def test_oral_messages_t4_exponential_but_finishes(self):
         algorithm = OralMessages(13, 4)
