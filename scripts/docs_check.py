@@ -151,8 +151,8 @@ def check_schema_pin(path: Path, attribute: str, errors: list[str]) -> None:
     """Fail unless *path* mentions the current value of ``repro.<attribute>``."""
     sys.path.insert(0, str(REPO / "src"))
     try:
-        from repro.obs import TRACE_SCHEMA
-        from repro.service import SERVICE_SCHEMA
+        from repro.obs.events import TRACE_SCHEMA
+        from repro.service.request import SERVICE_SCHEMA
     finally:
         sys.path.remove(str(REPO / "src"))
     schema = {"TRACE_SCHEMA": TRACE_SCHEMA, "SERVICE_SCHEMA": SERVICE_SCHEMA}[

@@ -29,54 +29,38 @@ Quickstart::
     print(result.metrics.messages_by_correct, "messages")
 """
 
-# repro.core must initialise before repro.adversary: the runner (part of
-# core) depends on the adversary interface, so core's __init__ drives that
-# import chain in the order that avoids a cycle.
-from repro.core import (
-    AgreementAlgorithm,
-    ConfigurationError,
-    Context,
-    Envelope,
-    History,
-    MetricsLedger,
-    Processor,
-    ReproError,
-    RunResult,
-    ValidationReport,
-    check_byzantine_agreement,
-    require_agreement,
-    run,
-)
-from repro.adversary import (
-    Adversary,
+from repro.adversary.base import Adversary, NullAdversary
+from repro.adversary.lowerbound import IgnoreFirstAdversary, ReplayAdversary
+from repro.adversary.standard import (
     CrashAdversary,
     EquivocatingTransmitter,
     GarbageAdversary,
-    IgnoreFirstAdversary,
-    NullAdversary,
-    ReplayAdversary,
     ScriptedAdversary,
     SelectiveSilenceAdversary,
     SilentAdversary,
     SimulatingAdversary,
 )
-from repro.algorithms import (
-    ALGORITHMS,
-    ActiveSetBroadcast,
-    Algorithm1,
-    Algorithm2,
-    Algorithm3,
-    Algorithm4,
-    Algorithm5,
-    DolevStrong,
-    OralMessages,
-)
-from repro.bounds import (
-    formulas,
-    theorem1_experiment,
-    theorem2_experiment,
-)
-from repro.crypto import Signature, SignatureChain, SignatureService
+from repro.algorithms.active_set import ActiveSetBroadcast
+from repro.algorithms.algorithm1 import Algorithm1
+from repro.algorithms.algorithm2 import Algorithm2
+from repro.algorithms.algorithm3 import Algorithm3
+from repro.algorithms.algorithm4 import Algorithm4
+from repro.algorithms.algorithm5 import Algorithm5
+from repro.algorithms.dolev_strong import DolevStrong
+from repro.algorithms.oral_messages import OralMessages
+from repro.algorithms.registry import ALGORITHMS
+from repro.bounds import formulas
+from repro.bounds.theorem1 import theorem1_experiment
+from repro.bounds.theorem2 import theorem2_experiment
+from repro.core.errors import ConfigurationError, ReproError
+from repro.core.history import History
+from repro.core.message import Envelope
+from repro.core.metrics import MetricsLedger
+from repro.core.protocol import AgreementAlgorithm, Context, Processor
+from repro.core.runner import RunResult, run
+from repro.core.validation import ValidationReport, check_byzantine_agreement, require_agreement
+from repro.crypto.chains import SignatureChain
+from repro.crypto.signatures import Signature, SignatureService
 
 __version__ = "1.0.0"
 

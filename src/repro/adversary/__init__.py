@@ -1,48 +1,2 @@
 """Adversary strategies, from stock Byzantine behaviours to the paper's
 lower-bound proof constructions."""
-
-from repro.adversary.base import (
-    Adversary,
-    AdversaryEnvironment,
-    FaultySend,
-    NullAdversary,
-    PhaseView,
-)
-from repro.adversary.lowerbound import (
-    IgnoreFirstAdversary,
-    ReplayAdversary,
-    Theorem2SwitchAdversary,
-    build_split_plan,
-)
-from repro.adversary.standard import (
-    ComposedAdversary,
-    CrashAdversary,
-    EquivocatingTransmitter,
-    GarbageAdversary,
-    RandomizedAdversary,
-    ScriptedAdversary,
-    SelectiveSilenceAdversary,
-    SilentAdversary,
-    SimulatingAdversary,
-)
-
-__all__ = [
-    "Adversary",
-    "AdversaryEnvironment",
-    "ComposedAdversary",
-    "CrashAdversary",
-    "EquivocatingTransmitter",
-    "FaultySend",
-    "GarbageAdversary",
-    "IgnoreFirstAdversary",
-    "NullAdversary",
-    "PhaseView",
-    "RandomizedAdversary",
-    "ReplayAdversary",
-    "ScriptedAdversary",
-    "SelectiveSilenceAdversary",
-    "SilentAdversary",
-    "SimulatingAdversary",
-    "Theorem2SwitchAdversary",
-    "build_split_plan",
-]

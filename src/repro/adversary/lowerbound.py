@@ -20,8 +20,9 @@ from typing import Iterable, Mapping, Sequence
 from repro.adversary.base import Adversary, FaultySend, PhaseView
 from repro.adversary.standard import SimulatingAdversary
 from repro.core.history import History, edge_payloads
-from repro.core.message import Envelope, Outgoing
+from repro.core.message import Envelope, Outgoing, iter_payload_parts
 from repro.core.types import ProcessorId
+from repro.crypto.signatures import Signature
 
 #: phase -> list of (src, dst, payload): a complete faulty-traffic script.
 ReplayPlan = dict[int, list[FaultySend]]
@@ -54,9 +55,6 @@ class ReplayAdversary(Adversary):
         """
         env = self.env
         assert env is not None
-        from repro.core.message import iter_payload_parts
-        from repro.crypto.signatures import Signature
-
         for sends in self.plan.values():
             for _, _, payload in sends:
                 for part in iter_payload_parts(payload):

@@ -24,14 +24,11 @@ from dataclasses import replace
 from typing import Iterable, Sequence
 
 from repro.algorithms.algorithm3 import count_value_endorsements, unique_majority_value
-from repro.algorithms.base import (
-    DEFAULT_VALUE,
-    AgreementAlgorithm,
-    Processor,
-)
+from repro.algorithms.base import DEFAULT_VALUE
 from repro.algorithms.dolev_strong import DolevStrong, DolevStrongProcessor
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
+from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.types import ProcessorId, Value
 from repro.crypto.chains import SignatureChain
 

@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.algorithms.base import AgreementAlgorithm, Processor, input_value_from
+from repro.algorithms.base import input_value_from
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
+from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.types import ProcessorId, Value
 from repro.crypto.chains import SignatureChain
 from repro.network.topology import BipartiteRelayGraph

@@ -51,10 +51,9 @@ from repro.algorithms.algorithm1 import (
     Algorithm1Processor,
     Algorithm1Transmitter,
 )
-from repro.algorithms.base import AgreementAlgorithm, Processor
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Context
+from repro.core.protocol import AgreementAlgorithm, Context, Processor
 from repro.core.types import ProcessorId, Value
 from repro.crypto.chains import SignatureChain
 

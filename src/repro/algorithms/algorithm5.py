@@ -63,10 +63,10 @@ from repro.algorithms.algorithm2 import (
     Algorithm2Transmitter,
 )
 from repro.algorithms.algorithm4 import GridExchange
-from repro.algorithms.base import AgreementAlgorithm, Processor
 from repro.algorithms.informed import is_proof_message
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
+from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.types import ProcessorId, Value
 from repro.crypto.chains import SignatureChain
 from repro.network.topology import BinaryTree, Grid, TreeForest, smallest_square_above

@@ -15,16 +15,9 @@ from __future__ import annotations
 from typing import Final
 
 from repro.core.message import Envelope
-from repro.core.protocol import AgreementAlgorithm, Context, Processor
 from repro.core.types import Value
 
-__all__ = [
-    "AgreementAlgorithm",
-    "Context",
-    "Processor",
-    "DEFAULT_VALUE",
-    "input_value_from",
-]
+__all__ = ["DEFAULT_VALUE", "input_value_from"]
 
 #: The value correct processors fall back to when the transmitter is exposed
 #: as faulty.  The paper's binary proofs use 0; any fixed element of V works.

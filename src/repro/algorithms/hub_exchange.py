@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
-from repro.algorithms.base import AgreementAlgorithm, Processor
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
+from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.runner import RunResult
 from repro.core.types import ProcessorId, Value
 from repro.core.validation import ValidationReport

@@ -31,10 +31,9 @@ from repro.algorithms.algorithm2 import (
     Algorithm2Processor,
     Algorithm2Transmitter,
 )
-from repro.algorithms.base import AgreementAlgorithm, Processor
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
-from repro.core.protocol import Context
+from repro.core.protocol import AgreementAlgorithm, Context, Processor
 from repro.core.types import ProcessorId, Value
 from repro.crypto.chains import SignatureChain
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from repro.algorithms.base import AgreementAlgorithm, Processor
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
+from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.runner import RunResult
 from repro.core.types import INPUT_SOURCE, ProcessorId, Value
 from repro.core.validation import ValidationReport

@@ -14,8 +14,9 @@ Byzantine Agreement conditions (agreement constrains faulty transmitters
 no further), and is the well-known price of the bit-wise reduction.
 
 Cost: ``w`` times the binary algorithm's messages in the same number of
-phases (copies run concurrently; per-copy messages are tagged and bundled
-per destination so the message *count* reflects the actual envelopes).
+phases.  The copies run concurrently, and each message of a copy travels
+in its own envelope, tagged with the copy's bit; nothing is bundled per
+destination, so the message count is the sum of the copies' counts.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from repro.algorithms.base import AgreementAlgorithm, Processor, input_value_from
+from repro.algorithms.base import input_value_from
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
+from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.types import ProcessorId, Value
 
 

@@ -33,14 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.algorithms.base import (
-    DEFAULT_VALUE,
-    AgreementAlgorithm,
-    Processor,
-    input_value_from,
-)
+from repro.algorithms.base import DEFAULT_VALUE, input_value_from
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
+from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.types import ProcessorId, Value
 
 

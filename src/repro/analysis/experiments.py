@@ -27,6 +27,7 @@ from repro.algorithms.algorithm4 import Algorithm4, nonisolated_set
 from repro.algorithms.algorithm5 import Algorithm5
 from repro.algorithms.cheap_strawman import UnderSigningBroadcast
 from repro.algorithms.dolev_strong import DolevStrong
+from repro.algorithms.informed import InformedAlgorithm2
 from repro.algorithms.oral_messages import OralMessages
 from repro.analysis.parallel import sweep_parallel
 from repro.analysis.report import ExperimentReport
@@ -246,8 +247,6 @@ def experiment_e11(report: ExperimentReport) -> None:
 
 def experiment_e12(report: ExperimentReport) -> None:
     """The informing ablation: chains beat fan-outs fault-free."""
-    from repro.algorithms.informed import InformedAlgorithm2
-
     n, t = 60, 2
     grid = [
         ({"strategy": name}, partial(build, n, t))

@@ -28,20 +28,3 @@ probabilistic claims are judged by the dependency-free statistical
 helpers in :mod:`repro.approx.stats` (seeded KS / χ² assertions,
 geometric round-count tails).
 """
-
-from repro.approx.base import ApproximateAgreement, RandomizedConsensus
-from repro.approx.benor import BenOr
-from repro.approx.coins import CoinSource
-from repro.approx.filtered_mean import FilteredMeanApprox
-from repro.approx.midpoint import MidpointApprox
-from repro.approx.strawman import OvershootMidpoint
-
-__all__ = [
-    "ApproximateAgreement",
-    "RandomizedConsensus",
-    "BenOr",
-    "CoinSource",
-    "FilteredMeanApprox",
-    "MidpointApprox",
-    "OvershootMidpoint",
-]

@@ -41,13 +41,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Sequence
 
+from repro.approx.coins import CoinSource
+from repro.bounds.expressions import evaluate_rate
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.types import ProcessorId, Value
 from repro.core.validation import EPS_VIOLATION, ValidationReport
-
-from repro.approx.coins import CoinSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
     from repro.core.runner import RunResult
@@ -114,8 +114,6 @@ class ApproximateAgreement(AgreementAlgorithm):
 
     def contraction_rate(self) -> Fraction:
         """The declared per-round contraction, evaluated exactly."""
-        from repro.bounds.expressions import evaluate_rate
-
         rate = evaluate_rate(self.convergence_rate, self.bound_parameters())
         if rate is None:
             raise ConfigurationError(

@@ -31,6 +31,8 @@ from typing import Callable, Sequence
 
 from repro.approx.benor import BenOr
 from repro.approx.coins import CoinSource
+from repro.approx.filtered_mean import FilteredMeanApprox
+from repro.approx.midpoint import MidpointApprox
 from repro.core.runner import RunResult, run
 
 __all__ = [
@@ -263,9 +265,6 @@ def run_statistical_smoke(seed: int = 0) -> dict[str, object]:
     Deterministic for a fixed *seed*; raises ``AssertionError`` with the
     failing measurement on any miss, returns the measurements otherwise.
     """
-    from repro.approx.filtered_mean import FilteredMeanApprox
-    from repro.approx.midpoint import MidpointApprox
-
     report: dict[str, object] = {"seed": seed}
 
     coins = CoinSource(seed)

@@ -25,9 +25,16 @@ from repro.analysis.parallel import default_workers, sweep_parallel
 from repro.analysis.tables import format_table
 from repro.core.batch import run_batch
 from repro.core.runner import run
-from repro.obs.export import batch_case, bench_document, runner_case, service_case
-from repro.obs.export import sweep_case, write_bench
-from repro.service import Scheduler, generate_schedule
+from repro.obs.export import (
+    batch_case,
+    bench_document,
+    runner_case,
+    service_case,
+    sweep_case,
+    write_bench,
+)
+from repro.service.loadgen import generate_schedule
+from repro.service.scheduler import Scheduler
 
 
 class Work(NamedTuple):

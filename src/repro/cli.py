@@ -160,7 +160,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     transport = None
     faults_spec = getattr(args, "faults", None)
     if faults_spec:
-        from repro.transport import FaultSpecError, FaultyTransport, parse_fault_plan
+        from repro.transport.faulty import FaultyTransport
+        from repro.transport.spec import FaultSpecError, parse_fault_plan
 
         try:
             plan = parse_fault_plan(
@@ -177,7 +178,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace_sink = None
     sinks: tuple = ()
     if trace_out:
-        from repro.obs import JsonlTraceSink
+        from repro.obs.events import JsonlTraceSink
 
         trace_sink = JsonlTraceSink(trace_out)
         sinks = (trace_sink,)
@@ -218,7 +219,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if trace_out:
         print(f"trace written        : {trace_out}")
     if metrics_out:
-        from repro.obs import write_metrics
+        from repro.obs.export import write_metrics
 
         written = write_metrics(result, metrics_out)
         print(f"metrics written      : {metrics_out} ({written})")
@@ -229,7 +230,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     """`repro inspect`: summarize and verify a repro-trace/1 file."""
     import json
 
-    from repro.obs import render_summary, summarize_trace
+    from repro.obs.inspect import render_summary, summarize_trace
 
     try:
         summary = summarize_trace(args.trace)
@@ -349,17 +350,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     import repro
-    from repro.lint import (
-        BaselineError,
-        apply_baseline,
-        explain_rule,
-        lint_paths,
-        load_baseline,
-        render_json,
-        render_sarif,
-        render_text,
-        write_baseline,
-    )
+    from repro.lint.baseline import BaselineError, apply_baseline, load_baseline, write_baseline
+    from repro.lint.engine import lint_paths
+    from repro.lint.report import explain_rule, render_json, render_sarif, render_text
 
     if args.explain:
         explanation = explain_rule(args.explain)
@@ -437,7 +430,7 @@ def _serve_and_report(schedule, args: argparse.Namespace, command: str) -> int:
     import json
 
     from repro.obs.export import write_service_metrics
-    from repro.service import Scheduler
+    from repro.service.scheduler import Scheduler
 
     with Scheduler(workers=args.workers) as scheduler:
         report = scheduler.serve(schedule)
@@ -505,7 +498,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     """
     import json
 
-    from repro.service import DEFAULT_MIX, MixSpecError, generate_schedule
+    from repro.service.loadgen import DEFAULT_MIX, MixSpecError, generate_schedule
 
     try:
         schedule = generate_schedule(
@@ -545,8 +538,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import json
     import math
 
-    from repro.service import AgreementRequest, RequestFormatError, ScheduledRequest
     from repro.service.cache import build_arena
+    from repro.service.request import AgreementRequest, RequestFormatError, ScheduledRequest
 
     source = args.input
     try:
@@ -597,17 +590,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     as replayable JSON (replay one with ``--replay FILE``).
     """
     from repro.analysis.parallel import run_tasks
-    from repro.fuzz import (
-        CorpusEntry,
-        load_entry,
+    from repro.fuzz.campaign import (
+        default_algorithm_names,
+        known_algorithm_names,
         plan_cases,
-        replay_entry,
-        save_entry,
-        save_trace,
         shrink_result,
         summarize,
     )
-    from repro.fuzz.campaign import default_algorithm_names, known_algorithm_names
+    from repro.fuzz.corpus import CorpusEntry, load_entry, replay_entry, save_entry, save_trace
 
     if args.replay:
         try:

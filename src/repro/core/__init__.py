@@ -1,71 +1,1 @@
 """Core model: messages, histories, protocols, the runner, validation."""
-
-from repro.core.conformance import (
-    PhaseDeviation,
-    ProcessorConformance,
-    behaviourally_faulty,
-    check_conformance,
-    conformance_of,
-)
-from repro.core.errors import (
-    AdversaryError,
-    ConfigurationError,
-    ForgeryError,
-    ProtocolViolationError,
-    ReproError,
-    ValidationError,
-)
-from repro.core.history import History, IndividualSubhistory, LabeledEdge, PhaseGraph
-from repro.core.message import Envelope, Outgoing, canonical, payload_digest
-from repro.core.metrics import MetricsLedger, count_signatures
-from repro.core.protocol import AgreementAlgorithm, Context, Processor
-from repro.core.runner import RunResult, run
-from repro.core.types import (
-    BINARY_VALUES,
-    INPUT_SOURCE,
-    TRANSMITTER,
-    ProcessorId,
-    Value,
-)
-from repro.core.validation import (
-    ValidationReport,
-    check_byzantine_agreement,
-    require_agreement,
-)
-
-__all__ = [
-    "AdversaryError",
-    "AgreementAlgorithm",
-    "BINARY_VALUES",
-    "ConfigurationError",
-    "Context",
-    "Envelope",
-    "ForgeryError",
-    "History",
-    "INPUT_SOURCE",
-    "IndividualSubhistory",
-    "LabeledEdge",
-    "MetricsLedger",
-    "Outgoing",
-    "PhaseDeviation",
-    "PhaseGraph",
-    "Processor",
-    "ProcessorConformance",
-    "ProcessorId",
-    "ProtocolViolationError",
-    "ReproError",
-    "RunResult",
-    "TRANSMITTER",
-    "ValidationError",
-    "behaviourally_faulty",
-    "ValidationReport",
-    "Value",
-    "canonical",
-    "check_byzantine_agreement",
-    "check_conformance",
-    "conformance_of",
-    "count_signatures",
-    "payload_digest",
-    "require_agreement",
-    "run",
-]

@@ -22,6 +22,7 @@ from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, ClassVar, Iterable, Sequence
 
+from repro.bounds.expressions import evaluate_bound
 from repro.core.errors import ConfigurationError
 from repro.core.message import Envelope, Outgoing
 from repro.core.types import (
@@ -288,10 +289,6 @@ class AgreementAlgorithm(abc.ABC):
 
     def declared_bound(self, declaration: str | None) -> int | None:
         """Evaluate one declared bound expression at this configuration."""
-        # Imported lazily: repro.bounds pulls in the executable proofs,
-        # which themselves run algorithms through repro.core.
-        from repro.bounds.expressions import evaluate_bound
-
         return evaluate_bound(declaration, self.bound_parameters())
 
     def upper_bound_phases(self) -> int | None:

@@ -1,13 +1,1 @@
 """Simulated authentication: the registry-oracle signature scheme."""
-
-from repro.crypto.chains import SignatureChain, chain_body, forge_chain
-from repro.crypto.signatures import Signature, SignatureService, SigningKey
-
-__all__ = [
-    "Signature",
-    "SignatureChain",
-    "SignatureService",
-    "SigningKey",
-    "chain_body",
-    "forge_chain",
-]

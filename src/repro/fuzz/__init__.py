@@ -18,70 +18,3 @@ fault plans with ``fault_rate=``), whose cases run in order on
 and a corpus replay all run a :class:`~repro.fuzz.campaign.FuzzCase`
 through :meth:`~repro.fuzz.campaign.FuzzCase.execute`.
 """
-
-from repro.core.validation import BOUND, OK, SAFETY
-from repro.fuzz.campaign import (
-    FUZZ_CONFIGS,
-    FuzzCase,
-    FuzzResult,
-    plan_cases,
-    shrink_result,
-    summarize,
-)
-from repro.fuzz.corpus import (
-    CorpusEntry,
-    load_entries,
-    load_entry,
-    replay_entry,
-    save_entry,
-    save_trace,
-)
-from repro.fuzz.generator import generate_script
-from repro.fuzz.mutations import (
-    MUTATION_KINDS,
-    DropInbound,
-    DropOutbound,
-    Equivocate,
-    ForgeAttempt,
-    GarbleOutbound,
-    Mutation,
-    ReplayStale,
-    SelectiveSilence,
-)
-from repro.fuzz.oracle import CRASH, FuzzOutcome, execute_script
-from repro.fuzz.script import AdversaryScript, ScriptAdversary
-from repro.fuzz.shrinker import shrink_script
-
-__all__ = [
-    "AdversaryScript",
-    "ScriptAdversary",
-    "Mutation",
-    "MUTATION_KINDS",
-    "DropInbound",
-    "DropOutbound",
-    "SelectiveSilence",
-    "Equivocate",
-    "ForgeAttempt",
-    "GarbleOutbound",
-    "ReplayStale",
-    "generate_script",
-    "FuzzOutcome",
-    "execute_script",
-    "OK",
-    "SAFETY",
-    "BOUND",
-    "CRASH",
-    "shrink_script",
-    "CorpusEntry",
-    "save_entry",
-    "save_trace",
-    "load_entry",
-    "load_entries",
-    "replay_entry",
-    "FuzzCase",
-    "FuzzResult",
-    "FUZZ_CONFIGS",
-    "plan_cases",
-    "shrink_result",
-    "summarize",
-]

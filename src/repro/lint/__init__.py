@@ -36,46 +36,3 @@ Run it as ``repro lint [paths] [--format=text|json|sarif]``; see
 ``repro lint --explain BA006`` for any rule's rationale, and
 ``--baseline lint_baseline.json`` for the grandfathering CI gate.
 """
-
-from repro.lint.baseline import (
-    BaselineEntry,
-    BaselineError,
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.engine import (
-    Finding,
-    LintEngine,
-    LintReport,
-    ProjectIndex,
-    Rule,
-    SourceFile,
-    all_rules,
-    lint_paths,
-    register,
-)
-from repro.lint.report import explain_rule, render_json, render_sarif, render_text
-
-__all__ = [
-    "BaselineEntry",
-    "BaselineError",
-    "BaselineResult",
-    "Finding",
-    "LintEngine",
-    "LintReport",
-    "ProjectIndex",
-    "Rule",
-    "SourceFile",
-    "all_rules",
-    "apply_baseline",
-    "explain_rule",
-    "lint_paths",
-    "load_baseline",
-    "register",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "write_baseline",
-]

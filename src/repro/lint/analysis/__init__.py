@@ -20,14 +20,3 @@ them:
 Everything here works purely on the ASTs the engine already parsed; the
 graph is built once per run and memoized on ``ProjectIndex.caches``.
 """
-
-from repro.lint.analysis.callgraph import FunctionRecord, ProtocolGraph, protocol_graph
-from repro.lint.analysis.symbolic import FanoutEstimate, exceeds_everywhere
-
-__all__ = [
-    "FanoutEstimate",
-    "FunctionRecord",
-    "ProtocolGraph",
-    "exceeds_everywhere",
-    "protocol_graph",
-]

@@ -127,7 +127,7 @@ def budget_findings(
     than the algorithm's declared whole-run *attribute* allows."""
     graph = protocol_graph(project)
     estimates: dict[str, FanoutEstimate] = {}
-    for record in project.algorithm_classes.values():
+    for record in project.algorithm_classes:
         if record.display != file.display:
             continue
         declaration = _declared_bound(project, record, attribute)

@@ -343,7 +343,7 @@ class UnverifiedRelayRule(Rule):
         """
         users = [
             record
-            for record in project.algorithm_classes.values()
+            for record in project.algorithm_classes
             if class_name in graph.instantiated_processors(record.node)
         ]
         if not users:

@@ -1,13 +1,15 @@
 """BA009: no shared-state mutation reachable from sweep worker entries.
 
-The parallel sweep engine (:mod:`repro.analysis.parallel`, PR 2) fans
-scenario tasks out to worker threads/processes.  Its correctness — and
-the trustworthiness of every message/signature count a sweep reports —
+The parallel executor (:mod:`repro.analysis.parallel`) fans tasks out
+to a pool of worker processes, and both sweeps and the service run
+their stripes on that pool.  Its correctness — and the trustworthiness
+of every message/signature count a sweep or the service reports —
 assumes tasks are *pure*: a task may build its own processors and
 runners, but must never write state visible to another task.  A
 ``global`` statement or a ``SomeClass.attr = ...`` class-attribute store
 anywhere in code reachable from the worker entry points is exactly the
-hazard that turns a 16-way sweep into a data race.
+hazard that makes a result depend on which worker ran which stripe, and
+on what that worker ran before.
 
 Reachability starts from every function defined in a ``parallel.py``
 module.  Because the worker dispatch is duck-typed (``task.run()``), an

@@ -2,11 +2,12 @@
 
 The graph is deliberately modest: it resolves the call shapes that
 actually occur in protocol code — ``self.method()`` through the static
-base chain, ``ClassName.method(self, ...)`` delegation, bare module-level
-function calls (same module first, then a project-wide name match), and
-``ClassName(...)`` instantiations — and records every *unresolved* callee
-name so analyses can treat attribute calls like ``chain.verify()`` as
-semantic markers without knowing the receiver's type.
+base chain, ``ClassName.method(self, ...)`` delegation, and bare
+module-level function calls (same module first, then a project-wide name
+match; a ``ClassName(...)`` instantiation resolves to no function) — and
+records every *unresolved* callee name so analyses can treat attribute
+calls like ``chain.verify()`` as semantic markers without knowing the
+receiver's type.
 
 Built once per lint run and memoized on ``ProjectIndex.caches``.
 """
@@ -44,8 +45,6 @@ class CallSummary:
     resolved: set[str] = field(default_factory=set)
     #: every callee name seen (attribute or bare), resolved or not.
     names: set[str] = field(default_factory=set)
-    #: class names constructed via a direct ``ClassName(...)`` call.
-    instantiated: set[str] = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -161,8 +160,8 @@ def _extract_calls(graph: ProtocolGraph, record: FunctionRecord) -> CallSummary:
         if isinstance(func, ast.Name):
             summary.names.add(func.id)
             if func.id in graph.project.classes:
-                summary.instantiated.add(func.id)
-            elif func.id in module:
+                continue  # ``ClassName(...)`` constructs: no function to resolve.
+            if func.id in module:
                 summary.resolved.add(module[func.id])
             else:
                 summary.resolved.update(graph.by_name.get(func.id, ()))
@@ -204,7 +203,9 @@ def build_graph(project: ProjectIndex) -> ProtocolGraph:
                 graph.by_name.setdefault(node.name, []).append(qname)
             else:
                 graph.own_methods.setdefault(class_name, {})[node.name] = qname
-    graph.processor_classes = project.subclasses(PROCESSOR_BASE)
+    graph.processor_classes = {
+        record.name for record in project.subclasses(PROCESSOR_BASE)
+    }
     for record in graph.functions.values():
         graph.calls[record.qname] = _extract_calls(graph, record)
     return graph

@@ -149,45 +149,56 @@ class ProjectIndex:
     """Cross-file facts: every class definition, and which of them are
     (transitively) ``AgreementAlgorithm`` subclasses."""
 
+    #: Every class definition, in file order; two classes may share a name.
+    records: list[ClassRecord] = field(default_factory=list)
+    #: class name -> its last definition, which base names resolve to.
     classes: dict[str, ClassRecord] = field(default_factory=dict)
-    algorithm_classes: dict[str, ClassRecord] = field(default_factory=dict)
+    algorithm_classes: list[ClassRecord] = field(default_factory=list)
     #: Every parsed file of the run, for whole-program analyses.
     files: list[SourceFile] = field(default_factory=list)
     #: Memoized per-run artifacts (e.g. the protocol call graph) keyed by
     #: analysis name, so expensive whole-program passes build them once.
     caches: dict[str, object] = field(default_factory=dict)
 
-    def lineage(self, name: str) -> Iterator[str]:
-        """*name* and its statically-known bases, breadth-first, each once.
+    def lineage(self, start: ClassRecord | str) -> Iterator[str]:
+        """A class's name and its statically-known bases, breadth-first,
+        each once.
 
-        A base outside the index is yielded but not followed, so the
-        nearest definition comes first and a cycle ends.
+        *start* is a record, whose own bases are read from it, or a class
+        name; every base name resolves through :attr:`classes`.  A base
+        outside the index is yielded but not followed, so the nearest
+        definition comes first and a cycle ends.
         """
-        seen = {name}
-        queue = [name]
-        for current in queue:  # the loop reaches what it appends
+        if isinstance(start, str):
+            queue = [(start, self.classes.get(start))]
+        else:
+            queue = [(start.name, start)]
+        seen = {queue[0][0]}
+        for current, record in queue:  # the loop reaches what it appends
             yield current
-            record = self.classes.get(current)
             if record is None:
                 continue
             for base in record.bases:
                 if base not in seen:
                     seen.add(base)
-                    queue.append(base)
+                    queue.append((base, self.classes.get(base)))
 
-    def subclasses(self, root: str) -> set[str]:
-        """The indexed classes with *root* in their lineage, after themselves."""
-        return {
-            name
-            for name in self.classes
-            if root in itertools.islice(self.lineage(name), 1, None)
-        }
+    def subclasses(self, root: str) -> list[ClassRecord]:
+        """The class definitions with *root* in their lineage, after themselves."""
+        return [
+            record
+            for record in self.records
+            if root in itertools.islice(self.lineage(record), 1, None)
+        ]
 
     def resolve_class_attribute(
         self, record: ClassRecord, attribute: str
     ) -> ast.expr | None:
-        """Look *attribute* up along the statically-known base chain."""
-        for name in self.lineage(record.name):
+        """Look *attribute* up in *record*, then along its statically-known
+        base chain."""
+        if attribute in record.attributes:
+            return record.attributes[attribute]
+        for name in itertools.islice(self.lineage(record), 1, None):
             found = self.classes.get(name)
             if found is not None and attribute in found.attributes:
                 return found.attributes[attribute]
@@ -308,17 +319,16 @@ def _build_index(files: Iterable[SourceFile]) -> ProjectIndex:
     for file in files:
         for node in ast.walk(file.tree):
             if isinstance(node, ast.ClassDef):
-                index.classes[node.name] = ClassRecord(
+                record = ClassRecord(
                     name=node.name,
                     display=file.display,
                     node=node,
                     bases=_base_names(node),
                     attributes=_class_attributes(node),
                 )
-    index.algorithm_classes = {
-        name: index.classes[name]
-        for name in sorted(index.subclasses("AgreementAlgorithm"))
-    }
+                index.records.append(record)
+                index.classes[node.name] = record
+    index.algorithm_classes = index.subclasses("AgreementAlgorithm")
     return index
 
 

@@ -75,7 +75,7 @@ class BoundDeclarationRule(Rule):
     summary = "algorithms must declare paper bounds that match the closed forms"
 
     def check(self, file: SourceFile, project: ProjectIndex) -> Iterator[Finding]:
-        for record in project.algorithm_classes.values():
+        for record in project.algorithm_classes:
             if record.display == file.display:
                 yield from self._check_class(file, record, project)
 

@@ -55,9 +55,8 @@ class ConvergenceRateRule(Rule):
         # The full class index, not just algorithm_classes: a subclass
         # naming ``ApproximateAgreement`` as a base is in scope even when
         # the abstract root itself is outside the linted paths.
-        approximate = project.subclasses(_APPROX_ROOT)
-        for record in project.classes.values():
-            if record.display == file.display and record.name in approximate:
+        for record in project.subclasses(_APPROX_ROOT):
+            if record.display == file.display:
                 yield from self._check_class(file, record)
 
     def _check_class(self, file: SourceFile, record: ClassRecord) -> Iterator[Finding]:

@@ -1,17 +1,1 @@
 """Logical topologies used by the paper's algorithms."""
-
-from repro.network.topology import (
-    BinaryTree,
-    BipartiteRelayGraph,
-    Grid,
-    TreeForest,
-    smallest_square_above,
-)
-
-__all__ = [
-    "BinaryTree",
-    "BipartiteRelayGraph",
-    "Grid",
-    "TreeForest",
-    "smallest_square_above",
-]

@@ -2,12 +2,12 @@
 
 The observability layer over the lock-step runner.  Three pieces:
 
-* :mod:`repro.obs.events` — the :class:`EventSink` protocol and the
+* :mod:`repro.obs.events` — the ``EventSink`` protocol and the
   ``repro-trace/1`` JSONL sink the runner streams schema-versioned events
   into (``run_start``, ``phase_start``, ``send``, ``deliver``, ``decide``,
   ``run_end``);
-* :mod:`repro.obs.telemetry` — :class:`RunTelemetry` phase/handler timing
-  with an injectable :class:`Clock` for deterministic tests;
+* :mod:`repro.obs.telemetry` — ``RunTelemetry`` phase/handler timing
+  with an injectable ``Clock`` for deterministic tests;
 * :mod:`repro.obs.export` / :mod:`repro.obs.inspect` — render a finished
   run as Prometheus text or bench-comparable JSON, and summarise a saved
   trace back into per-phase histograms and adaptive-cost figures.
@@ -15,57 +15,3 @@ The observability layer over the lock-step runner.  Three pieces:
 See ``docs/telemetry.md`` for the trace schema and worked examples, and
 ``docs/architecture.md`` for where this layer sits in the package map.
 """
-
-from repro.obs.events import (
-    EVENT_KINDS,
-    TRACE_SCHEMA,
-    EventSink,
-    JsonlTraceSink,
-    ListSink,
-    read_events,
-)
-from repro.obs.export import (
-    bench_json,
-    prometheus_metrics,
-    prometheus_service_metrics,
-    service_bench_json,
-    write_metrics,
-    write_service_metrics,
-)
-from repro.obs.inspect import (
-    TraceFormatError,
-    TraceSummary,
-    render_summary,
-    summarize_trace,
-)
-from repro.obs.telemetry import (
-    SYSTEM_CLOCK,
-    Clock,
-    PhaseTiming,
-    RunTelemetry,
-    TickClock,
-)
-
-__all__ = [
-    "EVENT_KINDS",
-    "SYSTEM_CLOCK",
-    "TRACE_SCHEMA",
-    "Clock",
-    "EventSink",
-    "JsonlTraceSink",
-    "ListSink",
-    "PhaseTiming",
-    "RunTelemetry",
-    "TickClock",
-    "TraceFormatError",
-    "TraceSummary",
-    "bench_json",
-    "prometheus_metrics",
-    "prometheus_service_metrics",
-    "read_events",
-    "render_summary",
-    "service_bench_json",
-    "summarize_trace",
-    "write_metrics",
-    "write_service_metrics",
-]

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs.events import TRACE_SCHEMA, read_events
+from repro.transport.faults import excused_processors
 
 
 class TraceFormatError(ValueError):
@@ -93,8 +94,6 @@ class TraceSummary:
     def fault_excused(self) -> list[int]:
         """Processors the crash-tolerant oracle would excuse for these
         faults (see :func:`repro.transport.faults.excused_processors`)."""
-        from repro.transport.faults import excused_processors
-
         return sorted(excused_processors(self.fault_events))
 
     def adaptive_cost(self) -> dict[str, float | int | None]:

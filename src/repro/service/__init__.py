@@ -9,66 +9,16 @@ capacity metrics (agreements/sec, latency percentiles) exported through
 Pieces:
 
 * :mod:`repro.service.request` — the ``repro-service/1`` wire objects
-  (:class:`AgreementRequest`, :class:`RequestOutcome`);
+  (``AgreementRequest``, ``RequestOutcome``);
 * :mod:`repro.service.loadgen` — seeded Poisson open-loop traffic with a
-  weighted workload mix (:func:`generate_schedule`, :func:`parse_mix`);
+  weighted workload mix (``generate_schedule``, ``parse_mix``);
 * :mod:`repro.service.scheduler` — wave dispatch over
   :func:`~repro.analysis.parallel.run_tasks`, each stripe one
-  :func:`~repro.core.batch.run_batch` call (:class:`Scheduler`);
+  :func:`~repro.core.batch.run_batch` call (``Scheduler``);
 * :mod:`repro.service.cache` — per-worker arena + digest-table memo;
 * :mod:`repro.service.stats` — nearest-rank percentile summaries and the
-  agreements/sec product metric (:class:`ServiceStats`).
+  agreements/sec product metric (``ServiceStats``).
 
 See ``docs/service.md`` for the capacity-planning guide and the latency
 methodology, and ``repro loadgen`` / ``repro serve`` for the CLI pair.
 """
-
-from repro.service.cache import reset_worker_cache
-from repro.service.loadgen import (
-    DEFAULT_MIX,
-    MixItem,
-    MixSpecError,
-    generate_schedule,
-    parse_mix,
-)
-from repro.service.request import (
-    SERVICE_SCHEMA,
-    AgreementRequest,
-    RequestFormatError,
-    RequestOutcome,
-    ScheduledRequest,
-)
-from repro.service.scheduler import (
-    Scheduler,
-    ServiceReport,
-    ServiceStripe,
-    StripeResult,
-)
-from repro.service.stats import (
-    LatencySummary,
-    ServiceStats,
-    build_stats,
-    percentile,
-)
-
-__all__ = [
-    "DEFAULT_MIX",
-    "SERVICE_SCHEMA",
-    "AgreementRequest",
-    "LatencySummary",
-    "MixItem",
-    "MixSpecError",
-    "RequestFormatError",
-    "RequestOutcome",
-    "ScheduledRequest",
-    "Scheduler",
-    "ServiceReport",
-    "ServiceStats",
-    "ServiceStripe",
-    "StripeResult",
-    "build_stats",
-    "generate_schedule",
-    "parse_mix",
-    "percentile",
-    "reset_worker_cache",
-]

@@ -35,6 +35,7 @@ from typing import Any, Sequence
 from repro.algorithms.registry import get
 from repro.service.cache import build_arena
 from repro.service.request import AgreementRequest, ScheduledRequest
+from repro.transport.faults import random_plan
 
 __all__ = [
     "MixItem",
@@ -92,11 +93,11 @@ def parse_mix(spec: str) -> list[MixItem]:
 
         algorithm-3:n=60,t=2:3; phase-king:n=24,t=2:2; ben-or:n=11,t=2:1
 
-    ``n`` and ``t`` are required in every clause; remaining pairs become
-    constructor params (``s``, ``eps``, ``max_rounds`` …).  The trailing
-    ``:WEIGHT`` defaults to 1.  Raises :class:`MixSpecError` on unknown
-    algorithms, missing ``n``/``t``, or a weight that is not positive and
-    finite.
+    ``n`` and ``t`` are required integers in every clause; remaining
+    pairs become constructor params (``s``, ``eps``, ``max_rounds`` …).
+    The trailing ``:WEIGHT`` defaults to 1.  Raises :class:`MixSpecError`
+    on unknown algorithms, a missing or non-integer ``n``/``t``, or a
+    weight that is not positive and finite.
     """
     items: list[MixItem] = []
     for clause in spec.split(";"):
@@ -124,6 +125,11 @@ def parse_mix(spec: str) -> list[MixItem]:
             pairs[key.strip()] = _parse_param(key.strip(), value.strip())
         if "n" not in pairs or "t" not in pairs:
             raise MixSpecError(f"mix clause {clause!r} must set n= and t=")
+        for key in ("n", "t"):
+            if not isinstance(pairs[key], int):
+                raise MixSpecError(
+                    f"mix clause {clause!r}: {key} must be an integer, got {pairs[key]!r}"
+                )
         weight = 1.0
         if len(pieces) == 3:
             try:
@@ -136,13 +142,11 @@ def parse_mix(spec: str) -> list[MixItem]:
             raise MixSpecError(
                 f"mix clause {clause!r}: weight must be positive and finite"
             )
-        n = int(pairs.pop("n"))
-        t = int(pairs.pop("t"))
         items.append(
             MixItem(
                 algorithm=info.name,
-                n=n,
-                t=t,
+                n=pairs.pop("n"),
+                t=pairs.pop("t"),
                 params=tuple(sorted(pairs.items())),
                 weight=weight,
             )
@@ -218,8 +222,6 @@ def generate_schedule(
             and item.family == "exact"
             and rng.random() < fault_rate
         ):
-            from repro.transport.faults import random_plan
-
             plan = random_plan(
                 _derived_seed(seed, request_id, "fault"),
                 n=item.n,

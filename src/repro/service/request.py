@@ -21,12 +21,11 @@ verdict class and text, the cost counters, and the three timestamps
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, TYPE_CHECKING
+from typing import Any, Mapping
 
+from repro.algorithms.registry import get
 from repro.core.types import Value
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.transport.faults import FaultPlan
+from repro.transport.faults import FaultPlan
 
 #: Schema tag carried by every serialized request line.
 SERVICE_SCHEMA = "repro-service/1"
@@ -62,7 +61,7 @@ class AgreementRequest:
     t: int
     value: Value
     params: tuple[tuple[str, Any], ...] = ()
-    fault_plan: "FaultPlan | None" = None
+    fault_plan: FaultPlan | None = None
     coin_seed: int | None = None
 
     def config_key(self) -> tuple[str, int, int, tuple[tuple[str, Any], ...]]:
@@ -110,8 +109,6 @@ class AgreementRequest:
         ]
         if missing:
             raise RequestFormatError(f"request line missing {missing}")
-        from repro.algorithms.registry import get
-
         algorithm = str(data["algorithm"])
         try:
             get(algorithm)
@@ -120,8 +117,6 @@ class AgreementRequest:
         n = _integer(data, "n")
         plan = None
         if data.get("fault_plan") is not None:
-            from repro.transport.faults import FaultPlan
-
             try:
                 plan = FaultPlan.from_json_dict(data["fault_plan"])
                 plan.check(n)

@@ -17,45 +17,3 @@ live in :mod:`repro.transport.faults`; ``docs/architecture.md`` has the
 life-of-a-message walk-through and ``docs/telemetry.md`` the event
 schema.
 """
-
-from repro.transport.base import LockstepTransport, Transport
-from repro.transport.faults import (
-    BENIGN_KINDS,
-    FAULT_SCHEMA,
-    CrashFault,
-    Delay,
-    Duplicate,
-    Fault,
-    FaultPlan,
-    LinkDrop,
-    Partition,
-    ReceiveOmission,
-    SendOmission,
-    excused_processors,
-    random_plan,
-    unit_coin,
-)
-from repro.transport.faulty import FaultyTransport
-from repro.transport.spec import FaultSpecError, parse_fault_plan
-
-__all__ = [
-    "BENIGN_KINDS",
-    "FAULT_SCHEMA",
-    "CrashFault",
-    "Delay",
-    "Duplicate",
-    "Fault",
-    "FaultPlan",
-    "FaultSpecError",
-    "FaultyTransport",
-    "LinkDrop",
-    "LockstepTransport",
-    "Partition",
-    "ReceiveOmission",
-    "SendOmission",
-    "Transport",
-    "excused_processors",
-    "parse_fault_plan",
-    "random_plan",
-    "unit_coin",
-]

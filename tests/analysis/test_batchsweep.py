@@ -21,7 +21,7 @@ from repro.analysis.parallel import (
     sweep_parallel,
 )
 from repro.core.protocol import AgreementAlgorithm
-from repro.obs import summarize_trace
+from repro.obs.inspect import summarize_trace
 
 
 def grid(ns=(5, 7), t=1, name="dolev-strong", values=(0, 1, 0, 1)):

@@ -135,7 +135,7 @@ class TestFallbacksAndErrors:
             default_workers()
 
     def test_trace_dir_writes_one_trace_per_scenario(self, tmp_path):
-        from repro.obs import summarize_trace
+        from repro.obs.inspect import summarize_trace
 
         grid = e7_grid()
         points = sweep_parallel(

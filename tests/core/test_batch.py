@@ -20,8 +20,8 @@ from repro.crypto.signatures import (
     SharedDigestTable,
     SignatureService,
 )
-from repro.fuzz import FUZZ_CONFIGS
-from repro.obs import summarize_trace
+from repro.fuzz.campaign import FUZZ_CONFIGS
+from repro.obs.inspect import summarize_trace
 from repro.transport.faults import CrashFault, FaultPlan
 
 ALGORITHM_SOURCES = Path(__file__).parents[2] / "src" / "repro" / "algorithms"

@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms.registry import get
 from repro.analysis.parallel import run_tasks
 from repro.core.protocol import AgreementAlgorithm, Processor
+from repro.core.runner import run
 from repro.core.validation import BENIGN, OK, SAFETY
 from repro.fuzz.campaign import (
     FuzzCase,
@@ -16,8 +17,7 @@ from repro.fuzz.campaign import (
 from repro.fuzz.corpus import CorpusEntry, load_entry, save_entry
 from repro.fuzz.oracle import execute_script
 from repro.fuzz.script import AdversaryScript
-from repro.transport import CrashFault, FaultPlan
-from repro.core.runner import run
+from repro.transport.faults import CrashFault, FaultPlan
 from repro.transport.faulty import FaultyTransport
 
 pytestmark = pytest.mark.fuzz

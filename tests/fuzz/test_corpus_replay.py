@@ -61,7 +61,7 @@ def test_entry_resaves_byte_identical(item, tmp_path):
 
 
 def test_save_trace_writes_replay_trace_beside_entry(tmp_path):
-    from repro.obs import summarize_trace
+    from repro.obs.inspect import summarize_trace
 
     _, entry = ENTRIES[0]
     entry_path = save_entry(tmp_path, entry)

@@ -128,7 +128,7 @@ class TestBatchEngine:
         assert outcome.verdict == BENIGN
 
     def test_trace_path_records_the_run(self, tmp_path):
-        from repro.obs import summarize_trace
+        from repro.obs.inspect import summarize_trace
 
         path = tmp_path / "run.trace.jsonl"
         outcome = execute_script(DolevStrong(5, 1), 1, EMPTY, trace=str(path))

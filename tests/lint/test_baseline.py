@@ -6,18 +6,18 @@ import json
 
 import pytest
 
-from repro.lint import (
+from repro.lint.baseline import (
+    BASELINE_SCHEMA,
     BaselineEntry,
     BaselineError,
     apply_baseline,
-    explain_rule,
-    lint_paths,
+    canonical_path,
+    fingerprint,
     load_baseline,
-    render_sarif,
     write_baseline,
 )
-from repro.lint.baseline import BASELINE_SCHEMA, canonical_path, fingerprint
-from repro.lint.engine import Finding, LintReport
+from repro.lint.engine import Finding, LintReport, lint_paths
+from repro.lint.report import explain_rule, render_sarif
 
 
 def finding(rule="BA005", path="src/repro/algorithms/mod.py", line=3, message="m"):

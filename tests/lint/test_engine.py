@@ -6,14 +6,8 @@ import json
 from pathlib import Path
 
 import repro
-from repro.lint import (
-    LintEngine,
-    all_rules,
-    lint_paths,
-    render_json,
-    render_text,
-)
-from repro.lint.engine import PARSE_RULE_ID
+from repro.lint.engine import PARSE_RULE_ID, LintEngine, all_rules, lint_paths
+from repro.lint.report import render_json, render_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RULE_IDS = (
@@ -211,3 +205,39 @@ def test_golden_repro_tree_is_clean():
     report = lint_paths([package_root])
     assert report.ok, render_text(report)
     assert report.files_checked > 50
+
+
+def test_classes_sharing_a_name_are_each_linted(tmp_path):
+    """Each definition is checked with its own attributes, not the other's."""
+    algorithm = (
+        "from repro.core.protocol import AgreementAlgorithm\n"
+        "\n"
+        "\n"
+        "class Foo(AgreementAlgorithm):\n"
+        '    name = "foo"\n'
+        "{bounds}"
+        "\n"
+        "    def num_phases(self):\n"
+        "        return 1\n"
+        "\n"
+        "    def make_processor(self, pid):\n"
+        "        return None\n"
+    )
+    directory = tmp_path / "algorithms"
+    directory.mkdir()
+    (directory / "a.py").write_text(algorithm.format(bounds=""))
+    (directory / "b.py").write_text(
+        algorithm.format(
+            bounds=(
+                "    authenticated = False\n"
+                '    phase_bound = "1"\n'
+                '    message_bound = "n - 1"\n'
+            )
+        )
+    )
+    report = lint_paths([directory])
+    assert report.files_checked == 2
+    assert [(Path(f.path).name, f.line, f.rule, f.message) for f in report.findings] == [
+        ("a.py", 4, "BA002", f"algorithm class 'Foo' does not declare {bound!r} in its own body")
+        for bound in ("message_bound", "phase_bound", "signature_bound")
+    ]

@@ -12,7 +12,8 @@ this module as a script, and lists each changed finding::
 from dataclasses import replace
 from pathlib import Path
 
-from repro.lint import lint_paths, render_json
+from repro.lint.engine import lint_paths
+from repro.lint.report import render_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPORT = Path(__file__).parent / "fixtures_report.json"

@@ -11,7 +11,7 @@ from repro.bounds.expressions import (
     evaluate_bound,
     validate_bound_expression,
 )
-from repro.lint import lint_paths
+from repro.lint.engine import lint_paths
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -15,8 +15,9 @@ import pytest
 from repro.algorithms.registry import get
 from repro.core.runner import run
 from repro.crypto.signatures import InternedSignatureService, SharedDigestTable, Signature
-from repro.obs import JsonlTraceSink, ListSink, TickClock, summarize_trace
-from repro.obs.inspect import render_summary
+from repro.obs.events import JsonlTraceSink, ListSink
+from repro.obs.inspect import render_summary, summarize_trace
+from repro.obs.telemetry import TickClock
 
 
 class TestTelemetryCounters:

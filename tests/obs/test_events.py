@@ -7,22 +7,24 @@ import pytest
 
 from repro.algorithms.dolev_strong import DolevStrong
 from repro.core.runner import run
-from repro.obs import (
+from repro.obs.events import (
     EVENT_KINDS,
     TRACE_SCHEMA,
     EventSink,
     JsonlTraceSink,
     ListSink,
+    jsonable,
     read_events,
+    safe_digest,
 )
-from repro.obs.events import jsonable, safe_digest
 
 
 class TestListSink:
     def test_collects_all_event_kinds(self):
         # A crash fault is needed to exercise the full vocabulary: plain
         # runs never emit 'fault' events.
-        from repro.transport import CrashFault, FaultPlan, FaultyTransport
+        from repro.transport.faults import CrashFault, FaultPlan
+        from repro.transport.faulty import FaultyTransport
 
         sink = ListSink()
         transport = FaultyTransport(FaultPlan(faults=(CrashFault(pid=2, phase=1),)))

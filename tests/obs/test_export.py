@@ -7,7 +7,8 @@ from pathlib import Path
 from repro.adversary.standard import SilentAdversary
 from repro.algorithms.registry import get
 from repro.core.runner import run
-from repro.obs import TickClock, bench_json, prometheus_metrics, write_metrics
+from repro.obs.export import bench_json, prometheus_metrics, write_metrics
+from repro.obs.telemetry import TickClock
 
 SCRIPTS = str(Path(__file__).resolve().parents[2] / "scripts")
 

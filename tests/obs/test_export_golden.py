@@ -14,14 +14,14 @@ from pathlib import Path
 
 from repro.algorithms.registry import get
 from repro.core.runner import run
-from repro.obs import (
-    TickClock,
+from repro.obs.export import (
     prometheus_metrics,
     prometheus_service_metrics,
     service_bench_json,
     write_service_metrics,
 )
-from repro.service import LatencySummary, ServiceStats
+from repro.obs.telemetry import TickClock
+from repro.service.stats import LatencySummary, ServiceStats
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -14,7 +14,8 @@ import pytest
 import repro.core.runner as runner_module
 from repro.algorithms.registry import get
 from repro.core.runner import run
-from repro.obs import ListSink, RunTelemetry, TickClock
+from repro.obs.events import ListSink
+from repro.obs.telemetry import RunTelemetry, TickClock
 
 
 class TestNoSinkFastPath:

@@ -12,8 +12,9 @@ import pytest
 from repro.adversary.standard import GarbageAdversary, SilentAdversary
 from repro.algorithms.registry import get
 from repro.core.runner import run
-from repro.obs import JsonlTraceSink, TickClock, summarize_trace
-from repro.obs.inspect import TraceFormatError, render_summary
+from repro.obs.events import JsonlTraceSink
+from repro.obs.inspect import TraceFormatError, render_summary, summarize_trace
+from repro.obs.telemetry import TickClock
 
 
 def traced_run(tmp_path, algorithm, value=1, adversary=None, name="trace.jsonl"):

@@ -28,13 +28,9 @@ from repro.core.batch import BatchCase, BatchOutcome, run_batch
 from repro.core.validation import BENIGN, BOUND
 from repro.fuzz.oracle import FuzzOutcome, execute_script
 from repro.fuzz.script import AdversaryScript
-from repro.service import (
-    AgreementRequest,
-    RequestOutcome,
-    ScheduledRequest,
-    Scheduler,
-    reset_worker_cache,
-)
+from repro.service.cache import reset_worker_cache
+from repro.service.request import AgreementRequest, RequestOutcome, ScheduledRequest
+from repro.service.scheduler import Scheduler
 from repro.transport.faults import (
     CrashFault,
     FaultPlan,

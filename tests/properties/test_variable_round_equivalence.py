@@ -25,7 +25,8 @@ from repro.adversary.standard import RandomizedAdversary
 from repro.algorithms.registry import ALGORITHMS
 from repro.core.protocol import Processor
 from repro.core.runner import run
-from repro.obs import ListSink, TickClock
+from repro.obs.events import ListSink
+from repro.obs.telemetry import TickClock
 from tests.conftest import SortedTransport
 
 #: One modest (n, t) per zoo algorithm — enough processors for every

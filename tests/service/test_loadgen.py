@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.service import DEFAULT_MIX, MixSpecError, generate_schedule, parse_mix
+from repro.service.loadgen import DEFAULT_MIX, MixSpecError, generate_schedule, parse_mix
 
 
 class TestParseMix:

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.service import (
+from repro.service.request import (
     SERVICE_SCHEMA,
     AgreementRequest,
     RequestFormatError,

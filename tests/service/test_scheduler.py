@@ -12,17 +12,14 @@ import pytest
 from repro.algorithms.registry import get
 import repro.service.scheduler as scheduler_module
 from repro.analysis.parallel import MAX_STRIPE, WorkerPool
-from repro.core.batch import BatchCase, Counters, run_batch
+from repro.core.batch import BatchCase, run_batch
+from repro.core.counters import Counters
 from repro.core.metrics import MetricsLedger
 from repro.obs.telemetry import RunTelemetry
-from repro.service import (
-    AgreementRequest,
-    ScheduledRequest,
-    Scheduler,
-    ServiceStripe,
-    generate_schedule,
-    reset_worker_cache,
-)
+from repro.service.cache import reset_worker_cache
+from repro.service.loadgen import generate_schedule
+from repro.service.request import AgreementRequest, ScheduledRequest
+from repro.service.scheduler import Scheduler, ServiceStripe
 from repro.transport.faults import CrashFault, FaultPlan, Partition, random_plan
 
 

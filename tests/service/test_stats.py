@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.batch import Counters
-from repro.service import LatencySummary, ServiceStats, build_stats, percentile
+from repro.core.counters import Counters
 from repro.service.request import RequestOutcome
+from repro.service.stats import LatencySummary, ServiceStats, build_stats, percentile
 
 
 class TestPercentile:

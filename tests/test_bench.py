@@ -7,7 +7,7 @@ import pytest
 
 from repro import bench
 from repro.cli import main
-from repro.service import Scheduler
+from repro.service.scheduler import Scheduler
 
 BASELINE = json.loads(
     (Path(__file__).resolve().parents[1] / "BENCH_runner.json").read_text(encoding="utf-8")

@@ -652,6 +652,22 @@ class TestBadInputExits2:
         )
         assert f"mix clause {clause!r}: weight must be positive and finite" in err
 
+    @pytest.mark.parametrize(
+        "clause,message",
+        [
+            ("phase-king:n=9.9,t=2", "n must be an integer, got 9.9"),
+            ("phase-king:n=9.0,t=2", "n must be an integer, got 9.0"),
+            ("phase-king:n=9,t=2.7", "t must be an integer, got 2.7"),
+        ],
+    )
+    def test_loadgen_mix_size_not_an_integer(self, capsys, clause, message):
+        err = self.assert_usage_error(
+            capsys,
+            ["loadgen", "--requests", "2", "--rate", "1000", "--seed", "0",
+             "--workers", "1", "--mix", clause],
+        )
+        assert f"mix clause {clause!r}: {message}" in err
+
     @pytest.mark.parametrize("budget", ["0", "-3"])
     def test_fuzz_budget_below_one(self, capsys, budget):
         self.assert_usage_error(

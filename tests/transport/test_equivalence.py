@@ -5,7 +5,7 @@ explicit :class:`LockstepTransport` and a zero-fault
 :class:`FaultyTransport` produce **byte-identical** ``repro-trace/1``
 streams — and identical metrics and decisions — to the reference
 per-inbox sort (:class:`tests.conftest.SortedTransport`).  Timing fields
-come from an injected :class:`~repro.obs.TickClock`, so byte equality is
+come from an injected :class:`~repro.obs.telemetry.TickClock`, so byte equality is
 exact, not fuzzy.
 """
 
@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 from repro.adversary.standard import RandomizedAdversary
 from repro.algorithms.registry import get
 from repro.core.runner import run
-from repro.obs import ListSink, TickClock
-from repro.transport import FaultPlan, FaultyTransport, LockstepTransport
+from repro.obs.events import ListSink
+from repro.obs.telemetry import TickClock
+from repro.transport.base import LockstepTransport
+from repro.transport.faults import FaultPlan
+from repro.transport.faulty import FaultyTransport
 from tests.conftest import SortedTransport
 
 #: (name, n, t): small-but-real shapes for every registered algorithm

@@ -3,19 +3,19 @@
 from repro.algorithms.registry import get
 from repro.core.runner import run
 from repro.core.validation import check_byzantine_agreement
-from repro.obs import ListSink
-from repro.transport import (
+from repro.obs.events import ListSink
+from repro.transport.faults import (
     CrashFault,
     Delay,
     Duplicate,
     FaultPlan,
-    FaultyTransport,
     LinkDrop,
     Partition,
     ReceiveOmission,
     SendOmission,
     excused_processors,
 )
+from repro.transport.faulty import FaultyTransport
 
 
 def run_with(plan, *, algorithm="dolev-strong", n=6, t=2, value=1, sinks=()):

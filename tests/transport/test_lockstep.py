@@ -5,8 +5,9 @@ import pytest
 from repro.algorithms.registry import get
 from repro.core.message import Envelope
 from repro.core.runner import run
-from repro.transport import FaultPlan, FaultyTransport, LockstepTransport, Transport
-from repro.transport.base import _route_merged, _route_sorted
+from repro.transport.base import LockstepTransport, Transport, _route_merged, _route_sorted
+from repro.transport.faults import FaultPlan
+from repro.transport.faulty import FaultyTransport
 
 
 def envelopes():
