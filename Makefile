@@ -89,6 +89,10 @@ approx-smoke:
 # Then one request past the fault budget (oral-messages n=7 t=2, three
 # processors crashed) is replayed through repro serve: its divergence is
 # benign, so it must exit 0 with failed 0 and benign 1.
+# Last, 769 identical requests (three stripes' worth and one more) are
+# piped to repro serve at two workers: one run class executes once per
+# wave, so the summary must read unique_runs 1, replicated_runs 768 and
+# failed 0.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro loadgen --requests 600 --rate 200 \
 		--seed 0 --fault-rate 0.2 --workers 2 --json \
@@ -100,3 +104,8 @@ serve-smoke:
 		--workers 1 --json > /tmp/serve_budget.out \
 		|| { cat /tmp/serve_budget.out; exit 1; }
 	$(PYTHON) -c "import json; text = open('/tmp/serve_budget.out').read(); print(text.splitlines()[0]); stats = json.JSONDecoder().raw_decode(text, text.index('\n{') + 1)[0]; assert stats['failed'] == 0 and stats['benign'] == 1, stats; print('serve-smoke: over-budget request benign')"
+	$(PYTHON) -c "import json; print('\n'.join(json.dumps({'request_id': i, 'algorithm': 'algorithm-3', 'n': 20, 't': 2, 'value': 1}) for i in range(769)))" \
+		| PYTHONPATH=src $(PYTHON) -m repro serve - \
+		--workers 2 --json > /tmp/serve_class.out \
+		|| { cat /tmp/serve_class.out; exit 1; }
+	$(PYTHON) -c "import json; text = open('/tmp/serve_class.out').read(); print(text.splitlines()[0]); stats = json.JSONDecoder().raw_decode(text, text.index('\n{') + 1)[0]; runs = (stats['unique_runs'], stats['replicated_runs'], stats['failed']); assert runs == (1, 768, 0), stats; print('serve-smoke: 769 identical requests, 1 unique + 768 replicated runs')"

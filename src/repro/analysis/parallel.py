@@ -5,10 +5,10 @@ the repo's empirical reach is bounded by how many scenarios it can run per
 second.  Every :class:`~repro.analysis.sweep.SweepPoint` is a pure
 function of its scenario spec, so :func:`sweep_parallel` groups a grid by
 factory (equal pickled factories share one batch-engine arena), cuts each
-group into stripes of at most :data:`MAX_STRIPE` specs with
-:func:`stripe_positions` (the service's rule too, so a stripe never
-depends on the worker count), runs each stripe as one
-:func:`~repro.core.batch.run_batch` task on a
+group into stripes of whole run classes, at most :data:`MAX_STRIPE` specs
+unless one class holds more, with :func:`stripe_positions` (the
+service's rule too, so a stripe never depends on the worker count), runs
+each stripe as one :func:`~repro.core.batch.run_batch` task on a
 :class:`~concurrent.futures.ProcessPoolExecutor` and returns the *exact*
 point stream for any worker count, in the grid's deterministic order.
 Traced and untraced scenarios take that one path;
@@ -61,7 +61,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Protocol, Sequenc
 
 from repro.adversary.base import Adversary
 from repro.analysis.sweep import SweepPoint, measure, sweep_points
-from repro.core.batch import BatchCase, run_batch
+from repro.core.batch import BatchCase, class_key, run_batch
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
 
@@ -217,22 +217,43 @@ def _chunked(tasks: Sequence[_TaskT], size: int) -> list[Sequence[_TaskT]]:
     return [tasks[i : i + size] for i in range(0, len(tasks), size)]
 
 
-#: Cases per stripe, at most: sweeps and the service cut each
-#: configuration's cases every ``MAX_STRIPE``, at any worker count.
+#: Cases per stripe, at most, unless one run class alone holds more:
+#: sweeps and the service fill stripes with whole classes up to
+#: ``MAX_STRIPE`` cases, at any worker count.
 MAX_STRIPE = 256
 
 
-def stripe_positions(keys: Iterable[Hashable]) -> list[Sequence[int]]:
-    """The stripes of a case list, as runs of positions in it.
+def stripe_positions(
+    keys: Iterable[tuple[Hashable, Hashable | None]],
+) -> list[list[list[int]]]:
+    """The stripes of a case list: each a list of run classes, each class
+    the ascending positions of its cases.
 
-    *keys* gives each case's configuration, in case order.  Cases with
-    equal keys form one group, groups come in first-seen order, and each
-    group is cut into runs of at most :data:`MAX_STRIPE` positions.
+    *keys* gives each case's configuration and run class
+    (:func:`~repro.core.batch.class_key`), in case order; a class of
+    ``None`` is a case of its own.  Configurations come in first-seen
+    order, and so do the classes within each.  A stripe takes the next
+    class of its configuration while it stays within :data:`MAX_STRIPE`
+    cases, so no class spans two stripes, and a class of more than
+    ``MAX_STRIPE`` cases is a stripe by itself.
     """
-    groups: dict[Hashable, list[int]] = {}
-    for position, key in enumerate(keys):
-        groups.setdefault(key, []).append(position)
-    return [stripe for group in groups.values() for stripe in _chunked(group, MAX_STRIPE)]
+    groups: dict[Hashable, dict[Hashable, list[int]]] = {}
+    for position, (config, run_class) in enumerate(keys):
+        # A case of its own is keyed by an object nothing else equals.
+        key = object() if run_class is None else run_class
+        groups.setdefault(config, {}).setdefault(key, []).append(position)
+    stripes: list[list[list[int]]] = []
+    for classes in groups.values():
+        stripe: list[list[int]] = []
+        size = 0
+        for positions in classes.values():
+            if stripe and size + len(positions) > MAX_STRIPE:
+                stripes.append(stripe)
+                stripe, size = [], 0
+            stripe.append(positions)
+            size += len(positions)
+        stripes.append(stripe)
+    return stripes
 
 
 #: Version tag in every checkpoint file's header frame.
@@ -579,17 +600,33 @@ def _group_key(spec: ScenarioSpec) -> Any:
         return ("unpicklable", id(spec.factory))
 
 
+def _spec_class(spec: ScenarioSpec) -> Any | None:
+    """The run class of *spec*'s batch case; a traced spec is a class of
+    its own.  A spec carries no coin seed, so the class needs no
+    algorithm."""
+    if spec.trace_dir is not None:
+        return None
+    case = BatchCase(value=spec.value, adversary_factory=spec.adversary_factory)
+    return class_key(case, uses_coins=False)
+
+
 def batch_specs(
     specs: Sequence[ScenarioSpec], *, workers: int | None = None
 ) -> list[SweepPoint]:
     """Execute *specs* through the batch engine, in spec order.
 
     Specs are grouped by factory (one arena per group) and cut into
-    stripes by :func:`stripe_positions`; the pool runs one stripe per
+    stripes of whole run classes by :func:`stripe_positions`; a stripe
+    runs its specs in grid order, and the pool runs one stripe per
     chunk, in grid order.
     """
     specs = list(specs)
-    stripes = stripe_positions(_group_key(spec) for spec in specs)
+    stripes = [
+        sorted(position for positions in classes for position in positions)
+        for classes in stripe_positions(
+            (_group_key(spec), _spec_class(spec)) for spec in specs
+        )
+    ]
     outputs = run_tasks(
         [BatchStripe(specs=tuple(specs[index] for index in stripe)) for stripe in stripes],
         workers=workers,

@@ -533,7 +533,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     arrival offset; absent, the request arrives immediately.  Each
     configuration is built once while parsing, so one its algorithm
     rejects is a malformed line like any other, and so is a value that is
-    unhashable or outside the algorithm's ``value_domain``.
+    unhashable or outside the algorithm's ``value_domain``, and a
+    ``request_id`` an earlier line already used: ``--out`` answers each
+    request under its id.
     """
     import json
     import math
@@ -548,6 +550,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise UsageError(str(error)) from None
     schedule: list[ScheduledRequest] = []
     arenas: dict[tuple, AgreementAlgorithm] = {}
+    first_lines: dict[int, int] = {}
     try:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
@@ -568,6 +571,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 ):
                     raise RequestFormatError(
                         f"arrival_s must be a finite number >= 0, got {arrival!r}"
+                    )
+                first = first_lines.setdefault(request.request_id, lineno)
+                if first != lineno:
+                    raise RequestFormatError(
+                        f"request_id {request.request_id} repeats line {first}"
                     )
             except (json.JSONDecodeError, RequestFormatError, ConfigurationError) as error:
                 raise UsageError(f"{source}:{lineno}: {error}") from None

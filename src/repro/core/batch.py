@@ -156,16 +156,20 @@ class BatchResult:
     declared: Costs
 
 
-def _class_key(case: BatchCase, uses_coins: bool) -> Any | None:
-    """Deduplication key of *case*, or ``None`` when it must not be deduped.
+def class_key(case: BatchCase, uses_coins: bool) -> Any | None:
+    """The run class of *case*, or ``None`` when it is a class of its own.
 
-    Adversary cases never dedupe (factories may close over state and the
-    adversary itself is stateful), nor do traced cases (each writes its
-    own file).  Fault plans are frozen value objects, and the runner,
+    The one run-class key: :func:`run_batch` dedupes by it, and sweeps
+    and the service keep each class in one stripe by it.  Adversary cases
+    never dedupe (factories may close over state and the adversary itself
+    is stateful), nor do traced cases (each writes its own file), nor
+    cases whose value :func:`~repro.core.message.intern_key` cannot key.
+    Fault plans are frozen value objects, and the runner,
     :class:`~repro.transport.faulty.FaultyTransport` and the coin source
     are deterministic in their inputs, so ``(value, plan, coin seed)``
     fully determines an adversary-free run; the seed is kept only when
-    the algorithm *uses_coins*, as no other run reads it.
+    the algorithm *uses_coins* (a class attribute, so no instance is
+    needed), as no other run reads it.
     """
     if case.adversary_factory is not None or case.trace is not None:
         return None
@@ -358,7 +362,7 @@ def run_batch(
     classes: dict[Any, list[int]] = {}
     singletons: list[list[int]] = []
     for index, case in enumerate(case_list):
-        key = _class_key(case, algorithm.uses_coins)
+        key = class_key(case, algorithm.uses_coins)
         if key is None:
             singletons.append([index])
         else:

@@ -81,7 +81,7 @@ def message_sites(record: FunctionRecord) -> Iterator[ast.AST]:
 
 
 def _phase_reachable_methods(
-    graph: ProtocolGraph, processor: str
+    graph: ProtocolGraph, processor: ClassRecord
 ) -> list[FunctionRecord]:
     """Methods executed by one ``on_phase`` call, via resolved edges.
 
@@ -126,14 +126,15 @@ def budget_findings(
     processors can, in a single ``on_phase`` call, reach more *sites*
     than the algorithm's declared whole-run *attribute* allows."""
     graph = protocol_graph(project)
-    estimates: dict[str, FanoutEstimate] = {}
+    estimates: dict[ClassRecord, FanoutEstimate] = {}
     for record in project.algorithm_classes:
         if record.display != file.display:
             continue
         declaration = _declared_bound(project, record, attribute)
         if declaration is None:
             continue
-        for processor in sorted(graph.instantiated_processors(record.node)):
+        processors = graph.instantiated_processors(record)
+        for processor in sorted(processors, key=lambda processor: processor.name):
             estimate = estimates.get(processor)
             if estimate is None:
                 estimate = accumulate_fanout(
@@ -152,7 +153,7 @@ def budget_findings(
             yield file.finding(
                 record.attributes.get(attribute, record.node),
                 rule_id,
-                f"{processor} (used by {record.name}) can {verb} "
+                f"{processor.name} (used by {record.name}) can {verb} "
                 f"{estimate.expr} {noun} in a single on_phase call, "
                 f"which exceeds {attribute} = {declaration!r} at every "
                 f"sampled point (e.g. {sample}: {static_value} > "

@@ -31,7 +31,7 @@ from repro.lint.analysis.callgraph import (
     ProtocolGraph,
     protocol_graph,
 )
-from repro.lint.engine import Finding, ProjectIndex, Rule, SourceFile, register
+from repro.lint.engine import ClassRecord, Finding, ProjectIndex, Rule, SourceFile, register
 
 #: Callee names whose invocation marks a method as a verification step.
 VERIFY_MARKERS = frozenset({"verify", "is_input_edge"})
@@ -120,9 +120,9 @@ def tainted_names(
     return tainted
 
 
-def decision_attributes(graph: ProtocolGraph, class_name: str) -> set[str]:
+def decision_attributes(graph: ProtocolGraph, processor: ClassRecord) -> set[str]:
     """``self`` attributes read by ``decision()`` or its resolved callees."""
-    entry = graph.resolve_method(class_name, "decision")
+    entry = graph.resolve_method(processor, "decision")
     if entry is None:
         return set()
     attrs: set[str] = set()
@@ -229,17 +229,15 @@ class UnverifiedRelayRule(Rule):
         graph = protocol_graph(project)
         verifying = verifying_functions(project, graph)
         seen: set[tuple[int, int, str]] = set()
-        for node in ast.walk(file.tree):
-            if not isinstance(node, ast.ClassDef):
+        for processor in graph.processor_classes:
+            if processor.display != file.display:
                 continue
-            if node.name not in graph.processor_classes:
+            if not self._authenticated_context(graph, project, processor):
                 continue
-            if not self._authenticated_context(graph, project, node.name):
-                continue
-            decision_attrs = decision_attributes(graph, node.name)
+            decision_attrs = decision_attributes(graph, processor)
             if not decision_attrs:
                 continue
-            methods = graph.resolved_methods(node.name)
+            methods = graph.resolved_methods(processor)
             summaries = {
                 qname: param_sink_summary(graph.functions[qname], decision_attrs)
                 for qname in methods.values()
@@ -295,9 +293,9 @@ class UnverifiedRelayRule(Rule):
                 isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)
                 and func.value.id == "self"
-                and record.class_name is not None
+                and record.owner is not None
             ):
-                resolved = graph.resolve_method(record.class_name, func.attr)
+                resolved = graph.resolve_method(record.owner, func.attr)
                 if resolved is None or resolved in verifying:
                     continue
                 sinking = summaries.get(resolved, frozenset())
@@ -333,7 +331,7 @@ class UnverifiedRelayRule(Rule):
             yield finding
 
     def _authenticated_context(
-        self, graph: ProtocolGraph, project: ProjectIndex, class_name: str
+        self, graph: ProtocolGraph, project: ProjectIndex, processor: ClassRecord
     ) -> bool:
         """Whether any algorithm using this processor is authenticated.
 
@@ -344,7 +342,7 @@ class UnverifiedRelayRule(Rule):
         users = [
             record
             for record in project.algorithm_classes
-            if class_name in graph.instantiated_processors(record.node)
+            if processor in graph.instantiated_processors(record)
         ]
         if not users:
             return True

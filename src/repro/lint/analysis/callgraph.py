@@ -18,7 +18,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.lint.engine import ProjectIndex, SourceFile
+from repro.lint.engine import ClassRecord, ProjectIndex, SourceFile
 
 _CACHE_KEY = "protocol-call-graph"
 
@@ -32,9 +32,15 @@ class FunctionRecord:
 
     qname: str
     name: str
-    class_name: str | None
+    #: The class whose body defines it; ``None`` for a module-level function.
+    owner: ClassRecord | None
     file: SourceFile
     node: ast.FunctionDef | ast.AsyncFunctionDef
+
+    @property
+    def class_name(self) -> str | None:
+        """The owning class's name, if any."""
+        return self.owner.name if self.owner is not None else None
 
 
 @dataclass(slots=True)
@@ -54,42 +60,44 @@ class ProtocolGraph:
     project: ProjectIndex
     functions: dict[str, FunctionRecord] = field(default_factory=dict)
     calls: dict[str, CallSummary] = field(default_factory=dict)
-    #: class name -> methods defined in its own body (name -> qname).
-    own_methods: dict[str, dict[str, str]] = field(default_factory=dict)
+    #: class record -> methods defined in its own body (name -> qname).
+    own_methods: dict[ClassRecord, dict[str, str]] = field(default_factory=dict)
     #: module display -> module-level functions (name -> qname).
     module_functions: dict[str, dict[str, str]] = field(default_factory=dict)
     #: bare name -> every module-level function qname with that name.
     by_name: dict[str, list[str]] = field(default_factory=dict)
-    #: transitive ``Processor`` subclasses (the root itself excluded).
-    processor_classes: set[str] = field(default_factory=set)
+    #: transitive ``Processor`` subclasses (the root itself excluded), in
+    #: index order.
+    processor_classes: list[ClassRecord] = field(default_factory=list)
 
     # -- resolution ----------------------------------------------------
 
-    def resolve_method(self, class_name: str, method: str) -> str | None:
-        """Find *method* on *class_name* or its statically-known bases."""
-        for name in self.project.lineage(class_name):
-            qname = self.own_methods.get(name, {}).get(method)
+    def resolve_method(self, owner: ClassRecord, method: str) -> str | None:
+        """Find *method* on *owner* or its statically-known bases."""
+        for _, record in self.project.lineage(owner):
+            qname = self.own_methods.get(record, {}).get(method)
             if qname is not None:
                 return qname
         return None
 
-    def resolved_methods(self, class_name: str) -> dict[str, str]:
-        """Every method visible on *class_name* (nearest definition wins)."""
+    def resolved_methods(self, owner: ClassRecord) -> dict[str, str]:
+        """Every method visible on *owner* (nearest definition wins)."""
         methods: dict[str, str] = {}
-        for name in self.project.lineage(class_name):
-            for method, qname in self.own_methods.get(name, {}).items():
+        for _, record in self.project.lineage(owner):
+            for method, qname in self.own_methods.get(record, {}).items():
                 methods.setdefault(method, qname)
         return methods
 
-    def instantiated_processors(self, algorithm: ast.ClassDef) -> set[str]:
-        """Processor classes the *algorithm* class constructs by name."""
-        return {
-            node.func.id
-            for node in ast.walk(algorithm)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in self.processor_classes
-        }
+    def instantiated_processors(self, algorithm: ClassRecord) -> set[ClassRecord]:
+        """Processor classes the *algorithm* class constructs by name, each
+        name resolved in the algorithm's file."""
+        found = set()
+        for node in ast.walk(algorithm.node):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                record = self.project.resolve(node.func.id, algorithm.display)
+                if record in self.processor_classes:
+                    found.add(record)
+        return found
 
     # -- closures ------------------------------------------------------
 
@@ -133,19 +141,19 @@ class ProtocolGraph:
 
 def _function_defs(
     file: SourceFile,
-) -> Iterable[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str | None]]:
-    """Every function definition in *file* with its owning class name."""
+) -> Iterable[tuple[ast.FunctionDef | ast.AsyncFunctionDef, ast.ClassDef | None]]:
+    """Every function definition in *file* with its owning class."""
 
-    def visit(node: ast.AST, class_name: str | None) -> Iterable:
+    def visit(node: ast.AST, owner: ast.ClassDef | None) -> Iterable:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                yield from visit(child, child.name)
+                yield from visit(child, child)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield child, class_name
+                yield child, owner
                 # nested defs stay attributed to the same class scope.
-                yield from visit(child, class_name)
+                yield from visit(child, owner)
             else:
-                yield from visit(child, class_name)
+                yield from visit(child, owner)
 
     yield from visit(file.tree, None)
 
@@ -168,14 +176,15 @@ def _extract_calls(graph: ProtocolGraph, record: FunctionRecord) -> CallSummary:
         elif isinstance(func, ast.Attribute):
             summary.names.add(func.attr)
             value = func.value
-            if isinstance(value, ast.Name) and value.id == "self":
-                if record.class_name is not None:
-                    resolved = graph.resolve_method(record.class_name, func.attr)
-                    if resolved is not None:
-                        summary.resolved.add(resolved)
-            elif isinstance(value, ast.Name) and value.id in graph.project.classes:
+            if not isinstance(value, ast.Name):
+                continue
+            if value.id == "self":
+                owner = record.owner
+            else:
                 # ClassName.method(self, ...) delegation.
-                resolved = graph.resolve_method(value.id, func.attr)
+                owner = graph.project.resolve(value.id, record.file.display)
+            if owner is not None:
+                resolved = graph.resolve_method(owner, func.attr)
                 if resolved is not None:
                     summary.resolved.add(resolved)
     return summary
@@ -184,28 +193,28 @@ def _extract_calls(graph: ProtocolGraph, record: FunctionRecord) -> CallSummary:
 def build_graph(project: ProjectIndex) -> ProtocolGraph:
     """Build the call graph over ``project.files`` (no memoization)."""
     graph = ProtocolGraph(project=project)
+    owners = {record.node: record for record in project.records}
     for file in project.files:
-        for node, class_name in _function_defs(file):
-            scope = f"{class_name}." if class_name else ""
+        for node, class_node in _function_defs(file):
+            owner = owners.get(class_node) if class_node is not None else None
+            scope = f"{class_node.name}." if class_node is not None else ""
             qname = f"{file.display}::{scope}{node.name}"
             record = FunctionRecord(
                 qname=qname,
                 name=node.name,
-                class_name=class_name,
+                owner=owner,
                 file=file,
                 node=node,
             )
             graph.functions[qname] = record
-            if class_name is None:
+            if class_node is None:
                 graph.module_functions.setdefault(file.display, {})[
                     node.name
                 ] = qname
                 graph.by_name.setdefault(node.name, []).append(qname)
-            else:
-                graph.own_methods.setdefault(class_name, {})[node.name] = qname
-    graph.processor_classes = {
-        record.name for record in project.subclasses(PROCESSOR_BASE)
-    }
+            elif owner is not None:
+                graph.own_methods.setdefault(owner, {})[node.name] = qname
+    graph.processor_classes = project.subclasses(PROCESSOR_BASE)
     for record in graph.functions.values():
         graph.calls[record.qname] = _extract_calls(graph, record)
     return graph

@@ -132,9 +132,13 @@ class SourceFile:
         return entry.codes is None or finding.rule.upper() in entry.codes
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ClassRecord:
-    """A class definition as seen by the cross-file index."""
+    """A class definition as seen by the cross-file index.
+
+    Records compare and hash by identity: two definitions may share a
+    name, and each keeps its own methods.
+    """
 
     name: str
     display: str
@@ -151,8 +155,10 @@ class ProjectIndex:
 
     #: Every class definition, in file order; two classes may share a name.
     records: list[ClassRecord] = field(default_factory=list)
-    #: class name -> its last definition, which base names resolve to.
+    #: class name -> its last definition anywhere.
     classes: dict[str, ClassRecord] = field(default_factory=dict)
+    #: (file display, class name) -> that file's last definition of it.
+    local_classes: dict[tuple[str, str], ClassRecord] = field(default_factory=dict)
     algorithm_classes: list[ClassRecord] = field(default_factory=list)
     #: Every parsed file of the run, for whole-program analyses.
     files: list[SourceFile] = field(default_factory=list)
@@ -160,46 +166,46 @@ class ProjectIndex:
     #: analysis name, so expensive whole-program passes build them once.
     caches: dict[str, object] = field(default_factory=dict)
 
-    def lineage(self, start: ClassRecord | str) -> Iterator[str]:
-        """A class's name and its statically-known bases, breadth-first,
-        each once.
+    def resolve(self, name: str, display: str) -> ClassRecord | None:
+        """The class *name* means in the file *display*: that file's own
+        definition, else the last definition anywhere."""
+        return self.local_classes.get((display, name)) or self.classes.get(name)
 
-        *start* is a record, whose own bases are read from it, or a class
-        name; every base name resolves through :attr:`classes`.  A base
-        outside the index is yielded but not followed, so the nearest
-        definition comes first and a cycle ends.
+    def lineage(self, start: ClassRecord) -> Iterator[tuple[str, ClassRecord | None]]:
+        """A class's name and record, then its statically-known bases',
+        breadth-first, each name once.
+
+        A base name resolves (:meth:`resolve`) in the file of the class
+        that names it.  A base outside the index comes with ``None`` and
+        is not followed, so the nearest definition comes first and a
+        cycle ends.
         """
-        if isinstance(start, str):
-            queue = [(start, self.classes.get(start))]
-        else:
-            queue = [(start.name, start)]
-        seen = {queue[0][0]}
+        queue: list[tuple[str, ClassRecord | None]] = [(start.name, start)]
+        seen = {start.name}
         for current, record in queue:  # the loop reaches what it appends
-            yield current
+            yield current, record
             if record is None:
                 continue
             for base in record.bases:
                 if base not in seen:
                     seen.add(base)
-                    queue.append((base, self.classes.get(base)))
+                    queue.append((base, self.resolve(base, record.display)))
 
     def subclasses(self, root: str) -> list[ClassRecord]:
         """The class definitions with *root* in their lineage, after themselves."""
-        return [
-            record
-            for record in self.records
-            if root in itertools.islice(self.lineage(record), 1, None)
-        ]
+
+        def descends(record: ClassRecord) -> bool:
+            bases = itertools.islice(self.lineage(record), 1, None)
+            return any(name == root for name, _ in bases)
+
+        return [record for record in self.records if descends(record)]
 
     def resolve_class_attribute(
         self, record: ClassRecord, attribute: str
     ) -> ast.expr | None:
         """Look *attribute* up in *record*, then along its statically-known
         base chain."""
-        if attribute in record.attributes:
-            return record.attributes[attribute]
-        for name in itertools.islice(self.lineage(record), 1, None):
-            found = self.classes.get(name)
+        for _, found in self.lineage(record):
             if found is not None and attribute in found.attributes:
                 return found.attributes[attribute]
         return None
@@ -328,6 +334,7 @@ def _build_index(files: Iterable[SourceFile]) -> ProjectIndex:
                 )
                 index.records.append(record)
                 index.classes[node.name] = record
+                index.local_classes[file.display, node.name] = record
     index.algorithm_classes = index.subclasses("AgreementAlgorithm")
     return index
 

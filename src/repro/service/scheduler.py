@@ -7,26 +7,30 @@ over the self-healing :func:`~repro.analysis.parallel.run_tasks` pool in
 
 1. wait until at least one scheduled arrival is due (arrivals happen on
    the wall clock, independent of service progress — open loop);
-2. take everything that has arrived, shard it by
-   :meth:`~repro.service.request.AgreementRequest.config_key` into
-   :class:`ServiceStripe` tasks (at most
-   :data:`~repro.analysis.parallel.MAX_STRIPE` requests each, the rule
-   sweeps stripe by);
+2. take everything that has arrived, key each request by its
+   :meth:`~repro.service.request.AgreementRequest.config_key` and its
+   run class (:func:`repro.core.batch.class_key`), and shard the wave
+   into :class:`ServiceStripe` tasks of whole classes (at most
+   :data:`~repro.analysis.parallel.MAX_STRIPE` requests each unless one
+   class holds more, the rule sweeps stripe by);
 3. dispatch the stripes across the pool, one per chunk, harvest, and
    stamp every request in the wave with the wave's dispatch/harvest
    times.
 
-Inside a stripe every request rides :func:`repro.core.batch.run_batch`:
+The run class, not the request, is the unit of work: a stripe ships one
+case per class and returns one :class:`ClassOutcome` per class, and
+``serve`` builds each member request's outcome from its class's.  Inside
+a stripe the classes ride :func:`repro.core.batch.run_batch`:
 
 * **setup cache** — the per-worker :func:`~repro.service.cache.setup`
   hands every stripe of a configuration the same arena and
   :class:`~repro.crypto.signatures.SharedDigestTable`; workers live as
   long as the scheduler, so signature setup amortises across requests,
   waves and ``serve`` calls;
-* **run-class dedup + kernels** — requests with equal
+* **run-class dedup + kernels** — requests with equal configuration and
   ``(value, fault plan, coin seed)`` share one execution, or one kernel
   row the engine writes down from the algorithm's fault-free schedule,
-  so a thousand identical requests cost one run;
+  so a thousand identical requests in a wave cost one run;
 * **one verdict** — the engine judges each run with
   :func:`repro.core.validation.judge_run`, excusing the processors an
   injected fault touched; a request's ``kind`` is the verdict class, and
@@ -41,10 +45,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
+from repro.algorithms.registry import get
 from repro.analysis.parallel import WorkerPool, default_workers, run_tasks, stripe_positions
-from repro.core.batch import BatchCase, BatchOutcome, run_batch
+from repro.core.batch import BatchCase, BatchOutcome, class_key, run_batch
 from repro.core.counters import Counters
 # Unused here; perfbench/tracing.py wraps the runner under this name.
 from repro.core.runner import run as run_algorithm  # noqa: F401
@@ -53,75 +58,88 @@ from repro.service.cache import setup
 from repro.service.request import AgreementRequest, RequestOutcome, ScheduledRequest
 from repro.service.stats import ServiceStats, build_stats
 
-__all__ = ["ServiceStripe", "StripeResult", "Scheduler", "ServiceReport"]
+__all__ = ["ClassOutcome", "ServiceStripe", "StripeResult", "Scheduler", "ServiceReport"]
+
+
+class ClassOutcome(NamedTuple):
+    """One executed run class: the outcome fields its member requests share."""
+
+    ok: bool
+    verdict: str
+    kind: str
+    #: The distinct values the unexcused processors decided, repr-sorted.
+    decided: tuple[Any, ...]
+    messages: int
+    signatures: int
+    phases_used: int
+    kernel: bool
+    fault_events: int
+    excused: tuple[int, ...]
+
+    @classmethod
+    def of(cls, outcome: BatchOutcome) -> "ClassOutcome":
+        """The fields of the engine's *outcome* a request reports."""
+        excused = outcome.excused
+        decided = {v for pid, v in outcome.decisions if pid not in excused}
+        return cls(
+            ok=outcome.agreement_ok,
+            verdict=outcome.verdict,
+            kind=outcome.kind,
+            decided=tuple(sorted(decided, key=repr)),
+            messages=outcome.messages_by_correct,
+            signatures=outcome.signatures_by_correct,
+            phases_used=outcome.phases_used,
+            kernel=outcome.kernel,
+            fault_events=outcome.fault_events,
+            excused=excused,
+        )
 
 
 @dataclass(slots=True)
 class StripeResult:
     """Everything one executed stripe reports back to the scheduler."""
 
-    #: One outcome per case, in case order; the scheduler stamps the times.
-    outcomes: list[RequestOutcome]
-    #: The batch's counters plus this stripe's setup-cache lookup.
+    #: One outcome per run class, in case order.
+    outcomes: list[ClassOutcome]
+    #: The batch's counters (one run per class) plus this stripe's
+    #: setup-cache lookup.
     counters: Counters
-
-
-def _decided(outcome: BatchOutcome) -> tuple[Any, ...]:
-    """The distinct values the unexcused processors decided, repr-sorted."""
-    excused = outcome.excused
-    return tuple(
-        sorted({v for pid, v in outcome.decisions if pid not in excused}, key=repr)
-    )
 
 
 @dataclass(frozen=True, slots=True)
 class ServiceStripe:
-    """One shard of a wave: same-configuration requests, one worker task.
+    """One shard of a wave: whole run classes of one configuration, one
+    worker task.
 
     Picklable by construction (strings, ints and frozen fault plans), so
     the self-healing pool can ship, retry and re-ship it.  ``cases``
-    holds ``(submission index, request id, value, fault plan, coin seed)``
-    tuples.  Every runner execution it makes serves one of its cases.
+    holds one ``(value, fault plan, coin seed)`` per run class; which
+    requests a class serves stays with the scheduler.  Every runner
+    execution it makes serves one of its classes.
     """
 
     algorithm: str
     n: int
     t: int
     params: tuple[tuple[str, Any], ...]
-    cases: tuple[tuple[int, int, Value, Any, int | None], ...]
+    cases: tuple[tuple[Value, Any, int | None], ...]
 
     def run(self) -> StripeResult:
-        """Execute every case as one batch on the worker's cached arena."""
+        """Execute every class as one batch on the worker's cached arena."""
         lookup = Counters()
         algorithm, table = setup((self.algorithm, self.n, self.t, self.params), lookup)
         batch = run_batch(
             algorithm,
             [
                 BatchCase(value=value, fault_plan=plan, coin_seed=coin_seed)
-                for _, _, value, plan, coin_seed in self.cases
+                for value, plan, coin_seed in self.cases
             ],
             table=table,
         )
-
-        outcomes = [
-            RequestOutcome(
-                request_id=request_id,
-                algorithm=self.algorithm,
-                ok=outcome.agreement_ok,
-                verdict=outcome.verdict,
-                kind=outcome.kind,
-                decided=_decided(outcome),
-                messages=outcome.messages_by_correct,
-                signatures=outcome.signatures_by_correct,
-                phases_used=outcome.phases_used,
-                replicated=outcome.replicated,
-                kernel=outcome.kernel,
-                fault_events=outcome.fault_events,
-                excused=outcome.excused,
-            )
-            for (_, request_id, *_), outcome in zip(self.cases, batch.outcomes)
-        ]
-        return StripeResult(outcomes=outcomes, counters=batch.stats + lookup)
+        return StripeResult(
+            outcomes=[ClassOutcome.of(outcome) for outcome in batch.outcomes],
+            counters=batch.stats + lookup,
+        )
 
 
 @dataclass(slots=True)
@@ -152,8 +170,10 @@ class Scheduler:
     or leaving a ``with`` block shuts them down; a scheduler dropped
     without either shuts them down when it is collected.
 
-    Every runner execution serves a request, and the report's counters
-    are the sum of its stripes' :class:`~repro.core.counters.Counters`.
+    Every runner execution serves a run class, and the report's counters
+    are the sum of its stripes' :class:`~repro.core.counters.Counters`
+    plus the members each class served beyond its first, counted as
+    ``runs`` and ``replicated_runs``.
     Per-phase wall time is not sampled here; it is measured on a run
     itself (``repro run --metrics-out``, JSONL traces).
 
@@ -179,23 +199,46 @@ class Scheduler:
 
     def _stripes(
         self, wave: Sequence[tuple[int, AgreementRequest]]
-    ) -> list[ServiceStripe]:
-        """Shard one wave by configuration with
-        :func:`~repro.analysis.parallel.stripe_positions`; the stripes
-        dispatch in ``repr`` order of the configuration key."""
-        shards = sorted(
-            stripe_positions(request.config_key() for _, request in wave),
-            key=lambda positions: repr(wave[positions[0]][1].config_key()),
-        )
-        stripes: list[ServiceStripe] = []
-        for positions in shards:
-            name, n, t, params = wave[positions[0]][1].config_key()
-            cases = tuple(
-                (index, request.request_id, request.value, request.fault_plan, request.coin_seed)
-                for index, request in (wave[position] for position in positions)
+    ) -> list[tuple[ServiceStripe, list[list[int]]]]:
+        """Shard one wave into stripes of whole run classes.
+
+        Each request is keyed by its configuration and its run class
+        (:func:`~repro.core.batch.class_key`, with ``uses_coins`` read off
+        the registry's class, so no arena is built here), and
+        :func:`~repro.analysis.parallel.stripe_positions` cuts the wave.
+        Each stripe comes with its classes' members, as ascending
+        submission indices.  The stripes dispatch in ``repr`` order of the
+        configuration key."""
+        keys = [
+            (
+                request.config_key(),
+                class_key(
+                    BatchCase(
+                        value=request.value,
+                        fault_plan=request.fault_plan,
+                        coin_seed=request.coin_seed,
+                    ),
+                    get(request.algorithm).build.uses_coins,
+                ),
             )
-            stripes.append(ServiceStripe(algorithm=name, n=n, t=t, params=params, cases=cases))
-        return stripes
+            for _, request in wave
+        ]
+        shards = sorted(
+            stripe_positions(keys), key=lambda classes: repr(keys[classes[0][0]][0])
+        )
+        planned: list[tuple[ServiceStripe, list[list[int]]]] = []
+        for classes in shards:
+            name, n, t, params = keys[classes[0][0]][0]
+            cases = tuple(
+                (request.value, request.fault_plan, request.coin_seed)
+                for request in (wave[positions[0]][1] for positions in classes)
+            )
+            members = [
+                sorted(wave[position][0] for position in positions) for positions in classes
+            ]
+            stripe = ServiceStripe(algorithm=name, n=n, t=t, params=params, cases=cases)
+            planned.append((stripe, members))
+        return planned
 
     def serve(
         self,
@@ -208,7 +251,9 @@ class Scheduler:
 
         *clock* and *sleep* are injectable for deterministic tests; the
         defaults are the real wall clock.  Outcomes are returned in
-        submission order regardless of wave or worker assignment.
+        submission order regardless of wave or worker assignment.  Each
+        request gets its run class's outcome; every member of a class
+        after the first, in submission order, is ``replicated``.
         """
         submissions = list(scheduled)
         outcomes: list[RequestOutcome | None] = [None] * len(submissions)
@@ -234,20 +279,43 @@ class Scheduler:
                 wave.append((order[cursor], item.request))
                 cursor += 1
             dispatch_s = clock() - start
-            stripes = self._stripes(wave)
+            planned = self._stripes(wave)
             stripe_results: list[StripeResult] = run_tasks(
-                stripes, workers=self.workers, chunk_size=1, pool=self._pool
+                [stripe for stripe, _ in planned],
+                workers=self.workers,
+                chunk_size=1,
+                pool=self._pool,
             )
             harvest_s = clock() - start
             waves += 1
-            for stripe, stripe_result in zip(stripes, stripe_results):
-                for case, outcome in zip(stripe.cases, stripe_result.outcomes):
-                    index = case[0]
-                    outcome.arrival_s = submissions[index].arrival_s
-                    outcome.start_s = dispatch_s
-                    outcome.finish_s = harvest_s
-                    outcomes[index] = outcome
-                counters += stripe_result.counters
+            for (stripe, classes), stripe_result in zip(planned, stripe_results):
+                for members, outcome in zip(classes, stripe_result.outcomes):
+                    for rank, index in enumerate(members):
+                        submission = submissions[index]
+                        outcomes[index] = RequestOutcome(
+                            request_id=submission.request.request_id,
+                            algorithm=stripe.algorithm,
+                            ok=outcome.ok,
+                            verdict=outcome.verdict,
+                            kind=outcome.kind,
+                            decided=outcome.decided,
+                            messages=outcome.messages,
+                            signatures=outcome.signatures,
+                            phases_used=outcome.phases_used,
+                            replicated=rank > 0,
+                            kernel=outcome.kernel,
+                            arrival_s=submission.arrival_s,
+                            start_s=dispatch_s,
+                            finish_s=harvest_s,
+                            fault_events=outcome.fault_events,
+                            excused=outcome.excused,
+                        )
+                # The stripe ran one case per class; its other members
+                # are served, replicated, here.
+                replicas = sum(len(members) for members in classes) - len(classes)
+                counters += stripe_result.counters + Counters(
+                    runs=replicas, replicated_runs=replicas
+                )
         wall_s = clock() - start
         finished = [outcome for outcome in outcomes if outcome is not None]
         assert len(finished) == len(submissions), "every request must complete"

@@ -15,6 +15,7 @@ clocks, no I/O — which is what makes the unit tests exact.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -37,13 +38,15 @@ def percentile(samples: Sequence[float], q: float) -> float:
     interpolation.  Raises :class:`ValueError` on an empty sample set or
     a quantile outside ``(0, 1]``.
     """
-    import math
+    return _nearest_rank(sorted(samples), q)
 
-    if not samples:
+
+def _nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of samples already in ascending order."""
+    if not ordered:
         raise ValueError("percentile of an empty sample set")
     if not 0.0 < q <= 1.0:
         raise ValueError(f"quantile must be in (0, 1], got {q}")
-    ordered = sorted(samples)
     # The 1e-9 slack keeps exact ranks exact: 0.99 * 100 floats to
     # 99.00000000000001, which a bare ceil would round up to rank 100.
     rank = max(1, math.ceil(len(ordered) * q - 1e-9))
@@ -67,13 +70,16 @@ class LatencySummary:
         values = list(samples)
         if not values:
             return None
+        # Sorted once for all three quantiles.
+        ordered = sorted(values)
+        p50, p95, p99 = (_nearest_rank(ordered, q) for q in QUANTILES)
         return cls(
             count=len(values),
             mean_s=sum(values) / len(values),
-            p50_s=percentile(values, 0.5),
-            p95_s=percentile(values, 0.95),
-            p99_s=percentile(values, 0.99),
-            max_s=max(values),
+            p50_s=p50,
+            p95_s=p95,
+            p99_s=p99,
+            max_s=ordered[-1],
         )
 
     def to_json_dict(self) -> dict[str, Any]:

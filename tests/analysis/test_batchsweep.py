@@ -6,6 +6,8 @@ from collections import Counter
 from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.analysis.parallel as parallel
 import repro.crypto.signatures as signatures
@@ -110,10 +112,12 @@ class TestEquality:
         assert batch_specs(specs, workers=2) == run_tasks(specs, workers=1)
 
     def test_large_groups_are_striped(self, engine_stats, monkeypatch):
-        # One factory group of MAX_STRIPE + 2 specs is cut at MAX_STRIPE
-        # whatever the pool size, and the pool gets one stripe per chunk.
-        specs = grid(ns=(5,), values=(0, 1) * (MAX_STRIPE // 2 + 1))
-        reference = run_tasks(specs, workers=1)
+        # A factory group of MAX_STRIPE + 2 specs is cut into stripes of
+        # whole run classes whatever the pool size, and the pool gets one
+        # stripe per chunk: MAX_STRIPE + 2 classes of one spec are cut at
+        # MAX_STRIPE, and two classes of MAX_STRIPE // 2 + 1 specs get a
+        # stripe each.
+        half = MAX_STRIPE // 2 + 1
         dispatched = []
         real = parallel.run_tasks
 
@@ -122,26 +126,78 @@ class TestEquality:
             return real(tasks, **kwargs)
 
         monkeypatch.setattr(parallel, "run_tasks", spy)
-        for workers in (1, 2):
-            assert batch_specs(specs, workers=workers) == reference
-        assert dispatched == [([MAX_STRIPE, 2], 1)] * 2
-        # Each stripe re-runs its own class representatives (the spy sees
-        # the in-process batches of workers=1 only).
-        assert [stats.runs for stats in engine_stats] == [MAX_STRIPE, 2]
-        assert total(engine_stats, "unique_runs") == 4
+        for values, stripes, unique in (
+            (tuple(range(MAX_STRIPE + 2)), [MAX_STRIPE, 2], MAX_STRIPE + 2),
+            ((0, 1) * half, [half, half], 2),
+        ):
+            specs = grid(ns=(5,), values=values)
+            reference = run_tasks(specs, workers=1)
+            dispatched.clear()
+            engine_stats.clear()
+            for workers in (1, 2):
+                assert batch_specs(specs, workers=workers) == reference
+            assert dispatched == [(stripes, 1)] * 2
+            # Each run class executes in its one stripe (the spy sees the
+            # in-process batches of workers=1 only).
+            assert [stats.runs for stats in engine_stats] == stripes
+            assert total(engine_stats, "unique_runs") == unique
 
 
 class TestStripe:
     def test_positions_group_by_key_in_first_seen_order(self):
-        keys = ["b", "a"] * (MAX_STRIPE + 1) + ["c"]
-        stripes = stripe_positions(iter(keys))
-        assert [(keys[stripe[0]], len(stripe)) for stripe in stripes] == [
+        # Cases of their own (class None) fill stripes of MAX_STRIPE.
+        configs = ["b", "a"] * (MAX_STRIPE + 1) + ["c"]
+        stripes = stripe_positions(iter((config, None) for config in configs))
+        assert [(configs[stripe[0][0]], len(stripe)) for stripe in stripes] == [
             ("b", MAX_STRIPE), ("b", 1), ("a", MAX_STRIPE), ("a", 1), ("c", 1)
         ]
         for stripe in stripes:
-            assert {keys[position] for position in stripe} == {keys[stripe[0]]}
-            assert list(stripe) == sorted(stripe)
-        assert sorted(p for stripe in stripes for p in stripe) == list(range(len(keys)))
+            assert all(len(positions) == 1 for positions in stripe)
+            flat = [positions[0] for positions in stripe]
+            assert {configs[position] for position in flat} == {configs[flat[0]]}
+            assert flat == sorted(flat)
+        assert sorted(
+            p for stripe in stripes for positions in stripe for p in positions
+        ) == list(range(len(configs)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(
+                st.sampled_from("ab"),
+                st.none() | st.integers(0, 5),
+                st.integers(1, MAX_STRIPE + 40),
+            ),
+            max_size=10,
+        ),
+        shuffler=st.randoms(use_true_random=False),
+    )
+    def test_no_class_spans_two_stripes(self, draws, shuffler):
+        keys = [(config, run_class) for config, run_class, size in draws for _ in range(size)]
+        shuffler.shuffle(keys)
+        stripes = stripe_positions(keys)
+        assert sorted(
+            p for stripe in stripes for positions in stripe for p in positions
+        ) == list(range(len(keys)))
+        homes = set()
+        firsts: dict = {}
+        for stripe in stripes:
+            (config,) = {keys[positions[0]][0] for positions in stripe}
+            # Over MAX_STRIPE cases only in a stripe of one class.
+            assert sum(map(len, stripe)) <= MAX_STRIPE or len(stripe) == 1
+            for positions in stripe:
+                key = keys[positions[0]]
+                assert positions == sorted(positions)
+                assert {keys[p] for p in positions} == {key}
+                if key[1] is None:
+                    assert len(positions) == 1
+                else:
+                    assert key not in homes, "a class is split"
+                    homes.add(key)
+                firsts.setdefault(config, []).append(positions[0])
+        # Classes come in first-seen order within their configuration.
+        for first in firsts.values():
+            assert first == sorted(first)
 
     def test_stripe_runs_standalone(self, engine_stats):
         specs = tuple(grid(ns=(5,), values=(0, 1, 0)))

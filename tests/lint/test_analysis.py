@@ -53,8 +53,13 @@ def parse_expr(source: str) -> ast.expr:
     return ast.parse(source, mode="eval").body
 
 
-def names(records: list[engine_module.ClassRecord]) -> set[str]:
+def names(records) -> set[str]:
     return {record.name for record in records}
+
+
+def lineage(project: engine_module.ProjectIndex, name: str) -> list[str]:
+    """The lineage names of the class *name* (its last definition)."""
+    return [base for base, _ in project.lineage(project.classes[name])]
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +96,20 @@ class TestLineage:
 
     def test_a_diamond_yields_each_base_once_breadth_first(self):
         project = build_project(self.SOURCE)
-        assert list(project.lineage("Bottom")) == [
+        assert lineage(project, "Bottom") == [
             "Bottom", "Left", "Right", "Top", "External",
         ]
 
     def test_a_cycle_ends(self):
         project = build_project(self.SOURCE)
-        assert list(project.lineage("Ping")) == ["Ping", "Pong"]
+        assert lineage(project, "Ping") == ["Ping", "Pong"]
         assert names(project.subclasses("Ping")) == {"Pong"}
 
     def test_a_base_outside_the_index_is_yielded_but_not_followed(self):
         project = build_project(self.SOURCE)
         assert "External" not in project.classes
-        assert list(project.lineage("Top")) == ["Top", "External"]
-        assert list(project.lineage("External")) == ["External"]
+        top = project.classes["Top"]
+        assert list(project.lineage(top)) == [("Top", top), ("External", None)]
 
     def test_subclasses_exclude_the_root(self):
         project = build_project(self.SOURCE)
@@ -151,16 +156,18 @@ class TestCallGraph:
     }
 
     def test_methods_resolve_through_base_chain(self):
-        graph = build_graph(build_project(self.SOURCE))
-        assert graph.resolve_method("Child", "helper") == "proto/mod.py::Base.helper"
-        assert graph.resolve_method("Child", "on_phase") == (
+        project = build_project(self.SOURCE)
+        graph = build_graph(project)
+        child = project.classes["Child"]
+        assert graph.resolve_method(child, "helper") == "proto/mod.py::Base.helper"
+        assert graph.resolve_method(child, "on_phase") == (
             "proto/mod.py::Child.on_phase"
         )
-        assert graph.resolve_method("Child", "missing") is None
+        assert graph.resolve_method(child, "missing") is None
 
     def test_resolved_methods_prefer_nearest_definition(self):
-        graph = build_graph(build_project(self.SOURCE))
-        methods = graph.resolved_methods("Child")
+        project = build_project(self.SOURCE)
+        methods = build_graph(project).resolved_methods(project.classes["Child"])
         assert methods["on_phase"] == "proto/mod.py::Child.on_phase"
         assert methods["helper"] == "proto/mod.py::Base.helper"
 
@@ -182,7 +189,7 @@ class TestCallGraph:
 
     def test_processor_fixpoint_excludes_the_root(self):
         graph = build_graph(build_project(self.SOURCE))
-        assert graph.processor_classes == {"Base", "Child"}
+        assert names(graph.processor_classes) == {"Base", "Child"}
 
     def test_an_instantiation_resolves_to_no_function(self):
         # ``Child()`` constructs the class, not the same-named function.
@@ -195,6 +202,34 @@ class TestCallGraph:
         assert "proto/mod.py::checker" in marked
         assert "proto/mod.py::Base.helper" in marked
         assert "proto/mod.py::Child.on_phase" in marked
+
+    def test_same_named_classes_keep_their_own_methods(self):
+        # Each file's P is its own class: a.py's algorithm builds a.py's P,
+        # whose on_phase sends, and b.py's quiet P does not replace it.
+        quiet = "class P(Processor):\n    def on_phase(self, phase, inbox):\n        return []\n"
+        loud = (
+            "class P(Processor):\n"
+            "    def on_phase(self, phase, inbox):\n"
+            "        return self.send()\n"
+            "\n"
+            "    def send(self):\n"
+            "        return []\n"
+            "\n"
+            "\n"
+            "class Loud(AgreementAlgorithm):\n"
+            "    def make_processor(self, pid):\n"
+            "        return P(pid)\n"
+        )
+        project = build_project({"proto/a.py": loud, "proto/b.py": quiet})
+        graph = build_graph(project)
+        (loud_p, quiet_p) = graph.processor_classes
+        assert (loud_p.display, quiet_p.display) == ("proto/a.py", "proto/b.py")
+        (algorithm,) = project.algorithm_classes
+        assert graph.instantiated_processors(algorithm) == {loud_p}
+        assert graph.resolve_method(loud_p, "on_phase") == "proto/a.py::P.on_phase"
+        assert graph.resolve_method(quiet_p, "on_phase") == "proto/b.py::P.on_phase"
+        assert graph.calls["proto/a.py::P.on_phase"].resolved == {"proto/a.py::P.send"}
+        assert graph.resolve_method(quiet_p, "send") is None
 
     def test_protocol_graph_is_memoized_per_project(self):
         project = build_project(self.SOURCE)
@@ -387,6 +422,39 @@ class TestBA006Golden:
 
     def test_clean_fixture_is_quiet(self):
         assert not findings_for("algorithms/clean.py", "BA006")
+
+    def test_a_quiet_namesake_in_another_file_hides_nothing(self, tmp_path):
+        directory = tmp_path / "algorithms"
+        directory.mkdir()
+        (directory / "a.py").write_text(
+            "from repro.core.protocol import AgreementAlgorithm, Processor\n"
+            "\n"
+            "\n"
+            "class P(Processor):\n"
+            "    def on_phase(self, phase, inbox):\n"
+            "        return [(q, 1) for q in self.ctx.others()]\n"
+            "\n"
+            "\n"
+            "class Loud(AgreementAlgorithm):\n"
+            "    message_bound = \"1\"\n"
+            "\n"
+            "    def make_processor(self, pid):\n"
+            "        return P(pid)\n"
+        )
+        (directory / "b.py").write_text(
+            "from repro.core.protocol import Processor\n"
+            "\n"
+            "\n"
+            "class P(Processor):\n"
+            "    def on_phase(self, phase, inbox):\n"
+            "        return []\n"
+        )
+        alone, together = (
+            [f for f in lint_paths([path]).findings if f.rule == "BA006"]
+            for path in (directory / "a.py", directory)
+        )
+        assert [(f.path, f.line) for f in alone] == [(str(directory / "a.py"), 10)]
+        assert together == alone
 
 
 class TestBA007Golden:

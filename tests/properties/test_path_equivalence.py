@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.phase_king import PhaseKing
 from repro.algorithms.registry import ALGORITHMS, STRAWMEN, WORKLOADS, get
-from repro.analysis.parallel import sweep_parallel
+from repro.analysis.parallel import MAX_STRIPE, sweep_parallel
 from repro.analysis.sweep import measure
 from repro.core.batch import BatchCase, BatchOutcome, run_batch
 from repro.core.validation import BENIGN, BOUND
@@ -245,6 +245,50 @@ class TestPathEquivalence:
         )
         assert not served.ok
         assert served.verdict.startswith("agreement violated")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_class_wider_than_a_stripe_is_served_like_one_case(self, workers):
+        # One wave: a kernel class of MAX_STRIPE + 2 requests, interleaved
+        # with a second kernel class and scalar, faulty and coin-seeded
+        # classes of five requests each.
+        phases = get("dolev-strong")(5, 2).num_phases()
+        plan = random_plan(7, n=5, t=2, num_phases=phases, rate=0.5)
+        others = [
+            ("phase-king", 9, 2, 0, None, None),
+            ("dolev-strong", 5, 2, 1, None, None),
+            ("dolev-strong", 5, 2, 1, plan, None),
+            ("dolev-strong", 5, 2, 0, plan, None),
+            ("ben-or", 6, 1, 1, None, 3),
+            ("ben-or", 6, 1, 1, None, 4),
+        ]
+        shapes = []
+        for index in range(MAX_STRIPE + 2):
+            shapes.append(("phase-king", 9, 2, 1, None, None))
+            if index % 64 == 0:
+                shapes.extend(others)
+        requests = [
+            AgreementRequest(
+                request_id=request_id,
+                algorithm=name,
+                n=n,
+                t=t,
+                value=value,
+                fault_plan=fault_plan,
+                coin_seed=coin_seed,
+            )
+            for request_id, (name, n, t, value, fault_plan, coin_seed) in enumerate(shapes)
+        ]
+        reset_worker_cache()
+        served = serve(requests, workers=workers)
+        assert [outcome.request_id for outcome in served] == list(range(len(requests)))
+        for request, outcome in zip(requests, served):
+            case = BatchCase(
+                value=request.value,
+                fault_plan=request.fault_plan,
+                coin_seed=request.coin_seed,
+            )
+            (expected,) = run_batch(get(request.algorithm)(request.n, request.t), [case]).outcomes
+            assert_same(outcome, expected)
 
     def test_a_worker_pool_serves_the_same_outcomes(self):
         requests = []

@@ -4,7 +4,7 @@ import gc
 import multiprocessing
 import os
 import time as wallclock
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,7 @@ from repro.obs.telemetry import RunTelemetry
 from repro.service.cache import reset_worker_cache
 from repro.service.loadgen import generate_schedule
 from repro.service.request import AgreementRequest, ScheduledRequest
-from repro.service.scheduler import Scheduler, ServiceStripe
+from repro.service.scheduler import ClassOutcome, Scheduler, ServiceStripe
 from repro.transport.faults import CrashFault, FaultPlan, Partition, random_plan
 
 
@@ -213,16 +213,17 @@ class DieInWave(Scheduler):
         self.waves_seen = 0
 
     def _stripes(self, wave):
-        stripes = super()._stripes(wave)
+        planned = super()._stripes(wave)
         if self.waves_seen == self.wave:
-            first = stripes[0]
-            stripes[0] = DieOnceStripe(
+            first, members = planned[0]
+            dying = DieOnceStripe(
                 **{f.name: getattr(first, f.name) for f in fields(ServiceStripe)},
                 marker=self.marker,
                 parent=os.getpid(),
             )
+            planned[0] = (dying, members)
         self.waves_seen += 1
-        return stripes
+        return planned
 
 
 def wait_for_no_children(seconds=10.0):
@@ -302,20 +303,26 @@ class TestPoolLifetime:
 
 class TestStripes:
     def test_sharded_by_config_key_and_split_at_max_stripe(self, monkeypatch):
-        # A configuration's requests split every MAX_STRIPE in arrival
-        # order, at any pool size; the stripes dispatch in repr order of
-        # the configuration key, one per chunk.
-        last = MAX_STRIPE + 1
-        wave = [(i, request(i)) for i in range(last)]
+        # A configuration's run classes fill stripes whole, in first-seen
+        # order, up to MAX_STRIPE requests, at any pool size.  Value 0's
+        # class has two members, so it and the next MAX_STRIPE - 2 classes
+        # fill the first stripe.  The stripes dispatch in repr order of the
+        # configuration key, one per chunk, and ship one case per class.
+        values = [*range(MAX_STRIPE - 1), 0, MAX_STRIPE]
+        wave = [(i, request(i, value=value)) for i, value in enumerate(values)]
+        last = len(wave)
         wave.append((last, request(last, algorithm="dolev-strong", n=9, t=2)))
         expected = [
-            ("dolev-strong", [last]),
-            ("phase-king", list(range(MAX_STRIPE))),
-            ("phase-king", [MAX_STRIPE]),
+            ("dolev-strong", [[last]]),
+            ("phase-king", [[0, MAX_STRIPE - 1]] + [[i] for i in range(1, MAX_STRIPE - 1)]),
+            ("phase-king", [[MAX_STRIPE]]),
         ]
         for workers in (1, 2):
-            stripes = Scheduler(workers=workers)._stripes(wave)
-            assert [(s.algorithm, [case[0] for case in s.cases]) for s in stripes] == expected
+            planned = Scheduler(workers=workers)._stripes(wave)
+            assert [(s.algorithm, members) for s, members in planned] == expected
+            assert [[case[0] for case in s.cases] for s, _ in planned] == [
+                [1], list(range(MAX_STRIPE - 1)), [MAX_STRIPE]
+            ]
         dispatched = []
         real = scheduler_module.run_tasks
 
@@ -327,28 +334,49 @@ class TestStripes:
         report = Scheduler(workers=1).serve(
             immediate([item for _, item in wave]), clock=lambda: 0.0
         )
-        assert dispatched == [([1, MAX_STRIPE, 1], 1)]
+        assert dispatched == [([1, MAX_STRIPE - 1, 1], 1)]
         assert [o.request_id for o in report.outcomes] == list(range(last + 1))
+        assert [o.replicated for o in report.outcomes] == [
+            i == MAX_STRIPE - 1 for i in range(last + 1)
+        ]
+
+    @pytest.mark.parametrize("name,n,t", [("algorithm-3", 20, 2), ("phase-king", 9, 2)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_class_wider_than_a_stripe_executes_once(self, name, n, t, workers):
+        size = 3 * MAX_STRIPE + 1
+        requests = [request(i, algorithm=name, n=n, t=t) for i in range(size)]
+        with Scheduler(workers=workers) as scheduler:
+            report = scheduler.serve(immediate(requests), clock=lambda: 0.0)
+        stats = report.stats
+        assert (stats.runs, stats.unique_runs, stats.replicated_runs) == (size, 1, size - 1)
+        assert report.verdict_counts() == {"ok": size}
+        assert [o.request_id for o in report.outcomes] == list(range(size))
+        assert [o.replicated for o in report.outcomes] == [False] + [True] * (size - 1)
 
     def test_stripe_batches_clean_exact_and_memoises_scalar(self):
+        # The stripe runs one case per class, kernel rows and scalar runs
+        # alike, each equal to its one-case batch.
         plan = random_plan(3, n=8, t=1, num_phases=3, rate=0.8)
-        stripe = ServiceStripe(
-            algorithm="phase-king",
-            n=8,
-            t=1,
-            params=(),
-            cases=(
-                (0, 0, 1, None, None),
-                (1, 1, 1, None, None),
-                (2, 2, 1, plan, None),
-                (3, 3, 1, plan, None),
-            ),
-        )
-        result = stripe.run()
-        assert len(result.outcomes) == 4
-        # The two faulted cases share one run class: one scalar execution.
-        assert result.counters.scalar_runs == 1
-        assert result.counters.replicated_runs >= 1
+        cases = ((1, None, None), (0, None, None), (1, plan, None))
+        result = ServiceStripe(algorithm="phase-king", n=8, t=1, params=(), cases=cases).run()
+        algorithm = get("phase-king")(8, 1)
+        assert result.outcomes == [
+            ClassOutcome.of(
+                run_batch(algorithm, [BatchCase(value=value, fault_plan=case_plan)]).outcomes[0]
+            )
+            for value, case_plan, _ in cases
+        ]
+        counters = result.counters
+        assert (counters.runs, counters.unique_runs, counters.replicated_runs) == (3, 3, 0)
+        assert (counters.kernel_runs, counters.scalar_runs) == (2, 1)
+        # Two faulted requests share one class: one scalar execution.
+        requests = [request(i, fault_plan=plan if i % 2 else None) for i in range(4)]
+        report = Scheduler(workers=1).serve(immediate(requests), clock=lambda: 0.0)
+        stats = report.stats
+        assert (stats.unique_runs, stats.replicated_runs) == (2, 2)
+        assert (stats.kernel_runs, stats.scalar_runs) == (1, 1)
+        assert [o.replicated for o in report.outcomes] == [False, False, True, True]
+        assert [o.kernel for o in report.outcomes] == [True, False, True, False]
 
 
 class TestOneVerdict:
@@ -366,7 +394,7 @@ class TestOneVerdict:
             n=n,
             t=t,
             params=(),
-            cases=((0, 0, 1, plan, None),),
+            cases=((1, plan, None),),
         )
         (served,) = stripe.run().outcomes
         assert (served.ok, served.verdict, served.excused) == (True, "ok", (0,))
@@ -430,25 +458,39 @@ class TestCounters:
             return result
 
         monkeypatch.setattr(ServiceStripe, "run", spy)
+        # Every request twice, under a second id: each class has two members.
+        schedule = multi_stripe_waves(3)
+        schedule += [
+            ScheduledRequest(
+                arrival_s=item.arrival_s,
+                request=replace(item.request, request_id=item.request.request_id + 1000),
+            )
+            for item in schedule
+        ]
         time = VirtualTime()
         stats = (
             Scheduler(workers=1)
-            .serve(multi_stripe_waves(3), clock=time.clock, sleep=time.sleep)
+            .serve(schedule, clock=time.clock, sleep=time.sleep)
             .stats
         )
         assert len(stripe_counters) == 3 * len(CONFIGS)
         total = sum(stripe_counters, Counters())
+        # A stripe runs one case per class; the scheduler serves each
+        # class's second member as a replica.
+        classes = len(schedule) // 2
+        assert (total.runs, total.unique_runs, total.replicated_runs) == (classes, classes, 0)
+        expected = total + Counters(runs=classes, replicated_runs=classes)
         names = [f.name for f in fields(Counters)]
         assert [getattr(stats, name) for name in names] == [
-            getattr(total, name) for name in names
+            getattr(expected, name) for name in names
         ]
-        assert total.runs == stats.requests == total.unique_runs + total.replicated_runs
-        assert total.unique_runs == total.kernel_runs + total.scalar_runs
+        assert stats.runs == stats.requests == stats.unique_runs + stats.replicated_runs
+        assert stats.unique_runs == stats.kernel_runs + stats.scalar_runs
         assert (total.setup_misses, total.setup_hits) == (len(CONFIGS), 2 * len(CONFIGS))
 
     def test_run_class_counts_equal_across_worker_counts(self):
-        # One wave (every arrival at 0): the run classes depend only on
-        # which requests share a stripe, and the stripes on the requests.
+        # One wave (every arrival at 0): each run class of a wave executes
+        # once, so the run-class counts depend on the requests alone.
         # Digest and setup counts depend on which process's cache serves a
         # stripe, so they are left out.
         schedule = [

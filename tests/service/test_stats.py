@@ -1,5 +1,7 @@
 """Tests for the capacity statistics (percentiles, summaries, rates)."""
 
+import random
+
 import pytest
 
 from repro.core.counters import Counters
@@ -44,6 +46,19 @@ class TestLatencySummary:
 
     def test_empty_is_none(self):
         assert LatencySummary.from_samples([]) is None
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 100, 1001])
+    def test_quantiles_are_the_percentile_calls(self, size):
+        rng = random.Random(size)
+        samples = [rng.expovariate(10.0) for _ in range(size)]
+        summary = LatencySummary.from_samples(iter(samples))
+        assert (summary.p50_s, summary.p95_s, summary.p99_s) == (
+            percentile(samples, 0.5),
+            percentile(samples, 0.95),
+            percentile(samples, 0.99),
+        )
+        assert (summary.count, summary.max_s) == (size, max(samples))
+        assert summary.mean_s == sum(samples) / size
 
     def test_json_dict_rounds_to_microseconds(self):
         summary = LatencySummary.from_samples([0.123456789])

@@ -636,6 +636,21 @@ class TestBadInputExits2:
     def test_non_finite_number(self, capsys, argv):
         self.assert_usage_error(capsys, argv)
 
+    def test_serve_repeated_request_id(self, capsys, tmp_path):
+        path = tmp_path / "requests.jsonl"
+        lines = [
+            {**GOOD_REQUEST, "request_id": 1},
+            {**GOOD_REQUEST, "request_id": 2},
+            {**GOOD_REQUEST, "request_id": 1, "value": 0},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        out = tmp_path / "responses.jsonl"
+        err = self.assert_usage_error(
+            capsys, ["serve", str(path), "--workers", "1", "--out", str(out)]
+        )
+        assert err == f"repro serve: {path}:3: request_id 1 repeats line 1\n"
+        assert not out.exists()
+
     def test_loadgen_max_rounds_not_an_int(self, capsys):
         err = self.assert_usage_error(
             capsys,
