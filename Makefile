@@ -55,17 +55,29 @@ fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --algorithm all --budget 200 --seed 0 \
 		--save-corpus tests/fuzz_corpus
 
-# Time-boxed CI smoke: a fixed-seed campaign sized to ~10s.
+# Time-boxed CI smoke: a fixed-seed campaign sized to ~10s.  Its printed
+# table is deterministic for the seed at any worker count, so it must
+# equal the committed copy byte for byte.  A change that moves it re-pins
+# it (redirect the same command into tests/smoke/fuzz-smoke.txt) and
+# lists the diff in CHANGES.md.
 fuzz-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro fuzz --algorithm all --budget 300 --seed 0
+	PYTHONPATH=src $(PYTHON) -m repro fuzz --algorithm all --budget 300 --seed 0 \
+		> /tmp/fuzz_smoke.out || { cat /tmp/fuzz_smoke.out; exit 1; }
+	cat /tmp/fuzz_smoke.out
+	diff -u tests/smoke/fuzz-smoke.txt /tmp/fuzz_smoke.out
 
 # Chaos smoke: a fixed-seed campaign of benign delivery faults
 # (crashes, omissions, drops, delays, duplicates, partitions) over
 # every algorithm, sized to ~10s.  Deterministic for the seed; any
-# failure is divergence the injected faults cannot excuse.
+# failure is divergence the injected faults cannot excuse.  Its table
+# must equal tests/smoke/chaos-smoke.txt byte for byte (re-pinned as
+# fuzz-smoke's is).
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --algorithm all --fault-rate 0.2 \
-		--budget 300 --seed 0
+		--budget 300 --seed 0 > /tmp/chaos_smoke.out \
+		|| { cat /tmp/chaos_smoke.out; exit 1; }
+	cat /tmp/chaos_smoke.out
+	diff -u tests/smoke/chaos-smoke.txt /tmp/chaos_smoke.out
 
 # Statistical smoke for the randomized workloads: seeded KS/chi-square
 # ensemble checks (coin uniformity, Ben-Or's geometric round tail,

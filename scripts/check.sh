@@ -98,10 +98,11 @@ fi
 # Fuzz smoke: a fixed-seed campaign over every algorithm, sized to ~10s.
 # The campaign is deterministic in its seed, so this is a stable gate;
 # any failure means a generated adversary broke an agreement or declared
-# bound.  Disable with FUZZ_SMOKE=0.
+# bound, and a table that differs from tests/smoke/fuzz-smoke.txt means
+# the campaign itself moved.  Disable with FUZZ_SMOKE=0.
 if [ "${FUZZ_SMOKE:-1}" != "0" ]; then
     echo "== fuzz smoke =="
-    PYTHONPATH=src python -m repro fuzz --algorithm all --budget 300 --seed 0 || status=1
+    make --no-print-directory fuzz-smoke || status=1
 else
     echo "== fuzz smoke == (FUZZ_SMOKE=0, skipped)"
 fi
@@ -109,12 +110,12 @@ fi
 # Chaos smoke: the fuzz campaign again, but with seeded benign delivery
 # faults (crash/omission/drop/delay/duplicate/partition) injected through
 # the FaultyTransport.  Deterministic for the seed; a failure means the
-# oracle saw divergence the injected faults cannot excuse.  Disable with
-# CHAOS_SMOKE=0.
+# oracle saw divergence the injected faults cannot excuse, and a table
+# that differs from tests/smoke/chaos-smoke.txt means the campaign or
+# the fault filter moved.  Disable with CHAOS_SMOKE=0.
 if [ "${CHAOS_SMOKE:-1}" != "0" ]; then
     echo "== chaos smoke =="
-    PYTHONPATH=src python -m repro fuzz --algorithm all --fault-rate 0.2 \
-        --budget 300 --seed 0 || status=1
+    make --no-print-directory chaos-smoke || status=1
 else
     echo "== chaos smoke == (CHAOS_SMOKE=0, skipped)"
 fi

@@ -61,7 +61,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Protocol, Sequenc
 
 from repro.adversary.base import Adversary
 from repro.analysis.sweep import SweepPoint, measure, sweep_points
-from repro.core.batch import BatchCase, class_key, run_batch
+from repro.core.batch import BatchCase, run_batch
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
 
@@ -239,9 +239,16 @@ def stripe_positions(
     """
     groups: dict[Hashable, dict[Hashable, list[int]]] = {}
     for position, (config, run_class) in enumerate(keys):
+        classes = groups.get(config)
+        if classes is None:
+            classes = groups[config] = {}
         # A case of its own is keyed by an object nothing else equals.
         key = object() if run_class is None else run_class
-        groups.setdefault(config, {}).setdefault(key, []).append(position)
+        members = classes.get(key)
+        if members is None:
+            classes[key] = [position]
+        else:
+            members.append(position)
     stripes: list[list[list[int]]] = []
     for classes in groups.values():
         stripe: list[list[int]] = []
@@ -607,7 +614,7 @@ def _spec_class(spec: ScenarioSpec) -> Any | None:
     if spec.trace_dir is not None:
         return None
     case = BatchCase(value=spec.value, adversary_factory=spec.adversary_factory)
-    return class_key(case, uses_coins=False)
+    return case.run_class(uses_coins=False)
 
 
 def batch_specs(

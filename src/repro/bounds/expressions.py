@@ -24,8 +24,10 @@ Two sentinels opt out of evaluation while keeping the declaration explicit:
 from __future__ import annotations
 
 import ast
+import functools
 import math
 from fractions import Fraction
+from types import CodeType
 from typing import Callable, Final, Mapping
 
 from repro.bounds import formulas
@@ -145,41 +147,6 @@ def validate_bound_expression(expression: str) -> ast.Expression:
     return tree
 
 
-def evaluate_bound(
-    declaration: str | None, parameters: Mapping[str, int]
-) -> int | None:
-    """Evaluate a declared bound at the given parameter values.
-
-    Returns ``None`` for an absent declaration or a sentinel
-    (:data:`DERIVED` / :data:`UNSTATED`).  Non-integer results (e.g. a
-    :class:`~fractions.Fraction` from a lower-bound formula) are rounded up
-    — a bound rounded toward safety stays a bound.
-    """
-    if declaration is None or declaration in SENTINELS:
-        return None
-    tree = validate_bound_expression(declaration)
-    namespace: dict[str, object] = dict(formula_namespace())
-    for name, value in parameters.items():
-        if name in PARAMETER_NAMES:
-            namespace[name] = value
-    code = compile(tree, "<declared-bound>", "eval")
-    try:
-        result = eval(code, {"__builtins__": {}}, namespace)  # noqa: S307
-    except NameError as error:
-        raise BoundExpressionError(
-            f"bound expression {declaration!r} needs a parameter this "
-            f"algorithm does not define: {error}"
-        ) from error
-    if isinstance(result, bool) or not isinstance(
-        result, (int, float, Fraction)
-    ):
-        raise BoundExpressionError(
-            f"bound expression {declaration!r} evaluated to "
-            f"{type(result).__name__}, expected a number"
-        )
-    return math.ceil(result)
-
-
 class _ExactDivision(ast.NodeTransformer):
     """Rewrite integer literals as ``Fraction`` constructor calls.
 
@@ -202,6 +169,61 @@ class _ExactDivision(ast.NodeTransformer):
         return node
 
 
+@functools.lru_cache(maxsize=256)
+def _compiled(declaration: str, exact: bool) -> tuple[CodeType, tuple[str, ...]]:
+    """*declaration* checked and compiled once per process (for the 256
+    most recent expressions), with the :mod:`repro.bounds.formulas`
+    functions it calls.
+
+    *exact* compiles it with every integer literal lifted into a
+    :class:`~fractions.Fraction` (:class:`_ExactDivision`).  A bad
+    expression raises :class:`BoundExpressionError` on every call, since
+    nothing is cached for a call that raises.  The functions are looked
+    up by name at each evaluation, so the formulas module stays the one
+    source of their definitions.
+    """
+    tree = validate_bound_expression(declaration)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = tuple(sorted(names - PARAMETER_NAMES))
+    if exact:
+        tree = ast.fix_missing_locations(_ExactDivision().visit(tree))
+    return compile(tree, "<declared-rate>" if exact else "<declared-bound>", "eval"), used
+
+
+def evaluate_bound(
+    declaration: str | None, parameters: Mapping[str, int]
+) -> int | None:
+    """Evaluate a declared bound at the given parameter values.
+
+    Returns ``None`` for an absent declaration or a sentinel
+    (:data:`DERIVED` / :data:`UNSTATED`).  Non-integer results (e.g. a
+    :class:`~fractions.Fraction` from a lower-bound formula) are rounded up
+    — a bound rounded toward safety stays a bound.
+    """
+    if declaration is None or declaration in SENTINELS:
+        return None
+    code, used = _compiled(declaration, exact=False)
+    namespace: dict[str, object] = {name: getattr(formulas, name) for name in used}
+    for name, value in parameters.items():
+        if name in PARAMETER_NAMES:
+            namespace[name] = value
+    try:
+        result = eval(code, {"__builtins__": {}}, namespace)  # noqa: S307
+    except NameError as error:
+        raise BoundExpressionError(
+            f"bound expression {declaration!r} needs a parameter this "
+            f"algorithm does not define: {error}"
+        ) from error
+    if isinstance(result, bool) or not isinstance(
+        result, (int, float, Fraction)
+    ):
+        raise BoundExpressionError(
+            f"bound expression {declaration!r} evaluated to "
+            f"{type(result).__name__}, expected a number"
+        )
+    return math.ceil(result)
+
+
 def evaluate_rate(
     declaration: str | None, parameters: Mapping[str, int]
 ) -> Fraction | None:
@@ -218,14 +240,12 @@ def evaluate_rate(
     """
     if declaration is None or declaration in SENTINELS:
         return None
-    tree = validate_bound_expression(declaration)
-    tree = ast.fix_missing_locations(_ExactDivision().visit(tree))
-    namespace: dict[str, object] = dict(formula_namespace())
+    code, used = _compiled(declaration, exact=True)
+    namespace: dict[str, object] = {name: getattr(formulas, name) for name in used}
     namespace["__frac__"] = Fraction
     for name, value in parameters.items():
         if name in PARAMETER_NAMES:
             namespace[name] = Fraction(value)
-    code = compile(tree, "<declared-rate>", "eval")
     try:
         result = eval(code, {"__builtins__": {}}, namespace)  # noqa: S307
     except NameError as error:

@@ -13,9 +13,10 @@ seed)``.  This module amortises all three:
   backs every run's signature registry, so equal payloads are digested
   once per batch instead of once per run;
 * **run-class deduplication** — adversary-free cases are grouped by
-  ``(input value, fault plan, coin seed)`` under type-tagged
-  :func:`~repro.core.message.intern_key` keys (so ``1`` and ``True`` stay
-  distinct classes); each class executes once and its outcome is
+  ``(input value, fault plan, coin seed)`` (:func:`class_key`) under
+  type-tagged :func:`~repro.core.message.intern_key` keys (so ``1`` and
+  ``True`` stay distinct classes, and an empty plan keys as no plan);
+  each class executes once and its outcome is
   replicated to the other members, which is sound because such runs are
   deterministic pure functions of the class key;
 * **closed-form kernels** — an algorithm that states its fault-free
@@ -104,6 +105,14 @@ class BatchCase:
     coin_seed: int | None = None
     trace: str | None = None
 
+    def run_class(self, uses_coins: bool) -> Any | None:
+        """This case's :func:`class_key`; ``None`` for an adversary case
+        (factories may close over state and the adversary itself is
+        stateful) and for a traced one (each writes its own file)."""
+        if self.adversary_factory is not None or self.trace is not None:
+            return None
+        return class_key(self.value, self.fault_plan, self.coin_seed, uses_coins)
+
 
 @dataclass(frozen=True, slots=True)
 class BatchOutcome:
@@ -156,26 +165,27 @@ class BatchResult:
     declared: Costs
 
 
-def class_key(case: BatchCase, uses_coins: bool) -> Any | None:
-    """The run class of *case*, or ``None`` when it is a class of its own.
+def class_key(
+    value: Value, fault_plan: "FaultPlan | None", coin_seed: int | None, uses_coins: bool
+) -> Any | None:
+    """The run class of an adversary-free, untraced case of *value*,
+    *fault_plan* and *coin_seed*, or ``None`` when it is a class of its own.
 
-    The one run-class key: :func:`run_batch` dedupes by it, and sweeps
-    and the service keep each class in one stripe by it.  Adversary cases
-    never dedupe (factories may close over state and the adversary itself
-    is stateful), nor do traced cases (each writes its own file), nor
-    cases whose value :func:`~repro.core.message.intern_key` cannot key.
-    Fault plans are frozen value objects, and the runner,
-    :class:`~repro.transport.faulty.FaultyTransport` and the coin source
-    are deterministic in their inputs, so ``(value, plan, coin seed)``
-    fully determines an adversary-free run; the seed is kept only when
-    the algorithm *uses_coins* (a class attribute, so no instance is
-    needed), as no other run reads it.
+    The one run-class key: :func:`run_batch` dedupes by it (through
+    :meth:`BatchCase.run_class`), and sweeps and the service keep each
+    class in one stripe by it.  Fault plans are frozen value objects, and
+    the runner, :class:`~repro.transport.faulty.FaultyTransport` and the
+    coin source are deterministic in their inputs, so ``(value, plan,
+    coin seed)`` fully determines an adversary-free run.  An empty plan
+    injects nothing, so it keys as no plan (and its class may take a
+    kernel); the seed is kept only when the algorithm *uses_coins* (a
+    class attribute, so no instance is needed), as no other run reads it.
+    A value :func:`~repro.core.message.intern_key` cannot key is a class
+    of its own.
     """
-    if case.adversary_factory is not None or case.trace is not None:
-        return None
-    seed = case.coin_seed if uses_coins else None
+    plan = None if fault_plan is None or fault_plan.is_empty else fault_plan
     try:
-        return (intern_key(case.value), case.fault_plan, seed)
+        return (intern_key(value), plan, coin_seed if uses_coins else None)
     except (UninternableError, TypeError):
         return None
 
@@ -362,7 +372,7 @@ def run_batch(
     classes: dict[Any, list[int]] = {}
     singletons: list[list[int]] = []
     for index, case in enumerate(case_list):
-        key = class_key(case, algorithm.uses_coins)
+        key = case.run_class(algorithm.uses_coins)
         if key is None:
             singletons.append([index])
         else:

@@ -156,8 +156,9 @@ class Costs(NamedTuple):
 
 
 def declared_costs(algorithm: AgreementAlgorithm) -> Costs:
-    """*algorithm*'s declared bounds.  Each call parses and compiles the
-    expressions, so a batch evaluates them once, not once per run."""
+    """*algorithm*'s declared bounds.  Each expression is parsed and
+    compiled once per process; a batch evaluates them once, not once per
+    run."""
     return Costs(
         algorithm.upper_bound_messages(),
         algorithm.upper_bound_signatures(),

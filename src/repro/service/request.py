@@ -183,20 +183,27 @@ class RequestOutcome:
     fault_events: int = 0
     excused: tuple[int, ...] = ()
 
+    # Each stage clamps at zero with a comparison, not ``max()``: the
+    # stats read every outcome's three stages, and a builtin call costs
+    # more than the subtraction.
+
     @property
     def queue_wait_s(self) -> float:
         """Seconds between arrival and wave dispatch."""
-        return max(0.0, self.start_s - self.arrival_s)
+        seconds = self.start_s - self.arrival_s
+        return seconds if seconds > 0.0 else 0.0
 
     @property
     def service_s(self) -> float:
         """Seconds between wave dispatch and wave harvest."""
-        return max(0.0, self.finish_s - self.start_s)
+        seconds = self.finish_s - self.start_s
+        return seconds if seconds > 0.0 else 0.0
 
     @property
     def latency_s(self) -> float:
         """End-to-end seconds between arrival and completion."""
-        return max(0.0, self.finish_s - self.arrival_s)
+        seconds = self.finish_s - self.arrival_s
+        return seconds if seconds > 0.0 else 0.0
 
     def to_json_dict(self) -> dict[str, Any]:
         """The response JSONL line ``repro serve`` writes."""

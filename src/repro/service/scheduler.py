@@ -203,22 +203,25 @@ class Scheduler:
         """Shard one wave into stripes of whole run classes.
 
         Each request is keyed by its configuration and its run class
-        (:func:`~repro.core.batch.class_key`, with ``uses_coins`` read off
-        the registry's class, so no arena is built here), and
+        (:func:`~repro.core.batch.class_key` of its value, fault plan and
+        coin seed, with ``uses_coins`` read off the registry's class once
+        per algorithm, so no arena is built here), and
         :func:`~repro.analysis.parallel.stripe_positions` cuts the wave.
         Each stripe comes with its classes' members, as ascending
         submission indices.  The stripes dispatch in ``repr`` order of the
         configuration key."""
+        uses_coins = {
+            name: get(name).build.uses_coins
+            for name in {request.algorithm for _, request in wave}
+        }
         keys = [
             (
                 request.config_key(),
                 class_key(
-                    BatchCase(
-                        value=request.value,
-                        fault_plan=request.fault_plan,
-                        coin_seed=request.coin_seed,
-                    ),
-                    get(request.algorithm).build.uses_coins,
+                    request.value,
+                    request.fault_plan,
+                    request.coin_seed,
+                    uses_coins[request.algorithm],
                 ),
             )
             for _, request in wave
@@ -234,7 +237,7 @@ class Scheduler:
                 for request in (wave[positions[0]][1] for positions in classes)
             )
             members = [
-                sorted(wave[position][0] for position in positions) for positions in classes
+                sorted([wave[position][0] for position in positions]) for positions in classes
             ]
             stripe = ServiceStripe(algorithm=name, n=n, t=t, params=params, cases=cases)
             planned.append((stripe, members))
@@ -289,27 +292,21 @@ class Scheduler:
             harvest_s = clock() - start
             waves += 1
             for (stripe, classes), stripe_result in zip(planned, stripe_results):
+                algorithm = stripe.algorithm
                 for members, outcome in zip(classes, stripe_result.outcomes):
-                    for rank, index in enumerate(members):
+                    (ok, verdict, kind, decided, messages, signatures, phases_used,
+                     kernel, fault_events, excused) = outcome
+                    replicated = False
+                    for index in members:
                         submission = submissions[index]
+                        # Positional, in RequestOutcome's field order.
                         outcomes[index] = RequestOutcome(
-                            request_id=submission.request.request_id,
-                            algorithm=stripe.algorithm,
-                            ok=outcome.ok,
-                            verdict=outcome.verdict,
-                            kind=outcome.kind,
-                            decided=outcome.decided,
-                            messages=outcome.messages,
-                            signatures=outcome.signatures,
-                            phases_used=outcome.phases_used,
-                            replicated=rank > 0,
-                            kernel=outcome.kernel,
-                            arrival_s=submission.arrival_s,
-                            start_s=dispatch_s,
-                            finish_s=harvest_s,
-                            fault_events=outcome.fault_events,
-                            excused=outcome.excused,
+                            submission.request.request_id, algorithm, ok, verdict,
+                            kind, decided, messages, signatures, phases_used,
+                            replicated, kernel, submission.arrival_s, dispatch_s,
+                            harvest_s, fault_events, excused,
                         )
+                        replicated = True
                 # The stripe ran one case per class; its other members
                 # are served, replicated, here.
                 replicas = sum(len(members) for members in classes) - len(classes)

@@ -70,16 +70,18 @@ class LatencySummary:
         values = list(samples)
         if not values:
             return None
-        # Sorted once for all three quantiles.
-        ordered = sorted(values)
-        p50, p95, p99 = (_nearest_rank(ordered, q) for q in QUANTILES)
+        # Summed in sample order, then sorted in place once for all
+        # three quantiles.
+        mean_s = sum(values) / len(values)
+        values.sort()
+        p50, p95, p99 = (_nearest_rank(values, q) for q in QUANTILES)
         return cls(
             count=len(values),
-            mean_s=sum(values) / len(values),
+            mean_s=mean_s,
             p50_s=p50,
             p95_s=p95,
             p99_s=p99,
-            max_s=ordered[-1],
+            max_s=values[-1],
         )
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -182,26 +184,32 @@ def build_stats(
     counters: Counters | None = None,
 ) -> ServiceStats:
     """Fold finished outcomes (plus the stripes' summed *counters*) into one summary."""
-    stats = ServiceStats(
+    ok = benign = messages = signatures = 0
+    per_algorithm: dict[str, dict[str, int]] = {}
+    for outcome in outcomes:
+        passed = outcome.ok
+        ok += passed
+        benign += outcome.kind == BENIGN
+        messages += outcome.messages
+        signatures += outcome.signatures
+        per = per_algorithm.get(outcome.algorithm)
+        if per is None:
+            per = per_algorithm[outcome.algorithm] = {"requests": 0, "ok": 0}
+        per["requests"] += 1
+        per["ok"] += passed
+    return ServiceStats(
         **dataclasses.asdict(counters or Counters()),
         requests=len(outcomes),
+        ok=ok,
+        failed=len(outcomes) - ok,
+        benign=benign,
         wall_s=wall_s,
         waves=waves,
+        messages_total=messages,
+        signatures_total=signatures,
+        # One latency family's samples at a time.
+        e2e=LatencySummary.from_samples(o.latency_s for o in outcomes),
+        queue=LatencySummary.from_samples(o.queue_wait_s for o in outcomes),
+        service=LatencySummary.from_samples(o.service_s for o in outcomes),
+        per_algorithm=per_algorithm,
     )
-    for outcome in outcomes:
-        if outcome.ok:
-            stats.ok += 1
-        else:
-            stats.failed += 1
-        stats.benign += int(outcome.kind == BENIGN)
-        stats.messages_total += outcome.messages
-        stats.signatures_total += outcome.signatures
-        per = stats.per_algorithm.setdefault(
-            outcome.algorithm, {"requests": 0, "ok": 0}
-        )
-        per["requests"] += 1
-        per["ok"] += int(outcome.ok)
-    stats.e2e = LatencySummary.from_samples(o.latency_s for o in outcomes)
-    stats.queue = LatencySummary.from_samples(o.queue_wait_s for o in outcomes)
-    stats.service = LatencySummary.from_samples(o.service_s for o in outcomes)
-    return stats

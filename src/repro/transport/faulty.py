@@ -6,6 +6,12 @@ applies a seeded
 crash-stop processors (with optional recovery), send/receive omissions,
 per-link drops, k-phase delays, duplicates, and network partitions.
 
+Each phase judges only the envelopes an active fault can touch: those
+from the senders and to the receivers its active faults name (see
+:meth:`FaultyTransport._touched`).  Every other envelope passes with one
+copy and no event, unjudged, and a phase that touches nobody and has
+nothing delayed into it is routed as it was sent.
+
 Every intervention is recorded as a schema-versioned ``fault`` event
 (``repro-fault/1``) which the runner forwards into the ``repro-trace/1``
 sinks — ``repro inspect`` can attribute any divergence from the
@@ -40,6 +46,7 @@ class FaultyTransport:
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.base: Transport = LockstepTransport()
+        self._duplicates = plan.of_kind("duplicate")
         self._delayed: dict[int, list[Envelope]] = {}
         self._events: list[dict[str, Any]] = []
 
@@ -59,24 +66,28 @@ class FaultyTransport:
         partition, delay capture, duplication) are judged at the sending
         phase; receive-side faults (receiver crash, receive omission) at
         the delivery phase ``phase + 1`` — including for envelopes that
-        were delayed into this delivery round.
+        were delayed into this delivery round.  Only the envelopes
+        :meth:`_touched` names are judged.
         """
+        senders, receivers = self._touched(phase)
+        due = self._delayed.pop(phase + 1, ())
+        if not senders and not receivers and not due:
+            return self.base.deliver(phase, sent, correct_count)
         survivors: list[Envelope] = []
         extras: list[Envelope] = []
         surviving_correct = 0
         for index, envelope in enumerate(sent):
-            copies = self._send_side(phase, envelope)
-            if copies == 0:
-                continue
-            if not self._receivable(phase + 1, envelope):
-                continue
+            if envelope.src in senders or envelope.dst in receivers:
+                copies = self._send_side(phase, envelope)
+                if copies == 0 or not self._receivable(phase + 1, envelope):
+                    continue
+                extras.extend([envelope] * (copies - 1))
             survivors.append(envelope)
             if index < correct_count:
                 surviving_correct += 1
-            extras.extend([envelope] * (copies - 1))
         # Envelopes delayed from earlier phases that are due now; their
         # receive side is judged against *this* delivery phase.
-        for envelope in self._delayed.pop(phase + 1, []):
+        for envelope in due:
             if self._receivable(phase + 1, envelope):
                 extras.append(envelope)
         # Survivors keep the runner's ordering invariant (a filtered
@@ -105,6 +116,40 @@ class FaultyTransport:
         return self.drain_faults() + list(leftovers)
 
     # ------------------------------------------------------------ fault logic
+
+    def _touched(self, phase: int) -> tuple[set[ProcessorId], set[ProcessorId]]:
+        """The senders and the receivers an active fault can touch in the
+        traffic of *phase*.
+
+        Every send-side fault names the sender of what it acts on (a
+        partition either endpoint) and acts while active at *phase*;
+        every receive-side fault names the receiver and acts while active
+        at the delivery phase ``phase + 1``.  So an envelope from outside
+        the first set to outside the second passes both judges with one
+        copy and no event, and only the others need judging.
+        """
+        senders: set[ProcessorId] = set()
+        receivers: set[ProcessorId] = set()
+        for fault in self.plan.faults:
+            kind = fault.kind
+            if kind == "crash":
+                if fault.active(phase):
+                    senders.add(fault.pid)
+                if fault.active(phase + 1):
+                    receivers.add(fault.pid)
+            elif kind == "omission_send":
+                if fault.active(phase):
+                    senders.add(fault.pid)
+            elif kind == "omission_recv":
+                if fault.active(phase + 1):
+                    receivers.add(fault.pid)
+            elif kind == "partition":
+                if fault.active(phase):
+                    senders.update(fault.group)
+                    receivers.update(fault.group)
+            elif kind in ("drop", "delay", "duplicate") and fault.active(phase):
+                senders.add(fault.src)
+        return senders, receivers
 
     def _send_side(self, phase: int, envelope: Envelope) -> int:
         """Judge sender-side faults; returns how many copies to deliver
@@ -163,7 +208,7 @@ class FaultyTransport:
                 )
                 return 0
         copies = 1
-        for fault in self.plan.of_kind("duplicate"):
+        for fault in self._duplicates:
             if fault.src == src and fault.dst == dst and fault.active(phase):
                 copies = max(copies, fault.copies)
                 self._record(

@@ -91,6 +91,19 @@ class TestDeduplication:
         stats = run_batch(get("ben-or")(6, 1), cases, strict=True).stats
         assert (stats.unique_runs, stats.replicated_runs) == (2, 1)
 
+    def test_an_empty_fault_plan_is_no_plan(self):
+        # An empty plan injects nothing, whatever its seed: its cases join
+        # the plan-free class and its kernel row.
+        plans = (None, FaultPlan(), FaultPlan(seed=5))
+        result = run_batch(
+            PhaseKing(9, 2), [BatchCase(1, fault_plan=plan) for plan in plans], strict=True
+        )
+        stats = result.stats
+        assert (stats.unique_runs, stats.replicated_runs) == (1, 2)
+        assert (stats.kernel_runs, stats.scalar_runs) == (1, 0)
+        plan_free = result.outcomes[0].comparable()
+        assert [outcome.comparable() for outcome in result.outcomes] == [plan_free] * 3
+
     def test_value_domain_is_validated_upfront(self):
         with pytest.raises(ConfigurationError, match="values in"):
             run_batch(get("algorithm-3")(9, 2), [0, 2])

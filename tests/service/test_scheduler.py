@@ -340,6 +340,23 @@ class TestStripes:
             i == MAX_STRIPE - 1 for i in range(last + 1)
         ]
 
+    def test_an_empty_fault_plan_serves_as_no_plan(self):
+        # Requests with no plan, an empty plan and an empty seeded plan are
+        # one run class: one kernel row, two replicas, and every outcome
+        # the plan-free one's but for the provenance flags.
+        plans = (None, FaultPlan(), FaultPlan(seed=5))
+        requests = [request(i, n=9, t=2, fault_plan=plan) for i, plan in enumerate(plans)]
+        report = Scheduler(workers=1).serve(immediate(requests), clock=lambda: 0.0)
+        stats = report.stats
+        assert (stats.unique_runs, stats.replicated_runs) == (1, 2)
+        assert (stats.kernel_runs, stats.scalar_runs) == (1, 0)
+        plan_free = report.outcomes[0]
+        assert plan_free.kernel
+        assert [
+            replace(outcome, request_id=0, kernel=True, replicated=False)
+            for outcome in report.outcomes
+        ] == [plan_free] * 3
+
     @pytest.mark.parametrize("name,n,t", [("algorithm-3", 20, 2), ("phase-king", 9, 2)])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_class_wider_than_a_stripe_executes_once(self, name, n, t, workers):
@@ -377,6 +394,13 @@ class TestStripes:
         assert (stats.kernel_runs, stats.scalar_runs) == (1, 1)
         assert [o.replicated for o in report.outcomes] == [False, False, True, True]
         assert [o.kernel for o in report.outcomes] == [True, False, True, False]
+        # Each served outcome carries its class's fields under their names.
+        by_class = {case[:2]: outcome for case, outcome in zip(cases, result.outcomes)}
+        assert by_class[1, plan].fault_events and by_class[1, plan].excused
+        for served, asked in zip(report.outcomes, requests):
+            assert (served.request_id, served.algorithm) == (asked.request_id, "phase-king")
+            fields_of_class = {name: getattr(served, name) for name in ClassOutcome._fields}
+            assert fields_of_class == by_class[asked.value, asked.fault_plan]._asdict()
 
 
 class TestOneVerdict:

@@ -7,7 +7,8 @@ processors.  Coin-flipping algorithms use coin seed 0.  Each scenario is
 a one-case ``run_batch`` on a fresh algorithm and a fresh digest table,
 so its counts depend on the input alone.  A row records the verdict
 kind, the paper's measures (correct-sender messages and signatures,
-phases used) and every ``Counters`` field.
+phases used), the fault events the transport recorded and the
+processors the verdict excused, and every ``Counters`` field.
 
 The test regenerates the manifest and diffs it exactly.  A change that
 moves a count re-pins it by running this module as a script and lists
@@ -64,6 +65,8 @@ def manifest_rows():
                 "messages": outcome.messages_by_correct,
                 "signatures": outcome.signatures_by_correct,
                 "phases_used": outcome.phases_used,
+                "fault_events": outcome.fault_events,
+                "excused": list(outcome.excused),
                 **batch.stats.counts(),
             })
     return rows
