@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test lint lint-protocol lint-baseline check bench bench-compare bench-batch benchmarks fuzz fuzz-smoke chaos-smoke approx-smoke serve-smoke docs-check
+.PHONY: test lint lint-protocol lint-baseline check bench bench-compare bench-batch benchmarks fuzz fuzz-smoke chaos-smoke strawman-smoke approx-smoke serve-smoke docs-check
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -78,6 +78,26 @@ chaos-smoke:
 		|| { cat /tmp/chaos_smoke.out; exit 1; }
 	cat /tmp/chaos_smoke.out
 	diff -u tests/smoke/chaos-smoke.txt /tmp/chaos_smoke.out
+
+# Strawman smoke: fixed-seed campaigns against the three strawman
+# algorithms, each with and without seeded delivery faults, at one
+# worker (about 4s).  The strawmen are broken by design, so the
+# campaigns exit 1 and their output is the gate: the tables and the 93
+# shrunk failures, details included, must equal
+# tests/smoke/strawman-smoke.txt byte for byte (re-pinned as
+# fuzz-smoke's is).  They drive the most adversarial traffic of any
+# campaign.  An exit status above 1 (bad input, a crash) fails at once.
+strawman-smoke:
+	: > /tmp/strawman_smoke.out
+	for s in undersigning echo overshoot; do \
+		for faults in "" "--fault-rate 0.3"; do \
+			PYTHONPATH=src $(PYTHON) -m repro fuzz --algorithm strawman-$$s \
+				--budget 150 --seed 3 --workers 1 $$faults >> /tmp/strawman_smoke.out; \
+			[ $$? -le 1 ] || exit 1; \
+		done; \
+	done
+	diff -u tests/smoke/strawman-smoke.txt /tmp/strawman_smoke.out
+	echo "strawman-smoke: output equals tests/smoke/strawman-smoke.txt"
 
 # Statistical smoke for the randomized workloads: seeded KS/chi-square
 # ensemble checks (coin uniformity, Ben-Or's geometric round tail,

@@ -99,10 +99,14 @@ fi
 # The campaign is deterministic in its seed, so this is a stable gate;
 # any failure means a generated adversary broke an agreement or declared
 # bound, and a table that differs from tests/smoke/fuzz-smoke.txt means
-# the campaign itself moved.  Disable with FUZZ_SMOKE=0.
+# the campaign itself moved.  Then the strawman campaigns (about 4s),
+# whose shrunk failures must equal tests/smoke/strawman-smoke.txt.
+# Disable both with FUZZ_SMOKE=0.
 if [ "${FUZZ_SMOKE:-1}" != "0" ]; then
     echo "== fuzz smoke =="
     make --no-print-directory fuzz-smoke || status=1
+    echo "== strawman smoke =="
+    make --no-print-directory strawman-smoke || status=1
 else
     echo "== fuzz smoke == (FUZZ_SMOKE=0, skipped)"
 fi

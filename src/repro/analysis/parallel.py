@@ -47,6 +47,7 @@ keep their setup caches from wave to wave.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import time
@@ -495,7 +496,8 @@ def run_tasks(
 
     Robustness knobs (see the module docstring):
 
-    * *task_timeout* — per-task seconds; a chunk's deadline is the timeout
+    * *task_timeout* — per-task seconds, positive and finite (anything
+      else raises :class:`ValueError`); a chunk's deadline is the timeout
       times its length.  Expired chunks count as pool failures.  Only
       enforceable on the multi-process path (a serial run cannot interrupt
       itself), where workers can be terminated.
@@ -514,6 +516,10 @@ def run_tasks(
     Without one, a multi-process call forks a one-shot pool and shuts it
     down on return.
     """
+    if task_timeout is not None and not 0 < task_timeout < math.inf:
+        raise ValueError(
+            f"task_timeout must be a positive finite number of seconds, got {task_timeout}"
+        )
     tasks = list(tasks)
     if workers is None:
         workers = pool.workers if pool is not None else default_workers()

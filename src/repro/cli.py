@@ -25,6 +25,7 @@ Adversary specs: ``silent:PIDS``, ``crash:PID@PHASE,...``,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -307,6 +308,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """`repro trace`: human-readable phase-by-phase timeline."""
     from repro.analysis.trace import render_trace
 
+    if args.max_messages < 0:
+        raise UsageError(f"--max-messages must be at least 0, got {args.max_messages}")
     algorithm, adversary = _scenario(args)
     result = run_algorithm(
         algorithm, args.value, adversary, coins=algorithm.coin_source(args.seed)
@@ -538,7 +541,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     request under its id.
     """
     import json
-    import math
 
     from repro.service.cache import build_arena
     from repro.service.request import AgreementRequest, RequestFormatError, ScheduledRequest
@@ -643,6 +645,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise UsageError(f"--budget must be at least 1, got {args.budget}")
     if args.fault_rate is not None and not 0.0 < args.fault_rate <= 1.0:
         raise UsageError(f"--fault-rate must be in (0, 1], got {args.fault_rate}")
+    if args.task_timeout is not None and not 0 < args.task_timeout < math.inf:
+        raise UsageError(
+            f"--task-timeout must be a positive finite number of seconds, "
+            f"got {args.task_timeout}"
+        )
     cases = plan_cases(
         names, budget=args.budget, seed=args.seed, fault_rate=args.fault_rate
     )
@@ -815,7 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--value", type=int, default=1)
     p_trace.add_argument("--adversary", default=None)
     p_trace.add_argument("--max-messages", type=int, default=12,
-                         help="messages shown per phase before eliding")
+                         help="messages shown per phase before eliding "
+                         "(0 shows the counts only)")
     p_trace.set_defaults(func=cmd_trace)
 
     p_conf = sub.add_parser(
@@ -992,8 +1000,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fuzz.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-case deadline; wedged workers are terminated and their "
-        "chunk retried (default: no deadline)",
+        help="per-case deadline, a positive finite number; wedged workers "
+        "are terminated and their chunk retried (default: no deadline)",
     )
     p_fuzz.add_argument(
         "--checkpoint", default=None, metavar="FILE",
@@ -1058,11 +1066,19 @@ def _check_outputs(args: argparse.Namespace) -> None:
             raise UsageError(f"{flag} {path}: no such directory {directory}")
 
 
+def _check_workers(args: argparse.Namespace) -> None:
+    """Refuse, before any work, a worker count below 1."""
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {workers}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     try:
         _check_outputs(args)
+        _check_workers(args)
         return args.func(args)
     except UsageError as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)

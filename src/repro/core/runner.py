@@ -236,7 +236,6 @@ def run(
     history = History.with_input(algorithm.transmitter, input_value)
 
     fault_events: list[dict[str, Any]] = []
-    transport.begin_run()
 
     if sinks:
         run_start_event = {
@@ -307,7 +306,6 @@ def run(
                         f"processor {pid} sent a message to itself"
                     )
                 sent.append(Envelope(src=pid, dst=dst, phase=phase, payload=payload))
-        correct_count = len(sent)
 
         view = PhaseView(
             phase=phase,
@@ -349,7 +347,7 @@ def run(
                     },
                     telemetry,
                 )
-        pending = transport.deliver(phase, sent, correct_count)
+        pending = transport.deliver(phase, sent)
         injected = transport.drain_faults()
         if injected:
             fault_events.extend(injected)

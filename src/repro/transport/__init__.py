@@ -3,10 +3,12 @@
 The lock-step runner used to hard-code perfect delivery; this package
 makes delivery a :class:`~repro.transport.base.Transport` seam:
 
+* :func:`~repro.transport.base.route` — the one router, which both
+  transports end a phase with (pinned against a per-inbox reference by
+  the tests in ``tests/transport``);
 * :class:`~repro.transport.base.LockstepTransport` — the perfect
-  synchronous network, byte-identical to the seed routing (pinned by the
-  equivalence tests in ``tests/transport``);
-* :class:`~repro.transport.faulty.FaultyTransport` — a decorator driven
+  synchronous network;
+* :class:`~repro.transport.faulty.FaultyTransport` — a transport driven
   by a seeded, picklable :class:`~repro.transport.faults.FaultPlan`
   injecting crash-stop (with optional recovery), send/receive omissions,
   link drops, delays, duplicates, and partitions, each recorded as a

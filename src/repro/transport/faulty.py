@@ -1,10 +1,10 @@
-"""FaultyTransport: a fault-injecting decorator over the lockstep network.
+"""FaultyTransport: the lockstep network with a fault plan applied.
 
-Wraps the perfect :class:`~repro.transport.base.LockstepTransport` and
-applies a seeded
-:class:`~repro.transport.faults.FaultPlan` to every phase's traffic:
-crash-stop processors (with optional recovery), send/receive omissions,
-per-link drops, k-phase delays, duplicates, and network partitions.
+Applies a seeded :class:`~repro.transport.faults.FaultPlan` to every
+phase's traffic, then routes what survives with
+:func:`~repro.transport.base.route`: crash-stop processors (with
+optional recovery), send/receive omissions, per-link drops, k-phase
+delays, duplicates, and network partitions.
 
 Each phase judges only the envelopes an active fault can touch: those
 from the senders and to the receivers its active faults name (see
@@ -19,9 +19,9 @@ fault-free run to the exact injected faults.  The phase-0 input edge is
 exempt: a processor always knows its own private value; withholding the
 input is an adversary strategy, not a network fault.
 
-With an empty plan the decorator is behaviourally transparent: the
+With an empty plan the transport is behaviourally transparent: the
 equivalence tests pin that traces and metrics are byte-identical to the
-undecorated lockstep transport.
+lockstep transport's.
 """
 
 from __future__ import annotations
@@ -30,35 +30,28 @@ from typing import Any
 
 from repro.core.message import Envelope
 from repro.core.types import ProcessorId
-from repro.transport.base import LockstepTransport, Transport
+from repro.transport.base import route
 from repro.transport.faults import FAULT_SCHEMA, FaultPlan, unit_coin
 
 
 class FaultyTransport:
-    """Applies a :class:`FaultPlan` around the lockstep network's routing.
+    """Applies a :class:`FaultPlan` to the traffic of one run.
 
-    Per-run state (delayed envelopes, recorded events) is reset by
-    :meth:`begin_run`, so one instance can be reused across sequential
-    runs — each run replays the same plan, which is what a seeded chaos
-    campaign wants.
+    It holds the run's delayed envelopes and recorded events;
+    :meth:`end_run` reports the envelopes still delayed and leaves both
+    empty.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self.base: Transport = LockstepTransport()
         self._duplicates = plan.of_kind("duplicate")
         self._delayed: dict[int, list[Envelope]] = {}
         self._events: list[dict[str, Any]] = []
 
     # ------------------------------------------------------------- lifecycle
 
-    def begin_run(self) -> None:
-        self._delayed = {}
-        self._events = []
-        self.base.begin_run()
-
     def deliver(
-        self, phase: int, sent: list[Envelope], correct_count: int
+        self, phase: int, sent: list[Envelope]
     ) -> dict[ProcessorId, list[Envelope]]:
         """Filter *sent* through the plan, then route the survivors.
 
@@ -67,34 +60,29 @@ class FaultyTransport:
         phase; receive-side faults (receiver crash, receive omission) at
         the delivery phase ``phase + 1`` — including for envelopes that
         were delayed into this delivery round.  Only the envelopes
-        :meth:`_touched` names are judged.
+        :meth:`_touched` names are judged.  Duplicate copies and late
+        arrivals follow the survivors, so an inbox holds them after the
+        envelopes sent in this phase by the same source.
         """
         senders, receivers = self._touched(phase)
         due = self._delayed.pop(phase + 1, ())
         if not senders and not receivers and not due:
-            return self.base.deliver(phase, sent, correct_count)
+            return route(sent)
         survivors: list[Envelope] = []
         extras: list[Envelope] = []
-        surviving_correct = 0
-        for index, envelope in enumerate(sent):
+        for envelope in sent:
             if envelope.src in senders or envelope.dst in receivers:
                 copies = self._send_side(phase, envelope)
                 if copies == 0 or not self._receivable(phase + 1, envelope):
                     continue
                 extras.extend([envelope] * (copies - 1))
             survivors.append(envelope)
-            if index < correct_count:
-                surviving_correct += 1
         # Envelopes delayed from earlier phases that are due now; their
         # receive side is judged against *this* delivery phase.
         for envelope in due:
             if self._receivable(phase + 1, envelope):
                 extras.append(envelope)
-        # Survivors keep the runner's ordering invariant (a filtered
-        # subsequence of correct-then-adversary traffic); duplicates and
-        # late arrivals are routed as adversary-style extras, so the
-        # base transport's merge stays valid.
-        return self.base.deliver(phase, survivors + extras, surviving_correct)
+        return route(survivors + extras)
 
     def drain_faults(self) -> list[dict[str, Any]]:
         events, self._events = self._events, []
@@ -112,8 +100,7 @@ class FaultyTransport:
                     detail=f"delayed past the final phase (due {due_phase})",
                 )
         self._delayed = {}
-        leftovers = self.base.end_run()
-        return self.drain_faults() + list(leftovers)
+        return self.drain_faults()
 
     # ------------------------------------------------------------ fault logic
 

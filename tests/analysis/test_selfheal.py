@@ -110,6 +110,13 @@ class TestSelfHealing:
         with pytest.raises(RuntimeError, match="deterministic task bug"):
             run_tasks([AlwaysRaises(), Square(1)], workers=2, chunk_size=1)
 
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan"), float("inf")])
+    def test_a_deadline_that_is_not_positive_and_finite_is_refused(self, timeout):
+        # Zero, negative and NaN deadlines expire at once and inf overflows
+        # the wait, so every chunk would count as wedged or failed.
+        with pytest.raises(ValueError, match="task_timeout must be a positive finite"):
+            run_tasks([Square(i) for i in range(4)], workers=2, task_timeout=timeout)
+
 
 class TestWorkerPool:
     def test_calls_on_one_pool_share_its_workers(self):

@@ -10,7 +10,7 @@ from hypothesis import settings
 from repro.core.protocol import Context
 from repro.core.types import TRANSMITTER
 from repro.crypto.signatures import SignatureService
-from repro.transport.base import LockstepTransport, _route_sorted
+from repro.transport.base import LockstepTransport
 
 # Deterministic Hypothesis runs by default: property tests are part of the
 # tier-1 suite, so they must not flake.  ``derandomize=True`` derives the
@@ -49,11 +49,27 @@ def ctx(service: SignatureService) -> Context:
     return make_context(service=service)
 
 
+def route_by_inbox(sent):
+    """Reference routing: bucket every sent envelope by destination, then
+    stable-sort each inbox by source.
+
+    A different algorithm from :func:`repro.transport.base.route` (which
+    sorts the whole phase once, then buckets) with the same inboxes: the
+    oracle the routing tests compare it against.
+    """
+    pending = {}
+    for envelope in sent:
+        pending.setdefault(envelope.dst, []).append(envelope)
+    for inbox in pending.values():
+        inbox.sort(key=lambda e: e.src)
+    return pending
+
+
 class SortedTransport(LockstepTransport):
-    """The perfect network routed by the reference per-inbox sort: the
-    oracle the runner's default merge routing is compared against."""
+    """The perfect network routed by :func:`route_by_inbox`: the oracle
+    the runner's default routing is compared against."""
 
     __slots__ = ()
 
-    def deliver(self, phase, sent, correct_count):
-        return _route_sorted(sent)
+    def deliver(self, phase, sent):
+        return route_by_inbox(sent)

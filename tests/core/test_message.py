@@ -131,9 +131,9 @@ class _RecordingTransport(LockstepTransport):
         super().__init__()
         self.sends = []
 
-    def deliver(self, phase, sent, correct_count):
+    def deliver(self, phase, sent):
         self.sends.extend(sent)
-        return super().deliver(phase, sent, correct_count)
+        return super().deliver(phase, sent)
 
 
 #: sha256 over ``"<payload_digest>:<count_signatures>\n"`` of every send of

@@ -119,6 +119,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "phase 1" in out and "decisions:" in out and "more" in out
 
+    def test_trace_max_messages_zero_shows_the_counts_only(self, capsys):
+        code = main(
+            ["trace", "--algorithm", "dolev-strong", "--n", "4", "--t", "1",
+             "--max-messages", "0"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "--- phase 1 (3 messages, 3 signatures) ---" in out
+        assert "... 3 more" in out and "->" not in out
+
     def test_conformance(self, capsys):
         code = main(
             ["conformance", "--algorithm", "dolev-strong", "--n", "6",
@@ -688,6 +698,42 @@ class TestBadInputExits2:
         self.assert_usage_error(
             capsys, ["fuzz", "--algorithm", "dolev-strong", "--budget", budget]
         )
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_fuzz_task_timeout_not_positive_and_finite(self, capsys, timeout):
+        err = self.assert_usage_error(
+            capsys,
+            ["fuzz", "--algorithm", "dolev-strong", "--budget", "2", "--workers", "1",
+             f"--task-timeout={timeout}"],
+        )
+        assert "--task-timeout must be a positive finite number of seconds" in err
+
+    def test_trace_negative_max_messages(self, capsys):
+        err = self.assert_usage_error(
+            capsys,
+            ["trace", "--algorithm", "dolev-strong", "--n", "4", "--t", "1",
+             "--max-messages", "-2"],
+        )
+        assert err == "repro trace: --max-messages must be at least 0, got -2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--quick", "--repeat", "1", "--output", "OUT", "--workers", "0"],
+            ["loadgen", "--requests", "20", "--rate", "1000", "--workers", "-4"],
+            ["serve", "REQUESTS", "--workers", "0"],
+            ["fuzz", "--algorithm", "dolev-strong", "--budget", "2", "--workers", "-3"],
+        ],
+    )
+    def test_workers_below_one(self, capsys, tmp_path, argv):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps(GOOD_REQUEST) + "\n", encoding="utf-8")
+        output = tmp_path / "bench.json"
+        names = {"REQUESTS": str(requests), "OUT": str(output)}
+        argv = [names.get(arg, arg) for arg in argv]
+        err = self.assert_usage_error(capsys, argv)
+        assert err == f"repro {argv[0]}: --workers must be at least 1, got {argv[-1]}\n"
+        assert not output.exists()
 
     @pytest.mark.parametrize(
         "argv",

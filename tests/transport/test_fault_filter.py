@@ -8,11 +8,11 @@ against every fault, in plan order (the sender's side at the sending
 phase, the receiver's at the delivery phase), delivers each survivor once
 in sending order, then the extra copies of duplicated envelopes, then the
 delayed envelopes due in that phase, and routes them with the reference
-per-inbox sort.  Over plans that mix all seven fault kinds (windows,
-rates, delays, copies and multi-pid partitions), both must hand out the
-same inboxes and record the same fault events in the same order, phase by
-phase and at the end of the run: on synthetic traffic, and inside real
-runs of an authenticated and an unauthenticated algorithm.
+per-inbox sort (``route_by_inbox``).  Over plans that mix all seven fault
+kinds (windows, rates, delays, copies and multi-pid partitions), both must
+hand out the same inboxes and record the same fault events in the same
+order, phase by phase and at the end of the run: on synthetic traffic, and
+inside real runs of an authenticated and an unauthenticated algorithm.
 """
 
 import json
@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from repro.algorithms.registry import get
 from repro.core.message import Envelope
 from repro.core.runner import run
-from repro.transport.base import _route_sorted
 from repro.transport.faults import (
     FAULT_KINDS,
     FAULT_SCHEMA,
@@ -39,6 +38,7 @@ from repro.transport.faults import (
     unit_coin,
 )
 from repro.transport.faulty import FaultyTransport
+from tests.conftest import route_by_inbox
 
 #: (name, n, t): one authenticated and one unauthenticated algorithm.
 RUNS = (("dolev-strong", 6, 2), ("phase-king", 9, 2))
@@ -52,11 +52,7 @@ class ReferenceJudge:
         self.delayed = {}
         self.events = []
 
-    def begin_run(self):
-        self.delayed = {}
-        self.events = []
-
-    def deliver(self, phase, sent, correct_count):
+    def deliver(self, phase, sent):
         survivors, extras = [], []
         for envelope in sent:
             copies = self.send_side(phase, envelope)
@@ -66,7 +62,7 @@ class ReferenceJudge:
         for envelope in self.delayed.pop(phase + 1, []):
             if self.receivable(phase + 1, envelope):
                 extras.append(envelope)
-        return _route_sorted(survivors + extras)
+        return route_by_inbox(survivors + extras)
 
     def drain_faults(self):
         events, self.events = self.events, []
@@ -190,13 +186,9 @@ class Twin:
         self.events = []
         self.recorded = 0
 
-    def begin_run(self):
-        self.filtered.begin_run()
-        self.reference.begin_run()
-
-    def deliver(self, phase, sent, correct_count):
-        inboxes = self.filtered.deliver(phase, list(sent), correct_count)
-        expected = self.reference.deliver(phase, list(sent), correct_count)
+    def deliver(self, phase, sent):
+        inboxes = self.filtered.deliver(phase, list(sent))
+        expected = self.reference.deliver(phase, list(sent))
         assert inboxes == expected, f"phase {phase}"
         self.events = self.filtered.drain_faults()
         assert ordered(self.events) == ordered(self.reference.drain_faults())
@@ -269,7 +261,7 @@ def traffic(rng, n, phase):
         if dst != src and rng.random() < 0.6
     ]
     rng.shuffle(adversary)
-    return correct + adversary, len(correct)
+    return correct + adversary
 
 
 class TestFaultFilter:
@@ -278,10 +270,8 @@ class TestFaultFilter:
     def test_synthetic_traffic_matches_the_reference(self, plan, seed):
         rng = random.Random(seed)
         twin = Twin(plan)
-        twin.begin_run()
         for phase in range(1, 7):
-            sent, correct_count = traffic(rng, 7, phase)
-            twin.deliver(phase, sent, correct_count)
+            twin.deliver(phase, traffic(rng, 7, phase))
         twin.end_run()
 
     @settings(max_examples=30, deadline=None)
