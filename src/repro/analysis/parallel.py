@@ -28,13 +28,15 @@ Requirements for the parallel path (``workers > 1``):
 so it accepts lambdas and closures too.
 
 The engine is *self-healing*: long grids survive wedged or killed workers.
-Each chunk gets a deadline (``task_timeout`` × chunk length), failed
-chunks are retried with exponential backoff, a broken or timed-out pool
-is torn down (stuck workers terminated best-effort) and rebuilt, and a
-chunk that exhausts its retries falls back to a serial in-process run —
-so a transient fault costs a retry, while a deterministic task bug still
-surfaces with its real traceback.  An optional ``checkpoint`` file
-persists finished chunks (pickle frames behind a fingerprinted header),
+Chunks are harvested as they complete, whichever lands first.  The
+oldest outstanding chunk gets a deadline (``task_timeout`` × chunk
+length, from when it became the oldest), failed chunks are retried with
+exponential backoff, a broken or timed-out pool is torn down (stuck
+workers terminated best-effort) and rebuilt, and a chunk that exhausts
+its retries falls back to a serial in-process run — so a transient
+fault costs a retry, while a deterministic task bug still surfaces with
+its real traceback.  An optional ``checkpoint`` file persists finished
+chunks as they land (pickle frames behind a fingerprinted header),
 letting an interrupted sweep or fuzz campaign resume instead of starting
 over; a corrupt tail costs only the partial frame.
 
@@ -52,8 +54,9 @@ import os
 import pickle
 import time
 import weakref
-from contextlib import nullcontext
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections.abc import Generator
+from contextlib import closing
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -364,10 +367,11 @@ MAX_RETRIES = 2
 BACKOFF_S = 0.1
 
 
-def _shutdown(executor: ProcessPoolExecutor) -> None:
-    """Shut *executor* down without waiting, cancelling queued chunks."""
+def _shutdown(executor: ProcessPoolExecutor, join: bool = True) -> None:
+    """Shut *executor* down, cancelling queued chunks; *join* waits for its
+    workers and its manager thread to exit."""
     try:
-        executor.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=join, cancel_futures=True)
     except Exception:
         pass
 
@@ -380,8 +384,9 @@ class WorkerPool:
     (:meth:`run_chunks`).  A dead or wedged worker gets the executor
     replaced.  Workers keep their process-local state (imported modules,
     the service's setup cache) from one call to the next.  :meth:`close`
-    or leaving a ``with`` block shuts them down, and so does dropping the
-    pool; a closed pool forks afresh if used again.
+    or leaving a ``with`` block shuts them down and waits for them and
+    the executor's manager thread to exit, and so does dropping the pool;
+    a closed pool forks afresh if used again.
     """
 
     def __init__(self, workers: int) -> None:
@@ -402,16 +407,21 @@ class WorkerPool:
 
     def _rebuild(self) -> None:
         """Tear the suspect executor down (stuck workers terminated
-        best-effort); the next submit forks a fresh one."""
+        best-effort, and not waited for: one may ignore the signal); the
+        next submit forks a fresh one."""
         for process in list(getattr(self._executor, "_processes", {}).values()):
             try:
                 process.terminate()
             except Exception:
                 pass
-        self.close()
+        if self._executor is not None and self._finalizer is not None:
+            self._finalizer.detach()
+            _shutdown(self._executor, join=False)
+        self._executor = None
+        self._finalizer = None
 
     def close(self) -> None:
-        """Shut the workers down; idempotent."""
+        """Shut the workers down and wait for them to exit; idempotent."""
         if self._finalizer is not None:
             self._finalizer()
         self._executor = None
@@ -427,50 +437,68 @@ class WorkerPool:
         self,
         chunks: Sequence[Sequence[Task]],
         pending: Sequence[int],
-        results: dict[int, list],
         *,
         task_timeout: float | None,
-        checkpoint: "SweepCheckpoint | None",
-    ) -> None:
-        """The self-healing harvest loop: fill ``results`` for *pending*."""
+    ) -> Generator[tuple[int, list], None, None]:
+        """The self-healing harvest loop: yield ``(index, results)`` for
+        each chunk of *pending* as it lands, whichever lands first.
+
+        The oldest outstanding chunk's deadline is *task_timeout* times
+        its length, from when it became the oldest.  A resubmitted chunk
+        is the newest outstanding one.  Closing the generator cancels the
+        chunks still queued.
+        """
         futures = {index: self._submit(chunks[index]) for index in pending}
+        attempts = dict.fromkeys(pending, 0)
+        # Outstanding chunks in submission order, the oldest first.
+        outstanding = list(pending)
+        timed: Future | None = None
+        since = 0.0
         try:
-            attempts = {index: 0 for index in pending}
-            queue = list(pending)
-            while queue:
-                index = queue.pop(0)
-                deadline = (
-                    task_timeout * len(chunks[index])
-                    if task_timeout is not None
-                    else None
+            while outstanding:
+                head = outstanding[0]
+                timeout = None
+                if task_timeout is not None:
+                    if futures[head] is not timed:
+                        timed, since = futures[head], time.monotonic()
+                    deadline = since + task_timeout * len(chunks[head])
+                    timeout = max(0.0, deadline - time.monotonic())
+                done, _ = wait(
+                    [futures[index] for index in outstanding],
+                    timeout=timeout,
+                    return_when=FIRST_COMPLETED,
                 )
+                # The oldest chunk that landed; none landed: the head's
+                # deadline passed.
+                index = next((index for index in outstanding if futures[index] in done), head)
+                outstanding.remove(index)
                 try:
-                    chunk_results = futures[index].result(timeout=deadline)
+                    if not done:
+                        raise FutureTimeoutError(f"chunk {index} overran its deadline")
+                    rows = futures[index].result()
                 except Exception as error:
                     attempts[index] += 1
                     # A timeout means a worker is wedged mid-chunk; a broken
                     # pool means one died.  Either way every in-flight future
-                    # is suspect: rebuild and resubmit the survivors.
+                    # is suspect: rebuild and resubmit the others.
                     if isinstance(error, (BrokenProcessPool, FutureTimeoutError)):
                         self._rebuild()
-                        for waiting in queue:
-                            futures[waiting] = self._submit(chunks[waiting])
+                        for other in outstanding:
+                            futures[other] = self._submit(chunks[other])
                     if attempts[index] > MAX_RETRIES:
                         # Last resort: run the chunk here, in-process.  A
                         # transient fault heals; a real task bug raises with
                         # its true traceback instead of a pool autopsy.
-                        chunk_results = _run_chunk(chunks[index])
+                        rows = _run_chunk(chunks[index])
                     else:
                         time.sleep(BACKOFF_S * (2 ** (attempts[index] - 1)))
                         futures[index] = self._submit(chunks[index])
-                        queue.insert(0, index)
+                        outstanding.append(index)
                         continue
-                results[index] = chunk_results
-                if checkpoint is not None:
-                    checkpoint.record(index, chunk_results)
+                yield index, rows
         finally:
-            # Chunks a raising task left queued must not run into the
-            # pool's next call.
+            # Chunks a raising task or an abandoned harvest left queued
+            # must not run into the pool's next call.
             for future in futures.values():
                 future.cancel()
 
@@ -483,6 +511,7 @@ def run_tasks(
     task_timeout: float | None = None,
     checkpoint: str | Path | None = None,
     pool: WorkerPool | None = None,
+    on_result: Callable[[int, Any], None] | None = None,
 ) -> list:
     """Execute *tasks* (anything with a picklable ``.run()``) in order.
 
@@ -491,20 +520,29 @@ def run_tasks(
     :class:`~repro.fuzz.campaign.FuzzCase` tasks.  The returned list is
     identical (element-wise equal, same order) to
     ``[task.run() for task in tasks]`` regardless of *workers* and
-    *chunk_size* — chunks preserve submission order and results are
-    concatenated in that order.
+    *chunk_size*: the pool harvests chunks as they complete
+    (:meth:`WorkerPool.run_chunks`), and the results are concatenated in
+    task order.
+
+    *on_result* is called in the calling process with ``(position,
+    result)`` for each task as its chunk lands: in completion order on
+    the pool, in task order when serial.  If it raises, the run stops
+    there (the chunks still queued are cancelled) and the exception
+    propagates.
 
     Robustness knobs (see the module docstring):
 
     * *task_timeout* — per-task seconds, positive and finite (anything
-      else raises :class:`ValueError`); a chunk's deadline is the timeout
-      times its length.  Expired chunks count as pool failures.  Only
-      enforceable on the multi-process path (a serial run cannot interrupt
-      itself), where workers can be terminated.
+      else raises :class:`ValueError`); the oldest outstanding chunk's
+      deadline is the timeout times its length, from when it became the
+      oldest.  Expired chunks count as pool failures.  Only enforceable
+      on the multi-process path (a serial run cannot interrupt itself),
+      where workers can be terminated.
     * *checkpoint* — path to a resumable progress file: finished chunks
-      are flushed as pickle frames, a rerun with identical tasks and
-      chunking skips them, and the file is deleted when the run completes.
-      Requires picklable tasks and results even for ``workers=1``.
+      are flushed as pickle frames as they land (so in completion order),
+      a rerun with identical tasks and chunking skips them, and the file
+      is deleted when the run completes.  Requires picklable tasks and
+      results even for ``workers=1``.
 
     A failed chunk is resubmitted up to :data:`MAX_RETRIES` times, sleeping
     ``BACKOFF_S * 2**(attempt-1)`` seconds in between; after that it runs
@@ -525,14 +563,13 @@ def run_tasks(
         workers = pool.workers if pool is not None else default_workers()
     workers = min(max(1, workers), len(tasks)) if tasks else 1
     serial = workers <= 1 or len(tasks) <= 1
-    if serial and checkpoint is None:
-        return _run_chunk(tasks)
-    _ensure_picklable(tasks)
+    if not serial or checkpoint is not None:
+        _ensure_picklable(tasks)
     if chunk_size is None:
-        # Serial checkpointing gets per-task granularity; the pool gets a
-        # few chunks per worker — enough to keep it busy when scenario
-        # costs are uneven (large-n points dwarf small-n ones) without
-        # drowning the run in inter-process traffic.
+        # A serial run goes task by task; the pool gets a few chunks per
+        # worker — enough to keep it busy when scenario costs are uneven
+        # (large-n points dwarf small-n ones) without drowning the run in
+        # inter-process traffic.
         chunk_size = 1 if serial else max(1, -(-len(tasks) // (workers * 4)))
     chunk_size = max(1, chunk_size)
     chunks = _chunked(tasks, chunk_size)
@@ -548,26 +585,29 @@ def run_tasks(
             if 0 <= index < len(chunks)
         )
     pending = [index for index in range(len(chunks)) if index not in results]
+    one_shot: WorkerPool | None = None
+    if serial:
+        landed = ((index, _run_chunk(chunks[index])) for index in pending)
+    else:
+        if pool is None:
+            pool = one_shot = WorkerPool(workers)
+        landed = pool.run_chunks(chunks, pending, task_timeout=task_timeout)
     try:
-        if serial:
-            for index in pending:
-                results[index] = _run_chunk(chunks[index])
+        with closing(landed):
+            for index, rows in landed:
+                results[index] = rows
                 if ledger is not None:
-                    ledger.record(index, results[index])
-        elif pending:
-            owner = nullcontext(pool) if pool is not None else WorkerPool(workers)
-            with owner as active:
-                active.run_chunks(
-                    chunks,
-                    pending,
-                    results,
-                    task_timeout=task_timeout,
-                    checkpoint=ledger,
-                )
+                    ledger.record(index, rows)
+                if on_result is not None:
+                    for position, result in enumerate(rows, index * chunk_size):
+                        on_result(position, result)
     except BaseException:
         if ledger is not None:
             ledger.close(remove=False)
         raise
+    finally:
+        if one_shot is not None:
+            one_shot.close()
     if ledger is not None:
         ledger.close(remove=True)
     return [

@@ -142,8 +142,11 @@ BENIGN = "benign"
 SAFETY = "safety"
 EPS_VIOLATION = "eps_violation"
 BOUND = "bound"
-#: The classes that fail a run (the fuzz oracle adds ``crash``).
+#: The classes that fail a finished run.
 FAILING = frozenset({SAFETY, EPS_VIOLATION, BOUND})
+#: A run that raised instead of finishing: the fuzz oracle's verdict and
+#: the class of a service request whose run raised.  It fails too.
+CRASH = "crash"
 
 
 class Costs(NamedTuple):

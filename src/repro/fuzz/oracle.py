@@ -20,12 +20,9 @@ from dataclasses import dataclass
 from repro.core.batch import BatchCase, run_batch
 from repro.core.protocol import AgreementAlgorithm
 from repro.core.types import Value
-from repro.core.validation import FAILING
+from repro.core.validation import CRASH, FAILING
 from repro.fuzz.script import AdversaryScript, ScriptAdversary
 from repro.transport.faults import FaultPlan
-
-#: The run raised instead of finishing.
-CRASH = "crash"
 
 
 @dataclass(frozen=True)

@@ -160,9 +160,10 @@ class RequestOutcome:
 
     Timing model (see ``docs/service.md`` for the methodology): the
     scheduler dispatches arrivals in waves, so ``start_s`` is the wave's
-    dispatch time and ``finish_s`` the wave's harvest time — every
-    percentile derived from them measures what a client would observe,
-    including time spent queued behind an in-flight wave.
+    dispatch time, and ``finish_s`` is when the serving process received
+    the result of the request's own stripe — every percentile derived
+    from them measures what a client would observe, including time spent
+    queued behind an in-flight wave.
     """
 
     request_id: int
@@ -195,7 +196,8 @@ class RequestOutcome:
 
     @property
     def service_s(self) -> float:
-        """Seconds between wave dispatch and wave harvest."""
+        """Seconds between wave dispatch and the harvest of the request's
+        stripe."""
         seconds = self.finish_s - self.start_s
         return seconds if seconds > 0.0 else 0.0
 

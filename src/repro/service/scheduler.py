@@ -13,9 +13,11 @@ over the self-healing :func:`~repro.analysis.parallel.run_tasks` pool in
    into :class:`ServiceStripe` tasks of whole classes (at most
    :data:`~repro.analysis.parallel.MAX_STRIPE` requests each unless one
    class holds more, the rule sweeps stripe by);
-3. dispatch the stripes across the pool, one per chunk, harvest, and
-   stamp every request in the wave with the wave's dispatch/harvest
-   times.
+3. dispatch the stripes across the pool, one per chunk, and stamp each
+   stripe when its result reaches this process (the pool hands stripes
+   back as they land).  Once the wave's last stripe is in, every request
+   gets the wave's dispatch time as ``start_s`` and its own stripe's
+   harvest time as ``finish_s``.
 
 The run class, not the request, is the unit of work: a stripe ships one
 case per class and returns one :class:`ClassOutcome` per class, and
@@ -34,7 +36,9 @@ a stripe the classes ride :func:`repro.core.batch.run_batch`:
 * **one verdict** — the engine judges each run with
   :func:`repro.core.validation.judge_run`, excusing the processors an
   injected fault touched; a request's ``kind`` is the verdict class, and
-  only ``safety``, ``eps_violation`` and ``bound`` fail it.
+  only ``safety``, ``eps_violation`` and ``bound`` fail it;
+* **crash isolation** — a class whose run raises is ``crash`` and fails
+  its own requests; the rest of its stripe and wave is served.
 
 Verdicts are deterministic in the request content (never in timing), so
 the same schedule produces the same verdict multiset for any worker
@@ -54,6 +58,7 @@ from repro.core.counters import Counters
 # Unused here; perfbench/tracing.py wraps the runner under this name.
 from repro.core.runner import run as run_algorithm  # noqa: F401
 from repro.core.types import Value
+from repro.core.validation import CRASH
 from repro.service.cache import setup
 from repro.service.request import AgreementRequest, RequestOutcome, ScheduledRequest
 from repro.service.stats import ServiceStats, build_stats
@@ -94,6 +99,23 @@ class ClassOutcome(NamedTuple):
             excused=excused,
         )
 
+    @classmethod
+    def crashed(cls, error: Exception) -> "ClassOutcome":
+        """The outcome of a class whose run raised *error*: it fails, as
+        ``crash``, and reports no counts."""
+        return cls(
+            ok=False,
+            verdict=f"{CRASH}: {type(error).__name__}: {error}",
+            kind=CRASH,
+            decided=(),
+            messages=0,
+            signatures=0,
+            phases_used=0,
+            kernel=False,
+            fault_events=0,
+            excused=(),
+        )
+
 
 @dataclass(slots=True)
 class StripeResult:
@@ -125,17 +147,33 @@ class ServiceStripe:
     cases: tuple[tuple[Value, Any, int | None], ...]
 
     def run(self) -> StripeResult:
-        """Execute every class as one batch on the worker's cached arena."""
+        """Execute every class as one batch on the worker's cached arena.
+
+        If a run raises, each class runs again as a one-case batch, as
+        the fuzz oracle runs a case, so a class whose run raises gets a
+        ``crash`` outcome (counted as one scalar run) and the others are
+        served."""
         lookup = Counters()
         algorithm, table = setup((self.algorithm, self.n, self.t, self.params), lookup)
-        batch = run_batch(
-            algorithm,
-            [
-                BatchCase(value=value, fault_plan=plan, coin_seed=coin_seed)
-                for value, plan, coin_seed in self.cases
-            ],
-            table=table,
-        )
+        cases = [
+            BatchCase(value=value, fault_plan=plan, coin_seed=coin_seed)
+            for value, plan, coin_seed in self.cases
+        ]
+        try:
+            batch = run_batch(algorithm, cases, table=table)
+        except Exception:
+            outcomes: list[ClassOutcome] = []
+            counters = lookup
+            for case in cases:
+                try:
+                    alone = run_batch(algorithm, [case], table=table)
+                except Exception as error:
+                    outcomes.append(ClassOutcome.crashed(error))
+                    counters += Counters(runs=1, unique_runs=1, scalar_runs=1)
+                else:
+                    outcomes.append(ClassOutcome.of(alone.outcomes[0]))
+                    counters += alone.stats
+            return StripeResult(outcomes=outcomes, counters=counters)
         return StripeResult(
             outcomes=[ClassOutcome.of(outcome) for outcome in batch.outcomes],
             counters=batch.stats + lookup,
@@ -268,6 +306,13 @@ class Scheduler:
         waves = 0
         start = clock()
         cursor = 0
+        # Each stripe of the wave in flight is stamped when its result
+        # reaches this process.
+        harvested: list[float] = []
+
+        def landed(position: int, _: StripeResult) -> None:
+            harvested[position] = clock() - start
+
         while cursor < len(order):
             now = clock() - start
             head = submissions[order[cursor]].arrival_s
@@ -283,15 +328,21 @@ class Scheduler:
                 cursor += 1
             dispatch_s = clock() - start
             planned = self._stripes(wave)
+            harvested[:] = [0.0] * len(planned)
             stripe_results: list[StripeResult] = run_tasks(
                 [stripe for stripe, _ in planned],
                 workers=self.workers,
                 chunk_size=1,
                 pool=self._pool,
+                on_result=landed,
             )
-            harvest_s = clock() - start
             waves += 1
-            for (stripe, classes), stripe_result in zip(planned, stripe_results):
+            # Outcomes are built once the wave's last stripe is in: built
+            # as each stripe lands, they would compete with the workers
+            # for the host's cores.
+            for (stripe, classes), stripe_result, harvest_s in zip(
+                planned, stripe_results, harvested
+            ):
                 algorithm = stripe.algorithm
                 for members, outcome in zip(classes, stripe_result.outcomes):
                     (ok, verdict, kind, decided, messages, signatures, phases_used,

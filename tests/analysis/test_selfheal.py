@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.parallel as parallel
 from repro.analysis.parallel import (
     CHECKPOINT_MAGIC,
     SweepCheckpoint,
@@ -70,6 +71,35 @@ class Pid:
         return os.getpid()
 
 
+class RaiseOnce:
+    """Raises the first time any process runs it; every retry succeeds."""
+
+    def __init__(self, marker):
+        self.marker = str(marker)
+
+    def run(self):
+        marker = Path(self.marker)
+        if not marker.exists():
+            marker.write_text("raised")
+            raise RuntimeError("transient task fault")
+        return "recovered"
+
+
+class Nap:
+    """Sleeps, logs its id to a shared file, and returns it."""
+
+    def __init__(self, log, x, seconds):
+        self.log = str(log)
+        self.x = x
+        self.seconds = seconds
+
+    def run(self):
+        time.sleep(self.seconds)
+        with open(self.log, "a", encoding="utf-8") as handle:
+            handle.write(f"{self.x}\n")
+        return self.x
+
+
 class AlwaysRaises:
     def run(self):
         raise RuntimeError("deterministic task bug")
@@ -116,6 +146,68 @@ class TestSelfHealing:
         # the wait, so every chunk would count as wedged or failed.
         with pytest.raises(ValueError, match="task_timeout must be a positive finite"):
             run_tasks([Square(i) for i in range(4)], workers=2, task_timeout=timeout)
+
+
+class TestHarvestOrder:
+    def test_results_are_reported_as_they_land_and_returned_in_order(self, tmp_path):
+        log = tmp_path / "ran.log"
+        landed = []
+        out = run_tasks(
+            [Nap(log, 0, 0.5), Nap(log, 1, 0.0)],
+            workers=2,
+            chunk_size=1,
+            on_result=lambda position, result: landed.append((position, result)),
+        )
+        assert landed == [(1, 1), (0, 0)]
+        assert out == [0, 1]
+
+    def test_serial_results_are_reported_in_task_order(self):
+        landed = []
+        out = run_tasks(
+            [Square(i) for i in range(4)],
+            workers=1,
+            on_result=lambda position, result: landed.append((position, result)),
+        )
+        assert landed == list(enumerate(expected(4)))
+        assert out == expected(4)
+
+    def test_a_frame_is_written_as_its_chunk_lands(self, tmp_path):
+        ckpt = tmp_path / "progress.ckpt"
+        log = tmp_path / "ran.log"
+        tasks = [Nap(log, 0, 0.5), Nap(log, 1, 0.0)]
+
+        def interrupt(position, result):
+            if position == 1:
+                raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_tasks(tasks, workers=2, chunk_size=1, checkpoint=ckpt, on_result=interrupt)
+        ledger = SweepCheckpoint(ckpt, _fingerprint(tasks, 1))
+        assert ledger._load() == {1: [1]}
+        log.unlink()
+        assert run_tasks(tasks, workers=2, chunk_size=1, checkpoint=ckpt) == [0, 1]
+        # Task 1 came back from its frame; only task 0 ran again.
+        assert log.read_text().split() == ["0"]
+        assert not ckpt.exists()
+
+    def test_a_chunk_that_raises_behind_a_running_one_is_retried_without_spinning(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+        real_wait = parallel.wait
+
+        def counting_wait(*args, **kwargs):
+            calls.append(args)
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "wait", counting_wait)
+        tasks = [Nap(tmp_path / "ran.log", "slow", 1.0), RaiseOnce(tmp_path / "raised")]
+        assert run_tasks(tasks, workers=2, chunk_size=1) == ["slow", "recovered"]
+        assert (tmp_path / "raised").exists(), "the second chunk must have raised once"
+        # One wait per landing: the failure, the retry and the slow chunk.
+        # A loop that kept waiting on the failed future would spin for the
+        # whole second the slow chunk takes.
+        assert len(calls) <= 4
 
 
 class TestWorkerPool:

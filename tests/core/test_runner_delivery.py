@@ -4,9 +4,12 @@ The runner's default ``LockstepTransport`` routes with
 :func:`repro.transport.base.route` (sort the phase by source once, then
 bucket); ``SortedTransport`` routes with the reference that buckets first
 and sorts each inbox.  Both must be observationally identical: same
-inboxes, hence same decisions, same
+inboxes, in the same order, hence same decisions, same
 :class:`~repro.core.history.History` and same
-:class:`~repro.core.metrics.MetricsLedger`.  The adversaries here are the
+:class:`~repro.core.metrics.MetricsLedger`.  A recorder around each
+transport keeps every phase's delivered inboxes, so inbox order is
+compared directly: decisions, history and metrics do not see it.  The
+adversaries here are the
 ones that stress source ordering hardest: a replay adversary re-sending
 recorded traffic (arbitrary source interleavings), the two-faced
 equivocating transmitter, and a scripted adversary that deliberately emits
@@ -20,16 +23,41 @@ from repro.adversary.standard import EquivocatingTransmitter, ScriptedAdversary
 from repro.algorithms.dolev_strong import DolevStrong
 from repro.algorithms.oral_messages import OralMessages
 from repro.core.runner import run
+from repro.transport.base import LockstepTransport
 from tests.conftest import SortedTransport
+
+
+class Recorder:
+    """A transport that delegates to *inner* and keeps, per phase, every
+    inbox it delivered, in delivery order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.delivered = []
+
+    def deliver(self, phase, sent):
+        inboxes = self.inner.deliver(phase, sent)
+        self.delivered.append((phase, {dst: list(inbox) for dst, inbox in inboxes.items()}))
+        return inboxes
+
+    def drain_faults(self):
+        return self.inner.drain_faults()
+
+    def end_run(self):
+        return self.inner.end_run()
 
 
 def assert_equivalent(algorithm_factory, value, adversary_factory):
     """Run the same scenario through the default routing and the sorted
-    reference and compare everything observable."""
-    routed = run(algorithm_factory(), value, adversary_factory())
+    reference and compare everything observable, every inbox's order
+    included."""
+    routed_inboxes = Recorder(LockstepTransport())
+    reference_inboxes = Recorder(SortedTransport())
+    routed = run(algorithm_factory(), value, adversary_factory(), transport=routed_inboxes)
     reference = run(
-        algorithm_factory(), value, adversary_factory(), transport=SortedTransport()
+        algorithm_factory(), value, adversary_factory(), transport=reference_inboxes
     )
+    assert routed_inboxes.delivered == reference_inboxes.delivered
     assert routed.decisions == reference.decisions
     assert routed.history == reference.history
     assert routed.metrics == reference.metrics

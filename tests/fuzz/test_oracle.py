@@ -5,8 +5,8 @@ import pytest
 from repro.algorithms.dolev_strong import DolevStrong
 from repro.core.protocol import AgreementAlgorithm, Processor
 from repro.core.runner import run
-from repro.core.validation import BENIGN, BOUND, OK, SAFETY
-from repro.fuzz.oracle import CRASH, execute_script
+from repro.core.validation import BENIGN, BOUND, CRASH, OK, SAFETY
+from repro.fuzz.oracle import execute_script
 from repro.fuzz.script import AdversaryScript
 from repro.transport.faults import CrashFault, FaultPlan
 

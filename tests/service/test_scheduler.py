@@ -3,12 +3,15 @@
 import gc
 import multiprocessing
 import os
+import threading
 import time as wallclock
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import pytest
 
+from repro.algorithms.base import input_value_from
+from repro.algorithms.dolev_strong import DolevStrongProcessor
 from repro.algorithms.registry import get
 import repro.service.scheduler as scheduler_module
 from repro.analysis.parallel import MAX_STRIPE, WorkerPool
@@ -226,6 +229,46 @@ class DieInWave(Scheduler):
         return planned
 
 
+@dataclass(frozen=True, slots=True)
+class NapStripe(ServiceStripe):
+    """A stripe that sleeps *nap* seconds before it runs."""
+
+    nap: float = 0.0
+
+    def run(self):
+        wallclock.sleep(self.nap)
+        return ServiceStripe.run(self)
+
+
+class SlowFirstStripe(Scheduler):
+    """Ships each wave's first stripe as a :class:`NapStripe` and keeps
+    every wave's stripe members in ``members``."""
+
+    def __init__(self, nap, **kwargs):
+        super().__init__(**kwargs)
+        self.nap = nap
+        self.members = []
+
+    def _stripes(self, wave):
+        planned = super()._stripes(wave)
+        first, members = planned[0]
+        slow = NapStripe(
+            **{f.name: getattr(first, f.name) for f in fields(ServiceStripe)}, nap=self.nap
+        )
+        planned[0] = (slow, members)
+        self.members.append([sum(classes, []) for _, classes in planned])
+        return planned
+
+
+def executor_threads():
+    """The live threads of :mod:`concurrent.futures` (an executor's manager)."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if type(thread).__module__.startswith("concurrent.futures")
+    ]
+
+
 def wait_for_no_children(seconds=10.0):
     deadline = wallclock.monotonic() + seconds
     while multiprocessing.active_children() and wallclock.monotonic() < deadline:
@@ -298,7 +341,90 @@ class TestPoolLifetime:
             else:
                 del scheduler
                 gc.collect()
+        # Closing joins the executor: its manager thread is gone at once,
+        # not left to wake a closed pipe at interpreter exit.
+        assert executor_threads() == []
         assert wait_for_no_children() == []
+
+
+class TestStamps:
+    def test_each_stripe_is_stamped_at_its_own_harvest(self):
+        # One wave of three stripes on two workers: the first naps, so
+        # the other two land (and are stamped) before it.
+        with SlowFirstStripe(0.5, workers=2) as scheduler:
+            report = scheduler.serve(multi_stripe_waves(1))
+        (stripes,) = scheduler.members
+        assert len(stripes) == len(CONFIGS)
+        finish = {outcome.request_id: outcome.finish_s for outcome in report.outcomes}
+        stamps = [{finish[request_id] for request_id in members} for members in stripes]
+        assert all(len(stamp) == 1 for stamp in stamps), "a stripe's members share one stamp"
+        slow, *fast = (stamp.pop() for stamp in stamps)
+        assert all(stamp < slow for stamp in fast)
+        assert slow - min(fast) > 0.25
+        assert report.verdict_counts() == {"ok": 2 * len(CONFIGS)}
+
+    def test_serial_stripes_are_stamped_one_by_one(self):
+        ticks = iter(range(1000))
+        report = Scheduler(workers=1).serve(
+            multi_stripe_waves(1), clock=lambda: float(next(ticks))
+        )
+        assert report.stats.waves == 1
+        assert len({outcome.finish_s for outcome in report.outcomes}) == len(CONFIGS)
+        assert len({outcome.start_s for outcome in report.outcomes}) == 1
+
+
+ORIGINAL_ON_PHASE = DolevStrongProcessor.on_phase
+
+
+def raise_on_seven(processor, phase, inbox):
+    """``DolevStrongProcessor.on_phase``, but the transmitter raises on
+    input 7."""
+    if phase == 1 and processor.ctx.pid == processor.ctx.transmitter:
+        if input_value_from(inbox) == 7:
+            raise RuntimeError("no sevens")
+    return ORIGINAL_ON_PHASE(processor, phase, inbox)
+
+
+class TestCrashIsolation:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_raising_run_fails_its_own_request_only(self, workers, monkeypatch):
+        # Ten dolev-strong classes share one stripe, and two more
+        # configurations make the wave three stripes.
+        requests = [request(i, algorithm="dolev-strong", n=5, t=1, value=i) for i in range(10)]
+        requests += [
+            request(10 + i, algorithm=name, n=n, t=t, value=i % 2)
+            for i, (name, n, t) in enumerate(CONFIGS[::2] * 2)
+        ]
+        requests.append(request(14, algorithm="dolev-strong", n=5, t=1, value=7))
+        reference = Scheduler(workers=1).serve(immediate(requests), clock=lambda: 0.0)
+        assert reference.verdict_counts() == {"ok": len(requests)}
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(DolevStrongProcessor, "on_phase", raise_on_seven)
+        submitted = []
+        submit = WorkerPool._submit
+
+        def counting_submit(pool, chunk):
+            submitted.append(chunk)
+            return submit(pool, chunk)
+
+        monkeypatch.setattr(WorkerPool, "_submit", counting_submit)
+        with Scheduler(workers=workers) as scheduler:
+            report = scheduler.serve(immediate(requests), clock=lambda: 0.0)
+        assert [o.request_id for o in report.outcomes] == list(range(len(requests)))
+        for served, usual in zip(report.outcomes, reference.outcomes):
+            if served.request_id in (7, 14):
+                assert (served.ok, served.kind) == (False, "crash")
+                assert served.verdict == "crash: RuntimeError: no sevens"
+                assert served.replicated == (served.request_id == 14)
+            else:
+                assert served == usual
+        stats = report.stats
+        assert (stats.failed, stats.ok) == (2, len(requests) - 2)
+        assert stats.runs == stats.requests == stats.unique_runs + stats.replicated_runs
+        assert stats.unique_runs == stats.kernel_runs + stats.scalar_runs
+        assert run_classes(stats) == run_classes(reference.stats)
+        # No stripe raised, so the pool resubmitted nothing.
+        assert len(submitted) == (len(CONFIGS) if workers > 1 else 0)
 
 
 class TestStripes:
