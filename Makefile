@@ -121,10 +121,17 @@ approx-smoke:
 # Then one request past the fault budget (oral-messages n=7 t=2, three
 # processors crashed) is replayed through repro serve: its divergence is
 # benign, so it must exit 0 with failed 0 and benign 1.
-# Last, 769 identical requests (three stripes' worth and one more) are
+# Then 769 identical requests (three stripes' worth and one more) are
 # piped to repro serve at two workers: one run class executes once per
 # wave, so the summary must read unique_runs 1, replicated_runs 768 and
 # failed 0.
+# Last, a 600-request burst, 20% faulty, is served as one wave of 112
+# stripes (each fault plan's class is a stripe of its own) on two
+# workers.  Its run-class and crypto counts and verdicts do not depend
+# on which process serves a stripe, so they are pinned: 600 = 115 unique
+# + 485 replicated, 115 = 2 kernel + 113 scalar, sign/verify/chain-verify
+# 4728/4170/11787, and 600 ok of which 14 benign.  The digest and setup
+# counts vary with the worker and are left out.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro loadgen --requests 600 --rate 200 \
 		--seed 0 --fault-rate 0.2 --workers 2 --json \
@@ -141,3 +148,7 @@ serve-smoke:
 		--workers 2 --json > /tmp/serve_class.out \
 		|| { cat /tmp/serve_class.out; exit 1; }
 	$(PYTHON) -c "import json; text = open('/tmp/serve_class.out').read(); print(text.splitlines()[0]); stats = json.JSONDecoder().raw_decode(text, text.index('\n{') + 1)[0]; runs = (stats['unique_runs'], stats['replicated_runs'], stats['failed']); assert runs == (1, 768, 0), stats; print('serve-smoke: 769 identical requests, 1 unique + 768 replicated runs')"
+	PYTHONPATH=src $(PYTHON) -m repro loadgen --requests 600 --rate 1e9 --seed 7 \
+		--fault-rate 0.2 --workers 2 --json > /tmp/serve_burst.out \
+		|| { cat /tmp/serve_burst.out; exit 1; }
+	$(PYTHON) -c "import json; text = open('/tmp/serve_burst.out').read(); print(text.splitlines()[0]); stats = json.JSONDecoder().raw_decode(text, text.index('\n{') + 1)[0]; keys = ('requests', 'unique_runs', 'replicated_runs', 'kernel_runs', 'scalar_runs', 'sign_calls', 'verify_calls', 'chain_verify_calls', 'ok', 'benign'); counts = dict((key, stats[key]) for key in keys); assert tuple(counts.values()) == (600, 115, 485, 2, 113, 4728, 4170, 11787, 600, 14), counts; print('serve-smoke: faulted burst, 600 = 115 unique + 485 replicated, 115 = 2 kernel + 113 scalar, sign/verify/chain-verify 4728/4170/11787, 600 ok incl. 14 benign')"

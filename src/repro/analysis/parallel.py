@@ -54,13 +54,15 @@ import os
 import pickle
 import time
 import weakref
+from collections import OrderedDict
 from collections.abc import Generator
 from contextlib import closing
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
+from queue import Empty, SimpleQueue
 from typing import Any, Callable, Hashable, Iterable, Mapping, Protocol, Sequence, TypeVar
 
 from repro.adversary.base import Adversary
@@ -443,39 +445,53 @@ class WorkerPool:
         """The self-healing harvest loop: yield ``(index, results)`` for
         each chunk of *pending* as it lands, whichever lands first.
 
-        The oldest outstanding chunk's deadline is *task_timeout* times
-        its length, from when it became the oldest.  A resubmitted chunk
-        is the newest outstanding one.  Closing the generator cancels the
-        chunks still queued.
+        Each future reports its own landing through a done-callback, so
+        a landing costs the loop one queue read, however many chunks are
+        outstanding.  The oldest outstanding chunk's deadline is
+        *task_timeout* times its length, from when it became the oldest.
+        A resubmitted chunk is the newest outstanding one, and the
+        landing of a future it replaced is ignored.  Closing the
+        generator cancels the chunks still queued.
         """
-        futures = {index: self._submit(chunks[index]) for index in pending}
+        landings: SimpleQueue[tuple[int, Future]] = SimpleQueue()
+        # The current future of each chunk not yet harvested, in
+        # submission order: the oldest first.
+        outstanding: OrderedDict[int, Future] = OrderedDict()
+
+        def submit(index: int) -> None:
+            future = outstanding[index] = self._submit(chunks[index])
+            # The callback takes its future as an argument: one that held
+            # it would make a cycle that keeps the chunk's results alive
+            # until the cyclic collector runs.
+            future.add_done_callback(lambda landed: landings.put((index, landed)))
+
         attempts = dict.fromkeys(pending, 0)
-        # Outstanding chunks in submission order, the oldest first.
-        outstanding = list(pending)
+        for index in pending:
+            submit(index)
         timed: Future | None = None
         since = 0.0
         try:
             while outstanding:
-                head = outstanding[0]
                 timeout = None
                 if task_timeout is not None:
-                    if futures[head] is not timed:
-                        timed, since = futures[head], time.monotonic()
+                    head, oldest = next(iter(outstanding.items()))
+                    if oldest is not timed:
+                        timed, since = oldest, time.monotonic()
                     deadline = since + task_timeout * len(chunks[head])
                     timeout = max(0.0, deadline - time.monotonic())
-                done, _ = wait(
-                    [futures[index] for index in outstanding],
-                    timeout=timeout,
-                    return_when=FIRST_COMPLETED,
-                )
-                # The oldest chunk that landed; none landed: the head's
-                # deadline passed.
-                index = next((index for index in outstanding if futures[index] in done), head)
-                outstanding.remove(index)
                 try:
-                    if not done:
+                    index, future = landings.get(timeout=timeout)
+                except Empty:
+                    # Nothing landed: the head's deadline passed.
+                    index, future = head, None
+                else:
+                    if outstanding.get(index) is not future:
+                        continue  # a future its chunk's resubmission replaced
+                del outstanding[index]
+                try:
+                    if future is None:
                         raise FutureTimeoutError(f"chunk {index} overran its deadline")
-                    rows = futures[index].result()
+                    rows = future.result()
                 except Exception as error:
                     attempts[index] += 1
                     # A timeout means a worker is wedged mid-chunk; a broken
@@ -484,7 +500,7 @@ class WorkerPool:
                     if isinstance(error, (BrokenProcessPool, FutureTimeoutError)):
                         self._rebuild()
                         for other in outstanding:
-                            futures[other] = self._submit(chunks[other])
+                            submit(other)
                     if attempts[index] > MAX_RETRIES:
                         # Last resort: run the chunk here, in-process.  A
                         # transient fault heals; a real task bug raises with
@@ -492,14 +508,13 @@ class WorkerPool:
                         rows = _run_chunk(chunks[index])
                     else:
                         time.sleep(BACKOFF_S * (2 ** (attempts[index] - 1)))
-                        futures[index] = self._submit(chunks[index])
-                        outstanding.append(index)
+                        submit(index)
                         continue
                 yield index, rows
         finally:
             # Chunks a raising task or an abandoned harvest left queued
             # must not run into the pool's next call.
-            for future in futures.values():
+            for future in outstanding.values():
                 future.cancel()
 
 

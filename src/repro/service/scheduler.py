@@ -10,14 +10,16 @@ over the self-healing :func:`~repro.analysis.parallel.run_tasks` pool in
 2. take everything that has arrived, key each request by its
    :meth:`~repro.service.request.AgreementRequest.config_key` and its
    run class (:func:`repro.core.batch.class_key`), and shard the wave
-   into :class:`ServiceStripe` tasks of whole classes (at most
-   :data:`~repro.analysis.parallel.MAX_STRIPE` requests each unless one
-   class holds more, the rule sweeps stripe by);
-3. dispatch the stripes across the pool, one per chunk, and stamp each
-   stripe when its result reaches this process (the pool hands stripes
-   back as they land).  Once the wave's last stripe is in, every request
-   gets the wave's dispatch time as ``start_s`` and its own stripe's
-   harvest time as ``finish_s``.
+   into :class:`ServiceStripe` tasks of whole classes: a class with a
+   fault plan is a stripe of its own, and plan-free classes fill stripes
+   of at most :data:`~repro.analysis.parallel.MAX_STRIPE` requests each
+   unless one class holds more, the rule sweeps stripe by;
+3. dispatch the stripes across the pool, one per chunk, by the requests
+   they serve, most first, and stamp each stripe when its result
+   reaches this process (the pool hands stripes back as they land).
+   Once the wave's last stripe is in, every request gets the wave's
+   dispatch time as ``start_s`` and its own stripe's harvest time as
+   ``finish_s``.
 
 The run class, not the request, is the unit of work: a stripe ships one
 case per class and returns one :class:`ClassOutcome` per class, and
@@ -245,31 +247,39 @@ class Scheduler:
         coin seed, with ``uses_coins`` read off the registry's class once
         per algorithm, so no arena is built here), and
         :func:`~repro.analysis.parallel.stripe_positions` cuts the wave.
+        A class whose key carries a fault plan always executes through
+        the runner, so it is a group, and hence a stripe, of its own; the
+        plan-free classes of a configuration fill stripes as sweeps do.
         Each stripe comes with its classes' members, as ascending
-        submission indices.  The stripes dispatch in ``repr`` order of the
-        configuration key."""
+        submission indices.  The stripes dispatch by the requests they
+        serve, most first (stable, so ties keep first-seen order): the
+        one-class plan stripes come last, where the pool spreads them
+        over its workers."""
         uses_coins = {
             name: get(name).build.uses_coins
             for name in {request.algorithm for _, request in wave}
         }
-        keys = [
-            (
-                request.config_key(),
-                class_key(
-                    request.value,
-                    request.fault_plan,
-                    request.coin_seed,
-                    uses_coins[request.algorithm],
-                ),
+        keys: list[tuple[Any, Any]] = []
+        for _, request in wave:
+            config = request.config_key()
+            run_class = class_key(
+                request.value,
+                request.fault_plan,
+                request.coin_seed,
+                uses_coins[request.algorithm],
             )
-            for _, request in wave
-        ]
+            # The key's plan field is None unless the plan injects a fault.
+            if run_class is not None and run_class[1] is not None:
+                config = (config, run_class)
+            keys.append((config, run_class))
         shards = sorted(
-            stripe_positions(keys), key=lambda classes: repr(keys[classes[0][0]][0])
+            stripe_positions(keys),
+            key=lambda classes: sum(map(len, classes)),
+            reverse=True,
         )
         planned: list[tuple[ServiceStripe, list[list[int]]]] = []
         for classes in shards:
-            name, n, t, params = keys[classes[0][0]][0]
+            name, n, t, params = wave[classes[0][0]][1].config_key()
             cases = tuple(
                 (request.value, request.fault_plan, request.coin_seed)
                 for request in (wave[positions[0]][1] for positions in classes)

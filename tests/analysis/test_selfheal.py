@@ -118,6 +118,24 @@ class RecordRun:
         return self.x
 
 
+class CountingFuture:
+    """A pool future that counts every attribute read on it in ``looks``
+    and, as a future does, hands itself to its done-callbacks."""
+
+    looks = 0
+
+    def __init__(self, future):
+        self._future = future
+
+    def __getattr__(self, name):
+        CountingFuture.looks += 1
+        return getattr(self._future, name)
+
+    def add_done_callback(self, callback):
+        CountingFuture.looks += 1
+        self._future.add_done_callback(lambda _: callback(self))
+
+
 def expected(n):
     return [i * i for i in range(n)]
 
@@ -194,20 +212,37 @@ class TestHarvestOrder:
         self, tmp_path, monkeypatch
     ):
         calls = []
-        real_wait = parallel.wait
 
-        def counting_wait(*args, **kwargs):
-            calls.append(args)
-            return real_wait(*args, **kwargs)
+        class CountingQueue(parallel.SimpleQueue):
+            def get(self, *args, **kwargs):
+                calls.append(args)
+                return super().get(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "wait", counting_wait)
+        monkeypatch.setattr(parallel, "SimpleQueue", CountingQueue)
         tasks = [Nap(tmp_path / "ran.log", "slow", 1.0), RaiseOnce(tmp_path / "raised")]
         assert run_tasks(tasks, workers=2, chunk_size=1) == ["slow", "recovered"]
         assert (tmp_path / "raised").exists(), "the second chunk must have raised once"
-        # One wait per landing: the failure, the retry and the slow chunk.
-        # A loop that kept waiting on the failed future would spin for the
-        # whole second the slow chunk takes.
+        # The loop blocks on its landing queue, once per landing: the
+        # failure, the retry and the slow chunk.  A loop that kept reading
+        # the failed future's landing would spin for the whole second the
+        # slow chunk takes.
         assert len(calls) <= 4
+
+    def test_each_landing_examines_only_its_own_future(self, monkeypatch):
+        # Every attribute read on a chunk's future is one look.  A loop
+        # that scans its outstanding futures on each landing looks
+        # O(chunks**2) times; this one subscribes to each future once and
+        # reads its result once.
+        submit = WorkerPool._submit
+        monkeypatch.setattr(
+            WorkerPool, "_submit", lambda pool, chunk: CountingFuture(submit(pool, chunk))
+        )
+        monkeypatch.setattr(CountingFuture, "looks", 0)
+        chunks = 200
+        assert run_tasks([Square(i) for i in range(chunks)], workers=2, chunk_size=1) == (
+            expected(chunks)
+        )
+        assert CountingFuture.looks <= 2 * chunks
 
 
 class TestWorkerPool:

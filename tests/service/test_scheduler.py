@@ -24,6 +24,7 @@ from repro.service.loadgen import generate_schedule
 from repro.service.request import AgreementRequest, ScheduledRequest
 from repro.service.scheduler import ClassOutcome, Scheduler, ServiceStripe
 from repro.transport.faults import CrashFault, FaultPlan, Partition, random_plan
+from repro.transport.faulty import FaultyTransport
 
 
 class VirtualTime:
@@ -363,6 +364,29 @@ class TestStamps:
         assert slow - min(fast) > 0.25
         assert report.verdict_counts() == {"ok": 2 * len(CONFIGS)}
 
+    def test_a_slow_faulted_run_holds_back_only_its_own_request(self, monkeypatch):
+        # One configuration: twenty plan-free requests (two kernel classes)
+        # and one whose crash plan sends it through the runner, slowed by
+        # a nap per delivered phase.  The plan class is a stripe of its
+        # own, dispatched after the plan-free one.
+        plan = FaultPlan(faults=(CrashFault(pid=3, phase=2),))
+        requests = [request(i, value=i % 2) for i in range(20)]
+        requests.append(request(20, fault_plan=plan))
+        deliver = FaultyTransport.deliver
+
+        def slow_deliver(transport, *args, **kwargs):
+            wallclock.sleep(0.1)
+            return deliver(transport, *args, **kwargs)
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr(FaultyTransport, "deliver", slow_deliver)
+        with Scheduler(workers=2) as scheduler:
+            report = scheduler.serve(immediate(requests))
+        assert report.verdict_counts() == {"ok": len(requests)}
+        *plan_free, planned = report.outcomes
+        assert planned.fault_events > 0
+        assert max(outcome.finish_s for outcome in plan_free) < planned.finish_s
+
     def test_serial_stripes_are_stamped_one_by_one(self):
         ticks = iter(range(1000))
         report = Scheduler(workers=1).serve(
@@ -432,22 +456,24 @@ class TestStripes:
         # A configuration's run classes fill stripes whole, in first-seen
         # order, up to MAX_STRIPE requests, at any pool size.  Value 0's
         # class has two members, so it and the next MAX_STRIPE - 2 classes
-        # fill the first stripe.  The stripes dispatch in repr order of the
-        # configuration key, one per chunk, and ship one case per class.
+        # fill the first stripe.  The stripes dispatch by the requests they
+        # serve, most first, and stably: the full stripe, then the
+        # one-request stripes in first-seen order.  They go one per chunk
+        # and ship one case per class.
         values = [*range(MAX_STRIPE - 1), 0, MAX_STRIPE]
         wave = [(i, request(i, value=value)) for i, value in enumerate(values)]
         last = len(wave)
         wave.append((last, request(last, algorithm="dolev-strong", n=9, t=2)))
         expected = [
-            ("dolev-strong", [[last]]),
             ("phase-king", [[0, MAX_STRIPE - 1]] + [[i] for i in range(1, MAX_STRIPE - 1)]),
             ("phase-king", [[MAX_STRIPE]]),
+            ("dolev-strong", [[last]]),
         ]
         for workers in (1, 2):
             planned = Scheduler(workers=workers)._stripes(wave)
             assert [(s.algorithm, members) for s, members in planned] == expected
             assert [[case[0] for case in s.cases] for s, _ in planned] == [
-                [1], list(range(MAX_STRIPE - 1)), [MAX_STRIPE]
+                list(range(MAX_STRIPE - 1)), [MAX_STRIPE], [1]
             ]
         dispatched = []
         real = scheduler_module.run_tasks
@@ -460,7 +486,7 @@ class TestStripes:
         report = Scheduler(workers=1).serve(
             immediate([item for _, item in wave]), clock=lambda: 0.0
         )
-        assert dispatched == [([1, MAX_STRIPE - 1, 1], 1)]
+        assert dispatched == [([MAX_STRIPE - 1, 1, 1], 1)]
         assert [o.request_id for o in report.outcomes] == list(range(last + 1))
         assert [o.replicated for o in report.outcomes] == [
             i == MAX_STRIPE - 1 for i in range(last + 1)
